@@ -1108,6 +1108,10 @@ fn render_live(cli: &Cli) -> Result<String, String> {
     );
     s.push_str(&format!("  safety violations : {}\n", out.violations.len()));
     s.push_str(&format!(
+        "  verdict lag       : {} ms after the run\n",
+        out.verdict_ms
+    ));
+    s.push_str(&format!(
         "  eating sessions   : {} ({:.1}/s)\n",
         out.total_meals(),
         out.sessions_per_sec()
@@ -1255,7 +1259,8 @@ fn bench_live_row_json(
          \"net_max_node_decode_errors\": {max_decode}, \
          \"net_max_node_send_failures\": {max_send}, \
          \"net_max_node_retransmissions\": {max_rtx}, \
-         \"net_max_node_acks\": {max_acks}}}",
+         \"net_max_node_acks\": {max_acks}, \
+         \"verdict_ms\": {}}}",
         out.elapsed_ms,
         out.total_meals(),
         out.sessions_per_sec(),
@@ -1272,6 +1277,7 @@ fn bench_live_row_json(
         out.retransmissions,
         out.acks_sent,
         out.recoveries,
+        out.verdict_ms,
     )
 }
 

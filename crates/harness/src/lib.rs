@@ -9,8 +9,9 @@
 //!   mobility mixes (static-core + highway + group waypoint);
 //! * [`metrics`] — response-time samples (with per-episode static/moved
 //!   flags, matching Definition 1 of the paper), meals, starvation probes;
-//! * [`safety`] — the local-mutual-exclusion invariant checker, evaluated
-//!   after **every** instant of virtual time;
+//! * [`safety`] — the local-mutual-exclusion invariant checker: an
+//!   incremental core that settles after **every** instant of virtual
+//!   time but examines only the neighborhoods that changed;
 //! * [`failure_locality`] — crash probes that measure how far from a
 //!   crashed node starvation reaches;
 //! * [`census`] — message-complexity accounting by message kind;
@@ -53,7 +54,7 @@ pub use runner::{
     run_algorithm, run_algorithm_graph, run_algorithm_with_strategy, run_protocol,
     run_protocol_graph, AlgKind, RunOutcome, RunSpec,
 };
-pub use safety::{SafetyMonitor, Violation};
+pub use safety::{SafetyCore, SafetyMonitor, Violation};
 pub use stats::Summary;
 pub use sweep::{default_jobs, par_map, run_cells, Job, SweepCell, SweepSpec, Topo};
 pub use table::Table;

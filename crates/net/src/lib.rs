@@ -25,8 +25,9 @@
 //!   [`runtime::LiveRuntime::Sharded`] and scaling the same automata to
 //!   tens of thousands of nodes;
 //! * [`trace`] — totally-ordered capture of everything observable, safety
-//!   validation through the harness [`harness::SafetyMonitor`], and export
-//!   of delivery timings as a simulator schedule;
+//!   validation by replaying the state, crash, recover and relocate
+//!   records into the harness [`harness::SafetyCore`], and export of
+//!   delivery timings as a simulator schedule;
 //! * [`replay`] — the conformance bridge: re-run a live execution's
 //!   timing shape inside the deterministic engine and check that safety
 //!   and the eating census survive the crossing.
@@ -36,8 +37,9 @@
 //! scheduler and real queues. What is *kept* is the model: the automata,
 //! the ν-bounded-delay assumption (ticks map to wall time via
 //! `tick_ns`), the crash and partition semantics, and the safety
-//! invariant, checked by the very same monitor that audits simulated
-//! runs.
+//! invariant, checked by the very same incremental core that audits
+//! simulated runs — told what changed, it examines only the neighborhoods
+//! that did.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -53,7 +55,7 @@ pub use codec::{decode_frame, encode_frame, CodecError, WireMsg, WIRE_VERSION};
 pub use replay::{conformance_replay, ConformanceReport};
 pub use runtime::{run_live, LiveAlg, LiveConfig, LiveOutcome, LiveRuntime};
 pub use shard::{merge_stamped, HybridClock, ShardAbort, ShardTuning, StampedRecord};
-pub use trace::{LiveEventKind, LiveRecord, LiveTrace, NodeNetStats};
+pub use trace::{LiveEventKind, LiveRecord, LiveTrace, NodeNetStats, SafetyAudit};
 pub use transport::{
     decode_envelope, encode_envelope, mpsc_mesh, udp_mesh, LinkGate, MpscTransport, Transport,
     TransportKind, UdpTransport, ENV_ACK, ENV_DATA,

@@ -301,8 +301,8 @@ pub struct LiveOutcome {
     pub meals: Vec<u64>,
     /// Pooled hungry→eating latencies in nanoseconds.
     pub latencies_ns: Vec<u64>,
-    /// Safety violations found by replaying the trace through the
-    /// harness monitor (empty = the run was safe).
+    /// Safety violations found by replaying the trace into the harness
+    /// safety core (empty = the run was safe).
     pub violations: Vec<Violation>,
     /// Envelopes handed to transports.
     pub messages_sent: u64,
@@ -322,6 +322,10 @@ pub struct LiveOutcome {
     pub recoveries: u64,
     /// Wall-clock length of the run in milliseconds.
     pub elapsed_ms: u64,
+    /// Milliseconds from the end of the run (every node joined, where
+    /// `elapsed_ms` stops) until `violations` was known: trace merge or
+    /// sort plus the safety replay.
+    pub verdict_ms: u64,
     /// Node threads that exited cleanly (always `n` on success).
     pub threads_joined: usize,
 }
@@ -1361,6 +1365,7 @@ where
 
     let trace = LiveTrace::new(records);
     let violations = trace.check_safety(radio_range, &cfg.positions);
+    let verdict_ms = shared.now_ns() / 1_000_000 - elapsed_ms;
     let meals = trace.census(n);
     let latencies_ns = trace.hungry_to_eat_latencies_ns(n);
     Ok(LiveOutcome {
@@ -1376,6 +1381,7 @@ where
         acks_sent: shared.acks_sent.load(Ordering::Relaxed),
         recoveries,
         elapsed_ms,
+        verdict_ms,
         threads_joined,
     })
 }

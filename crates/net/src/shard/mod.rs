@@ -932,8 +932,9 @@ where
     streams.push(drv_records);
     let elapsed_ms = shared.now_ns() / 1_000_000;
 
-    let trace = LiveTrace::new(merge_stamped(streams));
+    let trace = LiveTrace::from_merged(merge_stamped(streams));
     let violations = trace.check_safety(radio_range, &cfg.positions);
+    let verdict_ms = shared.now_ns() / 1_000_000 - elapsed_ms;
     let meals = trace.census(n);
     let latencies_ns = trace.hungry_to_eat_latencies_ns(n);
     Ok(LiveOutcome {
@@ -949,6 +950,7 @@ where
         acks_sent: 0,
         recoveries,
         elapsed_ms,
+        verdict_ms,
         threads_joined,
     })
 }

@@ -10,16 +10,24 @@
 //! That total order is what lets two sim-grade facilities run over a live
 //! execution:
 //!
-//! * [`LiveTrace::check_safety`] replays the trace against a mirror
-//!   [`World`] and feeds it through the very same [`SafetyMonitor`] hook
-//!   that audits simulated runs — no second implementation of the
-//!   invariant;
+//! * [`LiveTrace::check_safety`] replays the trace into the harness
+//!   [`SafetyCore`] — the incremental invariant the simulator's
+//!   `SafetyMonitor` hook adapts, so there is no second implementation —
+//!   over a mirror [`World`]. The core's event vocabulary maps one to one
+//!   onto records: `State` → `state_changed`, `Crash` → `crashed`,
+//!   `Recover` → `recovered`, and each link a `Relocate` raises in the
+//!   mirror world → `link_up`. Every such record is an instant of its
+//!   own and is settled on the spot, which examines only the
+//!   neighborhoods the record touched; `Deliver`, `LinkUp`, `LinkDown`
+//!   and `NetStats` records cannot change what the invariant reads and
+//!   never reach the core. The replay is O(records + eating transitions
+//!   · δ), not O(records · n);
 //! * [`LiveTrace::to_schedule`] quantizes each observed delivery latency
 //!   into virtual-time delivery delays, producing an [`ImportedSchedule`]
 //!   the deterministic engine can replay (the conformance bridge).
 
-use harness::{SafetyMonitor, Violation};
-use manet_sim::{DiningState, Hook, ImportedSchedule, NodeId, SimTime, Sink, View, World};
+use harness::{SafetyCore, Violation};
+use manet_sim::{DiningState, ImportedSchedule, LinkChange, NodeId, SimTime, World};
 
 /// What happened, as observed by one thread of the live run.
 #[derive(Clone, Debug, PartialEq)]
@@ -138,6 +146,16 @@ impl LiveTrace {
         LiveTrace { records }
     }
 
+    /// Wrap records that are already in their total order — what
+    /// [`crate::merge_stamped`] returns — without sorting them again.
+    pub fn from_merged(records: Vec<LiveRecord>) -> LiveTrace {
+        debug_assert!(
+            records.windows(2).all(|w| w[0].order < w[1].order),
+            "from_merged needs records sorted by order ticket"
+        );
+        LiveTrace { records }
+    }
+
     /// The records, in total order.
     pub fn records(&self) -> &[LiveRecord] {
         &self.records
@@ -253,61 +271,65 @@ impl LiveTrace {
         sched
     }
 
-    /// Replay the trace against a mirror world and run it through the
-    /// harness [`SafetyMonitor`] — the same hook that audits simulated
-    /// runs. Returns every recorded violation (empty = the live run never
-    /// had two current neighbors eating at once, and never ate next to a
-    /// neighbor that crashed mid-meal).
+    /// Replay the trace into the harness [`SafetyCore`] — the invariant
+    /// that audits simulated runs — over a mirror world that follows the
+    /// `Relocate` records. Every record is an instant of its own. Returns
+    /// every recorded violation (empty = the live run never had two
+    /// current neighbors eating at once, and never ate next to a neighbor
+    /// that crashed mid-meal).
     pub fn check_safety(&self, radio_range: f64, positions: &[(f64, f64)]) -> Vec<Violation> {
+        self.audit_safety(radio_range, positions).violations
+    }
+
+    /// [`LiveTrace::check_safety`] together with what the replay cost.
+    pub fn audit_safety(&self, radio_range: f64, positions: &[(f64, f64)]) -> SafetyAudit {
         let mut world = World::new(radio_range, positions.iter().map(|&p| p.into()).collect());
-        let n = world.len();
-        let mut dining = vec![DiningState::Thinking; n];
-        let mut sessions = vec![0u64; n];
-        let (mut monitor, log) = SafetyMonitor::new(false);
-        let mut sink = Sink::detached();
+        let mut core = SafetyCore::new(world.len());
+        let mut violations = Vec::new();
         for r in &self.records {
-            let now = SimTime(r.at_ns);
             match r.kind {
                 LiveEventKind::State {
                     node, new, session, ..
-                } => {
-                    dining[node.index()] = new;
-                    sessions[node.index()] = session;
-                }
-                LiveEventKind::Crash { node } => {
-                    // The dining cache is still a live reading at the crash
-                    // instant: notify the monitor before freezing the node.
-                    let view = View::compose(now, &world, &dining, &sessions);
-                    Hook::<()>::on_crash(&mut monitor, &view, node, &mut sink);
-                    world.mark_crashed(node);
-                }
-                LiveEventKind::Recover { node } => {
-                    // Fresh incarnation: it starts Thinking (no State record
-                    // bridges the frozen pre-crash reading), and the monitor
-                    // drops its frozen-eater bookkeeping for the node.
-                    world.mark_recovered(node);
-                    dining[node.index()] = DiningState::Thinking;
-                    let view = View::compose(now, &world, &dining, &sessions);
-                    Hook::<()>::on_recover(&mut monitor, &view, node, &mut sink);
-                }
+                } => core.state_changed(node, new, session),
+                // Nodes record their own crash and recovery, serialized
+                // against their state records, so the seat freezes on its
+                // reading at the crash instant and the fresh incarnation
+                // starts thinking (no State record bridges the two).
+                LiveEventKind::Crash { node } => core.crashed(node),
+                LiveEventKind::Recover { node } => core.recovered(node),
                 LiveEventKind::Relocate { node, x, y } => {
                     // The adjacency change is what matters for the
                     // invariant; the LinkUp/LinkDown records that follow
                     // are documentation of what the nodes were told.
-                    let _ = world.relocate(node, (x, y).into());
+                    for change in world.relocate(node, (x, y).into()) {
+                        if let LinkChange::Up(a, b) = change {
+                            core.link_up(a, b);
+                        }
+                    }
                 }
+                // Nothing the invariant reads can change here.
                 LiveEventKind::Deliver { .. }
                 | LiveEventKind::LinkUp { .. }
                 | LiveEventKind::LinkDown { .. }
-                | LiveEventKind::NetStats { .. } => {}
+                | LiveEventKind::NetStats { .. } => continue,
             }
-            let view = View::compose(now, &world, &dining, &sessions);
-            Hook::<()>::on_quantum_end(&mut monitor, &view, &mut sink);
-            sink.drain();
+            core.settle(SimTime(r.at_ns), &world, &mut violations);
         }
-        let out = log.borrow().clone();
-        out
+        SafetyAudit {
+            violations,
+            pairs_examined: core.pairs_examined(),
+        }
     }
+}
+
+/// The verdict of [`LiveTrace::audit_safety`] and its machine-independent
+/// cost.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct SafetyAudit {
+    /// Every recorded violation, in trace order.
+    pub violations: Vec<Violation>,
+    /// [`SafetyCore::pairs_examined`] at the end of the replay.
+    pub pairs_examined: u64,
 }
 
 #[cfg(test)]

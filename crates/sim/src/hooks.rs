@@ -18,33 +18,6 @@ pub struct View<'a> {
     pub(crate) eating_session: &'a [u64],
 }
 
-impl<'a> View<'a> {
-    /// Compose a view from host-owned state, for driving hooks *outside*
-    /// the engine — the live runtime's trace validator replays a captured
-    /// run through the same [`Hook`] implementations (notably the safety
-    /// monitor) that watch simulated runs. `dining` and `eating_session`
-    /// must have one entry per node of `world`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice lengths disagree with `world.len()`.
-    pub fn compose(
-        now: SimTime,
-        world: &'a World,
-        dining: &'a [DiningState],
-        eating_session: &'a [u64],
-    ) -> View<'a> {
-        assert_eq!(dining.len(), world.len(), "one dining state per node");
-        assert_eq!(eating_session.len(), world.len(), "one session per node");
-        View {
-            now,
-            world,
-            dining,
-            eating_session,
-        }
-    }
-}
-
 impl View<'_> {
     /// Current virtual time.
     pub fn time(&self) -> SimTime {
@@ -88,22 +61,6 @@ pub struct Sink {
 }
 
 impl Sink {
-    /// An empty sink for hosts that drive hooks outside the engine (see
-    /// [`View::compose`]). Commands the hook schedules are collected and
-    /// can be inspected via [`Sink::drain`]; hosts that cannot honor them
-    /// should treat a non-empty drain as an error.
-    pub fn detached() -> Sink {
-        Sink {
-            scheduled: Vec::new(),
-        }
-    }
-
-    /// Take the commands scheduled so far (host-side counterpart of the
-    /// engine's internal drain).
-    pub fn drain(&mut self) -> Vec<(SimTime, Command)> {
-        std::mem::take(&mut self.scheduled)
-    }
-
     /// Schedule `cmd` to execute at absolute time `at` (clamped to be not
     /// earlier than the current time by the engine).
     pub fn at(&mut self, at: SimTime, cmd: Command) {

@@ -344,9 +344,9 @@ impl World {
     }
 
     /// Mark `n` crashed from *outside* the engine — used by hosts (the
-    /// live runtime's trace validator) that maintain a mirror world while
-    /// replaying a recorded execution through hooks. Same semantics as an
-    /// engine crash: the node never moves again and its links stay up.
+    /// live runtime's drivers) that maintain a mirror world of a run the
+    /// engine does not execute. Same semantics as an engine crash: the
+    /// node never moves again and its links stay up.
     pub fn mark_crashed(&mut self, n: NodeId) {
         self.crash(n);
     }

@@ -12,4 +12,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test =="
 cargo test -q
 
+# The root suite does not reach the unit tests of these crates (the safety
+# monitor, the live trace replay, the engine).
+echo "== cargo test (harness, lme-net, manet-sim) =="
+cargo test -q -p harness -p lme-net -p manet-sim
+
 echo "All checks passed."
