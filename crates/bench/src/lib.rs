@@ -68,30 +68,3 @@ fn flag_value(flag: &str) -> Option<String> {
     }
     None
 }
-
-/// Time `f` over `iters` iterations (after one warm-up call) and print
-/// min/mean per-iteration wall time. The closure's return value is folded
-/// into a black-box accumulator so the optimizer cannot elide the work.
-/// Replaces the criterion harness: same shape of numbers, zero
-/// dependencies.
-pub fn bench<R: std::hash::Hash>(name: &str, iters: u32, mut f: impl FnMut() -> R) {
-    use std::hash::Hasher;
-    assert!(iters > 0);
-    let mut sink = std::collections::hash_map::DefaultHasher::new();
-    f().hash(&mut sink); // warm-up
-    let mut min = std::time::Duration::MAX;
-    let mut total = std::time::Duration::ZERO;
-    for _ in 0..iters {
-        let t0 = std::time::Instant::now();
-        let r = f();
-        let dt = t0.elapsed();
-        r.hash(&mut sink);
-        min = min.min(dt);
-        total += dt;
-    }
-    let mean = total / iters;
-    println!(
-        "{name:<40} min {min:>10.3?}   mean {mean:>10.3?}   ({iters} iters, sink {:x})",
-        sink.finish() & 0xffff
-    );
-}

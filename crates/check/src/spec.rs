@@ -3,7 +3,7 @@
 //! (used to validate that the checker actually finds bugs).
 
 use harness::AlgKind;
-use manet_sim::{ArqConfig, EventQueueKind};
+use manet_sim::ArqConfig;
 
 /// A deliberate, test-only defect injected into the algorithm under check.
 ///
@@ -82,11 +82,6 @@ pub struct CheckSpec {
     pub hungry: Vec<u32>,
     /// Optional deliberate defect (see [`Mutation`]).
     pub mutation: Mutation,
-    /// Event-queue core the engine runs schedules on. Both cores produce
-    /// identical verdicts (that equivalence is itself under test in
-    /// `tests/queue_equivalence.rs`); the knob exists so the checker can be
-    /// pointed at either implementation.
-    pub event_queue: EventQueueKind,
     /// Optional ARQ shim configuration. `None` (the default) checks the
     /// bare channel exactly as before; `Some` interposes the reliable-
     /// delivery shim so schedules explore its retransmission machinery too.
@@ -125,7 +120,6 @@ impl CheckSpec {
             eat: 10,
             hungry: (0..n as u32).collect(),
             mutation: Mutation::None,
-            event_queue: EventQueueKind::default(),
             arq: None,
             liveness: false,
             think: 10,

@@ -193,7 +193,6 @@ where
         max_message_delay: spec.nu,
         max_eating_ticks: spec.eat,
         trace: true,
-        event_queue: spec.event_queue,
         arq: spec.arq.clone(),
         ..SimConfig::default()
     };

@@ -79,7 +79,7 @@ pub enum Command {
     Chaos,
     /// Bounded schedule-space model checking with witness shrink/replay.
     Check,
-    /// Benchmarks (`lme bench scale`, `lme bench live`, `lme bench engine`).
+    /// Benchmarks (`lme bench live`, `lme bench channel`).
     Bench,
     /// Live thread-per-node run over a real transport (`lme live`).
     Live,
@@ -88,13 +88,8 @@ pub enum Command {
 /// Which benchmark `lme bench` runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BenchMode {
-    /// Link-engine scaling ladder (virtual time).
-    Scale,
     /// Live-runtime throughput/latency over a real transport (wall time).
     Live,
-    /// Event-queue core ladder: ns/event of the heap vs the timing wheel
-    /// on a dispatch-bound workload.
-    Engine,
     /// Channel-model matrix: every channel model × a clique and a ring,
     /// reporting meals, response times and channel counters.
     Channel,
@@ -188,17 +183,12 @@ pub struct Cli {
     pub explicit: Vec<String>,
     /// Bench: which benchmark to run.
     pub bench_mode: BenchMode,
-    /// Bench: node counts of the scaling ladder.
+    /// Bench live: ring sizes of the `--ns` scale ladder (none unless
+    /// the flag is given).
     pub bench_ns: Vec<usize>,
-    /// Bench: relocation steps measured per node count.
-    pub bench_steps: usize,
     /// Bench: where the JSON output is written (`None` = the mode's
-    /// default: `BENCH_scale.json` / `BENCH_live.json` /
-    /// `BENCH_engine.json`).
+    /// default: `BENCH_live.json` / `BENCH_channel.json`).
     pub bench_out: Option<String>,
-    /// Bench: largest n at which the pairwise reference engine also runs
-    /// (it is O(n²); past this only the grid engine is measured).
-    pub bench_pairwise_cap: usize,
     /// Live: which transport carries the frames.
     pub transport: TransportKind,
     /// Live: wall-clock run length in milliseconds.
@@ -273,11 +263,9 @@ impl Default for Cli {
             liveness: false,
             certify: false,
             explicit: Vec::new(),
-            bench_mode: BenchMode::Scale,
-            bench_ns: vec![1_000, 2_500, 5_000, 10_000],
-            bench_steps: 20_000,
+            bench_mode: BenchMode::Live,
+            bench_ns: Vec::new(),
             bench_out: None,
-            bench_pairwise_cap: 2_500,
             transport: TransportKind::Mpsc,
             duration_ms: 2_000,
             rate: 25.0,
@@ -307,15 +295,9 @@ commands:
           command exits nonzero if that class stalls
   check   explore the legal delivery schedules of a small model for
           safety/liveness violations; shrink and replay witnesses
-  bench   `bench scale`: random-waypoint link-derivation cost of the
-          spatial-grid engine vs the pairwise reference across a node
-          ladder, written as a JSON trajectory
-          `bench live`: wall-clock throughput (eating sessions/sec) and
+  bench   `bench live`: wall-clock throughput (eating sessions/sec) and
           hungry->eat latency percentiles of every live-capable
           algorithm over a real transport, written as BENCH_live.json
-          `bench engine`: ns/event of the binary-heap vs timing-wheel
-          event cores on a dispatch-bound workload across a node
-          ladder, written as BENCH_engine.json
           `bench channel`: every channel model x {clique:8, ring:8},
           reporting meals, response percentiles and channel counters,
           written as BENCH_channel.json
@@ -395,19 +377,6 @@ model checking (check):
                        explicitly-passed instance flag that conflicts
                        with the witness is a structured error
 
-scaling benchmark (bench scale):
-  --ns <a,b,...>       node-count ladder        (default 1000,2500,5000,10000)
-  --steps-per-n <k>    relocation steps per n   (default 20000)
-  --out <p>            JSON trajectory path     (default BENCH_scale.json)
-  --pairwise-cap <n>   largest n that also runs the O(n^2) reference
-                       engine                   (default 2500)
-
-event-core benchmark (bench engine):
-  --ns <a,b,...>       node-count ladder        (default 1000,2500,5000,10000)
-  --steps-per-n <k>    minimum events per cell  (default 20000; at least
-                       50 x n events are always dispatched)
-  --out <p>            JSON path                (default BENCH_engine.json)
-
 live runtime (live, bench live):
   --transport <t>      mpsc | udp               (default mpsc)
   --duration <ms>      wall-clock run length    (default 2000)
@@ -433,6 +402,9 @@ live runtime (live, bench live):
   --closed-loop        nodes go hungry again immediately after eating
                        (saturation workload; --rate only staggers the
                        first cycle)
+  --ns <a,b,...>       bench live: also run --alg on ring:n per rung
+                       under both runtimes (thread-per-node skipped
+                       above 2048 nodes)
   --out <p>            bench live: JSON path    (default BENCH_live.json)
 ";
 
@@ -580,23 +552,17 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Cli, String> {
         other => return Err(format!("unknown command '{other}'\n{USAGE}")),
     };
     if cli.command == Command::Bench {
-        // `bench` takes a positional mode; `scale` is the default when
-        // omitted.
-        if it.peek().is_some_and(|a| !a.starts_with("--")) {
-            let mode = it.next().expect("peeked");
-            cli.bench_mode = match mode.as_str() {
-                "scale" => BenchMode::Scale,
-                "live" => BenchMode::Live,
-                "engine" => BenchMode::Engine,
-                "channel" => BenchMode::Channel,
-                _ => {
-                    return Err(format!(
-                        "unknown bench mode '{mode}'; try `lme bench scale`, \
-                         `lme bench live`, `lme bench engine`, or `lme bench channel`"
-                    ))
-                }
-            };
-        }
+        // `bench` takes a positional mode.
+        let mode = it.next_if(|a| !a.starts_with("--")).unwrap_or_default();
+        cli.bench_mode = match mode.as_str() {
+            "live" => BenchMode::Live,
+            "channel" => BenchMode::Channel,
+            _ => {
+                return Err(format!(
+                    "unknown bench mode '{mode}'; try `lme bench live` or `lme bench channel`"
+                ))
+            }
+        };
     }
     while let Some(flag) = it.next() {
         if flag.starts_with("--") {
@@ -701,16 +667,7 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Cli, String> {
                     return Err("--ns needs at least one positive node count".to_string());
                 }
             }
-            "--steps-per-n" => {
-                cli.bench_steps = parse_usize(&value("--steps-per-n")?, "step count")?;
-                if cli.bench_steps == 0 {
-                    return Err("--steps-per-n must be at least 1".to_string());
-                }
-            }
             "--out" => cli.bench_out = Some(value("--out")?),
-            "--pairwise-cap" => {
-                cli.bench_pairwise_cap = parse_usize(&value("--pairwise-cap")?, "pairwise cap")?;
-            }
             "--transport" => cli.transport = TransportKind::parse(&value("--transport")?)?,
             "--duration" => {
                 cli.duration_ms = parse_u64(&value("--duration")?, "duration")?;
@@ -985,27 +942,14 @@ mod tests {
 
     #[test]
     fn parses_bench_flags() {
-        let cli = parse(argv(
-            "bench scale --ns 100,200 --steps-per-n 500 --out b.json --pairwise-cap 150",
-        ))
-        .unwrap();
+        let cli = parse(argv("bench live --ns 100,200 --out b.json")).unwrap();
         assert_eq!(cli.command, Command::Bench);
-        assert_eq!(cli.bench_mode, BenchMode::Scale);
+        assert_eq!(cli.bench_mode, BenchMode::Live);
         assert_eq!(cli.bench_ns, vec![100, 200]);
-        assert_eq!(cli.bench_steps, 500);
         assert_eq!(cli.bench_out.as_deref(), Some("b.json"));
-        assert_eq!(cli.bench_pairwise_cap, 150);
-        // The mode word is optional (scale is the default).
-        let default = parse(argv("bench")).unwrap();
-        assert_eq!(default.command, Command::Bench);
-        assert_eq!(default.bench_mode, BenchMode::Scale);
-        assert_eq!(default.bench_ns, vec![1_000, 2_500, 5_000, 10_000]);
+        let default = parse(argv("bench live")).unwrap();
+        assert!(default.bench_ns.is_empty(), "no ladder unless --ns");
         assert_eq!(default.bench_out, None);
-        let engine = parse(argv("bench engine --ns 50 --steps-per-n 2000 --out e.json")).unwrap();
-        assert_eq!(engine.bench_mode, BenchMode::Engine);
-        assert_eq!(engine.bench_ns, vec![50]);
-        assert_eq!(engine.bench_steps, 2000);
-        assert_eq!(engine.bench_out.as_deref(), Some("e.json"));
     }
 
     #[test]
@@ -1042,13 +986,21 @@ mod tests {
 
     #[test]
     fn rejects_malformed_bench_flags() {
-        assert!(parse(argv("bench warp")).is_err());
-        assert!(parse(argv("bench engine --ns 0")).is_err());
-        assert!(parse(argv("bench engine --steps-per-n 0")).is_err());
-        assert!(parse(argv("bench scale --ns")).is_err());
-        assert!(parse(argv("bench scale --ns 0")).is_err());
-        assert!(parse(argv("bench scale --ns 10,x")).is_err());
-        assert!(parse(argv("bench scale --steps-per-n 0")).is_err());
+        // The mode word is mandatory, and the retired modes are unknown.
+        for line in [
+            "bench",
+            "bench --out b.json",
+            "bench warp",
+            "bench scale",
+            "bench engine",
+        ] {
+            let err = parse(argv(line)).unwrap_err();
+            assert!(err.starts_with("unknown bench mode"), "{line}: {err}");
+            assert!(err.contains("`lme bench live`") && err.contains("`lme bench channel`"));
+        }
+        assert!(parse(argv("bench live --ns")).is_err());
+        assert!(parse(argv("bench live --ns 0")).is_err());
+        assert!(parse(argv("bench live --ns 10,x")).is_err());
     }
 
     #[test]

@@ -11,9 +11,8 @@ use lme_check::{
 };
 use lme_net::{conformance_replay, run_live, LiveAlg, LiveConfig, LiveOutcome, LiveRuntime};
 use manet_sim::{
-    ArqConfig, ChannelConfig, Context, CrashWave, DelayAdversary, DiningState, Engine, Event,
-    EventQueueKind, FaultPlan, LinkEngine, LinkFaults, NodeId, PartitionWindow, Position, Protocol,
-    SimConfig, SimRng, SimTime, World,
+    ArqConfig, ChannelConfig, CrashWave, DelayAdversary, FaultPlan, LinkFaults, NodeId,
+    PartitionWindow, Position, SimConfig, SimTime, World,
 };
 
 use crate::args::{BenchMode, Cli, Command, TopoSpec, USAGE};
@@ -766,262 +765,6 @@ fn render_certify(cli: &Cli) -> Result<String, String> {
     Ok(s)
 }
 
-/// One measured cell of the scaling benchmark.
-struct BenchRow {
-    n: usize,
-    engine: &'static str,
-    steps: usize,
-    elapsed_ns: u128,
-    /// Candidate peers examined across all relocations — the
-    /// machine-independent cost witness ([`World::candidates_examined`]).
-    candidates: u64,
-    link_changes: u64,
-    avg_degree: f64,
-}
-
-impl BenchRow {
-    fn ns_per_step(&self) -> f64 {
-        self.elapsed_ns as f64 / self.steps as f64
-    }
-
-    fn candidates_per_step(&self) -> f64 {
-        self.candidates as f64 / self.steps as f64
-    }
-}
-
-/// Measure `steps` random local motions on an `n`-node constant-density
-/// random deployment under one link engine. Constant density (the
-/// `random_connected` convention: ≈ 1.6 nodes per unit square) is the
-/// regime where the grid's cost stays flat while the pairwise scan grows
-/// linearly with n.
-fn bench_cell(n: usize, seed: u64, steps: usize, engine: LinkEngine) -> BenchRow {
-    let side = (n as f64 / 1.6).sqrt().max(2.0);
-    let positions: Vec<Position> = topology::random_points(n, side, seed)
-        .into_iter()
-        .map(Position::from)
-        .collect();
-    let mut world = World::with_engine(SimConfig::default().radio_range, positions, engine);
-    let mut rng = SimRng::seed_from_u64(seed ^ 0x5CA1_E000);
-    let step_len = 0.25;
-    let mut link_changes = 0u64;
-    let start = std::time::Instant::now();
-    for _ in 0..steps {
-        let node = NodeId(rng.gen_range(0..=(n as u64 - 1)) as u32);
-        let p = world.position(node);
-        let angle = rng.gen_f64() * std::f64::consts::TAU;
-        let next = Position {
-            x: (p.x + angle.cos() * step_len).clamp(0.0, side),
-            y: (p.y + angle.sin() * step_len).clamp(0.0, side),
-        };
-        link_changes += world.relocate(node, next).len() as u64;
-    }
-    let elapsed_ns = start.elapsed().as_nanos();
-    let degree_total: usize = (0..n as u32)
-        .map(|i| world.neighbors(NodeId(i)).len())
-        .sum();
-    BenchRow {
-        n,
-        engine: match engine {
-            LinkEngine::Grid => "grid",
-            LinkEngine::Pairwise => "pairwise",
-        },
-        steps,
-        elapsed_ns,
-        candidates: world.candidates_examined(),
-        link_changes,
-        avg_degree: degree_total as f64 / n as f64,
-    }
-}
-
-/// Dispatch-bound workload for the event-core benchmark: every node runs a
-/// self-rescheduling timer chain and pings one neighbor per firing. The
-/// handlers do (almost) no work, so wall time is dominated by event-queue
-/// push/pop/dispatch — the quantity `bench engine` measures.
-struct Ticker {
-    token: u64,
-    pings: u64,
-}
-
-impl Protocol for Ticker {
-    type Msg = u8;
-
-    fn on_event(&mut self, ev: Event<u8>, ctx: &mut Context<'_, u8>) {
-        match ev {
-            Event::Hungry => {
-                // Fan out four independent timer chains per node so the
-                // pending set is a few times n — the regime where the
-                // O(log n) heap pays per event and the wheel does not.
-                for lane in 0..4 {
-                    ctx.set_timer(1 + lane, lane);
-                }
-            }
-            Event::Timer { token } => {
-                self.token = self.token.wrapping_add(1);
-                // Varying short delays spread the chain across nearby
-                // buckets instead of hammering a single tick.
-                ctx.set_timer(1 + (self.token & 7), token);
-                // Ping a neighbor on a quarter of the firings: enough to
-                // keep the delivery path honest without letting the O(n)
-                // world machinery swamp the queue cost under measurement.
-                if self.token & 3 == 0 {
-                    let nbrs = ctx.neighbors();
-                    let to = nbrs.get(self.token as usize % nbrs.len().max(1)).copied();
-                    if let Some(to) = to {
-                        ctx.send(to, 0);
-                    }
-                }
-            }
-            Event::Message { .. } => self.pings = self.pings.wrapping_add(1),
-            _ => {}
-        }
-    }
-
-    fn dining_state(&self) -> DiningState {
-        DiningState::Thinking
-    }
-}
-
-/// One measured cell of the event-core benchmark.
-struct BenchEngineRow {
-    n: usize,
-    core: &'static str,
-    events: u64,
-    elapsed_ns: u128,
-}
-
-impl BenchEngineRow {
-    fn ns_per_event(&self) -> f64 {
-        self.elapsed_ns as f64 / self.events as f64
-    }
-}
-
-/// Run the ticker workload on an `n`-node constant-density deployment
-/// under one event-queue core until at least `min_events` events have
-/// dispatched. Only the run loop is timed (world construction is core-
-/// independent and excluded).
-fn bench_engine_cell(
-    n: usize,
-    seed: u64,
-    min_events: u64,
-    queue: EventQueueKind,
-) -> Result<(BenchEngineRow, manet_sim::EngineStats), String> {
-    let side = (n as f64 / 1.6).sqrt().max(2.0);
-    let positions = topology::random_points(n, side, seed);
-    let cfg = SimConfig {
-        seed,
-        event_queue: queue,
-        ..SimConfig::default()
-    };
-    let mut eng = Engine::new(cfg, positions, |_| Ticker { token: 0, pings: 0 });
-    for i in 0..n as u32 {
-        eng.set_hungry_at(SimTime(1 + u64::from(i % 7)), NodeId(i));
-    }
-    let start = std::time::Instant::now();
-    let mut horizon = 0u64;
-    while eng.stats().events < min_events {
-        horizon += 500;
-        eng.run_until(SimTime(horizon));
-        if let Some(abort) = eng.abort() {
-            return Err(format!("bench engine: n = {n} aborted: {abort}"));
-        }
-        if eng.pending_events() == 0 {
-            return Err(format!("bench engine: n = {n} drained unexpectedly"));
-        }
-    }
-    let elapsed_ns = start.elapsed().as_nanos();
-    let stats = eng.stats().clone();
-    Ok((
-        BenchEngineRow {
-            n,
-            core: queue.name(),
-            events: stats.events,
-            elapsed_ns,
-        },
-        stats,
-    ))
-}
-
-/// `lme bench engine`: ns/event of the binary-heap vs timing-wheel event
-/// cores on the dispatch-bound ticker workload, written as JSON. The two
-/// cores must agree on every [`manet_sim::EngineStats`] counter — the
-/// benchmark doubles as a cheap conformance check.
-fn render_bench_engine(cli: &Cli) -> Result<String, String> {
-    let out_path = cli
-        .bench_out
-        .clone()
-        .unwrap_or_else(|| "BENCH_engine.json".to_string());
-    let mut rows = Vec::new();
-    let mut pairs = Vec::new();
-    for &n in &cli.bench_ns {
-        let target = (cli.bench_steps as u64).max(50 * n as u64);
-        let (heap, heap_stats) = bench_engine_cell(n, cli.seed, target, EventQueueKind::Heap)?;
-        let (wheel, wheel_stats) = bench_engine_cell(n, cli.seed, target, EventQueueKind::Wheel)?;
-        if heap_stats != wheel_stats {
-            return Err(format!(
-                "bench engine: cores diverged at n = {n}\n  heap:  {heap_stats:?}\n  wheel: {wheel_stats:?}"
-            ));
-        }
-        pairs.push((n, heap.ns_per_event(), wheel.ns_per_event()));
-        rows.push(heap);
-        rows.push(wheel);
-    }
-    let mut json = String::from("{\n");
-    json.push_str("  \"bench\": \"engine\",\n");
-    json.push_str(&format!("  \"seed\": {},\n", cli.seed));
-    json.push_str(&format!("  \"min_events_per_n\": {},\n", cli.bench_steps));
-    json.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"n\": {}, \"core\": \"{}\", \"events\": {}, \"elapsed_ns\": {}, \
-             \"ns_per_event\": {:.1}}}{}\n",
-            r.n,
-            r.core,
-            r.events,
-            r.elapsed_ns,
-            r.ns_per_event(),
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"speedup\": [\n");
-    for (i, (n, heap_ns, wheel_ns)) in pairs.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"n\": {n}, \"heap_ns_per_event\": {heap_ns:.1}, \
-             \"wheel_ns_per_event\": {wheel_ns:.1}, \"wheel_speedup\": {:.2}}}{}\n",
-            heap_ns / wheel_ns,
-            if i + 1 < pairs.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(&out_path, &json).map_err(|e| format!("cannot write {out_path}: {e}"))?;
-    let mut s = format!(
-        "bench engine: dispatch-bound ticker workload, seed {}, >= max({}, 50n) events per cell\n",
-        cli.seed, cli.bench_steps
-    );
-    let mut table = Table::new(&["n", "core", "events", "ns/event", "wheel speedup"]);
-    for r in &rows {
-        let speedup = pairs
-            .iter()
-            .find(|(n, _, _)| *n == r.n)
-            .map(|(_, h, w)| h / w)
-            .unwrap_or(1.0);
-        table.row([
-            r.n.to_string(),
-            r.core.to_string(),
-            r.events.to_string(),
-            format!("{:.0}", r.ns_per_event()),
-            if r.core == "wheel" {
-                format!("{speedup:.2}x")
-            } else {
-                String::new()
-            },
-        ]);
-    }
-    s.push_str(&table.to_string());
-    s.push_str(&format!("results written to {out_path}\n"));
-    Ok(s)
-}
-
 /// Map the generic `--alg` flag onto the live-capable subset (everything
 /// but `choy-singh`, whose shared coloring cannot cross threads, and
 /// `a1-random`, whose RNG stream is engine-owned).
@@ -1456,83 +1199,6 @@ fn render_bench_live(cli: &Cli) -> Result<String, String> {
     Ok(s)
 }
 
-fn render_bench_scale(cli: &Cli) -> Result<String, String> {
-    let out_path = cli
-        .bench_out
-        .clone()
-        .unwrap_or_else(|| "BENCH_scale.json".to_string());
-    let mut rows = Vec::new();
-    for &n in &cli.bench_ns {
-        rows.push(bench_cell(n, cli.seed, cli.bench_steps, LinkEngine::Grid));
-        if n <= cli.bench_pairwise_cap {
-            rows.push(bench_cell(
-                n,
-                cli.seed,
-                cli.bench_steps,
-                LinkEngine::Pairwise,
-            ));
-        }
-    }
-    let mut json = String::from("{\n");
-    json.push_str("  \"bench\": \"scale\",\n");
-    json.push_str(&format!(
-        "  \"radio_range\": {},\n",
-        SimConfig::default().radio_range
-    ));
-    json.push_str(&format!("  \"seed\": {},\n", cli.seed));
-    json.push_str(&format!("  \"steps_per_n\": {},\n", cli.bench_steps));
-    json.push_str(&format!(
-        "  \"pairwise_cap\": {},\n",
-        cli.bench_pairwise_cap
-    ));
-    json.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"n\": {}, \"engine\": \"{}\", \"steps\": {}, \"elapsed_ns\": {}, \
-             \"ns_per_step\": {:.1}, \"candidates_per_step\": {:.2}, \
-             \"avg_degree\": {:.2}, \"link_changes\": {}}}{}\n",
-            r.n,
-            r.engine,
-            r.steps,
-            r.elapsed_ns,
-            r.ns_per_step(),
-            r.candidates_per_step(),
-            r.avg_degree,
-            r.link_changes,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(&out_path, &json).map_err(|e| format!("cannot write {out_path}: {e}"))?;
-    let mut s = format!(
-        "bench scale: {} relocation steps per n, seed {}, radio range {}\n",
-        cli.bench_steps,
-        cli.seed,
-        SimConfig::default().radio_range
-    );
-    let mut table = Table::new(&[
-        "n",
-        "engine",
-        "ns/step",
-        "candidates/step",
-        "avg degree",
-        "link changes",
-    ]);
-    for r in &rows {
-        table.row([
-            r.n.to_string(),
-            r.engine.to_string(),
-            format!("{:.0}", r.ns_per_step()),
-            format!("{:.2}", r.candidates_per_step()),
-            format!("{:.2}", r.avg_degree),
-            r.link_changes.to_string(),
-        ]);
-    }
-    s.push_str(&table.to_string());
-    s.push_str(&format!("trajectory written to {out_path}\n"));
-    Ok(s)
-}
-
 /// The fixed channel-model matrix `lme bench channel` sweeps: every
 /// model over a dense (clique) and a sparse (ring) topology. The
 /// Gilbert–Elliott cells arm the ARQ shim — burst loss without
@@ -1740,9 +1406,7 @@ pub fn execute(cli: &Cli) -> Result<String, String> {
         Command::Chaos => render_chaos(cli),
         Command::Check => render_check(cli),
         Command::Bench => match cli.bench_mode {
-            BenchMode::Scale => render_bench_scale(cli),
             BenchMode::Live => render_bench_live(cli),
-            BenchMode::Engine => render_bench_engine(cli),
             BenchMode::Channel => render_bench_channel(cli),
         },
         Command::Live => render_live(cli),
@@ -2131,6 +1795,36 @@ mod tests {
     }
 
     #[test]
+    fn check_replay_survives_an_absurd_nu_in_the_witness() {
+        let dir = std::env::temp_dir().join("lme-cli-test-replay-nu");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("witness.json");
+        run_cli(argv(&format!(
+            "check --alg a1-greedy --topo line:3 --mutate no-sdf-guard \
+             --horizon 4000 --witness-out {}",
+            path.display()
+        )))
+        .unwrap();
+        let witness = std::fs::read_to_string(&path).unwrap();
+        assert!(witness.contains("\"nu\":10,"), "{witness}");
+        // ν sizes the engine's event queue; a witness is outside input, so
+        // any value must end in a verdict or a structured error — 2^62
+        // used to panic with `capacity overflow`.
+        for nu in ["4611686018427387904", "18446744073709551615"] {
+            std::fs::write(
+                &path,
+                witness.replace("\"nu\":10,", &format!("\"nu\":{nu},")),
+            )
+            .unwrap();
+            match run_cli(argv(&format!("check --replay {}", path.display()))) {
+                Ok(out) => assert!(out.contains("violation reproduced"), "{out}"),
+                Err(err) => assert!(err.contains("nu"), "{err}"),
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn check_certify_writes_a_holding_certificate() {
         let dir = std::env::temp_dir().join("lme-cli-test-certify");
         std::fs::create_dir_all(&dir).unwrap();
@@ -2162,35 +1856,6 @@ mod tests {
         ))
         .unwrap();
         assert!(intact.contains("no property violations"), "{intact}");
-    }
-
-    #[test]
-    fn bench_scale_records_sublinear_grid_cost() {
-        let dir = std::env::temp_dir().join("lme-cli-test-bench");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("scale.json");
-        let out = run_cli(argv(&format!(
-            "bench scale --ns 64,256 --steps-per-n 200 --pairwise-cap 256 --out {}",
-            path.display()
-        )))
-        .unwrap();
-        assert!(out.contains("trajectory written to"), "{out}");
-        let json = std::fs::read_to_string(&path).unwrap();
-        // The pairwise engine examines exactly n − 1 candidates per step.
-        assert!(json.contains("\"candidates_per_step\": 63.00"), "{json}");
-        assert!(json.contains("\"candidates_per_step\": 255.00"), "{json}");
-        // The grid engine's candidate count tracks local density (≈ 30 at
-        // 1.6 nodes per unit² and range 1.5), independent of n.
-        for line in json.lines().filter(|l| l.contains("\"engine\": \"grid\"")) {
-            let c = line
-                .split("\"candidates_per_step\": ")
-                .nth(1)
-                .and_then(|s| s.split(',').next())
-                .and_then(|s| s.parse::<f64>().ok())
-                .unwrap();
-            assert!(c < 64.0, "grid candidates/step {c} not local:\n{line}");
-        }
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -4,8 +4,6 @@ use crate::channel::ChannelConfig;
 use crate::fault::FaultPlan;
 use crate::shim::ArqConfig;
 use crate::time::SimTime;
-use crate::wheel::EventQueueKind;
-use crate::world::LinkEngine;
 
 /// Configuration of a simulation run.
 ///
@@ -60,20 +58,6 @@ pub struct SimConfig {
     /// channel subsystem; see [`crate::channel`]'s module docs for the
     /// bandwidth, shared-medium and burst-loss alternatives.
     pub channel: ChannelConfig,
-    /// Which link-derivation engine geometric worlds use. The default is
-    /// the spatial-grid fast path ([`LinkEngine::Grid`]) unless the crate
-    /// is built with the `reference` feature, which restores the pairwise
-    /// O(n²) scan. Both paths are bit-for-bit equivalent (pinned by the
-    /// differential suite); this knob exists so one binary can compare
-    /// them.
-    pub link_engine: LinkEngine,
-    /// Which event-queue core the engine dispatches from. The default is
-    /// the bounded-horizon timing wheel ([`EventQueueKind::Wheel`]) unless
-    /// the crate is built with the `reference` feature, which restores the
-    /// binary heap. Both cores are bit-for-bit equivalent (pinned by the
-    /// `queue_equivalence` differential suite); this knob exists so one
-    /// binary can compare them.
-    pub event_queue: EventQueueKind,
 }
 
 impl Default for SimConfig {
@@ -90,8 +74,6 @@ impl Default for SimConfig {
             fault: FaultPlan::default(),
             arq: None,
             channel: ChannelConfig::default(),
-            link_engine: LinkEngine::default(),
-            event_queue: EventQueueKind::default(),
         }
     }
 }

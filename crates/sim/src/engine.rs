@@ -13,7 +13,7 @@ use crate::sched::{self, DeliveryChoice, Strategy};
 use crate::shim::{ShimState, ShimStats};
 use crate::time::SimTime;
 use crate::trace::{Trace, TraceEntry, TraceKind};
-use crate::wheel::EventQueue;
+use crate::wheel::TimingWheel;
 use crate::world::{LinkChange, Position, World};
 
 /// Information handed to the node factory when constructing each protocol
@@ -345,7 +345,7 @@ struct Core<M> {
     fault_rng: SimRng,
     now: SimTime,
     seq: u64,
-    queue: EventQueue<Item<M>>,
+    queue: TimingWheel<Item<M>>,
     /// Set when the run stops early (budget overrun, malformed schedule);
     /// once set, `run_until` dispatches nothing further.
     abort: Option<RunAbort>,
@@ -424,10 +424,9 @@ impl<P: Protocol> Engine<P> {
         F: FnMut(NodeSeed) -> P + 'static,
     {
         cfg.validate().expect("invalid SimConfig");
-        let world = World::with_engine(
+        let world = World::new(
             cfg.radio_range,
             positions.into_iter().map(Into::into).collect(),
-            cfg.link_engine,
         );
         let n = world.len();
         let max_degree = world.max_degree();
@@ -456,7 +455,7 @@ impl<P: Protocol> Engine<P> {
             core: Core {
                 rng: SimRng::seed_from_u64(cfg.seed),
                 fault_rng: SimRng::seed_from_u64(fault_seed(&cfg)),
-                queue: EventQueue::from_config(&cfg),
+                queue: TimingWheel::from_config(&cfg),
                 cfg,
                 now: SimTime::ZERO,
                 seq: 0,
@@ -521,7 +520,7 @@ impl<P: Protocol> Engine<P> {
             core: Core {
                 rng: SimRng::seed_from_u64(cfg.seed),
                 fault_rng: SimRng::seed_from_u64(fault_seed(&cfg)),
-                queue: EventQueue::from_config(&cfg),
+                queue: TimingWheel::from_config(&cfg),
                 cfg,
                 now: SimTime::ZERO,
                 seq: 0,

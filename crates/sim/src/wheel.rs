@@ -1,15 +1,15 @@
-//! Pluggable event-queue cores: binary heap and bounded-horizon timing wheel.
+//! The engine's event queue: a bounded-horizon timing wheel.
 //!
-//! The engine dispatches events in `(time, sequence)` order. The classic
-//! core is a `BinaryHeap` keyed on exactly that pair; the timing wheel
+//! The engine dispatches events in `(time, sequence)` order. The wheel
 //! exploits the model's bounded scheduling horizon — message delays are
 //! capped by ν and motion steps by `move_step_ticks`, so almost every event
 //! lands within a small window above the current instant — to make both
 //! `push` and `pop` O(1): events hash into per-tick buckets, ties within a
 //! bucket are consumed in insertion (= sequence) order, and the rare event
 //! beyond the window parks in a small overflow heap consulted alongside the
-//! wheel. Both cores are proven bit-for-bit equivalent by the
-//! `queue_equivalence` suite; see DESIGN.md §12 for the argument.
+//! wheel. The contract is the `(at, seq)` total order; the unit tests below
+//! hold the wheel to it against `std::collections::BinaryHeap`. See
+//! DESIGN.md §12 for the argument.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -17,132 +17,10 @@ use std::collections::BinaryHeap;
 use crate::config::SimConfig;
 use crate::time::SimTime;
 
-/// Which event-queue core the engine uses. The default is the timing wheel
-/// ([`EventQueueKind::Wheel`]) unless the crate is built with the
-/// `reference` feature, which restores the binary heap. Both cores are
-/// bit-for-bit equivalent (pinned by the `queue_equivalence` differential
-/// suite); this knob exists so one binary can compare them.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EventQueueKind {
-    /// `BinaryHeap<Reverse<(at, seq, item)>>` — the reference core.
-    Heap,
-    /// Bounded-horizon timing wheel with an overflow heap for far events.
-    Wheel,
-}
-
-impl Default for EventQueueKind {
-    fn default() -> EventQueueKind {
-        if cfg!(feature = "reference") {
-            EventQueueKind::Heap
-        } else {
-            EventQueueKind::Wheel
-        }
-    }
-}
-
-impl EventQueueKind {
-    /// Short lowercase label (`"heap"` / `"wheel"`), for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            EventQueueKind::Heap => "heap",
-            EventQueueKind::Wheel => "wheel",
-        }
-    }
-}
-
-/// A heap entry ordered by `(at, seq)` — the engine's total event order.
-pub(crate) struct HeapEntry<T> {
-    at: SimTime,
-    seq: u64,
-    item: T,
-}
-
-impl<T> PartialEq for HeapEntry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<T> Eq for HeapEntry<T> {}
-impl<T> PartialOrd for HeapEntry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for HeapEntry<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-/// The event queue behind the engine: one of the two interchangeable cores.
-/// `seq` values are assigned by the caller (strictly increasing across
-/// pushes); the queue yields entries in ascending `(at, seq)` order.
-pub(crate) enum EventQueue<T> {
-    Heap(BinaryHeap<Reverse<HeapEntry<T>>>),
-    Wheel(TimingWheel<T>),
-}
-
-impl<T> EventQueue<T> {
-    /// Build the queue the configuration asks for. The wheel window is
-    /// sized to the config's scheduling horizon (ν and the motion step),
-    /// with a generous floor so harness-level timers stay on the wheel.
-    pub(crate) fn from_config(cfg: &SimConfig) -> EventQueue<T> {
-        match cfg.event_queue {
-            EventQueueKind::Heap => EventQueue::Heap(BinaryHeap::new()),
-            EventQueueKind::Wheel => {
-                let span = cfg.max_message_delay + cfg.move_step_ticks + 2;
-                let size = span.next_power_of_two().max(256) as usize;
-                EventQueue::Wheel(TimingWheel::new(size))
-            }
-        }
-    }
-
-    /// Insert an entry. `seq` must exceed every previously pushed `seq`.
-    pub(crate) fn push(&mut self, at: SimTime, seq: u64, item: T) {
-        match self {
-            EventQueue::Heap(h) => h.push(Reverse(HeapEntry { at, seq, item })),
-            EventQueue::Wheel(w) => w.push(at, seq, item),
-        }
-    }
-
-    /// Time of the next entry in `(at, seq)` order, without removing it.
-    /// The following [`EventQueue::pop`] returns exactly this entry — peek
-    /// and pop share one candidate, so the two can never desynchronize.
-    pub(crate) fn next_at(&mut self) -> Option<SimTime> {
-        match self {
-            EventQueue::Heap(h) => h.peek().map(|Reverse(e)| e.at),
-            EventQueue::Wheel(w) => w.peek().map(|(at, _)| at),
-        }
-    }
-
-    /// Remove and return the smallest entry in `(at, seq)` order.
-    pub(crate) fn pop(&mut self) -> Option<(SimTime, u64, T)> {
-        match self {
-            EventQueue::Heap(h) => h.pop().map(|Reverse(e)| (e.at, e.seq, e.item)),
-            EventQueue::Wheel(w) => w.pop(),
-        }
-    }
-
-    /// Number of queued entries.
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            EventQueue::Heap(h) => h.len(),
-            EventQueue::Wheel(w) => w.len,
-        }
-    }
-
-    /// Visit every queued entry in unspecified order.
-    pub(crate) fn iter(&self) -> Box<dyn Iterator<Item = (SimTime, u64, &T)> + '_> {
-        match self {
-            EventQueue::Heap(h) => Box::new(h.iter().map(|Reverse(e)| (e.at, e.seq, &e.item))),
-            EventQueue::Wheel(w) => Box::new(
-                w.slab
-                    .iter()
-                    .filter_map(|s| s.item.as_ref().map(|it| (s.at, s.seq, it))),
-            ),
-        }
-    }
-}
+/// Ceiling on the bucket count. ν comes from configuration and witness
+/// files, so the window must not grow with it without bound; events beyond
+/// the window go to the overflow heap, which keeps the same order.
+const MAX_BUCKETS: u64 = 1 << 16;
 
 /// Slab cell: payload plus the key it was queued under. `item` is `None`
 /// when the cell is on the free list.
@@ -178,7 +56,9 @@ struct Cand {
     loc: Loc,
 }
 
-/// A bounded-horizon timing wheel over slab-allocated entries.
+/// A bounded-horizon timing wheel over slab-allocated entries. `seq` values
+/// are assigned by the caller (strictly increasing across pushes); the
+/// wheel yields entries in ascending `(at, seq)` order.
 ///
 /// Invariants:
 /// * every bucket-resident entry satisfies `base ≤ at < base + size`, so
@@ -200,6 +80,20 @@ pub(crate) struct TimingWheel<T> {
 }
 
 impl<T> TimingWheel<T> {
+    /// Size the window to the config's scheduling horizon (ν and the
+    /// motion step), with a generous floor so harness-level timers stay on
+    /// the wheel and a ceiling so an absurd ν cannot exhaust memory.
+    pub(crate) fn from_config(cfg: &SimConfig) -> TimingWheel<T> {
+        let span = cfg
+            .max_message_delay
+            .saturating_add(cfg.move_step_ticks)
+            .saturating_add(2);
+        let size = span
+            .checked_next_power_of_two()
+            .map_or(MAX_BUCKETS, |s| s.clamp(256, MAX_BUCKETS));
+        TimingWheel::new(size as usize)
+    }
+
     fn new(size: usize) -> TimingWheel<T> {
         debug_assert!(size.is_power_of_two());
         TimingWheel {
@@ -232,7 +126,8 @@ impl<T> TimingWheel<T> {
         }
     }
 
-    fn push(&mut self, at: SimTime, seq: u64, item: T) {
+    /// Insert an entry. `seq` must exceed every previously pushed `seq`.
+    pub(crate) fn push(&mut self, at: SimTime, seq: u64, item: T) {
         if self.len == 0 {
             // Nothing pending: re-anchor the window so a long quiet gap
             // does not force future near-term events into the overflow.
@@ -300,12 +195,28 @@ impl<T> TimingWheel<T> {
         self.cached = best;
     }
 
-    fn peek(&mut self) -> Option<(SimTime, u64)> {
+    /// Time of the next entry in `(at, seq)` order, without removing it.
+    /// The following [`TimingWheel::pop`] returns exactly this entry — peek
+    /// and pop share one candidate, so the two can never desynchronize.
+    pub(crate) fn next_at(&mut self) -> Option<SimTime> {
         self.ensure_cand();
-        self.cached.map(|c| (c.at, c.seq))
+        self.cached.map(|c| c.at)
     }
 
-    fn pop(&mut self) -> Option<(SimTime, u64, T)> {
+    /// Number of queued entries.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Visit every queued entry in unspecified order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (SimTime, u64, &T)> {
+        self.slab
+            .iter()
+            .filter_map(|s| s.item.as_ref().map(|it| (s.at, s.seq, it)))
+    }
+
+    /// Remove and return the smallest entry in `(at, seq)` order.
+    pub(crate) fn pop(&mut self) -> Option<(SimTime, u64, T)> {
         self.ensure_cand();
         let c = self.cached.take()?;
         match c.loc {
@@ -340,45 +251,26 @@ mod tests {
     use super::*;
     use crate::rng::SimRng;
 
-    fn cfg_with(kind: EventQueueKind) -> SimConfig {
-        SimConfig {
-            event_queue: kind,
-            ..SimConfig::default()
-        }
+    /// The contract: std's heap over `(at, seq, item)`.
+    type Reference = BinaryHeap<Reverse<(SimTime, u64, u64)>>;
+
+    fn wheel() -> TimingWheel<u64> {
+        TimingWheel::from_config(&SimConfig::default())
+    }
+
+    fn drain(q: &mut TimingWheel<u64>) -> Vec<(SimTime, u64, u64)> {
+        std::iter::from_fn(|| q.pop()).collect()
     }
 
     #[test]
-    fn default_kind_tracks_the_reference_feature() {
-        let expect = if cfg!(feature = "reference") {
-            EventQueueKind::Heap
-        } else {
-            EventQueueKind::Wheel
-        };
-        assert_eq!(EventQueueKind::default(), expect);
-        assert_eq!(EventQueueKind::Heap.name(), "heap");
-        assert_eq!(EventQueueKind::Wheel.name(), "wheel");
-    }
-
-    #[test]
-    fn both_cores_drain_in_at_seq_order() {
-        let mut heap: EventQueue<u32> = EventQueue::from_config(&cfg_with(EventQueueKind::Heap));
-        let mut wheel: EventQueue<u32> = EventQueue::from_config(&cfg_with(EventQueueKind::Wheel));
+    fn ties_drain_in_seq_order() {
+        let mut q = wheel();
         // Same instant, interleaved pushes: ties must break by seq (FIFO).
         for (seq, at) in [(1, 5u64), (2, 3), (3, 5), (4, 3), (5, 4)] {
-            heap.push(SimTime(at), seq, seq as u32);
-            wheel.push(SimTime(at), seq, seq as u32);
+            q.push(SimTime(at), seq, seq);
         }
-        let drain = |q: &mut EventQueue<u32>| {
-            let mut out = vec![];
-            while let Some(e) = q.pop() {
-                out.push(e);
-            }
-            out
-        };
-        let h = drain(&mut heap);
-        assert_eq!(h, drain(&mut wheel));
         assert_eq!(
-            h,
+            drain(&mut q),
             vec![
                 (SimTime(3), 2, 2),
                 (SimTime(3), 4, 4),
@@ -391,15 +283,16 @@ mod tests {
 
     #[test]
     fn peek_always_matches_the_next_pop() {
-        // Randomized differential run, including far events (overflow),
-        // interleaved pushes and pops, and peeks between every step.
+        // Randomized differential run against the reference heap, including
+        // far events (overflow), interleaved pushes and pops, and peeks
+        // between every step.
         let mut rng = SimRng::seed_from_u64(0xBEE5_0001);
-        let mut heap: EventQueue<u64> = EventQueue::from_config(&cfg_with(EventQueueKind::Heap));
-        let mut wheel: EventQueue<u64> = EventQueue::from_config(&cfg_with(EventQueueKind::Wheel));
+        let mut heap = Reference::new();
+        let mut wheel = wheel();
         let mut now = 0u64;
         let mut seq = 0u64;
         for step in 0..20_000 {
-            if rng.gen_bool(0.55) || heap.len() == 0 {
+            if rng.gen_bool(0.55) || heap.is_empty() {
                 // Mostly near-term events; occasionally far beyond the
                 // 256-tick window, and sometimes exactly `now`.
                 let delay = match rng.gen_range(0..10u32) {
@@ -409,13 +302,13 @@ mod tests {
                     _ => rng.gen_range(1_000..50_000u64),
                 };
                 seq += 1;
-                heap.push(SimTime(now + delay), seq, seq);
+                heap.push(Reverse((SimTime(now + delay), seq, seq)));
                 wheel.push(SimTime(now + delay), seq, seq);
             } else {
-                assert_eq!(heap.next_at(), wheel.next_at(), "peek diverged @{step}");
-                let h = heap.pop();
-                let w = wheel.pop();
-                assert_eq!(h, w, "pop diverged @{step}");
+                let next = heap.peek().map(|Reverse((at, _, _))| *at);
+                assert_eq!(next, wheel.next_at(), "peek diverged @{step}");
+                let h = heap.pop().map(|Reverse(e)| e);
+                assert_eq!(h, wheel.pop(), "pop diverged @{step}");
                 if let Some((at, _, _)) = h {
                     assert!(at.0 >= now, "time went backwards @{step}");
                     now = at.0;
@@ -423,7 +316,7 @@ mod tests {
             }
             assert_eq!(heap.len(), wheel.len());
         }
-        while let Some(h) = heap.pop() {
+        while let Some(Reverse(h)) = heap.pop() {
             assert_eq!(Some(h), wheel.pop());
         }
         assert_eq!(wheel.pop(), None);
@@ -431,33 +324,53 @@ mod tests {
 
     #[test]
     fn iter_visits_every_pending_entry() {
-        for kind in [EventQueueKind::Heap, EventQueueKind::Wheel] {
-            let mut q: EventQueue<u32> = EventQueue::from_config(&cfg_with(kind));
-            q.push(SimTime(2), 1, 10);
-            q.push(SimTime(9_999), 2, 20); // overflow on the wheel
-            q.push(SimTime(2), 3, 30);
-            assert_eq!(q.pop(), Some((SimTime(2), 1, 10)));
-            let mut seen: Vec<(u64, u64, u32)> =
-                q.iter().map(|(at, seq, &it)| (at.0, seq, it)).collect();
-            seen.sort_unstable();
-            assert_eq!(seen, vec![(2, 3, 30), (9_999, 2, 20)], "{kind:?}");
-            assert_eq!(q.len(), 2);
-        }
+        let mut q = wheel();
+        q.push(SimTime(2), 1, 10);
+        q.push(SimTime(9_999), 2, 20); // overflow
+        q.push(SimTime(2), 3, 30);
+        assert_eq!(q.pop(), Some((SimTime(2), 1, 10)));
+        let mut seen: Vec<(u64, u64, u64)> =
+            q.iter().map(|(at, seq, &it)| (at.0, seq, it)).collect();
+        seen.sort_unstable();
+        assert_eq!(seen, vec![(2, 3, 30), (9_999, 2, 20)]);
+        assert_eq!(q.len(), 2);
     }
 
     #[test]
     fn window_reanchors_after_a_quiet_gap() {
-        let mut q: EventQueue<u32> = EventQueue::from_config(&cfg_with(EventQueueKind::Wheel));
+        let mut q = wheel();
         q.push(SimTime(1), 1, 1);
         assert_eq!(q.pop(), Some((SimTime(1), 1, 1)));
         // Far in the future relative to the drained window: must still be
         // an O(1) wheel insert (re-anchored base), and pop correctly.
         q.push(SimTime(1_000_000), 2, 2);
         q.push(SimTime(1_000_001), 3, 3);
-        if let EventQueue::Wheel(w) = &q {
-            assert!(w.overflow.is_empty(), "base must re-anchor when empty");
-        }
+        assert!(q.overflow.is_empty(), "base must re-anchor when empty");
         assert_eq!(q.pop(), Some((SimTime(1_000_000), 2, 2)));
         assert_eq!(q.pop(), Some((SimTime(1_000_001), 3, 3)));
+    }
+
+    #[test]
+    fn untrusted_nu_cannot_size_the_window() {
+        assert_eq!(wheel().buckets.len(), 256, "default window");
+        // ν arrives from witness files: 2^62 used to overflow the bucket
+        // allocation, u64::MAX the span arithmetic itself.
+        for nu in [1 << 62, u64::MAX] {
+            let mut q: TimingWheel<u64> = TimingWheel::from_config(&SimConfig {
+                max_message_delay: nu,
+                ..SimConfig::default()
+            });
+            assert_eq!(q.buckets.len() as u64, MAX_BUCKETS);
+            // Near, beyond-the-window and absurdly far events interleaved:
+            // the overflow heap keeps them in (at, seq) order.
+            let ats = [1 << 40, 3, MAX_BUCKETS + 7, 3, 1 << 61, MAX_BUCKETS - 1];
+            let mut want = Vec::new();
+            for (seq, at) in (1u64..).zip(ats) {
+                q.push(SimTime(at), seq, seq);
+                want.push((SimTime(at), seq, seq));
+            }
+            want.sort_unstable();
+            assert_eq!(drain(&mut q), want);
+        }
     }
 }

@@ -26,37 +26,6 @@ impl From<(f64, f64)> for Position {
     }
 }
 
-/// Which link-derivation engine a geometric [`World`] uses.
-///
-/// Both engines implement the same unit-disk semantics and produce
-/// bit-for-bit identical link-change sequences (the differential suite in
-/// `tests/engine_equivalence.rs` pins this); they differ only in cost:
-///
-/// * [`LinkEngine::Grid`] — the default: a uniform spatial hash grid
-///   (see [`crate::geo`]) restricts every link re-derivation to the ≤ 9
-///   cells around the affected node, so per-step cost scales with local
-///   density instead of the network size.
-/// * [`LinkEngine::Pairwise`] — the reference O(n²) scan kept as the
-///   semantic anchor; it becomes the default when the crate is compiled
-///   with the `reference` feature.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LinkEngine {
-    /// Spatial-hash-grid fast path (default).
-    Grid,
-    /// Pairwise O(n²) reference path.
-    Pairwise,
-}
-
-impl Default for LinkEngine {
-    fn default() -> LinkEngine {
-        if cfg!(feature = "reference") {
-            LinkEngine::Pairwise
-        } else {
-            LinkEngine::Grid
-        }
-    }
-}
-
 /// Ongoing smooth motion of one node.
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) struct Motion {
@@ -74,6 +43,11 @@ pub(crate) struct Motion {
 /// positions iff their distance is at most the radio range. Because positions
 /// only change when a node moves, the paper's assumption that *links never
 /// change between static nodes* holds by construction.
+///
+/// Link re-derivation goes through a uniform spatial hash grid (see
+/// [`crate::geo`]): only the ≤ 9 cells around the affected node are
+/// examined, so per-step cost scales with local density instead of the
+/// network size, and changes are reported in ascending peer-id order.
 #[derive(Clone, Debug)]
 pub struct World {
     radio_range: f64,
@@ -82,17 +56,15 @@ pub struct World {
     crashed: Vec<bool>,
     /// Adjacency sets, kept sorted for deterministic iteration.
     adj: Vec<Vec<NodeId>>,
-    /// Spatial index over `positions`; `Some` iff this is a geometric
-    /// world running the [`LinkEngine::Grid`] fast path.
+    /// Spatial index over `positions`. `None` is explicit-graph mode: links
+    /// were given directly instead of being derived from positions; such
+    /// worlds are immutable (no movement).
     grid: Option<Grid>,
     /// Candidate peers examined by [`World::relocate`] since construction —
     /// a deterministic, machine-independent measure of link-update cost
-    /// (the grid path examines O(local density) candidates per step, the
-    /// pairwise path always examines `n − 1`).
+    /// (O(local density) candidates per step, where a full scan would
+    /// examine `n − 1`).
     scanned: u64,
-    /// Explicit-graph mode: links were given directly instead of being
-    /// derived from positions; such worlds are immutable (no movement).
-    explicit: bool,
     /// Active partition cut, as a side mask: links between nodes whose
     /// mask bits differ are suppressed. `None` = no partition in force.
     cut: Option<Vec<bool>>,
@@ -114,66 +86,40 @@ pub enum LinkChange {
 impl World {
     /// Create a world with the given positions; links are derived from the
     /// unit-disk rule immediately (this is the initial topology, established
-    /// without LinkUp notifications). Uses the default [`LinkEngine`].
+    /// without LinkUp notifications).
     pub fn new(radio_range: f64, positions: Vec<Position>) -> World {
-        World::with_engine(radio_range, positions, LinkEngine::default())
-    }
-
-    /// Create a world with an explicitly chosen link-derivation engine.
-    /// Both engines produce identical link sets and change sequences; see
-    /// [`LinkEngine`].
-    pub fn with_engine(radio_range: f64, positions: Vec<Position>, engine: LinkEngine) -> World {
         let n = positions.len();
-        let grid = match engine {
-            LinkEngine::Grid => Some(Grid::new(radio_range, &positions)),
-            LinkEngine::Pairwise => None,
-        };
-        let mut world = World {
-            radio_range,
-            positions,
-            moving: vec![None; n],
-            crashed: vec![false; n],
-            adj: vec![Vec::new(); n],
-            grid,
-            scanned: 0,
-            explicit: false,
-            cut: None,
-            severed: Vec::new(),
-        };
-        if let Some(grid) = &world.grid {
-            // One candidate query per node; each in-range candidate pair is
-            // seen from both sides, so no cross-wiring pass is needed.
-            let mut cand = Vec::new();
-            for i in 0..n {
+        let grid = Grid::new(radio_range, &positions);
+        // One candidate query per node; each in-range candidate pair is
+        // seen from both sides, so no cross-wiring pass is needed.
+        let mut cand = Vec::new();
+        let adj = (0..n)
+            .map(|i| {
                 let me = NodeId(i as u32);
                 cand.clear();
-                grid.near(world.positions[i], &mut cand);
+                grid.near(positions[i], &mut cand);
                 let mut row: Vec<NodeId> = cand
                     .iter()
                     .copied()
                     .filter(|&j| {
-                        j != me
-                            && world.positions[i].distance(world.positions[j.index()])
-                                <= world.radio_range
+                        j != me && positions[i].distance(positions[j.index()]) <= radio_range
                     })
                     .collect();
                 row.sort_unstable();
-                world.adj[i] = row;
-            }
-        } else {
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    if world.in_range(NodeId(i as u32), NodeId(j as u32)) {
-                        world.adj[i].push(NodeId(j as u32));
-                        world.adj[j].push(NodeId(i as u32));
-                    }
-                }
-            }
-            for a in &mut world.adj {
-                a.sort_unstable();
-            }
+                row
+            })
+            .collect();
+        World {
+            radio_range,
+            positions,
+            moving: vec![None; n],
+            crashed: vec![false; n],
+            adj,
+            grid: Some(grid),
+            scanned: 0,
+            cut: None,
+            severed: Vec::new(),
         }
-        world
     }
 
     /// Create a world whose links are given *explicitly* instead of being
@@ -201,7 +147,6 @@ impl World {
             adj: vec![Vec::new(); n],
             grid: None,
             scanned: 0,
-            explicit: true,
             cut: None,
             severed: Vec::new(),
         };
@@ -220,16 +165,7 @@ impl World {
     /// Whether this world's links were given explicitly (immutable
     /// topology).
     pub fn is_explicit(&self) -> bool {
-        self.explicit
-    }
-
-    /// The link-derivation engine in force.
-    pub fn link_engine(&self) -> LinkEngine {
-        if self.grid.is_some() {
-            LinkEngine::Grid
-        } else {
-            LinkEngine::Pairwise
-        }
+        self.grid.is_none()
     }
 
     /// Number of nodes.
@@ -281,8 +217,8 @@ impl World {
     }
 
     /// Candidate peers examined by [`World::relocate`] so far — a
-    /// deterministic cost counter used by `lme bench scale` to show the
-    /// grid path's per-step work tracks local density, not `n`.
+    /// deterministic cost counter showing that per-step work tracks local
+    /// density, not `n`.
     pub fn candidates_examined(&self) -> u64 {
         self.scanned
     }
@@ -321,7 +257,7 @@ impl World {
 
     pub(crate) fn begin_motion(&mut self, n: NodeId, dest: Position, step_len: f64) -> u64 {
         assert!(
-            !self.explicit,
+            !self.is_explicit(),
             "explicit-graph worlds are immutable: movement rejected"
         );
         let epoch = self.moving[n.index()].as_ref().map_or(0, |m| m.epoch) + 1;
@@ -407,43 +343,25 @@ impl World {
         for &s in side {
             mask[s.index()] = true;
         }
-        if self.grid.is_some() {
-            // Fast path: only existing links can be severed, so scanning
-            // the adjacency (O(Σ degree)) replaces the O(n²) pair scan.
-            // Outer index ascending over sorted rows restricted to `j > i`
-            // yields the same lexicographic (i, j) order as the pair scan.
-            let mut cross = Vec::new();
-            for i in 0..self.len() {
-                for &j in &self.adj[i] {
-                    if (j.index()) > i && mask[i] != mask[j.index()] {
-                        cross.push((NodeId(i as u32), j));
-                    }
+        // Only existing links can be severed, so the adjacency walk
+        // (O(Σ degree)) suffices on geometric and explicit worlds alike.
+        // Outer index ascending over sorted rows restricted to `j > i`
+        // yields lexicographic (i, j) order.
+        let mut cross = Vec::new();
+        for i in 0..self.len() {
+            for &j in &self.adj[i] {
+                if (j.index()) > i && mask[i] != mask[j.index()] {
+                    cross.push((NodeId(i as u32), j));
                 }
             }
-            for (a, b) in cross {
-                remove_sorted(&mut self.adj[a.index()], b);
-                remove_sorted(&mut self.adj[b.index()], a);
-                // Record (outside, inside) for heal-time ordering.
-                let pair = if mask[a.index()] { (b, a) } else { (a, b) };
-                self.severed.push(pair);
-                changes.push(LinkChange::Down(a, b));
-            }
-        } else {
-            for i in 0..self.len() {
-                for j in (i + 1)..self.len() {
-                    if mask[i] == mask[j] {
-                        continue;
-                    }
-                    let (a, b) = (NodeId(i as u32), NodeId(j as u32));
-                    if self.linked(a, b) {
-                        remove_sorted(&mut self.adj[i], b);
-                        remove_sorted(&mut self.adj[j], a);
-                        let pair = if mask[i] { (b, a) } else { (a, b) };
-                        self.severed.push(pair);
-                        changes.push(LinkChange::Down(a, b));
-                    }
-                }
-            }
+        }
+        for (a, b) in cross {
+            remove_sorted(&mut self.adj[a.index()], b);
+            remove_sorted(&mut self.adj[b.index()], a);
+            // Record (outside, inside) for heal-time ordering.
+            let pair = if mask[a.index()] { (b, a) } else { (a, b) };
+            self.severed.push(pair);
+            changes.push(LinkChange::Down(a, b));
         }
         self.cut = Some(mask);
         changes
@@ -460,52 +378,35 @@ impl World {
             return Vec::new();
         };
         let mut changes = Vec::new();
-        if self.explicit {
-            for (outside, inside) in std::mem::take(&mut self.severed) {
+        let severed = std::mem::take(&mut self.severed);
+        let Some(grid) = &self.grid else {
+            for (outside, inside) in severed {
                 insert_sorted(&mut self.adj[outside.index()], inside);
                 insert_sorted(&mut self.adj[inside.index()], outside);
                 changes.push(LinkChange::Up(outside, inside));
             }
-        } else if self.grid.is_some() {
-            // Fast path: a healed link must join nodes within range, so
-            // candidates come from the 3×3 cell neighborhood of each node.
-            // Ascending outer index over a sorted candidate row restricted
-            // to `j > i` reproduces the pair scan's lexicographic order.
-            self.severed.clear();
-            let mut cand = Vec::new();
-            for i in 0..self.len() {
-                let a = NodeId(i as u32);
-                cand.clear();
-                let grid = self.grid.as_ref().expect("grid mode");
-                grid.near(self.positions[i], &mut cand);
-                cand.sort_unstable();
-                cand.dedup();
-                for &b in &cand {
-                    if b.index() <= i || mask[i] == mask[b.index()] {
-                        continue;
-                    }
-                    if self.in_range(a, b) && !self.linked(a, b) {
-                        insert_sorted(&mut self.adj[i], b);
-                        insert_sorted(&mut self.adj[b.index()], a);
-                        let pair = if mask[i] { (b, a) } else { (a, b) };
-                        changes.push(LinkChange::Up(pair.0, pair.1));
-                    }
+            return changes;
+        };
+        // A healed link must join nodes within range, so candidates come
+        // from the 3×3 cell neighborhood of each node. Ascending outer
+        // index over a sorted candidate row restricted to `j > i` yields
+        // lexicographic (i, j) order.
+        let mut cand = Vec::new();
+        for i in 0..self.len() {
+            let a = NodeId(i as u32);
+            cand.clear();
+            grid.near(self.positions[i], &mut cand);
+            cand.sort_unstable();
+            cand.dedup();
+            for &b in &cand {
+                if b.index() <= i || mask[i] == mask[b.index()] {
+                    continue;
                 }
-            }
-        } else {
-            self.severed.clear();
-            for i in 0..self.len() {
-                for j in (i + 1)..self.len() {
-                    if mask[i] == mask[j] {
-                        continue;
-                    }
-                    let (a, b) = (NodeId(i as u32), NodeId(j as u32));
-                    if self.in_range(a, b) && !self.linked(a, b) {
-                        insert_sorted(&mut self.adj[i], b);
-                        insert_sorted(&mut self.adj[j], a);
-                        let pair = if mask[i] { (b, a) } else { (a, b) };
-                        changes.push(LinkChange::Up(pair.0, pair.1));
-                    }
+                if self.in_range(a, b) && !self.linked(a, b) {
+                    insert_sorted(&mut self.adj[i], b);
+                    insert_sorted(&mut self.adj[b.index()], a);
+                    let pair = if mask[i] { (b, a) } else { (a, b) };
+                    changes.push(LinkChange::Up(pair.0, pair.1));
                 }
             }
         }
@@ -521,38 +422,26 @@ impl World {
     ///
     /// Panics on explicit-graph worlds, whose topology is immutable.
     pub fn relocate(&mut self, n: NodeId, pos: Position) -> Vec<LinkChange> {
-        assert!(
-            !self.explicit,
-            "explicit-graph worlds are immutable: movement rejected"
-        );
+        let grid = self
+            .grid
+            .as_mut()
+            .expect("explicit-graph worlds are immutable: movement rejected");
         self.positions[n.index()] = pos;
+        grid.relocate(n, pos);
+        // A link can only break with a *current* neighbor and only form
+        // with a node in range of the new position — i.e. inside the 3×3
+        // cell neighborhood. The sorted union of both sets, walked in
+        // ascending ID order, visits exactly the peers whose link can have
+        // changed.
+        let mut cand = Vec::new();
+        grid.near(pos, &mut cand);
+        cand.extend_from_slice(&self.adj[n.index()]);
+        cand.sort_unstable();
+        cand.dedup();
+        self.scanned += cand.len() as u64;
         let mut changes = Vec::new();
-        if let Some(grid) = self.grid.as_mut() {
-            grid.relocate(n, pos);
-            // A link can only break with a *current* neighbor and only
-            // form with a node in range of the new position — i.e. inside
-            // the 3×3 cell neighborhood. The sorted union of both sets,
-            // walked in ascending ID order, visits exactly the peers the
-            // pairwise scan would have flagged, in the same order.
-            let mut cand = Vec::new();
-            grid.near(pos, &mut cand);
-            cand.extend_from_slice(&self.adj[n.index()]);
-            cand.sort_unstable();
-            cand.dedup();
-            self.scanned += cand.len() as u64;
-            for peer in cand {
-                if peer == n {
-                    continue;
-                }
-                self.diff_link(n, peer, &mut changes);
-            }
-        } else {
-            self.scanned += (self.len() as u64).saturating_sub(1);
-            for j in 0..self.len() {
-                let peer = NodeId(j as u32);
-                if peer == n {
-                    continue;
-                }
+        for peer in cand {
+            if peer != n {
                 self.diff_link(n, peer, &mut changes);
             }
         }
@@ -604,25 +493,132 @@ mod tests {
         )
     }
 
-    /// Run `f` against a line world under both engines and require the
-    /// returned observations to match.
-    fn both_engines<T: PartialEq + std::fmt::Debug>(n: usize, f: impl Fn(&mut World) -> T) {
-        let positions: Vec<Position> = (0..n)
+    /// Brute-force oracle: the whole adjacency recomputed in O(n²) from
+    /// first principles — `base` says whether the uncut topology links a
+    /// pair (unit-disk rule, or membership in an explicit edge list), and
+    /// the active cut suppresses every pair it separates.
+    fn oracle(
+        w: &World,
+        base: &dyn Fn(&World, NodeId, NodeId) -> bool,
+        side: Option<&[NodeId]>,
+    ) -> Vec<Vec<NodeId>> {
+        let ids = || (0..w.len() as u32).map(NodeId);
+        let cut = |a: &NodeId, b: &NodeId| side.is_some_and(|s| s.contains(a) != s.contains(b));
+        ids()
+            .map(|a| {
+                ids()
+                    .filter(|&b| b != a && base(w, a, b) && !cut(&a, &b))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The change list a cut or heal must report for `before → after`:
+    /// pairs in lexicographic `(i, j)` order, `Down(i, j)` for severed
+    /// links and `Up(outside, inside)` — relative to `side` — for healed
+    /// ones.
+    fn ordered_diff(
+        before: &[Vec<NodeId>],
+        after: &[Vec<NodeId>],
+        side: &[NodeId],
+    ) -> Vec<LinkChange> {
+        let mut changes = Vec::new();
+        for i in 0..before.len() {
+            for j in (i + 1)..before.len() {
+                let (a, b) = (NodeId(i as u32), NodeId(j as u32));
+                match (before[i].contains(&b), after[i].contains(&b)) {
+                    (true, false) => changes.push(LinkChange::Down(a, b)),
+                    (false, true) if side.contains(&a) => changes.push(LinkChange::Up(b, a)),
+                    (false, true) => changes.push(LinkChange::Up(a, b)),
+                    _ => {}
+                }
+            }
+        }
+        changes
+    }
+
+    fn assert_adjacency(w: &World, expected: &[Vec<NodeId>], ctx: &str) {
+        for (i, row) in expected.iter().enumerate() {
+            assert_eq!(w.neighbors(NodeId(i as u32)), row, "{ctx}: node {i}");
+        }
+    }
+
+    /// Cut, (optionally) move across the cut, re-cut, heal — after every
+    /// step the adjacency must equal the oracle and the reported changes
+    /// the ordered before/after diff.
+    fn cut_walk_matches_oracle(
+        mut w: World,
+        base: &dyn Fn(&World, NodeId, NodeId) -> bool,
+        mover: Option<(NodeId, Position)>,
+    ) {
+        let first: Vec<NodeId> = [2, 3, 7, 8, 9].map(NodeId).to_vec();
+        let second: Vec<NodeId> = [0, 3, 4, 11].map(NodeId).to_vec();
+        let uncut = oracle(&w, base, None);
+        assert_adjacency(&w, &uncut, "initial");
+
+        let cut1 = oracle(&w, base, Some(&first));
+        assert_eq!(w.apply_cut(&first), ordered_diff(&uncut, &cut1, &first));
+        assert_adjacency(&w, &cut1, "first cut");
+
+        let mut before = cut1;
+        if let Some((n, pos)) = mover {
+            let changes = w.relocate(n, pos);
+            let moved = oracle(&w, base, Some(&first));
+            // Relocation reports `n`'s row diff in ascending peer order.
+            let (was, now) = (&before[n.index()], &moved[n.index()]);
+            let expected: Vec<LinkChange> = (0..w.len() as u32)
+                .map(NodeId)
+                .filter_map(|p| match (was.contains(&p), now.contains(&p)) {
+                    (true, false) => Some(LinkChange::Down(n, p)),
+                    (false, true) => Some(LinkChange::Up(n, p)),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(changes, expected, "relocate under the cut");
+            assert!(!changes.is_empty(), "the move must cross cells");
+            assert_adjacency(&w, &moved, "moved under the cut");
+            before = moved;
+        }
+
+        // Re-cutting heals the old cut first, in the same batch.
+        let uncut = oracle(&w, base, None);
+        let cut2 = oracle(&w, base, Some(&second));
+        let mut expected = ordered_diff(&before, &uncut, &first);
+        expected.extend(ordered_diff(&uncut, &cut2, &second));
+        assert_eq!(w.apply_cut(&second), expected);
+        assert_adjacency(&w, &cut2, "second cut");
+
+        assert_eq!(w.clear_cut(), ordered_diff(&cut2, &uncut, &second));
+        assert_adjacency(&w, &uncut, "healed");
+        assert_eq!(w.clear_cut(), vec![], "nothing left to heal");
+    }
+
+    #[test]
+    fn geometric_cut_and_heal_match_the_unit_disk_oracle() {
+        // A 4×3 lattice at unit spacing: range 1.5 links diagonals too.
+        let positions = (0..12)
             .map(|i| Position {
-                x: i as f64,
-                y: 0.0,
+                x: f64::from(i % 4),
+                y: f64::from(i / 4),
             })
             .collect();
-        let mut grid = World::with_engine(1.5, positions.clone(), LinkEngine::Grid);
-        let mut pair = World::with_engine(1.5, positions, LinkEngine::Pairwise);
-        assert_eq!(f(&mut grid), f(&mut pair), "engines disagree");
-        for i in 0..n as u32 {
-            assert_eq!(
-                grid.neighbors(NodeId(i)),
-                pair.neighbors(NodeId(i)),
-                "adjacency of {i} diverged"
-            );
-        }
+        let unit_disk =
+            |w: &World, a: NodeId, b: NodeId| w.position(a).distance(w.position(b)) <= 1.5;
+        // Node 7 (inside the first cut) lands exactly on a cell corner
+        // next to outsiders while the cut is in force.
+        let mover = (NodeId(7), Position { x: 1.5, y: 1.5 });
+        cut_walk_matches_oracle(World::new(1.5, positions), &unit_disk, Some(mover));
+    }
+
+    #[test]
+    fn explicit_cut_and_heal_match_the_edge_list_oracle() {
+        // A 12-ring with chords: nothing a unit disk would derive.
+        let mut edges: Vec<(u32, u32)> = (0..12).map(|i| (i, (i + 1) % 12)).collect();
+        edges.extend([(0, 6), (2, 9), (3, 11), (4, 8)]);
+        let listed = |_: &World, a: NodeId, b: NodeId| {
+            edges.contains(&(a.0, b.0)) || edges.contains(&(b.0, a.0))
+        };
+        cut_walk_matches_oracle(World::from_adjacency(12, &edges), &listed, None);
     }
 
     #[test]
@@ -632,32 +628,6 @@ mod tests {
         assert!(!w.linked(NodeId(0), NodeId(2)));
         assert_eq!(w.neighbors(NodeId(1)), &[NodeId(0), NodeId(2)]);
         assert_eq!(w.max_degree(), 2);
-    }
-
-    #[test]
-    fn engines_agree_on_initial_topology_and_relocation() {
-        both_engines(6, |w| {
-            vec![
-                w.relocate(NodeId(5), Position { x: 0.5, y: 0.5 }),
-                w.relocate(NodeId(0), Position { x: 9.0, y: 0.0 }),
-                // Land exactly on a cell edge (x = 2 · cell ≈ 3.0).
-                w.relocate(NodeId(0), Position { x: 3.0, y: 0.0 }),
-            ]
-        });
-    }
-
-    #[test]
-    fn engines_agree_on_cut_and_heal() {
-        both_engines(7, |w| {
-            vec![
-                w.apply_cut(&[NodeId(3), NodeId(4)]),
-                w.relocate(NodeId(4), Position { x: 0.5, y: 0.2 }),
-                w.clear_cut(),
-                w.apply_cut(&[NodeId(0)]),
-                w.apply_cut(&[NodeId(6)]),
-                w.clear_cut(),
-            ]
-        });
     }
 
     #[test]
@@ -675,27 +645,22 @@ mod tests {
     }
 
     #[test]
-    fn grid_engine_scans_locally() {
-        // 40 nodes spread far apart: a grid relocate should examine a
-        // handful of candidates, the pairwise one all n − 1.
+    fn relocate_scans_locally() {
+        // 40 nodes spread far apart: a relocate examines a handful of
+        // candidates where a full scan would examine all n − 1 = 39.
         let positions: Vec<Position> = (0..40)
             .map(|i| Position {
                 x: f64::from(i) * 10.0,
                 y: 0.0,
             })
             .collect();
-        let mut g = World::with_engine(1.5, positions.clone(), LinkEngine::Grid);
-        let mut p = World::with_engine(1.5, positions, LinkEngine::Pairwise);
-        g.relocate(NodeId(0), Position { x: 1.0, y: 0.0 });
-        p.relocate(NodeId(0), Position { x: 1.0, y: 0.0 });
+        let mut w = World::new(1.5, positions);
+        w.relocate(NodeId(0), Position { x: 1.0, y: 0.0 });
         assert!(
-            g.candidates_examined() <= 4,
-            "grid scanned {}",
-            g.candidates_examined()
+            w.candidates_examined() <= 4,
+            "scanned {}",
+            w.candidates_examined()
         );
-        assert_eq!(p.candidates_examined(), 39);
-        assert_eq!(g.link_engine(), LinkEngine::Grid);
-        assert_eq!(p.link_engine(), LinkEngine::Pairwise);
     }
 
     #[test]

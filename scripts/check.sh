@@ -9,12 +9,9 @@ cargo fmt --check
 echo "== cargo clippy (all targets, -D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== cargo test =="
-cargo test -q
-
-# The root suite does not reach the unit tests of these crates (the safety
-# monitor, the live trace replay, the engine).
-echo "== cargo test (harness, lme-net, manet-sim) =="
-cargo test -q -p harness -p lme-net -p manet-sim
+# The whole workspace: the root integration suites and every crate's own
+# unit tests (the root package alone does not reach those).
+echo "== cargo test --workspace =="
+cargo test -q --workspace
 
 echo "All checks passed."

@@ -1,138 +1,28 @@
-//! Differential conformance suite: the spatial-grid link engine and the
-//! pairwise O(n²) reference must be **bit-for-bit indistinguishable** —
-//! same link-change events in the same order, same LinkTable epochs
-//! (observable through traces and delivery sequence numbers), same
-//! EngineStats, same JSONL reports. The grid rewrite only stays landed
-//! because this suite says the semantics are unchanged.
+//! Golden pin of the link engine's contract: links follow the unit-disk
+//! rule, and every change is reported in the order a pairwise scan over
+//! ascending peer ids would report it.
+//!
+//! These cells used to run every scenario twice — spatial grid vs the
+//! pairwise O(n²) engine — and compare. The pairwise engine is gone; here
+//! each cell's traces (link-change events, delivery sequence numbers),
+//! digests, stats and JSONL are folded into one constant computed on parent
+//! `b193b59` through that pairwise engine (see `tests/sim_golden/mod.rs`),
+//! and the world-level fuzz checks `World::relocate` against a brute-force
+//! unit-disk oracle.
 //!
 //! Cells cover topology × mobility × fault combinations, including nodes
 //! crossing cell boundaries and landing exactly on cell edges, each over
-//! at least 8 seeds.
+//! 8 seeds.
 
-use harness::{run_algorithm, topology, AlgKind, RunOutcome, RunReport, RunSpec, WaypointPlan};
-use local_mutex::Algorithm2;
-use manet_sim::{
-    Command, CrashWave, Engine, FaultPlan, LinkEngine, NodeId, PartitionWindow, Position,
-    SimConfig, SimTime, World,
-};
+mod sim_golden;
 
-const SEEDS: std::ops::Range<u64> = 1..9;
-
-/// Run `kind` on `positions` under both engines and require every
-/// observable artifact — engine stats, metrics, final CSR adjacency,
-/// crash set, and the rendered JSONL line — to match exactly.
-fn assert_outcomes_match(
-    label: &str,
-    kind: AlgKind,
-    spec: &RunSpec,
-    positions: &[(f64, f64)],
-    commands: &[(SimTime, Command)],
-) {
-    let run = |engine: LinkEngine| -> (RunOutcome, String) {
-        let mut spec = spec.clone();
-        spec.sim.link_engine = engine;
-        let out = run_algorithm(kind, &spec, positions, commands);
-        let jsonl =
-            RunReport::from_outcome(label, kind.name(), spec.sim.seed, spec.horizon, &out, None)
-                .to_jsonl();
-        (out, jsonl)
-    };
-    let (grid, grid_jsonl) = run(LinkEngine::Grid);
-    let (pair, pair_jsonl) = run(LinkEngine::Pairwise);
-    let ctx = format!("{label} / {} / seed {}", kind.name(), spec.sim.seed);
-    assert_eq!(grid.stats, pair.stats, "{ctx}: EngineStats diverged");
-    assert_eq!(
-        grid.metrics.samples, pair.metrics.samples,
-        "{ctx}: response samples diverged"
-    );
-    assert_eq!(
-        grid.metrics.meals, pair.metrics.meals,
-        "{ctx}: meal counts diverged"
-    );
-    assert_eq!(
-        grid.adjacency, pair.adjacency,
-        "{ctx}: final adjacency diverged"
-    );
-    assert_eq!(grid.crashed, pair.crashed, "{ctx}: crash sets diverged");
-    assert_eq!(
-        grid.violations, pair.violations,
-        "{ctx}: violations diverged"
-    );
-    assert_eq!(grid_jsonl, pair_jsonl, "{ctx}: JSONL diverged");
-}
-
-fn spec_with_seed(seed: u64, horizon: u64, fault: FaultPlan) -> RunSpec {
-    RunSpec {
-        sim: SimConfig {
-            seed,
-            fault,
-            ..SimConfig::default()
-        },
-        horizon,
-        ..RunSpec::default()
-    }
-}
-
-fn waypoints(n: usize, moves: usize, horizon: u64, seed: u64) -> Vec<(SimTime, Command)> {
-    WaypointPlan {
-        area_side: (n as f64 / 1.6).sqrt().max(2.0),
-        moves,
-        window: (horizon / 10, horizon * 9 / 10),
-        speed: Some(0.25),
-        seed,
-    }
-    .commands(n)
-}
+use harness::topology;
+use manet_sim::{Command, LinkChange, NodeId, Position, SimTime, World};
+use sim_golden::{fold_traced_run, waypoints, Fold, SEEDS};
 
 // ---------------------------------------------------------------------
-// Engine-level cells: full traces must be byte-identical.
+// Engine-level cells: full traces.
 // ---------------------------------------------------------------------
-
-/// Build an A2 engine over `positions` with the given link engine, apply
-/// `commands`, run, and return the full trace plus digest and stats.
-fn traced_run(
-    seed: u64,
-    positions: &[(f64, f64)],
-    commands: &[(SimTime, Command)],
-    engine: LinkEngine,
-) -> (
-    Vec<manet_sim::TraceEntry>,
-    Option<u64>,
-    manet_sim::EngineStats,
-) {
-    let cfg = SimConfig {
-        seed,
-        trace: true,
-        link_engine: engine,
-        ..SimConfig::default()
-    };
-    let mut eng = Engine::new(cfg, positions.to_vec(), |seed| Algorithm2::new(&seed));
-    for i in 0..positions.len() as u32 {
-        eng.set_hungry_at(SimTime(1 + u64::from(i % 7)), NodeId(i));
-    }
-    for (at, cmd) in commands {
-        eng.schedule(*at, cmd.clone());
-    }
-    eng.run_until(SimTime(6_000));
-    (
-        eng.trace().to_vec(),
-        eng.state_digest(),
-        eng.stats().clone(),
-    )
-}
-
-fn assert_traces_match(
-    label: &str,
-    seed: u64,
-    positions: &[(f64, f64)],
-    commands: &[(SimTime, Command)],
-) {
-    let (gt, gd, gs) = traced_run(seed, positions, commands, LinkEngine::Grid);
-    let (pt, pd, ps) = traced_run(seed, positions, commands, LinkEngine::Pairwise);
-    assert_eq!(gt, pt, "{label} / seed {seed}: traces diverged");
-    assert_eq!(gd, pd, "{label} / seed {seed}: state digests diverged");
-    assert_eq!(gs, ps, "{label} / seed {seed}: stats diverged");
-}
 
 /// Cell 1: line topology with teleports that cross cell boundaries and
 /// land *exactly* on cell edges (x = k · 1.5 = k · radio_range, the
@@ -140,64 +30,45 @@ fn assert_traces_match(
 #[test]
 fn cell_line_teleports_onto_cell_edges() {
     let positions = topology::line(12);
+    let mut fold = Fold::new();
     for seed in SEEDS {
         let k = (seed % 5) as f64;
+        let teleport = |at, node, x, y| {
+            (
+                SimTime(at),
+                Command::Teleport {
+                    node: NodeId(node),
+                    dest: Position { x, y },
+                },
+            )
+        };
         let commands = vec![
-            (
-                SimTime(500),
-                Command::Teleport {
-                    node: NodeId(0),
-                    dest: Position { x: k * 1.5, y: 0.0 },
-                },
-            ),
-            (
-                SimTime(1_000),
-                Command::Teleport {
-                    node: NodeId(11),
-                    dest: Position {
-                        x: 3.0,
-                        y: 1.5, // exactly one cell down, one range away
-                    },
-                },
-            ),
-            (
-                SimTime(1_500),
-                Command::Teleport {
-                    node: NodeId(5),
-                    dest: Position { x: 0.0, y: 0.0 }, // co-located with node 0's column
-                },
-            ),
-            (
-                SimTime(2_000),
-                Command::Teleport {
-                    node: NodeId(0),
-                    dest: Position {
-                        x: -1.5, // negative coordinates: floor ≠ truncate
-                        y: -1.5,
-                    },
-                },
-            ),
+            teleport(500, 0, k * 1.5, 0.0),
+            // Exactly one cell down, one range away.
+            teleport(1_000, 11, 3.0, 1.5),
+            // Co-located with node 0's column.
+            teleport(1_500, 5, 0.0, 0.0),
+            // Negative coordinates: floor ≠ truncate.
+            teleport(2_000, 0, -1.5, -1.5),
         ];
-        assert_traces_match("line:12+edge-teleports", seed, &positions, &commands);
+        fold_traced_run(&mut fold, seed, &positions, &commands);
     }
+    fold.check("line:12+edge-teleports", 0x2bf7_fec2_b796_2f3f);
 }
 
 /// Cell 2: random deployment with smooth random-waypoint motion — the
 /// bread-and-butter mobility workload, nodes migrate cells continuously.
 #[test]
 fn cell_random_waypoint_smooth_motion() {
-    for seed in SEEDS {
-        let positions = topology::random_connected(30, seed);
-        let commands = waypoints(30, 12, 6_000, seed ^ 0xB0B);
-        assert_traces_match("random:30+waypoint", seed, &positions, &commands);
-    }
+    sim_golden::random_waypoint_smooth_motion();
 }
 
 /// Cell 3: partition + heal through engine commands while nodes move —
-/// exercises the cut mask in both apply_cut and clear_cut fast paths.
+/// exercises the cut mask in `apply_cut`, `clear_cut` and `relocate`.
 #[test]
 fn cell_grid_partition_and_heal() {
     let positions = topology::grid(5, 5);
+    let mut fold = Fold::new();
     for seed in SEEDS {
         let side: Vec<NodeId> = (0..8).map(NodeId).collect();
         let mut commands = vec![
@@ -213,125 +84,108 @@ fn cell_grid_partition_and_heal() {
         ];
         commands.extend(waypoints(25, 6, 6_000, seed));
         commands.sort_by_key(|(t, _)| *t);
-        assert_traces_match("grid:5x5+partition", seed, &positions, &commands);
+        fold_traced_run(&mut fold, seed, &positions, &commands);
     }
+    fold.check("grid:5x5+partition", 0x4577_8999_5c53_ca59);
 }
 
 // ---------------------------------------------------------------------
-// Harness-level cells: stats + metrics + JSONL must be byte-identical.
+// Harness-level cells: stats + metrics + JSONL.
 // ---------------------------------------------------------------------
 
 /// Cell 4: clique under the adaptive max-delay adversary with moves.
 #[test]
 fn cell_clique_max_delay_adversary() {
-    let positions = topology::clique(8);
-    for seed in SEEDS {
-        let fault = FaultPlan {
-            max_delay: Some(manet_sim::DelayAdversary {
-                targets: (0..8).map(NodeId).collect(),
-                window: Some((100, 3_000)),
-            }),
-            ..FaultPlan::default()
-        };
-        let spec = spec_with_seed(seed, 8_000, fault);
-        let commands = waypoints(8, 4, 8_000, seed);
-        assert_outcomes_match("clique:8", AlgKind::A1Greedy, &spec, &positions, &commands);
-    }
+    sim_golden::clique_max_delay_adversary();
 }
 
 /// Cell 5: ring under message drop + duplication faults with moves.
 #[test]
 fn cell_ring_loss_and_duplication() {
-    let positions = topology::ring(16);
-    for seed in SEEDS {
-        let fault = FaultPlan {
-            link: Some(manet_sim::LinkFaults {
-                drop: 0.15,
-                duplicate: 0.15,
-                ..manet_sim::LinkFaults::default()
-            }),
-            ..FaultPlan::default()
-        };
-        let spec = spec_with_seed(seed, 8_000, fault);
-        let commands = waypoints(16, 5, 8_000, seed);
-        assert_outcomes_match("ring:16", AlgKind::A1Linial, &spec, &positions, &commands);
-    }
+    sim_golden::ring_loss_and_duplication();
 }
 
 /// Cell 6: random deployment with a crash wave and a partition window,
 /// under waypoint motion.
 #[test]
 fn cell_random_crash_wave_and_partition() {
-    for seed in SEEDS {
-        let positions = topology::random_connected(40, seed);
-        let fault = FaultPlan {
-            crash_waves: vec![CrashWave {
-                at: 2_000,
-                nodes: vec![NodeId(seed as u32 % 40)],
-            }],
-            partitions: vec![PartitionWindow {
-                at: 3_000,
-                side: (0..10).map(NodeId).collect(),
-                heal_after: 1_500,
-            }],
-            ..FaultPlan::default()
-        };
-        let spec = spec_with_seed(seed, 9_000, fault);
-        let commands = waypoints(40, 8, 9_000, seed ^ 0xFEED);
-        assert_outcomes_match("random:40", AlgKind::A2, &spec, &positions, &commands);
-    }
+    sim_golden::random_crash_wave_and_partition();
 }
 
 // ---------------------------------------------------------------------
-// World-level fuzz: the relocate/cut primitives themselves.
+// World-level fuzz: `relocate` against the unit-disk rule itself.
 // ---------------------------------------------------------------------
 
-/// Random relocations (including exact cell-edge landings) must produce
-/// identical LinkChange sequences and identical adjacency in both worlds.
+/// The whole adjacency, recomputed from scratch in O(n²).
+fn unit_disk(range: f64, positions: &[Position]) -> Vec<Vec<NodeId>> {
+    (0..positions.len())
+        .map(|i| {
+            (0..positions.len())
+                .filter(|&j| j != i && positions[i].distance(positions[j]) <= range)
+                .map(|j| NodeId(j as u32))
+                .collect()
+        })
+        .collect()
+}
+
+/// Random relocations (exact cell-edge/corner landings, negative
+/// coordinates) must leave the adjacency equal to the brute-force oracle
+/// and report exactly the before/after diff, in ascending peer-id order.
 #[test]
 fn world_level_relocate_fuzz() {
+    const RANGE: f64 = 1.5;
     for seed in SEEDS {
         let n = 24;
-        let positions: Vec<Position> = topology::random_connected(n, seed)
+        let mut positions: Vec<Position> = topology::random_connected(n, seed)
             .into_iter()
             .map(Position::from)
             .collect();
-        let mut grid = World::with_engine(1.5, positions.clone(), LinkEngine::Grid);
-        let mut pair = World::with_engine(1.5, positions, LinkEngine::Pairwise);
+        let mut world = World::new(RANGE, positions.clone());
         let mut rng = manet_sim::SimRng::seed_from_u64(seed);
+        let mut before = unit_disk(RANGE, &positions);
         for step in 0..400 {
             let node = NodeId(rng.gen_range(0..n as u32));
             let dest = if step % 5 == 0 {
                 // Land exactly on a cell corner (multiples of the range).
                 Position {
-                    x: f64::from(rng.gen_range(0..4u32)) * 1.5,
-                    y: f64::from(rng.gen_range(0..4u32)) * 1.5,
+                    x: (f64::from(rng.gen_range(0..6u32)) - 2.0) * RANGE,
+                    y: (f64::from(rng.gen_range(0..6u32)) - 2.0) * RANGE,
                 }
             } else {
                 Position {
-                    x: rng.gen_f64() * 6.0,
-                    y: rng.gen_f64() * 6.0,
+                    x: rng.gen_f64() * 9.0 - 3.0,
+                    y: rng.gen_f64() * 9.0 - 3.0,
                 }
             };
-            let g = grid.relocate(node, dest);
-            let p = pair.relocate(node, dest);
-            assert_eq!(g, p, "seed {seed} step {step}: link changes diverged");
+            let changes = world.relocate(node, dest);
+            positions[node.index()] = dest;
+            let after = unit_disk(RANGE, &positions);
+            let (was, now) = (&before[node.index()], &after[node.index()]);
+            let expected: Vec<LinkChange> = (0..n as u32)
+                .map(NodeId)
+                .filter_map(|peer| match (was.contains(&peer), now.contains(&peer)) {
+                    (false, true) => Some(LinkChange::Up(node, peer)),
+                    (true, false) => Some(LinkChange::Down(node, peer)),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(changes, expected, "seed {seed} step {step}: link changes");
+            for i in 0..n as u32 {
+                assert_eq!(
+                    world.neighbors(NodeId(i)),
+                    after[i as usize],
+                    "seed {seed} step {step}: adjacency of node {i}"
+                );
+            }
+            before = after;
         }
-        for i in 0..n as u32 {
-            assert_eq!(
-                grid.neighbors(NodeId(i)),
-                pair.neighbors(NodeId(i)),
-                "seed {seed}: final adjacency diverged at node {i}"
-            );
-        }
-        assert_eq!(grid.csr_snapshot(), pair.csr_snapshot());
-        // The whole point of the grid: it must have examined strictly
-        // fewer candidates than the pairwise scan on a sparse world.
+        // The whole point of the grid: on a sparse world it examines far
+        // fewer candidates than the n − 1 per step of a full scan.
+        let full_scan = 400 * (n as u64 - 1);
         assert!(
-            grid.candidates_examined() < pair.candidates_examined(),
-            "seed {seed}: grid examined {} candidates, pairwise {}",
-            grid.candidates_examined(),
-            pair.candidates_examined()
+            world.candidates_examined() < full_scan / 2,
+            "seed {seed}: grid examined {} candidates, a full scan {full_scan}",
+            world.candidates_examined()
         );
     }
 }

@@ -1,142 +1,29 @@
-//! Differential conformance suite: the timing-wheel event core and the
-//! binary-heap reference must be **bit-for-bit indistinguishable** — same
-//! `(at, seq)` dispatch order, same traces, same state digests, same
-//! EngineStats, same JSONL reports, same structured aborts. The wheel only
-//! stays landed because this suite says the semantics are unchanged.
+//! Golden pin of the event queue's contract: the engine dispatches in
+//! `(at, seq)` order, exactly as a binary heap keyed on that pair would.
 //!
-//! Cells cover topology × mobility × fault combinations over at least
-//! 8 seeds, plus the model checker's DFS/PCT/replay strategies and the
-//! imported-schedule conformance-replay path.
+//! These cells used to run every scenario twice — timing wheel vs the
+//! binary-heap core — and compare. The heap core is gone (the wheel's own
+//! unit tests keep a `std::collections::BinaryHeap` differential at the
+//! queue seam); here each cell's traces, digests, stats and JSONL are folded
+//! into one constant computed on parent `b193b59` through that heap core.
+//! See `tests/sim_golden/mod.rs`.
+//!
+//! Cells cover topology × mobility × fault combinations over 8 seeds, plus
+//! the model checker's DFS/PCT/random/replay strategies, the
+//! imported-schedule conformance-replay path and the parallel sweep.
+
+mod sim_golden;
 
 use harness::{
-    run_algorithm, run_algorithm_with_strategy, topology, AlgKind, RunOutcome, RunReport, RunSpec,
-    SweepSpec, Topo, WaypointPlan,
+    run_algorithm_with_strategy, topology, AlgKind, RunOutcome, RunSpec, SweepSpec, Topo,
 };
 use lme_check::{run_schedule, CheckSpec, Plan};
-use local_mutex::Algorithm2;
-use manet_sim::{
-    Command, CrashWave, Engine, EventQueueKind, FaultPlan, ImportedSchedule, NodeId,
-    PartitionWindow, SimConfig, SimTime, Strategy,
-};
-
-const SEEDS: std::ops::Range<u64> = 1..9;
-
-/// Run `kind` on `positions` under both event-queue cores and require every
-/// observable artifact — engine stats, metrics, final adjacency, crash set,
-/// structured abort, and the rendered JSONL line — to match exactly.
-fn assert_outcomes_match(
-    label: &str,
-    kind: AlgKind,
-    spec: &RunSpec,
-    positions: &[(f64, f64)],
-    commands: &[(SimTime, Command)],
-) {
-    let run = |queue: EventQueueKind| -> (RunOutcome, String) {
-        let mut spec = spec.clone();
-        spec.sim.event_queue = queue;
-        let out = run_algorithm(kind, &spec, positions, commands);
-        let jsonl =
-            RunReport::from_outcome(label, kind.name(), spec.sim.seed, spec.horizon, &out, None)
-                .to_jsonl();
-        (out, jsonl)
-    };
-    let (heap, heap_jsonl) = run(EventQueueKind::Heap);
-    let (wheel, wheel_jsonl) = run(EventQueueKind::Wheel);
-    let ctx = format!("{label} / {} / seed {}", kind.name(), spec.sim.seed);
-    assert_eq!(heap.stats, wheel.stats, "{ctx}: EngineStats diverged");
-    assert_eq!(
-        heap.metrics.samples, wheel.metrics.samples,
-        "{ctx}: response samples diverged"
-    );
-    assert_eq!(
-        heap.metrics.meals, wheel.metrics.meals,
-        "{ctx}: meal counts diverged"
-    );
-    assert_eq!(
-        heap.adjacency, wheel.adjacency,
-        "{ctx}: final adjacency diverged"
-    );
-    assert_eq!(heap.crashed, wheel.crashed, "{ctx}: crash sets diverged");
-    assert_eq!(
-        heap.violations, wheel.violations,
-        "{ctx}: violations diverged"
-    );
-    assert_eq!(heap.abort, wheel.abort, "{ctx}: aborts diverged");
-    assert_eq!(heap_jsonl, wheel_jsonl, "{ctx}: JSONL diverged");
-}
-
-fn spec_with_seed(seed: u64, horizon: u64, fault: FaultPlan) -> RunSpec {
-    RunSpec {
-        sim: SimConfig {
-            seed,
-            fault,
-            ..SimConfig::default()
-        },
-        horizon,
-        ..RunSpec::default()
-    }
-}
-
-fn waypoints(n: usize, moves: usize, horizon: u64, seed: u64) -> Vec<(SimTime, Command)> {
-    WaypointPlan {
-        area_side: (n as f64 / 1.6).sqrt().max(2.0),
-        moves,
-        window: (horizon / 10, horizon * 9 / 10),
-        speed: Some(0.25),
-        seed,
-    }
-    .commands(n)
-}
+use manet_sim::{Command, FaultPlan, ImportedSchedule, NodeId, SimConfig, SimTime, Strategy};
+use sim_golden::{fold_traced_run, jsonl_of, spec_with_seed, waypoints, Fold, SEEDS};
 
 // ---------------------------------------------------------------------
-// Engine-level cells: full traces must be byte-identical.
+// Engine-level cells: full traces.
 // ---------------------------------------------------------------------
-
-/// Build an A2 engine over `positions` with the given event-queue core,
-/// apply `commands`, run, and return the full trace plus digest and stats.
-fn traced_run(
-    seed: u64,
-    positions: &[(f64, f64)],
-    commands: &[(SimTime, Command)],
-    queue: EventQueueKind,
-) -> (
-    Vec<manet_sim::TraceEntry>,
-    Option<u64>,
-    manet_sim::EngineStats,
-) {
-    let cfg = SimConfig {
-        seed,
-        trace: true,
-        event_queue: queue,
-        ..SimConfig::default()
-    };
-    let mut eng = Engine::new(cfg, positions.to_vec(), |seed| Algorithm2::new(&seed));
-    for i in 0..positions.len() as u32 {
-        eng.set_hungry_at(SimTime(1 + u64::from(i % 7)), NodeId(i));
-    }
-    for (at, cmd) in commands {
-        eng.schedule(*at, cmd.clone());
-    }
-    eng.run_until(SimTime(6_000));
-    (
-        eng.trace().to_vec(),
-        eng.state_digest(),
-        eng.stats().clone(),
-    )
-}
-
-fn assert_traces_match(
-    label: &str,
-    seed: u64,
-    positions: &[(f64, f64)],
-    commands: &[(SimTime, Command)],
-) {
-    let (ht, hd, hs) = traced_run(seed, positions, commands, EventQueueKind::Heap);
-    let (wt, wd, ws) = traced_run(seed, positions, commands, EventQueueKind::Wheel);
-    assert_eq!(ht, wt, "{label} / seed {seed}: traces diverged");
-    assert_eq!(hd, wd, "{label} / seed {seed}: state digests diverged");
-    assert_eq!(hs, ws, "{label} / seed {seed}: stats diverged");
-}
 
 /// Cell 1: line topology with waypoint motion plus a far-future teleport —
 /// the command sits beyond the wheel's bucket horizon at schedule time, so
@@ -144,6 +31,7 @@ fn assert_traces_match(
 #[test]
 fn cell_line_motion_with_far_overflow_command() {
     let positions = topology::line(12);
+    let mut fold = Fold::new();
     for seed in SEEDS {
         let mut commands = vec![(
             SimTime(5_500), // scheduled at t=0: far outside any bucket window
@@ -154,156 +42,82 @@ fn cell_line_motion_with_far_overflow_command() {
         )];
         commands.extend(waypoints(12, 6, 6_000, seed ^ 0xB0B));
         commands.sort_by_key(|(t, _)| *t);
-        assert_traces_match("line:12+overflow", seed, &positions, &commands);
+        fold_traced_run(&mut fold, seed, &positions, &commands);
     }
+    fold.check("line:12+overflow", 0x17ec_9374_99dd_b17d);
 }
 
-/// Cell 2: random deployment with smooth random-waypoint motion — dense
-/// same-tick ties (timers, deliveries, link changes) exercise the wheel's
-/// per-bucket FIFO against the heap's `(at, seq)` order.
+/// Cell 2: random deployment with smooth random-waypoint motion.
 #[test]
 fn cell_random_waypoint_smooth_motion() {
-    for seed in SEEDS {
-        let positions = topology::random_connected(30, seed);
-        let commands = waypoints(30, 12, 6_000, seed ^ 0xB0B);
-        assert_traces_match("random:30+waypoint", seed, &positions, &commands);
-    }
+    sim_golden::random_waypoint_smooth_motion();
 }
 
 // ---------------------------------------------------------------------
-// Harness-level cells: stats + metrics + JSONL must be byte-identical.
+// Harness-level cells: stats + metrics + JSONL.
 // ---------------------------------------------------------------------
 
 /// Cell 3: clique under the adaptive max-delay adversary with moves.
 #[test]
 fn cell_clique_max_delay_adversary() {
-    let positions = topology::clique(8);
-    for seed in SEEDS {
-        let fault = FaultPlan {
-            max_delay: Some(manet_sim::DelayAdversary {
-                targets: (0..8).map(NodeId).collect(),
-                window: Some((100, 3_000)),
-            }),
-            ..FaultPlan::default()
-        };
-        let spec = spec_with_seed(seed, 8_000, fault);
-        let commands = waypoints(8, 4, 8_000, seed);
-        assert_outcomes_match("clique:8", AlgKind::A1Greedy, &spec, &positions, &commands);
-    }
+    sim_golden::clique_max_delay_adversary();
 }
 
-/// Cell 4: ring under message drop + duplication faults with moves —
-/// duplicate ghosts are pushed with out-of-order timestamps relative to
-/// their originals, the regime that forces wheel re-anchoring.
+/// Cell 4: ring under message drop + duplication faults with moves.
 #[test]
 fn cell_ring_loss_and_duplication() {
-    let positions = topology::ring(16);
-    for seed in SEEDS {
-        let fault = FaultPlan {
-            link: Some(manet_sim::LinkFaults {
-                drop: 0.15,
-                duplicate: 0.15,
-                ..manet_sim::LinkFaults::default()
-            }),
-            ..FaultPlan::default()
-        };
-        let spec = spec_with_seed(seed, 8_000, fault);
-        let commands = waypoints(16, 5, 8_000, seed);
-        assert_outcomes_match("ring:16", AlgKind::A1Linial, &spec, &positions, &commands);
-    }
+    sim_golden::ring_loss_and_duplication();
 }
 
 /// Cell 5: random deployment with a crash wave and a partition window
 /// under waypoint motion.
 #[test]
 fn cell_random_crash_wave_and_partition() {
-    for seed in SEEDS {
-        let positions = topology::random_connected(40, seed);
-        let fault = FaultPlan {
-            crash_waves: vec![CrashWave {
-                at: 2_000,
-                nodes: vec![NodeId(seed as u32 % 40)],
-            }],
-            partitions: vec![PartitionWindow {
-                at: 3_000,
-                side: (0..10).map(NodeId).collect(),
-                heal_after: 1_500,
-            }],
-            ..FaultPlan::default()
-        };
-        let spec = spec_with_seed(seed, 9_000, fault);
-        let commands = waypoints(40, 8, 9_000, seed ^ 0xFEED);
-        assert_outcomes_match("random:40", AlgKind::A2, &spec, &positions, &commands);
-    }
+    sim_golden::random_crash_wave_and_partition();
 }
 
 // ---------------------------------------------------------------------
-// Checker-level cells: every exploration strategy must see the same runs.
+// Checker-level cell: every exploration strategy sees the pinned runs.
 // ---------------------------------------------------------------------
 
-fn line_edges(n: usize) -> Vec<(u32, u32)> {
-    (0..n as u32 - 1).map(|i| (i, i + 1)).collect()
-}
-
-fn checked_verdicts(alg: AlgKind, plan: &Plan, queue: EventQueueKind) -> lme_check::RunVerdict {
-    let mut spec = CheckSpec::new(alg, "line:4", 4, line_edges(4));
-    spec.event_queue = queue;
-    run_schedule(&spec, plan)
-}
-
-fn assert_verdicts_match(alg: AlgKind, plan: &Plan) {
-    let heap = checked_verdicts(alg, plan, EventQueueKind::Heap);
-    let wheel = checked_verdicts(alg, plan, EventQueueKind::Wheel);
-    let ctx = format!("{} / {plan:?}", alg.name());
-    assert_eq!(heap.choices, wheel.choices, "{ctx}: choice logs diverged");
-    assert_eq!(heap.trace, wheel.trace, "{ctx}: traces diverged");
-    assert_eq!(heap.violation, wheel.violation, "{ctx}: verdicts diverged");
-    assert_eq!(heap.drained, wheel.drained, "{ctx}: drain status diverged");
-    assert_eq!(heap.meals, wheel.meals, "{ctx}: meal counts diverged");
-    assert_eq!(heap.abort, wheel.abort, "{ctx}: aborts diverged");
+fn fold_verdict(fold: &mut Fold, alg: AlgKind, plan: &Plan) -> lme_check::RunVerdict {
+    let edges: Vec<(u32, u32)> = (0..3).map(|i| (i, i + 1)).collect();
+    let verdict = run_schedule(&CheckSpec::new(alg, "line:4", 4, edges), plan);
+    fold.add(&verdict.choices);
+    fold.add(&verdict.trace);
+    fold.add(&verdict.violation);
+    fold.add(&verdict.drained);
+    fold.add(&verdict.meals);
+    fold.add(&verdict.abort);
+    verdict
 }
 
 /// Cell 6: the model checker's DFS, PCT, random-walk, and replay
-/// strategies resolve identical branch points on both cores.
+/// strategies resolve the pinned branch points.
 #[test]
 fn cell_check_strategies_agree_across_cores() {
+    let mut fold = Fold::new();
     for alg in [AlgKind::A1Greedy, AlgKind::A2] {
-        assert_verdicts_match(
-            alg,
-            &Plan::Dfs {
-                prefix: vec![],
-                dedup: true,
-            },
-        );
-        assert_verdicts_match(
-            alg,
-            &Plan::Dfs {
-                prefix: vec![1, 1, 0],
-                dedup: false,
-            },
-        );
+        let dfs = |prefix: Vec<u8>, dedup| Plan::Dfs { prefix, dedup };
+        fold_verdict(&mut fold, alg, &dfs(vec![], true));
+        fold_verdict(&mut fold, alg, &dfs(vec![1, 1, 0], false));
         for seed in SEEDS {
-            assert_verdicts_match(alg, &Plan::Pct { seed, changes: 3 });
-            assert_verdicts_match(alg, &Plan::Random { seed });
-            // Replay the random walk's recorded delays on both cores.
-            let sampled = checked_verdicts(alg, &Plan::Random { seed }, EventQueueKind::Heap);
+            fold_verdict(&mut fold, alg, &Plan::Pct { seed, changes: 3 });
+            let sampled = fold_verdict(&mut fold, alg, &Plan::Random { seed });
+            // Replay the random walk's recorded delays.
             let delays: Vec<u64> = sampled.choices.iter().map(|c| c.delay).collect();
-            assert_verdicts_match(alg, &Plan::Replay { delays });
+            fold_verdict(&mut fold, alg, &Plan::Replay { delays });
         }
     }
+    fold.check("check:line:4", 0xd606_51a6_0855_e5b3);
 }
 
 // ---------------------------------------------------------------------
 // Imported-schedule cells: the conformance-replay path of live runs.
 // ---------------------------------------------------------------------
 
-fn replay_outcome(
-    schedule: ImportedSchedule,
-    seed: u64,
-    queue: EventQueueKind,
-) -> (RunOutcome, String) {
-    let mut spec = spec_with_seed(seed, 5_000, FaultPlan::default());
-    spec.sim.event_queue = queue;
+fn replay_outcome(schedule: ImportedSchedule, seed: u64) -> (RunOutcome, String) {
+    let spec = spec_with_seed(seed, 5_000, FaultPlan::default());
     let positions = topology::clique(6);
     let out = run_algorithm_with_strategy(
         AlgKind::A2,
@@ -312,88 +126,69 @@ fn replay_outcome(
         &[],
         Some(Box::new(schedule)),
     );
-    let jsonl = RunReport::from_outcome(
-        "replay:clique6",
-        AlgKind::A2.name(),
-        spec.sim.seed,
-        spec.horizon,
-        &out,
-        None,
-    )
-    .to_jsonl();
+    let jsonl = jsonl_of("replay:clique6", AlgKind::A2, &spec, &out);
     (out, jsonl)
 }
 
-/// Cell 7: a recorded (synthetic, in-window) live schedule replays to the
-/// same outcome and JSONL on both cores.
+/// Cell 7: a recorded (synthetic, in-window) live schedule replays without
+/// an abort, to the pinned outcome and JSONL.
 #[test]
 fn cell_imported_schedule_replay_agrees() {
+    let mut fold = Fold::new();
     for seed in SEEDS {
-        let build = || {
-            let nu = SimConfig::default().max_message_delay;
-            let mut sched = ImportedSchedule::new(1);
-            let mut k = seed;
-            for from in 0..6u32 {
-                for to in 0..6u32 {
-                    if from == to {
-                        continue;
-                    }
-                    for _ in 0..8 {
-                        k = k.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-                        sched.push(NodeId(from), NodeId(to), 1 + k % nu);
-                    }
+        let nu = SimConfig::default().max_message_delay;
+        let mut sched = ImportedSchedule::new(1);
+        let mut k = seed;
+        for from in 0..6u32 {
+            for to in 0..6u32 {
+                if from == to {
+                    continue;
+                }
+                for _ in 0..8 {
+                    k = k.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                    sched.push(NodeId(from), NodeId(to), 1 + k % nu);
                 }
             }
-            sched
-        };
-        let (heap, heap_jsonl) = replay_outcome(build(), seed, EventQueueKind::Heap);
-        let (wheel, wheel_jsonl) = replay_outcome(build(), seed, EventQueueKind::Wheel);
-        assert_eq!(heap.abort, None, "seed {seed}: in-window replay aborted");
-        assert_eq!(heap.stats, wheel.stats, "seed {seed}: stats diverged");
-        assert_eq!(heap_jsonl, wheel_jsonl, "seed {seed}: JSONL diverged");
+        }
+        let (out, jsonl) = replay_outcome(sched, seed);
+        assert_eq!(out.abort, None, "seed {seed}: in-window replay aborted");
+        fold.add_outcome(&out, &jsonl);
     }
+    fold.check("replay:clique6", 0x868d_c1eb_8662_6ad8);
 }
 
 /// Cell 8: a malformed recording (delay below the legal window) is
-/// rejected with the *same* structured abort on both cores — the bugfix
-/// that replaced silent clamping must not itself depend on the core.
+/// rejected with a structured abort, never silently clamped.
 #[test]
 fn cell_malformed_replay_rejected_identically() {
-    let build = || {
-        let mut sched = ImportedSchedule::new(1);
-        sched.push(NodeId(0), NodeId(1), 0); // below min_message_delay
-        sched
-    };
-    let (heap, heap_jsonl) = replay_outcome(build(), 3, EventQueueKind::Heap);
-    let (wheel, wheel_jsonl) = replay_outcome(build(), 3, EventQueueKind::Wheel);
+    let mut sched = ImportedSchedule::new(1);
+    sched.push(NodeId(0), NodeId(1), 0); // below min_message_delay
+    let (out, jsonl) = replay_outcome(sched, 3);
     assert!(
-        heap.abort
+        out.abort
             .as_deref()
             .is_some_and(|a| a.contains("outside legal window")),
         "abort: {:?}",
-        heap.abort
+        out.abort
     );
-    assert_eq!(heap.abort, wheel.abort, "aborts diverged");
-    assert_eq!(heap_jsonl, wheel_jsonl, "JSONL diverged");
+    let mut fold = Fold::new();
+    fold.add_outcome(&out, &jsonl);
+    fold.check("replay:clique6+malformed", 0x6536_df70_2a95_429b);
 }
 
 // ---------------------------------------------------------------------
-// Sweep-level cell: parallel JSONL identical across cores and job counts.
+// Sweep-level cell: parallel JSONL identical across job counts.
 // ---------------------------------------------------------------------
 
-/// Cell 9: a multi-seed sweep renders byte-identical JSONL for any worker
-/// count under either core, and across the two cores.
+/// Cell 9: a multi-seed sweep renders the pinned JSONL for any worker
+/// count.
 #[test]
 fn cell_sweep_jsonl_identical_across_cores_and_jobs() {
-    let sweep = |queue: EventQueueKind| {
+    let sweep = || {
         SweepSpec::new(
             "line6",
             Topo::Geo(topology::line(6)),
             RunSpec {
-                sim: SimConfig {
-                    event_queue: queue,
-                    ..SimConfig::default()
-                },
                 horizon: 3_000,
                 ..RunSpec::default()
             },
@@ -401,17 +196,13 @@ fn cell_sweep_jsonl_identical_across_cores_and_jobs() {
         .kinds([AlgKind::A2, AlgKind::A1Greedy])
         .seed_range(1, 4)
     };
-    let heap_serial = sweep(EventQueueKind::Heap).run(1).jsonl();
-    let heap_parallel = sweep(EventQueueKind::Heap).run(4).jsonl();
-    let wheel_serial = sweep(EventQueueKind::Wheel).run(1).jsonl();
-    let wheel_parallel = sweep(EventQueueKind::Wheel).run(4).jsonl();
-    assert_eq!(heap_serial, heap_parallel, "heap: jobs changed the JSONL");
-    assert_eq!(
-        wheel_serial, wheel_parallel,
-        "wheel: jobs changed the JSONL"
-    );
-    assert_eq!(heap_serial, wheel_serial, "cores rendered different JSONL");
-    assert_eq!(heap_serial.lines().count(), 8);
+    let serial = sweep().run(1).jsonl();
+    let parallel = sweep().run(4).jsonl();
+    assert_eq!(serial, parallel, "jobs changed the JSONL");
+    assert_eq!(serial.lines().count(), 8);
+    let mut fold = Fold::new();
+    fold.add(&serial);
+    fold.check("sweep:line6", 0x7d60_7647_275f_c7dc);
 }
 
 // ---------------------------------------------------------------------
