@@ -3,7 +3,7 @@
 
 use harness::{AlgKind, MobilityMix};
 use lme_check::{Mutation, StrategyKind};
-use lme_net::{LiveRuntime, TransportKind};
+use lme_net::TransportKind;
 use manet_sim::ChannelConfig;
 
 /// A parsed topology specification.
@@ -81,7 +81,7 @@ pub enum Command {
     Check,
     /// Benchmarks (`lme bench live`, `lme bench channel`).
     Bench,
-    /// Live thread-per-node run over a real transport (`lme live`).
+    /// Live run on the shard worker pool over a real transport (`lme live`).
     Live,
 }
 
@@ -205,11 +205,8 @@ pub struct Cli {
     /// Live: run the full algorithm × {clique, ring} matrix instead of a
     /// single cell.
     pub matrix: bool,
-    /// Live: which execution model runs the node automata
-    /// (`thread-per-node` or `sharded`).
-    pub runtime: LiveRuntime,
-    /// Live: worker-thread count for the sharded runtime (`None` = size
-    /// to the machine's parallelism).
+    /// Live: worker-thread count of the shard pool (`None` = size to the
+    /// machine's parallelism).
     pub workers: Option<usize>,
     /// Live / bench live: closed-loop workload — a node goes hungry again
     /// immediately after eating instead of drawing an open-loop think
@@ -273,7 +270,6 @@ impl Default for Cli {
             one_shot: false,
             conformance: false,
             matrix: false,
-            runtime: LiveRuntime::ThreadPerNode,
             workers: None,
             closed_loop: false,
         }
@@ -301,11 +297,10 @@ commands:
           `bench channel`: every channel model x {clique:8, ring:8},
           reporting meals, response percentiles and channel counters,
           written as BENCH_channel.json
-  live    real message passing (mpsc channels or UDP on loopback) under
-          one of two execution models — one thread per node, or an M:N
-          sharded worker pool (--runtime sharded) that scales the same
-          automata to tens of thousands of nodes; the live trace is
-          validated by the safety monitor either way
+  live    real message passing (in-process rings or UDP on loopback)
+          on an M:N sharded worker pool that scales the same automata
+          to tens of thousands of nodes; the live trace is validated
+          by the safety monitor
 
 options:
   --alg <name>       a1-greedy | a1-linial | a1-random | a2 |
@@ -349,8 +344,8 @@ reliable delivery and recovery:
   --recover <t>          run/sweep: crash --victim at horizon/4 and
                          recover it as a fresh incarnation at tick <t>
                          live: recover the crashed --victim at <t> ms
-  --reliable             live: per-link ARQ (retransmit + ack) over the
-                         real transport
+  --reliable             live: per-link go-back-N ARQ (retransmit + ack)
+                         between every node pair
 
 model checking (check):
   --strategy <s>       dfs | random | pct                  (default dfs)
@@ -392,19 +387,15 @@ live runtime (live, bench live):
                        safety violation
   --victim <node>      crash this node a quarter into the run
   --moves <k>          teleport waypoints pushed by the driver
-  --runtime <r>        thread-per-node | sharded    (default thread-per-node;
-                       sharded runs every node on a fixed worker pool of
-                       contiguous shards with batched cross-shard frames
-                       and per-shard ticket ranges merged at export;
-                       --reliable is thread-per-node only)
-  --workers <n>        sharded: worker-pool size    (default: the machine's
-                       parallelism, clamped to 2..16)
+  --workers <n>        worker-pool size             (default: the machine's
+                       parallelism, clamped to 2..16; every node runs on
+                       a fixed pool of contiguous shards with batched
+                       cross-shard frames and per-shard ticket ranges
+                       merged at export)
   --closed-loop        nodes go hungry again immediately after eating
                        (saturation workload; --rate only staggers the
                        first cycle)
   --ns <a,b,...>       bench live: also run --alg on ring:n per rung
-                       under both runtimes (thread-per-node skipped
-                       above 2048 nodes)
   --out <p>            bench live: JSON path    (default BENCH_live.json)
 ";
 
@@ -685,7 +676,6 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Cli, String> {
             "--oneshot" => cli.one_shot = true,
             "--conformance" => cli.conformance = true,
             "--matrix" => cli.matrix = true,
-            "--runtime" => cli.runtime = LiveRuntime::parse(&value("--runtime")?)?,
             "--workers" => {
                 let workers = parse_usize(&value("--workers")?, "worker count")?;
                 if workers == 0 {
@@ -745,9 +735,6 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Cli, String> {
         if cli.fault_partition.is_some() && targets.len() >= n {
             return Err("a partition side must leave at least one node outside".to_string());
         }
-    }
-    if cli.workers.is_some() && matches!(cli.runtime, LiveRuntime::ThreadPerNode) {
-        return Err("--workers sizes the sharded worker pool; pass --runtime sharded".to_string());
     }
     if cli.command == Command::Live {
         if cli.topo.is_explicit() {
@@ -1028,25 +1015,29 @@ mod tests {
     }
 
     #[test]
-    fn parses_runtime_flags() {
-        let cli = parse(argv("live --runtime sharded --workers 4 --closed-loop")).unwrap();
-        assert!(matches!(cli.runtime, LiveRuntime::Sharded { .. }));
+    fn parses_worker_pool_flags() {
+        let cli = parse(argv("live --workers 4 --closed-loop --reliable")).unwrap();
         assert_eq!(cli.workers, Some(4));
-        assert!(cli.closed_loop);
+        assert!(cli.closed_loop && cli.reliable);
         let default = parse(argv("live")).unwrap();
-        assert!(matches!(default.runtime, LiveRuntime::ThreadPerNode));
         assert_eq!(default.workers, None);
         assert!(!default.closed_loop);
-        let bench = parse(argv("bench live --runtime sharded --workers 2")).unwrap();
-        assert!(matches!(bench.runtime, LiveRuntime::Sharded { .. }));
+        let bench = parse(argv("bench live --workers 2")).unwrap();
+        assert_eq!(bench.workers, Some(2));
+    }
+
+    #[test]
+    fn the_retired_runtime_flag_is_an_unknown_flag() {
+        for cmd in ["live --runtime sharded", "bench live --runtime sharded"] {
+            let err = parse(argv(cmd)).unwrap_err();
+            assert!(err.contains("unknown flag '--runtime'"), "{err}");
+        }
     }
 
     #[test]
     fn rejects_malformed_live_flags() {
         assert!(parse(argv("live --transport tcp")).is_err());
-        assert!(parse(argv("live --runtime fibers")).is_err());
-        assert!(parse(argv("live --workers 0 --runtime sharded")).is_err());
-        assert!(parse(argv("live --workers 4")).is_err()); // needs --runtime sharded
+        assert!(parse(argv("live --workers 0")).is_err());
         assert!(parse(argv("live --duration 0")).is_err());
         assert!(parse(argv("live --rate 0")).is_err());
         assert!(parse(argv("live --rate -3")).is_err());

@@ -772,6 +772,14 @@ fn live_alg_of(kind: AlgKind) -> Result<LiveAlg, String> {
     LiveAlg::parse(kind.name())
 }
 
+/// The worker pool the flags ask for (`--workers`, else sized to the
+/// machine).
+fn live_runtime_of(cli: &Cli) -> LiveRuntime {
+    LiveRuntime::Sharded {
+        workers: cli.workers.unwrap_or(0),
+    }
+}
+
 /// Assemble one live-run configuration from the flags. `--victim` crashes
 /// a quarter into the run; `--moves` reuses the harness random-waypoint
 /// generator as driver-pushed teleports.
@@ -785,12 +793,7 @@ fn live_config_of(cli: &Cli, alg: LiveAlg, positions: Vec<(f64, f64)>) -> LiveCo
     cfg.seed = cli.seed;
     cfg.reliable = cli.reliable;
     cfg.closed_loop = cli.closed_loop;
-    cfg.runtime = match cli.runtime {
-        LiveRuntime::ThreadPerNode => LiveRuntime::ThreadPerNode,
-        LiveRuntime::Sharded { .. } => LiveRuntime::Sharded {
-            workers: cli.workers.unwrap_or(0),
-        },
-    };
+    cfg.runtime = live_runtime_of(cli);
     if let Some(v) = cli.victim {
         cfg.crash = Some((v, (cli.duration_ms / 4).max(1)));
         if let Some(at) = cli.recover_at {
@@ -893,8 +896,7 @@ fn render_live(cli: &Cli) -> Result<String, String> {
 
 /// The fixed algorithm × topology acceptance matrix: every live-capable
 /// algorithm over a clique and a ring, each cell validated by the safety
-/// monitor. Nonzero exit on any violation. `--runtime sharded` runs the
-/// same matrix on the sharded worker pool.
+/// monitor. Nonzero exit on any violation.
 fn render_live_matrix(cli: &Cli) -> Result<String, String> {
     let topos = [TopoSpec::Clique(5), TopoSpec::Ring(6)];
     let algs = LiveAlg::all();
@@ -912,7 +914,7 @@ fn render_live_matrix(cli: &Cli) -> Result<String, String> {
         topos.len(),
         if cli.victim.is_some() { " + crash" } else { "" },
         cli.transport.name(),
-        cli.runtime.name(),
+        live_runtime_of(cli).name(),
         cli.duration_ms,
         cli.rate,
         cli.seed,
@@ -961,12 +963,6 @@ fn render_live_matrix(cli: &Cli) -> Result<String, String> {
     ));
     Ok(s)
 }
-
-/// Largest n `bench live` will attempt with one OS thread per node; past
-/// this the scale ladder records the cell as skipped rather than risk
-/// exhausting the machine's thread and stack budget, which is exactly the
-/// regime the sharded runtime exists for.
-const THREAD_PER_NODE_SCALE_CAP: usize = 2_048;
 
 /// One `bench live` result row as a JSON object, including the per-node
 /// network-health suffix keys (`net_*`) aggregated from the trace's
@@ -1026,9 +1022,8 @@ fn bench_live_row_json(
 
 /// `lme bench live`: wall-clock throughput and pooled hungry→eat latency
 /// percentiles for every live-capable algorithm, written as JSON. With an
-/// explicit `--ns` ladder it also runs `--alg` on `ring:n` per rung under
-/// both runtimes (thread-per-node capped at
-/// [`THREAD_PER_NODE_SCALE_CAP`]) and records the rungs as `scale_rows`.
+/// explicit `--ns` ladder it also runs `--alg` on `ring:n` per rung and
+/// records the rungs as `scale_rows`.
 fn render_bench_live(cli: &Cli) -> Result<String, String> {
     let out_path = cli
         .bench_out
@@ -1036,6 +1031,7 @@ fn render_bench_live(cli: &Cli) -> Result<String, String> {
         .unwrap_or_else(|| "BENCH_live.json".to_string());
     let positions = geo_positions(&cli.topo);
     let n = positions.len();
+    let runtime = live_runtime_of(cli).name();
     let mut results: Vec<(LiveAlg, LiveOutcome, Summary)> = Vec::new();
     for alg in LiveAlg::all() {
         let cfg = live_config_of(cli, alg, positions.clone());
@@ -1060,21 +1056,12 @@ fn render_bench_live(cli: &Cli) -> Result<String, String> {
     json.push_str(&format!("  \"rate_per_node_sec\": {},\n", cli.rate));
     json.push_str(&format!("  \"eat_ms\": {},\n", cli.eat_ms));
     json.push_str(&format!("  \"seed\": {},\n", cli.seed));
-    json.push_str(&format!("  \"runtime\": \"{}\",\n", cli.runtime.name()));
+    json.push_str(&format!("  \"runtime\": \"{runtime}\",\n"));
     json.push_str(&format!("  \"closed_loop\": {},\n", cli.closed_loop));
-    json.push_str(&format!(
-        "  \"thread_per_node_scale_cap\": {THREAD_PER_NODE_SCALE_CAP},\n"
-    ));
     let mut jsonl: Vec<String> = Vec::new();
     json.push_str("  \"rows\": [\n");
     for (i, (alg, out, _lat)) in results.iter().enumerate() {
-        let row = bench_live_row_json(
-            alg.name(),
-            cli.runtime.name(),
-            n,
-            &cli.topo.to_string(),
-            out,
-        );
+        let row = bench_live_row_json(alg.name(), runtime, n, &cli.topo.to_string(), out);
         jsonl.push(row.clone());
         json.push_str(&format!(
             "    {row}{}\n",
@@ -1083,52 +1070,27 @@ fn render_bench_live(cli: &Cli) -> Result<String, String> {
     }
     json.push_str("  ],\n");
 
-    // The `--ns` scale ladder: `--alg` on `ring:n` per rung, sharded
-    // always, thread-per-node only under the cap (recorded as a skipped
-    // rung above it, honestly, rather than silently absent).
-    let mut scale_results: Vec<(String, usize, Option<LiveOutcome>)> = Vec::new();
+    // The `--ns` scale ladder: `--alg` on `ring:n` per rung.
+    let mut scale_results: Vec<(usize, LiveOutcome)> = Vec::new();
     if cli.explicitly_set("--ns") {
         let alg = live_alg_of(cli.alg)?;
         for &sn in &cli.bench_ns {
             let topo = TopoSpec::Ring(sn);
-            for runtime in [
-                LiveRuntime::ThreadPerNode,
-                LiveRuntime::Sharded {
-                    workers: cli.workers.unwrap_or(0),
-                },
-            ] {
-                if matches!(runtime, LiveRuntime::ThreadPerNode) && sn > THREAD_PER_NODE_SCALE_CAP {
-                    scale_results.push((runtime.name().to_string(), sn, None));
-                    continue;
-                }
-                let mut cfg = live_config_of(cli, alg, geo_positions(&topo));
-                cfg.runtime = runtime;
-                let out = run_live(&cfg)?;
-                if !out.violations.is_empty() {
-                    return Err(format!(
-                        "bench live scale: {} ({}) on {topo} had {} safety violations",
-                        alg.name(),
-                        cfg.runtime.name(),
-                        out.violations.len()
-                    ));
-                }
-                scale_results.push((cfg.runtime.name().to_string(), sn, Some(out)));
+            let cfg = live_config_of(cli, alg, geo_positions(&topo));
+            let out = run_live(&cfg)?;
+            if !out.violations.is_empty() {
+                return Err(format!(
+                    "bench live scale: {} on {topo} had {} safety violations",
+                    alg.name(),
+                    out.violations.len()
+                ));
             }
+            scale_results.push((sn, out));
         }
     }
     json.push_str("  \"scale_rows\": [\n");
-    for (i, (runtime, sn, out)) in scale_results.iter().enumerate() {
-        let row = match out {
-            Some(out) => {
-                bench_live_row_json(cli.alg.name(), runtime, *sn, &format!("ring:{sn}"), out)
-            }
-            None => format!(
-                "{{\"alg\": \"{}\", \"runtime\": \"{runtime}\", \"n\": {sn}, \
-                 \"topo\": \"ring:{sn}\", \"skipped\": \
-                 \"n exceeds the {THREAD_PER_NODE_SCALE_CAP}-thread cap\"}}",
-                cli.alg.name()
-            ),
-        };
+    for (i, (sn, out)) in scale_results.iter().enumerate() {
+        let row = bench_live_row_json(cli.alg.name(), runtime, *sn, &format!("ring:{sn}"), out);
         jsonl.push(row.clone());
         json.push_str(&format!(
             "    {row}{}\n",
@@ -1145,7 +1107,7 @@ fn render_bench_live(cli: &Cli) -> Result<String, String> {
         "bench live: {} on {} (n = {n}, {} runtime{}), {} ms per algorithm, rate {}/s\n",
         cli.transport.name(),
         cli.topo,
-        cli.runtime.name(),
+        runtime,
         if cli.closed_loop { ", closed loop" } else { "" },
         cli.duration_ms,
         cli.rate,
@@ -1169,29 +1131,15 @@ fn render_bench_live(cli: &Cli) -> Result<String, String> {
     s.push_str(&table.to_string());
     if !scale_results.is_empty() {
         s.push_str(&format!("scale ladder: {} on ring:n\n", cli.alg.name()));
-        let mut scale_table = Table::new(&["n", "runtime", "meals", "sessions/s", "p95"]);
-        for (runtime, sn, out) in &scale_results {
-            match out {
-                Some(out) => {
-                    let lat = Summary::of(&out.latencies_ns);
-                    scale_table.row([
-                        sn.to_string(),
-                        runtime.clone(),
-                        out.total_meals().to_string(),
-                        format!("{:.1}", out.sessions_per_sec()),
-                        format!("{:.2} ms", lat.p95 as f64 / 1e6),
-                    ]);
-                }
-                None => {
-                    scale_table.row([
-                        sn.to_string(),
-                        runtime.clone(),
-                        "-".to_string(),
-                        "-".to_string(),
-                        format!("skipped (> {THREAD_PER_NODE_SCALE_CAP} threads)"),
-                    ]);
-                }
-            }
+        let mut scale_table = Table::new(&["n", "meals", "sessions/s", "p95"]);
+        for (sn, out) in &scale_results {
+            let lat = Summary::of(&out.latencies_ns);
+            scale_table.row([
+                sn.to_string(),
+                out.total_meals().to_string(),
+                format!("{:.1}", out.sessions_per_sec()),
+                format!("{:.2} ms", lat.p95 as f64 / 1e6),
+            ]);
         }
         s.push_str(&scale_table.to_string());
     }
@@ -1441,7 +1389,7 @@ mod tests {
     #[test]
     fn live_sharded_runs_safe_and_renders() {
         let out = run_cli(argv(
-            "live --alg a2 --topo clique:4 --runtime sharded --workers 2 \
+            "live --alg a2 --topo clique:4 --workers 2 \
              --duration 300 --rate 40 --eat-ms 1 --closed-loop --seed 5",
         ))
         .unwrap();
@@ -1449,10 +1397,17 @@ mod tests {
         assert!(out.contains("closed loop"), "{out}");
         assert!(out.contains("safety violations : 0"), "{out}");
         assert!(out.contains("threads joined    : 4/4"), "{out}");
+        // The reliable shim and crash recovery run at any worker count.
+        let out = run_cli(argv(
+            "live --alg a2 --topo clique:4 --reliable --victim 0 --recover 180 --duration 500",
+        ))
+        .unwrap();
+        assert!(out.contains("safety violations : 0"), "{out}");
+        assert!(out.contains("1 recoveries"), "{out}");
     }
 
     #[test]
-    fn bench_live_scale_rows_cover_both_runtimes_with_net_stats() {
+    fn bench_live_scale_rows_are_one_per_rung_with_net_stats() {
         let dir = std::env::temp_dir().join("lme-cli-test-bench-live");
         std::fs::create_dir_all(&dir).unwrap();
         let out_p = dir.join("b.json");
@@ -1468,12 +1423,13 @@ mod tests {
         let json = std::fs::read_to_string(&out_p).unwrap();
         assert!(json.contains("\"scale_rows\""), "{json}");
         assert!(json.contains("\"runtime\": \"sharded\""), "{json}");
-        assert!(json.contains("\"runtime\": \"thread-per-node\""), "{json}");
+        assert!(!json.contains("thread"), "{json}");
+        assert!(!json.contains("skipped"), "{json}");
         assert!(json.contains("\"net_max_node_decode_errors\""), "{json}");
         assert!(json.contains("\"net_nodes_with_errors\""), "{json}");
         let jsonl = std::fs::read_to_string(&jsonl_p).unwrap();
-        // One line per main row (5 algorithms) + 2 scale rungs at n=3.
-        assert_eq!(jsonl.lines().count(), 7, "{jsonl}");
+        // One line per main row (5 algorithms) + the one scale rung.
+        assert_eq!(jsonl.lines().count(), 6, "{jsonl}");
         std::fs::remove_file(&out_p).ok();
         std::fs::remove_file(&jsonl_p).ok();
     }

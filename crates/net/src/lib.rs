@@ -3,27 +3,27 @@
 //! Everything else in this workspace runs the paper's algorithms inside a
 //! deterministic discrete-event simulator, where "time" is a counter and
 //! "the network" is a priority queue. This crate runs the *same*
-//! [`manet_sim::Protocol`] automata as real concurrent programs: one OS
-//! thread per node, real message passing, wall-clock time.
+//! [`manet_sim::Protocol`] automata as real concurrent programs: a pool
+//! of worker threads, real message passing, wall-clock time.
 //!
 //! The layering:
 //!
 //! * [`codec`] — hand-rolled length-prefixed wire format (version byte,
 //!   algorithm tag, payload, FNV-1a checksum) for every protocol message;
 //!   strict decoding, no panics on hostile bytes;
-//! * [`transport`] — the [`transport::Transport`] trait and its two
-//!   implementations: in-process `std::sync::mpsc` channels and
-//!   `std::net::UdpSocket` datagrams on loopback, plus the
-//!   [`transport::LinkGate`] the driver flips to sever links;
-//! * [`runtime`] — node threads, the self-driven workload, and the driver
+//! * [`transport`] — the envelope format, the [`transport::LinkGate`]
+//!   the driver flips to sever links, and the selector between the two
+//!   cross-shard carriers (in-process rings, UDP datagrams on loopback);
+//! * [`runtime`] — run configuration, outcome, and the entry point
+//!   ([`runtime::run_live`]);
+//! * [`shard`] — the engine every live run executes on: a fixed worker
+//!   pool owning contiguous node shards, per-shard timing wheels, batched
+//!   cross-shard frames over bounded SPSC rings or sockets, per-shard
+//!   ticket ranges merged into one total order at export, and the driver
 //!   that injects mobility, crashes, and partitions under the simulator's
-//!   rules ([`runtime::run_live`]);
-//! * [`shard`] — the M:N sharded runtime: a fixed worker pool owning
-//!   contiguous node shards, per-shard timing wheels, batched
-//!   cross-shard frames over bounded SPSC rings, and per-shard ticket
-//!   ranges merged into one total order at export; selected via
-//!   [`runtime::LiveRuntime::Sharded`] and scaling the same automata to
-//!   tens of thousands of nodes;
+//!   rules; it scales the same automata to tens of thousands of nodes;
+//! * `arq` — per-link go-back-N as a sans-IO state machine, armed by
+//!   `LiveConfig::reliable`;
 //! * [`trace`] — totally-ordered capture of everything observable, safety
 //!   validation by replaying the state, crash, recover and relocate
 //!   records into the harness [`harness::SafetyCore`], and export of
@@ -44,6 +44,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod arq;
 pub mod codec;
 pub mod replay;
 pub mod runtime;
@@ -56,7 +57,4 @@ pub use replay::{conformance_replay, ConformanceReport};
 pub use runtime::{run_live, LiveAlg, LiveConfig, LiveOutcome, LiveRuntime};
 pub use shard::{merge_stamped, HybridClock, ShardAbort, ShardTuning, StampedRecord};
 pub use trace::{LiveEventKind, LiveRecord, LiveTrace, NodeNetStats, SafetyAudit};
-pub use transport::{
-    decode_envelope, encode_envelope, mpsc_mesh, udp_mesh, LinkGate, MpscTransport, Transport,
-    TransportKind, UdpTransport, ENV_ACK, ENV_DATA,
-};
+pub use transport::{decode_envelope, encode_envelope, LinkGate, TransportKind, ENV_ACK, ENV_DATA};

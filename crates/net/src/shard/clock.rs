@@ -1,9 +1,9 @@
 //! Per-shard trace clocks and the ticket-range merge.
 //!
-//! The thread-per-node runtime totally orders its trace with one shared
-//! `AtomicU64` ticket counter — every observable event, on every thread,
-//! pays one contended RMW. The sharded runtime replaces it with a hybrid
-//! logical clock per shard: stamping advances the clock to
+//! One shared ticket counter would totally order the trace, but every
+//! observable event, on every thread, would pay one contended RMW.
+//! Instead each shard keeps a hybrid logical clock: stamping advances
+//! the clock to
 //! `max(last + 1, wall_tick)`, and every cross-shard batch carries the
 //! sender's clock so the receiver can merge it in before processing.
 //! That gives each shard a strictly increasing private ticket range whose
@@ -14,7 +14,7 @@
 //! At export the per-shard streams are k-way merged by `(clock, shard)`
 //! into one dense total order — `order = 0, 1, 2, …` — which is exactly
 //! the shape [`crate::trace::LiveTrace`] and the safety monitor expect.
-//! See DESIGN.md §15 for what this order gives up versus the global
+//! See DESIGN.md §11 for what this order gives up versus a global
 //! counter (wall-time placement of *concurrent* records) and why the
 //! safety verdict does not depend on it.
 

@@ -1,9 +1,8 @@
-//! The sharded live runtime: M worker threads host n ≫ M nodes.
+//! The live runtime's execution engine: M worker threads host n ≫ M
+//! nodes.
 //!
-//! The thread-per-node runtime (`crate::runtime`) is faithful but tops
-//! out at hundreds of nodes — n OS threads oversubscribe the host, and
-//! its single shared ticket counter serializes every observation. This
-//! module runs the *same* `Protocol` automata on a fixed worker pool:
+//! Every live run executes here. The `Protocol` automata run on a fixed
+//! worker pool:
 //!
 //! - **Contiguous shards.** Worker s owns nodes `[start_s, start_s +
 //!   size_s)`; ownership never migrates, so all per-node state is
@@ -11,24 +10,30 @@
 //! - **Per-shard run queues on a timing wheel.** Each worker drives its
 //!   nodes from a [`wheel::ShardWheel`] — the live mirror of the sim
 //!   core's bounded-horizon event queue — plus a local delivery queue
-//!   for same-shard traffic.
+//!   for same-shard traffic. Workload deadlines, protocol timers and the
+//!   reliable shim's retransmission and idle-ack timers all land on it.
 //! - **Batched frames.** Cross-shard envelopes accumulate into one
 //!   buffer per shard pair per flush ([`batch`]), riding a bounded SPSC
-//!   ring ([`ring`]) in-process or a single datagram on UDP.
+//!   ring ([`ring`]) in-process or a single datagram on UDP. Same-shard
+//!   envelopes never leave the worker, so under `--transport udp` only
+//!   cross-shard traffic crosses a socket.
 //! - **Backpressure, not buffering.** A full ring stalls the producer
 //!   briefly and then aborts the run with a structured
 //!   [`ShardAbort::RingBackpressure`] — the live analogue of the
 //!   engine's `RunAbort::ChannelQueueOverflow`.
-//! - **Per-shard ticket ranges.** The global atomic ticket counter is
-//!   replaced by one hybrid logical clock per shard ([`clock`]); the
-//!   per-shard streams are k-way merged into one dense total order at
-//!   export, and the merged [`crate::trace::LiveTrace`] flows through
-//!   the existing safety-monitor mirror-World path unchanged.
+//! - **Per-shard ticket ranges.** One hybrid logical clock per shard
+//!   ([`clock`]) stamps every record; the per-shard streams are k-way
+//!   merged into one dense total order at export, and the merged
+//!   [`crate::trace::LiveTrace`] is replayed through the harness safety
+//!   core.
 //!
-//! The driver (the calling thread) keeps the exact fault/mobility
-//! semantics of the thread-per-node runtime: the mirror `World`, the
-//! `LinkGate`, crash/recover/partition/teleport actions, and the same
-//! static/moving symmetry breaking. See DESIGN.md §15.
+//! The driver (the calling thread) owns the mirror `World`: it teleports
+//! nodes along the configured waypoints, translates the resulting
+//! `LinkChange`s into per-node control events with the engine's
+//! static/moving symmetry breaking, and injects crashes and partitions
+//! by flipping the [`LinkGate`] — severing links without telling the
+//! protocols, exactly like the simulator's fault adversary. See
+//! DESIGN.md §11.
 
 mod batch;
 pub mod clock;
@@ -50,7 +55,7 @@ use std::time::{Duration, Instant};
 use manet_sim::{LinkChange, LinkUpKind, NodeId, NodeSeed, Protocol, SimConfig, World};
 
 use crate::codec::WireMsg;
-use crate::runtime::{Ctrl, LiveConfig, LiveOutcome, LiveRuntime};
+use crate::runtime::{Action, Ctrl, LiveConfig, LiveOutcome, LiveRuntime};
 use crate::trace::{LiveEventKind, LiveTrace};
 use crate::transport::{LinkGate, TransportKind};
 
@@ -59,7 +64,7 @@ use node::{ShardNode, WireOut};
 use ring::{ring, RingReceiver, RingSender};
 use wheel::ShardWheel;
 
-/// Why a sharded run stopped instead of finishing — the live runtime's
+/// Why a live run stopped instead of finishing — the live runtime's
 /// analogue of the simulator's `RunAbort`. Rendered into the `Err`
 /// returned by `run_live`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -94,8 +99,8 @@ impl fmt::Display for ShardAbort {
     }
 }
 
-/// Internal knobs of the sharded runtime, separated from [`LiveConfig`]
-/// so tests can force the backpressure path deterministically.
+/// Internal knobs of the worker pool, separated from [`LiveConfig`] so
+/// tests can force the backpressure path deterministically.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardTuning {
     /// Capacity of each cross-shard ring, in batches (0 = always full).
@@ -123,6 +128,8 @@ pub(crate) struct ShardShared {
     pub(crate) delivered: AtomicU64,
     pub(crate) decode_errors: AtomicU64,
     pub(crate) send_failures: AtomicU64,
+    pub(crate) retransmissions: AtomicU64,
+    pub(crate) acks_sent: AtomicU64,
     /// Nodes that have eaten at least once (one-shot early stop).
     pub(crate) ate: AtomicU64,
     /// Raised on abort so every thread winds down promptly.
@@ -501,10 +508,7 @@ where
 /// Resolve the worker-pool size: explicit, or the host parallelism
 /// (min 2 so cross-shard machinery is always exercised), capped at n.
 fn resolve_workers(cfg: &LiveConfig, n: usize) -> usize {
-    let requested = match cfg.runtime {
-        LiveRuntime::Sharded { workers } => workers,
-        LiveRuntime::ThreadPerNode => 0,
-    };
+    let LiveRuntime::Sharded { workers: requested } = cfg.runtime;
     let w = if requested == 0 {
         thread::available_parallelism()
             .map(|p| p.get())
@@ -516,11 +520,9 @@ fn resolve_workers(cfg: &LiveConfig, n: usize) -> usize {
     w.min(n.max(1))
 }
 
-/// Run one sharded live execution and validate its merged trace.
-///
-/// Mirrors `run_live_with`: same driver action timeline, same mirror
-/// `World`, same outcome shape. The factory runs on the calling thread
-/// (it need not be `Send`); the built automata are shipped to workers.
+/// Run one live execution and validate its merged trace. The factory
+/// runs on the calling thread (it need not be `Send`); the built
+/// automata are shipped to workers.
 pub(crate) fn run_sharded_with<P, F>(
     cfg: &LiveConfig,
     mut factory: F,
@@ -567,6 +569,8 @@ where
         delivered: AtomicU64::new(0),
         decode_errors: AtomicU64::new(0),
         send_failures: AtomicU64::new(0),
+        retransmissions: AtomicU64::new(0),
+        acks_sent: AtomicU64::new(0),
         ate: AtomicU64::new(0),
         stop: AtomicBool::new(false),
         abort: Mutex::new(None),
@@ -640,6 +644,9 @@ where
                 max_degree,
             };
             let proto = factory(&seed);
+            // The recovery victim carries a pre-built fresh incarnation:
+            // a recovering node rejoins with an empty neighborhood
+            // (rejoin link-ups follow).
             let spare = match cfg.recover {
                 Some((victim, _)) if victim as usize == i => Some(factory(&NodeSeed {
                     id: me,
@@ -654,12 +661,7 @@ where
                 proto,
                 spare,
                 seed.neighbors,
-                cfg.seed,
-                cfg.tick_ns,
-                cfg.rate,
-                cfg.eat_ms.saturating_mul(1_000_000),
-                cfg.one_shot,
-                cfg.closed_loop,
+                cfg,
                 shared.now_ns(),
             ));
         }
@@ -688,7 +690,7 @@ where
         .set(handles.iter().map(|h| h.thread().clone()).collect());
 
     // The driver: its own clock and record stream (merged as the last
-    // input), the same action timeline as the thread-per-node runtime.
+    // input).
     let mut clock = HybridClock::new();
     let mut drv_records: Vec<StampedRecord> = Vec::new();
     let tick_ns = cfg.tick_ns;
@@ -702,20 +704,22 @@ where
         shared.wake(s);
     };
 
-    use crate::runtime::Action;
+    // The action timeline in nanoseconds. Saturating: an instant past
+    // the representable range is "never", not a wrapped early one.
+    let ns = |at_ms: u64| at_ms.saturating_mul(1_000_000);
     let mut actions: Vec<(u64, Action)> = Vec::new();
     if let Some((victim, at_ms)) = cfg.crash {
-        actions.push((at_ms * 1_000_000, Action::Crash(NodeId(victim))));
+        actions.push((ns(at_ms), Action::Crash(NodeId(victim))));
     }
     if let Some((node, at_ms)) = cfg.recover {
-        actions.push((at_ms * 1_000_000, Action::Recover(NodeId(node))));
+        actions.push((ns(at_ms), Action::Recover(NodeId(node))));
     }
     if let Some((_, at_ms, heal_ms)) = &cfg.partition {
-        actions.push((at_ms * 1_000_000, Action::PartitionStart));
-        actions.push((heal_ms * 1_000_000, Action::PartitionEnd));
+        actions.push((ns(*at_ms), Action::PartitionStart));
+        actions.push((ns(*heal_ms), Action::PartitionEnd));
     }
     for &(at_ms, node, dest) in &cfg.moves {
-        actions.push((at_ms * 1_000_000, Action::Move(NodeId(node), dest.into())));
+        actions.push((ns(at_ms), Action::Move(NodeId(node), dest.into())));
     }
     actions.sort_by_key(|&(at, _)| at);
     let cut_pairs: Vec<(NodeId, NodeId)> = match &cfg.partition {
@@ -747,6 +751,9 @@ where
             ai += 1;
             match action {
                 Action::Crash(victim) => {
+                    // Sever first so no further traffic leaks, then tell
+                    // the victim. Peers are NOT notified: a crash is
+                    // silent, exactly as in the simulator.
                     if let Some(gate) = &shared.gate {
                         gate.sever_all(*victim);
                     }
@@ -759,6 +766,8 @@ where
                         continue;
                     }
                     world.mark_recovered(node);
+                    // Reopen the victim's gates, except pairs an active
+                    // partition still cuts.
                     if let Some(gate) = &shared.gate {
                         for i in 0..n as u32 {
                             let peer = NodeId(i);
@@ -774,6 +783,11 @@ where
                             }
                         }
                     }
+                    // The victim restarts as a fresh incarnation first;
+                    // then the rejoin flap makes each surviving neighbor
+                    // drop its stale edge state and re-form the link with
+                    // itself as the static (fork-owning) side, so no fork
+                    // is duplicated or lost across the crash.
                     send_ctrl(&ctrls, &clock, node, Ctrl::Recover);
                     for &peer in world.neighbors(node) {
                         if world.is_crashed(peer) {
@@ -835,6 +849,9 @@ where
                     if world.is_crashed(*m) {
                         continue;
                     }
+                    // Record the relocation *before* the link records so
+                    // a trace validator's mirror world updates its
+                    // adjacency at the right point in the total order.
                     let at_ns = shared.now_ns();
                     drv_records.push(StampedRecord {
                         clock: clock.stamp(at_ns / tick_ns),
@@ -849,6 +866,9 @@ where
                     for change in world.relocate(*m, *dest) {
                         match change {
                             LinkChange::Up(a, b) => {
+                                // The moved node is the moving side; the
+                                // peer is static and owns the new fork —
+                                // the engine's symmetry breaking.
                                 let (stat, mov) = if a == *m { (b, a) } else { (a, b) };
                                 let at_ns = shared.now_ns();
                                 drv_records.push(StampedRecord {
@@ -894,6 +914,8 @@ where
         if now >= deadline_ns || shared.stop.load(Ordering::Relaxed) {
             break;
         }
+        // One-shot runs end early once every node has eaten, after a
+        // short drain window for trailing records.
         if cfg.one_shot && cfg.crash.is_none() && shared.ate.load(Ordering::Relaxed) as usize >= n {
             let at = *quiesce_at.get_or_insert(now + 50_000_000);
             if now >= at {
@@ -946,8 +968,8 @@ where
         messages_delivered: shared.delivered.load(Ordering::Relaxed),
         decode_errors: shared.decode_errors.load(Ordering::Relaxed),
         send_failures: shared.send_failures.load(Ordering::Relaxed),
-        retransmissions: 0,
-        acks_sent: 0,
+        retransmissions: shared.retransmissions.load(Ordering::Relaxed),
+        acks_sent: shared.acks_sent.load(Ordering::Relaxed),
         recoveries,
         elapsed_ms,
         verdict_ms,
@@ -958,7 +980,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::LiveAlg;
+    use crate::runtime::{run_live, LiveAlg};
     use local_mutex::Algorithm2;
 
     fn clique4() -> Vec<(f64, f64)> {
@@ -1002,6 +1024,25 @@ mod tests {
             err.contains("backpressure") && err.contains("ring"),
             "unexpected abort message: {err}"
         );
+    }
+
+    #[test]
+    fn an_unrepresentably_late_recovery_never_fires() {
+        // u64::MAX / 2 ms wraps when scaled to nanoseconds unchecked:
+        // debug builds panic, release builds sort the recovery before the
+        // crash and silently skip it.
+        let mut cfg = sharded_cfg();
+        cfg.crash = Some((0, 100));
+        cfg.recover = Some((0, u64::MAX / 2));
+        let out = run_live(&cfg).expect("a far-future recovery is a legal config");
+        assert!(out.violations.is_empty(), "{:?}", out.violations);
+        assert_eq!(out.recoveries, 0, "recovery fired before the deadline");
+        let crashed = out
+            .trace
+            .records()
+            .iter()
+            .any(|r| matches!(r.kind, LiveEventKind::Crash { node } if node == NodeId(0)));
+        assert!(crashed, "the crash itself must still execute");
     }
 
     #[test]

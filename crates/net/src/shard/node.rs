@@ -1,24 +1,28 @@
-//! The per-node automaton host inside a shard worker — the sharded
-//! mirror of the thread-per-node `NodeCore`, minus a thread of its own.
+//! The per-node automaton host inside a shard worker.
 //!
-//! The differences from `NodeCore` are exactly the runtime seams:
-//! records carry hybrid-clock stamps instead of global tickets, sends
-//! land in the worker's routing buffer instead of a per-node transport,
-//! wakeup deadlines are armed on the worker's timing wheel instead of a
-//! per-thread poll timeout, and the reliable-delivery shim is absent
-//! (`LiveConfig::validate` rejects `reliable` under the sharded
-//! runtime). Everything the protocol can observe — `Context` contents,
-//! envelope framing, the record-before-transmit invariant, the workload
-//! distribution and its seeding — is identical.
+//! A [`ShardNode`] owns one protocol automaton (`sim::Protocol` — the
+//! *same* state machines the deterministic engine runs), a self-driven
+//! workload clocked by a per-node [`SimRng`], and, under
+//! `LiveConfig::reliable`, one go-back-N state machine per neighbour
+//! ([`crate::arq`]). It has no thread, clock or socket of its own: the
+//! worker calls in with a control event, an envelope or a due wakeup,
+//! records come back stamped by the shard's hybrid clock, outbound
+//! envelopes land in the worker's routing buffer, and every deadline —
+//! think time, eating exit, protocol timer, retransmission, idle ack —
+//! is reported through [`ShardNode::earliest_deadline_ns`] for the
+//! worker's timing wheel. Wall time divided by `tick_ns` plays the role
+//! of virtual time in the `Context` handed to the automaton.
 
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 
-use manet_sim::{Context, DiningState, Event, NodeId, Protocol, SimRng, SimTime};
+use manet_sim::{Context, DiningState, Event, NodeId, Protocol, SimConfig, SimRng, SimTime};
 
 use super::clock::{HybridClock, StampedRecord};
 use super::ShardShared;
+use crate::arq::GoBackN;
 use crate::codec::{decode_frame, encode_frame, WireMsg};
+use crate::runtime::{Ctrl, LiveConfig};
 use crate::trace::LiveEventKind;
 use crate::transport::{decode_envelope, encode_envelope, ENV_ACK, ENV_DATA};
 
@@ -55,7 +59,7 @@ pub(crate) struct ShardNode<P: Protocol> {
     mean_think_ns: u64,
     rng: SimRng,
     proto: P,
-    /// Sorted, like `NodeCore`'s.
+    /// Sorted.
     neighbors: Vec<NodeId>,
     moving: bool,
     crashed: bool,
@@ -73,8 +77,17 @@ pub(crate) struct ShardNode<P: Protocol> {
     timer_buf: Vec<(u64, u64)>,
     /// Fresh incarnation swapped in on a driver `Recover`.
     spare: Option<P>,
+    /// ν in wall nanoseconds when the reliable shim is armed
+    /// (`LiveConfig::reliable`), `None` when it is off.
+    arq_nu_ns: Option<u64>,
+    /// Per-peer go-back-N state, created on first use and dropped when
+    /// the link resets; always empty with the shim off.
+    arq: HashMap<u32, GoBackN>,
+    // Per-node counters behind the shutdown NetStats record.
     n_decode_errors: u64,
     n_send_failures: u64,
+    n_retransmissions: u64,
+    n_acks_sent: u64,
 }
 
 impl<P> ShardNode<P>
@@ -82,32 +95,26 @@ where
     P: Protocol,
     P::Msg: WireMsg,
 {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         me: NodeId,
         proto: P,
         spare: Option<P>,
         neighbors: Vec<NodeId>,
-        seed: u64,
-        tick_ns: u64,
-        rate: f64,
-        eat_ns: u64,
-        one_shot: bool,
-        closed_loop: bool,
+        cfg: &LiveConfig,
         now_ns: u64,
     ) -> ShardNode<P> {
-        // Identical seeding and stagger to `node_main`, so the sharded
-        // workload is statistically the same run.
-        let mut rng = SimRng::seed_from_u64(seed ^ 0x11FE_0000 ^ ((me.0 as u64) << 32));
-        let mean_think_ns = ((1e9 / rate) as u64).max(1);
+        let mut rng = SimRng::seed_from_u64(cfg.seed ^ 0x11FE_0000 ^ ((me.0 as u64) << 32));
+        let mean_think_ns = ((1e9 / cfg.rate) as u64).max(1);
+        // Stagger the first hunger so the run opens with contention, not
+        // a thundering herd at t = 0.
         let first = now_ns + rng.gen_range(0..=mean_think_ns / 2);
         let dining = proto.dining_state();
         ShardNode {
             me,
-            tick_ns,
-            eat_ns,
-            one_shot,
-            closed_loop,
+            tick_ns: cfg.tick_ns,
+            eat_ns: cfg.eat_ms.saturating_mul(1_000_000),
+            one_shot: cfg.one_shot,
+            closed_loop: cfg.closed_loop,
             mean_think_ns,
             rng,
             proto,
@@ -124,8 +131,16 @@ where
             outbox: Vec::new(),
             timer_buf: Vec::new(),
             spare,
+            arq_nu_ns: cfg.reliable.then(|| {
+                SimConfig::default()
+                    .max_message_delay
+                    .saturating_mul(cfg.tick_ns)
+            }),
+            arq: HashMap::new(),
             n_decode_errors: 0,
             n_send_failures: 0,
+            n_retransmissions: 0,
+            n_acks_sent: 0,
         }
     }
 
@@ -155,10 +170,11 @@ where
                 .push((now + delay_ticks.saturating_mul(self.tick_ns), token));
         }
         // Record any dining transition BEFORE queuing the messages that
-        // announce it, as in `NodeCore::apply`: the batch that carries
-        // these sends is sealed with a clock stamp at least as large as
-        // the transition's, so the receiving shard's delivery (and any
-        // entry it enables) merges strictly after this record.
+        // announce it: a fork handover recorded send-first would read as
+        // two neighbors eating at once. The batch that carries these
+        // sends is sealed with a clock stamp at least as large as the
+        // transition's, so the receiving shard's delivery (and any entry
+        // it enables) merges strictly after this record.
         let new = self.proto.dining_state();
         let old = self.dining;
         if new != old {
@@ -172,6 +188,8 @@ where
                 }
             }
             if old == DiningState::Eating {
+                // Covers both a normal exit and a mobility demotion back
+                // to hungry: either way the meal is over.
                 self.exit_at = None;
                 if new == DiningState::Thinking && !self.one_shot {
                     let think = if self.closed_loop {
@@ -199,6 +217,8 @@ where
     }
 
     fn draw_think(&mut self) -> u64 {
+        // Uniform in [0.5, 1.5] of the mean, like the sim workload's
+        // jittered think times.
         let lo = (self.mean_think_ns / 2).max(1);
         let hi = lo + self.mean_think_ns;
         self.rng.gen_range(lo..=hi)
@@ -217,27 +237,64 @@ where
         *seq += 1;
         let seq = *seq;
         let frame = encode_frame(&msg);
-        let env = encode_envelope(self.me, ENV_DATA, seq, 0, shared.now_ns(), &frame);
+        let now = shared.now_ns();
+        let ack = match self.arq_nu_ns {
+            Some(nu_ns) => self
+                .arq
+                .entry(to.0)
+                .or_insert_with(|| GoBackN::new(nu_ns))
+                .on_send(now, seq, &frame, &mut self.rng),
+            None => 0,
+        };
+        let env = encode_envelope(self.me, ENV_DATA, seq, ack, now, &frame);
         wire.sends.push((to, env));
         shared.sent.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Apply a driver control event (never `Ctrl::Shutdown` — the
-    /// worker handles shutdown itself).
-    pub(crate) fn handle_ctrl(
-        &mut self,
-        ctrl: crate::runtime::Ctrl,
-        wire: &mut WireOut,
-        shared: &ShardShared,
-    ) {
-        use crate::runtime::Ctrl;
+    /// Fire the due retransmission and idle-ack timers of every link.
+    fn fire_arq(&mut self, now: u64, wire: &mut WireOut, shared: &ShardShared) {
+        let me = self.me;
+        let (mut resent, mut acks) = (0, 0);
+        for (&peer, link) in &mut self.arq {
+            if link.next_deadline().is_none_or(|at| at > now) {
+                continue;
+            }
+            let peer = NodeId(peer);
+            let dark = shared.severed(me, peer) || self.neighbors.binary_search(&peer).is_err();
+            link.on_deadline(now, dark, &mut self.rng, |kind, seq, ack, frame| {
+                match kind {
+                    ENV_DATA => resent += 1,
+                    _ => acks += 1,
+                }
+                wire.sends
+                    .push((peer, encode_envelope(me, kind, seq, ack, now, frame)));
+            });
+        }
+        if resent + acks > 0 {
+            self.n_retransmissions += resent;
+            self.n_acks_sent += acks;
+            shared.retransmissions.fetch_add(resent, Ordering::Relaxed);
+            shared.acks_sent.fetch_add(acks, Ordering::Relaxed);
+        }
+    }
+
+    /// Apply a driver control event.
+    pub(crate) fn handle_ctrl(&mut self, ctrl: Ctrl, wire: &mut WireOut, shared: &ShardShared) {
         match ctrl {
-            Ctrl::Shutdown => {}
             Ctrl::Crash => {
+                // From here on the node is inert. The crash record is
+                // emitted here (not by the driver) so it is serialized
+                // against the node's own state records.
                 self.crashed = true;
                 self.record(LiveEventKind::Crash { node: self.me }, wire, shared);
             }
             Ctrl::Recover => {
+                // Restart as a fresh incarnation: new protocol instance,
+                // empty neighborhood (the driver's rejoin link-ups follow
+                // in the same mailbox), all shim and workload state of the
+                // dead incarnation discarded. The eating-session counter is
+                // NOT reset — it is monotonic across incarnations, which
+                // the trace validator depends on.
                 if self.crashed {
                     if let Some(fresh) = self.spare.take() {
                         self.crashed = false;
@@ -246,6 +303,7 @@ where
                         self.timers.clear();
                         self.outbox.clear();
                         self.send_seq.clear();
+                        self.arq.clear();
                         self.moving = false;
                         self.exit_at = None;
                         self.dining = self.proto.dining_state();
@@ -260,12 +318,15 @@ where
                 if let Err(slot) = self.neighbors.binary_search(&peer) {
                     self.neighbors.insert(slot, peer);
                 }
+                // A new link incarnation owes nothing to the old one.
+                self.arq.remove(&peer.0);
                 self.apply(Event::LinkUp { peer, kind }, wire, shared);
             }
             Ctrl::LinkDown { peer } => {
                 if let Ok(slot) = self.neighbors.binary_search(&peer) {
                     self.neighbors.remove(slot);
                 }
+                self.arq.remove(&peer.0);
                 self.apply(Event::LinkDown { peer }, wire, shared);
             }
             Ctrl::MoveStarted => {
@@ -305,6 +366,7 @@ where
             let (_, token) = self.timers.swap_remove(i);
             self.apply(Event::Timer { token }, wire, shared);
         }
+        self.fire_arq(now, wire, shared);
     }
 
     /// The earliest armed deadline in wall nanoseconds, for the wheel.
@@ -316,8 +378,9 @@ where
             .iter()
             .chain(self.exit_at.iter())
             .chain(self.timers.iter().map(|(at, _)| at))
-            .min()
             .copied()
+            .chain(self.arq.values().filter_map(GoBackN::next_deadline))
+            .min()
     }
 
     fn count_decode_error(&mut self, shared: &ShardShared) {
@@ -330,24 +393,42 @@ where
         if self.crashed {
             return;
         }
-        let (from, env_kind, seq, _ack, sent_ns, frame) = match decode_envelope(env) {
+        let (from, env_kind, seq, ack, sent_ns, frame) = match decode_envelope(env) {
             Ok(parts) => parts,
             Err(_) => {
                 self.count_decode_error(shared);
                 return;
             }
         };
-        // In-flight losses, as in `NodeCore::on_envelope`.
+        // In-flight losses: traffic from a peer that is no longer a
+        // neighbor (the link died under the message) or across a severed
+        // link is dropped before the protocol sees it, like the engine's
+        // `dropped_in_flight`.
         if self.neighbors.binary_search(&from).is_err() || shared.severed(from, self.me) {
             return;
         }
-        if env_kind == ENV_ACK {
-            // The sharded runtime never arms the reliable shim; a stray
-            // ack is dropped, not an error.
-            return;
+        let is_data = match env_kind {
+            ENV_DATA => true,
+            ENV_ACK => false,
+            _ => {
+                self.count_decode_error(shared);
+                return;
+            }
+        };
+        if let Some(nu_ns) = self.arq_nu_ns {
+            let now = shared.now_ns();
+            let link = self
+                .arq
+                .entry(from.0)
+                .or_insert_with(|| GoBackN::new(nu_ns));
+            link.on_ack(now, ack, &mut self.rng);
+            if is_data && !link.on_data(now, seq) {
+                return;
+            }
         }
-        if env_kind != ENV_DATA {
-            self.count_decode_error(shared);
+        if !is_data {
+            // A standalone ack carries no frame; with the shim off a
+            // stray one is dropped, not an error.
             return;
         }
         match decode_frame::<P::Msg>(frame) {
@@ -373,16 +454,15 @@ where
         }
     }
 
-    /// Emit the shutdown `NetStats` record, like a node thread does on
-    /// `Ctrl::Shutdown`.
+    /// Emit the shutdown `NetStats` record.
     pub(crate) fn emit_net_stats(&mut self, wire: &mut WireOut, shared: &ShardShared) {
         self.record(
             LiveEventKind::NetStats {
                 node: self.me,
                 decode_errors: self.n_decode_errors,
                 send_failures: self.n_send_failures,
-                retransmissions: 0,
-                acks_sent: 0,
+                retransmissions: self.n_retransmissions,
+                acks_sent: self.n_acks_sent,
             },
             wire,
             shared,

@@ -1,11 +1,12 @@
 //! Live trace capture and validation.
 //!
-//! Every node thread and the driver stamp the records they emit with a
-//! ticket from one shared atomic counter plus a nanosecond reading of the
-//! run's shared monotonic origin. Sorting by ticket therefore yields a
-//! *total order consistent with real time*: a record stamped earlier
-//! happened-before (or was concurrent with) one stamped later, and the
-//! per-link envelope sequence numbers embed FIFO delivery inside it.
+//! Every worker and the driver stamp the records they emit with their
+//! shard's hybrid logical clock plus a nanosecond reading of the run's
+//! shared monotonic origin, and the per-shard streams are merged into one
+//! dense ticket order at export (see [`crate::shard::clock`]). That is a
+//! *total order consistent with causality*: a record that can see the
+//! effect of another carries a later ticket, and the per-link envelope
+//! sequence numbers embed FIFO delivery inside it.
 //!
 //! That total order is what lets two sim-grade facilities run over a live
 //! execution:
@@ -127,7 +128,7 @@ pub struct NodeNetStats {
 pub struct LiveRecord {
     /// Nanoseconds since the run's shared monotonic origin.
     pub at_ns: u64,
-    /// Ticket from the run's shared order counter; the sort key.
+    /// Ticket in the run's merged total order; the sort key.
     pub order: u64,
     /// The observation itself.
     pub kind: LiveEventKind,

@@ -1,11 +1,11 @@
-//! Real transports: in-process channels and UDP on loopback.
+//! The envelope format, the link gate, and the transport selector.
 //!
-//! A [`Transport`] is a dumb pipe between the `n` node threads of one live
-//! run: it moves opaque envelope bytes and nothing else. Link-level policy
-//! — crashes, partitions, dead links — lives in the runtime's [`LinkGate`],
-//! which the driver flips to *sever* traffic without the transport's
-//! cooperation (exactly how the simulator's fault adversary sits outside
-//! the protocol).
+//! Envelopes are opaque bytes to whatever carries them — a same-shard
+//! queue, an in-process ring or a UDP datagram (see [`crate::shard`]).
+//! Link-level policy — crashes, partitions, dead links — lives in the
+//! [`LinkGate`], which the driver flips to *sever* traffic without the
+//! carrier's cooperation (exactly how the simulator's fault adversary
+//! sits outside the protocol).
 //!
 //! The envelope wraps one codec frame with routing metadata:
 //!
@@ -23,21 +23,19 @@
 //! instant relative to the run's shared origin (what the conformance
 //! replay quantizes into simulator delivery delays).
 
-use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::time::Duration;
 
 use manet_sim::NodeId;
 
 use crate::codec::{CodecError, Reader};
 
-/// Which transport a live run uses.
+/// What carries cross-shard batches in a live run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TransportKind {
-    /// In-process `std::sync::mpsc` channels.
+    /// In-process bounded rings (the flag value keeps its historical
+    /// name).
     Mpsc,
-    /// `std::net::UdpSocket` datagrams on 127.0.0.1.
+    /// `std::net::UdpSocket` datagrams on 127.0.0.1, one socket per shard.
     Udp,
 }
 
@@ -97,21 +95,9 @@ pub fn decode_envelope(bytes: &[u8]) -> Result<(NodeId, u8, u64, u64, u64, &[u8]
     Ok((from, kind, seq, ack, sent_ns, frame))
 }
 
-/// A byte pipe between the nodes of one live run. Implementations must be
-/// cheap to poll: `recv` blocks for at most `timeout`.
-pub trait Transport: Send {
-    /// Hand `envelope` to `to`'s inbox. Errors are transport failures
-    /// (a peer that already shut down is *not* an error — the bytes are
-    /// silently dropped, like a datagram after the receiver closed).
-    fn send(&mut self, to: NodeId, envelope: &[u8]) -> Result<(), String>;
-
-    /// Wait up to `timeout` for one envelope.
-    fn recv(&mut self, timeout: Duration) -> Option<Vec<u8>>;
-}
-
-/// Directed-link kill switches, shared by the driver and every node
-/// thread. The driver severs links to inject crashes and partitions; node
-/// threads consult the gate before sending *and* after receiving, so a
+/// Directed-link kill switches, shared by the driver and every worker.
+/// The driver severs links to inject crashes and partitions; nodes
+/// consult the gate before sending *and* after receiving, so a
 /// partition drops in-flight traffic in both directions — mirroring the
 /// simulator's `PartitionWindow`, which cuts links without notifying the
 /// protocols.
@@ -161,115 +147,6 @@ impl LinkGate {
     }
 }
 
-/// The mpsc transport: one channel per node, every peer holds a sender.
-pub struct MpscTransport {
-    txs: Vec<Option<Sender<Vec<u8>>>>,
-    rx: Receiver<Vec<u8>>,
-}
-
-/// Build a fully-connected mpsc mesh for `n` nodes.
-pub fn mpsc_mesh(n: usize) -> Vec<MpscTransport> {
-    let (txs, rxs): (Vec<_>, Vec<_>) = (0..n).map(|_| channel::<Vec<u8>>()).unzip();
-    rxs.into_iter()
-        .enumerate()
-        .map(|(me, rx)| MpscTransport {
-            txs: txs
-                .iter()
-                .enumerate()
-                .map(|(peer, tx)| (peer != me).then(|| tx.clone()))
-                .collect(),
-            rx,
-        })
-        .collect()
-}
-
-impl Transport for MpscTransport {
-    fn send(&mut self, to: NodeId, envelope: &[u8]) -> Result<(), String> {
-        match self.txs.get(to.index()) {
-            Some(Some(tx)) => {
-                // A disconnected peer (already shut down) swallows the
-                // bytes, like a closed UDP port.
-                let _ = tx.send(envelope.to_vec());
-                Ok(())
-            }
-            Some(None) => Err(format!("node sent an envelope to itself ({to})")),
-            None => Err(format!("destination {to} out of range")),
-        }
-    }
-
-    fn recv(&mut self, timeout: Duration) -> Option<Vec<u8>> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(bytes) => Some(bytes),
-            Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => None,
-        }
-    }
-}
-
-/// The UDP transport: one loopback socket per node, peers addressed by the
-/// bound addresses collected at mesh construction.
-pub struct UdpTransport {
-    socket: UdpSocket,
-    peers: Vec<SocketAddr>,
-    timeout: Option<Duration>,
-    buf: Box<[u8; 65_535]>,
-}
-
-/// Bind `n` loopback sockets and wire them into a mesh.
-///
-/// # Errors
-///
-/// Propagates socket creation/configuration failures.
-pub fn udp_mesh(n: usize) -> Result<Vec<UdpTransport>, String> {
-    let sockets: Vec<UdpSocket> = (0..n)
-        .map(|_| UdpSocket::bind("127.0.0.1:0").map_err(|e| format!("udp bind failed: {e}")))
-        .collect::<Result<_, _>>()?;
-    let peers: Vec<SocketAddr> = sockets
-        .iter()
-        .map(|s| s.local_addr().map_err(|e| format!("udp addr failed: {e}")))
-        .collect::<Result<_, _>>()?;
-    Ok(sockets
-        .into_iter()
-        .map(|socket| UdpTransport {
-            socket,
-            peers: peers.clone(),
-            timeout: None,
-            buf: Box::new([0u8; 65_535]),
-        })
-        .collect())
-}
-
-impl Transport for UdpTransport {
-    fn send(&mut self, to: NodeId, envelope: &[u8]) -> Result<(), String> {
-        let addr = self
-            .peers
-            .get(to.index())
-            .ok_or_else(|| format!("destination {to} out of range"))?;
-        // Loopback sends can still fail transiently (ENOBUFS under load);
-        // a lost datagram is a legal transport outcome, not a run failure —
-        // but the failure is reported so the runtime can *count* it instead
-        // of losing it invisibly.
-        self.socket
-            .send_to(envelope, addr)
-            .map_err(|e| format!("udp send to {to} failed: {e}"))?;
-        Ok(())
-    }
-
-    fn recv(&mut self, timeout: Duration) -> Option<Vec<u8>> {
-        // Zero would mean "block forever" to the socket API.
-        let timeout = timeout.max(Duration::from_micros(100));
-        if self.timeout != Some(timeout) {
-            if self.socket.set_read_timeout(Some(timeout)).is_err() {
-                return None;
-            }
-            self.timeout = Some(timeout);
-        }
-        match self.socket.recv_from(&mut self.buf[..]) {
-            Ok((len, _)) => Some(self.buf[..len].to_vec()),
-            Err(_) => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,32 +167,6 @@ mod tests {
         assert_eq!(kind, ENV_ACK);
         assert_eq!(ack, 9);
         assert!(frame.is_empty());
-    }
-
-    #[test]
-    fn mpsc_mesh_delivers_between_peers() {
-        let mut mesh = mpsc_mesh(3);
-        let mut t2 = mesh.pop().unwrap();
-        let mut t1 = mesh.pop().unwrap();
-        let mut t0 = mesh.pop().unwrap();
-        t0.send(NodeId(2), b"hello").unwrap();
-        t1.send(NodeId(2), b"world").unwrap();
-        let a = t2.recv(Duration::from_millis(100)).unwrap();
-        let b = t2.recv(Duration::from_millis(100)).unwrap();
-        assert_eq!([a.as_slice(), b.as_slice()], [&b"hello"[..], &b"world"[..]]);
-        assert!(t0.recv(Duration::from_millis(1)).is_none());
-        assert!(t0.send(NodeId(0), b"self").is_err());
-    }
-
-    #[test]
-    fn udp_mesh_delivers_on_loopback() {
-        let mut mesh = udp_mesh(2).unwrap();
-        let mut t1 = mesh.pop().unwrap();
-        let mut t0 = mesh.pop().unwrap();
-        t0.send(NodeId(1), b"datagram").unwrap();
-        let got = t1.recv(Duration::from_millis(500)).unwrap();
-        assert_eq!(got, b"datagram");
-        assert!(t1.recv(Duration::from_millis(1)).is_none());
     }
 
     #[test]

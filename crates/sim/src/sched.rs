@@ -130,10 +130,10 @@ impl Strategy for RandomDelays {
     }
 }
 
-/// A schedule imported from a recorded execution — typically a live run of
-/// the thread-per-node runtime, whose observed per-message latencies are
-/// quantized to ticks and replayed here for deterministic conformance
-/// checking in the simulator.
+/// A schedule imported from a recorded execution — typically a live run
+/// (`lme-net`), whose observed per-message latencies are quantized to
+/// ticks and replayed here for deterministic conformance checking in the
+/// simulator.
 ///
 /// Delays are keyed by *directed channel* `(from, to)` and consumed in
 /// recording order, mirroring the per-link FIFO delivery of both the
