@@ -165,9 +165,6 @@ impl CheckSpec {
         if self.eat == 0 {
             return Err("eat must be ≥ 1".into());
         }
-        if let Some(arq) = &self.arq {
-            arq.validate()?;
-        }
         if self.mutation == Mutation::NoSdfGuard
             && !matches!(
                 self.alg,

@@ -4,7 +4,7 @@
 use harness::{AlgKind, MobilityMix};
 use lme_check::{Mutation, StrategyKind};
 use lme_net::TransportKind;
-use manet_sim::ChannelConfig;
+use manet_sim::{ChannelConfig, SimConfig};
 
 /// A parsed topology specification.
 #[derive(Clone, Debug, PartialEq)]
@@ -466,6 +466,17 @@ fn parse_range(s: &str) -> Result<(u64, u64), String> {
     Ok((a, b))
 }
 
+/// `harness::topology::ring` asserts `n ≥ 3`; turn smaller sizes away at
+/// the door, naming the offending `what` + value.
+fn ring_size(n: usize, what: &str) -> Result<usize, String> {
+    if n < 3 {
+        return Err(format!(
+            "{what}{n} is too small: a ring needs at least 3 nodes"
+        ));
+    }
+    Ok(n)
+}
+
 /// Parse a topology spec like `grid:4x5` or `random:24:7`.
 pub fn parse_topo(s: &str) -> Result<TopoSpec, String> {
     let mut parts = s.split(':');
@@ -475,7 +486,7 @@ pub fn parse_topo(s: &str) -> Result<TopoSpec, String> {
         .ok_or_else(|| format!("topology '{s}' needs a size, e.g. line:8"))?;
     let spec = match kind {
         "line" => TopoSpec::Line(parse_usize(arg, "size")?),
-        "ring" => TopoSpec::Ring(parse_usize(arg, "size")?),
+        "ring" => TopoSpec::Ring(ring_size(parse_usize(arg, "size")?, "ring:")?),
         "clique" => TopoSpec::Clique(parse_usize(arg, "size")?),
         "star" => TopoSpec::Star(parse_usize(arg, "leaf count")?),
         "tree" => TopoSpec::Tree(parse_usize(arg, "size")?),
@@ -571,7 +582,14 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Cli, String> {
             "--topo" => cli.topo = parse_topo(&value("--topo")?)?,
             "--horizon" => cli.horizon = parse_u64(&value("--horizon")?, "horizon")?,
             "--seed" => cli.seed = parse_u64(&value("--seed")?, "seed")?,
-            "--eat" => cli.eat = parse_range(&value("--eat")?)?,
+            "--eat" => {
+                let spec = value("--eat")?;
+                cli.eat = parse_range(&spec)?;
+                let tau = SimConfig::default().max_eating_ticks;
+                if cli.eat.1 > tau {
+                    return Err(format!("--eat {spec} exceeds τ ({tau} ticks)"));
+                }
+            }
             "--think" => cli.think = parse_range(&value("--think")?)?,
             "--moves" => cli.moves = parse_usize(&value("--moves")?, "move count")?,
             "--mix" => cli.mix = Some(MobilityMix::parse(&value("--mix")?)?),
@@ -649,14 +667,10 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Cli, String> {
             "--witness-out" => cli.witness_out = Some(value("--witness-out")?),
             "--replay" => cli.replay_witness = Some(value("--replay")?),
             "--ns" => {
-                let ns: Result<Vec<usize>, String> = value("--ns")?
+                cli.bench_ns = value("--ns")?
                     .split(',')
-                    .map(|s| parse_usize(s.trim(), "node count"))
-                    .collect();
-                cli.bench_ns = ns?;
-                if cli.bench_ns.is_empty() || cli.bench_ns.contains(&0) {
-                    return Err("--ns needs at least one positive node count".to_string());
-                }
+                    .map(|s| ring_size(parse_usize(s.trim(), "node count")?, "--ns "))
+                    .collect::<Result<_, _>>()?;
             }
             "--out" => cli.bench_out = Some(value("--out")?),
             "--transport" => cli.transport = TransportKind::parse(&value("--transport")?)?,
@@ -844,6 +858,16 @@ mod tests {
         assert!(parse(argv("run --topo grid:4")).is_err());
         assert!(parse(argv("run --eat 30..10")).is_err());
         assert!(parse(argv("run --eat 0..10")).is_err());
+        let err = parse(argv("run --eat 10..100")).unwrap_err();
+        assert_eq!(err, "--eat 10..100 exceeds τ (50 ticks)");
+        parse(argv("run --eat 10..50")).unwrap();
+        for cmd in ["run", "probe", "sweep", "chaos", "check", "live"] {
+            for n in [1, 2] {
+                let err = parse(argv(&format!("{cmd} --topo ring:{n}"))).unwrap_err();
+                assert!(err.starts_with(&format!("ring:{n} is too small")), "{err}");
+            }
+        }
+        parse(argv("run --topo ring:3")).unwrap();
         assert!(parse(argv("run --horizon")).is_err());
         assert!(parse(argv("run --topo star:4 --moves 2")).is_err());
         assert!(parse(argv("probe --topo line:5 --victim 9")).is_err());
@@ -987,6 +1011,9 @@ mod tests {
         }
         assert!(parse(argv("bench live --ns")).is_err());
         assert!(parse(argv("bench live --ns 0")).is_err());
+        let err = parse(argv("bench live --ns 8,2")).unwrap_err();
+        assert!(err.starts_with("--ns 2 is too small"), "{err}");
+        parse(argv("bench live --ns 3")).unwrap();
         assert!(parse(argv("bench live --ns 10,x")).is_err());
     }
 

@@ -31,13 +31,14 @@
 //!   over any channel model: the model checker and witness replays pick
 //!   every delay themselves and must not contend with a channel.
 //!
-//! Channel state is scoped to the link incarnation exactly like the
-//! engine's FIFO floors and the shim's slots: a flap (mobility, partition,
-//! crash recovery) kills queues and chain state with the epoch.
+//! Per-link channel state (serialization queues, burst-loss chains) is
+//! scoped to the link incarnation by [`crate::links::LinkStore`]: a flap
+//! (mobility, partition, crash recovery) kills it with the incarnation.
 
 use std::collections::VecDeque;
 
 use crate::ids::NodeId;
+use crate::links::LinkStore;
 use crate::rng::SimRng;
 use crate::time::SimTime;
 
@@ -270,11 +271,9 @@ pub struct ChannelStats {
 }
 
 /// Per-directed-link serialization state of the constant-bandwidth model,
-/// valid for one link incarnation (lazy reset on epoch mismatch, exactly
-/// like the engine's FIFO slots and the shim's send slots).
-#[derive(Clone, Debug)]
+/// valid for one link incarnation (a [`LinkStore`] payload).
+#[derive(Clone, Debug, Default)]
 pub(crate) struct CbSlot {
-    pub epoch: u64,
     /// Instant the link finishes its last accepted frame.
     pub busy_until: SimTime,
     /// Scheduled completion instants of accepted frames, oldest first;
@@ -282,28 +281,11 @@ pub(crate) struct CbSlot {
     pub inflight: VecDeque<SimTime>,
 }
 
-impl CbSlot {
-    fn fresh(epoch: u64) -> CbSlot {
-        CbSlot {
-            epoch,
-            busy_until: SimTime::ZERO,
-            inflight: VecDeque::new(),
-        }
-    }
-}
-
 /// Per-directed-link Gilbert–Elliott chain state (same incarnation
 /// scoping as [`CbSlot`]; a reconnected link restarts in the good state).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct GeSlot {
-    pub epoch: u64,
     pub bad: bool,
-}
-
-impl GeSlot {
-    fn fresh(epoch: u64) -> GeSlot {
-        GeSlot { epoch, bad: false }
-    }
 }
 
 /// One in-flight shared-medium frame: the wire payload it will become on
@@ -360,21 +342,19 @@ pub fn fair_share_rates(n: usize, spans: &[Vec<NodeId>], capacity: f64) -> Vec<f
         .collect()
 }
 
-/// Engine-side channel state: the model parameters plus dense
-/// per-directed-link slot tables (indexed `from * n + to`, like the
-/// engine's `LinkTable`) and the shared-medium flight set. `W` is the
-/// engine's wire-frame type.
+/// Engine-side channel state: the model parameters, the per-directed-link
+/// slots of the two link-scoped models and the shared-medium flight set.
+/// `W` is the engine's wire-frame type.
 pub(crate) struct ChannelState<W> {
-    n: usize,
     pub cfg: ChannelConfig,
     /// Dedicated stream for channel decisions (burst-loss chain steps),
     /// so channel models never perturb the engine's or the fault
     /// adversary's streams.
     pub rng: SimRng,
     /// Constant-bandwidth serialization slots (empty unless that model).
-    cb: Vec<CbSlot>,
+    pub cb: LinkStore<CbSlot>,
     /// Gilbert–Elliott chain slots (empty unless that model).
-    ge: Vec<GeSlot>,
+    pub ge: LinkStore<GeSlot>,
     /// Shared-medium in-flight frames, in send order.
     pub flights: Vec<Flight<W>>,
     /// Instant the flights' `remaining` fields were last integrated to.
@@ -388,42 +368,19 @@ impl<W> ChannelState<W> {
     /// Build the runtime state for `cfg`, or `None` for the default
     /// i.i.d. model (which keeps no state at all — the engine's fast path
     /// must not even allocate).
-    pub fn new(n: usize, cfg: &ChannelConfig, run_seed: u64) -> Option<ChannelState<W>> {
+    pub fn new(cfg: &ChannelConfig, run_seed: u64) -> Option<ChannelState<W>> {
         if cfg.is_iid() {
             return None;
         }
-        let cb = match cfg {
-            ChannelConfig::ConstantBandwidth { .. } => {
-                (0..n * n).map(|_| CbSlot::fresh(0)).collect()
-            }
-            _ => Vec::new(),
-        };
-        let ge = match cfg {
-            ChannelConfig::GilbertElliott { .. } => vec![GeSlot::fresh(0); n * n],
-            _ => Vec::new(),
-        };
         Some(ChannelState {
-            n,
             cfg: cfg.clone(),
             rng: SimRng::seed_from_u64(channel_seed(run_seed)),
-            cb,
-            ge,
+            cb: LinkStore::new(),
+            ge: LinkStore::new(),
             flights: Vec::new(),
             last_update: SimTime::ZERO,
             gen: 0,
         })
-    }
-
-    /// Constant-bandwidth slot of the `from → to` link in incarnation
-    /// `epoch`, lazily reset when the recorded state belongs to a dead
-    /// incarnation.
-    pub fn cb_slot(&mut self, from: NodeId, to: NodeId, epoch: u64) -> &mut CbSlot {
-        let i = from.index() * self.n + to.index();
-        let slot = &mut self.cb[i];
-        if slot.epoch != epoch {
-            *slot = CbSlot::fresh(epoch);
-        }
-        slot
     }
 
     /// Step the `from → to` Gilbert–Elliott chain one frame: maybe flip
@@ -431,7 +388,7 @@ impl<W> ChannelState<W> {
     /// draws come from the dedicated channel stream and happen on every
     /// frame, so the stream's consumption is a pure function of the frame
     /// count — and an all-good chain changes nothing observable.
-    pub fn ge_step(&mut self, from: NodeId, to: NodeId, epoch: u64) -> (bool, bool) {
+    pub fn ge_step(&mut self, from: NodeId, to: NodeId) -> (bool, bool) {
         let ChannelConfig::GilbertElliott {
             p_good_to_bad,
             p_bad_to_good,
@@ -441,19 +398,16 @@ impl<W> ChannelState<W> {
         else {
             return (false, false);
         };
-        let i = from.index() * self.n + to.index();
-        if self.ge[i].epoch != epoch {
-            self.ge[i] = GeSlot::fresh(epoch);
-        }
-        let was_bad = self.ge[i].bad;
-        let flip = self.rng.gen_bool(if was_bad {
+        let slot = self.ge.get_mut(from, to);
+        let flip = self.rng.gen_bool(if slot.bad {
             p_bad_to_good
         } else {
             p_good_to_bad
         });
-        let bad = was_bad ^ flip;
-        self.ge[i].bad = bad;
-        let lost = self.rng.gen_bool(if bad { loss_bad } else { loss_good });
+        slot.bad ^= flip;
+        let lost = self
+            .rng
+            .gen_bool(if slot.bad { loss_bad } else { loss_good });
         (flip, lost)
     }
 
@@ -480,7 +434,8 @@ impl<W> ChannelState<W> {
     /// every start and finish).
     pub fn sm_reallocate(&mut self) {
         let cap = self.sm_capacity();
-        let mut load = vec![0u32; self.n];
+        let spanned = self.flights.iter().flat_map(|f| &f.span);
+        let mut load = vec![0u32; spanned.map(|x| x.index() + 1).max().unwrap_or(0)];
         for f in &self.flights {
             for x in &f.span {
                 load[x.index()] += 1;
@@ -560,7 +515,7 @@ mod tests {
         assert!(cfg.is_iid());
         assert_eq!(cfg.name(), "iid");
         cfg.validate().unwrap();
-        assert!(ChannelState::<u64>::new(4, &cfg, 7).is_none());
+        assert!(ChannelState::<u64>::new(&cfg, 7).is_none());
     }
 
     #[test]
@@ -636,23 +591,6 @@ mod tests {
     }
 
     #[test]
-    fn cb_slots_reset_lazily_on_epoch_change() {
-        let cfg = ChannelConfig::ConstantBandwidth {
-            ticks_per_frame: 2,
-            max_queue: 4,
-        };
-        let mut st = ChannelState::<u64>::new(2, &cfg, 7).unwrap();
-        let (a, b) = (NodeId(0), NodeId(1));
-        let slot = st.cb_slot(a, b, 0);
-        slot.busy_until = SimTime(40);
-        slot.inflight.push_back(SimTime(40));
-        assert_eq!(st.cb_slot(a, b, 0).inflight.len(), 1, "same incarnation");
-        let slot = st.cb_slot(a, b, 2);
-        assert_eq!(slot.busy_until, SimTime::ZERO, "flap clears the queue");
-        assert!(slot.inflight.is_empty());
-    }
-
-    #[test]
     fn ge_chain_is_deterministic_and_counts_transitions() {
         let cfg = ChannelConfig::GilbertElliott {
             p_good_to_bad: 0.3,
@@ -661,9 +599,9 @@ mod tests {
             loss_bad: 1.0,
         };
         let run = || {
-            let mut st = ChannelState::<u64>::new(2, &cfg, 7).unwrap();
+            let mut st = ChannelState::<u64>::new(&cfg, 7).unwrap();
             (0..200)
-                .map(|_| st.ge_step(NodeId(0), NodeId(1), 0))
+                .map(|_| st.ge_step(NodeId(0), NodeId(1)))
                 .collect::<Vec<_>>()
         };
         let a = run();
@@ -685,9 +623,9 @@ mod tests {
             loss_good: 0.0,
             loss_bad: 1.0,
         };
-        let mut st = ChannelState::<u64>::new(2, &cfg, 9).unwrap();
+        let mut st = ChannelState::<u64>::new(&cfg, 9).unwrap();
         for _ in 0..500 {
-            let (flip, lost) = st.ge_step(NodeId(0), NodeId(1), 0);
+            let (flip, lost) = st.ge_step(NodeId(0), NodeId(1));
             assert!(!flip && !lost);
         }
     }
@@ -729,7 +667,7 @@ mod tests {
             ticks_per_frame: 4,
             max_inflight: 8,
         };
-        let mut st = ChannelState::<u64>::new(2, &cfg, 7).unwrap();
+        let mut st = ChannelState::<u64>::new(&cfg, 7).unwrap();
         let span = vec![NodeId(0), NodeId(1)];
         let mk = |wire: u64| Flight {
             from: NodeId(0),
@@ -770,7 +708,7 @@ mod tests {
             ticks_per_frame: 2,
             max_inflight: 8,
         };
-        let mut st = ChannelState::<u64>::new(4, &cfg, 7).unwrap();
+        let mut st = ChannelState::<u64>::new(&cfg, 7).unwrap();
         st.sm_enqueue(
             Flight {
                 from: NodeId(0),

@@ -106,9 +106,6 @@ impl SimConfig {
         // Node-count-dependent fault checks re-run in the engine, which
         // knows the real `n`; here only the size-independent invariants.
         self.fault.validate(usize::MAX)?;
-        if let Some(arq) = &self.arq {
-            arq.validate()?;
-        }
         self.channel.validate()?;
         Ok(())
     }

@@ -1,4 +1,10 @@
 //! The discrete-event engine.
+//!
+//! Everything the engine keeps per link — incarnation counters, FIFO
+//! floors, delivery numbering, and (through the shim and the channel) ARQ
+//! windows, serialization queues and burst-loss chains — lives in
+//! [`crate::links::LinkStore`]s, so a run's memory follows its links, not
+//! `n²`.
 
 use crate::channel::{ChannelConfig, ChannelState, ChannelStats, Flight};
 use crate::command::Command;
@@ -7,10 +13,11 @@ use crate::event::{Event, LinkUpKind};
 use crate::fault::FaultStats;
 use crate::hooks::{Hook, Sink, View};
 use crate::ids::NodeId;
+use crate::links::LinkStore;
 use crate::protocol::{Context, DiningState, Protocol};
 use crate::rng::SimRng;
 use crate::sched::{self, DeliveryChoice, Strategy};
-use crate::shim::{ShimState, ShimStats};
+use crate::shim::{self, ShimState, ShimStats};
 use crate::time::SimTime;
 use crate::trace::{Trace, TraceEntry, TraceKind};
 use crate::wheel::TimingWheel;
@@ -203,13 +210,13 @@ pub enum RunAbort {
     /// The reliable-delivery shim's bounded in-flight buffer overflowed on
     /// one directed link: the sender kept producing while the channel
     /// never acknowledged. A structured stop (the protocol is outrunning
-    /// the configured [`crate::ArqConfig::window`]), not a panic.
+    /// the shim's fixed window), not a panic.
     ShimBufferOverflow {
         /// The sender of the overflowing channel.
         from: NodeId,
         /// The destination of the overflowing channel.
         to: NodeId,
-        /// The configured window ([`crate::ArqConfig::window`]).
+        /// The shim's window, in frames.
         window: usize,
     },
 }
@@ -246,94 +253,16 @@ impl std::fmt::Display for RunAbort {
     }
 }
 
-/// Per-directed-channel FIFO bookkeeping, valid only for one link
-/// incarnation: once the link's epoch moves past `epoch`, the entry is
-/// stale and the clamp restarts — a reconnected link must not inherit
-/// arrival floors from its dead incarnation.
+/// The engine's own per-directed-channel bookkeeping, valid for one link
+/// incarnation (a [`LinkStore`] payload): a reconnected link must not
+/// inherit arrival floors from its dead incarnation, and restarts its
+/// delivery numbering at 1.
 #[derive(Clone, Copy, Debug, Default)]
 struct FifoSlot {
-    epoch: u64,
-    last: SimTime,
-}
-
-/// Per-directed-channel delivery counter, scoped to one link incarnation
-/// exactly like [`FifoSlot`]: a reconnected link restarts numbering at 1.
-#[derive(Clone, Copy, Debug, Default)]
-struct DeliverSlot {
-    epoch: u64,
-    count: u64,
-}
-
-/// Dense per-link bookkeeping, indexed by node-ID pairs. Replaces the
-/// `HashMap`s that used to sit on the per-message hot path: `n` is fixed
-/// for the lifetime of a run, so flat `n²`-sized tables give O(1) access
-/// with no hashing, no allocation, and no unbounded growth under link
-/// churn.
-#[derive(Clone, Debug)]
-struct LinkTable {
-    n: usize,
-    /// Incarnation counter per undirected link (indexed with `a ≤ b`);
-    /// messages of dead incarnations are dropped.
-    epoch: Vec<u64>,
-    /// Last scheduled arrival per directed channel, to enforce FIFO.
-    fifo: Vec<FifoSlot>,
-    /// Delivered-message counter per directed channel (trace numbering).
-    deliver: Vec<DeliverSlot>,
-}
-
-impl LinkTable {
-    fn new(n: usize) -> LinkTable {
-        LinkTable {
-            n,
-            epoch: vec![0; n * n],
-            fifo: vec![FifoSlot::default(); n * n],
-            deliver: vec![DeliverSlot::default(); n * n],
-        }
-    }
-
-    fn undirected(&self, a: NodeId, b: NodeId) -> usize {
-        let (lo, hi) = if a.0 <= b.0 { (a.0, b.0) } else { (b.0, a.0) };
-        lo as usize * self.n + hi as usize
-    }
-
-    fn directed(&self, from: NodeId, to: NodeId) -> usize {
-        from.0 as usize * self.n + to.0 as usize
-    }
-
-    fn current_epoch(&self, a: NodeId, b: NodeId) -> u64 {
-        self.epoch[self.undirected(a, b)]
-    }
-
-    fn bump_epoch(&mut self, a: NodeId, b: NodeId) {
-        let i = self.undirected(a, b);
-        self.epoch[i] += 1;
-    }
-
-    /// FIFO floor of the `from → to` channel in its *current* incarnation,
-    /// or `None` if the recorded floor belongs to a dead incarnation.
-    fn fifo_floor(&self, from: NodeId, to: NodeId) -> Option<SimTime> {
-        let slot = self.fifo[self.directed(from, to)];
-        (slot.epoch == self.current_epoch(from, to)).then_some(slot.last)
-    }
-
-    fn set_fifo_floor(&mut self, from: NodeId, to: NodeId, at: SimTime) {
-        let epoch = self.current_epoch(from, to);
-        let i = self.directed(from, to);
-        self.fifo[i] = FifoSlot { epoch, last: at };
-    }
-
-    /// 1-based sequence number of the next delivery on `from → to` within
-    /// the link's current incarnation.
-    fn next_deliver_seq(&mut self, from: NodeId, to: NodeId) -> u64 {
-        let epoch = self.current_epoch(from, to);
-        let i = self.directed(from, to);
-        let slot = &mut self.deliver[i];
-        if slot.epoch != epoch {
-            *slot = DeliverSlot { epoch, count: 0 };
-        }
-        slot.count += 1;
-        slot.count
-    }
+    /// Last scheduled arrival, to enforce FIFO.
+    floor: SimTime,
+    /// Messages delivered so far (trace numbering).
+    delivered: u64,
 }
 
 struct Core<M> {
@@ -352,7 +281,10 @@ struct Core<M> {
     world: World,
     dining: Vec<DiningState>,
     eating_session: Vec<u64>,
-    links: LinkTable,
+    /// Link incarnation counters plus the FIFO slots. The shim and the
+    /// channel keep stores of their own; [`Core::bump_link`] keeps every
+    /// store's incarnations in step.
+    links: LinkStore<FifoSlot>,
     stats: EngineStats,
     trace: Trace,
     /// Injected schedule strategy; `None` keeps the historical seeded
@@ -369,6 +301,30 @@ struct Core<M> {
 }
 
 impl<M> Core<M> {
+    /// The `a — b` link flapped (up or down): kill its incarnation in
+    /// every store at once. In-flight frames of the dead link can never
+    /// be delivered, and FIFO floors, ARQ windows and channel queues of
+    /// both directions go stale immediately.
+    fn bump_link(&mut self, a: NodeId, b: NodeId) {
+        self.links.bump(a, b);
+        if let Some(shim) = &mut self.shim {
+            shim.send.bump(a, b);
+            shim.recv.bump(a, b);
+        }
+        if let Some(channel) = &mut self.channel {
+            channel.cb.bump(a, b);
+            channel.ge.bump(a, b);
+        }
+    }
+
+    /// Clamp an arrival on `from → to` above the channel's FIFO floor and
+    /// raise the floor to it.
+    fn fifo_clamp(&mut self, from: NodeId, to: NodeId, at: SimTime) -> SimTime {
+        let slot = self.links.get_mut(from, to);
+        slot.floor = if at <= slot.floor { slot.floor + 1 } else { at };
+        slot.floor
+    }
+
     /// Queue `item` at `at`. Internal callers must never schedule in the
     /// past — the old `at.max(now)` clamp silently reordered events and
     /// masked such bugs; injected-schedule inputs are validated explicitly
@@ -418,7 +374,7 @@ impl<P: Protocol> Engine<P> {
     /// # Panics
     ///
     /// Panics if `cfg` fails [`SimConfig::validate`].
-    pub fn new<Pos, F>(cfg: SimConfig, positions: Vec<Pos>, mut factory: F) -> Engine<P>
+    pub fn new<Pos, F>(cfg: SimConfig, positions: Vec<Pos>, factory: F) -> Engine<P>
     where
         Pos: Into<Position>,
         F: FnMut(NodeSeed) -> P + 'static,
@@ -428,6 +384,30 @@ impl<P: Protocol> Engine<P> {
             cfg.radio_range,
             positions.into_iter().map(Into::into).collect(),
         );
+        Engine::from_world(cfg, world, factory)
+    }
+
+    /// Create an engine over an *explicit* topology (see
+    /// [`World::from_adjacency`]): `n` nodes wired exactly by `edges`,
+    /// independent of geometry. Movement commands are rejected in such
+    /// worlds; crashes work normally.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` fails [`SimConfig::validate`] or `edges` is
+    /// malformed.
+    pub fn new_graph<F>(cfg: SimConfig, n: usize, edges: &[(u32, u32)], factory: F) -> Engine<P>
+    where
+        F: FnMut(NodeSeed) -> P + 'static,
+    {
+        cfg.validate().expect("invalid SimConfig");
+        Engine::from_world(cfg, World::from_adjacency(n, edges), factory)
+    }
+
+    fn from_world<F>(cfg: SimConfig, world: World, mut factory: F) -> Engine<P>
+    where
+        F: FnMut(NodeSeed) -> P + 'static,
+    {
         let n = world.len();
         let max_degree = world.max_degree();
         let protocols = (0..n)
@@ -449,8 +429,8 @@ impl<P: Protocol> Engine<P> {
         let shim = cfg
             .arq
             .as_ref()
-            .map(|a| ShimState::new(n, a, cfg.max_message_delay, cfg.seed));
-        let channel = ChannelState::new(n, &cfg.channel, cfg.seed);
+            .map(|_| ShimState::new(cfg.max_message_delay, cfg.seed));
+        let channel = ChannelState::new(&cfg.channel, cfg.seed);
         let mut engine = Engine {
             core: Core {
                 rng: SimRng::seed_from_u64(cfg.seed),
@@ -463,72 +443,7 @@ impl<P: Protocol> Engine<P> {
                 world,
                 dining,
                 eating_session: vec![0; n],
-                links: LinkTable::new(n),
-                stats: EngineStats::default(),
-                trace,
-                sched: None,
-                shim,
-                channel,
-            },
-            protocols,
-            hooks: Vec::new(),
-            factory: Box::new(factory),
-            max_degree,
-        };
-        engine.install_fault_plan();
-        engine
-    }
-
-    /// Create an engine over an *explicit* topology (see
-    /// [`World::from_adjacency`]): `n` nodes wired exactly by `edges`,
-    /// independent of geometry. Movement commands are rejected in such
-    /// worlds; crashes work normally.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` fails [`SimConfig::validate`] or `edges` is
-    /// malformed.
-    pub fn new_graph<F>(cfg: SimConfig, n: usize, edges: &[(u32, u32)], mut factory: F) -> Engine<P>
-    where
-        F: FnMut(NodeSeed) -> P + 'static,
-    {
-        cfg.validate().expect("invalid SimConfig");
-        let world = World::from_adjacency(n, edges);
-        let max_degree = world.max_degree();
-        let protocols = (0..n)
-            .map(|i| {
-                let id = NodeId(i as u32);
-                factory(NodeSeed {
-                    id,
-                    neighbors: world.neighbors(id).to_vec(),
-                    n_nodes: n,
-                    max_degree,
-                })
-            })
-            .collect::<Vec<_>>();
-        let dining = protocols.iter().map(|p| p.dining_state()).collect();
-        let trace = Trace {
-            enabled: cfg.trace,
-            ..Trace::default()
-        };
-        let shim = cfg
-            .arq
-            .as_ref()
-            .map(|a| ShimState::new(n, a, cfg.max_message_delay, cfg.seed));
-        let channel = ChannelState::new(n, &cfg.channel, cfg.seed);
-        let mut engine = Engine {
-            core: Core {
-                rng: SimRng::seed_from_u64(cfg.seed),
-                fault_rng: SimRng::seed_from_u64(fault_seed(&cfg)),
-                queue: TimingWheel::from_config(&cfg),
-                cfg,
-                now: SimTime::ZERO,
-                seq: 0,
-                abort: None,
-                world,
-                dining,
-                eating_session: vec![0; n],
-                links: LinkTable::new(n),
+                links: LinkStore::new(),
                 stats: EngineStats::default(),
                 trace,
                 sched: None,
@@ -839,26 +754,9 @@ impl<P: Protocol> Engine<P> {
                 msg,
                 link_epoch,
             } => {
-                let live = self.core.world.linked(from, to)
-                    && self.core.links.current_epoch(from, to) == link_epoch
-                    && !self.core.world.is_crashed(to);
-                if !live {
-                    self.core.stats.dropped_in_flight += 1;
-                    return;
+                if self.arrives(from, to, link_epoch) {
+                    self.deliver(from, to, msg);
                 }
-                self.core.stats.messages_delivered += 1;
-                let seq = self.core.links.next_deliver_seq(from, to);
-                self.core.trace.record(
-                    self.core.now,
-                    TraceKind::Deliver {
-                        from,
-                        to,
-                        kind: P::msg_kind(&msg),
-                        seq,
-                    },
-                );
-                self.fire_hooks(|h, view, sink| h.on_deliver(view, from, to, &msg, sink));
-                self.deliver_proto(to, Event::Message { from, msg });
             }
             Item::Proto { node, ev } => self.deliver_proto(node, ev),
             Item::Command(cmd) => self.execute(cmd),
@@ -876,17 +774,12 @@ impl<P: Protocol> Engine<P> {
                 link_epoch,
                 ack,
             } => {
-                let live = self.core.world.linked(from, to)
-                    && self.core.links.current_epoch(from, to) == link_epoch
-                    && !self.core.world.is_crashed(to);
-                if !live {
-                    self.core.stats.dropped_in_flight += 1;
-                    return;
-                }
                 // `from` acknowledges data `to` sent on the reverse
                 // channel; the receiver of this frame owns that sender
                 // slot.
-                self.shim_apply_ack(to, from, link_epoch, ack);
+                if self.arrives(from, to, link_epoch) {
+                    self.shim_apply_ack(to, from, link_epoch, ack);
+                }
             }
             Item::ShimRto {
                 from,
@@ -922,6 +815,38 @@ impl<P: Protocol> Engine<P> {
                 self.deliver_proto(node, Event::MovementEnded);
             }
         }
+    }
+
+    /// Whether a frame sent on incarnation `link_epoch` of `from → to`
+    /// reaches a live receiver; a frame whose link failed (or changed
+    /// incarnation) or whose destination crashed is counted as lost in
+    /// flight.
+    fn arrives(&mut self, from: NodeId, to: NodeId, link_epoch: u64) -> bool {
+        let live = self.core.world.linked(from, to)
+            && self.core.links.incarnation(from, to) == link_epoch
+            && !self.core.world.is_crashed(to);
+        self.core.stats.dropped_in_flight += !live as u64;
+        live
+    }
+
+    /// Hand an arrived message to its destination: count it, number it
+    /// within the link incarnation, trace it, run the handler.
+    fn deliver(&mut self, from: NodeId, to: NodeId, msg: P::Msg) {
+        self.core.stats.messages_delivered += 1;
+        let slot = self.core.links.get_mut(from, to);
+        slot.delivered += 1;
+        let seq = slot.delivered;
+        self.core.trace.record(
+            self.core.now,
+            TraceKind::Deliver {
+                from,
+                to,
+                kind: P::msg_kind(&msg),
+                seq,
+            },
+        );
+        self.fire_hooks(|h, view, sink| h.on_deliver(view, from, to, &msg, sink));
+        self.deliver_proto(to, Event::Message { from, msg });
     }
 
     fn execute(&mut self, cmd: Command) {
@@ -1066,7 +991,7 @@ impl<P: Protocol> Engine<P> {
         for change in changes {
             match change {
                 LinkChange::Up(a, b) => {
-                    self.core.links.bump_epoch(a, b);
+                    self.core.bump_link(a, b);
                     // Symmetry breaking biased toward static nodes; ties
                     // between two movers broken by ID (smaller = static).
                     let a_moving = self.core.world.is_moving(a);
@@ -1112,11 +1037,7 @@ impl<P: Protocol> Engine<P> {
                     );
                 }
                 LinkChange::Down(a, b) => {
-                    // Kill the incarnation at once: in-flight messages of
-                    // the dead link can never be delivered, and the FIFO
-                    // floors of both directions become stale immediately
-                    // (a reconnect must not inherit them).
-                    self.core.links.bump_epoch(a, b);
+                    self.core.bump_link(a, b);
                     self.core
                         .trace
                         .record(self.core.now, TraceKind::LinkDown(a, b));
@@ -1205,14 +1126,15 @@ impl<P: Protocol> Engine<P> {
     /// retransmission timer if idle, and put a data frame (with a
     /// piggybacked cumulative ack for the reverse channel) on the wire.
     fn shim_send(&mut self, from: NodeId, to: NodeId, msg: P::Msg) {
-        let epoch = self.core.links.current_epoch(from, to);
+        let epoch = self.core.links.incarnation(from, to);
         let shim = self.core.shim.as_mut().expect("shim_send without shim");
-        let window = shim.window;
-        let slot = shim.send_slot(from, to, epoch);
-        if slot.buf.len() >= window {
-            self.core
-                .abort
-                .get_or_insert(RunAbort::ShimBufferOverflow { from, to, window });
+        let slot = shim.send.get_mut(from, to);
+        if slot.buf.len() >= shim::WINDOW {
+            self.core.abort.get_or_insert(RunAbort::ShimBufferOverflow {
+                from,
+                to,
+                window: shim::WINDOW,
+            });
             return;
         }
         let seq = slot.next_seq();
@@ -1245,7 +1167,7 @@ impl<P: Protocol> Engine<P> {
             .shim
             .as_mut()
             .expect("shim")
-            .take_piggyback_ack(from, to, epoch);
+            .take_piggyback_ack(from, to);
         self.physical_send(from, to, Wire::Data { seq, ack, msg });
     }
 
@@ -1259,7 +1181,7 @@ impl<P: Protocol> Engine<P> {
             .shim
             .as_mut()
             .expect("shim_apply_ack without shim");
-        let slot = shim.send_slot(owner, peer, epoch);
+        let slot = shim.send.get_mut(owner, peer);
         let mut progress = false;
         while slot.base <= ack && !slot.buf.is_empty() {
             slot.buf.pop_front();
@@ -1306,17 +1228,13 @@ impl<P: Protocol> Engine<P> {
         seq: u64,
         ack: u64,
     ) {
-        let live = self.core.world.linked(from, to)
-            && self.core.links.current_epoch(from, to) == link_epoch
-            && !self.core.world.is_crashed(to);
-        if !live {
-            self.core.stats.dropped_in_flight += 1;
+        if !self.arrives(from, to, link_epoch) {
             return;
         }
         self.shim_apply_ack(to, from, link_epoch, ack);
         let shim = self.core.shim.as_mut().expect("shim_data without shim");
         let ack_idle = shim.ack_idle;
-        let slot = shim.recv_slot(from, to, link_epoch);
+        let slot = shim.recv.get_mut(from, to);
         // Every data arrival creates ack debt; the idle timer guarantees
         // it is paid even on one-way traffic.
         slot.ack_owed = true;
@@ -1343,37 +1261,23 @@ impl<P: Protocol> Engine<P> {
                 },
             );
         }
-        if !deliver {
-            return;
+        if deliver {
+            self.deliver(from, to, msg);
         }
-        self.core.stats.messages_delivered += 1;
-        let dseq = self.core.links.next_deliver_seq(from, to);
-        self.core.trace.record(
-            self.core.now,
-            TraceKind::Deliver {
-                from,
-                to,
-                kind: P::msg_kind(&msg),
-                seq: dseq,
-            },
-        );
-        self.fire_hooks(|h, view, sink| h.on_deliver(view, from, to, &msg, sink));
-        self.deliver_proto(to, Event::Message { from, msg });
     }
 
     /// Retransmission timeout fired: resend every buffered frame of the
     /// channel (go-back-N) and re-arm with exponential backoff — or give
-    /// up and discard after `max_retries` consecutive silent timeouts.
+    /// up and discard after [`shim::MAX_RETRIES`] consecutive silent timeouts.
     /// Giving up matters: a crashed peer keeps its links up (crashes are
     /// silent), so without it every crash would retransmit forever and
     /// livelock into the event budget.
     fn shim_rto(&mut self, from: NodeId, to: NodeId, epoch: u64, gen: u64) {
-        if self.core.world.is_crashed(from) || self.core.links.current_epoch(from, to) != epoch {
+        if self.core.world.is_crashed(from) || self.core.links.incarnation(from, to) != epoch {
             return;
         }
         let shim = self.core.shim.as_mut().expect("shim_rto without shim");
-        let max_retries = shim.max_retries;
-        let slot = shim.send_slot(from, to, epoch);
+        let slot = shim.send.get_mut(from, to);
         if !slot.rto_armed || slot.rto_gen != gen {
             return;
         }
@@ -1382,7 +1286,7 @@ impl<P: Protocol> Engine<P> {
             return;
         }
         slot.attempts += 1;
-        if slot.attempts > max_retries {
+        if slot.attempts > shim::MAX_RETRIES {
             slot.base += slot.buf.len() as u64;
             slot.buf.clear();
             slot.attempts = 0;
@@ -1417,7 +1321,7 @@ impl<P: Protocol> Engine<P> {
             .shim
             .as_mut()
             .expect("shim")
-            .take_piggyback_ack(from, to, epoch);
+            .take_piggyback_ack(from, to);
         for (seq, msg) in frames {
             self.physical_send(from, to, Wire::Data { seq, ack, msg });
         }
@@ -1427,11 +1331,11 @@ impl<P: Protocol> Engine<P> {
     /// channel: if an acknowledgment is still owed (no reverse traffic
     /// piggybacked it in time), send a standalone cumulative ack.
     fn shim_ack_idle(&mut self, from: NodeId, to: NodeId, epoch: u64, gen: u64) {
-        if self.core.world.is_crashed(to) || self.core.links.current_epoch(from, to) != epoch {
+        if self.core.world.is_crashed(to) || self.core.links.incarnation(from, to) != epoch {
             return;
         }
         let shim = self.core.shim.as_mut().expect("shim_ack_idle without shim");
-        let slot = shim.recv_slot(from, to, epoch);
+        let slot = shim.recv.get_mut(from, to);
         if !slot.ack_armed || slot.ack_gen != gen {
             return;
         }
@@ -1494,7 +1398,7 @@ impl<P: Protocol> Engine<P> {
                 latest,
                 pending_in_window,
                 pending_dependent_in_window,
-                fifo_floor: self.core.links.fifo_floor(from, to),
+                fifo_floor: self.core.links.get(from, to).map(|slot| slot.floor),
                 digest,
             }
         });
@@ -1531,12 +1435,11 @@ impl<P: Protocol> Engine<P> {
                     // on the dedicated channel stream, so an all-good
                     // chain leaves traces unchanged.
                     let drawn = self.core.rng.gen_range(earliest..=latest);
-                    let epoch = self.core.links.current_epoch(from, to);
                     let (flipped, lost) = self
                         .core
                         .channel
                         .as_mut()
-                        .map_or((false, false), |ch| ch.ge_step(from, to, epoch));
+                        .map_or((false, false), |ch| ch.ge_step(from, to));
                     self.core.stats.channel.burst_transitions += flipped as u64;
                     if lost {
                         self.core.stats.channel.frames_lost += 1;
@@ -1569,13 +1472,13 @@ impl<P: Protocol> Engine<P> {
                     }
                     let frame = ticks_per_frame.clamp(earliest, latest);
                     let now = self.core.now;
-                    let epoch = self.core.links.current_epoch(from, to);
                     let slot = self
                         .core
                         .channel
                         .as_mut()
                         .expect("channel state exists for non-iid models")
-                        .cb_slot(from, to, epoch);
+                        .cb
+                        .get_mut(from, to);
                     // Frames whose scheduled completion has passed have
                     // left the link.
                     while slot.inflight.front().is_some_and(|&t| t <= now) {
@@ -1658,19 +1561,13 @@ impl<P: Protocol> Engine<P> {
         // FIFO per directed channel, scoped to the link's current
         // incarnation: a floor recorded before a flap must not delay
         // post-reconnect traffic.
-        if let Some(last) = self.core.links.fifo_floor(from, to) {
-            if at <= last {
-                at = last + 1;
-            }
-        }
-        self.core.links.set_fifo_floor(from, to, at);
-        let link_epoch = self.core.links.current_epoch(from, to);
+        let at = self.core.fifo_clamp(from, to, at);
+        let link_epoch = self.core.links.incarnation(from, to);
         if let Some(lag) = duplicate_lag {
             // The ghost copy trails the original by `lag` ticks on the
             // same incarnation, and advances the FIFO floor so later
             // traffic still arrives in order relative to it.
-            let dup_at = at + lag;
-            self.core.links.set_fifo_floor(from, to, dup_at);
+            let dup_at = self.core.fifo_clamp(from, to, at + lag);
             self.core.stats.faults.msgs_duplicated += 1;
             self.core
                 .trace
@@ -1743,7 +1640,7 @@ impl<P: Protocol> Engine<P> {
                 }
             }
         }
-        let link_epoch = self.core.links.current_epoch(from, to);
+        let link_epoch = self.core.links.incarnation(from, to);
         let mut span = self.core.world.neighbors(from).to_vec();
         span.push(from);
         let depth = self
@@ -1837,13 +1734,8 @@ impl<P: Protocol> Engine<P> {
         };
         for flight in done {
             let mut at = now + flight.extra_delay;
-            if self.core.links.current_epoch(flight.from, flight.to) == flight.link_epoch {
-                if let Some(last) = self.core.links.fifo_floor(flight.from, flight.to) {
-                    if at <= last {
-                        at = last + 1;
-                    }
-                }
-                self.core.links.set_fifo_floor(flight.from, flight.to, at);
+            if self.core.links.incarnation(flight.from, flight.to) == flight.link_epoch {
+                at = self.core.fifo_clamp(flight.from, flight.to, at);
             }
             self.core.push(
                 at,
@@ -2968,5 +2860,94 @@ mod tests {
         );
         // Monotone, no duplicates of the same instant in a row beyond re-opens.
         assert!(log.windows(2).all(|w| w[0] <= w[1]));
+    }
+
+    #[test]
+    fn shim_window_overflow_is_a_structured_abort() {
+        // The peer is crashed (silently: its link stays up), so nothing is
+        // ever acknowledged and every frame stays buffered.
+        let run = |frames: u64| {
+            let mut e = sender_engine(SimConfig {
+                arq: Some(crate::ArqConfig::default()),
+                ..SimConfig::default()
+            });
+            e.crash_at(SimTime(0), NodeId(1));
+            e.core.push(
+                SimTime(1),
+                Item::Proto {
+                    node: NodeId(0),
+                    ev: Event::Timer { token: frames },
+                },
+            );
+            e.run_until(SimTime(100_000));
+            (e.abort().cloned(), e.stats().shim.buffer_high_water)
+        };
+        assert_eq!(run(64), (None, 64), "a full window is not an overflow");
+        assert_eq!(
+            run(65),
+            (
+                Some(RunAbort::ShimBufferOverflow {
+                    from: NodeId(0),
+                    to: NodeId(1),
+                    window: 64,
+                }),
+                64
+            )
+        );
+    }
+
+    #[test]
+    fn per_link_state_is_linear_in_links_at_twenty_thousand_nodes() {
+        /// Every node sends to each neighbor once per period.
+        struct Chatter;
+        impl Protocol for Chatter {
+            type Msg = u64;
+            fn on_event(&mut self, ev: Event<u64>, ctx: &mut Context<'_, u64>) {
+                if let Event::Timer { token } = ev {
+                    for peer in ctx.neighbors().to_vec() {
+                        ctx.send(peer, token);
+                    }
+                    ctx.set_timer(60, token + 1);
+                }
+            }
+            fn dining_state(&self) -> DiningState {
+                DiningState::Thinking
+            }
+        }
+        const N: u32 = 20_000;
+        let ring: Vec<(u32, u32)> = (0..N).map(|i| (i, (i + 1) % N)).collect();
+        let cfg = SimConfig {
+            arq: Some(crate::ArqConfig::default()),
+            channel: ChannelConfig::burst_loss_default(),
+            ..SimConfig::default()
+        };
+        let mut e: Engine<Chatter> = Engine::new_graph(cfg, N as usize, &ring, |_| Chatter);
+        for i in 0..N {
+            e.core.push(
+                SimTime(1),
+                Item::Proto {
+                    node: NodeId(i),
+                    ev: Event::Timer { token: 0 },
+                },
+            );
+        }
+        e.run_until(SimTime(200));
+        assert_eq!(e.abort(), None);
+        assert!(e.stats().shim.retransmissions > 0 && e.stats().channel.frames_lost > 0);
+        // At most one record per directed link in every store — the dense
+        // tables these replaced held N² slots each.
+        let directed = 2 * ring.len();
+        let shim = e.core.shim.as_ref().unwrap();
+        let channel = e.core.channel.as_ref().unwrap();
+        let lens = [
+            e.core.links.len(),
+            shim.send.len(),
+            shim.recv.len(),
+            channel.ge.len(),
+        ];
+        for len in lens {
+            assert!(len > directed / 2 && len <= directed, "{lens:?}");
+        }
+        assert_eq!(channel.cb.len(), 0);
     }
 }

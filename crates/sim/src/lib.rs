@@ -66,6 +66,7 @@ mod fault;
 mod geo;
 mod hooks;
 mod ids;
+mod links;
 mod protocol;
 pub mod rng;
 mod sched;

@@ -22,74 +22,33 @@
 //! partition, crash recovery) kills the incarnation and the shim state on
 //! both sides with it — protocols already own re-synchronization across
 //! incarnations (fork re-minting on `LinkUp`), and the shim must not
-//! resurrect traffic from a dead incarnation under their feet.
+//! resurrect traffic from a dead incarnation under their feet. Both
+//! halves of a channel are [`crate::links::LinkStore`] payloads, which is
+//! what restarts them with the incarnation.
 
 use std::collections::VecDeque;
 
 use crate::ids::NodeId;
+use crate::links::LinkStore;
 use crate::rng::SimRng;
 
-/// Configuration of the per-link ARQ shim (see [`crate::SimConfig::arq`];
-/// `None` disables the shim entirely).
-///
-/// Times are in ticks; fields set to `0` resolve to defaults derived from
-/// the run's ν at engine construction (noted per field).
-#[derive(Clone, Debug, PartialEq)]
-pub struct ArqConfig {
-    /// Maximum unacknowledged frames buffered per directed link. Overflow
-    /// aborts the run with [`crate::RunAbort::ShimBufferOverflow`] (a
-    /// structured abort, not a panic).
-    pub window: usize,
-    /// Initial retransmission timeout. `0` resolves to `2ν` (one frame
-    /// plus one ack at worst-case delay).
-    pub rto_initial: u64,
-    /// Upper bound on the backed-off retransmission timeout. `0` resolves
-    /// to `16ν`.
-    pub rto_cap: u64,
-    /// Consecutive timeouts without ack progress before the sender gives
-    /// up on a channel and discards its buffered frames. Giving up is
-    /// essential: a crashed peer keeps its links up (crashes are silent in
-    /// the model), and retransmitting to it forever would turn every crash
-    /// into an event-budget livelock abort.
-    pub max_retries: u32,
-    /// Idle time after which a receiver owing an acknowledgment sends a
-    /// standalone ack instead of waiting for reverse traffic to piggyback
-    /// on. `0` resolves to ν.
-    pub ack_idle: u64,
-}
+/// Turns the per-link ARQ shim on (see [`crate::SimConfig::arq`]; `None`
+/// disables it entirely). The shim has no tunables: its window, timeouts
+/// and retry budget are constants derived from the run's ν.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct ArqConfig {}
 
-impl Default for ArqConfig {
-    fn default() -> ArqConfig {
-        ArqConfig {
-            window: 64,
-            rto_initial: 0,
-            rto_cap: 0,
-            max_retries: 16,
-            ack_idle: 0,
-        }
-    }
-}
+/// Maximum unacknowledged frames buffered per directed link. Overflow
+/// aborts the run with [`crate::RunAbort::ShimBufferOverflow`] (a
+/// structured abort, not a panic).
+pub(crate) const WINDOW: usize = 64;
 
-impl ArqConfig {
-    /// Validate the invariants of the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable description of the first violated
-    /// invariant.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.window == 0 {
-            return Err("arq.window must be ≥ 1".into());
-        }
-        if self.rto_initial != 0 && self.rto_cap != 0 && self.rto_cap < self.rto_initial {
-            return Err(format!(
-                "arq.rto_cap ({}) below arq.rto_initial ({})",
-                self.rto_cap, self.rto_initial
-            ));
-        }
-        Ok(())
-    }
-}
+/// Consecutive timeouts without ack progress before the sender gives up on
+/// a channel and discards its buffered frames. Giving up is essential: a
+/// crashed peer keeps its links up (crashes are silent in the model), and
+/// retransmitting to it forever would turn every crash into an
+/// event-budget livelock abort.
+pub(crate) const MAX_RETRIES: u32 = 16;
 
 /// Counters of shim activity over a run (all zero with the shim
 /// disabled). Lives inside [`crate::EngineStats`].
@@ -107,11 +66,9 @@ pub struct ShimStats {
 }
 
 /// Sender-side state of one directed channel, valid for one link
-/// incarnation (lazy reset on epoch mismatch, exactly like the engine's
-/// FIFO slots).
+/// incarnation (a [`LinkStore`] payload).
 #[derive(Clone, Debug)]
 pub(crate) struct SendSlot<M> {
-    pub epoch: u64,
     /// Sequence number of the first unacknowledged frame (the front of
     /// `buf`); numbering starts at 1 per incarnation.
     pub base: u64,
@@ -125,10 +82,9 @@ pub(crate) struct SendSlot<M> {
     pub rto_armed: bool,
 }
 
-impl<M> SendSlot<M> {
-    fn fresh(epoch: u64) -> SendSlot<M> {
+impl<M> Default for SendSlot<M> {
+    fn default() -> SendSlot<M> {
         SendSlot {
-            epoch,
             base: 1,
             buf: VecDeque::new(),
             attempts: 0,
@@ -136,7 +92,9 @@ impl<M> SendSlot<M> {
             rto_armed: false,
         }
     }
+}
 
+impl<M> SendSlot<M> {
     /// Sequence number the next freshly sent frame takes.
     pub fn next_seq(&self) -> u64 {
         self.base + self.buf.len() as u64
@@ -147,7 +105,6 @@ impl<M> SendSlot<M> {
 /// as [`SendSlot`]).
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct RecvSlot {
-    pub epoch: u64,
     /// Next in-order sequence number expected; `next - 1` is the
     /// cumulative ack value.
     pub next: u64,
@@ -159,10 +116,9 @@ pub(crate) struct RecvSlot {
     pub ack_armed: bool,
 }
 
-impl RecvSlot {
-    fn fresh(epoch: u64) -> RecvSlot {
+impl Default for RecvSlot {
+    fn default() -> RecvSlot {
         RecvSlot {
-            epoch,
             next: 1,
             ack_owed: false,
             ack_gen: 0,
@@ -171,81 +127,42 @@ impl RecvSlot {
     }
 }
 
-/// The engine-side shim state: resolved timing parameters plus dense
-/// per-directed-channel slot tables, indexed like `LinkTable`
-/// (`from * n + to`).
+/// The engine-side shim state: timing parameters resolved from ν plus the
+/// per-directed-channel send and receive halves.
 pub(crate) struct ShimState<M> {
-    n: usize,
-    pub window: usize,
+    /// Initial retransmission timeout: `2ν` (one frame plus one ack at
+    /// worst-case delay).
     pub rto_initial: u64,
+    /// Upper bound on the backed-off retransmission timeout: `16ν`.
     pub rto_cap: u64,
-    pub max_retries: u32,
+    /// Idle time after which a receiver owing an acknowledgment sends a
+    /// standalone ack instead of waiting for reverse traffic: ν.
     pub ack_idle: u64,
     /// Dedicated stream for backoff jitter, so shim timing never perturbs
     /// the engine's or the fault adversary's streams.
     pub rng: SimRng,
-    send: Vec<SendSlot<M>>,
-    recv: Vec<RecvSlot>,
+    pub send: LinkStore<SendSlot<M>>,
+    pub recv: LinkStore<RecvSlot>,
 }
 
 impl<M> ShimState<M> {
-    pub fn new(n: usize, cfg: &ArqConfig, nu: u64, run_seed: u64) -> ShimState<M> {
-        let rto_initial = if cfg.rto_initial == 0 {
-            2 * nu.max(1)
-        } else {
-            cfg.rto_initial
-        };
-        let rto_cap = if cfg.rto_cap == 0 {
-            (16 * nu.max(1)).max(rto_initial)
-        } else {
-            cfg.rto_cap.max(rto_initial)
-        };
-        let ack_idle = if cfg.ack_idle == 0 {
-            nu.max(1)
-        } else {
-            cfg.ack_idle
-        };
+    pub fn new(nu: u64, run_seed: u64) -> ShimState<M> {
+        let nu = nu.max(1);
         ShimState {
-            n,
-            window: cfg.window,
-            rto_initial,
-            rto_cap,
-            max_retries: cfg.max_retries,
-            ack_idle,
+            rto_initial: 2 * nu,
+            rto_cap: 16 * nu,
+            ack_idle: nu,
             rng: SimRng::seed_from_u64(shim_seed(run_seed)),
-            send: (0..n * n).map(|_| SendSlot::fresh(0)).collect(),
-            recv: vec![RecvSlot::fresh(0); n * n],
+            send: LinkStore::new(),
+            recv: LinkStore::new(),
         }
-    }
-
-    /// Sender-side slot of the `from → to` channel in incarnation
-    /// `epoch`, lazily reset when the recorded state belongs to a dead
-    /// incarnation.
-    pub fn send_slot(&mut self, from: NodeId, to: NodeId, epoch: u64) -> &mut SendSlot<M> {
-        let i = from.index() * self.n + to.index();
-        let slot = &mut self.send[i];
-        if slot.epoch != epoch {
-            *slot = SendSlot::fresh(epoch);
-        }
-        slot
-    }
-
-    /// Receiver-side slot of the `from → to` channel (same scoping).
-    pub fn recv_slot(&mut self, from: NodeId, to: NodeId, epoch: u64) -> &mut RecvSlot {
-        let i = from.index() * self.n + to.index();
-        let slot = &mut self.recv[i];
-        if slot.epoch != epoch {
-            *slot = RecvSlot::fresh(epoch);
-        }
-        slot
     }
 
     /// Cumulative ack to piggyback on a frame `from → to`, i.e. how much
     /// of the *reverse* data channel `to → from` has been received in
-    /// order — and mark that debt paid. Reads through the lazy reset so a
-    /// fresh incarnation acks 0.
-    pub fn take_piggyback_ack(&mut self, from: NodeId, to: NodeId, epoch: u64) -> u64 {
-        let slot = self.recv_slot(to, from, epoch);
+    /// order — and mark that debt paid. A fresh incarnation acks 0.
+    pub fn take_piggyback_ack(&mut self, from: NodeId, to: NodeId) -> u64 {
+        let slot = self.recv.get_mut(to, from);
         slot.ack_owed = false;
         slot.next - 1
     }
@@ -276,60 +193,28 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_config_is_valid() {
-        ArqConfig::default().validate().unwrap();
-    }
-
-    #[test]
-    fn rejects_zero_window_and_inverted_rto() {
-        let cfg = ArqConfig {
-            window: 0,
-            ..ArqConfig::default()
-        };
-        assert!(cfg.validate().is_err());
-        let cfg = ArqConfig {
-            rto_initial: 100,
-            rto_cap: 10,
-            ..ArqConfig::default()
-        };
-        assert!(cfg.validate().is_err());
-    }
-
-    #[test]
-    fn zero_fields_resolve_from_nu() {
-        let state: ShimState<u64> = ShimState::new(2, &ArqConfig::default(), 10, 7);
+    fn timing_resolves_from_nu() {
+        let state: ShimState<u64> = ShimState::new(10, 7);
         assert_eq!(state.rto_initial, 20);
         assert_eq!(state.rto_cap, 160);
         assert_eq!(state.ack_idle, 10);
     }
 
     #[test]
-    fn slots_reset_lazily_on_epoch_change() {
-        let mut state: ShimState<u64> = ShimState::new(2, &ArqConfig::default(), 10, 7);
+    fn piggyback_acks_the_reverse_channel_and_pays_the_debt() {
+        let mut state: ShimState<u64> = ShimState::new(10, 7);
         let (a, b) = (NodeId(0), NodeId(1));
-        let slot = state.send_slot(a, b, 0);
-        slot.buf.push_back(99);
-        slot.attempts = 3;
-        assert_eq!(state.send_slot(a, b, 0).buf.len(), 1, "same incarnation");
-        let slot = state.send_slot(a, b, 2);
-        assert_eq!(slot.base, 1, "new incarnation restarts numbering");
-        assert!(slot.buf.is_empty());
-        assert_eq!(slot.attempts, 0);
-        let r = state.recv_slot(a, b, 0);
+        assert_eq!(state.send.get_mut(a, b).next_seq(), 1, "numbering from 1");
+        let r = state.recv.get_mut(a, b);
         r.next = 5;
         r.ack_owed = true;
-        assert_eq!(
-            state.take_piggyback_ack(b, a, 0),
-            4,
-            "acks the reverse channel"
-        );
-        assert!(!state.recv_slot(a, b, 0).ack_owed, "debt paid");
-        assert_eq!(state.recv_slot(a, b, 3).next, 1, "reset on flap");
+        assert_eq!(state.take_piggyback_ack(b, a), 4);
+        assert!(!state.recv.get_mut(a, b).ack_owed);
     }
 
     #[test]
     fn backoff_grows_and_caps() {
-        let mut state: ShimState<u64> = ShimState::new(2, &ArqConfig::default(), 10, 7);
+        let mut state: ShimState<u64> = ShimState::new(10, 7);
         // rto_initial 20, cap 160; jitter adds at most base/4.
         for attempts in 0..10 {
             let d = state.backoff(attempts);
