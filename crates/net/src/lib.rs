@@ -11,19 +11,20 @@
 //! * [`codec`] — hand-rolled length-prefixed wire format (version byte,
 //!   algorithm tag, payload, FNV-1a checksum) for every protocol message;
 //!   strict decoding, no panics on hostile bytes;
-//! * [`transport`] — the envelope format, the [`transport::LinkGate`]
-//!   the driver flips to sever links, and the selector between the two
+//! * [`transport`] — the envelope format and the selector between the two
 //!   cross-shard carriers (in-process rings, UDP datagrams on loopback);
 //! * [`runtime`] — run configuration, outcome, and the entry point
 //!   ([`runtime::run_live`]);
 //! * [`shard`] — the engine every live run executes on: a fixed worker
-//!   pool owning contiguous node shards, per-shard timing wheels, batched
+//!   pool owning contiguous node shards, per-shard timing wheels
+//!   ([`manet_sim::TimingWheel`], the simulator's own), batched
 //!   cross-shard frames over bounded SPSC rings or sockets, per-shard
 //!   ticket ranges merged into one total order at export, and the driver
-//!   that injects mobility, crashes, and partitions under the simulator's
-//!   rules; it scales the same automata to tens of thousands of nodes;
-//! * `arq` — per-link go-back-N as a sans-IO state machine, armed by
-//!   `LiveConfig::reliable`;
+//!   that injects mobility, crashes and recoveries under the simulator's
+//!   rules; it scales the same automata to tens of thousands of nodes.
+//!   Under `LiveConfig::reliable` each node keeps one
+//!   [`manet_sim::arq::GoBackN`] per neighbour — the simulator's own
+//!   go-back-N machine, hosted on wall time;
 //! * [`trace`] — totally-ordered capture of everything observable, safety
 //!   validation by replaying the state, crash, recover and relocate
 //!   records into the harness [`harness::SafetyCore`], and export of
@@ -36,7 +37,7 @@
 //! virtual-time determinism: a live run's interleaving comes from the OS
 //! scheduler and real queues. What is *kept* is the model: the automata,
 //! the ν-bounded-delay assumption (ticks map to wall time via
-//! `tick_ns`), the crash and partition semantics, and the safety
+//! `tick_ns`), the crash and recovery semantics, and the safety
 //! invariant, checked by the very same incremental core that audits
 //! simulated runs — told what changed, it examines only the neighborhoods
 //! that did.
@@ -44,7 +45,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod arq;
 pub mod codec;
 pub mod replay;
 pub mod runtime;
@@ -57,4 +57,4 @@ pub use replay::{conformance_replay, ConformanceReport};
 pub use runtime::{run_live, LiveAlg, LiveConfig, LiveOutcome, LiveRuntime};
 pub use shard::{merge_stamped, HybridClock, ShardAbort, ShardTuning, StampedRecord};
 pub use trace::{LiveEventKind, LiveRecord, LiveTrace, NodeNetStats, SafetyAudit};
-pub use transport::{decode_envelope, encode_envelope, LinkGate, TransportKind, ENV_ACK, ENV_DATA};
+pub use transport::{decode_envelope, encode_envelope, TransportKind, ENV_ACK, ENV_DATA};

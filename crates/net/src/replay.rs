@@ -61,7 +61,7 @@ pub fn conformance_replay(
     if !cfg.one_shot {
         return Err("conformance replay needs a one-shot live run (--oneshot)".into());
     }
-    if cfg.crash.is_some() || cfg.partition.is_some() || !cfg.moves.is_empty() {
+    if cfg.crash.is_some() || !cfg.moves.is_empty() {
         return Err("conformance replay needs a fault-free, static live run".into());
     }
     let sim = SimConfig {

@@ -140,19 +140,17 @@ pub struct LiveConfig {
     /// node inert.
     pub crash: Option<(u32, u64)>,
     /// Recover `(node, at_ms)`: restart the crashed node as a fresh
-    /// protocol incarnation, heal its transports, and rejoin it to its
-    /// neighbors with link flaps — the live mirror of the simulator's
-    /// `Command::Recover`. Requires a matching `crash` of the same node at
-    /// an earlier time.
+    /// protocol incarnation, let its traffic flow again, and rejoin it to
+    /// its neighbors with link flaps, as the simulator's
+    /// `Command::Recover` does. Requires a matching `crash` of the same
+    /// node at an earlier time.
     pub recover: Option<(u32, u64)>,
     /// Arm the per-link reliable-delivery shim: go-back-N retransmission
     /// with capped exponential backoff, cumulative acks piggybacked on
-    /// data frames, and standalone acks after an idle timeout — the live
-    /// mirror of `manet_sim::ArqConfig`.
+    /// data frames, and standalone acks after an idle timeout — what
+    /// `manet_sim::ArqConfig` arms in the simulator, run by the same
+    /// machine ([`manet_sim::arq`]).
     pub reliable: bool,
-    /// Partition `(side, at_ms, heal_ms)`: silently sever every link
-    /// between `side` and its complement for the window.
-    pub partition: Option<(Vec<u32>, u64, u64)>,
     /// Teleport waypoints `(at_ms, node, destination)`.
     pub moves: Vec<(u64, u32, (f64, f64))>,
     /// Worker-pool sizing of the execution engine.
@@ -180,7 +178,6 @@ impl LiveConfig {
             tick_ns: 100_000,
             crash: None,
             recover: None,
-            partition: None,
             moves: Vec::new(),
             reliable: false,
             runtime: LiveRuntime::Sharded { workers: 0 },
@@ -230,14 +227,6 @@ impl LiveConfig {
                 }
                 Some(_) => return Err("recover must come after the crash".into()),
                 None => return Err("recover needs a preceding crash".into()),
-            }
-        }
-        if let Some((side, at, heal)) = &self.partition {
-            if heal <= at {
-                return Err("partition must heal after it starts".into());
-            }
-            if let Some(&bad) = side.iter().find(|&&m| m as usize >= n) {
-                return Err(format!("partition side contains node {bad}, but n = {n}"));
             }
         }
         Ok(())
@@ -310,8 +299,6 @@ pub(crate) enum Ctrl {
 pub(crate) enum Action {
     Crash(NodeId),
     Recover(NodeId),
-    PartitionStart,
-    PartitionEnd,
     Move(NodeId, Position),
 }
 

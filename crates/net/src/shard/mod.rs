@@ -8,10 +8,11 @@
 //!   size_s)`; ownership never migrates, so all per-node state is
 //!   thread-local to its worker.
 //! - **Per-shard run queues on a timing wheel.** Each worker drives its
-//!   nodes from a [`wheel::ShardWheel`] — the live mirror of the sim
-//!   core's bounded-horizon event queue — plus a local delivery queue
-//!   for same-shard traffic. Workload deadlines, protocol timers and the
-//!   reliable shim's retransmission and idle-ack timers all land on it.
+//!   nodes from a [`manet_sim::TimingWheel`] — the simulator's own
+//!   bounded-horizon event queue, keyed here on virtual ticks over local
+//!   node indices — plus a local delivery queue for same-shard traffic.
+//!   Workload deadlines, protocol timers and the reliable shim's
+//!   retransmission and idle-ack timers all land on it.
 //! - **Batched frames.** Cross-shard envelopes accumulate into one
 //!   buffer per shard pair per flush ([`batch`]), riding a bounded SPSC
 //!   ring ([`ring`]) in-process or a single datagram on UDP. Same-shard
@@ -30,16 +31,15 @@
 //! The driver (the calling thread) owns the mirror `World`: it teleports
 //! nodes along the configured waypoints, translates the resulting
 //! `LinkChange`s into per-node control events with the engine's
-//! static/moving symmetry breaking, and injects crashes and partitions
-//! by flipping the [`LinkGate`] — severing links without telling the
-//! protocols, exactly like the simulator's fault adversary. See
-//! DESIGN.md §11.
+//! static/moving symmetry breaking, and injects a crash by marking the
+//! victim down in a bitmap every worker reads — traffic to and from it is
+//! dropped without telling the protocols, exactly like the simulator's
+//! silent crashes. See DESIGN.md §11.
 
 mod batch;
 pub mod clock;
 mod node;
 mod ring;
-mod wheel;
 
 pub use clock::{merge_stamped, HybridClock, StampedRecord};
 
@@ -57,12 +57,137 @@ use manet_sim::{LinkChange, LinkUpKind, NodeId, NodeSeed, Protocol, SimConfig, W
 use crate::codec::WireMsg;
 use crate::runtime::{Action, Ctrl, LiveConfig, LiveOutcome, LiveRuntime};
 use crate::trace::{LiveEventKind, LiveTrace};
-use crate::transport::{LinkGate, TransportKind};
+use crate::transport::TransportKind;
 
 use batch::{batch_begin, batch_count, batch_decode, batch_push, batch_seal};
 use node::{ShardNode, WireOut};
 use ring::{ring, RingReceiver, RingSender};
-use wheel::ShardWheel;
+use wheel::Wakeups;
+
+/// The worker's use of the simulator's timing wheel.
+mod wheel {
+    use manet_sim::{SimTime, TimingWheel};
+
+    /// The shard's pending node wakeups: the simulator's timing wheel, keyed
+    /// on virtual ticks (`wall_ns / tick_ns`) over local node indices.
+    pub(super) struct Wakeups {
+        wheel: TimingWheel<u32>,
+        /// Insertion counter — the wheel's tie-break among equal ticks.
+        pushed: u64,
+        /// Per node, the earliest tick it is on the wheel for.
+        armed: Vec<Option<u64>>,
+    }
+
+    impl Wakeups {
+        pub(super) fn new(nodes: usize) -> Wakeups {
+            Wakeups {
+                wheel: TimingWheel::new(1024),
+                pushed: 0,
+                armed: vec![None; nodes],
+            }
+        }
+
+        /// Wake local node `node` at virtual tick `tick`, unless it is
+        /// already due to wake no later; a tick already past fires on the
+        /// next drain.
+        pub(super) fn arm(&mut self, tick: u64, node: u32) {
+            let armed = &mut self.armed[node as usize];
+            if armed.is_none_or(|at| tick < at) {
+                *armed = Some(tick);
+                self.pushed += 1;
+                self.wheel.push(SimTime(tick), self.pushed, node);
+            }
+        }
+
+        /// Move every wakeup due at or before `now_tick` into `due`.
+        pub(super) fn drain_due(&mut self, now_tick: u64, due: &mut Vec<u32>) {
+            while self.next_tick().is_some_and(|tick| tick <= now_tick) {
+                if let Some((_, _, node)) = self.wheel.pop() {
+                    self.armed[node as usize] = None;
+                    due.push(node);
+                }
+            }
+        }
+
+        /// The earliest armed tick, if any (drives the worker's sleep).
+        pub(super) fn next_tick(&mut self) -> Option<u64> {
+            self.wheel.next_at().map(|at| at.0)
+        }
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+
+        fn drain(w: &mut Wakeups, now: u64) -> Vec<u32> {
+            let mut due = Vec::new();
+            w.drain_due(now, &mut due);
+            due
+        }
+
+        #[test]
+        fn due_wakeups_fire_and_future_ones_wait() {
+            let mut w = Wakeups::new(10);
+            w.arm(2, 0);
+            w.arm(5, 1);
+            w.arm(5, 2);
+            assert_eq!(w.next_tick(), Some(2));
+            assert_eq!(drain(&mut w, 1), Vec::<u32>::new());
+            assert_eq!(drain(&mut w, 4), vec![0]);
+            assert_eq!(w.next_tick(), Some(5));
+            assert_eq!(drain(&mut w, 5), vec![1, 2]);
+            assert_eq!(w.next_tick(), None);
+        }
+
+        #[test]
+        fn far_deadlines_park_in_overflow_and_still_fire() {
+            let mut w = Wakeups::new(10);
+            w.arm(1, 0);
+            w.arm(100_000, 7);
+            assert_eq!(drain(&mut w, 50), vec![0]);
+            assert_eq!(w.next_tick(), Some(100_000));
+            assert_eq!(drain(&mut w, 99_999), Vec::<u32>::new());
+            assert_eq!(drain(&mut w, 100_000), vec![7]);
+        }
+
+        #[test]
+        fn lapped_entries_do_not_fire_early() {
+            // Ticks 2 and 1026 share a bucket of the 1024-tick window.
+            for order in [[(2, 0), (1026, 1)], [(1026, 1), (2, 0)]] {
+                let mut w = Wakeups::new(10);
+                for (tick, node) in order {
+                    w.arm(tick, node);
+                }
+                assert_eq!(drain(&mut w, 2), vec![0]);
+                assert_eq!(drain(&mut w, 1025), Vec::<u32>::new());
+                assert_eq!(drain(&mut w, 1026), vec![1]);
+            }
+        }
+
+        #[test]
+        fn long_stall_sweeps_everything_once() {
+            let mut w = Wakeups::new(10);
+            w.arm(5_000, 9);
+            for i in 0..4u64 {
+                w.arm(i, i as u32);
+            }
+            assert_eq!(drain(&mut w, 1_000_000), vec![0, 1, 2, 3, 9]);
+            assert_eq!(w.next_tick(), None);
+        }
+
+        #[test]
+        fn past_schedules_fire_on_the_next_advance() {
+            let mut w = Wakeups::new(10);
+            w.arm(8, 0);
+            assert_eq!(drain(&mut w, 10), vec![0]);
+            w.arm(20, 1);
+            w.arm(3, 5); // already past, and below the wheel's window
+            assert_eq!(w.next_tick(), Some(3));
+            assert_eq!(drain(&mut w, 11), vec![5]);
+            assert_eq!(w.next_tick(), Some(20));
+        }
+    }
+}
 
 /// Why a live run stopped instead of finishing — the live runtime's
 /// analogue of the simulator's `RunAbort`. Rendered into the `Err`
@@ -121,9 +246,11 @@ impl Default for ShardTuning {
 /// State shared by the driver and every worker.
 pub(crate) struct ShardShared {
     origin: Instant,
-    /// Present only when a fault (crash/partition) can sever links;
-    /// fault-free scale runs skip the O(n²) allocation.
-    gate: Option<LinkGate>,
+    /// Which nodes are crashed right now, flipped by the driver; present
+    /// only when the run schedules a crash, so fault-free runs pay one
+    /// `None` check per frame. The flags publish nothing — a victim learns
+    /// of its own crash through its control channel — hence `Relaxed`.
+    down: Option<Vec<AtomicBool>>,
     pub(crate) sent: AtomicU64,
     pub(crate) delivered: AtomicU64,
     pub(crate) decode_errors: AtomicU64,
@@ -144,8 +271,37 @@ impl ShardShared {
         self.origin.elapsed().as_nanos() as u64
     }
 
+    fn new(n: usize, can_crash: bool) -> ShardShared {
+        ShardShared {
+            origin: Instant::now(),
+            down: can_crash.then(|| (0..n).map(|_| AtomicBool::new(false)).collect()),
+            sent: AtomicU64::new(0),
+            delivered: AtomicU64::new(0),
+            decode_errors: AtomicU64::new(0),
+            send_failures: AtomicU64::new(0),
+            retransmissions: AtomicU64::new(0),
+            acks_sent: AtomicU64::new(0),
+            ate: AtomicU64::new(0),
+            stop: AtomicBool::new(false),
+            abort: Mutex::new(None),
+            wakers: OnceLock::new(),
+        }
+    }
+
+    /// Whether traffic between `a` and `b` is dropped: one of them is
+    /// crashed. Nodes ask before sending *and* after receiving, so a crash
+    /// also kills what was in flight, in both directions.
     pub(crate) fn severed(&self, a: NodeId, b: NodeId) -> bool {
-        self.gate.as_ref().is_some_and(|g| g.is_severed(a, b))
+        self.down.as_ref().is_some_and(|down| {
+            down[a.index()].load(Ordering::Relaxed) || down[b.index()].load(Ordering::Relaxed)
+        })
+    }
+
+    /// Driver side of a crash (`true`) or a recovery (`false`).
+    fn set_down(&self, node: NodeId, is_down: bool) {
+        if let Some(down) = &self.down {
+            down[node.index()].store(is_down, Ordering::Relaxed);
+        }
     }
 
     fn wake(&self, shard: usize) {
@@ -201,22 +357,13 @@ struct WorkerEnv {
     shard_map: Arc<Vec<u32>>,
 }
 
-fn rearm<P>(
-    node: &ShardNode<P>,
-    i: usize,
-    tick_ns: u64,
-    wheel: &mut ShardWheel,
-    next_wake: &mut [Option<u64>],
-) where
+fn rearm<P>(node: &ShardNode<P>, i: usize, tick_ns: u64, wakeups: &mut Wakeups)
+where
     P: Protocol,
     P::Msg: WireMsg,
 {
     if let Some(at) = node.earliest_deadline_ns() {
-        let tick = at.div_ceil(tick_ns);
-        if next_wake[i].is_none_or(|armed| tick < armed) {
-            wheel.schedule(tick, i as u32);
-            next_wake[i] = Some(tick);
-        }
+        wakeups.arm(at.div_ceil(tick_ns), i as u32);
     }
 }
 
@@ -330,8 +477,7 @@ where
 {
     let udp = matches!(links, Links::Udp { .. });
     let mut wire = WireOut::new();
-    let mut wheel = ShardWheel::new(1024);
-    let mut next_wake: Vec<Option<u64>> = vec![None; nodes.len()];
+    let mut wakeups = Wakeups::new(nodes.len());
     let mut local_q: VecDeque<(NodeId, Vec<u8>)> = VecDeque::new();
     let mut out_bufs: Vec<Vec<u8>> = (0..env.workers).map(|_| batch_begin(env.shard)).collect();
     let mut ready: Vec<(usize, Vec<u8>)> = Vec::new();
@@ -340,7 +486,7 @@ where
     let mut rx_buf = vec![0u8; 65_535];
 
     for (i, node) in nodes.iter().enumerate() {
-        rearm(node, i, env.tick_ns, &mut wheel, &mut next_wake);
+        rearm(node, i, env.tick_ns, &mut wakeups);
     }
 
     'run: loop {
@@ -354,7 +500,7 @@ where
                     wire.clock.witness(clock);
                     let i = (node.0 - env.base) as usize;
                     nodes[i].handle_ctrl(ctrl, &mut wire, &shared);
-                    rearm(&nodes[i], i, env.tick_ns, &mut wheel, &mut next_wake);
+                    rearm(&nodes[i], i, env.tick_ns, &mut wakeups);
                     route_sends(
                         &mut wire,
                         &env,
@@ -401,7 +547,7 @@ where
                         let i = to.0.wrapping_sub(env.base) as usize;
                         if i < nodes.len() {
                             nodes[i].on_envelope(envelope, &mut wire, &shared);
-                            rearm(&nodes[i], i, env.tick_ns, &mut wheel, &mut next_wake);
+                            rearm(&nodes[i], i, env.tick_ns, &mut wakeups);
                         }
                     }
                 }
@@ -424,7 +570,7 @@ where
             busy = true;
             let i = (to.0 - env.base) as usize;
             nodes[i].on_envelope(&envelope, &mut wire, &shared);
-            rearm(&nodes[i], i, env.tick_ns, &mut wheel, &mut next_wake);
+            rearm(&nodes[i], i, env.tick_ns, &mut wakeups);
             route_sends(
                 &mut wire,
                 &env,
@@ -438,12 +584,11 @@ where
         // 4. Due wakeups from the wheel.
         let now_tick = shared.now_ns() / env.tick_ns;
         due.clear();
-        wheel.advance(now_tick, &mut due);
+        wakeups.drain_due(now_tick, &mut due);
         for &i in &due {
             let i = i as usize;
-            next_wake[i] = None;
             nodes[i].tick(&mut wire, &shared);
-            rearm(&nodes[i], i, env.tick_ns, &mut wheel, &mut next_wake);
+            rearm(&nodes[i], i, env.tick_ns, &mut wakeups);
             route_sends(
                 &mut wire,
                 &env,
@@ -459,7 +604,7 @@ where
         while let Some((to, envelope)) = local_q.pop_front() {
             let i = (to.0 - env.base) as usize;
             nodes[i].on_envelope(&envelope, &mut wire, &shared);
-            rearm(&nodes[i], i, env.tick_ns, &mut wheel, &mut next_wake);
+            rearm(&nodes[i], i, env.tick_ns, &mut wakeups);
             route_sends(
                 &mut wire,
                 &env,
@@ -494,8 +639,8 @@ where
         // 6. Sleep until the next deadline (or an unpark).
         if !busy {
             let now_ns = shared.now_ns();
-            let sleep_ns = wheel
-                .next_deadline()
+            let sleep_ns = wakeups
+                .next_tick()
                 .map(|t| t.saturating_mul(env.tick_ns).saturating_sub(now_ns))
                 .unwrap_or(1_000_000)
                 .clamp(50_000, 1_000_000);
@@ -561,21 +706,7 @@ where
     }
     let shard_map = Arc::new(shard_map);
 
-    let needs_gate = cfg.crash.is_some() || cfg.partition.is_some();
-    let shared = Arc::new(ShardShared {
-        origin: Instant::now(),
-        gate: needs_gate.then(|| LinkGate::new(n)),
-        sent: AtomicU64::new(0),
-        delivered: AtomicU64::new(0),
-        decode_errors: AtomicU64::new(0),
-        send_failures: AtomicU64::new(0),
-        retransmissions: AtomicU64::new(0),
-        acks_sent: AtomicU64::new(0),
-        ate: AtomicU64::new(0),
-        stop: AtomicBool::new(false),
-        abort: Mutex::new(None),
-        wakers: OnceLock::new(),
-    });
+    let shared = Arc::new(ShardShared::new(n, cfg.crash.is_some()));
 
     // Transport endpoints: a ring matrix in-process, a socket per shard
     // on UDP.
@@ -714,36 +845,15 @@ where
     if let Some((node, at_ms)) = cfg.recover {
         actions.push((ns(at_ms), Action::Recover(NodeId(node))));
     }
-    if let Some((_, at_ms, heal_ms)) = &cfg.partition {
-        actions.push((ns(*at_ms), Action::PartitionStart));
-        actions.push((ns(*heal_ms), Action::PartitionEnd));
-    }
     for &(at_ms, node, dest) in &cfg.moves {
         actions.push((ns(at_ms), Action::Move(NodeId(node), dest.into())));
     }
     actions.sort_by_key(|&(at, _)| at);
-    let cut_pairs: Vec<(NodeId, NodeId)> = match &cfg.partition {
-        Some((side, _, _)) => {
-            let inside: Vec<bool> = {
-                let mut v = vec![false; n];
-                for &m in side {
-                    v[m as usize] = true;
-                }
-                v
-            };
-            (0..n as u32)
-                .flat_map(|a| (0..n as u32).map(move |b| (NodeId(a), NodeId(b))))
-                .filter(|&(a, b)| a < b && inside[a.index()] != inside[b.index()])
-                .collect()
-        }
-        None => Vec::new(),
-    };
 
     let deadline_ns = cfg.duration_ms.saturating_mul(1_000_000);
     let mut ai = 0;
     let mut quiesce_at: Option<u64> = None;
     let mut recoveries: u64 = 0;
-    let mut partition_active = false;
     loop {
         let now = shared.now_ns();
         while ai < actions.len() && actions[ai].0 <= now {
@@ -754,9 +864,7 @@ where
                     // Sever first so no further traffic leaks, then tell
                     // the victim. Peers are NOT notified: a crash is
                     // silent, exactly as in the simulator.
-                    if let Some(gate) = &shared.gate {
-                        gate.sever_all(*victim);
-                    }
+                    shared.set_down(*victim, true);
                     world.mark_crashed(*victim);
                     send_ctrl(&ctrls, &clock, *victim, Ctrl::Crash);
                 }
@@ -766,23 +874,7 @@ where
                         continue;
                     }
                     world.mark_recovered(node);
-                    // Reopen the victim's gates, except pairs an active
-                    // partition still cuts.
-                    if let Some(gate) = &shared.gate {
-                        for i in 0..n as u32 {
-                            let peer = NodeId(i);
-                            if peer == node || world.is_crashed(peer) {
-                                continue;
-                            }
-                            let cut = partition_active
-                                && cut_pairs.iter().any(|&(a, b)| {
-                                    (a, b) == (node, peer) || (a, b) == (peer, node)
-                                });
-                            if !cut {
-                                gate.set_pair(node, peer, false);
-                            }
-                        }
-                    }
+                    shared.set_down(node, false);
                     // The victim restarts as a fresh incarnation first;
                     // then the rejoin flap makes each surviving neighbor
                     // drop its stale edge state and re-form the link with
@@ -826,24 +918,6 @@ where
                         );
                     }
                     recoveries += 1;
-                }
-                Action::PartitionStart => {
-                    partition_active = true;
-                    if let Some(gate) = &shared.gate {
-                        for &(a, b) in &cut_pairs {
-                            gate.set_pair(a, b, true);
-                        }
-                    }
-                }
-                Action::PartitionEnd => {
-                    partition_active = false;
-                    if let Some(gate) = &shared.gate {
-                        for &(a, b) in &cut_pairs {
-                            if !world.is_crashed(a) && !world.is_crashed(b) {
-                                gate.set_pair(a, b, false);
-                            }
-                        }
-                    }
                 }
                 Action::Move(m, dest) => {
                     if world.is_crashed(*m) {

@@ -4,7 +4,9 @@
 //! *same* state machines the deterministic engine runs), a self-driven
 //! workload clocked by a per-node [`SimRng`], and, under
 //! `LiveConfig::reliable`, one go-back-N state machine per neighbour
-//! ([`crate::arq`]). It has no thread, clock or socket of its own: the
+//! ([`manet_sim::arq::GoBackN`] — the machine the engine hosts, here over
+//! encoded frames and wall nanoseconds, with jitter from the node's own
+//! stream). It has no thread, clock or socket of its own: the
 //! worker calls in with a control event, an envelope or a due wakeup,
 //! records come back stamped by the shard's hybrid clock, outbound
 //! envelopes land in the worker's routing buffer, and every deadline —
@@ -16,11 +18,11 @@
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 
+use manet_sim::arq::{ArqTiming, GoBackN, Rto};
 use manet_sim::{Context, DiningState, Event, NodeId, Protocol, SimConfig, SimRng, SimTime};
 
 use super::clock::{HybridClock, StampedRecord};
 use super::ShardShared;
-use crate::arq::GoBackN;
 use crate::codec::{decode_frame, encode_frame, WireMsg};
 use crate::runtime::{Ctrl, LiveConfig};
 use crate::trace::LiveEventKind;
@@ -66,8 +68,10 @@ pub(crate) struct ShardNode<P: Protocol> {
     dining: DiningState,
     session: u64,
     ate_once: bool,
-    /// Per-peer envelope sequence numbers; a map, not a dense vector,
-    /// so 10k-node shards do not pay O(n) memory per node.
+    /// Per-peer envelope sequence numbers of the current link incarnation
+    /// with the shim off (with it on, the machine numbers the frames); a
+    /// map, not a dense vector, so 10k-node shards do not pay O(n) memory
+    /// per node.
     send_seq: HashMap<u32, u64>,
     /// `(deadline_ns, token)` pairs from `Context::set_timer`.
     timers: Vec<(u64, u64)>,
@@ -77,12 +81,12 @@ pub(crate) struct ShardNode<P: Protocol> {
     timer_buf: Vec<(u64, u64)>,
     /// Fresh incarnation swapped in on a driver `Recover`.
     spare: Option<P>,
-    /// ν in wall nanoseconds when the reliable shim is armed
+    /// The shim's timeouts from ν in wall nanoseconds when it is armed
     /// (`LiveConfig::reliable`), `None` when it is off.
-    arq_nu_ns: Option<u64>,
-    /// Per-peer go-back-N state, created on first use and dropped when
-    /// the link resets; always empty with the shim off.
-    arq: HashMap<u32, GoBackN>,
+    arq_timing: Option<ArqTiming>,
+    /// Per-peer go-back-N state over encoded frames, created on first use
+    /// and dropped when the link resets; always empty with the shim off.
+    arq: HashMap<u32, GoBackN<Vec<u8>>>,
     // Per-node counters behind the shutdown NetStats record.
     n_decode_errors: u64,
     n_send_failures: u64,
@@ -131,10 +135,12 @@ where
             outbox: Vec::new(),
             timer_buf: Vec::new(),
             spare,
-            arq_nu_ns: cfg.reliable.then(|| {
-                SimConfig::default()
-                    .max_message_delay
-                    .saturating_mul(cfg.tick_ns)
+            arq_timing: cfg.reliable.then(|| {
+                ArqTiming::from_nu(
+                    SimConfig::default()
+                        .max_message_delay
+                        .saturating_mul(cfg.tick_ns),
+                )
             }),
             arq: HashMap::new(),
             n_decode_errors: 0,
@@ -233,18 +239,19 @@ where
             // like the engine's `dropped_at_send`.
             return;
         }
-        let seq = self.send_seq.entry(to.0).or_insert(0);
-        *seq += 1;
-        let seq = *seq;
         let frame = encode_frame(&msg);
         let now = shared.now_ns();
-        let ack = match self.arq_nu_ns {
-            Some(nu_ns) => self
-                .arq
-                .entry(to.0)
-                .or_insert_with(|| GoBackN::new(nu_ns))
-                .on_send(now, seq, &frame, &mut self.rng),
-            None => 0,
+        let (seq, ack) = match self.arq_timing {
+            Some(timing) => {
+                let link = self.arq.entry(to.0).or_default();
+                let (seq, _) = link.send(now, frame.clone(), timing, &mut self.rng);
+                (seq, link.take_ack())
+            }
+            None => {
+                let seq = self.send_seq.entry(to.0).or_insert(0);
+                *seq += 1;
+                (*seq, 0)
+            }
         };
         let env = encode_envelope(self.me, ENV_DATA, seq, ack, now, &frame);
         wire.sends.push((to, env));
@@ -252,7 +259,14 @@ where
     }
 
     /// Fire the due retransmission and idle-ack timers of every link.
+    /// While a path is dark (severed, or the peer is no longer a
+    /// neighbour) the timers still run but nothing goes on the wire: a
+    /// dark retransmission backs off without consuming the owed ack, a
+    /// dark idle-ack forgets the debt.
     fn fire_arq(&mut self, now: u64, wire: &mut WireOut, shared: &ShardShared) {
+        let Some(timing) = self.arq_timing else {
+            return;
+        };
         let me = self.me;
         let (mut resent, mut acks) = (0, 0);
         for (&peer, link) in &mut self.arq {
@@ -261,14 +275,25 @@ where
             }
             let peer = NodeId(peer);
             let dark = shared.severed(me, peer) || self.neighbors.binary_search(&peer).is_err();
-            link.on_deadline(now, dark, &mut self.rng, |kind, seq, ack, frame| {
-                match kind {
-                    ENV_DATA => resent += 1,
-                    _ => acks += 1,
+            if link.rto_at().is_some_and(|at| at <= now) {
+                let verdict = link.on_rto(now, timing, &mut self.rng);
+                if !dark && matches!(verdict, Rto::Resend { .. }) {
+                    let ack = link.take_ack();
+                    for (seq, frame) in link.unacked() {
+                        resent += 1;
+                        wire.sends
+                            .push((peer, encode_envelope(me, ENV_DATA, seq, ack, now, frame)));
+                    }
                 }
-                wire.sends
-                    .push((peer, encode_envelope(me, kind, seq, ack, now, frame)));
-            });
+            }
+            if link.ack_at().is_some_and(|at| at <= now) {
+                let owed = link.on_ack_idle();
+                if let (Some(ack), false) = (owed, dark) {
+                    acks += 1;
+                    wire.sends
+                        .push((peer, encode_envelope(me, ENV_ACK, 0, ack, now, b"")));
+                }
+            }
         }
         if resent + acks > 0 {
             self.n_retransmissions += resent;
@@ -276,6 +301,13 @@ where
             shared.retransmissions.fetch_add(resent, Ordering::Relaxed);
             shared.acks_sent.fetch_add(acks, Ordering::Relaxed);
         }
+    }
+
+    /// The link to `peer` flapped: a new incarnation owes nothing to the
+    /// old one, and numbers its frames from 1 again, shim or no shim.
+    fn reset_link(&mut self, peer: NodeId) {
+        self.send_seq.remove(&peer.0);
+        self.arq.remove(&peer.0);
     }
 
     /// Apply a driver control event.
@@ -318,15 +350,14 @@ where
                 if let Err(slot) = self.neighbors.binary_search(&peer) {
                     self.neighbors.insert(slot, peer);
                 }
-                // A new link incarnation owes nothing to the old one.
-                self.arq.remove(&peer.0);
+                self.reset_link(peer);
                 self.apply(Event::LinkUp { peer, kind }, wire, shared);
             }
             Ctrl::LinkDown { peer } => {
                 if let Ok(slot) = self.neighbors.binary_search(&peer) {
                     self.neighbors.remove(slot);
                 }
-                self.arq.remove(&peer.0);
+                self.reset_link(peer);
                 self.apply(Event::LinkDown { peer }, wire, shared);
             }
             Ctrl::MoveStarted => {
@@ -415,14 +446,11 @@ where
                 return;
             }
         };
-        if let Some(nu_ns) = self.arq_nu_ns {
+        if let Some(timing) = self.arq_timing {
             let now = shared.now_ns();
-            let link = self
-                .arq
-                .entry(from.0)
-                .or_insert_with(|| GoBackN::new(nu_ns));
-            link.on_ack(now, ack, &mut self.rng);
-            if is_data && !link.on_data(now, seq) {
+            let link = self.arq.entry(from.0).or_default();
+            link.on_ack(now, ack, timing, &mut self.rng);
+            if is_data && !link.on_data(now, seq, timing).0 {
                 return;
             }
         }
@@ -467,5 +495,91 @@ where
             wire,
             shared,
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::runtime::LiveAlg;
+    use crate::transport::TransportKind;
+    use local_mutex::Algorithm2;
+    use manet_sim::{LinkUpKind, NodeSeed};
+
+    const PEER: NodeId = NodeId(1);
+
+    /// Node 0 of a two-node line, due to go hungry on its first tick.
+    fn node0(reliable: bool) -> (ShardNode<Algorithm2>, WireOut, ShardShared) {
+        let mut cfg = LiveConfig::new(
+            LiveAlg::A2,
+            TransportKind::Mpsc,
+            vec![(0.0, 0.0), (1.0, 0.0)],
+        );
+        cfg.reliable = reliable;
+        cfg.rate = 1e9;
+        let seed = NodeSeed {
+            id: NodeId(0),
+            neighbors: vec![PEER],
+            n_nodes: 2,
+            max_degree: 1,
+        };
+        let proto = Algorithm2::new(&seed);
+        let node = ShardNode::new(seed.id, proto, None, seed.neighbors, &cfg, 0);
+        (node, WireOut::new(), ShardShared::new(2, true))
+    }
+
+    /// `(kind, seq)` of every envelope queued for the wire, draining it.
+    fn sent(wire: &mut WireOut) -> Vec<(u8, u64)> {
+        wire.sends
+            .drain(..)
+            .map(|(to, env)| {
+                assert_eq!(to, PEER);
+                let (_, kind, seq, ..) = decode_envelope(&env).expect("own envelope");
+                (kind, seq)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn each_link_incarnation_numbers_its_envelopes_from_one() {
+        for reliable in [false, true] {
+            let (mut node, mut wire, shared) = node0(reliable);
+            node.tick(&mut wire, &shared);
+            let first = sent(&mut wire);
+            assert!(!first.is_empty(), "a hungry node announces itself");
+            let numbered = (1..).map(|seq| (ENV_DATA, seq));
+            assert!(first.iter().copied().eq(numbered.take(first.len())));
+
+            node.handle_ctrl(Ctrl::LinkDown { peer: PEER }, &mut wire, &shared);
+            let kind = LinkUpKind::AsMoving;
+            node.handle_ctrl(Ctrl::LinkUp { peer: PEER, kind }, &mut wire, &shared);
+            let after = sent(&mut wire);
+            assert_eq!(
+                after.first(),
+                Some(&(ENV_DATA, 1)),
+                "reliable {reliable}: a reconnect restarts at 1, got {after:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_dark_path_lets_the_timers_run_but_puts_nothing_on_the_wire() {
+        let (mut node, mut wire, shared) = node0(true);
+        node.tick(&mut wire, &shared);
+        let buffered = sent(&mut wire);
+        let rto = node.arq[&PEER.0].rto_at().expect("frames in flight");
+
+        shared.set_down(PEER, true);
+        node.fire_arq(rto, &mut wire, &shared);
+        assert_eq!(sent(&mut wire), vec![], "nothing crosses a dark path");
+        let link = &node.arq[&PEER.0];
+        assert_eq!(link.in_flight(), buffered.len(), "still buffered");
+        let backed_off = link.rto_at().expect("still armed");
+        assert!(backed_off - rto >= 4_000_000, "doubled to 4ν = 4 ms");
+
+        shared.set_down(PEER, false);
+        node.fire_arq(backed_off, &mut wire, &shared);
+        assert_eq!(sent(&mut wire), buffered, "resent once the path is lit");
+        assert_eq!(node.n_retransmissions, buffered.len() as u64);
     }
 }

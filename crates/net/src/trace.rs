@@ -51,7 +51,8 @@ pub enum LiveEventKind {
         from: NodeId,
         /// Receiver (the recording node).
         to: NodeId,
-        /// Per-directed-link sequence number from the envelope.
+        /// Sequence number from the envelope: per directed link
+        /// incarnation, from 1 (a reconnect restarts at 1).
         seq: u64,
         /// Protocol-reported message kind (for the census).
         kind: &'static str,

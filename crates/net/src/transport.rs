@@ -1,11 +1,7 @@
-//! The envelope format, the link gate, and the transport selector.
+//! The envelope format and the transport selector.
 //!
 //! Envelopes are opaque bytes to whatever carries them — a same-shard
 //! queue, an in-process ring or a UDP datagram (see [`crate::shard`]).
-//! Link-level policy — crashes, partitions, dead links — lives in the
-//! [`LinkGate`], which the driver flips to *sever* traffic without the
-//! carrier's cooperation (exactly how the simulator's fault adversary
-//! sits outside the protocol).
 //!
 //! The envelope wraps one codec frame with routing metadata:
 //!
@@ -16,14 +12,13 @@
 //! ```
 //!
 //! `kind` separates protocol data ([`ENV_DATA`]) from the reliable shim's
-//! standalone acknowledgments ([`ENV_ACK`], empty frame). `seq` is the
-//! per-directed-link sequence number (FIFO witness of the live trace),
-//! `ack` the cumulative acknowledgment piggybacked by the reliable shim
+//! standalone acknowledgments ([`ENV_ACK`], empty frame). `seq` numbers
+//! the data frames of one directed link incarnation from 1 (FIFO witness
+//! of the live trace; a reconnect restarts at 1), `ack` is the
+//! cumulative acknowledgment piggybacked by the reliable shim
 //! (0 when the shim is off), and `sent_ns` the sender's monotonic send
 //! instant relative to the run's shared origin (what the conformance
 //! replay quantizes into simulator delivery delays).
-
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use manet_sim::NodeId;
 
@@ -95,58 +90,6 @@ pub fn decode_envelope(bytes: &[u8]) -> Result<(NodeId, u8, u64, u64, u64, &[u8]
     Ok((from, kind, seq, ack, sent_ns, frame))
 }
 
-/// Directed-link kill switches, shared by the driver and every worker.
-/// The driver severs links to inject crashes and partitions; nodes
-/// consult the gate before sending *and* after receiving, so a
-/// partition drops in-flight traffic in both directions — mirroring the
-/// simulator's `PartitionWindow`, which cuts links without notifying the
-/// protocols.
-#[derive(Debug)]
-pub struct LinkGate {
-    n: usize,
-    severed: Vec<AtomicBool>,
-}
-
-impl LinkGate {
-    /// A gate with every directed link open.
-    pub fn new(n: usize) -> LinkGate {
-        LinkGate {
-            n,
-            severed: (0..n * n).map(|_| AtomicBool::new(false)).collect(),
-        }
-    }
-
-    fn idx(&self, from: NodeId, to: NodeId) -> usize {
-        from.index() * self.n + to.index()
-    }
-
-    /// Whether `from → to` is currently severed.
-    pub fn is_severed(&self, from: NodeId, to: NodeId) -> bool {
-        self.severed[self.idx(from, to)].load(Ordering::Relaxed)
-    }
-
-    /// Open or sever the directed link `from → to`.
-    pub fn set(&self, from: NodeId, to: NodeId, severed: bool) {
-        self.severed[self.idx(from, to)].store(severed, Ordering::Relaxed);
-    }
-
-    /// Sever or heal both directions between `a` and `b`.
-    pub fn set_pair(&self, a: NodeId, b: NodeId, severed: bool) {
-        self.set(a, b, severed);
-        self.set(b, a, severed);
-    }
-
-    /// Sever every link touching `node` (crash injection).
-    pub fn sever_all(&self, node: NodeId) {
-        for i in 0..self.n as u32 {
-            let peer = NodeId(i);
-            if peer != node {
-                self.set_pair(node, peer, true);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,19 +110,5 @@ mod tests {
         assert_eq!(kind, ENV_ACK);
         assert_eq!(ack, 9);
         assert!(frame.is_empty());
-    }
-
-    #[test]
-    fn link_gate_severs_directionally() {
-        let gate = LinkGate::new(3);
-        assert!(!gate.is_severed(NodeId(0), NodeId(1)));
-        gate.set(NodeId(0), NodeId(1), true);
-        assert!(gate.is_severed(NodeId(0), NodeId(1)));
-        assert!(!gate.is_severed(NodeId(1), NodeId(0)));
-        gate.sever_all(NodeId(2));
-        assert!(gate.is_severed(NodeId(2), NodeId(0)));
-        assert!(gate.is_severed(NodeId(1), NodeId(2)));
-        gate.set_pair(NodeId(0), NodeId(1), false);
-        assert!(!gate.is_severed(NodeId(0), NodeId(1)));
     }
 }

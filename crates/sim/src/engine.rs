@@ -6,6 +6,7 @@
 //! [`crate::links::LinkStore`]s, so a run's memory follows its links, not
 //! `n²`.
 
+use crate::arq::Rto;
 use crate::channel::{ChannelConfig, ChannelState, ChannelStats, Flight};
 use crate::command::Command;
 use crate::config::SimConfig;
@@ -308,8 +309,7 @@ impl<M> Core<M> {
     fn bump_link(&mut self, a: NodeId, b: NodeId) {
         self.links.bump(a, b);
         if let Some(shim) = &mut self.shim {
-            shim.send.bump(a, b);
-            shim.recv.bump(a, b);
+            shim.links.bump(a, b);
         }
         if let Some(channel) = &mut self.channel {
             channel.cb.bump(a, b);
@@ -1121,90 +1121,11 @@ impl<P: Protocol> Engine<P> {
         }
     }
 
-    /// Shim-mode send: assign the next sequence number on the channel's
-    /// current incarnation, buffer the payload for retransmission, arm the
-    /// retransmission timer if idle, and put a data frame (with a
-    /// piggybacked cumulative ack for the reverse channel) on the wire.
-    fn shim_send(&mut self, from: NodeId, to: NodeId, msg: P::Msg) {
-        let epoch = self.core.links.incarnation(from, to);
-        let shim = self.core.shim.as_mut().expect("shim_send without shim");
-        let slot = shim.send.get_mut(from, to);
-        if slot.buf.len() >= shim::WINDOW {
-            self.core.abort.get_or_insert(RunAbort::ShimBufferOverflow {
-                from,
-                to,
-                window: shim::WINDOW,
-            });
-            return;
-        }
-        let seq = slot.next_seq();
-        slot.buf.push_back(msg.clone());
-        let depth = slot.buf.len() as u64;
-        let arm = if slot.rto_armed {
-            None
-        } else {
-            slot.rto_gen += 1;
-            slot.rto_armed = true;
-            Some((slot.rto_gen, slot.attempts))
-        };
-        let hw = &mut self.core.stats.shim.buffer_high_water;
-        *hw = (*hw).max(depth);
-        if let Some((gen, attempts)) = arm {
-            let delay = self.core.shim.as_mut().expect("shim").backoff(attempts);
-            let at = self.core.now + delay;
-            self.core.push(
-                at,
-                Item::ShimRto {
-                    from,
-                    to,
-                    epoch,
-                    gen,
-                },
-            );
-        }
-        let ack = self
-            .core
-            .shim
-            .as_mut()
-            .expect("shim")
-            .take_piggyback_ack(from, to);
-        self.physical_send(from, to, Wire::Data { seq, ack, msg });
-    }
-
-    /// Apply a cumulative acknowledgment (piggybacked or standalone) to
-    /// the sender-side slot `owner` keeps for its data channel to `peer`:
-    /// release acknowledged frames, reset the backoff on progress, and
-    /// re-arm or disarm the retransmission timer.
-    fn shim_apply_ack(&mut self, owner: NodeId, peer: NodeId, epoch: u64, ack: u64) {
-        let shim = self
-            .core
-            .shim
-            .as_mut()
-            .expect("shim_apply_ack without shim");
-        let slot = shim.send.get_mut(owner, peer);
-        let mut progress = false;
-        while slot.base <= ack && !slot.buf.is_empty() {
-            slot.buf.pop_front();
-            slot.base += 1;
-            progress = true;
-        }
-        if !progress {
-            return;
-        }
-        slot.attempts = 0;
-        if slot.buf.is_empty() {
-            slot.rto_armed = false;
-            return;
-        }
-        // Outstanding frames remain: restart the timer from the initial
-        // timeout (the channel just proved it is making progress).
-        slot.rto_gen += 1;
-        slot.rto_armed = true;
-        let gen = slot.rto_gen;
-        let delay = self.core.shim.as_mut().expect("shim").backoff(0);
-        let at = self.core.now + delay;
+    /// Queue generation `gen` of the retransmission timer `owner`'s machine
+    /// just armed for its link to `peer`.
+    fn push_shim_rto(&mut self, owner: NodeId, peer: NodeId, epoch: u64, gen: u64, at: u64) {
         self.core.push(
-            at,
+            SimTime(at),
             Item::ShimRto {
                 from: owner,
                 to: peer,
@@ -1212,6 +1133,52 @@ impl<P: Protocol> Engine<P> {
                 gen,
             },
         );
+    }
+
+    /// Shim-mode send: number the message on `from`'s end of the link's
+    /// current incarnation, buffer it for retransmission, queue the
+    /// retransmission timer if this armed it, and put a data frame (with
+    /// a piggybacked cumulative ack for the reverse channel) on the wire.
+    fn shim_send(&mut self, from: NodeId, to: NodeId, msg: P::Msg) {
+        let epoch = self.core.links.incarnation(from, to);
+        let now = self.core.now.0;
+        let shim = self.core.shim.as_mut().expect("shim_send without shim");
+        let link = shim.links.get_mut(from, to);
+        if link.arq.in_flight() >= shim::WINDOW {
+            self.core.abort.get_or_insert(RunAbort::ShimBufferOverflow {
+                from,
+                to,
+                window: shim::WINDOW,
+            });
+            return;
+        }
+        let (seq, armed) = link.arq.send(now, msg.clone(), shim.timing, &mut shim.rng);
+        let armed = armed.map(|at| (link.next_rto_gen(), at));
+        let ack = link.arq.take_ack();
+        let depth = link.arq.in_flight() as u64;
+        let hw = &mut self.core.stats.shim.buffer_high_water;
+        *hw = (*hw).max(depth);
+        if let Some((gen, at)) = armed {
+            self.push_shim_rto(from, to, epoch, gen, at);
+        }
+        self.physical_send(from, to, Wire::Data { seq, ack, msg });
+    }
+
+    /// Apply a cumulative acknowledgment (piggybacked or standalone) to
+    /// `owner`'s end of its link to `peer`, and queue the retransmission
+    /// timer if frames still in flight re-armed it.
+    fn shim_apply_ack(&mut self, owner: NodeId, peer: NodeId, epoch: u64, ack: u64) {
+        let now = self.core.now.0;
+        let shim = self
+            .core
+            .shim
+            .as_mut()
+            .expect("shim_apply_ack without shim");
+        let link = shim.links.get_mut(owner, peer);
+        if let Some(at) = link.arq.on_ack(now, ack, shim.timing, &mut shim.rng) {
+            let gen = link.next_rto_gen();
+            self.push_shim_rto(owner, peer, epoch, gen, at);
+        }
     }
 
     /// A sequenced data frame arrived: process its piggybacked ack, then
@@ -1232,27 +1199,15 @@ impl<P: Protocol> Engine<P> {
             return;
         }
         self.shim_apply_ack(to, from, link_epoch, ack);
+        let now = self.core.now.0;
         let shim = self.core.shim.as_mut().expect("shim_data without shim");
-        let ack_idle = shim.ack_idle;
-        let slot = shim.recv.get_mut(from, to);
-        // Every data arrival creates ack debt; the idle timer guarantees
-        // it is paid even on one-way traffic.
-        slot.ack_owed = true;
-        let deliver = seq == slot.next;
-        if deliver {
-            slot.next += 1;
-        }
-        let arm = if slot.ack_armed {
-            None
-        } else {
-            slot.ack_gen += 1;
-            slot.ack_armed = true;
-            Some(slot.ack_gen)
-        };
-        if let Some(gen) = arm {
-            let at = self.core.now + ack_idle;
+        let link = shim.links.get_mut(to, from);
+        let (deliver, armed) = link.arq.on_data(now, seq, shim.timing);
+        if let Some(at) = armed {
+            link.ack_gen += 1;
+            let gen = link.ack_gen;
             self.core.push(
-                at,
+                SimTime(at),
                 Item::ShimAckIdle {
                     from,
                     to,
@@ -1267,61 +1222,31 @@ impl<P: Protocol> Engine<P> {
     }
 
     /// Retransmission timeout fired: resend every buffered frame of the
-    /// channel (go-back-N) and re-arm with exponential backoff — or give
-    /// up and discard after [`shim::MAX_RETRIES`] consecutive silent timeouts.
-    /// Giving up matters: a crashed peer keeps its links up (crashes are
-    /// silent), so without it every crash would retransmit forever and
-    /// livelock into the event budget.
+    /// channel (go-back-N) under the re-armed, backed-off timer — unless
+    /// the machine is idle or has given up on a silent peer.
     fn shim_rto(&mut self, from: NodeId, to: NodeId, epoch: u64, gen: u64) {
         if self.core.world.is_crashed(from) || self.core.links.incarnation(from, to) != epoch {
             return;
         }
+        let now = self.core.now.0;
         let shim = self.core.shim.as_mut().expect("shim_rto without shim");
-        let slot = shim.send.get_mut(from, to);
-        if !slot.rto_armed || slot.rto_gen != gen {
+        let link = shim.links.get_mut(from, to);
+        if link.arq.rto_at().is_none() || link.rto_gen != gen {
             return;
         }
-        slot.rto_armed = false;
-        if slot.buf.is_empty() {
+        let Rto::Resend { rto_at } = link.arq.on_rto(now, shim.timing, &mut shim.rng) else {
             return;
-        }
-        slot.attempts += 1;
-        if slot.attempts > shim::MAX_RETRIES {
-            slot.base += slot.buf.len() as u64;
-            slot.buf.clear();
-            slot.attempts = 0;
-            return;
-        }
-        let attempts = slot.attempts;
-        slot.rto_gen += 1;
-        slot.rto_armed = true;
-        let gen = slot.rto_gen;
-        let base = slot.base;
-        let frames: Vec<(u64, P::Msg)> = slot
-            .buf
-            .iter()
-            .cloned()
-            .enumerate()
-            .map(|(i, m)| (base + i as u64, m))
+        };
+        let gen = link.next_rto_gen();
+        let ack = link.arq.take_ack();
+        let frames: Vec<(u64, P::Msg)> = link
+            .arq
+            .unacked()
+            .map(|(seq, msg)| (seq, msg.clone()))
             .collect();
         self.core.stats.shim.retransmissions += frames.len() as u64;
-        let delay = self.core.shim.as_mut().expect("shim").backoff(attempts);
-        let at = self.core.now + delay;
-        self.core.push(
-            at,
-            Item::ShimRto {
-                from,
-                to,
-                epoch,
-                gen,
-            },
-        );
-        let ack = self
-            .core
-            .shim
-            .as_mut()
-            .expect("shim")
-            .take_piggyback_ack(from, to);
+        // The timer item goes in before the frames it covers.
+        self.push_shim_rto(from, to, epoch, gen, rto_at);
         for (seq, msg) in frames {
             self.physical_send(from, to, Wire::Data { seq, ack, msg });
         }
@@ -1335,18 +1260,14 @@ impl<P: Protocol> Engine<P> {
             return;
         }
         let shim = self.core.shim.as_mut().expect("shim_ack_idle without shim");
-        let slot = shim.recv.get_mut(from, to);
-        if !slot.ack_armed || slot.ack_gen != gen {
+        let link = shim.links.get_mut(to, from);
+        if link.arq.ack_at().is_none() || link.ack_gen != gen {
             return;
         }
-        slot.ack_armed = false;
-        if !slot.ack_owed {
-            return;
+        if let Some(ack) = link.arq.on_ack_idle() {
+            self.core.stats.shim.acks_sent += 1;
+            self.physical_send(to, from, Wire::Ack { ack });
         }
-        slot.ack_owed = false;
-        let ack = slot.next - 1;
-        self.core.stats.shim.acks_sent += 1;
-        self.physical_send(to, from, Wire::Ack { ack });
     }
 
     /// Put one physical frame on the `from → to` channel: delay choice
@@ -2939,12 +2860,7 @@ mod tests {
         let directed = 2 * ring.len();
         let shim = e.core.shim.as_ref().unwrap();
         let channel = e.core.channel.as_ref().unwrap();
-        let lens = [
-            e.core.links.len(),
-            shim.send.len(),
-            shim.recv.len(),
-            channel.ge.len(),
-        ];
+        let lens = [e.core.links.len(), shim.links.len(), channel.ge.len()];
         for len in lens {
             assert!(len > directed / 2 && len <= directed, "{lens:?}");
         }

@@ -57,6 +57,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod arq;
 mod channel;
 mod command;
 mod config;
@@ -95,4 +96,5 @@ pub use sched::{
 pub use shim::{ArqConfig, ShimStats};
 pub use time::SimTime;
 pub use trace::{TraceEntry, TraceKind};
+pub use wheel::TimingWheel;
 pub use world::{LinkChange, Position, World};

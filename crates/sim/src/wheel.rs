@@ -1,15 +1,18 @@
-//! The engine's event queue: a bounded-horizon timing wheel.
+//! The event queue: a bounded-horizon timing wheel.
 //!
-//! The engine dispatches events in `(time, sequence)` order. The wheel
-//! exploits the model's bounded scheduling horizon — message delays are
-//! capped by ν and motion steps by `move_step_ticks`, so almost every event
-//! lands within a small window above the current instant — to make both
-//! `push` and `pop` O(1): events hash into per-tick buckets, ties within a
-//! bucket are consumed in insertion (= sequence) order, and the rare event
-//! beyond the window parks in a small overflow heap consulted alongside the
-//! wheel. The contract is the `(at, seq)` total order; the unit tests below
-//! hold the wheel to it against `std::collections::BinaryHeap`. See
-//! DESIGN.md §12 for the argument.
+//! It has two hosts: the engine dispatches its events from one in
+//! `(time, sequence)` order, and each live shard worker keeps its nodes'
+//! wakeups in one, keyed on virtual ticks. Both schedule almost nothing
+//! far ahead — message delays are capped by ν, motion steps by
+//! `move_step_ticks`, think times and protocol timers are short — so
+//! almost every entry lands within a small window above the current
+//! instant, and the wheel makes both `push` and `pop` O(1): entries hash
+//! into per-tick buckets, ties within a bucket are consumed in insertion
+//! (= sequence) order, and the rare entry outside the window — beyond it,
+//! or, for the live host, already past — parks in a small overflow heap
+//! consulted alongside the wheel. The contract is the `(at, seq)` total
+//! order; the unit tests below hold the wheel to it against
+//! `std::collections::BinaryHeap`. See DESIGN.md §12 for the argument.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -64,11 +67,14 @@ struct Cand {
 /// * every bucket-resident entry satisfies `base ≤ at < base + size`, so
 ///   `at & mask` is injective over pending ticks and each bucket holds one
 ///   `at` value, in sequence order;
-/// * `base` only advances, to the `at` of each popped entry (the global
-///   minimum, so nothing pending is ever below `base`);
-/// * entries outside the window go to the `overflow` heap and are popped
-///   from there — they are never redistributed onto the wheel.
-pub(crate) struct TimingWheel<T> {
+/// * `base` only advances while anything is pending, to the `at` of each
+///   popped entry (the global minimum, so nothing on the wheel is ever
+///   below `base`);
+/// * entries outside the window — beyond it, or below `base` (a deadline
+///   that had already passed when it was pushed) — go to the `overflow`
+///   heap and are popped from there; they are never redistributed onto the
+///   wheel.
+pub struct TimingWheel<T> {
     slab: Vec<Slot<T>>,
     free: Vec<u32>,
     buckets: Vec<Bucket>,
@@ -94,13 +100,21 @@ impl<T> TimingWheel<T> {
         TimingWheel::new(size as usize)
     }
 
-    fn new(size: usize) -> TimingWheel<T> {
-        debug_assert!(size.is_power_of_two());
+    /// A wheel whose window spans `buckets` ticks.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `buckets` is a power of two.
+    pub fn new(buckets: usize) -> TimingWheel<T> {
+        assert!(
+            buckets.is_power_of_two(),
+            "wheel size {buckets} is not a power of two"
+        );
         TimingWheel {
             slab: Vec::new(),
             free: Vec::new(),
-            buckets: (0..size).map(|_| Bucket::default()).collect(),
-            mask: size as u64 - 1,
+            mask: buckets as u64 - 1,
+            buckets: (0..buckets).map(|_| Bucket::default()).collect(),
             base: SimTime::ZERO,
             overflow: BinaryHeap::new(),
             cached: None,
@@ -126,8 +140,9 @@ impl<T> TimingWheel<T> {
         }
     }
 
-    /// Insert an entry. `seq` must exceed every previously pushed `seq`.
-    pub(crate) fn push(&mut self, at: SimTime, seq: u64, item: T) {
+    /// Insert an entry. `seq` must exceed every previously pushed `seq`;
+    /// `at` may lie anywhere, including before entries already popped.
+    pub fn push(&mut self, at: SimTime, seq: u64, item: T) {
         if self.len == 0 {
             // Nothing pending: re-anchor the window so a long quiet gap
             // does not force future near-term events into the overflow.
@@ -140,7 +155,7 @@ impl<T> TimingWheel<T> {
             self.buckets[(at.0 & self.mask) as usize].entries.push(slot);
             Loc::Bucket
         } else {
-            // Beyond the window (or, defensively, below the base).
+            // Beyond the window, or below the base.
             self.overflow.push(Reverse((at, seq, slot)));
             Loc::Overflow
         };
@@ -198,7 +213,7 @@ impl<T> TimingWheel<T> {
     /// Time of the next entry in `(at, seq)` order, without removing it.
     /// The following [`TimingWheel::pop`] returns exactly this entry — peek
     /// and pop share one candidate, so the two can never desynchronize.
-    pub(crate) fn next_at(&mut self) -> Option<SimTime> {
+    pub fn next_at(&mut self) -> Option<SimTime> {
         self.ensure_cand();
         self.cached.map(|c| c.at)
     }
@@ -216,7 +231,7 @@ impl<T> TimingWheel<T> {
     }
 
     /// Remove and return the smallest entry in `(at, seq)` order.
-    pub(crate) fn pop(&mut self) -> Option<(SimTime, u64, T)> {
+    pub fn pop(&mut self) -> Option<(SimTime, u64, T)> {
         self.ensure_cand();
         let c = self.cached.take()?;
         match c.loc {
@@ -284,38 +299,46 @@ mod tests {
     #[test]
     fn peek_always_matches_the_next_pop() {
         // Randomized differential run against the reference heap, including
-        // far events (overflow), interleaved pushes and pops, and peeks
-        // between every step.
+        // far events (overflow), deadlines already past when pushed (the
+        // live host schedules those; they sit below the window), interleaved
+        // pushes and pops, and peeks between every step.
         let mut rng = SimRng::seed_from_u64(0xBEE5_0001);
         let mut heap = Reference::new();
         let mut wheel = wheel();
         let mut now = 0u64;
         let mut seq = 0u64;
+        let mut late = 0;
         for step in 0..20_000 {
             if rng.gen_bool(0.55) || heap.is_empty() {
                 // Mostly near-term events; occasionally far beyond the
-                // 256-tick window, and sometimes exactly `now`.
-                let delay = match rng.gen_range(0..10u32) {
-                    0 => 0,
-                    1..=7 => rng.gen_range(0..12u64),
-                    8 => rng.gen_range(200..300u64),
-                    _ => rng.gen_range(1_000..50_000u64),
+                // 256-tick window, sometimes exactly `now`, and sometimes
+                // before `now`: below the window once anything was popped.
+                let at = match rng.gen_range(0..11u32) {
+                    0 => now,
+                    1..=7 => now + rng.gen_range(0..12u64),
+                    8 => now + rng.gen_range(200..300u64),
+                    9 => now + rng.gen_range(1_000..50_000u64),
+                    _ => {
+                        late += 1;
+                        now.saturating_sub(rng.gen_range(1..400u64))
+                    }
                 };
                 seq += 1;
-                heap.push(Reverse((SimTime(now + delay), seq, seq)));
-                wheel.push(SimTime(now + delay), seq, seq);
+                heap.push(Reverse((SimTime(at), seq, seq)));
+                wheel.push(SimTime(at), seq, seq);
             } else {
                 let next = heap.peek().map(|Reverse((at, _, _))| *at);
                 assert_eq!(next, wheel.next_at(), "peek diverged @{step}");
                 let h = heap.pop().map(|Reverse(e)| e);
                 assert_eq!(h, wheel.pop(), "pop diverged @{step}");
                 if let Some((at, _, _)) = h {
-                    assert!(at.0 >= now, "time went backwards @{step}");
-                    now = at.0;
+                    // A late entry pops at once, without moving `now` back.
+                    now = now.max(at.0);
                 }
             }
             assert_eq!(heap.len(), wheel.len());
         }
+        assert!(late > 500, "only {late} pushes below the minimum");
         while let Some(Reverse(h)) = heap.pop() {
             assert_eq!(Some(h), wheel.pop());
         }

@@ -15,6 +15,36 @@
 //!    algorithm still feeds every node and quiesces safely.
 //! 4. **Crash → recover.** A node crashed mid-run and recovered as a
 //!    fresh incarnation rejoins without duplicating or losing a fork.
+//!
+//! Between pillars 1 and 2 sits the **shim-on golden**
+//! (`shim_on_runs_are_bit_for_bit_the_pinned_machine`): one FNV-64 constant
+//! over eight seeds of everything a shim-armed run can show — trace, stats,
+//! abort, the state digest mid-run and at the end, a harness outcome with
+//! its JSONL line. It is what holds the go-back-N machine's timing
+//! (`manet_sim::arq`) still: which frame is resent when, under which jitter
+//! draw, which timer is armed under which generation.
+//!
+//! Provenance: `SHIM_ON_GOLDEN` was computed on commit `121a55f`, the last
+//! one whose engine carried its own window/backoff/ack bookkeeping
+//! (`SendSlot`/`RecvSlot` in `sim/shim.rs`), with this file copied onto it
+//! and the constant zeroed; it must be reproduced unchanged by the shared
+//! machine. There the engine cells read, per seed (retransmissions /
+//! standalone acks / buffer high water; sender give-ups, found with a
+//! scratch `eprintln!` in `shim_rto`):
+//!
+//! | seed | retransmissions | acks | high water | give-ups |
+//! |------|-----------------|------|------------|----------|
+//! | 1 | 6196 | 4666 | 4 | 1 (to the crashed node) |
+//! | 2 | 6714 | 4992 | 4 | 3 (to the crashed node) |
+//! | 3 | 5293 | 4105 | 4 | 2 (to the crashed node) |
+//! | 4 | 4119 | 3013 | 4 | 3 (16-frame Gilbert–Elliott bursts) |
+//! | 5 | 5521 | 3981 | 4 | 2 (one to the crashed node, one burst) |
+//! | 6 | 6098 | 4396 | 4 | 0 |
+//! | 7 | 5691 | 4303 | 5 | 1 (to the crashed node) |
+//! | 8 | 5866 | 4551 | 4 | 3 (to the crashed node) |
+//!
+//! No cell aborts. An *intentional* change to the machine's timing re-pins
+//! by pasting the printed value over the constant, and says so.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -26,9 +56,12 @@ use harness::{run_algorithm, topology, AlgKind, RunReport, RunSpec, SafetyMonito
 use local_mutex::testutil::AutoExit;
 use local_mutex::{Algorithm1, Algorithm2};
 use manet_sim::{
-    ArqConfig, DiningState, Engine, FaultPlan, Hook, LinkFaults, NodeId, NodeSeed, Protocol,
-    ShimStats, SimConfig, SimTime, Sink, View,
+    ArqConfig, ChannelConfig, CrashWave, DiningState, Engine, FaultPlan, Hook, LinkFaults, NodeId,
+    NodeSeed, PartitionWindow, Protocol, ShimStats, SimConfig, SimTime, Sink, View,
 };
+
+mod sim_golden;
+use sim_golden::Fold;
 
 /// Counts `Eating` transitions per node — the session census of an
 /// engine-level run.
@@ -247,6 +280,103 @@ fn shim_off_reports_render_zero_suffix_counters() {
         );
     }
 }
+
+// ---------------------------------------------------------------------
+// 1b. Shim on: the go-back-N machine's timing, bit for bit.
+// ---------------------------------------------------------------------
+
+/// One engine-level cell of the shim-on golden: traced A2 on `random:30`
+/// with the shim armed over Gilbert–Elliott burst loss, 20 % drops and
+/// 10 % duplicates, under waypoint motion, with a crash, a partition
+/// window and a recovery. The state digest is folded mid-run too: pending
+/// retransmission and idle-ack timers are queue items, so it pins which
+/// timers are armed, for when, and under which generation.
+fn fold_shim_run(fold: &mut Fold, seed: u64) -> ShimStats {
+    const N: usize = 30;
+    const HORIZON: u64 = 9_000;
+    let victim = NodeId(seed as u32 % N as u32);
+    let cfg = SimConfig {
+        seed,
+        trace: true,
+        arq: Some(ArqConfig::default()),
+        channel: ChannelConfig::burst_loss_default(),
+        fault: FaultPlan {
+            link: Some(LinkFaults {
+                drop: 0.2,
+                duplicate: 0.1,
+                ..LinkFaults::default()
+            }),
+            // 4 500 ticks of silence: well past the give-up, which needs
+            // 17 unanswered timeouts (2ν + 4ν + 8ν + 14 × 16ν = 238ν plus
+            // up to 25 % jitter, so under 300ν = 3 000 ticks).
+            crash_waves: vec![CrashWave {
+                at: 1_500,
+                nodes: vec![victim],
+            }],
+            recovers: vec![CrashWave {
+                at: 6_000,
+                nodes: vec![victim],
+            }],
+            partitions: vec![PartitionWindow {
+                at: 3_000,
+                side: (0..8).map(NodeId).collect(),
+                heal_after: 1_000,
+            }],
+            ..FaultPlan::default()
+        },
+        ..SimConfig::default()
+    };
+    let positions = topology::random_connected(N, seed);
+    let mut eng = Engine::new(cfg, positions, |s| Algorithm2::new(&s));
+    eng.add_hook(Box::new(AutoExit::new(8)));
+    for wave in (0..HORIZON).step_by(1_400) {
+        for i in 0..N as u32 {
+            eng.set_hungry_at(SimTime(wave + 1 + u64::from(i % 7)), NodeId(i));
+        }
+    }
+    for (at, cmd) in sim_golden::waypoints(N, 10, HORIZON, seed ^ 0xA59) {
+        eng.schedule(at, cmd);
+    }
+    eng.run_until(SimTime(HORIZON / 2));
+    fold.add(&eng.state_digest());
+    eng.run_until(SimTime(HORIZON));
+    fold.add(&eng.state_digest());
+    fold.add(&eng.trace());
+    fold.add(eng.stats());
+    fold.add(&eng.abort());
+    eng.stats().shim.clone()
+}
+
+/// The harness-level cell: A1-linial on `ring:12` under 25 % sustained
+/// loss with the shim armed, folded with its JSONL line.
+fn fold_shim_outcome(fold: &mut Fold, seed: u64) {
+    let mut spec = sim_golden::spec_with_seed(seed, 8_000, sustained_loss(0.25));
+    spec.sim.arq = Some(ArqConfig::default());
+    sim_golden::fold_outcome(
+        fold,
+        "ring:12+arq",
+        AlgKind::A1Linial,
+        &spec,
+        &topology::ring(12),
+        &[],
+    );
+}
+
+#[test]
+fn shim_on_runs_are_bit_for_bit_the_pinned_machine() {
+    let mut fold = Fold::new();
+    for seed in sim_golden::SEEDS {
+        let shim = fold_shim_run(&mut fold, seed);
+        assert!(
+            shim.retransmissions > 0 && shim.acks_sent > 0,
+            "seed {seed}: the cell no longer exercises the shim: {shim:?}"
+        );
+        fold_shim_outcome(&mut fold, seed);
+    }
+    fold.check("random:30+arq / ring:12+arq", SHIM_ON_GOLDEN);
+}
+
+const SHIM_ON_GOLDEN: u64 = 0xb228_430a_38bf_1f24;
 
 // ---------------------------------------------------------------------
 // 2. Shim on, loss-free: same census, no overhead on correctness.
