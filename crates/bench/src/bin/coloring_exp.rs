@@ -48,13 +48,13 @@ fn schedule_growth() {
 fn drive_path(k: usize, make: impl Fn(NodeId) -> Box<dyn RecolorProcedure>) -> (usize, Vec<i64>) {
     let mut procs: Vec<Box<dyn RecolorProcedure>> =
         (0..k).map(|i| make(NodeId(i as u32))).collect();
-    let neighbors = |i: usize| -> BTreeSet<NodeId> {
-        let mut s = BTreeSet::new();
+    let neighbors = |i: usize| -> Vec<NodeId> {
+        let mut s = Vec::new();
         if i > 0 {
-            s.insert(NodeId(i as u32 - 1));
+            s.push(NodeId(i as u32 - 1));
         }
         if i + 1 < k {
-            s.insert(NodeId(i as u32 + 1));
+            s.push(NodeId(i as u32 + 1));
         }
         s
     };
@@ -63,7 +63,7 @@ fn drive_path(k: usize, make: impl Fn(NodeId) -> Box<dyn RecolorProcedure>) -> (
     let mut outboxes: Vec<Vec<(NodeId, RecolorMsg)>> = vec![Vec::new(); k];
     for i in 0..k {
         let mut out = Vec::new();
-        if let RecolorOutcome::Done(c) = procs[i].start(neighbors(i), &mut out) {
+        if let RecolorOutcome::Done(c) = procs[i].start(&neighbors(i), &mut out) {
             colors[i] = Some(c);
         }
         outboxes[i] = out;

@@ -26,13 +26,21 @@
 //! A node that loses a low neighbor holding their shared fork while behind
 //! `SD^f` takes the **return path**: it exits `SD^f`, releases suspended
 //! forks, and re-executes the `SD^f` entry code (the Figure 6 scenario).
+//!
+//! A neighbour's colour (⊥ until a `Hello` or `update-color` names it)
+//! lives in its fork record, and the neighbours whose ⟨update-color, L⟩
+//! summary is still awaited form a [`NeighborSet`], so the request and
+//! release loops walk one record per neighbour and nothing is allocated per
+//! event.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 use std::sync::Arc;
 
 use coloring::{smallest_free_color, LinialSchedule};
 use doorway::{Doorway, DoorwayKind, DoorwayMsg, DoorwaySet, DoorwayTag};
-use manet_sim::{Context, DiningState, Event, LinkUpKind, NodeId, NodeSeed, Protocol, SimTime};
+use manet_sim::{
+    Context, DiningState, Event, LinkUpKind, NeighborSet, NodeId, NodeSeed, Protocol, SimTime,
+};
 
 use crate::forks::ForkTable;
 use crate::message::{A1Msg, RecolorMsg};
@@ -122,20 +130,20 @@ pub struct Alg1Stats {
 }
 
 /// One node of Algorithm 1. Implements [`Protocol`] for the simulator.
-#[derive(Debug)]
 pub struct Algorithm1 {
     me: NodeId,
     state: DiningState,
     my_color: i64,
-    colors: BTreeMap<NodeId, Option<i64>>,
-    forks: ForkTable,
+    /// Fork records whose `ext` is the neighbour's colour, `None` (⊥) on a
+    /// new link until it is told.
+    forks: ForkTable<Option<i64>>,
     adr: Doorway,
     sdr: Doorway,
     adf: Doorway,
     sdf: Doorway,
     phase: Phase,
     needs_recolor: bool,
-    pending_info: BTreeSet<NodeId>,
+    pending_info: NeighborSet,
     recolor_cfg: RecolorConfig,
     active_proc: Option<Box<dyn RecolorProcedure>>,
     /// Timestamped phase transitions (only when `record_phases`).
@@ -165,6 +173,46 @@ pub struct Algorithm1 {
     pub stats: Alg1Stats,
 }
 
+/// The rendering a derive gave when the colours were a field of their
+/// own, byte for byte: `colors` is rendered from the fork records in its
+/// old place.
+impl fmt::Debug for Algorithm1 {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Algorithm1")
+            .field("me", &self.me)
+            .field("state", &self.state)
+            .field("my_color", &self.my_color)
+            .field("colors", &self.colors())
+            .field("forks", &self.forks)
+            .field("adr", &self.adr)
+            .field("sdr", &self.sdr)
+            .field("adf", &self.adf)
+            .field("sdf", &self.sdf)
+            .field("phase", &self.phase)
+            .field("needs_recolor", &self.needs_recolor)
+            .field("pending_info", &self.pending_info)
+            .field("recolor_cfg", &self.recolor_cfg)
+            .field("active_proc", &self.active_proc)
+            .field("phase_log", &self.phase_log)
+            .field("record_phases", &self.record_phases)
+            .field("recolor_on_move", &self.recolor_on_move)
+            .field("return_path_enabled", &self.return_path_enabled)
+            .field("sdf_guard_enabled", &self.sdf_guard_enabled)
+            .field("stats", &self.stats)
+            .finish()
+    }
+}
+
+/// A known colour below `mine`: the neighbour has priority (it is *low*).
+fn below(color: &Option<i64>, mine: i64) -> bool {
+    color.is_some_and(|c| c < mine)
+}
+
+/// A known colour above `mine`: the neighbour is *high*.
+fn above(color: &Option<i64>, mine: i64) -> bool {
+    color.is_some_and(|c| c > mine)
+}
+
 impl Algorithm1 {
     /// Build a node from its simulator seed. Initial colors are the node
     /// IDs — always legal; nodes converge to `[0, δ]` colors as they eat.
@@ -173,19 +221,14 @@ impl Algorithm1 {
             me: seed.id,
             state: DiningState::Thinking,
             my_color: i64::from(seed.id.0),
-            colors: seed
-                .neighbors
-                .iter()
-                .map(|&j| (j, Some(i64::from(j.0))))
-                .collect(),
-            forks: ForkTable::new(seed.id, &seed.neighbors),
+            forks: ForkTable::with(seed.id, &seed.neighbors, |j| Some(i64::from(j.0))),
             adr: Doorway::new(ADR, DoorwayKind::Asynchronous),
             sdr: Doorway::new(SDR, DoorwayKind::Synchronous),
             adf: Doorway::new(ADF, DoorwayKind::Asynchronous),
             sdf: Doorway::new(SDF, DoorwayKind::Synchronous),
             phase: Phase::Idle,
             needs_recolor: false,
-            pending_info: BTreeSet::new(),
+            pending_info: NeighborSet::new(),
             recolor_cfg,
             active_proc: None,
             phase_log: Vec::new(),
@@ -203,7 +246,7 @@ impl Algorithm1 {
     /// caller installing the same coloring on every node.
     pub fn set_initial_coloring(&mut self, colors: &[i64]) {
         self.my_color = colors[self.me.index()];
-        for (&j, c) in self.colors.iter_mut() {
+        for (j, c) in self.forks.exts_mut() {
             *c = Some(colors[j.index()]);
         }
     }
@@ -259,17 +302,22 @@ impl Algorithm1 {
     /// Neighbors whose fork requests are currently suspended (the paper's
     /// set `S`; observability for tests and experiments).
     pub fn suspended_requests(&self) -> Vec<NodeId> {
-        self.forks.suspended()
+        self.forks.suspended().collect()
+    }
+
+    /// `colors`, rendered as the ordered map it used to be.
+    fn colors(&self) -> impl fmt::Debug + '_ {
+        self.forks.records().debug_map(|f| Some(f.ext))
     }
 
     // -- predicates --------------------------------------------------------
 
     fn is_low(&self, j: NodeId) -> bool {
-        matches!(self.colors.get(&j), Some(&Some(c)) if c < self.my_color)
+        self.forks.ext(j).is_some_and(|c| below(c, self.my_color))
     }
 
     fn is_high(&self, j: NodeId) -> bool {
-        matches!(self.colors.get(&j), Some(&Some(c)) if c > self.my_color)
+        self.forks.ext(j).is_some_and(|c| above(c, self.my_color))
     }
 
     fn behind_sdf(&self) -> bool {
@@ -281,10 +329,7 @@ impl Algorithm1 {
     }
 
     fn all_low_forks(&self) -> bool {
-        let colors = &self.colors;
-        let mine = self.my_color;
-        self.forks
-            .all_where(|j| matches!(colors.get(&j), Some(&Some(c)) if c < mine))
+        self.forks.all_where(|c| below(c, self.my_color))
     }
 
     fn status_set(&self) -> DoorwaySet {
@@ -328,21 +373,17 @@ impl Algorithm1 {
         ctx.send(j, A1Msg::Fork { flag, gen });
     }
 
-    fn release_suspended(&mut self, ctx: &mut Context<'_, A1Msg>) {
-        for j in self.forks.suspended() {
-            if self.forks.holds(j) {
-                self.send_fork(j, ctx);
-            }
-        }
-    }
-
-    fn release_high_forks(&mut self, ctx: &mut Context<'_, A1Msg>) {
-        // Lines 33-35: grant all suspended requests for high forks.
-        for j in self.forks.suspended() {
-            if self.is_high(j) && self.forks.holds(j) {
-                self.send_fork(j, ctx);
-            }
-        }
+    /// Grant the suspended requests whose forks this node holds: every one,
+    /// or only those of high neighbors when `high_only` (Lines 33–35).
+    fn release(&mut self, high_only: bool, ctx: &mut Context<'_, A1Msg>) {
+        let (mine, behind) = (self.my_color, self.behind_sdf());
+        // Line 31, as in `send_fork`.
+        let grant = |j, c: &Option<i64>, gen| {
+            let flag = below(c, mine) && behind;
+            ctx.send(j, A1Msg::Fork { flag, gen });
+        };
+        self.forks
+            .release_where(|c| !high_only || above(c, mine), grant);
     }
 
     /// Lines 1–4 / 17–23 request driver: (re-)issue requests appropriate to
@@ -355,22 +396,11 @@ impl Algorithm1 {
             self.state = DiningState::Eating;
             return;
         }
-        let targets = if self.all_low_forks() {
-            let colors = &self.colors;
-            let mine = self.my_color;
-            self.forks
-                .missing_where(|j| matches!(colors.get(&j), Some(&Some(c)) if c > mine))
-        } else {
-            let colors = &self.colors;
-            let mine = self.my_color;
-            self.forks
-                .missing_where(|j| matches!(colors.get(&j), Some(&Some(c)) if c < mine))
-        };
-        for j in targets {
-            if self.forks.try_mark_requested(j) {
-                ctx.send(j, A1Msg::Req);
-            }
-        }
+        // Low forks first; the high ones once every low fork is in.
+        let wanted = if self.all_low_forks() { above } else { below };
+        let mine = self.my_color;
+        self.forks
+            .request_where(|c| wanted(c, mine), |j| ctx.send(j, A1Msg::Req));
     }
 
     /// Lines 10–16: evaluate (or re-evaluate) a request from `j`.
@@ -383,7 +413,7 @@ impl Algorithm1 {
             self.send_fork(j, ctx);
         } else if self.is_low(j) && (!self.all_forks() || outside) {
             self.send_fork(j, ctx);
-            self.release_high_forks(ctx);
+            self.release(true, ctx);
         } else {
             self.forks.suspend(j);
         }
@@ -479,23 +509,36 @@ impl Algorithm1 {
     }
 
     fn start_recolor(&mut self, ctx: &mut Context<'_, A1Msg>) {
-        let mut proc: Box<dyn RecolorProcedure> = match &self.recolor_cfg {
+        let proc: Box<dyn RecolorProcedure> = match &self.recolor_cfg {
             RecolorConfig::Greedy => Box::new(GreedyRecolor::new(self.me)),
             RecolorConfig::Linial(s) => Box::new(LinialRecolor::new(self.me, s.clone())),
             RecolorConfig::Randomized { delta_bound, seed } => {
                 Box::new(RandomizedRecolor::new(self.me, *delta_bound, *seed))
             }
         };
-        let r: BTreeSet<NodeId> = ctx.neighbors().iter().copied().collect();
-        let mut out = Vec::new();
-        let outcome = proc.start(r, &mut out);
         self.active_proc = Some(proc);
+        let r = ctx.neighbors();
+        self.recolor_step(ctx, |p, out| p.start(r, out));
+    }
+
+    /// Feed one event to the running recoloring procedure, send what it
+    /// emits, and finish recoloring once it is done; true if it finished.
+    fn recolor_step(
+        &mut self,
+        ctx: &mut Context<'_, A1Msg>,
+        step: impl FnOnce(&mut dyn RecolorProcedure, &mut Vec<(NodeId, RecolorMsg)>) -> RecolorOutcome,
+    ) -> bool {
+        let proc = self.active_proc.as_deref_mut();
+        let mut out = Vec::new();
+        let outcome = step(proc.expect("recoloring without procedure"), &mut out);
         for (j, m) in out {
             ctx.send(j, A1Msg::Recolor(m));
         }
-        if let RecolorOutcome::Done(c) = outcome {
-            self.finish_recolor(c, ctx);
-        }
+        let RecolorOutcome::Done(c) = outcome else {
+            return false;
+        };
+        self.finish_recolor(c, ctx);
+        true
     }
 
     fn finish_recolor(&mut self, color: i64, ctx: &mut Context<'_, A1Msg>) {
@@ -511,18 +554,7 @@ impl Algorithm1 {
 
     fn on_recolor_msg(&mut self, from: NodeId, msg: RecolorMsg, ctx: &mut Context<'_, A1Msg>) {
         if self.phase == Phase::Recoloring {
-            let mut proc = self
-                .active_proc
-                .take()
-                .expect("recoloring without procedure");
-            let mut out = Vec::new();
-            let outcome = proc.on_message(from, msg, &mut out);
-            self.active_proc = Some(proc);
-            for (j, m) in out {
-                ctx.send(j, A1Msg::Recolor(m));
-            }
-            if let RecolorOutcome::Done(c) = outcome {
-                self.finish_recolor(c, ctx);
+            if self.recolor_step(ctx, |p, out| p.on_message(from, msg, out)) {
                 self.try_progress(ctx);
             }
         } else if !matches!(msg, RecolorMsg::Nack) {
@@ -538,9 +570,9 @@ impl Algorithm1 {
         self.state = DiningState::Thinking;
         self.stats.meals += 1;
         // Line 6: the smallest non-negative color unused by any neighbor.
-        self.my_color = smallest_free_color(self.colors.values().filter_map(|c| *c));
+        self.my_color = smallest_free_color(self.forks.records().iter().filter_map(|(_, f)| f.ext));
         ctx.broadcast(A1Msg::UpdateColor(self.my_color));
-        self.release_suspended(ctx);
+        self.release(false, ctx);
         let m = self.sdf.exit();
         ctx.broadcast(A1Msg::Doorway(m));
         let m = self.adf.exit();
@@ -553,7 +585,6 @@ impl Algorithm1 {
     fn on_linkup_static(&mut self, peer: NodeId, ctx: &mut Context<'_, A1Msg>) {
         // Lines 44–46.
         self.forks.link_up(peer, true);
-        self.colors.insert(peer, None);
         for d in self.each_doorway() {
             d.neighbor_joined(peer, false);
         }
@@ -567,7 +598,6 @@ impl Algorithm1 {
     fn on_linkup_moving(&mut self, peer: NodeId, ctx: &mut Context<'_, A1Msg>) {
         // Lines 47–55.
         self.forks.link_up(peer, false);
-        self.colors.insert(peer, None);
         for d in self.each_doorway() {
             d.neighbor_joined(peer, false);
         }
@@ -576,7 +606,7 @@ impl Algorithm1 {
                 self.state = DiningState::Hungry;
                 self.stats.demotions += 1;
             }
-            self.release_suspended(ctx);
+            self.release(false, ctx);
         }
         // Line 52: exit any doorway.
         for d in self.each_doorway() {
@@ -596,7 +626,9 @@ impl Algorithm1 {
         behind: DoorwaySet,
         ctx: &mut Context<'_, A1Msg>,
     ) {
-        self.colors.insert(from, Some(color));
+        if let Some(c) = self.forks.ext_mut(from) {
+            *c = Some(color);
+        }
         for d in self.each_doorway() {
             let tag = d.tag();
             d.neighbor_joined(from, behind.contains(tag));
@@ -606,7 +638,7 @@ impl Algorithm1 {
         // static-colors baseline) the static side would otherwise treat us
         // as color-⊥ forever and suspend our requests.
         ctx.send(from, A1Msg::UpdateColor(self.my_color));
-        self.pending_info.remove(&from);
+        self.pending_info.remove(from);
         self.after_info_progress(ctx);
     }
 
@@ -624,11 +656,10 @@ impl Algorithm1 {
         // Capture Line 59's condition before dropping state.
         let lost_low_fork = !self.forks.holds(peer) && self.is_low(peer) && self.forks.knows(peer);
         self.forks.link_down(peer);
-        self.colors.remove(&peer);
         for d in self.each_doorway() {
             d.neighbor_left(peer);
         }
-        self.pending_info.remove(&peer);
+        self.pending_info.remove(peer);
         match self.phase {
             Phase::AwaitInfo => self.after_info_progress(ctx),
             Phase::Collecting
@@ -640,24 +671,12 @@ impl Algorithm1 {
                 self.stats.return_paths += 1;
                 let m = self.sdf.exit();
                 ctx.broadcast(A1Msg::Doorway(m));
-                self.release_suspended(ctx);
+                self.release(false, ctx);
                 self.sdf.begin_entry(ctx.neighbors());
                 self.set_phase(Phase::EnterSdf, ctx.time());
             }
             Phase::Recoloring => {
-                let mut proc = self
-                    .active_proc
-                    .take()
-                    .expect("recoloring without procedure");
-                let mut out = Vec::new();
-                let outcome = proc.on_removed(peer, &mut out);
-                self.active_proc = Some(proc);
-                for (j, m) in out {
-                    ctx.send(j, A1Msg::Recolor(m));
-                }
-                if let RecolorOutcome::Done(c) = outcome {
-                    self.finish_recolor(c, ctx);
-                }
+                self.recolor_step(ctx, |p, out| p.on_removed(peer, out));
             }
             _ => {}
         }
@@ -701,8 +720,8 @@ impl Protocol for Algorithm1 {
                 A1Msg::Req => self.consider_request(from, ctx),
                 A1Msg::Fork { flag, gen } => self.on_fork(from, flag, gen, ctx),
                 A1Msg::UpdateColor(c) => {
-                    if self.colors.contains_key(&from) {
-                        self.colors.insert(from, Some(c));
+                    if let Some(color) = self.forks.ext_mut(from) {
+                        *color = Some(c);
                     }
                     if self.forks.is_suspended(from) {
                         self.consider_request(from, ctx);
@@ -741,7 +760,7 @@ impl Protocol for Algorithm1 {
             self.me,
             self.state,
             self.my_color,
-            &self.colors,
+            self.colors(),
             self.forks.progress_digest(),
             (&self.adr, &self.sdr, &self.adf, &self.sdf),
             self.phase,

@@ -15,8 +15,10 @@
 //! Fork collection is the same preemptive low-then-high strategy as in
 //! Algorithm 1, with `higher[j]` in place of color comparisons and
 //! "state ≠ thinking" in place of "behind `SD^f`".
-
-use std::collections::BTreeMap;
+//!
+//! `higher[j]` lives in neighbour `j`'s fork record (the table's `ext`), so
+//! the node's whole state is one record per neighbour, and the request,
+//! release and lowering loops walk those records in place.
 
 use manet_sim::{Context, DiningState, Event, LinkUpKind, NodeId, NodeSeed, Protocol};
 
@@ -40,9 +42,9 @@ pub struct Alg2Stats {
 pub struct Algorithm2 {
     me: NodeId,
     state: DiningState,
-    /// `higher[j]`: neighbor `j` has priority over this node.
-    higher: BTreeMap<NodeId, bool>,
-    forks: ForkTable,
+    /// Fork records whose `ext` is `higher[j]`: neighbor `j` has priority
+    /// over this node.
+    forks: ForkTable<bool>,
     /// Ablation switch: when false, newly hungry nodes do not send
     /// `notification` messages (and thinking dominators therefore never
     /// step aside early). The paper credits the notification mechanism for
@@ -66,13 +68,14 @@ pub struct Algorithm2 {
 /// per-run checker configuration, constant from init to teardown, and is
 /// deliberately excluded: golden fingerprints pin the digest of intact
 /// runs, and adding a mutation knob must not move them. The field order
-/// reproduces the previously derived output byte for byte.
+/// reproduces the previously derived output byte for byte, `higher`
+/// rendered from the fork records as the map it used to be.
 impl std::fmt::Debug for Algorithm2 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Algorithm2")
             .field("me", &self.me)
             .field("state", &self.state)
-            .field("higher", &self.higher)
+            .field("higher", &self.higher())
             .field("forks", &self.forks)
             .field("notifications_enabled", &self.notifications_enabled)
             .field("stats", &self.stats)
@@ -88,8 +91,7 @@ impl Algorithm2 {
         Algorithm2 {
             me: seed.id,
             state: DiningState::Thinking,
-            higher: seed.neighbors.iter().map(|&j| (j, seed.id < j)).collect(),
-            forks: ForkTable::new(seed.id, &seed.neighbors),
+            forks: ForkTable::with(seed.id, &seed.neighbors, |j| seed.id < j),
             notifications_enabled: true,
             defer_requests_from: None,
             stats: Alg2Stats::default(),
@@ -103,7 +105,12 @@ impl Algorithm2 {
 
     /// Whether neighbor `j` currently has priority over this node.
     pub fn neighbor_has_priority(&self, j: NodeId) -> bool {
-        self.higher.get(&j).copied().unwrap_or(false)
+        self.forks.ext(j).copied().unwrap_or(false)
+    }
+
+    /// `higher`, rendered as the ordered map it used to be.
+    fn higher(&self) -> impl std::fmt::Debug + '_ {
+        self.forks.records().debug_map(|f| Some(f.ext))
     }
 
     /// Whether this node currently holds the fork shared with `j`
@@ -119,7 +126,7 @@ impl Algorithm2 {
     }
 
     fn is_high(&self, j: NodeId) -> bool {
-        matches!(self.higher.get(&j), Some(false))
+        self.forks.ext(j) == Some(&false)
     }
 
     fn withholding(&self) -> bool {
@@ -131,9 +138,7 @@ impl Algorithm2 {
     }
 
     fn all_low_forks(&self) -> bool {
-        let higher = &self.higher;
-        self.forks
-            .all_where(|j| higher.get(&j).copied().unwrap_or(false))
+        self.forks.all_where(|&higher| higher)
     }
 
     fn send_fork(&mut self, j: NodeId, ctx: &mut Context<'_, A2Msg>) {
@@ -144,35 +149,28 @@ impl Algorithm2 {
         ctx.send(j, A2Msg::Fork { flag, gen });
     }
 
-    fn release_high_forks(&mut self, ctx: &mut Context<'_, A2Msg>) {
-        for j in self.forks.suspended() {
-            if self.is_high(j) && self.forks.holds(j) {
-                self.send_fork(j, ctx);
-            }
-        }
-    }
-
-    fn release_suspended(&mut self, ctx: &mut Context<'_, A2Msg>) {
-        for j in self.forks.suspended() {
-            if self.forks.holds(j) {
-                self.send_fork(j, ctx);
-            }
-        }
+    /// Grant the suspended requests whose forks this node holds: every one,
+    /// or only those of high neighbors when `high_only`.
+    fn release(&mut self, high_only: bool, ctx: &mut Context<'_, A2Msg>) {
+        let hungry = self.state == DiningState::Hungry;
+        // Line 35, as in `send_fork`.
+        let grant = |j, &low: &bool, gen| {
+            let flag = low && hungry;
+            ctx.send(j, A2Msg::Fork { flag, gen });
+        };
+        self.forks
+            .release_where(|&higher| !(high_only && higher), grant);
     }
 
     /// Lower this node's priority below every neighbor it dominates
     /// (Lines 7–8 / 24–25 / 45–46).
     fn lower_below_all(&mut self, ctx: &mut Context<'_, A2Msg>) {
-        let dominated: Vec<NodeId> = self
-            .higher
-            .iter()
-            .filter(|&(_, &h)| !h)
-            .map(|(&j, _)| j)
-            .collect();
-        for j in dominated {
-            ctx.send(j, A2Msg::Switch);
-            self.stats.switches += 1;
-            self.higher.insert(j, true);
+        for (j, higher) in self.forks.exts_mut() {
+            if !*higher {
+                ctx.send(j, A2Msg::Switch);
+                self.stats.switches += 1;
+                *higher = true;
+            }
         }
     }
 
@@ -186,20 +184,10 @@ impl Algorithm2 {
             self.state = DiningState::Eating;
             return;
         }
-        let targets = if self.all_low_forks() {
-            let higher = &self.higher;
-            self.forks
-                .missing_where(|j| matches!(higher.get(&j), Some(false)))
-        } else {
-            let higher = &self.higher;
-            self.forks
-                .missing_where(|j| matches!(higher.get(&j), Some(true)))
-        };
-        for j in targets {
-            if self.forks.try_mark_requested(j) {
-                ctx.send(j, A2Msg::Req);
-            }
-        }
+        // Low forks first; the high ones once every low fork is in.
+        let want_high = self.all_low_forks();
+        self.forks
+            .request_where(|&higher| higher != want_high, |j| ctx.send(j, A2Msg::Req));
     }
 
     /// Lines 10–14: evaluate (or re-evaluate) a request from `j`.
@@ -215,7 +203,7 @@ impl Algorithm2 {
             self.send_fork(j, ctx);
         } else if self.is_low(j) && (!self.all_forks() || outside) {
             self.send_fork(j, ctx);
-            self.release_high_forks(ctx);
+            self.release(true, ctx);
         } else {
             self.forks.suspend(j);
         }
@@ -271,7 +259,7 @@ impl Protocol for Algorithm2 {
                     self.state = DiningState::Thinking;
                     self.stats.meals += 1;
                     self.lower_below_all(ctx);
-                    self.release_suspended(ctx);
+                    self.release(false, ctx);
                 }
             }
             Event::Message { from, msg } => match msg {
@@ -286,21 +274,24 @@ impl Protocol for Algorithm2 {
                 }
                 A2Msg::Switch => {
                     // Lines 26–27.
-                    self.higher.insert(from, false);
+                    if let Some(higher) = self.forks.ext_mut(from) {
+                        *higher = false;
+                    }
                     self.kick(ctx);
                 }
             },
             Event::LinkUp { peer, kind } => match kind {
                 LinkUpKind::AsStatic => {
                     // Lines 40–41: the static side owns the fork and the
-                    // priority.
+                    // priority (`higher` starts false).
                     self.forks.link_up(peer, true);
-                    self.higher.insert(peer, false);
                 }
                 LinkUpKind::AsMoving => {
                     // Lines 42–46.
                     self.forks.link_up(peer, false);
-                    self.higher.insert(peer, true);
+                    if let Some(higher) = self.forks.ext_mut(peer) {
+                        *higher = true;
+                    }
                     if self.state == DiningState::Eating {
                         self.stats.demotions += 1;
                         self.become_hungry(ctx);
@@ -312,7 +303,6 @@ impl Protocol for Algorithm2 {
             Event::LinkDown { peer } => {
                 // Lines 47–48 (plus fork destruction).
                 self.forks.link_down(peer);
-                self.higher.remove(&peer);
                 self.kick(ctx);
             }
             Event::MovementStarted | Event::MovementEnded | Event::Timer { .. } => {}
@@ -338,7 +328,7 @@ impl Protocol for Algorithm2 {
         Some(manet_sim::digest_of_debug(&(
             self.me,
             self.state,
-            &self.higher,
+            self.higher(),
             self.forks.progress_digest(),
             self.notifications_enabled,
             self.defer_requests_from,

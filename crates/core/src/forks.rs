@@ -5,96 +5,145 @@
 //! transit between them. Forks are destroyed when their link fails and
 //! (re)created — owned by the static side — when a link forms. A node must
 //! hold the forks of **all** its current links to eat.
+//!
+//! A node's whole per-neighbour state is **one [`Fork`] record per
+//! neighbour** in a [`Neighbors`] vector: the fork bits of the paper plus
+//! `ext`, the algorithm's own per-neighbour value (Algorithm 2's `higher`
+//! flag, Algorithm 1's colour view). A link-up inserts one record, a
+//! link-down removes it, and the request and release loops of both
+//! algorithms walk the records in place, in ascending ID order, with
+//! nothing allocated. The table's `Debug` rendering is the one the four
+//! ordered trees it replaced produced (`at`, `suspended`, `requested`,
+//! `gen`), so state digests do not depend on the layout.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 
-use manet_sim::NodeId;
+use manet_sim::{KeysWhere, Neighbors, NodeId};
 
-/// One node's fork state: the `at[]` array of the paper plus the suspended
-/// request set `S` and an outstanding-request guard (which the paper leaves
-/// implicit: a node never has two requests for the same fork in flight).
+/// One neighbour's fork record.
+#[derive(Clone, Debug, Default)]
+pub struct Fork<T> {
+    /// This node holds the fork (the paper's `at[j]`).
+    pub have: bool,
+    /// The neighbour's request is suspended (member of the paper's `S`).
+    pub suspended: bool,
+    /// This node has a request for the fork in flight (the paper leaves
+    /// the guard implicit: never two requests for the same fork).
+    pub requested: bool,
+    /// Fork *transfer generation*: the highest generation this node has
+    /// sent or accepted on the link's current incarnation; `None` on an
+    /// initial link that has not transferred its fork yet. Every transfer
+    /// carries `gen+1`, so a duplicated fork delivery — whose generation
+    /// was already seen — is recognizably stale. Without it, a duplicate
+    /// arriving after the fork was legitimately passed back would leave
+    /// *both* endpoints believing they hold the fork (the one
+    /// non-idempotent transition of either algorithm, and a direct safety
+    /// hole under message-duplication faults).
+    pub gen: Option<u64>,
+    /// The algorithm's own per-neighbour value.
+    pub ext: T,
+}
+
+/// One node's fork state: a [`Fork`] record per current neighbour.
 ///
 /// ```
 /// use local_mutex::forks::ForkTable;
 /// use manet_sim::NodeId;
 ///
 /// // Node 1 initially holds the forks toward larger IDs.
-/// let t = ForkTable::new(NodeId(1), &[NodeId(0), NodeId(2)]);
+/// let mut t = ForkTable::new(NodeId(1), &[NodeId(0), NodeId(2)]);
 /// assert!(!t.holds(NodeId(0)));
 /// assert!(t.holds(NodeId(2)));
+/// // Ask for every missing fork, once.
+/// let mut asked = Vec::new();
+/// t.request_where(|_| true, |j| asked.push(j));
+/// t.request_where(|_| true, |j| asked.push(j));
+/// assert_eq!(asked, [NodeId(0)]);
+/// assert_eq!(t.records().get(NodeId(0)).map(|f| f.requested), Some(true));
 /// ```
-#[derive(Clone, Debug, Default)]
-pub struct ForkTable {
-    at: BTreeMap<NodeId, bool>,
-    suspended: BTreeSet<NodeId>,
-    requested: BTreeSet<NodeId>,
-    /// Per-link fork *transfer generation*: the highest generation this
-    /// node has sent or accepted on the link's current incarnation.
-    /// Every transfer carries `gen+1`, so a duplicated fork delivery —
-    /// whose generation was already seen — is recognizably stale. Without
-    /// it, a duplicate arriving after the fork was legitimately passed
-    /// back would leave *both* endpoints believing they hold the fork
-    /// (the one non-idempotent transition of either algorithm, and a
-    /// direct safety hole under message-duplication faults).
-    gen: BTreeMap<NodeId, u64>,
+#[derive(Clone)]
+pub struct ForkTable<T = ()> {
+    links: Neighbors<Fork<T>>,
 }
 
 impl ForkTable {
-    /// Initial distribution: the fork of link `{i, j}` starts at the
-    /// smaller ID (`at[j]` is true iff `ID[i] < ID[j]`, per the paper).
+    /// A table with no per-neighbour value; see [`ForkTable::with`].
     pub fn new(me: NodeId, neighbors: &[NodeId]) -> ForkTable {
+        ForkTable::with(me, neighbors, |_| ())
+    }
+}
+
+impl<T: Default> ForkTable<T> {
+    /// Initial distribution: the fork of link `{i, j}` starts at the
+    /// smaller ID (`at[j]` is true iff `ID[i] < ID[j]`, per the paper);
+    /// `ext(j)` is the algorithm's initial value for `j`.
+    pub fn with(me: NodeId, neighbors: &[NodeId], mut ext: impl FnMut(NodeId) -> T) -> Self {
+        let mut fork = |j| Fork {
+            have: me < j,
+            ext: ext(j),
+            ..Fork::default()
+        };
         ForkTable {
-            at: neighbors.iter().map(|&j| (j, me < j)).collect(),
-            suspended: BTreeSet::new(),
-            requested: BTreeSet::new(),
-            gen: BTreeMap::new(),
+            links: neighbors.iter().map(|&j| (j, fork(j))).collect(),
         }
     }
 
     /// A link to `j` came up; `own` says whether this node owns the new
-    /// fork (true on the designated-static side). The transfer generation
-    /// restarts with the incarnation: the engine guarantees no message of
-    /// the old incarnation can still arrive.
+    /// fork (true on the designated-static side). The record starts afresh,
+    /// `ext` at its default and the transfer generation at 0: the engine
+    /// guarantees no message of the old incarnation can still arrive.
     pub fn link_up(&mut self, j: NodeId, own: bool) {
-        self.at.insert(j, own);
-        self.suspended.remove(&j);
-        self.requested.remove(&j);
-        self.gen.insert(j, 0);
+        let fork = Fork {
+            have: own,
+            gen: Some(0),
+            ..Fork::default()
+        };
+        self.links.insert(j, fork);
     }
+}
 
+impl<T> ForkTable<T> {
     /// The link to `j` failed: its fork and any pending bookkeeping die.
     pub fn link_down(&mut self, j: NodeId) {
-        self.at.remove(&j);
-        self.suspended.remove(&j);
-        self.requested.remove(&j);
-        self.gen.remove(&j);
+        self.links.remove(j);
+    }
+
+    /// The records, ascending by neighbour ID (read-only: every transition
+    /// goes through the table's methods).
+    pub fn records(&self) -> &Neighbors<Fork<T>> {
+        &self.links
     }
 
     /// Whether this node holds the fork shared with `j` (`at[j]`).
     pub fn holds(&self, j: NodeId) -> bool {
-        self.at.get(&j).copied().unwrap_or(false)
+        self.links.get(j).is_some_and(|f| f.have)
     }
 
     /// Whether `j` is a current neighbor according to the fork table.
     pub fn knows(&self, j: NodeId) -> bool {
-        self.at.contains_key(&j)
+        self.links.contains(j)
     }
 
-    /// Current neighbors in ascending ID order.
-    pub fn neighbors(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.at.keys().copied()
+    /// The algorithm's value for neighbour `j`.
+    pub fn ext(&self, j: NodeId) -> Option<&T> {
+        self.links.get(j).map(|f| &f.ext)
+    }
+
+    /// The algorithm's value for neighbour `j`, for update.
+    pub fn ext_mut(&mut self, j: NodeId) -> Option<&mut T> {
+        self.links.get_mut(j).map(|f| &mut f.ext)
+    }
+
+    /// Every neighbour's algorithm value for update, ascending by ID.
+    pub fn exts_mut(&mut self) -> impl Iterator<Item = (NodeId, &mut T)> {
+        self.links.iter_mut().map(|(j, f)| (j, &mut f.ext))
     }
 
     /// Record that the fork shared with `j` was sent away; returns the
-    /// transfer generation to stamp on the outgoing fork message.
+    /// transfer generation to stamp on the outgoing fork message. A no-op
+    /// returning 0 — a generation no receiver accepts — for an unknown `j`.
     pub fn sent(&mut self, j: NodeId) -> u64 {
-        if let Some(a) = self.at.get_mut(&j) {
-            *a = false;
-        }
-        self.suspended.remove(&j);
-        let g = self.gen.entry(j).or_insert(0);
-        *g += 1;
-        *g
+        self.links.get_mut(j).map_or(0, Fork::give)
     }
 
     /// Record receipt of the fork shared with `j` **iff** the delivery is
@@ -102,47 +151,48 @@ impl ForkTable {
     /// transfer seen on this link incarnation. Returns false (ignore the
     /// message) for unknown links and for stale duplicates.
     pub fn receive_if_fresh(&mut self, j: NodeId, gen: u64) -> bool {
-        if !self.at.contains_key(&j) {
-            return false; // link died while the fork was in flight
+        match self.links.get_mut(j) {
+            Some(f) if gen > f.gen.unwrap_or(0) => f.gen = Some(gen),
+            // Unknown: the link died while the fork was in flight. Stale:
+            // a duplicated (or reordered) delivery.
+            _ => return false,
         }
-        let last = self.gen.get(&j).copied().unwrap_or(0);
-        if gen <= last {
-            return false; // duplicated (or reordered-stale) fork delivery
-        }
-        self.gen.insert(j, gen);
         self.received(j);
         true
     }
 
     /// Record receipt of the fork shared with `j`.
     pub fn received(&mut self, j: NodeId) {
-        if let Some(a) = self.at.get_mut(&j) {
-            *a = true;
+        if let Some(f) = self.links.get_mut(j) {
+            f.have = true;
+            f.requested = false;
         }
-        self.requested.remove(&j);
     }
 
     /// Suspend `j`'s request (the paper's `S := S ∪ {j}`).
     pub fn suspend(&mut self, j: NodeId) {
-        if self.at.contains_key(&j) {
-            self.suspended.insert(j);
+        if let Some(f) = self.links.get_mut(j) {
+            f.suspended = true;
         }
     }
 
     /// Whether `j`'s request is suspended.
     pub fn is_suspended(&self, j: NodeId) -> bool {
-        self.suspended.contains(&j)
+        self.links.get(j).is_some_and(|f| f.suspended)
     }
 
-    /// Snapshot of the suspended set in ascending ID order.
-    pub fn suspended(&self) -> Vec<NodeId> {
-        self.suspended.iter().copied().collect()
+    /// The suspended set `S`, ascending by ID.
+    pub fn suspended(&self) -> KeysWhere<'_, Fork<T>> {
+        self.links.keys_where(|f| f.suspended)
     }
 
     /// Mark a request for `j`'s fork as outstanding; returns false if one
-    /// already is (so callers send at most one `req` per missing fork).
+    /// already is or `j` is not a neighbour (so callers send at most one
+    /// `req` per missing fork).
     pub fn try_mark_requested(&mut self, j: NodeId) -> bool {
-        self.requested.insert(j)
+        self.links
+            .get_mut(j)
+            .is_some_and(|f| !std::mem::replace(&mut f.requested, true))
     }
 
     /// Deterministic fingerprint of the *behavioral* fork state — holdings,
@@ -152,23 +202,76 @@ impl ForkTable {
     /// that returns to the same behavioral configuration digest differently
     /// forever; liveness (lasso) detection keys on this method instead.
     pub fn progress_digest(&self) -> u64 {
-        manet_sim::digest_of_debug(&(&self.at, &self.suspended, &self.requested))
+        manet_sim::digest_of_debug(&(
+            self.links.debug_map(|f| Some(f.have)),
+            self.links.debug_set(|f| f.suspended),
+            self.links.debug_set(|f| f.requested),
+        ))
     }
 
-    /// Whether this node holds the forks of **all** neighbors satisfying
-    /// `pred` (`all-forks` with `pred ≡ true`, `all-low-forks` with
-    /// `pred ≡ is_low`).
-    pub fn all_where<F: FnMut(NodeId) -> bool>(&self, mut pred: F) -> bool {
-        self.at.iter().all(|(&j, &have)| have || !pred(j))
+    /// Whether this node holds the forks of **all** neighbors whose value
+    /// satisfies `pred` (`all-forks` with `pred ≡ true`, `all-low-forks`
+    /// with `pred ≡ is_low`).
+    pub fn all_where(&self, mut pred: impl FnMut(&T) -> bool) -> bool {
+        self.links.iter().all(|(_, f)| f.have || !pred(&f.ext))
     }
 
-    /// Missing forks among neighbors satisfying `pred`, ascending.
-    pub fn missing_where<F: FnMut(NodeId) -> bool>(&self, mut pred: F) -> Vec<NodeId> {
-        self.at
-            .iter()
-            .filter(|&(&j, &have)| !have && pred(j))
-            .map(|(&j, _)| j)
-            .collect()
+    /// Request every missing fork whose neighbour's value satisfies `pred`
+    /// and has no request in flight, ascending by ID: each is marked
+    /// requested and handed to `request`, which sends the `req`.
+    pub fn request_where(
+        &mut self,
+        mut pred: impl FnMut(&T) -> bool,
+        mut request: impl FnMut(NodeId),
+    ) {
+        for (j, f) in self.links.iter_mut() {
+            if !f.have && !f.requested && pred(&f.ext) {
+                f.requested = true;
+                request(j);
+            }
+        }
+    }
+
+    /// Grant every suspended request whose fork this node holds and whose
+    /// neighbour's value satisfies `pred`, ascending by ID: each fork is
+    /// recorded as sent and `grant(j, value, gen)` sends it.
+    pub fn release_where(
+        &mut self,
+        mut pred: impl FnMut(&T) -> bool,
+        mut grant: impl FnMut(NodeId, &T, u64),
+    ) {
+        for (j, f) in self.links.iter_mut() {
+            if f.suspended && f.have && pred(&f.ext) {
+                let gen = f.give();
+                grant(j, &f.ext, gen);
+            }
+        }
+    }
+}
+
+impl<T> Fork<T> {
+    /// The fork leaves: no longer held, the request it answers no longer
+    /// suspended, and the next transfer generation returned.
+    fn give(&mut self) -> u64 {
+        self.have = false;
+        self.suspended = false;
+        let gen = self.gen.unwrap_or(0) + 1;
+        self.gen = Some(gen);
+        gen
+    }
+}
+
+/// Rendered as the four ordered trees the records replaced — `at`,
+/// `suspended`, `requested`, `gen` — byte for byte; `ext` belongs to the
+/// algorithm, which renders it under its own name.
+impl<T> fmt::Debug for ForkTable<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ForkTable")
+            .field("at", &self.links.debug_map(|f| Some(f.have)))
+            .field("suspended", &self.links.debug_set(|f| f.suspended))
+            .field("requested", &self.links.debug_set(|f| f.requested))
+            .field("gen", &self.links.debug_map(|f| f.gen))
+            .finish()
     }
 }
 
@@ -207,11 +310,15 @@ mod tests {
 
     #[test]
     fn all_and_missing_respect_predicate() {
-        let t = table();
-        assert!(t.all_where(|j| j > NodeId(2)));
+        // `ext` is the neighbour's own ID, so predicates can name nodes.
+        let mut t = ForkTable::with(NodeId(2), &[NodeId(0), NodeId(1), NodeId(3)], |j| j.0);
+        assert!(t.all_where(|&j| j > 2));
         assert!(!t.all_where(|_| true));
-        assert_eq!(t.missing_where(|_| true), vec![NodeId(0), NodeId(1)]);
-        assert_eq!(t.missing_where(|j| j == NodeId(1)), vec![NodeId(1)]);
+        let mut asked = Vec::new();
+        t.request_where(|&j| j == 1, |j| asked.push(j));
+        assert_eq!(asked, [NodeId(1)]);
+        t.request_where(|_| true, |j| asked.push(j));
+        assert_eq!(asked, [NodeId(1), NodeId(0)], "held and requested skipped");
     }
 
     #[test]
@@ -236,6 +343,15 @@ mod tests {
         assert!(!t.try_mark_requested(NodeId(0)));
         t.received(NodeId(0));
         assert!(t.try_mark_requested(NodeId(0)));
+        assert!(
+            !t.try_mark_requested(NodeId(9)),
+            "no phantom request for a non-neighbour"
+        );
+        assert_eq!(
+            format!("{t:?}"),
+            "ForkTable { at: {p0: true, p1: false, p3: true, p4: true}, \
+             suspended: {}, requested: {p0}, gen: {} }"
+        );
     }
 
     #[test]
@@ -276,6 +392,8 @@ mod tests {
             !t.receive_if_fresh(NodeId(9), 1),
             "unknown links never accept"
         );
+        assert_eq!(t.sent(NodeId(9)), 0, "unknown links never send");
+        assert_eq!(format!("{:?}", t.records().debug_map(|f| f.gen)), "{p3: 1}");
     }
 
     #[test]
@@ -284,8 +402,13 @@ mod tests {
         t.suspend(NodeId(9));
         assert!(t.suspended().is_empty());
         t.suspend(NodeId(3));
+        t.suspend(NodeId(4));
         assert!(t.is_suspended(NodeId(3)));
         t.sent(NodeId(3));
         assert!(!t.is_suspended(NodeId(3)), "sending clears suspension");
+        let mut granted = Vec::new();
+        t.release_where(|_| true, |j, _, gen| granted.push((j, gen)));
+        assert_eq!(granted, [(NodeId(4), 1)]);
+        assert!(t.suspended().is_empty() && !t.holds(NodeId(4)));
     }
 }

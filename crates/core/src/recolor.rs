@@ -8,16 +8,22 @@
 //! responds `NACK` and is dropped from `R` (Lines 40–43); a neighbor whose
 //! link fails is dropped by the wrapper via [`RecolorProcedure::on_removed`].
 //!
+//! `R` and the responses not yet consumed are one record per participant
+//! (a [`Neighbors`] of FIFO queues), walked in ascending ID order; each
+//! procedure's `Debug` still renders them as the `r` set and `inbox` map
+//! they used to be, so Algorithm 1's state digest does not move.
+//!
 //! The procedures return a *raw* non-negative value; the wrapper (Algorithm
 //! 2, Line 38) maps it to the final color `-(raw) - 1`, keeping all
 //! recoloring-produced colors negative so they never collide with the
 //! `[0, δ]` colors chosen on critical-section exit.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
+use std::fmt;
 use std::sync::Arc;
 
 use coloring::{greedy_color_graph, AdjGraph, LinialSchedule};
-use manet_sim::NodeId;
+use manet_sim::{Neighbors, NodeId};
 
 use crate::message::RecolorMsg;
 
@@ -37,8 +43,7 @@ pub enum RecolorOutcome {
 pub trait RecolorProcedure: std::fmt::Debug + Send {
     /// Begin the procedure with participant set `r` (the paper's `R := N`).
     /// Messages to send are appended to `out`.
-    fn start(&mut self, r: BTreeSet<NodeId>, out: &mut Vec<(NodeId, RecolorMsg)>)
-        -> RecolorOutcome;
+    fn start(&mut self, r: &[NodeId], out: &mut Vec<(NodeId, RecolorMsg)>) -> RecolorOutcome;
 
     /// Handle a recoloring message from `from`.
     fn on_message(
@@ -56,6 +61,84 @@ fn to_color(raw: u64) -> i64 {
     -(raw as i64) - 1
 }
 
+/// `on_message` and `on_removed`, the same for every procedure: update
+/// `R` (stale traffic from a member already dropped is ignored), then
+/// consume every round that is complete.
+macro_rules! feed_rounds {
+    () => {
+        fn on_message(
+            &mut self,
+            from: NodeId,
+            msg: RecolorMsg,
+            out: &mut Vec<(NodeId, RecolorMsg)>,
+        ) -> RecolorOutcome {
+            if !self.r.push(from, msg) {
+                return RecolorOutcome::Continue;
+            }
+            self.try_rounds(out)
+        }
+
+        fn on_removed(&mut self, j: NodeId, out: &mut Vec<(NodeId, RecolorMsg)>) -> RecolorOutcome {
+            if !self.r.remove(j) {
+                return RecolorOutcome::Continue;
+            }
+            self.try_rounds(out)
+        }
+    };
+}
+
+/// The participant set `R`, one record per member holding the responses
+/// it sent that no round has consumed yet.
+#[derive(Default)]
+struct Participants(Neighbors<VecDeque<RecolorMsg>>);
+
+impl Participants {
+    fn new(r: &[NodeId]) -> Participants {
+        Participants(r.iter().map(|&j| (j, VecDeque::new())).collect())
+    }
+
+    fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Queue `msg` from `from`; false for stale traffic from a non-member.
+    fn push(&mut self, from: NodeId, msg: RecolorMsg) -> bool {
+        self.0.get_mut(from).map(|q| q.push_back(msg)).is_some()
+    }
+
+    /// Drop `j` from `R`; false if it was not a member.
+    fn remove(&mut self, j: NodeId) -> bool {
+        self.0.remove(j).is_some()
+    }
+
+    /// Whether every member's response to the current round is in.
+    fn round_complete(&self) -> bool {
+        self.0.iter().all(|(_, q)| !q.is_empty())
+    }
+
+    /// Consume one response per member, ascending by ID; members for which
+    /// `keep` returns false leave `R`.
+    fn consume_round(&mut self, mut keep: impl FnMut(NodeId, RecolorMsg) -> bool) {
+        self.0
+            .retain(|j, q| keep(j, q.pop_front().expect("round readiness checked")));
+    }
+
+    /// Send `msg` to every member, ascending by ID.
+    fn send_all(&self, msg: RecolorMsg, out: &mut Vec<(NodeId, RecolorMsg)>) {
+        out.extend(self.0.iter().map(|(j, _)| (j, msg.clone())));
+    }
+
+    /// The `r` and `inbox` fields of a procedure's `Debug` rendering, as
+    /// the ordered set and ordered map of queues they used to be.
+    fn fields<'a, 'f, 'g>(
+        &self,
+        d: &'a mut fmt::DebugStruct<'f, 'g>,
+    ) -> &'a mut fmt::DebugStruct<'f, 'g> {
+        d.field("r", &self.0.debug_set(|_| true))
+            .field("inbox", &self.0)
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Greedy procedure (Algorithm 4)
 // ---------------------------------------------------------------------------
@@ -63,12 +146,18 @@ fn to_color(raw: u64) -> i64 {
 /// The greedy recoloring procedure: flood the conflict graph of concurrent
 /// participants until it stabilizes, then greedily color it with the shared
 /// deterministic traversal of [`greedy_color_graph`].
-#[derive(Debug)]
 pub struct GreedyRecolor {
     me: u32,
-    r: BTreeSet<NodeId>,
-    inbox: BTreeMap<NodeId, VecDeque<RecolorMsg>>,
+    r: Participants,
     g: AdjGraph,
+}
+
+impl fmt::Debug for GreedyRecolor {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut d = f.debug_struct("GreedyRecolor");
+        d.field("me", &self.me);
+        self.r.fields(&mut d).field("g", &self.g).finish()
+    }
 }
 
 impl GreedyRecolor {
@@ -76,23 +165,14 @@ impl GreedyRecolor {
     pub fn new(me: NodeId) -> GreedyRecolor {
         GreedyRecolor {
             me: me.0,
-            r: BTreeSet::new(),
-            inbox: BTreeMap::new(),
+            r: Participants::default(),
             g: AdjGraph::new(),
         }
     }
 
     fn broadcast(&self, finished: bool, out: &mut Vec<(NodeId, RecolorMsg)>) {
         let edges = self.g.edges();
-        for &j in &self.r {
-            out.push((
-                j,
-                RecolorMsg::Graph {
-                    edges: edges.clone(),
-                    finished,
-                },
-            ));
-        }
+        self.r.send_all(RecolorMsg::Graph { edges, finished }, out);
     }
 
     fn my_color(&self) -> i64 {
@@ -110,46 +190,33 @@ impl GreedyRecolor {
                 // Condition (3): nobody recoloring concurrently.
                 return RecolorOutcome::Done(to_color(0));
             }
-            let ready = self
-                .r
-                .iter()
-                .all(|j| self.inbox.get(j).is_some_and(|q| !q.is_empty()));
-            if !ready {
+            if !self.r.round_complete() {
                 return RecolorOutcome::Continue;
             }
             let mut changed = false;
             let mut finished_seen = false;
-            for j in self.r.clone() {
-                let msg = self
-                    .inbox
-                    .get_mut(&j)
-                    .and_then(VecDeque::pop_front)
-                    .expect("round readiness checked");
-                match msg {
-                    RecolorMsg::Nack => {
-                        self.r.remove(&j);
-                        self.inbox.remove(&j);
-                    }
-                    RecolorMsg::Graph { edges, finished } => {
-                        for (a, b) in edges {
-                            if !self.g.adjacent(a, b) {
-                                self.g.add_edge(a, b);
-                                changed = true;
-                            }
-                        }
-                        if !self.g.adjacent(self.me, j.0) {
-                            self.g.add_edge(self.me, j.0);
+            let (me, g) = (self.me, &mut self.g);
+            self.r.consume_round(|j, msg| match msg {
+                RecolorMsg::Nack => false,
+                RecolorMsg::Graph { edges, finished } => {
+                    for (a, b) in edges {
+                        if !g.adjacent(a, b) {
+                            g.add_edge(a, b);
                             changed = true;
                         }
-                        if finished {
-                            finished_seen = true;
-                        }
                     }
-                    other => {
-                        debug_assert!(false, "non-greedy message {other:?} in greedy procedure");
+                    if !g.adjacent(me, j.0) {
+                        g.add_edge(me, j.0);
+                        changed = true;
                     }
+                    finished_seen |= finished;
+                    true
                 }
-            }
+                other => {
+                    debug_assert!(false, "non-greedy message {other:?} in greedy procedure");
+                    true
+                }
+            });
             if self.r.is_empty() {
                 return RecolorOutcome::Done(to_color(0));
             }
@@ -164,15 +231,10 @@ impl GreedyRecolor {
 }
 
 impl RecolorProcedure for GreedyRecolor {
-    fn start(
-        &mut self,
-        r: BTreeSet<NodeId>,
-        out: &mut Vec<(NodeId, RecolorMsg)>,
-    ) -> RecolorOutcome {
-        self.r = r;
+    fn start(&mut self, r: &[NodeId], out: &mut Vec<(NodeId, RecolorMsg)>) -> RecolorOutcome {
+        self.r = Participants::new(r);
         self.g = AdjGraph::new();
         self.g.add_vertex(self.me);
-        self.inbox = self.r.iter().map(|&j| (j, VecDeque::new())).collect();
         if self.r.is_empty() {
             return RecolorOutcome::Done(to_color(0));
         }
@@ -180,26 +242,7 @@ impl RecolorProcedure for GreedyRecolor {
         RecolorOutcome::Continue
     }
 
-    fn on_message(
-        &mut self,
-        from: NodeId,
-        msg: RecolorMsg,
-        out: &mut Vec<(NodeId, RecolorMsg)>,
-    ) -> RecolorOutcome {
-        if !self.r.contains(&from) {
-            return RecolorOutcome::Continue; // stale traffic from a dropped member
-        }
-        self.inbox.entry(from).or_default().push_back(msg);
-        self.try_rounds(out)
-    }
-
-    fn on_removed(&mut self, j: NodeId, out: &mut Vec<(NodeId, RecolorMsg)>) -> RecolorOutcome {
-        if self.r.remove(&j) {
-            self.inbox.remove(&j);
-            return self.try_rounds(out);
-        }
-        RecolorOutcome::Continue
-    }
+    feed_rounds!();
 }
 
 // ---------------------------------------------------------------------------
@@ -215,14 +258,24 @@ impl RecolorProcedure for GreedyRecolor {
 /// falls back to the always-legal color `-(final_range + ID) - 1`; the
 /// fallback range is disjoint from both the normal recoloring range and the
 /// exit-time colors, so legality is preserved at the cost of a larger Δ.
-#[derive(Debug)]
 pub struct LinialRecolor {
     me: u32,
     schedule: Arc<LinialSchedule>,
-    r: BTreeSet<NodeId>,
-    inbox: BTreeMap<NodeId, VecDeque<RecolorMsg>>,
+    r: Participants,
     temp: u64,
     ph: usize,
+}
+
+impl fmt::Debug for LinialRecolor {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut d = f.debug_struct("LinialRecolor");
+        d.field("me", &self.me).field("schedule", &self.schedule);
+        self.r
+            .fields(&mut d)
+            .field("temp", &self.temp)
+            .field("ph", &self.ph)
+            .finish()
+    }
 }
 
 impl LinialRecolor {
@@ -231,8 +284,7 @@ impl LinialRecolor {
         LinialRecolor {
             me: me.0,
             schedule,
-            r: BTreeSet::new(),
-            inbox: BTreeMap::new(),
+            r: Participants::default(),
             temp: u64::from(me.0),
             ph: 0,
         }
@@ -243,9 +295,7 @@ impl LinialRecolor {
     }
 
     fn broadcast(&self, out: &mut Vec<(NodeId, RecolorMsg)>) {
-        for &j in &self.r {
-            out.push((j, RecolorMsg::TempColor(self.temp)));
-        }
+        self.r.send_all(RecolorMsg::TempColor(self.temp), out);
     }
 
     fn try_rounds(&mut self, out: &mut Vec<(NodeId, RecolorMsg)>) -> RecolorOutcome {
@@ -257,31 +307,21 @@ impl LinialRecolor {
             if self.ph >= self.schedule.rounds() {
                 return RecolorOutcome::Done(to_color(self.temp));
             }
-            let ready = self
-                .r
-                .iter()
-                .all(|j| self.inbox.get(j).is_some_and(|q| !q.is_empty()));
-            if !ready {
+            if !self.r.round_complete() {
                 return RecolorOutcome::Continue;
             }
             let mut colors = Vec::new();
-            for j in self.r.clone() {
-                let msg = self
-                    .inbox
-                    .get_mut(&j)
-                    .and_then(VecDeque::pop_front)
-                    .expect("round readiness checked");
-                match msg {
-                    RecolorMsg::Nack => {
-                        self.r.remove(&j);
-                        self.inbox.remove(&j);
-                    }
-                    RecolorMsg::TempColor(c) => colors.push(c),
-                    other => {
-                        debug_assert!(false, "non-Linial message {other:?} in Linial procedure");
-                    }
+            self.r.consume_round(|_, msg| match msg {
+                RecolorMsg::Nack => false,
+                RecolorMsg::TempColor(c) => {
+                    colors.push(c);
+                    true
                 }
-            }
+                other => {
+                    debug_assert!(false, "non-Linial message {other:?} in Linial procedure");
+                    true
+                }
+            });
             if self.r.is_empty() {
                 return RecolorOutcome::Done(to_color(0));
             }
@@ -304,15 +344,10 @@ impl LinialRecolor {
 }
 
 impl RecolorProcedure for LinialRecolor {
-    fn start(
-        &mut self,
-        r: BTreeSet<NodeId>,
-        out: &mut Vec<(NodeId, RecolorMsg)>,
-    ) -> RecolorOutcome {
-        self.r = r;
+    fn start(&mut self, r: &[NodeId], out: &mut Vec<(NodeId, RecolorMsg)>) -> RecolorOutcome {
+        self.r = Participants::new(r);
         self.temp = u64::from(self.me);
         self.ph = 0;
-        self.inbox = self.r.iter().map(|&j| (j, VecDeque::new())).collect();
         if self.r.is_empty() {
             return RecolorOutcome::Done(to_color(0));
         }
@@ -324,26 +359,7 @@ impl RecolorProcedure for LinialRecolor {
         RecolorOutcome::Continue
     }
 
-    fn on_message(
-        &mut self,
-        from: NodeId,
-        msg: RecolorMsg,
-        out: &mut Vec<(NodeId, RecolorMsg)>,
-    ) -> RecolorOutcome {
-        if !self.r.contains(&from) {
-            return RecolorOutcome::Continue;
-        }
-        self.inbox.entry(from).or_default().push_back(msg);
-        self.try_rounds(out)
-    }
-
-    fn on_removed(&mut self, j: NodeId, out: &mut Vec<(NodeId, RecolorMsg)>) -> RecolorOutcome {
-        if self.r.remove(&j) {
-            self.inbox.remove(&j);
-            return self.try_rounds(out);
-        }
-        RecolorOutcome::Continue
-    }
+    feed_rounds!();
 }
 
 // ---------------------------------------------------------------------------
@@ -362,18 +378,32 @@ impl RecolorProcedure for LinialRecolor {
 /// variant needs only a bound on δ — no knowledge of `n`, no precomputed
 /// schedule — at the price of probabilistic guarantees, exactly the
 /// trade-off the paper describes.
-#[derive(Debug)]
 pub struct RandomizedRecolor {
     me: u32,
     palette: u64,
     max_rounds: usize,
     rng: manet_sim::SimRng,
-    r: BTreeSet<NodeId>,
-    inbox: BTreeMap<NodeId, VecDeque<RecolorMsg>>,
+    r: Participants,
     /// Colors already committed by neighbors (forbidden).
     committed: BTreeSet<u64>,
     candidate: u64,
     round: usize,
+}
+
+impl fmt::Debug for RandomizedRecolor {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut d = f.debug_struct("RandomizedRecolor");
+        d.field("me", &self.me)
+            .field("palette", &self.palette)
+            .field("max_rounds", &self.max_rounds)
+            .field("rng", &self.rng);
+        self.r
+            .fields(&mut d)
+            .field("committed", &self.committed)
+            .field("candidate", &self.candidate)
+            .field("round", &self.round)
+            .finish()
+    }
 }
 
 impl RandomizedRecolor {
@@ -386,8 +416,7 @@ impl RandomizedRecolor {
             palette: 4 * (delta_bound + 1),
             max_rounds: 64,
             rng: manet_sim::SimRng::seed_from_u64(seed ^ (0x5EED_0000 + u64::from(me.0))),
-            r: BTreeSet::new(),
-            inbox: BTreeMap::new(),
+            r: Participants::default(),
             committed: BTreeSet::new(),
             candidate: 0,
             round: 0,
@@ -412,15 +441,9 @@ impl RandomizedRecolor {
     }
 
     fn broadcast(&self, decided: bool, out: &mut Vec<(NodeId, RecolorMsg)>) {
-        for &j in &self.r {
-            out.push((
-                j,
-                RecolorMsg::Candidate {
-                    value: self.candidate,
-                    decided,
-                },
-            ));
-        }
+        let value = self.candidate;
+        self.r
+            .send_all(RecolorMsg::Candidate { value, decided }, out);
     }
 
     /// Smallest palette color not committed by any (former) participant —
@@ -439,38 +462,25 @@ impl RandomizedRecolor {
             if self.r.is_empty() {
                 return RecolorOutcome::Done(self.lonely_color());
             }
-            let ready = self
-                .r
-                .iter()
-                .all(|j| self.inbox.get(j).is_some_and(|q| !q.is_empty()));
-            if !ready {
+            if !self.r.round_complete() {
                 return RecolorOutcome::Continue;
             }
             let mut clash = false;
-            for j in self.r.clone() {
-                let msg = self
-                    .inbox
-                    .get_mut(&j)
-                    .and_then(VecDeque::pop_front)
-                    .expect("round readiness checked");
-                match msg {
-                    RecolorMsg::Nack => {
-                        self.r.remove(&j);
-                        self.inbox.remove(&j);
+            let (candidate, committed) = (self.candidate, &mut self.committed);
+            self.r.consume_round(|_, msg| match msg {
+                RecolorMsg::Nack => false,
+                RecolorMsg::Candidate { value, decided } => {
+                    clash |= value == candidate;
+                    if decided {
+                        committed.insert(value);
                     }
-                    RecolorMsg::Candidate { value, decided } => {
-                        if value == self.candidate {
-                            clash = true;
-                        }
-                        if decided {
-                            self.committed.insert(value);
-                            self.r.remove(&j);
-                            self.inbox.remove(&j);
-                        }
-                    }
-                    _ => debug_assert!(false, "wrong message kind in randomized procedure"),
+                    !decided
                 }
-            }
+                _ => {
+                    debug_assert!(false, "wrong message kind in randomized procedure");
+                    true
+                }
+            });
             if self.r.is_empty() {
                 // Everyone left (NACK or commit): decide deterministically.
                 return RecolorOutcome::Done(self.lonely_color());
@@ -484,9 +494,6 @@ impl RandomizedRecolor {
             if self.round >= self.max_rounds {
                 return RecolorOutcome::Done(self.fallback_color());
             }
-            if self.r.is_empty() {
-                return RecolorOutcome::Done(self.lonely_color());
-            }
             self.draw();
             self.broadcast(false, out);
         }
@@ -494,15 +501,10 @@ impl RandomizedRecolor {
 }
 
 impl RecolorProcedure for RandomizedRecolor {
-    fn start(
-        &mut self,
-        r: BTreeSet<NodeId>,
-        out: &mut Vec<(NodeId, RecolorMsg)>,
-    ) -> RecolorOutcome {
-        self.r = r;
+    fn start(&mut self, r: &[NodeId], out: &mut Vec<(NodeId, RecolorMsg)>) -> RecolorOutcome {
+        self.r = Participants::new(r);
         self.committed.clear();
         self.round = 0;
-        self.inbox = self.r.iter().map(|&j| (j, VecDeque::new())).collect();
         if self.r.is_empty() {
             return RecolorOutcome::Done(self.lonely_color());
         }
@@ -511,33 +513,14 @@ impl RecolorProcedure for RandomizedRecolor {
         RecolorOutcome::Continue
     }
 
-    fn on_message(
-        &mut self,
-        from: NodeId,
-        msg: RecolorMsg,
-        out: &mut Vec<(NodeId, RecolorMsg)>,
-    ) -> RecolorOutcome {
-        if !self.r.contains(&from) {
-            return RecolorOutcome::Continue;
-        }
-        self.inbox.entry(from).or_default().push_back(msg);
-        self.try_rounds(out)
-    }
-
-    fn on_removed(&mut self, j: NodeId, out: &mut Vec<(NodeId, RecolorMsg)>) -> RecolorOutcome {
-        if self.r.remove(&j) {
-            self.inbox.remove(&j);
-            return self.try_rounds(out);
-        }
-        RecolorOutcome::Continue
-    }
+    feed_rounds!();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn set(ids: &[u32]) -> BTreeSet<NodeId> {
+    fn set(ids: &[u32]) -> Vec<NodeId> {
         ids.iter().map(|&i| NodeId(i)).collect()
     }
 
@@ -545,7 +528,7 @@ mod tests {
     fn greedy_alone_finishes_immediately_with_minus_one() {
         let mut p = GreedyRecolor::new(NodeId(4));
         let mut out = vec![];
-        assert_eq!(p.start(BTreeSet::new(), &mut out), RecolorOutcome::Done(-1));
+        assert_eq!(p.start(&[], &mut out), RecolorOutcome::Done(-1));
         assert!(out.is_empty());
     }
 
@@ -553,7 +536,7 @@ mod tests {
     fn greedy_all_nacks_yield_minus_one() {
         let mut p = GreedyRecolor::new(NodeId(4));
         let mut out = vec![];
-        assert_eq!(p.start(set(&[1, 2]), &mut out), RecolorOutcome::Continue);
+        assert_eq!(p.start(&set(&[1, 2]), &mut out), RecolorOutcome::Continue);
         assert_eq!(out.len(), 2);
         assert_eq!(
             p.on_message(NodeId(1), RecolorMsg::Nack, &mut out),
@@ -572,8 +555,8 @@ mod tests {
         let mut b = GreedyRecolor::new(NodeId(1));
         let mut out_a = vec![];
         let mut out_b = vec![];
-        assert_eq!(a.start(set(&[1]), &mut out_a), RecolorOutcome::Continue);
-        assert_eq!(b.start(set(&[0]), &mut out_b), RecolorOutcome::Continue);
+        assert_eq!(a.start(&set(&[1]), &mut out_a), RecolorOutcome::Continue);
+        assert_eq!(b.start(&set(&[0]), &mut out_b), RecolorOutcome::Continue);
         let mut done_a = None;
         let mut done_b = None;
         let mut guard = 0;
@@ -605,7 +588,7 @@ mod tests {
     fn greedy_removal_mid_round_completes() {
         let mut p = GreedyRecolor::new(NodeId(4));
         let mut out = vec![];
-        p.start(set(&[1, 2]), &mut out);
+        p.start(&set(&[1, 2]), &mut out);
         p.on_message(
             NodeId(1),
             RecolorMsg::Graph {
@@ -634,7 +617,7 @@ mod tests {
         let mut p = LinialRecolor::new(NodeId(3), sched);
         let mut out = vec![];
         // Schedule has zero rounds; raw color is the ID.
-        assert_eq!(p.start(set(&[1]), &mut out), RecolorOutcome::Done(-4));
+        assert_eq!(p.start(&set(&[1]), &mut out), RecolorOutcome::Done(-4));
     }
 
     #[test]
@@ -645,8 +628,8 @@ mod tests {
         let mut b = LinialRecolor::new(NodeId(700), sched.clone());
         let mut out_a = vec![];
         let mut out_b = vec![];
-        assert_eq!(a.start(set(&[700]), &mut out_a), RecolorOutcome::Continue);
-        assert_eq!(b.start(set(&[10]), &mut out_b), RecolorOutcome::Continue);
+        assert_eq!(a.start(&set(&[700]), &mut out_a), RecolorOutcome::Continue);
+        assert_eq!(b.start(&set(&[10]), &mut out_b), RecolorOutcome::Continue);
         let mut done_a = None;
         let mut done_b = None;
         let mut guard = 0;
@@ -687,7 +670,7 @@ mod tests {
         let sched = Arc::new(LinialSchedule::compute(1000, 4));
         let mut p = LinialRecolor::new(NodeId(5), sched);
         let mut out = vec![];
-        p.start(set(&[1, 2, 3]), &mut out);
+        p.start(&set(&[1, 2, 3]), &mut out);
         assert_eq!(
             p.on_message(NodeId(1), RecolorMsg::Nack, &mut out),
             RecolorOutcome::Continue
@@ -706,14 +689,14 @@ mod tests {
     fn randomized_alone_finishes_immediately() {
         let mut p = RandomizedRecolor::new(NodeId(2), 4, 7);
         let mut out = vec![];
-        assert_eq!(p.start(BTreeSet::new(), &mut out), RecolorOutcome::Done(-1));
+        assert_eq!(p.start(&[], &mut out), RecolorOutcome::Done(-1));
     }
 
     #[test]
     fn randomized_nacks_reduce_to_lonely_case() {
         let mut p = RandomizedRecolor::new(NodeId(2), 4, 7);
         let mut out = vec![];
-        assert_eq!(p.start(set(&[5]), &mut out), RecolorOutcome::Continue);
+        assert_eq!(p.start(&set(&[5]), &mut out), RecolorOutcome::Continue);
         assert_eq!(out.len(), 1);
         assert_eq!(
             p.on_message(NodeId(5), RecolorMsg::Nack, &mut out),
@@ -728,8 +711,8 @@ mod tests {
             let mut b = RandomizedRecolor::new(NodeId(1), 3, seed);
             let mut out_a = vec![];
             let mut out_b = vec![];
-            a.start(set(&[1]), &mut out_a);
-            b.start(set(&[0]), &mut out_b);
+            a.start(&set(&[1]), &mut out_a);
+            b.start(&set(&[0]), &mut out_b);
             let mut done_a = None;
             let mut done_b = None;
             let mut guard = 0;
@@ -782,7 +765,7 @@ mod tests {
     fn randomized_respects_committed_neighbor_colors() {
         let mut p = RandomizedRecolor::new(NodeId(9), 2, 3);
         let mut out = vec![];
-        p.start(set(&[1, 2]), &mut out);
+        p.start(&set(&[1, 2]), &mut out);
         // Neighbor 1 commits color 0; neighbor 2 keeps proposing whatever p
         // proposes, forcing redraws that must avoid 0. The candidate drawn
         // in `start` predates the commit and is exempt — the commit rule
@@ -838,7 +821,7 @@ mod tests {
         let me = NodeId(5);
         let mut p = LinialRecolor::new(me, sched.clone());
         let mut out = vec![];
-        p.start(set(&[1, 2, 3]), &mut out);
+        p.start(&set(&[1, 2, 3]), &mut out);
         // Three distinct neighbor colors exceed δ = 1: fallback.
         p.on_message(NodeId(1), RecolorMsg::TempColor(10), &mut out);
         p.on_message(NodeId(2), RecolorMsg::TempColor(11), &mut out);

@@ -83,7 +83,9 @@ fn drive(
     };
     for i in 0..k {
         let mut out = Vec::new();
-        if let RecolorOutcome::Done(c) = procs[i].start(adj[i].clone(), &mut out) {
+        if let RecolorOutcome::Done(c) =
+            procs[i].start(&Vec::from_iter(adj[i].iter().copied()), &mut out)
+        {
             colors[i] = Some(c);
         }
         push(&mut channels, i as u32, out);

@@ -1,8 +1,11 @@
 //! The single-doorway state machine.
+//!
+//! A doorway's view of its neighbours is two [`NeighborSet`]s — sorted
+//! vectors of at most δ IDs, rendered by `Debug` exactly like the ordered
+//! sets they replaced, so the state digests of the algorithms embedding a
+//! doorway do not depend on the layout.
 
-use std::collections::BTreeSet;
-
-use manet_sim::NodeId;
+use manet_sim::{NeighborSet, NodeId};
 
 use crate::message::DoorwayMsg;
 use crate::tag::DoorwayTag;
@@ -49,10 +52,10 @@ pub struct Doorway {
     tag: DoorwayTag,
     kind: DoorwayKind,
     /// Neighbors whose last message for this doorway was `cross`.
-    behind: BTreeSet<NodeId>,
+    behind: NeighborSet,
     /// Entry progress of the asynchronous discipline: neighbors observed
     /// outside at least once since `begin_entry`.
-    seen_outside: BTreeSet<NodeId>,
+    seen_outside: NeighborSet,
     my_behind: bool,
     entering: bool,
 }
@@ -63,8 +66,8 @@ impl Doorway {
         Doorway {
             tag,
             kind,
-            behind: BTreeSet::new(),
-            seen_outside: BTreeSet::new(),
+            behind: NeighborSet::new(),
+            seen_outside: NeighborSet::new(),
             my_behind: false,
             entering: false,
         }
@@ -93,7 +96,7 @@ impl Doorway {
     /// Whether, to this node's knowledge, neighbor `j` is behind the
     /// doorway.
     pub fn neighbor_behind(&self, j: NodeId) -> bool {
-        self.behind.contains(&j)
+        self.behind.contains(j)
     }
 
     /// Start executing the entry code. `neighbors` is the current neighbor
@@ -108,7 +111,7 @@ impl Doorway {
         self.entering = true;
         self.seen_outside.clear();
         for &j in neighbors {
-            if !self.behind.contains(&j) {
+            if !self.behind.contains(j) {
                 self.seen_outside.insert(j);
             }
         }
@@ -121,8 +124,8 @@ impl Doorway {
             return false;
         }
         match self.kind {
-            DoorwayKind::Synchronous => neighbors.iter().all(|j| !self.behind.contains(j)),
-            DoorwayKind::Asynchronous => neighbors.iter().all(|j| self.seen_outside.contains(j)),
+            DoorwayKind::Synchronous => neighbors.iter().all(|&j| !self.behind.contains(j)),
+            DoorwayKind::Asynchronous => neighbors.iter().all(|&j| self.seen_outside.contains(j)),
         }
     }
 
@@ -160,7 +163,7 @@ impl Doorway {
     /// Record an `exit` message (or exit-all, or outside status) from
     /// neighbor `j`.
     pub fn note_exit(&mut self, j: NodeId) {
-        self.behind.remove(&j);
+        self.behind.remove(j);
         if self.entering {
             self.seen_outside.insert(j);
         }
@@ -171,7 +174,7 @@ impl Doorway {
     pub fn neighbor_joined(&mut self, j: NodeId, j_behind: bool) {
         if j_behind {
             self.behind.insert(j);
-            self.seen_outside.remove(&j);
+            self.seen_outside.remove(j);
         } else {
             self.note_exit(j);
         }
@@ -179,8 +182,8 @@ impl Doorway {
 
     /// Neighbor `j` disappeared.
     pub fn neighbor_left(&mut self, j: NodeId) {
-        self.behind.remove(&j);
-        self.seen_outside.remove(&j);
+        self.behind.remove(j);
+        self.seen_outside.remove(j);
     }
 }
 

@@ -18,8 +18,7 @@
 //! counter (wall-time placement of *concurrent* records) and why the
 //! safety verdict does not depend on it.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::trace::{LiveEventKind, LiveRecord};
 
@@ -74,34 +73,58 @@ pub struct StampedRecord {
 ///
 /// Each input stream must be non-decreasing in `clock` (the per-shard
 /// clocks guarantee strictly increasing stamps). The merge orders by
-/// `(clock, stream index)` — ties across shards are concurrent records,
-/// so any deterministic tie-break yields a valid linearization — and
-/// assigns `order = 0, 1, 2, …` with no ticket reused or skipped.
-pub fn merge_stamped(streams: Vec<Vec<StampedRecord>>) -> Vec<LiveRecord> {
+/// `(clock, stream index, position)` — ties across shards are concurrent
+/// records, so any deterministic tie-break yields a valid linearization —
+/// and assigns `order = 0, 1, 2, …` with no ticket reused or skipped. A
+/// stream whose stamps (unexpectedly) go backwards keeps its own order: a
+/// record's clock counts as the running maximum of its stream's stamps.
+///
+/// The streams are consumed, back to front: the record with the largest
+/// key among the streams' tails is taken next and written to the front of
+/// the output, so each stream gives its memory back as it drains (shrunk
+/// whenever an eighth of its capacity is free) while the output fills in
+/// from its end, and the trace is never held twice.
+pub fn merge_stamped(mut streams: Vec<Vec<StampedRecord>>) -> Vec<LiveRecord> {
+    for stream in &mut streams {
+        let mut max = 0;
+        for rec in stream.iter_mut() {
+            // Written only where a stamp went backwards, so an ordered
+            // stream is read, not rewritten.
+            if rec.clock < max {
+                rec.clock = max;
+            }
+            max = rec.clock;
+        }
+    }
     let total: usize = streams.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(total);
-    // Heap of Reverse((clock, stream, position)): pop order is the merged
-    // order; per-stream positions only move forward, preserving each
-    // shard's internal sequence even if its stamps were (unexpectedly)
-    // non-monotonic.
-    let mut heap: BinaryHeap<Reverse<(u64, usize, usize)>> = BinaryHeap::new();
-    for (s, stream) in streams.iter().enumerate() {
-        if let Some(first) = stream.first() {
-            heap.push(Reverse((first.clock, s, 0)));
+    // Filled from the back, exactly to capacity, so it ends contiguous
+    // from the start of its buffer and converts to a `Vec` without a move.
+    let mut out = VecDeque::with_capacity(total);
+    // Max-heap of the tails' `(clock, stream)`; a popped stream keeps the
+    // lead for as long as its tail stays above the next best tail.
+    let mut heap: BinaryHeap<(u64, usize)> = streams
+        .iter()
+        .enumerate()
+        .filter_map(|(s, stream)| Some((stream.last()?.clock, s)))
+        .collect();
+    while let Some((_, s)) = heap.pop() {
+        let rival = heap.peek().copied();
+        let stream = &mut streams[s];
+        while let Some(rec) = stream.pop_if(|r| rival.is_none_or(|k| (r.clock, s) > k)) {
+            out.push_front(LiveRecord {
+                at_ns: rec.at_ns,
+                order: (total - 1 - out.len()) as u64,
+                kind: rec.kind,
+            });
+            if stream.len() < stream.capacity() / 8 * 7 {
+                stream.shrink_to_fit();
+            }
+        }
+        if let Some(tail) = stream.last() {
+            heap.push((tail.clock, s));
         }
     }
-    while let Some(Reverse((_, s, i))) = heap.pop() {
-        let rec = &streams[s][i];
-        out.push(LiveRecord {
-            at_ns: rec.at_ns,
-            order: out.len() as u64,
-            kind: rec.kind.clone(),
-        });
-        if let Some(next) = streams[s].get(i + 1) {
-            heap.push(Reverse((next.clock.max(rec.clock), s, i + 1)));
-        }
-    }
-    out
+    Vec::from(out)
 }
 
 #[cfg(test)]
@@ -153,5 +176,62 @@ mod tests {
     fn merge_of_empty_streams_is_empty() {
         assert!(merge_stamped(vec![Vec::new(), Vec::new()]).is_empty());
         assert!(merge_stamped(Vec::new()).is_empty());
+    }
+
+    /// The merge `merge_stamped` replaced, verbatim: a front-to-back heap
+    /// merge into a second full-size vector, cloning every record, with
+    /// each record keyed by the larger of its own and its predecessor's
+    /// stamp.
+    fn heap_merge(streams: &[Vec<StampedRecord>]) -> Vec<LiveRecord> {
+        use std::cmp::Reverse;
+        let total: usize = streams.iter().map(Vec::len).sum();
+        let mut out = Vec::with_capacity(total);
+        let mut heap: BinaryHeap<Reverse<(u64, usize, usize)>> = BinaryHeap::new();
+        for (s, stream) in streams.iter().enumerate() {
+            if let Some(first) = stream.first() {
+                heap.push(Reverse((first.clock, s, 0)));
+            }
+        }
+        while let Some(Reverse((_, s, i))) = heap.pop() {
+            let rec = &streams[s][i];
+            out.push(LiveRecord {
+                at_ns: rec.at_ns,
+                order: out.len() as u64,
+                kind: rec.kind.clone(),
+            });
+            if let Some(next) = streams[s].get(i + 1) {
+                heap.push(Reverse((next.clock.max(rec.clock), s, i + 1)));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn merge_matches_the_heap_merge_on_random_streams() {
+        use manet_sim::SimRng;
+        for seed in 0..300u64 {
+            let mut rng = SimRng::seed_from_u64(seed);
+            let streams: Vec<Vec<StampedRecord>> = (0..rng.gen_range(0..5usize))
+                .map(|s| {
+                    let mut clock = 0u64;
+                    (0..rng.gen_range(0..40u32))
+                        .map(|i| {
+                            // Small steps make cross-stream ties common;
+                            // one record in ten steps backwards.
+                            clock = if rng.gen_range(0..10u32) == 0 {
+                                clock.saturating_sub(rng.gen_range(0..4u64))
+                            } else {
+                                clock + rng.gen_range(0..3u64)
+                            };
+                            let mut r = rec(clock, s as u32 * 100 + i);
+                            r.at_ns = rng.gen_range(0..1_000u64);
+                            r
+                        })
+                        .collect()
+                })
+                .collect();
+            let want = heap_merge(&streams);
+            assert_eq!(merge_stamped(streams), want, "seed {seed}");
+        }
     }
 }

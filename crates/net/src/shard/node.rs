@@ -171,7 +171,7 @@ where
             );
             self.proto.on_event(ev, &mut ctx);
         }
-        for (delay_ticks, token) in std::mem::take(&mut self.timer_buf) {
+        for (delay_ticks, token) in self.timer_buf.drain(..) {
             self.timers
                 .push((now + delay_ticks.saturating_mul(self.tick_ns), token));
         }
@@ -217,9 +217,12 @@ where
                 shared,
             );
         }
-        for (to, msg) in std::mem::take(&mut self.outbox) {
+        // Lent out and handed back drained, so its capacity is reused.
+        let mut outbox = std::mem::take(&mut self.outbox);
+        for (to, msg) in outbox.drain(..) {
             self.transmit(to, msg, wire, shared);
         }
+        self.outbox = outbox;
     }
 
     fn draw_think(&mut self) -> u64 {
@@ -231,7 +234,7 @@ where
     }
 
     fn transmit(&mut self, to: NodeId, msg: P::Msg, wire: &mut WireOut, shared: &ShardShared) {
-        if self.crashed || to == self.me || !self.neighbors.contains(&to) {
+        if self.crashed || to == self.me || self.neighbors.binary_search(&to).is_err() {
             return;
         }
         if shared.severed(self.me, to) {

@@ -365,6 +365,11 @@ pub struct Engine<P: Protocol> {
     /// δ of the initial topology, handed to recovered incarnations
     /// exactly as it was handed to the original ones.
     max_degree: usize,
+    /// The outbox and timer buffers lent to every handler call and
+    /// drained after it, so dispatching an event allocates nothing once
+    /// they have grown to the largest handler's output.
+    outbox: Vec<(NodeId, P::Msg)>,
+    timers: Vec<(u64, u64)>,
 }
 
 impl<P: Protocol> Engine<P> {
@@ -454,6 +459,8 @@ impl<P: Protocol> Engine<P> {
             hooks: Vec::new(),
             factory: Box::new(factory),
             max_degree,
+            outbox: Vec::new(),
+            timers: Vec::new(),
         };
         engine.install_fault_plan();
         engine
@@ -1067,8 +1074,8 @@ impl<P: Protocol> Engine<P> {
             return;
         }
         let old = self.core.dining[node.index()];
-        let mut outbox: Vec<(NodeId, P::Msg)> = Vec::new();
-        let mut timers: Vec<(u64, u64)> = Vec::new();
+        let mut outbox = std::mem::take(&mut self.outbox);
+        let mut timers = std::mem::take(&mut self.timers);
         {
             let mut ctx = Context {
                 me: node,
@@ -1080,10 +1087,10 @@ impl<P: Protocol> Engine<P> {
             };
             self.protocols[node.index()].on_event(ev, &mut ctx);
         }
-        for (to, msg) in outbox {
+        for (to, msg) in outbox.drain(..) {
             self.send(node, to, msg);
         }
-        for (delay, token) in timers {
+        for (delay, token) in timers.drain(..) {
             let at = self.core.now + delay;
             self.core.push(
                 at,
@@ -1093,6 +1100,8 @@ impl<P: Protocol> Engine<P> {
                 },
             );
         }
+        self.outbox = outbox;
+        self.timers = timers;
         let new = self.protocols[node.index()].dining_state();
         if new != old {
             self.core.dining[node.index()] = new;

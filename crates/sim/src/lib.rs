@@ -68,6 +68,7 @@ mod geo;
 mod hooks;
 mod ids;
 mod links;
+mod neighbors;
 mod protocol;
 pub mod rng;
 mod sched;
@@ -88,6 +89,7 @@ pub use fault::{
 pub use geo::CsrAdjacency;
 pub use hooks::{Hook, Sink, View};
 pub use ids::NodeId;
+pub use neighbors::{KeysWhere, NeighborSet, Neighbors};
 pub use protocol::{Context, DiningState, Protocol};
 pub use rng::SimRng;
 pub use sched::{

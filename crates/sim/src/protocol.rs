@@ -126,7 +126,7 @@ impl<'a, M> Context<'a, M> {
     }
 }
 
-impl<M: Clone> Context<'_, M> {
+impl<'a, M: Clone> Context<'a, M> {
     /// The ID of the node executing the handler.
     pub fn me(&self) -> NodeId {
         self.me
@@ -139,7 +139,7 @@ impl<M: Clone> Context<'_, M> {
 
     /// The node's current neighbors, sorted by ID. This is the local
     /// variable `N` of the paper, maintained by the link-level protocol.
-    pub fn neighbors(&self) -> &[NodeId] {
+    pub fn neighbors(&self) -> &'a [NodeId] {
         self.neighbors
     }
 

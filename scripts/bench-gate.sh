@@ -1,0 +1,50 @@
+#!/usr/bin/env bash
+# The deterministic half of the benchmark gate. Builds the repo benchmark
+# (benchmark/) at a base revision and in the working tree, runs each
+# simulator and checker workload once at --quick sizes on both, and fails
+# if either side is not correct or if a simulated-time metric
+# (rt_p50_ticks, rt_p99_ticks, msgs_per_session) differs at all. Host-time
+# metrics are not compared: on a shared CI runner they are too noisy to
+# gate on.
+#
+# Usage, from anywhere in the repository:
+#   scripts/bench-gate.sh [BASE_REV]      # BASE_REV defaults to HEAD^
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+base="${1:-HEAD^}"
+work="$(mktemp -d)"
+trap 'rm -rf "$work"' EXIT
+git archive --format=tar "$base" | tar -x -C "$work"
+
+# The last line the benchmark prints is its machine-readable result.
+result() { # <checkout> <target dir> <workload>
+    (cd "$1" && CARGO_TARGET_DIR="$2" cargo run --release --quiet --offline \
+        --manifest-path benchmark/Cargo.toml -- \
+        --quick --reps 1 --workload "$3" | tail -n 1)
+}
+
+status=0
+for workload in sim_static_a2 sim_mobile_a1 sim_lossy_arq check_certify; do
+    before=$(result "$work" "$work/target" "$workload") || true
+    after=$(result . "$PWD/target/bench-gate" "$workload") || true
+    python3 - "$workload" "$before" "$after" <<'EOF' || status=1
+import json
+import sys
+
+workload, sides = sys.argv[1], {}
+for side, line in zip(("base", "head"), sys.argv[2:]):
+    try:
+        sides[side] = json.loads(line)
+    except ValueError:
+        sys.exit(f"{workload}: {side} printed no result line: {line!r}")
+problems = [f"{side} is not correct" for side, r in sides.items() if not r["correct"]]
+for metric in ("rt_p50_ticks", "rt_p99_ticks", "msgs_per_session"):
+    a, b = (sides[s]["metrics"][metric]["value"] for s in ("base", "head"))
+    if a != b:
+        problems.append(f"{metric} {a!r} -> {b!r}")
+print(f"{workload}: " + ("; ".join(problems) or "simulated-time metrics equal, both correct"))
+sys.exit(1 if problems else 0)
+EOF
+done
+exit "$status"

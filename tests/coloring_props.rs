@@ -13,7 +13,7 @@
 //!   nodes answering Nack, and adjacent participants end with distinct
 //!   colors (the paper's Assumption 1).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use coloring::{greedy_color_graph, AdjGraph, LinialSchedule};
@@ -117,9 +117,9 @@ fn pump(g: &AdjGraph, mut procs: BTreeMap<u32, Box<dyn RecolorProcedure>>) -> BT
     let mut outbox: BTreeMap<u32, Vec<(NodeId, RecolorMsg)>> = BTreeMap::new();
     let mut done: BTreeMap<u32, i64> = BTreeMap::new();
     for (&v, p) in procs.iter_mut() {
-        let r: BTreeSet<NodeId> = g.neighbors(v).map(NodeId).collect();
+        let r: Vec<NodeId> = g.neighbors(v).map(NodeId).collect();
         let mut out = Vec::new();
-        if let RecolorOutcome::Done(c) = p.start(r, &mut out) {
+        if let RecolorOutcome::Done(c) = p.start(&r, &mut out) {
             done.insert(v, c);
         }
         outbox.insert(v, out);
