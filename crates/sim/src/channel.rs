@@ -1,5 +1,11 @@
 //! Pluggable channel models: what maps a physical send to a delivery time.
 //!
+//! This module describes the models ([`ChannelConfig`], [`ChannelStats`],
+//! [`fair_share_rates`]) and holds their runtime state, one
+//! `Medium` variant per model. It decides nothing about order: the link
+//! layer (`crate::link`) runs a frame through its medium, the fault
+//! adversary and the FIFO clamp, in the order DESIGN.md §14 tabulates.
+//!
 //! The paper proves its bounds over clean FIFO links whose delay is an
 //! i.i.d. draw in `[min_delay, ν]`. Real MANETs have finite link capacity,
 //! shared-medium contention and correlated (bursty) loss. This module
@@ -34,10 +40,13 @@
 //! Per-link channel state (serialization queues, burst-loss chains) is
 //! scoped to the link incarnation by [`crate::links::LinkStore`]: a flap
 //! (mobility, partition, crash recovery) kills it with the incarnation.
+//! Each store lives inside its model's variant, so a model that is not
+//! configured owns nothing.
 
 use std::collections::VecDeque;
 
 use crate::ids::NodeId;
+use crate::link::Frame;
 use crate::links::LinkStore;
 use crate::rng::SimRng;
 use crate::time::SimTime;
@@ -273,40 +282,19 @@ pub struct ChannelStats {
 /// Per-directed-link serialization state of the constant-bandwidth model,
 /// valid for one link incarnation (a [`LinkStore`] payload).
 #[derive(Clone, Debug, Default)]
-pub(crate) struct CbSlot {
+struct CbSlot {
     /// Instant the link finishes its last accepted frame.
-    pub busy_until: SimTime,
+    busy_until: SimTime,
     /// Scheduled completion instants of accepted frames, oldest first;
     /// entries at or before `now` have left the link.
-    pub inflight: VecDeque<SimTime>,
+    inflight: VecDeque<SimTime>,
 }
 
 /// Per-directed-link Gilbert–Elliott chain state (same incarnation
 /// scoping as [`CbSlot`]; a reconnected link restarts in the good state).
 #[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct GeSlot {
-    pub bad: bool,
-}
-
-/// One in-flight shared-medium frame: the wire payload it will become on
-/// completion plus its fair-share service state.
-pub(crate) struct Flight<W> {
-    pub from: NodeId,
-    pub to: NodeId,
-    /// Link incarnation captured at send; stale incarnations drop at
-    /// delivery exactly like every other in-flight frame.
-    pub link_epoch: u64,
-    pub wire: W,
-    /// Remaining work in ticks-at-full-rate.
-    pub remaining: f64,
-    /// Current fair-share service rate (work per tick), recomputed on
-    /// every frame start/finish.
-    pub rate: f64,
-    /// Extra delivery delay the fault adversary imposed at send (skew).
-    pub extra_delay: u64,
-    /// The nodes that hear this transmission: the sender's closed
-    /// neighborhood at send time.
-    pub span: Vec<NodeId>,
+struct GeSlot {
+    bad: bool,
 }
 
 /// Work below this threshold counts as complete (absorbs f64 rounding in
@@ -325,102 +313,227 @@ const SM_EPS: f64 = 1e-9;
 /// `x`, the instantaneous rates of all transmissions audible at `x` sum
 /// to at most `capacity` (each such transmission is served no faster than
 /// `capacity / load(x)`, and there are exactly `load(x)` of them). The
-/// property battery in `tests/channel_models.rs` pins this.
+/// property battery in `tests/channel_models.rs` pins this, and the
+/// shared medium runs exactly this allocation.
 pub fn fair_share_rates(n: usize, spans: &[Vec<NodeId>], capacity: f64) -> Vec<f64> {
+    fair_share(n, spans, Vec::as_slice, capacity)
+}
+
+/// [`fair_share_rates`] over any transmissions whose spans `span` reads.
+fn fair_share<T>(n: usize, items: &[T], span: impl Fn(&T) -> &[NodeId], capacity: f64) -> Vec<f64> {
     let mut load = vec![0u32; n];
-    for span in spans {
-        for x in span {
+    for item in items {
+        for x in span(item) {
             load[x.index()] += 1;
         }
     }
-    spans
+    items
         .iter()
-        .map(|span| {
-            let worst = span.iter().map(|x| load[x.index()]).max().unwrap_or(1);
+        .map(|item| {
+            let worst = span(item)
+                .iter()
+                .map(|x| load[x.index()])
+                .max()
+                .unwrap_or(1);
             capacity / worst.max(1) as f64
         })
         .collect()
 }
 
-/// Engine-side channel state: the model parameters, the per-directed-link
-/// slots of the two link-scoped models and the shared-medium flight set.
-/// `W` is the engine's wire-frame type.
-pub(crate) struct ChannelState<W> {
-    pub cfg: ChannelConfig,
-    /// Dedicated stream for channel decisions (burst-loss chain steps),
-    /// so channel models never perturb the engine's or the fault
-    /// adversary's streams.
-    pub rng: SimRng,
-    /// Constant-bandwidth serialization slots (empty unless that model).
-    pub cb: LinkStore<CbSlot>,
-    /// Gilbert–Elliott chain slots (empty unless that model).
-    pub ge: LinkStore<GeSlot>,
-    /// Shared-medium in-flight frames, in send order.
-    pub flights: Vec<Flight<W>>,
-    /// Instant the flights' `remaining` fields were last integrated to.
-    last_update: SimTime,
-    /// Generation of the armed completion-scan event; stale events
-    /// (superseded by a reallocation) carry an older generation and no-op.
+/// The runtime state of the configured channel model: one variant per
+/// [`ChannelConfig`], each holding only its own state, so a model that is
+/// not configured allocates nothing. `W` is the wire frame of the shared
+/// medium's flights.
+pub(crate) enum Medium<W> {
+    /// The paper's model: no state (the delay is the link layer's i.i.d.
+    /// draw).
+    Iid,
+    Bandwidth(Bandwidth),
+    Shared(SharedMedium<W>),
+    Gilbert(GilbertElliott),
+}
+
+impl<W> Medium<W> {
+    /// The state of `cfg` for a run of `n` nodes seeded by `run_seed`.
+    pub fn new(cfg: &ChannelConfig, run_seed: u64, n: usize) -> Medium<W> {
+        match *cfg {
+            ChannelConfig::Iid => Medium::Iid,
+            ChannelConfig::ConstantBandwidth {
+                ticks_per_frame,
+                max_queue,
+            } => Medium::Bandwidth(Bandwidth {
+                ticks_per_frame,
+                max_queue,
+                queues: LinkStore::new(),
+            }),
+            ChannelConfig::SharedMedium {
+                ticks_per_frame,
+                max_inflight,
+            } => Medium::Shared(SharedMedium {
+                ticks_per_frame,
+                max_inflight,
+                n,
+                flights: Vec::new(),
+                last_update: SimTime::ZERO,
+                gen: 0,
+            }),
+            ChannelConfig::GilbertElliott {
+                p_good_to_bad,
+                p_bad_to_good,
+                loss_good,
+                loss_bad,
+            } => Medium::Gilbert(GilbertElliott {
+                leave: [p_good_to_bad, p_bad_to_good],
+                loss: [loss_good, loss_bad],
+                rng: SimRng::seed_from_u64(channel_seed(run_seed)),
+                chains: LinkStore::new(),
+            }),
+        }
+    }
+
+    /// The `a — b` link flapped: its per-link channel state goes stale
+    /// with the incarnation.
+    pub fn bump(&mut self, a: NodeId, b: NodeId) {
+        match self {
+            Medium::Bandwidth(m) => m.queues.bump(a, b),
+            Medium::Gilbert(m) => m.chains.bump(a, b),
+            Medium::Iid | Medium::Shared(_) => {}
+        }
+    }
+
+    /// Records held by the model's per-link store.
+    #[cfg(test)]
+    pub fn records(&self) -> usize {
+        match self {
+            Medium::Bandwidth(m) => m.queues.len(),
+            Medium::Gilbert(m) => m.chains.len(),
+            Medium::Iid | Medium::Shared(_) => 0,
+        }
+    }
+}
+
+/// Constant bandwidth: one FIFO serialization queue per directed link.
+pub(crate) struct Bandwidth {
+    pub ticks_per_frame: u64,
+    max_queue: usize,
+    queues: LinkStore<CbSlot>,
+}
+
+impl Bandwidth {
+    /// Serialize a frame of `frame` ticks on `from → to` at `now`: frames
+    /// whose completion has passed leave the link, then the frame queues
+    /// behind the rest. Returns its delay — completion minus `now`, which
+    /// exceeds ν under sustained load — or `Err(max_queue)` when the queue
+    /// is full.
+    pub fn admit(
+        &mut self,
+        now: SimTime,
+        from: NodeId,
+        to: NodeId,
+        frame: u64,
+        stats: &mut ChannelStats,
+    ) -> Result<u64, usize> {
+        let slot = self.queues.get_mut(from, to);
+        while slot.inflight.front().is_some_and(|&t| t <= now) {
+            slot.inflight.pop_front();
+        }
+        if slot.inflight.len() >= self.max_queue {
+            return Err(self.max_queue);
+        }
+        let start = slot.busy_until.max(now);
+        let done = start + frame;
+        slot.busy_until = done;
+        slot.inflight.push_back(done);
+        stats.frames_queued += (start > now) as u64;
+        stats.queue_peak = stats.queue_peak.max(slot.inflight.len() as u64);
+        Ok(done.0 - now.0)
+    }
+}
+
+/// Gilbert–Elliott burst loss: one two-state chain per directed link.
+pub(crate) struct GilbertElliott {
+    /// Per-frame probability of leaving the state, indexed by `bad`.
+    leave: [f64; 2],
+    /// Frame-loss probability in the state, indexed by `bad`.
+    loss: [f64; 2],
+    /// Dedicated stream for chain steps, so the channel never perturbs
+    /// the engine's or the fault adversary's streams.
+    rng: SimRng,
+    chains: LinkStore<GeSlot>,
+}
+
+impl GilbertElliott {
+    /// Step the `from → to` chain one frame: maybe flip state, then draw
+    /// the loss. Returns `(transitioned, lost)`. Both draws come from the
+    /// dedicated channel stream and happen on every frame, so the stream's
+    /// consumption is a pure function of the frame count — and an
+    /// all-good chain changes nothing observable.
+    pub fn step(&mut self, from: NodeId, to: NodeId) -> (bool, bool) {
+        let slot = self.chains.get_mut(from, to);
+        let flip = self.rng.gen_bool(self.leave[slot.bad as usize]);
+        slot.bad ^= flip;
+        (flip, self.rng.gen_bool(self.loss[slot.bad as usize]))
+    }
+}
+
+/// One in-flight shared-medium frame: the frame it delivers on completion
+/// plus its fair-share service state.
+pub(crate) struct Flight<W> {
+    pub frame: Frame<W>,
+    /// Remaining work in ticks-at-full-rate.
+    remaining: f64,
+    /// Current fair-share service rate (work per tick), recomputed on
+    /// every frame start/finish.
+    rate: f64,
+    /// Delivery delay past completion that the fault adversary imposed at
+    /// send (the max-delay adversary's ν, skew, a ghost's lag).
+    pub extra_delay: u64,
+    /// The nodes that hear this transmission: the sender's closed
+    /// neighborhood at send time.
+    span: Vec<NodeId>,
+}
+
+impl<W> Flight<W> {
+    /// A flight of `work` full-rate ticks heard by `span`.
+    pub fn new(frame: Frame<W>, work: u64, extra_delay: u64, span: Vec<NodeId>) -> Flight<W> {
+        Flight {
+            frame,
+            remaining: work as f64,
+            rate: 0.0,
+            extra_delay,
+            span,
+        }
+    }
+}
+
+/// An armed completion scan of the shared medium: due `at`, live while
+/// the medium's generation is still `gen` (a later scan supersedes it).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct Scan {
+    pub at: SimTime,
     pub gen: u64,
 }
 
-impl<W> ChannelState<W> {
-    /// Build the runtime state for `cfg`, or `None` for the default
-    /// i.i.d. model (which keeps no state at all — the engine's fast path
-    /// must not even allocate).
-    pub fn new(cfg: &ChannelConfig, run_seed: u64) -> Option<ChannelState<W>> {
-        if cfg.is_iid() {
-            return None;
-        }
-        Some(ChannelState {
-            cfg: cfg.clone(),
-            rng: SimRng::seed_from_u64(channel_seed(run_seed)),
-            cb: LinkStore::new(),
-            ge: LinkStore::new(),
-            flights: Vec::new(),
-            last_update: SimTime::ZERO,
-            gen: 0,
-        })
-    }
+/// The shared medium: every in-flight frame, served at its fair share of
+/// the busiest radio neighborhood it is heard in.
+pub(crate) struct SharedMedium<W> {
+    pub ticks_per_frame: u64,
+    pub max_inflight: usize,
+    /// Node count, for the fair-share load vector.
+    n: usize,
+    /// In-flight frames, in send order.
+    flights: Vec<Flight<W>>,
+    /// Instant the flights' `remaining` fields were last integrated to.
+    last_update: SimTime,
+    /// Generation of the armed completion scan; a scan carrying an older
+    /// one was superseded by a reallocation and no-ops.
+    gen: u64,
+}
 
-    /// Step the `from → to` Gilbert–Elliott chain one frame: maybe flip
-    /// state, then draw the loss. Returns `(transitioned, lost)`. Both
-    /// draws come from the dedicated channel stream and happen on every
-    /// frame, so the stream's consumption is a pure function of the frame
-    /// count — and an all-good chain changes nothing observable.
-    pub fn ge_step(&mut self, from: NodeId, to: NodeId) -> (bool, bool) {
-        let ChannelConfig::GilbertElliott {
-            p_good_to_bad,
-            p_bad_to_good,
-            loss_good,
-            loss_bad,
-        } = self.cfg
-        else {
-            return (false, false);
-        };
-        let slot = self.ge.get_mut(from, to);
-        let flip = self.rng.gen_bool(if slot.bad {
-            p_bad_to_good
-        } else {
-            p_good_to_bad
-        });
-        slot.bad ^= flip;
-        let lost = self
-            .rng
-            .gen_bool(if slot.bad { loss_bad } else { loss_good });
-        (flip, lost)
-    }
-
-    /// Full-rate capacity of the shared medium. Work is measured in
-    /// full-rate ticks (a frame carries `ticks_per_frame` units), so the
-    /// uncontended rate is one unit per tick and contention divides it.
-    fn sm_capacity(&self) -> f64 {
-        1.0
-    }
-
+impl<W> SharedMedium<W> {
     /// Integrate every flight's remaining work up to `now` at the rates
     /// in force since the last event.
-    pub fn sm_advance(&mut self, now: SimTime) {
+    fn advance(&mut self, now: SimTime) {
         let dt = now.0.saturating_sub(self.last_update.0) as f64;
         if dt > 0.0 {
             for f in &mut self.flights {
@@ -430,44 +543,39 @@ impl<W> ChannelState<W> {
         self.last_update = now;
     }
 
-    /// Reallocate fair-share rates across all in-flight frames (called on
-    /// every start and finish).
-    pub fn sm_reallocate(&mut self) {
-        let cap = self.sm_capacity();
-        let spanned = self.flights.iter().flat_map(|f| &f.span);
-        let mut load = vec![0u32; spanned.map(|x| x.index() + 1).max().unwrap_or(0)];
-        for f in &self.flights {
-            for x in &f.span {
-                load[x.index()] += 1;
-            }
-        }
-        for f in &mut self.flights {
-            let worst = f.span.iter().map(|x| load[x.index()]).max().unwrap_or(1);
-            f.rate = cap / worst.max(1) as f64;
+    /// Reallocate fair-share rates across all in-flight frames (on every
+    /// start and finish). Work is measured in full-rate ticks, so the
+    /// uncontended rate — the capacity — is one unit per tick.
+    fn reallocate(&mut self) {
+        let rates = fair_share(self.n, &self.flights, |f| &f.span, 1.0);
+        for (f, rate) in self.flights.iter_mut().zip(rates) {
+            f.rate = rate;
         }
     }
 
     /// Number of in-flight frames audible in the closed neighborhood
     /// `span` (its would-be contention level).
-    pub fn sm_audible(&self, span: &[NodeId]) -> usize {
+    pub fn audible(&self, span: &[NodeId]) -> usize {
         self.flights
             .iter()
-            .filter(|f| span.contains(&f.from))
+            .filter(|f| span.contains(&f.frame.from))
             .count()
     }
 
-    /// Enqueue one frame: integrate to `now`, add the flight, reallocate.
-    pub fn sm_enqueue(&mut self, flight: Flight<W>, now: SimTime) {
-        self.sm_advance(now);
-        self.flights.push(flight);
-        self.sm_reallocate();
+    /// Integrate to `now`, add `flights` in order, reallocate.
+    pub fn enqueue(&mut self, now: SimTime, flights: impl IntoIterator<Item = Flight<W>>) {
+        self.advance(now);
+        self.flights.extend(flights);
+        self.reallocate();
     }
 
-    /// Earliest instant any flight could complete at current rates, or
-    /// `None` when the medium is idle. Completion estimates are ceilinged
-    /// to whole ticks; arrivals in between reallocate and supersede them.
-    pub fn sm_eta(&self, now: SimTime) -> Option<SimTime> {
-        self.flights
+    /// Arm the completion scan at the earliest instant any flight could
+    /// finish at current rates (ceilinged to whole ticks; a send in
+    /// between reallocates and supersedes it), or `None` when the medium
+    /// is idle. Every scan armed before is stale.
+    pub fn scan(&mut self, now: SimTime) -> Option<Scan> {
+        let at = self
+            .flights
             .iter()
             .map(|f| {
                 if f.remaining <= SM_EPS {
@@ -476,32 +584,33 @@ impl<W> ChannelState<W> {
                     now + (f.remaining / f.rate).ceil().max(1.0) as u64
                 }
             })
-            .min()
+            .min()?;
+        self.gen += 1;
+        Some(Scan { at, gen: self.gen })
     }
 
-    /// Integrate to `now` and drain every completed flight (in send
-    /// order); reallocates if anything finished.
-    pub fn sm_take_completed(&mut self, now: SimTime) -> Vec<Flight<W>> {
-        self.sm_advance(now);
-        let mut done = Vec::new();
-        let mut i = 0;
-        while i < self.flights.len() {
-            if self.flights[i].remaining <= SM_EPS {
-                done.push(self.flights.remove(i));
-            } else {
-                i += 1;
-            }
+    /// The scan of generation `gen` fired at `now`: integrate and drain
+    /// every completed flight in send order, reallocating if any finished.
+    /// `None` for a stale scan.
+    pub fn complete(&mut self, now: SimTime, gen: u64) -> Option<Vec<Flight<W>>> {
+        if gen != self.gen {
+            return None;
         }
+        self.advance(now);
+        let done: Vec<Flight<W>> = self
+            .flights
+            .extract_if(.., |f| f.remaining <= SM_EPS)
+            .collect();
         if !done.is_empty() {
-            self.sm_reallocate();
+            self.reallocate();
         }
-        done
+        Some(done)
     }
 }
 
 /// Seed of the dedicated channel RNG: a salt of the run seed, so distinct
 /// runs explore distinct burst schedules with no extra configuration.
-pub(crate) fn channel_seed(run_seed: u64) -> u64 {
+fn channel_seed(run_seed: u64) -> u64 {
     run_seed ^ 0x0C8A_77E1_C4A7_5EED
 }
 
@@ -515,7 +624,7 @@ mod tests {
         assert!(cfg.is_iid());
         assert_eq!(cfg.name(), "iid");
         cfg.validate().unwrap();
-        assert!(ChannelState::<u64>::new(&cfg, 7).is_none());
+        assert!(matches!(Medium::<u64>::new(&cfg, 7, 2), Medium::Iid));
     }
 
     #[test]
@@ -599,9 +708,9 @@ mod tests {
             loss_bad: 1.0,
         };
         let run = || {
-            let mut st = ChannelState::<u64>::new(&cfg, 7).unwrap();
+            let mut chain = gilbert(&cfg, 7);
             (0..200)
-                .map(|_| st.ge_step(NodeId(0), NodeId(1)))
+                .map(|_| chain.step(NodeId(0), NodeId(1)))
                 .collect::<Vec<_>>()
         };
         let a = run();
@@ -623,9 +732,9 @@ mod tests {
             loss_good: 0.0,
             loss_bad: 1.0,
         };
-        let mut st = ChannelState::<u64>::new(&cfg, 9).unwrap();
+        let mut chain = gilbert(&cfg, 9);
         for _ in 0..500 {
-            let (flip, lost) = st.ge_step(NodeId(0), NodeId(1));
+            let (flip, lost) = chain.step(NodeId(0), NodeId(1));
             assert!(!flip && !lost);
         }
     }
@@ -667,39 +776,34 @@ mod tests {
             ticks_per_frame: 4,
             max_inflight: 8,
         };
-        let mut st = ChannelState::<u64>::new(&cfg, 7).unwrap();
-        let span = vec![NodeId(0), NodeId(1)];
-        let mk = |wire: u64| Flight {
-            from: NodeId(0),
-            to: NodeId(1),
-            link_epoch: 0,
-            wire,
-            remaining: 4.0,
-            rate: 0.0,
-            extra_delay: 0,
-            span: span.clone(),
-        };
+        let mut medium = shared(&cfg);
+        let mk = |wire: u64| flight(0, wire, 4);
         // Lone frame: full rate, completes after ticks_per_frame.
-        st.sm_enqueue(mk(1), SimTime(0));
-        assert_eq!(st.sm_eta(SimTime(0)), Some(SimTime(4)));
+        medium.enqueue(SimTime(0), [mk(1)]);
+        let first = medium.scan(SimTime(0)).unwrap();
+        assert_eq!(first.at, SimTime(4));
         // A second audible frame halves both rates.
-        st.sm_enqueue(mk(2), SimTime(2));
-        let eta = st.sm_eta(SimTime(2)).unwrap();
+        medium.enqueue(SimTime(2), [mk(2)]);
+        let Scan { at: eta, gen } = medium.scan(SimTime(2)).unwrap();
         assert!(
             eta > SimTime(4),
             "contention must stretch completion: {eta:?}"
         );
-        assert!(st.sm_take_completed(SimTime(2)).is_empty());
-        let done = st.sm_take_completed(eta);
+        assert!(medium.complete(first.at, first.gen).is_none(), "superseded");
+        assert!(medium.complete(SimTime(2), gen).unwrap().is_empty());
+        let done = medium.complete(eta, gen).unwrap();
         assert_eq!(done.len(), 1);
-        assert_eq!(done[0].wire, 1, "FIFO: the older frame finishes first");
+        assert_eq!(
+            done[0].frame.wire, 1,
+            "FIFO: the older frame finishes first"
+        );
         // The survivor speeds back up to the full rate and finishes.
-        let eta2 = st.sm_eta(eta).unwrap();
-        let done = st.sm_take_completed(eta2);
+        let Scan { at: eta2, gen } = medium.scan(eta).unwrap();
+        let done = medium.complete(eta2, gen).unwrap();
         assert_eq!(done.len(), 1);
-        assert_eq!(done[0].wire, 2);
-        assert!(st.flights.is_empty());
-        assert_eq!(st.sm_eta(eta2), None);
+        assert_eq!(done[0].frame.wire, 2);
+        assert!(medium.flights.is_empty());
+        assert_eq!(medium.scan(eta2), None);
     }
 
     #[test]
@@ -708,21 +812,36 @@ mod tests {
             ticks_per_frame: 2,
             max_inflight: 8,
         };
-        let mut st = ChannelState::<u64>::new(&cfg, 7).unwrap();
-        st.sm_enqueue(
-            Flight {
-                from: NodeId(0),
-                to: NodeId(1),
-                link_epoch: 0,
-                wire: 1,
-                remaining: 2.0,
-                rate: 0.0,
-                extra_delay: 0,
-                span: vec![NodeId(0), NodeId(1)],
-            },
-            SimTime(0),
-        );
-        assert_eq!(st.sm_audible(&[NodeId(0), NodeId(1)]), 1);
-        assert_eq!(st.sm_audible(&[NodeId(2), NodeId(3)]), 0);
+        let mut medium = shared(&cfg);
+        medium.enqueue(SimTime(0), [flight(0, 1, 2)]);
+        assert_eq!(medium.audible(&[NodeId(0), NodeId(1)]), 1);
+        assert_eq!(medium.audible(&[NodeId(2), NodeId(3)]), 0);
+    }
+
+    fn gilbert(cfg: &ChannelConfig, seed: u64) -> GilbertElliott {
+        match Medium::<u64>::new(cfg, seed, 2) {
+            Medium::Gilbert(chain) => chain,
+            _ => unreachable!("not a Gilbert–Elliott config"),
+        }
+    }
+
+    fn shared(cfg: &ChannelConfig) -> SharedMedium<u64> {
+        match Medium::new(cfg, 7, 4) {
+            Medium::Shared(medium) => medium,
+            _ => unreachable!("not a shared-medium config"),
+        }
+    }
+
+    /// A flight of `work` ticks from `from` to its right-hand neighbour,
+    /// heard by both.
+    fn flight(from: u32, wire: u64, work: u64) -> Flight<u64> {
+        let (from, to) = (NodeId(from), NodeId(from + 1));
+        let frame = Frame {
+            from,
+            to,
+            link_epoch: 0,
+            wire,
+        };
+        Flight::new(frame, work, 0, vec![from, to])
     }
 }

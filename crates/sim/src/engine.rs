@@ -1,22 +1,24 @@
-//! The discrete-event engine.
+//! The discrete-event engine: the event queue, dispatch, observation
+//! hooks, the strategy seam and the hosts of the ARQ shim.
 //!
-//! Everything the engine keeps per link — incarnation counters, FIFO
-//! floors, delivery numbering, and (through the shim and the channel) ARQ
-//! windows, serialization queues and burst-loss chains — lives in
-//! [`crate::links::LinkStore`]s, so a run's memory follows its links, not
-//! `n²`.
+//! What happens to a frame between send and arrival — delay, channel
+//! model, fault adversary, FIFO clamp — is decided by the
+//! [`crate::link::LinkLayer`] the engine owns; the engine builds each
+//! frame's [`DeliveryChoice`] for an installed strategy (it needs the queue
+//! and the digests), hands the frame over and queues what comes back.
+//! Everything kept per link lives in [`crate::links::LinkStore`]s, so a
+//! run's memory follows its links, not `n²`.
 
 use crate::arq::Rto;
-use crate::channel::{ChannelConfig, ChannelState, ChannelStats, Flight};
+use crate::channel::{ChannelStats, Scan};
 use crate::command::Command;
 use crate::config::SimConfig;
 use crate::event::{Event, LinkUpKind};
 use crate::fault::FaultStats;
 use crate::hooks::{Hook, Sink, View};
 use crate::ids::NodeId;
-use crate::links::LinkStore;
+use crate::link::{Fate, Frame, Ledger, LinkLayer};
 use crate::protocol::{Context, DiningState, Protocol};
-use crate::rng::SimRng;
 use crate::sched::{self, DeliveryChoice, Strategy};
 use crate::shim::{self, ShimState, ShimStats};
 use crate::time::SimTime;
@@ -78,12 +80,8 @@ impl EngineStats {
 }
 
 enum Item<M> {
-    Deliver {
-        from: NodeId,
-        to: NodeId,
-        msg: M,
-        link_epoch: u64,
-    },
+    /// A physical frame in flight.
+    Frame(Frame<Wire<M>>),
     Proto {
         node: NodeId,
         ev: Event<M>,
@@ -96,24 +94,6 @@ enum Item<M> {
     MotionDone {
         node: NodeId,
         epoch: u64,
-    },
-    /// A sequenced ARQ data frame in flight (shim mode only).
-    ShimData {
-        from: NodeId,
-        to: NodeId,
-        msg: M,
-        link_epoch: u64,
-        seq: u64,
-        ack: u64,
-    },
-    /// A standalone cumulative acknowledgment in flight: `from` confirms
-    /// in-order receipt of the reverse data channel `to → from` up to
-    /// sequence `ack`.
-    ShimAck {
-        from: NodeId,
-        to: NodeId,
-        link_epoch: u64,
-        ack: u64,
     },
     /// Retransmission timeout of the `from → to` ARQ sender; stale
     /// generations (superseded by a re-arm) and dead incarnations no-op.
@@ -137,29 +117,17 @@ enum Item<M> {
     },
 }
 
-/// A physical frame about to be handed to the channel: what the shim (or
-/// its absence) puts on the wire for one [`Engine::send`].
+/// What the shim (or its absence) puts on the wire for one
+/// [`Engine::send`].
+#[derive(Clone)]
 enum Wire<M> {
     /// Shim disabled: the bare protocol message, exactly as always.
     Plain(M),
     /// Sequenced shim data frame with a piggybacked cumulative ack.
     Data { seq: u64, ack: u64, msg: M },
-    /// Standalone cumulative ack.
+    /// Standalone cumulative ack: the sender confirms in-order receipt of
+    /// the reverse data channel up to sequence `ack`.
     Ack { ack: u64 },
-}
-
-impl<M: Clone> Clone for Wire<M> {
-    fn clone(&self) -> Wire<M> {
-        match self {
-            Wire::Plain(m) => Wire::Plain(m.clone()),
-            Wire::Data { seq, ack, msg } => Wire::Data {
-                seq: *seq,
-                ack: *ack,
-                msg: msg.clone(),
-            },
-            Wire::Ack { ack } => Wire::Ack { ack: *ack },
-        }
-    }
 }
 
 /// A structured reason a run stopped early. Replaces the panics that used
@@ -182,7 +150,7 @@ pub enum RunAbort {
     DelayOutOfWindow {
         /// Who produced the offending delay: `"strategy"` for an injected
         /// schedule, otherwise the channel model's
-        /// [`ChannelConfig::name`].
+        /// [`crate::ChannelConfig::name`].
         channel: &'static str,
         /// The sender of the offending delivery.
         from: NodeId,
@@ -198,8 +166,8 @@ pub enum RunAbort {
     /// A channel model's bounded transmit queue overflowed: the protocol
     /// kept sending faster than the configured link capacity (or medium
     /// share) could drain. A structured stop, not a panic — the bound is
-    /// [`ChannelConfig::ConstantBandwidth::max_queue`] or
-    /// [`ChannelConfig::SharedMedium::max_inflight`].
+    /// [`crate::ChannelConfig::ConstantBandwidth::max_queue`] or
+    /// [`crate::ChannelConfig::SharedMedium::max_inflight`].
     ChannelQueueOverflow {
         /// The sender of the overflowing channel.
         from: NodeId,
@@ -254,25 +222,8 @@ impl std::fmt::Display for RunAbort {
     }
 }
 
-/// The engine's own per-directed-channel bookkeeping, valid for one link
-/// incarnation (a [`LinkStore`] payload): a reconnected link must not
-/// inherit arrival floors from its dead incarnation, and restarts its
-/// delivery numbering at 1.
-#[derive(Clone, Copy, Debug, Default)]
-struct FifoSlot {
-    /// Last scheduled arrival, to enforce FIFO.
-    floor: SimTime,
-    /// Messages delivered so far (trace numbering).
-    delivered: u64,
-}
-
 struct Core<M> {
     cfg: SimConfig,
-    rng: SimRng,
-    /// Dedicated stream for fault-adversary decisions, so an empty
-    /// [`crate::FaultPlan`] leaves the engine's own stream — and thus
-    /// every pre-existing experiment — bit-for-bit unchanged.
-    fault_rng: SimRng,
     now: SimTime,
     seq: u64,
     queue: TimingWheel<Item<M>>,
@@ -282,10 +233,9 @@ struct Core<M> {
     world: World,
     dining: Vec<DiningState>,
     eating_session: Vec<u64>,
-    /// Link incarnation counters plus the FIFO slots. The shim and the
-    /// channel keep stores of their own; [`Core::bump_link`] keeps every
-    /// store's incarnations in step.
-    links: LinkStore<FifoSlot>,
+    /// Link incarnations and each frame's fate. The shim keeps a store of
+    /// its own; [`Core::bump_link`] keeps both in step.
+    link: LinkLayer<Wire<M>>,
     stats: EngineStats,
     trace: Trace,
     /// Injected schedule strategy; `None` keeps the historical seeded
@@ -295,34 +245,30 @@ struct Core<M> {
     /// engine's behavior — streams, traces, digests — bit-for-bit
     /// identical to a build without the shim.
     shim: Option<ShimState<M>>,
-    /// Channel-model state; `None` for the default i.i.d. model, which
-    /// keeps the engine's behavior — streams, traces, digests —
-    /// bit-for-bit identical to a build without the channel subsystem.
-    channel: Option<ChannelState<Wire<M>>>,
 }
 
-impl<M> Core<M> {
+impl<M: Clone> Core<M> {
     /// The `a — b` link flapped (up or down): kill its incarnation in
-    /// every store at once. In-flight frames of the dead link can never
-    /// be delivered, and FIFO floors, ARQ windows and channel queues of
+    /// both stores at once. In-flight frames of the dead link can never
+    /// be delivered, and FIFO floors, ARQ windows and channel state of
     /// both directions go stale immediately.
     fn bump_link(&mut self, a: NodeId, b: NodeId) {
-        self.links.bump(a, b);
+        self.link.bump(a, b);
         if let Some(shim) = &mut self.shim {
             shim.links.bump(a, b);
         }
-        if let Some(channel) = &mut self.channel {
-            channel.cb.bump(a, b);
-            channel.ge.bump(a, b);
-        }
     }
 
-    /// Clamp an arrival on `from → to` above the channel's FIFO floor and
-    /// raise the floor to it.
-    fn fifo_clamp(&mut self, from: NodeId, to: NodeId, at: SimTime) -> SimTime {
-        let slot = self.links.get_mut(from, to);
-        slot.floor = if at <= slot.floor { slot.floor + 1 } else { at };
-        slot.floor
+    /// Queue `ev` for `node`'s protocol at the current instant.
+    fn notify(&mut self, node: NodeId, ev: Event<M>) {
+        self.push(self.now, Item::Proto { node, ev });
+    }
+
+    /// Queue the shared medium's completion scan, if one was armed.
+    fn arm(&mut self, scan: Option<Scan>) {
+        if let Some(Scan { at, gen }) = scan {
+            self.push(at, Item::ChannelTick { gen });
+        }
     }
 
     /// Queue `item` at `at`. Internal callers must never schedule in the
@@ -435,11 +381,9 @@ impl<P: Protocol> Engine<P> {
             .arq
             .as_ref()
             .map(|_| ShimState::new(cfg.max_message_delay, cfg.seed));
-        let channel = ChannelState::new(&cfg.channel, cfg.seed);
         let mut engine = Engine {
             core: Core {
-                rng: SimRng::seed_from_u64(cfg.seed),
-                fault_rng: SimRng::seed_from_u64(fault_seed(&cfg)),
+                link: LinkLayer::new(&cfg, n),
                 queue: TimingWheel::from_config(&cfg),
                 cfg,
                 now: SimTime::ZERO,
@@ -448,12 +392,10 @@ impl<P: Protocol> Engine<P> {
                 world,
                 dining,
                 eating_session: vec![0; n],
-                links: LinkStore::new(),
                 stats: EngineStats::default(),
                 trace,
                 sched: None,
                 shim,
-                channel,
             },
             protocols,
             hooks: Vec::new(),
@@ -615,29 +557,13 @@ impl<P: Protocol> Engine<P> {
         for p in &self.protocols {
             h.write_u64(p.state_digest()?);
         }
-        for (d, s) in self.core.dining.iter().zip(&self.core.eating_session) {
-            h.write_u64(match d {
-                DiningState::Thinking => 0,
-                DiningState::Hungry => 1,
-                DiningState::Eating => 2,
-            });
-            h.write_u64(*s);
+        // A dining state hashes as its declaration index: Thinking 0,
+        // Hungry 1, Eating 2.
+        for (&d, &s) in self.core.dining.iter().zip(&self.core.eating_session) {
+            h.write_u64(d as u64);
+            h.write_u64(s);
         }
-        // Queue signature in dispatch order: sort by (at, seq) but hash
-        // only (at, content) — the insertion-order seq values differ across
-        // histories even when the executions are equivalent, while the
-        // *relative* order they induce is exactly what matters.
-        let mut items: Vec<(SimTime, u64, u64)> = self
-            .core
-            .queue
-            .iter()
-            .map(|(at, seq, item)| (at, seq, item_digest(item)))
-            .collect();
-        items.sort_unstable();
-        for (at, _, content) in items {
-            h.write_u64(at.0);
-            h.write_u64(content);
-        }
+        self.hash_queue(&mut h, SimTime::ZERO);
         Some(h.finish())
     }
 
@@ -656,14 +582,19 @@ impl<P: Protocol> Engine<P> {
         for p in &self.protocols {
             h.write_u64(p.progress_digest()?);
         }
-        for d in self.core.dining.iter() {
-            h.write_u64(match d {
-                DiningState::Thinking => 0,
-                DiningState::Hungry => 1,
-                DiningState::Eating => 2,
-            });
+        for &d in &self.core.dining {
+            h.write_u64(d as u64);
         }
-        let now = self.core.now;
+        self.hash_queue(&mut h, self.core.now);
+        Some(h.finish())
+    }
+
+    /// The pending queue's signature, at times relative to `since`, in
+    /// dispatch order: sorted by (at, seq) but hashing only (at, content)
+    /// — the insertion-order seq values differ across histories even when
+    /// the executions are equivalent, while the *relative* order they
+    /// induce is exactly what matters.
+    fn hash_queue(&self, h: &mut sched::Fnv, since: SimTime) {
         let mut items: Vec<(SimTime, u64, u64)> = self
             .core
             .queue
@@ -672,10 +603,9 @@ impl<P: Protocol> Engine<P> {
             .collect();
         items.sort_unstable();
         for (at, _, content) in items {
-            h.write_u64(at.0.saturating_sub(now.0));
+            h.write_u64(at.0.saturating_sub(since.0));
             h.write_u64(content);
         }
-        Some(h.finish())
     }
 
     /// Run until the queue is exhausted or virtual time would exceed
@@ -755,39 +685,28 @@ impl<P: Protocol> Engine<P> {
 
     fn dispatch(&mut self, item: Item<P::Msg>) {
         match item {
-            Item::Deliver {
+            Item::Frame(Frame {
                 from,
                 to,
-                msg,
                 link_epoch,
-            } => {
-                if self.arrives(from, to, link_epoch) {
-                    self.deliver(from, to, msg);
+                wire,
+            }) => {
+                if !self.arrives(from, to, link_epoch) {
+                    return;
+                }
+                match wire {
+                    Wire::Plain(msg) => self.deliver(from, to, msg),
+                    Wire::Data { seq, ack, msg } => {
+                        self.shim_data(from, to, msg, link_epoch, seq, ack)
+                    }
+                    // `from` acknowledges data `to` sent on the reverse
+                    // channel; the receiver of this frame owns that
+                    // sender's end.
+                    Wire::Ack { ack } => self.shim_apply_ack(to, from, link_epoch, ack),
                 }
             }
             Item::Proto { node, ev } => self.deliver_proto(node, ev),
             Item::Command(cmd) => self.execute(cmd),
-            Item::ShimData {
-                from,
-                to,
-                msg,
-                link_epoch,
-                seq,
-                ack,
-            } => self.shim_data(from, to, msg, link_epoch, seq, ack),
-            Item::ShimAck {
-                from,
-                to,
-                link_epoch,
-                ack,
-            } => {
-                // `from` acknowledges data `to` sent on the reverse
-                // channel; the receiver of this frame owns that sender
-                // slot.
-                if self.arrives(from, to, link_epoch) {
-                    self.shim_apply_ack(to, from, link_epoch, ack);
-                }
-            }
             Item::ShimRto {
                 from,
                 to,
@@ -800,18 +719,16 @@ impl<P: Protocol> Engine<P> {
                 epoch,
                 gen,
             } => self.shim_ack_idle(from, to, epoch, gen),
-            Item::ChannelTick { gen } => self.channel_tick(gen),
+            Item::ChannelTick { gen } => {
+                let (arrivals, scan) = self.core.link.tick(self.core.now, gen);
+                for (at, frame) in arrivals {
+                    self.core.push(at, Item::Frame(frame));
+                }
+                self.core.arm(scan);
+            }
             Item::MoveStep { node, epoch } => self.move_step(node, epoch),
             Item::MotionDone { node, epoch } => {
-                if self.core.world.is_crashed(node) {
-                    return;
-                }
-                let live = self
-                    .core
-                    .world
-                    .motion(node)
-                    .is_some_and(|m| m.epoch == epoch);
-                if !live {
+                if !self.moving(node, epoch) {
                     return;
                 }
                 self.core.world.end_motion(node);
@@ -830,7 +747,7 @@ impl<P: Protocol> Engine<P> {
     /// flight.
     fn arrives(&mut self, from: NodeId, to: NodeId, link_epoch: u64) -> bool {
         let live = self.core.world.linked(from, to)
-            && self.core.links.incarnation(from, to) == link_epoch
+            && self.core.link.incarnation(from, to) == link_epoch
             && !self.core.world.is_crashed(to);
         self.core.stats.dropped_in_flight += !live as u64;
         live
@@ -840,9 +757,7 @@ impl<P: Protocol> Engine<P> {
     /// within the link incarnation, trace it, run the handler.
     fn deliver(&mut self, from: NodeId, to: NodeId, msg: P::Msg) {
         self.core.stats.messages_delivered += 1;
-        let slot = self.core.links.get_mut(from, to);
-        slot.delivered += 1;
-        let seq = slot.delivered;
+        let seq = self.core.link.next_delivery(from, to);
         self.core.trace.record(
             self.core.now,
             TraceKind::Deliver {
@@ -971,16 +886,19 @@ impl<P: Protocol> Engine<P> {
         }
     }
 
+    /// Whether `node` is alive and still in its motion `epoch` (a later
+    /// move or a crash makes the motion's queued steps stale).
+    fn moving(&self, node: NodeId, epoch: u64) -> bool {
+        !self.core.world.is_crashed(node)
+            && self
+                .core
+                .world
+                .motion(node)
+                .is_some_and(|m| m.epoch == epoch)
+    }
+
     fn move_step(&mut self, node: NodeId, epoch: u64) {
-        if self.core.world.is_crashed(node) {
-            return;
-        }
-        let live = self
-            .core
-            .world
-            .motion(node)
-            .is_some_and(|m| m.epoch == epoch);
-        if !live {
+        if !self.moving(node, epoch) {
             return;
         }
         let (changes, arrived) = self.core.world.step_motion(node);
@@ -1021,27 +939,11 @@ impl<P: Protocol> Engine<P> {
                     self.fire_hooks(|h, view, sink| {
                         h.on_link_up(view, static_side, moving_side, sink)
                     });
-                    let now = self.core.now;
-                    self.core.push(
-                        now,
-                        Item::Proto {
-                            node: static_side,
-                            ev: Event::LinkUp {
-                                peer: moving_side,
-                                kind: LinkUpKind::AsStatic,
-                            },
-                        },
-                    );
-                    self.core.push(
-                        now,
-                        Item::Proto {
-                            node: moving_side,
-                            ev: Event::LinkUp {
-                                peer: static_side,
-                                kind: LinkUpKind::AsMoving,
-                            },
-                        },
-                    );
+                    let up = |peer, kind| Event::LinkUp { peer, kind };
+                    self.core
+                        .notify(static_side, up(moving_side, LinkUpKind::AsStatic));
+                    self.core
+                        .notify(moving_side, up(static_side, LinkUpKind::AsMoving));
                 }
                 LinkChange::Down(a, b) => {
                     self.core.bump_link(a, b);
@@ -1049,21 +951,8 @@ impl<P: Protocol> Engine<P> {
                         .trace
                         .record(self.core.now, TraceKind::LinkDown(a, b));
                     self.fire_hooks(|h, view, sink| h.on_link_down(view, a, b, sink));
-                    let now = self.core.now;
-                    self.core.push(
-                        now,
-                        Item::Proto {
-                            node: a,
-                            ev: Event::LinkDown { peer: b },
-                        },
-                    );
-                    self.core.push(
-                        now,
-                        Item::Proto {
-                            node: b,
-                            ev: Event::LinkDown { peer: a },
-                        },
-                    );
+                    self.core.notify(a, Event::LinkDown { peer: b });
+                    self.core.notify(b, Event::LinkDown { peer: a });
                 }
             }
         }
@@ -1126,7 +1015,7 @@ impl<P: Protocol> Engine<P> {
         if self.core.shim.is_some() {
             self.shim_send(from, to, msg);
         } else {
-            self.physical_send(from, to, Wire::Plain(msg));
+            self.transmit(from, to, Wire::Plain(msg));
         }
     }
 
@@ -1149,7 +1038,7 @@ impl<P: Protocol> Engine<P> {
     /// retransmission timer if this armed it, and put a data frame (with
     /// a piggybacked cumulative ack for the reverse channel) on the wire.
     fn shim_send(&mut self, from: NodeId, to: NodeId, msg: P::Msg) {
-        let epoch = self.core.links.incarnation(from, to);
+        let epoch = self.core.link.incarnation(from, to);
         let now = self.core.now.0;
         let shim = self.core.shim.as_mut().expect("shim_send without shim");
         let link = shim.links.get_mut(from, to);
@@ -1170,7 +1059,7 @@ impl<P: Protocol> Engine<P> {
         if let Some((gen, at)) = armed {
             self.push_shim_rto(from, to, epoch, gen, at);
         }
-        self.physical_send(from, to, Wire::Data { seq, ack, msg });
+        self.transmit(from, to, Wire::Data { seq, ack, msg });
     }
 
     /// Apply a cumulative acknowledgment (piggybacked or standalone) to
@@ -1190,11 +1079,11 @@ impl<P: Protocol> Engine<P> {
         }
     }
 
-    /// A sequenced data frame arrived: process its piggybacked ack, then
-    /// deliver the payload iff it is the next in-order frame — duplicates
-    /// and reordered frames update ack state but never reach the
-    /// protocol, which is exactly the reliable-FIFO contract the paper
-    /// assumes.
+    /// A sequenced data frame arrived on a live link: process its
+    /// piggybacked ack, then deliver the payload iff it is the next
+    /// in-order frame — duplicates and reordered frames update ack state
+    /// but never reach the protocol, which is exactly the reliable-FIFO
+    /// contract the paper assumes.
     fn shim_data(
         &mut self,
         from: NodeId,
@@ -1204,9 +1093,6 @@ impl<P: Protocol> Engine<P> {
         seq: u64,
         ack: u64,
     ) {
-        if !self.arrives(from, to, link_epoch) {
-            return;
-        }
         self.shim_apply_ack(to, from, link_epoch, ack);
         let now = self.core.now.0;
         let shim = self.core.shim.as_mut().expect("shim_data without shim");
@@ -1234,7 +1120,7 @@ impl<P: Protocol> Engine<P> {
     /// channel (go-back-N) under the re-armed, backed-off timer — unless
     /// the machine is idle or has given up on a silent peer.
     fn shim_rto(&mut self, from: NodeId, to: NodeId, epoch: u64, gen: u64) {
-        if self.core.world.is_crashed(from) || self.core.links.incarnation(from, to) != epoch {
+        if self.core.world.is_crashed(from) || self.core.link.incarnation(from, to) != epoch {
             return;
         }
         let now = self.core.now.0;
@@ -1257,7 +1143,7 @@ impl<P: Protocol> Engine<P> {
         // The timer item goes in before the frames it covers.
         self.push_shim_rto(from, to, epoch, gen, rto_at);
         for (seq, msg) in frames {
-            self.physical_send(from, to, Wire::Data { seq, ack, msg });
+            self.transmit(from, to, Wire::Data { seq, ack, msg });
         }
     }
 
@@ -1265,7 +1151,7 @@ impl<P: Protocol> Engine<P> {
     /// channel: if an acknowledgment is still owed (no reverse traffic
     /// piggybacked it in time), send a standalone cumulative ack.
     fn shim_ack_idle(&mut self, from: NodeId, to: NodeId, epoch: u64, gen: u64) {
-        if self.core.world.is_crashed(to) || self.core.links.incarnation(from, to) != epoch {
+        if self.core.world.is_crashed(to) || self.core.link.incarnation(from, to) != epoch {
             return;
         }
         let shim = self.core.shim.as_mut().expect("shim_ack_idle without shim");
@@ -1275,404 +1161,84 @@ impl<P: Protocol> Engine<P> {
         }
         if let Some(ack) = link.arq.on_ack_idle() {
             self.core.stats.shim.acks_sent += 1;
-            self.physical_send(to, from, Wire::Ack { ack });
+            self.transmit(to, from, Wire::Ack { ack });
         }
     }
 
-    /// Put one physical frame on the `from → to` channel: delay choice
-    /// (strategy or seeded draw), fault adversary, incarnation-scoped FIFO
-    /// clamp, optional duplicate ghost. With the shim disabled every frame
-    /// is a bare protocol message and this is, bit for bit, the historical
-    /// send path.
-    fn physical_send(&mut self, from: NodeId, to: NodeId, wire: Wire<P::Msg>) {
-        let kind = match &wire {
+    /// Put one physical frame on the `from → to` link: an installed
+    /// strategy picks its delay, the link layer decides its fate, and the
+    /// queue takes whatever arrives.
+    fn transmit(&mut self, from: NodeId, to: NodeId, wire: Wire<P::Msg>) {
+        let choice = (self.core.sched.is_some()).then(|| self.delivery_choice(from, to, &wire));
+        let pick = match (choice, &mut self.core.sched) {
+            (Some(choice), Some(strategy)) => Some(strategy.choose_delay(&choice)),
+            _ => None,
+        };
+        let core = &mut self.core;
+        let mut ledger = Ledger {
+            now: core.now,
+            stats: &mut core.stats,
+            trace: &mut core.trace,
+            abort: &mut core.abort,
+        };
+        let hearers = core.world.neighbors(from);
+        match core
+            .link
+            .transmit(from, to, wire, pick, hearers, &mut ledger)
+        {
+            Fate::Lost => {}
+            Fate::Arrives { at, ghost, frame } => {
+                if let Some(ghost) = ghost {
+                    core.push(ghost, Item::Frame(frame.clone()));
+                }
+                core.push(at, Item::Frame(frame));
+            }
+            Fate::Flying(scan) => core.arm(scan),
+        }
+    }
+
+    /// What an installed strategy sees of one frame: the legal window and
+    /// what the delivery can be ordered against.
+    fn delivery_choice(&self, from: NodeId, to: NodeId, wire: &Wire<P::Msg>) -> DeliveryChoice {
+        let kind = match wire {
             Wire::Plain(m) | Wire::Data { msg: m, .. } => P::msg_kind(m),
             Wire::Ack { .. } => "ack",
         };
         let earliest = self.core.cfg.min_message_delay;
         let latest = self.core.cfg.max_message_delay;
-        // Strategy path: hand the legal window (and what the delivery can
-        // be ordered against) to the injected policy. The default path is
-        // untouched so strategy-less runs stay bit-for-bit identical to
-        // every pre-existing experiment. The choice is assembled first
-        // (immutable borrows only) so the policy can then be borrowed
-        // mutably.
-        let choice = self.core.sched.is_some().then(|| {
-            let deadline = self.core.now + latest;
-            let (mut pending_in_window, mut pending_dependent_in_window) = (0usize, 0usize);
-            for (at, _, item) in self.core.queue.iter() {
-                if at > deadline {
-                    continue;
-                }
-                pending_in_window += 1;
-                if item_node(item).is_none_or(|n| n == to) {
-                    pending_dependent_in_window += 1;
-                }
+        let deadline = self.core.now + latest;
+        let (mut pending_in_window, mut pending_dependent_in_window) = (0usize, 0usize);
+        for (at, _, item) in self.core.queue.iter() {
+            if at > deadline {
+                continue;
             }
-            let digest = match self
-                .core
-                .sched
-                .as_ref()
-                .map_or(sched::DigestMode::Off, |s| s.digest_mode())
-            {
-                sched::DigestMode::Off => None,
-                sched::DigestMode::Absolute => self.state_digest(),
-                sched::DigestMode::Progress => self.progress_digest(),
-            };
-            DeliveryChoice {
-                from,
-                to,
-                kind,
-                now: self.core.now,
-                earliest,
-                latest,
-                pending_in_window,
-                pending_dependent_in_window,
-                fifo_floor: self.core.links.get(from, to).map(|slot| slot.floor),
-                digest,
-            }
-        });
-        let delay = match (&choice, self.core.sched.as_mut()) {
-            (Some(choice), Some(strategy)) => {
-                let picked = strategy.choose_delay(choice);
-                if picked < earliest || picked > latest {
-                    // A malformed imported schedule or buggy policy. The
-                    // old silent clamp reordered the replay while claiming
-                    // conformance; now the run aborts at the next loop
-                    // iteration. The clamped value still schedules the
-                    // delivery so the aborted engine's state stays
-                    // coherent for inspection.
-                    self.core.abort.get_or_insert(RunAbort::DelayOutOfWindow {
-                        channel: "strategy",
-                        from,
-                        to,
-                        delay: picked,
-                        earliest,
-                        latest,
-                    });
-                }
-                picked.clamp(earliest, latest)
-            }
-            // No strategy: the configured channel model maps the frame to
-            // a delay (or a loss). `Iid` is the historical draw, verbatim
-            // and at the same stream position, so default runs stay
-            // bit-for-bit identical to every pre-existing experiment.
-            _ => match self.core.cfg.channel.clone() {
-                ChannelConfig::Iid => self.core.rng.gen_range(earliest..=latest),
-                ChannelConfig::GilbertElliott { .. } => {
-                    // Delay stays the i.i.d. draw from the main stream (at
-                    // the exact position Iid uses); the chain itself steps
-                    // on the dedicated channel stream, so an all-good
-                    // chain leaves traces unchanged.
-                    let drawn = self.core.rng.gen_range(earliest..=latest);
-                    let (flipped, lost) = self
-                        .core
-                        .channel
-                        .as_mut()
-                        .map_or((false, false), |ch| ch.ge_step(from, to));
-                    self.core.stats.channel.burst_transitions += flipped as u64;
-                    if lost {
-                        self.core.stats.channel.frames_lost += 1;
-                        self.core
-                            .trace
-                            .record(self.core.now, TraceKind::ChannelLoss(from, to));
-                        return;
-                    }
-                    drawn
-                }
-                ChannelConfig::ConstantBandwidth {
-                    ticks_per_frame,
-                    max_queue,
-                } => {
-                    if ticks_per_frame < earliest || ticks_per_frame > latest {
-                        // Misconfigured model: the serialization time does
-                        // not fit the legal window. Abort (no silent
-                        // clamp-and-carry-on) but still schedule the
-                        // clamped frame so the stopped engine stays
-                        // coherent for inspection — same contract as the
-                        // strategy path above.
-                        self.core.abort.get_or_insert(RunAbort::DelayOutOfWindow {
-                            channel: "constant-bandwidth",
-                            from,
-                            to,
-                            delay: ticks_per_frame,
-                            earliest,
-                            latest,
-                        });
-                    }
-                    let frame = ticks_per_frame.clamp(earliest, latest);
-                    let now = self.core.now;
-                    let slot = self
-                        .core
-                        .channel
-                        .as_mut()
-                        .expect("channel state exists for non-iid models")
-                        .cb
-                        .get_mut(from, to);
-                    // Frames whose scheduled completion has passed have
-                    // left the link.
-                    while slot.inflight.front().is_some_and(|&t| t <= now) {
-                        slot.inflight.pop_front();
-                    }
-                    if slot.inflight.len() >= max_queue {
-                        self.core
-                            .abort
-                            .get_or_insert(RunAbort::ChannelQueueOverflow {
-                                from,
-                                to,
-                                limit: max_queue,
-                            });
-                        return;
-                    }
-                    let start = slot.busy_until.max(now);
-                    let done = start + frame;
-                    slot.busy_until = done;
-                    slot.inflight.push_back(done);
-                    let depth = slot.inflight.len() as u64;
-                    self.core.stats.channel.frames_queued += (start > now) as u64;
-                    let peak = &mut self.core.stats.channel.queue_peak;
-                    *peak = (*peak).max(depth);
-                    // Queueing delay is emergent: the frame arrives when
-                    // the link finishes serializing everything ahead of
-                    // it, which may exceed ν under sustained load.
-                    done.0 - now.0
-                }
-                ChannelConfig::SharedMedium {
-                    ticks_per_frame,
-                    max_inflight,
-                } => {
-                    self.shared_medium_send(
-                        from,
-                        to,
-                        wire,
-                        ticks_per_frame,
-                        max_inflight,
-                        earliest,
-                        latest,
-                    );
-                    return;
-                }
-            },
-        };
-        let now = self.core.now;
-        let mut at = now + delay;
-        // ── Fault adversary ────────────────────────────────────────────
-        // All decisions draw from the dedicated fault RNG, in a fixed
-        // order (ν-override, drop, duplicate, skew), so runs replay
-        // byte-for-byte and an empty plan perturbs nothing.
-        if let Some(da) = &self.core.cfg.fault.max_delay {
-            if da.applies(from, to, now) {
-                at = now + self.core.cfg.max_message_delay;
-                self.core.stats.faults.max_delay_forced += 1;
-                self.core.trace.record(now, TraceKind::FaultDelay(from, to));
+            pending_in_window += 1;
+            if item_node(item).is_none_or(|n| n == to) {
+                pending_dependent_in_window += 1;
             }
         }
-        let mut duplicate_lag = None;
-        if let Some(lf) = &self.core.cfg.fault.link {
-            if lf.applies(from, to, now) {
-                if self.core.fault_rng.gen_bool(lf.rate(lf.drop, now)) {
-                    // Never handed to the network: the ledger counts it
-                    // under `faults.msgs_dropped` only.
-                    self.core.stats.faults.msgs_dropped += 1;
-                    self.core.trace.record(now, TraceKind::FaultDrop(from, to));
-                    return;
-                }
-                if self.core.fault_rng.gen_bool(lf.rate(lf.duplicate, now)) {
-                    let lag = lf.dup_lag.unwrap_or(self.core.cfg.max_message_delay);
-                    duplicate_lag = Some(lag.max(1));
-                }
-                if self.core.fault_rng.gen_bool(lf.rate(lf.skew, now)) {
-                    at += lf.skew_ticks;
-                    self.core.stats.faults.msgs_delayed += 1;
-                    self.core.trace.record(now, TraceKind::FaultDelay(from, to));
-                }
-            }
-        }
-        // FIFO per directed channel, scoped to the link's current
-        // incarnation: a floor recorded before a flap must not delay
-        // post-reconnect traffic.
-        let at = self.core.fifo_clamp(from, to, at);
-        let link_epoch = self.core.links.incarnation(from, to);
-        if let Some(lag) = duplicate_lag {
-            // The ghost copy trails the original by `lag` ticks on the
-            // same incarnation, and advances the FIFO floor so later
-            // traffic still arrives in order relative to it.
-            let dup_at = self.core.fifo_clamp(from, to, at + lag);
-            self.core.stats.faults.msgs_duplicated += 1;
-            self.core
-                .trace
-                .record(now, TraceKind::FaultDuplicate(from, to));
-            let ghost = wire_item(from, to, link_epoch, wire.clone());
-            self.core.push(dup_at, ghost);
-        }
-        let item = wire_item(from, to, link_epoch, wire);
-        self.core.push(at, item);
-    }
-
-    /// Shared-medium send path: the frame becomes an in-flight
-    /// transmission served at a fair-share rate of the sender's radio
-    /// neighborhood; its delivery is scheduled by [`Engine::channel_tick`]
-    /// when its remaining work drains. The fault adversary draws in the
-    /// same fixed order as the common path (ν-override, drop, duplicate,
-    /// skew); delay-shaped faults become extra delivery delay on top of
-    /// the emergent service time, and a duplicate becomes a second flight
-    /// trailing by the configured lag.
-    #[allow(clippy::too_many_arguments)]
-    fn shared_medium_send(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        wire: Wire<P::Msg>,
-        ticks_per_frame: u64,
-        max_inflight: usize,
-        earliest: u64,
-        latest: u64,
-    ) {
-        let now = self.core.now;
-        if ticks_per_frame < earliest || ticks_per_frame > latest {
-            // Same contract as the constant-bandwidth path: a full-rate
-            // transmit time outside the window is a misconfiguration and
-            // aborts the run; the clamped frame still flies so the
-            // stopped engine stays coherent.
-            self.core.abort.get_or_insert(RunAbort::DelayOutOfWindow {
-                channel: "shared-medium",
-                from,
-                to,
-                delay: ticks_per_frame,
-                earliest,
-                latest,
-            });
-        }
-        let mut extra = 0u64;
-        if let Some(da) = &self.core.cfg.fault.max_delay {
-            if da.applies(from, to, now) {
-                extra += self.core.cfg.max_message_delay;
-                self.core.stats.faults.max_delay_forced += 1;
-                self.core.trace.record(now, TraceKind::FaultDelay(from, to));
-            }
-        }
-        let mut duplicate_lag = None;
-        if let Some(lf) = &self.core.cfg.fault.link {
-            if lf.applies(from, to, now) {
-                if self.core.fault_rng.gen_bool(lf.rate(lf.drop, now)) {
-                    self.core.stats.faults.msgs_dropped += 1;
-                    self.core.trace.record(now, TraceKind::FaultDrop(from, to));
-                    return;
-                }
-                if self.core.fault_rng.gen_bool(lf.rate(lf.duplicate, now)) {
-                    let lag = lf.dup_lag.unwrap_or(self.core.cfg.max_message_delay);
-                    duplicate_lag = Some(lag.max(1));
-                }
-                if self.core.fault_rng.gen_bool(lf.rate(lf.skew, now)) {
-                    extra += lf.skew_ticks;
-                    self.core.stats.faults.msgs_delayed += 1;
-                    self.core.trace.record(now, TraceKind::FaultDelay(from, to));
-                }
-            }
-        }
-        let link_epoch = self.core.links.incarnation(from, to);
-        let mut span = self.core.world.neighbors(from).to_vec();
-        span.push(from);
-        let depth = self
+        let digest = match self
             .core
-            .channel
+            .sched
             .as_ref()
-            .map_or(0, |ch| ch.sm_audible(&span));
-        if depth >= max_inflight {
-            self.core
-                .abort
-                .get_or_insert(RunAbort::ChannelQueueOverflow {
-                    from,
-                    to,
-                    limit: max_inflight,
-                });
-            return;
-        }
-        self.core.stats.channel.frames_queued += (depth > 0) as u64;
-        let peak = &mut self.core.stats.channel.queue_peak;
-        *peak = (*peak).max(depth as u64 + 1);
-        let ghost = duplicate_lag.map(|lag| {
-            self.core.stats.faults.msgs_duplicated += 1;
-            self.core
-                .trace
-                .record(now, TraceKind::FaultDuplicate(from, to));
-            (wire.clone(), lag)
-        });
-        let remaining = ticks_per_frame.clamp(earliest, latest) as f64;
-        if let Some(ch) = self.core.channel.as_mut() {
-            ch.sm_enqueue(
-                Flight {
-                    from,
-                    to,
-                    link_epoch,
-                    wire,
-                    remaining,
-                    rate: 0.0,
-                    extra_delay: extra,
-                    span: span.clone(),
-                },
-                now,
-            );
-            if let Some((dup_wire, lag)) = ghost {
-                ch.sm_enqueue(
-                    Flight {
-                        from,
-                        to,
-                        link_epoch,
-                        wire: dup_wire,
-                        remaining,
-                        rate: 0.0,
-                        extra_delay: extra + lag,
-                        span,
-                    },
-                    now,
-                );
-            }
-        }
-        self.channel_rearm(now);
-    }
-
-    /// Arm (or re-arm) the shared-medium completion scan at the earliest
-    /// instant any in-flight frame could finish at current rates. Bumping
-    /// the generation invalidates every previously armed scan.
-    fn channel_rearm(&mut self, now: SimTime) {
-        let Some(ch) = self.core.channel.as_mut() else {
-            return;
+            .map_or(sched::DigestMode::Off, |s| s.digest_mode())
+        {
+            sched::DigestMode::Off => None,
+            sched::DigestMode::Absolute => self.state_digest(),
+            sched::DigestMode::Progress => self.progress_digest(),
         };
-        let Some(at) = ch.sm_eta(now) else {
-            return;
-        };
-        ch.gen += 1;
-        let gen = ch.gen;
-        self.core.push(at, Item::ChannelTick { gen });
-    }
-
-    /// Shared-medium completion scan: drain every frame whose remaining
-    /// work has hit zero, schedule its delivery (FIFO-clamped on its link
-    /// incarnation; stale incarnations die in flight at dispatch exactly
-    /// like queued frames), and re-arm for the next completion.
-    fn channel_tick(&mut self, gen: u64) {
-        let now = self.core.now;
-        let done = {
-            let Some(ch) = self.core.channel.as_mut() else {
-                return;
-            };
-            if ch.gen != gen {
-                return;
-            }
-            ch.sm_take_completed(now)
-        };
-        for flight in done {
-            let mut at = now + flight.extra_delay;
-            if self.core.links.incarnation(flight.from, flight.to) == flight.link_epoch {
-                at = self.core.fifo_clamp(flight.from, flight.to, at);
-            }
-            self.core.push(
-                at,
-                wire_item(flight.from, flight.to, flight.link_epoch, flight.wire),
-            );
+        DeliveryChoice {
+            from,
+            to,
+            kind,
+            now: self.core.now,
+            earliest,
+            latest,
+            pending_in_window,
+            pending_dependent_in_window,
+            fifo_floor: self.core.link.fifo_floor(from, to),
+            digest,
         }
-        self.channel_rearm(now);
     }
 
     fn fire_quantum_end(&mut self) {
@@ -1702,33 +1268,6 @@ impl<P: Protocol> Engine<P> {
     }
 }
 
-/// The queue item a physical frame becomes, keyed to the link incarnation
-/// it was sent on.
-fn wire_item<M>(from: NodeId, to: NodeId, link_epoch: u64, wire: Wire<M>) -> Item<M> {
-    match wire {
-        Wire::Plain(msg) => Item::Deliver {
-            from,
-            to,
-            msg,
-            link_epoch,
-        },
-        Wire::Data { seq, ack, msg } => Item::ShimData {
-            from,
-            to,
-            msg,
-            link_epoch,
-            seq,
-            ack,
-        },
-        Wire::Ack { ack } => Item::ShimAck {
-            from,
-            to,
-            link_epoch,
-            ack,
-        },
-    }
-}
-
 /// The node at which a queued item dispatches, for dependent-delivery
 /// counting: two queued items interact only when they dispatch at the same
 /// node (the receiving automata share no state otherwise). `None` means the
@@ -1737,14 +1276,14 @@ fn wire_item<M>(from: NodeId, to: NodeId, link_epoch: u64, wire: Wire<M>) -> Ite
 /// everything.
 fn item_node<M>(item: &Item<M>) -> Option<NodeId> {
     match item {
-        Item::Deliver { to, .. } | Item::ShimData { to, .. } => Some(*to),
+        // Every frame dispatches at its receiver (a standalone ack at the
+        // receiver's shim); an RTO fires at the sender `from`; the
+        // idle-ack timer fires at the receiver of the `from → to` data
+        // channel, i.e. `to`.
+        Item::Frame(Frame { to, .. }) | Item::ShimAckIdle { to, .. } => Some(*to),
         Item::Proto { node, .. } | Item::MoveStep { node, .. } | Item::MotionDone { node, .. } => {
             Some(*node)
         }
-        // A standalone ack dispatches at the shim of its receiver `to`; an
-        // RTO fires at the sender `from`; the idle-ack timer fires at the
-        // receiver of the `from → to` data channel, i.e. `to`.
-        Item::ShimAck { to, .. } | Item::ShimAckIdle { to, .. } => Some(*to),
         Item::ShimRto { from, .. } => Some(*from),
         Item::Command(_) | Item::ChannelTick { .. } => None,
     }
@@ -1756,17 +1295,31 @@ fn item_node<M>(item: &Item<M>) -> Option<NodeId> {
 fn item_digest<M: std::fmt::Debug>(item: &Item<M>) -> u64 {
     let mut h = sched::Fnv::new();
     match item {
-        Item::Deliver {
+        // Tag 1/6/7 by wire kind, then the frame's link, then the kind's
+        // fields: the bytes every pinned state digest was computed over.
+        Item::Frame(Frame {
             from,
             to,
-            msg,
             link_epoch,
-        } => {
-            h.write_u64(1);
+            wire,
+        }) => {
+            h.write_u64(match wire {
+                Wire::Plain(_) => 1,
+                Wire::Data { .. } => 6,
+                Wire::Ack { .. } => 7,
+            });
             h.write_u64(from.0 as u64);
             h.write_u64(to.0 as u64);
             h.write_u64(*link_epoch);
-            h.write_u64(sched::digest_of_debug(msg));
+            match wire {
+                Wire::Plain(msg) => h.write_u64(sched::digest_of_debug(msg)),
+                Wire::Data { seq, ack, msg } => {
+                    h.write_u64(*seq);
+                    h.write_u64(*ack);
+                    h.write_u64(sched::digest_of_debug(msg));
+                }
+                Wire::Ack { ack } => h.write_u64(*ack),
+            }
         }
         Item::Proto { node, ev } => {
             h.write_u64(2);
@@ -1787,53 +1340,23 @@ fn item_digest<M: std::fmt::Debug>(item: &Item<M>) -> u64 {
             h.write_u64(node.0 as u64);
             h.write_u64(*epoch);
         }
-        Item::ShimData {
-            from,
-            to,
-            msg,
-            link_epoch,
-            seq,
-            ack,
-        } => {
-            h.write_u64(6);
-            h.write_u64(from.0 as u64);
-            h.write_u64(to.0 as u64);
-            h.write_u64(*link_epoch);
-            h.write_u64(*seq);
-            h.write_u64(*ack);
-            h.write_u64(sched::digest_of_debug(msg));
-        }
-        Item::ShimAck {
-            from,
-            to,
-            link_epoch,
-            ack,
-        } => {
-            h.write_u64(7);
-            h.write_u64(from.0 as u64);
-            h.write_u64(to.0 as u64);
-            h.write_u64(*link_epoch);
-            h.write_u64(*ack);
-        }
         Item::ShimRto {
             from,
             to,
             epoch,
             gen,
-        } => {
-            h.write_u64(8);
-            h.write_u64(from.0 as u64);
-            h.write_u64(to.0 as u64);
-            h.write_u64(*epoch);
-            h.write_u64(*gen);
         }
-        Item::ShimAckIdle {
+        | Item::ShimAckIdle {
             from,
             to,
             epoch,
             gen,
         } => {
-            h.write_u64(9);
+            h.write_u64(if matches!(item, Item::ShimRto { .. }) {
+                8
+            } else {
+                9
+            });
             h.write_u64(from.0 as u64);
             h.write_u64(to.0 as u64);
             h.write_u64(*epoch);
@@ -1845,17 +1368,6 @@ fn item_digest<M: std::fmt::Debug>(item: &Item<M>) -> u64 {
         }
     }
     h.finish()
-}
-
-/// Seed of the dedicated fault RNG: explicit when the plan names one,
-/// otherwise a salt of the run seed (so distinct run seeds explore
-/// distinct fault schedules with no extra configuration).
-fn fault_seed(cfg: &SimConfig) -> u64 {
-    if cfg.fault.seed != 0 {
-        cfg.fault.seed
-    } else {
-        cfg.seed ^ 0xFA01_7001_AD5E_ED00
-    }
 }
 
 #[cfg(test)]
@@ -2072,10 +1584,19 @@ mod tests {
 
     #[test]
     fn messages_in_flight_die_with_their_link() {
-        let mut e = engine2();
         // Long delays so the message is in flight when the link breaks.
-        e.core.cfg.min_message_delay = 50;
-        e.core.cfg.max_message_delay = 60;
+        let mut e: Engine<Echo> = Engine::new(
+            SimConfig {
+                min_message_delay: 50,
+                max_message_delay: 60,
+                ..SimConfig::default()
+            },
+            vec![(0.0, 0.0), (1.0, 0.0)],
+            |_| Echo {
+                state: DiningState::Thinking,
+                received: vec![],
+            },
+        );
         e.core.push(
             SimTime(1),
             Item::Proto {
@@ -2848,7 +2369,7 @@ mod tests {
         let ring: Vec<(u32, u32)> = (0..N).map(|i| (i, (i + 1) % N)).collect();
         let cfg = SimConfig {
             arq: Some(crate::ArqConfig::default()),
-            channel: ChannelConfig::burst_loss_default(),
+            channel: crate::ChannelConfig::burst_loss_default(),
             ..SimConfig::default()
         };
         let mut e: Engine<Chatter> = Engine::new_graph(cfg, N as usize, &ring, |_| Chatter);
@@ -2868,11 +2389,10 @@ mod tests {
         // tables these replaced held N² slots each.
         let directed = 2 * ring.len();
         let shim = e.core.shim.as_ref().unwrap();
-        let channel = e.core.channel.as_ref().unwrap();
-        let lens = [e.core.links.len(), shim.links.len(), channel.ge.len()];
+        let (fifo, chains) = e.core.link.records();
+        let lens = [fifo, shim.links.len(), chains];
         for len in lens {
             assert!(len > directed / 2 && len <= directed, "{lens:?}");
         }
-        assert_eq!(channel.cb.len(), 0);
     }
 }

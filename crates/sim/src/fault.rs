@@ -14,6 +14,15 @@
 //! Faults injected are counted by kind in [`FaultStats`] (surfaced through
 //! `EngineStats::faults`).
 //!
+//! The plan has two halves. The scripted half (crash waves, recoveries,
+//! partition windows) becomes ordinary engine commands when the engine is
+//! built. The per-frame half ([`LinkFaults`], [`DelayAdversary`]) is
+//! judged in exactly one place, the link layer's adversary
+//! (`crate::link`), for every frame on every channel model: the max-delay
+//! adversary first, then drop, duplicate and skew, one draw each. The
+//! max-delay adversary only ever delays — it raises an arrival to
+//! `send + ν` and never pulls one earlier.
+//!
 //! # Relation to the paper's model
 //!
 //! The paper assumes reliable FIFO links: *drop* and *duplicate* faults are
@@ -72,15 +81,8 @@ impl LinkFaults {
     /// Whether this fault class touches the message `from → to` sent at
     /// `now` (window + target filter; the probabilities still decide).
     pub fn applies(&self, from: NodeId, to: NodeId, now: SimTime) -> bool {
-        if let Some((start, end)) = self.window {
-            if now.0 < start || now.0 >= end {
-                return false;
-            }
-        }
-        match &self.targets {
-            None => true,
-            Some(ts) => ts.contains(&from) || ts.contains(&to),
-        }
+        in_window(self.window, now)
+            && (self.targets.as_ref()).is_none_or(|ts| ts.contains(&from) || ts.contains(&to))
     }
 
     /// `base` probability amplified by the burst schedule at `now`,
@@ -107,9 +109,11 @@ pub struct Burst {
 }
 
 /// The adaptive worst-case delay adversary: every message to or from a
-/// target node is charged exactly ν, the maximum legal delay. This is a
-/// legal schedule of the paper's model — it tests the response-time
-/// analysis at its worst case, not robustness beyond the model.
+/// target node is charged ν, the maximum legal delay — its arrival becomes
+/// at least `send + ν` (a channel delay already past ν is kept; on the
+/// shared medium ν is added to the delivery delay). This is a legal
+/// schedule of the paper's model — it tests the response-time analysis at
+/// its worst case, not robustness beyond the model.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DelayAdversary {
     /// The nodes whose traffic is slowed (both directions).
@@ -122,13 +126,13 @@ impl DelayAdversary {
     /// Whether the adversary charges ν against the message `from → to`
     /// sent at `now`.
     pub fn applies(&self, from: NodeId, to: NodeId, now: SimTime) -> bool {
-        if let Some((start, end)) = self.window {
-            if now.0 < start || now.0 >= end {
-                return false;
-            }
-        }
-        self.targets.contains(&from) || self.targets.contains(&to)
+        in_window(self.window, now) && (self.targets.contains(&from) || self.targets.contains(&to))
     }
+}
+
+/// Whether `now` falls in `[start, end)`; no window means always.
+fn in_window(window: Option<(u64, u64)>, now: SimTime) -> bool {
+    window.is_none_or(|(start, end)| (start..end).contains(&now.0))
 }
 
 /// A scripted simultaneous crash of several nodes.

@@ -67,6 +67,7 @@ mod fault;
 mod geo;
 mod hooks;
 mod ids;
+mod link;
 mod links;
 mod neighbors;
 mod protocol;

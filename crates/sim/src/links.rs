@@ -91,12 +91,18 @@ impl<T: Default> LinkStore<T> {
     /// Payload of `from → to` in the link's current incarnation, starting
     /// from `T::default()` on first access in each incarnation.
     pub fn get_mut(&mut self, from: NodeId, to: NodeId) -> &mut T {
+        self.entry(from, to).1
+    }
+
+    /// [`LinkStore::get_mut`] together with the incarnation it belongs
+    /// to, in one lookup.
+    pub fn entry(&mut self, from: NodeId, to: NodeId) -> (u64, &mut T) {
         let rec = self.map.entry(key(from, to)).or_default();
         if rec.written != rec.incarnation {
             rec.payload = T::default();
             rec.written = rec.incarnation;
         }
-        &mut rec.payload
+        (rec.incarnation, &mut rec.payload)
     }
 
     /// Read-only view of `from → to`: `None` when nothing was written in

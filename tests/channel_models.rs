@@ -20,6 +20,26 @@
 //!    loss fraction of a long run converges to π_bad = p / (p + q).
 //! 5. **Determinism.** Every model is byte-identical across `--jobs`
 //!    values and across repeated runs.
+//!
+//! Between pillars 1 and 2 sit the **pipeline goldens**
+//! (`pipeline_golden_*`): one FNV-64 constant per delay source, each over
+//! eight seeds of a traced A2 run under waypoint motion, a partition
+//! window and link faults (drop + duplicate + skew with a burst) — the
+//! trace, the final state digest, `EngineStats` and the abort. They pin
+//! the per-frame order of DESIGN.md §14 (delay source, fault adversary,
+//! FIFO clamp) per random stream and per trace record, for the models
+//! the bare-channel fingerprint above never reaches: constant bandwidth,
+//! the shared medium with the max-delay adversary (and so the fair-share
+//! rates to the bit), Gilbert–Elliott with the max-delay adversary, and a
+//! `RandomDelays` strategy with constant bandwidth configured.
+//!
+//! Provenance: the four `PIPELINE_*` constants were computed on commit
+//! `60f3845`, whose engine still carried two send paths (`physical_send`,
+//! `shared_medium_send`) with a copy of the fault adversary each, with
+//! this file copied onto it and the constants zeroed; they must be
+//! reproduced unchanged by the one link layer (`manet_sim`'s
+//! `link.rs`). There no cell aborts, and every seed of every cell
+//! injects drops, duplicates and skews.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -28,9 +48,13 @@ use harness::{run_algorithm, topology, AlgKind, RunSpec, SweepSpec, Topo};
 use local_mutex::testutil::AutoExit;
 use local_mutex::Algorithm2;
 use manet_sim::{
-    fair_share_rates, ChannelConfig, Context, DiningState, Engine, Event, NodeId, Protocol,
+    fair_share_rates, Burst, ChannelConfig, Context, DelayAdversary, DiningState, Engine,
+    EngineStats, Event, FaultPlan, LinkFaults, NodeId, PartitionWindow, Protocol, RandomDelays,
     RunAbort, SimConfig, SimTime,
 };
+
+mod sim_golden;
+use sim_golden::Fold;
 
 // ---------------------------------------------------------------------
 // 1. Iid (and a silent Gilbert–Elliott chain) are the bare channel.
@@ -104,6 +128,187 @@ fn all_good_gilbert_elliott_is_bit_for_bit_iid() {
 }
 
 // ---------------------------------------------------------------------
+// 1b. The per-frame pipeline under faults, bit for bit, per model.
+// ---------------------------------------------------------------------
+
+/// Which delay source and which fault adversaries one pipeline cell runs.
+struct PipelineCell {
+    channel: ChannelConfig,
+    max_delay: bool,
+    strategy: bool,
+}
+
+/// One seed of a pipeline cell: traced A2 on `random:24` under waypoint
+/// motion, a partition window, and link faults (drop + duplicate + skew,
+/// amplified by a burst), optionally the max-delay adversary on nodes
+/// 0–3 and a `RandomDelays` strategy. Folds the trace, the final state
+/// digest, the stats and the abort.
+fn fold_pipeline_run(fold: &mut Fold, seed: u64, cell: &PipelineCell) -> EngineStats {
+    const N: usize = 24;
+    const HORIZON: u64 = 6_000;
+    let cfg = SimConfig {
+        seed,
+        trace: true,
+        channel: cell.channel.clone(),
+        fault: FaultPlan {
+            link: Some(LinkFaults {
+                drop: 0.08,
+                duplicate: 0.08,
+                skew: 0.08,
+                skew_ticks: 15,
+                burst: Some(Burst {
+                    period: 500,
+                    active: 100,
+                    factor: 2.0,
+                }),
+                ..LinkFaults::default()
+            }),
+            max_delay: cell.max_delay.then(|| DelayAdversary {
+                targets: (0..4).map(NodeId).collect(),
+                window: Some((300, 4_500)),
+            }),
+            partitions: vec![PartitionWindow {
+                at: 2_500,
+                side: (0..6).map(NodeId).collect(),
+                heal_after: 800,
+            }],
+            ..FaultPlan::default()
+        },
+        ..SimConfig::default()
+    };
+    let positions = topology::random_connected(N, seed);
+    let mut eng = Engine::new(cfg, positions, |s| Algorithm2::new(&s));
+    eng.add_hook(Box::new(AutoExit::new(8)));
+    if cell.strategy {
+        eng.set_strategy(Box::new(RandomDelays::new(seed)));
+    }
+    for wave in (0..HORIZON).step_by(1_200) {
+        for i in 0..N as u32 {
+            eng.set_hungry_at(SimTime(wave + 1 + u64::from(i % 7)), NodeId(i));
+        }
+    }
+    for (at, cmd) in sim_golden::waypoints(N, 8, HORIZON, seed ^ 0x9E7) {
+        eng.schedule(at, cmd);
+    }
+    eng.run_until(SimTime(HORIZON));
+    fold.add(&eng.trace());
+    fold.add(&eng.state_digest());
+    fold.add(eng.stats());
+    fold.add(&eng.abort());
+    eng.stats().clone()
+}
+
+/// Fold all eight seeds of `cell` and return the summed counters the
+/// callers assert on, so a cell that stops exercising its arm fails by
+/// name rather than by digest.
+fn pipeline_golden(label: &str, cell: PipelineCell, golden: u64) -> EngineStats {
+    let mut fold = Fold::new();
+    let mut sum = EngineStats::default();
+    for seed in sim_golden::SEEDS {
+        let s = fold_pipeline_run(&mut fold, seed, &cell);
+        sum.faults.msgs_dropped += s.faults.msgs_dropped;
+        sum.faults.msgs_duplicated += s.faults.msgs_duplicated;
+        sum.faults.msgs_delayed += s.faults.msgs_delayed;
+        sum.faults.max_delay_forced += s.faults.max_delay_forced;
+        sum.channel.frames_queued += s.channel.frames_queued;
+        sum.channel.frames_lost += s.channel.frames_lost;
+    }
+    assert!(
+        sum.faults.msgs_dropped > 0
+            && sum.faults.msgs_duplicated > 0
+            && sum.faults.msgs_delayed > 0,
+        "{label}: the link faults never fired: {:?}",
+        sum.faults
+    );
+    assert_eq!(
+        sum.faults.max_delay_forced > 0,
+        cell.max_delay,
+        "{label}: {:?}",
+        sum.faults
+    );
+    fold.check(label, golden);
+    sum
+}
+
+/// Constant bandwidth under link faults (no max-delay adversary: the
+/// adversary's rule on this model is pinned by the burst test below).
+#[test]
+fn pipeline_golden_bandwidth_under_link_faults() {
+    let sum = pipeline_golden(
+        "bandwidth:3+faults",
+        PipelineCell {
+            channel: ChannelConfig::ConstantBandwidth {
+                ticks_per_frame: 3,
+                max_queue: 64,
+            },
+            max_delay: false,
+            strategy: false,
+        },
+        PIPELINE_BANDWIDTH,
+    );
+    assert!(sum.channel.frames_queued > 0, "{:?}", sum.channel);
+}
+
+/// Shared medium under link faults and the max-delay adversary (which
+/// adds ν on this model). Also pins the fair-share rates to the bit.
+#[test]
+fn pipeline_golden_shared_medium_under_max_delay() {
+    let sum = pipeline_golden(
+        "shared:2+faults+max-delay",
+        PipelineCell {
+            channel: ChannelConfig::SharedMedium {
+                ticks_per_frame: 2,
+                max_inflight: 512,
+            },
+            max_delay: true,
+            strategy: false,
+        },
+        PIPELINE_SHARED,
+    );
+    assert!(sum.channel.frames_queued > 0, "{:?}", sum.channel);
+}
+
+/// Gilbert–Elliott burst loss without ARQ, under link faults and the
+/// max-delay adversary: a channel-lost frame gets no fault draws.
+#[test]
+fn pipeline_golden_gilbert_elliott_under_max_delay() {
+    let sum = pipeline_golden(
+        "gilbert+faults+max-delay",
+        PipelineCell {
+            channel: ChannelConfig::burst_loss_default(),
+            max_delay: true,
+            strategy: false,
+        },
+        PIPELINE_GILBERT,
+    );
+    assert!(sum.channel.frames_lost > 0, "{:?}", sum.channel);
+}
+
+/// A `RandomDelays` strategy with constant bandwidth configured: the
+/// strategy bypasses the channel model, the fault adversary still acts.
+#[test]
+fn pipeline_golden_strategy_bypasses_the_channel() {
+    let sum = pipeline_golden(
+        "strategy+bandwidth:3+faults",
+        PipelineCell {
+            channel: ChannelConfig::ConstantBandwidth {
+                ticks_per_frame: 3,
+                max_queue: 64,
+            },
+            max_delay: false,
+            strategy: true,
+        },
+        PIPELINE_STRATEGY,
+    );
+    assert_eq!(sum.channel.frames_queued, 0, "{:?}", sum.channel);
+}
+
+const PIPELINE_BANDWIDTH: u64 = 0xe7ec_2373_de3c_aa3a;
+const PIPELINE_SHARED: u64 = 0xa037_1bf2_bf39_a635;
+const PIPELINE_GILBERT: u64 = 0xda88_b620_57ca_3263;
+const PIPELINE_STRATEGY: u64 = 0xc356_f168_8b35_8993;
+
+// ---------------------------------------------------------------------
 // 2. Constant bandwidth: FIFO serialization, structured aborts.
 // ---------------------------------------------------------------------
 
@@ -136,10 +341,12 @@ impl Protocol for Burster {
     }
 }
 
-/// Run a two-node burst under `channel`; returns (engine, arrivals).
+/// Run a two-node burst under `channel` and `fault`; returns (engine,
+/// arrivals).
 #[allow(clippy::type_complexity)]
 fn burst_run(
     channel: ChannelConfig,
+    fault: FaultPlan,
     burst: u64,
     horizon: u64,
 ) -> (Engine<Burster>, Rc<RefCell<Vec<(SimTime, u64)>>>) {
@@ -148,6 +355,7 @@ fn burst_run(
     let cfg = SimConfig {
         seed: 9,
         channel,
+        fault,
         ..SimConfig::default()
     };
     let mut eng = Engine::new(cfg, vec![(0.0, 0.0), (1.0, 0.0)], move |_| Burster {
@@ -166,6 +374,7 @@ fn constant_bandwidth_preserves_fifo_order_and_frame_spacing() {
             ticks_per_frame: 3,
             max_queue: 64,
         },
+        FaultPlan::default(),
         8,
         1_000,
     );
@@ -189,6 +398,36 @@ fn constant_bandwidth_preserves_fifo_order_and_frame_spacing() {
     assert_eq!(stats.queue_peak, 8);
     assert_eq!(stats.frames_lost, 0);
     assert_eq!(stats.burst_transitions, 0);
+    // The max-delay adversary only ever delays: on a congested link the
+    // queueing delay already exceeds ν, and charging ν must not let a
+    // frame land before its own serialization completes.
+    let (eng, arrivals) = burst_run(
+        ChannelConfig::ConstantBandwidth {
+            ticks_per_frame: 3,
+            max_queue: 64,
+        },
+        FaultPlan {
+            max_delay: Some(DelayAdversary {
+                targets: vec![NodeId(0)],
+                window: None,
+            }),
+            ..FaultPlan::default()
+        },
+        8,
+        1_000,
+    );
+    assert_eq!(eng.abort(), None, "{:?}", eng.abort());
+    assert_eq!(eng.stats().faults.max_delay_forced, 8);
+    let got = arrivals.borrow().clone();
+    assert_eq!(got.len(), 8, "every frame must arrive: {got:?}");
+    let (send, nu) = (1, SimConfig::default().max_message_delay);
+    for (k, &(at, payload)) in got.iter().enumerate() {
+        assert_eq!(payload, k as u64, "out-of-order delivery: {got:?}");
+        assert!(
+            at.0 >= send + 3 * (k as u64 + 1) && at.0 >= send + nu,
+            "frame {k} arrived at {at:?}, before its serialization or ν: {got:?}"
+        );
+    }
 }
 
 #[test]
@@ -198,6 +437,7 @@ fn constant_bandwidth_overflow_is_a_structured_abort() {
             ticks_per_frame: 3,
             max_queue: 2,
         },
+        FaultPlan::default(),
         8,
         1_000,
     );
@@ -221,6 +461,7 @@ fn misconfigured_bandwidth_aborts_with_the_channel_name() {
             ticks_per_frame: 50,
             max_queue: 64,
         },
+        FaultPlan::default(),
         1,
         1_000,
     );

@@ -8,9 +8,11 @@
 //! into one constant computed on parent `b193b59` through that heap core.
 //! See `tests/sim_golden/mod.rs`.
 //!
-//! Cells cover topology × mobility × fault combinations over 8 seeds, plus
+//! Cells cover a line under motion with a far-future command over 8 seeds,
 //! the model checker's DFS/PCT/random/replay strategies, the
-//! imported-schedule conformance-replay path and the parallel sweep.
+//! imported-schedule conformance-replay path and the parallel sweep. The
+//! topology × mobility × fault cells live in `tests/engine_equivalence.rs`
+//! alone (they pin the same `sim_golden` constants).
 
 mod sim_golden;
 
@@ -47,35 +49,6 @@ fn cell_line_motion_with_far_overflow_command() {
     fold.check("line:12+overflow", 0x17ec_9374_99dd_b17d);
 }
 
-/// Cell 2: random deployment with smooth random-waypoint motion.
-#[test]
-fn cell_random_waypoint_smooth_motion() {
-    sim_golden::random_waypoint_smooth_motion();
-}
-
-// ---------------------------------------------------------------------
-// Harness-level cells: stats + metrics + JSONL.
-// ---------------------------------------------------------------------
-
-/// Cell 3: clique under the adaptive max-delay adversary with moves.
-#[test]
-fn cell_clique_max_delay_adversary() {
-    sim_golden::clique_max_delay_adversary();
-}
-
-/// Cell 4: ring under message drop + duplication faults with moves.
-#[test]
-fn cell_ring_loss_and_duplication() {
-    sim_golden::ring_loss_and_duplication();
-}
-
-/// Cell 5: random deployment with a crash wave and a partition window
-/// under waypoint motion.
-#[test]
-fn cell_random_crash_wave_and_partition() {
-    sim_golden::random_crash_wave_and_partition();
-}
-
 // ---------------------------------------------------------------------
 // Checker-level cell: every exploration strategy sees the pinned runs.
 // ---------------------------------------------------------------------
@@ -92,7 +65,7 @@ fn fold_verdict(fold: &mut Fold, alg: AlgKind, plan: &Plan) -> lme_check::RunVer
     verdict
 }
 
-/// Cell 6: the model checker's DFS, PCT, random-walk, and replay
+/// Cell 2: the model checker's DFS, PCT, random-walk, and replay
 /// strategies resolve the pinned branch points.
 #[test]
 fn cell_check_strategies_agree_across_cores() {
@@ -130,7 +103,7 @@ fn replay_outcome(schedule: ImportedSchedule, seed: u64) -> (RunOutcome, String)
     (out, jsonl)
 }
 
-/// Cell 7: a recorded (synthetic, in-window) live schedule replays without
+/// Cell 3: a recorded (synthetic, in-window) live schedule replays without
 /// an abort, to the pinned outcome and JSONL.
 #[test]
 fn cell_imported_schedule_replay_agrees() {
@@ -157,7 +130,7 @@ fn cell_imported_schedule_replay_agrees() {
     fold.check("replay:clique6", 0x868d_c1eb_8662_6ad8);
 }
 
-/// Cell 8: a malformed recording (delay below the legal window) is
+/// Cell 4: a malformed recording (delay below the legal window) is
 /// rejected with a structured abort, never silently clamped.
 #[test]
 fn cell_malformed_replay_rejected_identically() {
@@ -180,7 +153,7 @@ fn cell_malformed_replay_rejected_identically() {
 // Sweep-level cell: parallel JSONL identical across job counts.
 // ---------------------------------------------------------------------
 
-/// Cell 9: a multi-seed sweep renders the pinned JSONL for any worker
+/// Cell 5: a multi-seed sweep renders the pinned JSONL for any worker
 /// count.
 #[test]
 fn cell_sweep_jsonl_identical_across_cores_and_jobs() {

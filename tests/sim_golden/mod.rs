@@ -1,5 +1,6 @@
-//! Golden pin of the simulator core, shared by `tests/queue_equivalence.rs`
-//! and `tests/engine_equivalence.rs`.
+//! Golden pin of the simulator core, shared by `tests/queue_equivalence.rs`,
+//! `tests/engine_equivalence.rs`, `tests/reliable_delivery.rs` and
+//! `tests/channel_models.rs`.
 //!
 //! The engine used to ship two event queues (binary heap, timing wheel) and
 //! two link engines (pairwise scan, spatial grid), and those two suites
@@ -21,7 +22,7 @@
 //! printed the same eleven digests under all four settings (wheel+grid,
 //! heap+grid, wheel+pairwise, heap+pairwise).
 
-// Each of the two test binaries uses its own subset of this module.
+// Each test binary uses its own subset of this module.
 #![allow(dead_code)]
 
 use std::fmt::Debug;
@@ -136,7 +137,8 @@ pub fn fold_outcome(
 }
 
 // ---------------------------------------------------------------------
-// The four cells both suites carry (one constant each: heap ≡ pairwise).
+// The four cells both reference paths had to agree on (one constant
+// each: heap ≡ pairwise), run by `tests/engine_equivalence.rs`.
 // ---------------------------------------------------------------------
 
 /// Random deployment with smooth random-waypoint motion — dense same-tick
