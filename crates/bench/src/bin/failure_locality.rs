@@ -17,8 +17,8 @@
 //! Run: `cargo run --release -p lme-bench --bin failure_locality [--quick]
 //!       [--jobs N]`
 
-use harness::{crash_probe, par_map, topology, AlgKind, RunSpec, Table};
-use lme_bench::{jobs, section, sized};
+use harness::{crash_probe, par_map, topology, AlgKind, RunSpec, Table, Topo};
+use lme_bench::{jobs, recoloring_a1, section, sized};
 use manet_sim::NodeId;
 
 fn probe_topology(name: &str, positions: &[(f64, f64)], victim: NodeId, horizon: u64, jobs: usize) {
@@ -29,7 +29,13 @@ fn probe_topology(name: &str, positions: &[(f64, f64)], victim: NodeId, horizon:
     };
     let kinds = AlgKind::all();
     let reports = par_map(&kinds, jobs, |&kind| {
-        crash_probe(kind, &spec, positions, victim, horizon / 20)
+        crash_probe(
+            kind,
+            &spec,
+            &Topo::Geo(positions.to_vec()),
+            victim,
+            horizon / 20,
+        )
     });
     let mut table = Table::new(&[
         "algorithm",
@@ -79,7 +85,8 @@ fn gradient_line(jobs: usize) {
     let victim = NodeId(n as u32 / 2);
     let kinds = [AlgKind::ChandyMisra, AlgKind::A1Linial, AlgKind::A2];
     let curves = par_map(&kinds, jobs, |&kind| {
-        let report = crash_probe(kind, &spec, &topology::line(n), victim, spec.horizon / 20);
+        let line = Topo::Geo(topology::line(n));
+        let report = crash_probe(kind, &spec, &line, victim, spec.horizon / 20);
         let after = report
             .outcome
             .crash_time
@@ -184,7 +191,6 @@ fn recoloring_locality(jobs: usize) {
     // missing messages matter (failure locality max(log* n, 4) + 2,
     // Theorem 22).
     let victim = manet_sim::NodeId(n as u32 / 2);
-    let sched = std::sync::Arc::new(coloring::LinialSchedule::compute(n as u64, 2));
     let kinds = [AlgKind::A1Greedy, AlgKind::A1Linial];
     let results = par_map(&kinds, jobs, |&kind| {
         let spec = RunSpec {
@@ -193,18 +199,10 @@ fn recoloring_locality(jobs: usize) {
             first_hungry: (5, 5),
             ..RunSpec::default()
         };
-        let sched = sched.clone();
         let out = harness::run_protocol(
             &spec,
-            &harness::topology::line(n),
-            move |seed| {
-                let mut node = match kind {
-                    AlgKind::A1Greedy => local_mutex::Algorithm1::greedy(&seed),
-                    _ => local_mutex::Algorithm1::linial(&seed, sched.clone()),
-                };
-                node.require_initial_recoloring();
-                node
-            },
+            &Topo::Geo(topology::line(n)),
+            recoloring_a1(kind, n),
             |e| e.crash_at(manet_sim::SimTime(2), victim),
         );
         assert!(out.violations.is_empty());
@@ -234,7 +232,8 @@ fn recoloring_locality(jobs: usize) {
             kind.paper_failure_locality().to_string(),
         ]);
         if kind == AlgKind::A1Linial {
-            let bound = (sched.rounds() + 4).max(6);
+            let rounds = coloring::LinialSchedule::compute(n as u64, 2).rounds();
+            let bound = (rounds + 4).max(6);
             if let Some(m) = locality {
                 assert!(
                     m <= bound,

@@ -10,11 +10,9 @@
 //!
 //! Run: `cargo run --release -p lme-bench --bin figures [--quick]`
 
-use std::sync::Arc;
-
-use harness::{crash_probe, run_algorithm, run_protocol, topology, AlgKind, RunSpec};
-use lme_bench::sized;
+use harness::{crash_probe, run_algorithm, run_protocol, topology, AlgKind, RunSpec, Topo};
 use lme_bench::svg::{BarChart, LineChart, Series};
+use lme_bench::{recoloring_a1, sized};
 use manet_sim::NodeId;
 
 fn write(name: &str, svg: &str) -> Result<(), String> {
@@ -36,7 +34,7 @@ fn failure_locality_figure() -> Result<(), String> {
         let report = crash_probe(
             kind,
             &spec,
-            &topology::line(n),
+            &Topo::Geo(topology::line(n)),
             NodeId(n as u32 / 2),
             spec.horizon / 20,
         );
@@ -68,18 +66,10 @@ fn bootstrap_figure() -> Result<(), String> {
             (AlgKind::A1Greedy, &mut greedy),
             (AlgKind::A1Linial, &mut linial),
         ] {
-            let sched = Arc::new(coloring::LinialSchedule::compute(n as u64, 2));
             let out = run_protocol(
                 &spec,
-                &topology::line(n),
-                move |seed| {
-                    let mut node = match kind {
-                        AlgKind::A1Greedy => local_mutex::Algorithm1::greedy(&seed),
-                        _ => local_mutex::Algorithm1::linial(&seed, sched.clone()),
-                    };
-                    node.require_initial_recoloring();
-                    node
-                },
+                &Topo::Geo(topology::line(n)),
+                recoloring_a1(kind, n),
                 |_| {},
             );
             out_points.push((n as f64, out.all_summary().max as f64));

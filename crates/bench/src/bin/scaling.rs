@@ -25,7 +25,7 @@ use harness::{
     par_map, run_cells, topology, AlgKind, Job, RunSpec, SweepCell, SweepReport, Table, Topo,
     WaypointPlan,
 };
-use lme_bench::{jobs, section, sized, write_metrics};
+use lme_bench::{jobs, recoloring_a1, section, sized, write_metrics};
 use manet_sim::{Command, Position, SimTime};
 
 const KINDS: [AlgKind; 4] = [
@@ -329,19 +329,10 @@ fn bootstrap_recoloring(jobs: usize) {
             first_hungry: (1, 1),
             ..RunSpec::default()
         };
-        let positions = topology::line(n);
-        let sched = std::sync::Arc::new(coloring::LinialSchedule::compute(n as u64, 2));
         let out = harness::run_protocol(
             &spec,
-            &positions,
-            move |seed| {
-                let mut node = match kind {
-                    AlgKind::A1Greedy => local_mutex::Algorithm1::greedy(&seed),
-                    _ => local_mutex::Algorithm1::linial(&seed, sched.clone()),
-                };
-                node.require_initial_recoloring();
-                node
-            },
+            &Topo::Geo(topology::line(n)),
+            recoloring_a1(kind, n),
             |_| {},
         );
         assert!(out.violations.is_empty());
@@ -377,11 +368,12 @@ fn hub_vs_leaves_star(jobs: usize) {
         .collect();
     let rows = par_map(&grid, jobs, |&(leaves, kind)| {
         let (n, edges) = harness::topology::star_edges(leaves);
+        let star = Topo::Graph { n, edges };
         let spec = RunSpec {
             horizon: sized(80_000, 20_000),
             ..RunSpec::default()
         };
-        let out = harness::run_algorithm_graph(kind, &spec, n, &edges, &[]);
+        let out = harness::run(kind, &spec, &star, &[], None);
         assert!(out.violations.is_empty());
         let hub: Vec<u64> = out
             .metrics

@@ -21,7 +21,7 @@
 
 use harness::{
     crash_probe, par_map, run_algorithm, topology, AlgKind, RunReport, RunSpec, SweepReport, Table,
-    WaypointPlan,
+    Topo, WaypointPlan,
 };
 use lme_bench::{jobs, section, sized, write_metrics};
 use manet_sim::NodeId;
@@ -45,7 +45,7 @@ fn main() {
         seed: 11,
     };
     let mobile_commands = mobile_plan.commands(n);
-    let fl_positions = topology::line(line_n);
+    let fl_topo = Topo::Geo(topology::line(line_n));
     let fl_spec = RunSpec {
         horizon: sized(80_000, 15_000),
         ..RunSpec::default()
@@ -59,7 +59,7 @@ fn main() {
         let probe = crash_probe(
             kind,
             &fl_spec,
-            &fl_positions,
+            &fl_topo,
             NodeId(line_n as u32 / 2),
             fl_spec.horizon / 20,
         );

@@ -7,6 +7,10 @@
 
 pub mod svg;
 
+use harness::{AlgKind, Automata};
+use local_mutex::Algorithm1;
+use manet_sim::NodeSeed;
+
 /// True when the binary was invoked with `--quick`: experiment sizes are
 /// reduced so the whole suite runs in seconds (used by smoke checks).
 pub fn quick_mode() -> bool {
@@ -30,13 +34,12 @@ pub fn section(title: &str) {
 /// Worker threads for sweep fan-out: `--jobs N` if given, else every core.
 /// Results are byte-identical for any value (see `harness::sweep`).
 pub fn jobs() -> usize {
-    flag_value("--jobs")
-        .map(|v| {
-            let n: usize = v.parse().unwrap_or_else(|_| panic!("invalid --jobs '{v}'"));
-            assert!(n > 0, "--jobs must be at least 1");
-            n
-        })
-        .unwrap_or_else(harness::default_jobs)
+    match flag_value("--jobs").map(|v| v.parse::<usize>().map_err(|_| v)) {
+        None => harness::default_jobs(),
+        Some(Ok(n)) if n > 0 => n,
+        Some(Ok(_)) => fail("--jobs must be at least 1"),
+        Some(Err(v)) => fail(&format!("invalid --jobs '{v}'")),
+    }
 }
 
 /// Path given with `--metrics-out PATH`, if any.
@@ -50,10 +53,34 @@ pub fn metrics_out() -> Option<std::path::PathBuf> {
 /// every run of the invocation in one JSONL file.
 pub fn write_metrics(report: &harness::SweepReport) {
     let Some(path) = metrics_out() else { return };
-    report
-        .write_jsonl(&path)
-        .unwrap_or_else(|e| panic!("cannot write metrics to {}: {e}", path.display()));
+    if let Err(e) = report.write_jsonl(&path) {
+        fail(&format!("cannot write metrics to {}: {e}", path.display()));
+    }
     println!("per-run metrics written to {}", path.display());
+}
+
+/// A line of `n` nodes (δ = 2) running `kind`, an Algorithm 1 variant,
+/// with every node recoloring before its first meal: the bootstrap
+/// scenario where the greedy and Linial procedures part ways.
+///
+/// # Panics
+///
+/// Panics if `kind` is not of the Algorithm 1 family.
+pub fn recoloring_a1(kind: AlgKind, n: usize) -> impl FnMut(NodeSeed) -> Algorithm1 + 'static {
+    let Automata::A1(make) = kind.automata(n, &[], Some(2), 0) else {
+        panic!("{} is not an Algorithm 1 variant", kind.name());
+    };
+    move |seed| {
+        let mut node = make(&seed);
+        node.require_initial_recoloring();
+        node
+    }
+}
+
+/// Report a malformed command line and exit with status 2.
+fn fail(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2)
 }
 
 fn flag_value(flag: &str) -> Option<String> {
@@ -62,7 +89,7 @@ fn flag_value(flag: &str) -> Option<String> {
         if a == flag {
             return Some(
                 args.next()
-                    .unwrap_or_else(|| panic!("{flag} needs a value")),
+                    .unwrap_or_else(|| fail(&format!("{flag} needs a value"))),
             );
         }
     }

@@ -126,15 +126,9 @@ impl CheckSpec {
         }
     }
 
-    /// Largest vertex degree of the topology (δ), used to parameterize the
-    /// recoloring schedules exactly as the experiment runner does.
+    /// Largest vertex degree of the topology (δ).
     pub fn max_degree(&self) -> usize {
-        let mut deg = vec![0usize; self.n];
-        for &(a, b) in &self.edges {
-            deg[a as usize] += 1;
-            deg[b as usize] += 1;
-        }
-        deg.into_iter().max().unwrap_or(0)
+        harness::topology::max_degree(self.n, &self.edges)
     }
 
     /// Validate the instance.

@@ -1,12 +1,9 @@
 //! Running one schedule and judging it against the checked properties.
 
 use std::collections::HashMap;
-use std::rc::Rc;
-use std::sync::Arc;
 
-use baselines::{choy_singh, ChandyMisra, StaticColoring};
-use coloring::LinialSchedule;
-use harness::{AlgKind, SafetyMonitor, Violation};
+use baselines::ChandyMisra;
+use harness::{Automata, SafetyMonitor, Violation};
 use local_mutex::testutil::AutoExit;
 use local_mutex::{Algorithm1, Algorithm2, Phase};
 use manet_sim::{
@@ -114,28 +111,9 @@ pub fn run_schedule(spec: &CheckSpec, plan: &Plan) -> RunVerdict {
 /// Purity holds for the triple `(spec, plan, rmode)`.
 pub fn run_schedule_mode(spec: &CheckSpec, plan: &Plan, rmode: RecorderMode) -> RunVerdict {
     let mutate = spec.mutation == Mutation::NoSdfGuard;
-    let delta = spec.max_degree().max(1) as u64;
-    let run_seed = spec.seed;
-    match spec.alg {
-        AlgKind::A1Greedy => drive(spec, plan, rmode, move |seed| {
-            prep_a1(Algorithm1::greedy(&seed), mutate)
-        }),
-        AlgKind::A1Linial => {
-            let sched = Arc::new(LinialSchedule::compute(spec.n as u64, delta));
-            drive(spec, plan, rmode, move |seed| {
-                prep_a1(Algorithm1::linial(&seed, sched.clone()), mutate)
-            })
-        }
-        AlgKind::A1Random => drive(spec, plan, rmode, move |seed| {
-            prep_a1(Algorithm1::randomized(&seed, delta, run_seed), mutate)
-        }),
-        AlgKind::ChoySingh => {
-            let coloring = Rc::new(StaticColoring::compute(spec.n, spec.edges.iter().copied()));
-            drive(spec, plan, rmode, move |seed| {
-                prep_a1(choy_singh(&seed, &coloring), mutate)
-            })
-        }
-        AlgKind::A2 => {
+    match spec.alg.automata(spec.n, &spec.edges, None, spec.seed) {
+        Automata::A1(make) => drive(spec, plan, rmode, move |seed| prep_a1(make(&seed), mutate)),
+        Automata::A2 => {
             let unfair = spec.mutation == Mutation::UnfairFork;
             drive(spec, plan, rmode, move |seed| {
                 let mut node = Algorithm2::new(&seed);
@@ -145,7 +123,7 @@ pub fn run_schedule_mode(spec: &CheckSpec, plan: &Plan, rmode: RecorderMode) -> 
                 node
             })
         }
-        AlgKind::ChandyMisra => drive(spec, plan, rmode, |seed| ChandyMisra::new(&seed)),
+        Automata::ChandyMisra => drive(spec, plan, rmode, |seed| ChandyMisra::new(&seed)),
     }
 }
 
@@ -416,6 +394,7 @@ fn check_starvation_lasso(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use harness::AlgKind;
 
     fn line(n: usize) -> Vec<(u32, u32)> {
         (0..n as u32 - 1).map(|i| (i, i + 1)).collect()

@@ -1,7 +1,7 @@
 //! Hand-rolled argument parsing (the workspace is dependency-minimal by
 //! design; see DESIGN.md §6).
 
-use harness::{AlgKind, MobilityMix};
+use harness::{topology, AlgKind, MobilityMix, Topo};
 use lme_check::{Mutation, StrategyKind};
 use lme_net::TransportKind;
 use manet_sim::{ChannelConfig, SimConfig};
@@ -47,6 +47,25 @@ impl TopoSpec {
     /// True for specs that need the explicit-graph engine (no geometry).
     pub fn is_explicit(&self) -> bool {
         matches!(self, TopoSpec::Star(_) | TopoSpec::Tree(_))
+    }
+
+    /// The topology this spec names, as every run takes it.
+    pub fn topo(&self) -> Topo {
+        match *self {
+            TopoSpec::Line(n) => Topo::Geo(topology::line(n)),
+            TopoSpec::Ring(n) => Topo::Geo(topology::ring(n)),
+            TopoSpec::Grid(w, h) => Topo::Geo(topology::grid(w, h)),
+            TopoSpec::Clique(n) => Topo::Geo(topology::clique(n)),
+            TopoSpec::Random(n, seed) => Topo::Geo(topology::random_connected(n, seed)),
+            TopoSpec::Star(leaves) => {
+                let (n, edges) = topology::star_edges(leaves);
+                Topo::Graph { n, edges }
+            }
+            TopoSpec::Tree(n) => {
+                let (n, edges) = topology::binary_tree_edges(n);
+                Topo::Graph { n, edges }
+            }
+        }
     }
 }
 
@@ -219,7 +238,86 @@ impl Cli {
     pub fn explicitly_set(&self, flag: &str) -> bool {
         self.explicit.iter().any(|f| f == flag)
     }
+
+    /// This command's bit in [`FLAG_READERS`] and its name; `bench` counts
+    /// as one command per mode.
+    fn reader(&self) -> (u8, &'static str) {
+        match (&self.command, self.bench_mode) {
+            (Command::List, _) => (0, "list"),
+            (Command::Run, _) => (RUN, "run"),
+            (Command::Probe, _) => (PROBE, "probe"),
+            (Command::Sweep, _) => (SWEEP, "sweep"),
+            (Command::Chaos, _) => (CHAOS, "chaos"),
+            (Command::Check, _) => (CHECK, "check"),
+            (Command::Live, _) => (LIVE, "live"),
+            (Command::Bench, BenchMode::Live) => (BENCH_LIVE, "bench live"),
+            (Command::Bench, BenchMode::Channel) => (BENCH_CHANNEL, "bench channel"),
+        }
+    }
 }
+
+const RUN: u8 = 1;
+const PROBE: u8 = 1 << 1;
+const SWEEP: u8 = 1 << 2;
+const CHAOS: u8 = 1 << 3;
+const CHECK: u8 = 1 << 4;
+const LIVE: u8 = 1 << 5;
+const BENCH_LIVE: u8 = 1 << 6;
+const BENCH_CHANNEL: u8 = 1 << 7;
+/// The simulator runs that take a workload and a fault plan.
+const SIM: u8 = RUN | PROBE | SWEEP;
+/// The wall-clock runs of the live runtime.
+const LIVE_RUNS: u8 = LIVE | BENCH_LIVE;
+
+/// Which commands read each flag. Passing a flag to any other command is
+/// an error (exit 2), never a silent drop.
+const FLAG_READERS: &[(&str, u8)] = &[
+    ("--alg", SIM | CHAOS | CHECK | LIVE_RUNS | BENCH_CHANNEL),
+    ("--topo", SIM | CHAOS | CHECK | LIVE_RUNS),
+    ("--nodes", SIM | CHAOS | CHECK | LIVE_RUNS),
+    ("--horizon", SIM | CHAOS | CHECK | BENCH_CHANNEL),
+    ("--seed", SIM | CHAOS | CHECK | LIVE_RUNS | BENCH_CHANNEL),
+    ("--eat", SIM | CHAOS | CHECK | BENCH_CHANNEL),
+    ("--think", SIM | CHAOS | CHECK | BENCH_CHANNEL),
+    ("--moves", RUN | SWEEP | LIVE_RUNS),
+    ("--mix", RUN | SWEEP),
+    ("--channel", SIM),
+    ("--victim", SIM | CHAOS | LIVE_RUNS),
+    ("--arq", SIM),
+    ("--recover", RUN | SWEEP | LIVE_RUNS),
+    ("--reliable", LIVE_RUNS),
+    ("--csv", RUN),
+    ("--jobs", SWEEP | CHAOS | CHECK),
+    ("--seeds", SWEEP | CHAOS | CHECK),
+    ("--metrics-out", SIM | CHAOS | BENCH_LIVE),
+    ("--fault-drop", SIM),
+    ("--fault-dup", SIM),
+    ("--fault-skew", SIM),
+    ("--fault-delay", SIM),
+    ("--fault-partition", SIM),
+    ("--fault-targets", SIM),
+    ("--fault-window", SIM),
+    ("--fault-seed", SIM),
+    ("--strategy", CHECK),
+    ("--steps", CHECK),
+    ("--depth", CHECK),
+    ("--mutate", CHECK),
+    ("--liveness", CHECK),
+    ("--certify", CHECK),
+    ("--witness-out", CHECK),
+    ("--replay", CHECK),
+    ("--ns", BENCH_LIVE),
+    ("--out", CHECK | BENCH_LIVE | BENCH_CHANNEL),
+    ("--transport", LIVE_RUNS),
+    ("--duration", LIVE_RUNS),
+    ("--rate", LIVE_RUNS),
+    ("--eat-ms", LIVE_RUNS),
+    ("--oneshot", LIVE_RUNS),
+    ("--conformance", LIVE),
+    ("--matrix", LIVE),
+    ("--workers", LIVE_RUNS),
+    ("--closed-loop", LIVE_RUNS),
+];
 
 impl Default for Cli {
     fn default() -> Cli {
@@ -292,15 +390,17 @@ commands:
   check   explore the legal delivery schedules of a small model for
           safety/liveness violations; shrink and replay witnesses
   bench   `bench live`: wall-clock throughput (eating sessions/sec) and
-          hungry->eat latency percentiles of every live-capable
-          algorithm over a real transport, written as BENCH_live.json
+          hungry->eat latency percentiles of every algorithm over a
+          real transport, written as BENCH_live.json
           `bench channel`: every channel model x {clique:8, ring:8},
           reporting meals, response percentiles and channel counters,
           written as BENCH_channel.json
   live    real message passing (in-process rings or UDP on loopback)
           on an M:N sharded worker pool that scales the same automata
-          to tens of thousands of nodes; the live trace is validated
-          by the safety monitor
+          to tens of thousands of nodes; every algorithm runs live, and
+          the live trace is validated by the safety monitor
+
+A flag the command does not read is an error (exit 2).
 
 options:
   --alg <name>       a1-greedy | a1-linial | a1-random | a2 |
@@ -326,7 +426,7 @@ options:
   --seeds <n>        sweep: consecutive seeds to run        (default 8)
   --metrics-out <p>  write per-run metrics as JSON lines to <p>
 
-fault injection (run/sweep; chaos builds its own schedule):
+fault injection (run/probe/sweep; chaos builds its own schedule):
   --fault-drop <p>       drop probability per message          (default 0)
   --fault-dup <p>        duplication probability per message   (default 0)
   --fault-skew <ticks>   extra delay added to every message    (default 0)
@@ -382,7 +482,7 @@ live runtime (live, bench live):
   --conformance        after the run, replay its delivery timing in the
                        simulator and check safety + census (needs
                        --oneshot on a fault-free static topology)
-  --matrix             run every live algorithm x {clique:5, ring:6}
+  --matrix             run every algorithm x {clique:5, ring:6}
                        instead of a single cell; nonzero exit on any
                        safety violation
   --victim <node>      crash this node a quarter into the run
@@ -701,8 +801,15 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Cli, String> {
             other => return Err(format!("unknown flag '{other}'\n{USAGE}")),
         }
     }
-    if (cli.liveness || cli.certify) && cli.command != Command::Check {
-        return Err("--liveness and --certify only apply to `lme check`".to_string());
+    let (bit, name) = cli.reader();
+    for flag in &cli.explicit {
+        let readers = FLAG_READERS
+            .iter()
+            .find(|(f, _)| f == flag)
+            .map_or(0, |&(_, readers)| readers);
+        if readers & bit == 0 {
+            return Err(format!("{flag} does not apply to `lme {name}`"));
+        }
     }
     if cli.certify {
         if cli.liveness {
@@ -732,9 +839,6 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Cli, String> {
     }
     if cli.recover_at.is_some() && cli.victim.is_none() {
         return Err("--recover needs --victim (the node that crashes)".to_string());
-    }
-    if cli.recover_at.is_some() && cli.command == Command::Probe {
-        return Err("probe crashes the victim mid-CS for good; --recover is not supported".into());
     }
     if cli.fault_partition.is_some() && cli.fault_targets.is_none() {
         return Err("--fault-partition needs --fault-targets (the side to cut off)".to_string());
@@ -871,6 +975,34 @@ mod tests {
         assert!(parse(argv("run --horizon")).is_err());
         assert!(parse(argv("run --topo star:4 --moves 2")).is_err());
         assert!(parse(argv("probe --topo line:5 --victim 9")).is_err());
+        // A flag the command never reads is an error naming both.
+        for (line, flag, cmd) in [
+            ("list --alg a2", "--alg", "list"),
+            ("run --jobs 2", "--jobs", "run"),
+            ("probe --moves 3", "--moves", "probe"),
+            ("chaos --arq", "--arq", "chaos"),
+            ("chaos --recover 900 --victim 1", "--recover", "chaos"),
+            ("sweep --csv", "--csv", "sweep"),
+            ("run --duration 100", "--duration", "run"),
+        ] {
+            let err = parse(argv(line)).unwrap_err();
+            assert_eq!(
+                err,
+                format!("{flag} does not apply to `lme {cmd}`"),
+                "{line}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_documented_flag_has_readers() {
+        let flags = USAGE
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter(|w| w.starts_with("--") && w.len() > 2);
+        for flag in flags {
+            let readers = FLAG_READERS.iter().find(|(f, _)| *f == flag);
+            assert!(readers.is_some_and(|&(_, r)| r != 0), "{flag}");
+        }
     }
 
     #[test]
@@ -949,6 +1081,23 @@ mod tests {
         assert!(parse(argv("check --nodes 0")).is_err());
         assert!(parse(argv("check --mutate frobnicate")).is_err());
         assert!(parse(argv("check --witness-out")).is_err());
+        for flag in [
+            "--fault-drop 0.1",
+            "--fault-delay",
+            "--channel bandwidth:2",
+            "--arq",
+            "--mix 0.5:0.25",
+            "--moves 2",
+            "--victim 1",
+            "--csv",
+            "--metrics-out m.jsonl",
+        ] {
+            let err = parse(argv(&format!("check --topo line:3 {flag}"))).unwrap_err();
+            assert!(
+                err.ends_with("does not apply to `lme check`"),
+                "{flag}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -1015,6 +1164,12 @@ mod tests {
         assert!(err.starts_with("--ns 2 is too small"), "{err}");
         parse(argv("bench live --ns 3")).unwrap();
         assert!(parse(argv("bench live --ns 10,x")).is_err());
+        let err = parse(argv("bench channel --topo line:3")).unwrap_err();
+        assert_eq!(err, "--topo does not apply to `lme bench channel`");
+        let err = parse(argv("bench live --horizon 500")).unwrap_err();
+        assert_eq!(err, "--horizon does not apply to `lme bench live`");
+        let err = parse(argv("bench live --matrix")).unwrap_err();
+        assert_eq!(err, "--matrix does not apply to `lme bench live`");
     }
 
     #[test]
@@ -1073,6 +1228,23 @@ mod tests {
         assert!(parse(argv("live --conformance")).is_err()); // needs --oneshot
         assert!(parse(argv("live --conformance --oneshot --victim 0")).is_err());
         assert!(parse(argv("live --conformance --oneshot --moves 2")).is_err());
+        for flag in [
+            "--fault-drop 0.1",
+            "--fault-window 1..9",
+            "--channel shared:2",
+            "--arq",
+            "--mix 0.5:0.25",
+            "--eat 5..9",
+            "--think 5..9",
+            "--horizon 900",
+            "--csv",
+        ] {
+            let err = parse(argv(&format!("live --topo ring:4 {flag}"))).unwrap_err();
+            assert!(
+                err.ends_with("does not apply to `lme live`"),
+                "{flag}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -2,17 +2,17 @@
 //! report.
 
 use harness::{
-    crash_probe, default_jobs, run_algorithm, run_algorithm_graph, run_cells, stats::jain_index,
-    topology, AlgKind, FaultClass, Job, MobilityMix, RunOutcome, RunReport, RunSpec, Summary,
-    SweepCell, SweepReport, SweepSpec, Table, Topo, WaypointPlan,
+    crash_probe, default_jobs, run, run_cells, stats::jain_index, topology, AlgKind, FaultClass,
+    Job, MobilityMix, RunOutcome, RunReport, RunSpec, Summary, SweepCell, SweepReport, SweepSpec,
+    Table, Topo, WaypointPlan,
 };
 use lme_check::{
     certify, explore, replay, CertifyConfig, CheckSpec, ExploreConfig, StrategyKind, Witness,
 };
-use lme_net::{conformance_replay, run_live, LiveAlg, LiveConfig, LiveOutcome, LiveRuntime};
+use lme_net::{conformance_replay, run_live, LiveConfig, LiveOutcome, LiveRuntime};
 use manet_sim::{
     ArqConfig, ChannelConfig, CrashWave, DelayAdversary, FaultPlan, LinkFaults, NodeId,
-    PartitionWindow, Position, SimConfig, SimTime, World,
+    PartitionWindow, SimConfig, SimTime,
 };
 
 use crate::args::{BenchMode, Cli, Command, TopoSpec, USAGE};
@@ -97,17 +97,6 @@ fn fault_plan_of(cli: &Cli) -> Result<FaultPlan, String> {
     Ok(plan)
 }
 
-fn geo_positions(topo: &TopoSpec) -> Vec<(f64, f64)> {
-    match *topo {
-        TopoSpec::Line(n) => topology::line(n),
-        TopoSpec::Ring(n) => topology::ring(n),
-        TopoSpec::Grid(w, h) => topology::grid(w, h),
-        TopoSpec::Clique(n) => topology::clique(n),
-        TopoSpec::Random(n, seed) => topology::random_connected(n, seed),
-        TopoSpec::Star(_) | TopoSpec::Tree(_) => unreachable!("explicit graphs have no geometry"),
-    }
-}
-
 fn waypoint_plan(cli: &Cli, n: usize) -> WaypointPlan {
     WaypointPlan {
         area_side: (n as f64 / 1.6).sqrt().max(2.0),
@@ -137,31 +126,6 @@ fn emit_metrics(cli: &Cli, report: &SweepReport) -> Result<(), String> {
             .map_err(|e| format!("cannot write metrics to {path}: {e}"))?;
     }
     Ok(())
-}
-
-fn run_outcome(cli: &Cli, spec: &RunSpec) -> RunOutcome {
-    match cli.topo {
-        TopoSpec::Star(leaves) => {
-            let (n, edges) = topology::star_edges(leaves);
-            run_algorithm_graph(cli.alg, spec, n, &edges, &[])
-        }
-        TopoSpec::Tree(n) => {
-            let (n, edges) = topology::binary_tree_edges(n);
-            run_algorithm_graph(cli.alg, spec, n, &edges, &[])
-        }
-        ref geo => {
-            let positions = geo_positions(geo);
-            let n = positions.len();
-            let commands = if let Some(mix) = &cli.mix {
-                mobility_mix_of(cli, mix, n).commands(n)
-            } else if cli.moves > 0 {
-                waypoint_plan(cli, n).commands(n)
-            } else {
-                Vec::new()
-            };
-            run_algorithm(cli.alg, spec, &positions, &commands)
-        }
-    }
 }
 
 fn render_run(cli: &Cli, out: &RunOutcome) -> String {
@@ -226,12 +190,8 @@ fn render_run(cli: &Cli, out: &RunOutcome) -> String {
 
 fn render_probe(cli: &Cli) -> Result<String, String> {
     let spec = spec_of(cli)?;
-    if cli.topo.is_explicit() {
-        return Err("probe currently supports geometric topologies only".into());
-    }
-    let positions = geo_positions(&cli.topo);
     let victim = NodeId(cli.victim.unwrap_or(cli.topo.len() as u32 / 2));
-    let report = crash_probe(cli.alg, &spec, &positions, victim, spec.horizon / 20);
+    let report = crash_probe(cli.alg, &spec, &cli.topo.topo(), victim, spec.horizon / 20);
     emit_metrics(
         cli,
         &SweepReport {
@@ -272,23 +232,9 @@ fn render_probe(cli: &Cli) -> Result<String, String> {
     Ok(s)
 }
 
-fn topo_of(cli: &Cli) -> Topo {
-    match cli.topo {
-        TopoSpec::Star(leaves) => {
-            let (n, edges) = topology::star_edges(leaves);
-            Topo::Graph { n, edges }
-        }
-        TopoSpec::Tree(n) => {
-            let (n, edges) = topology::binary_tree_edges(n);
-            Topo::Graph { n, edges }
-        }
-        ref geo => Topo::Geo(geo_positions(geo)),
-    }
-}
-
 fn render_sweep(cli: &Cli) -> Result<String, String> {
     let base = spec_of(cli)?;
-    let topo = topo_of(cli);
+    let topo = cli.topo.topo();
     let n = topo.len();
     let mut sweep = SweepSpec::new(cli.topo.to_string(), topo, base)
         .kinds(cli.algs.iter().copied())
@@ -365,15 +311,7 @@ const CHAOS_CLASSES: [FaultClass; 8] = [
 ];
 
 fn render_chaos(cli: &Cli) -> Result<String, String> {
-    if !fault_plan_of(cli)?.is_empty() {
-        return Err("chaos builds its own fault schedule; drop the --fault-* flags".to_string());
-    }
-    if !cli.channel.is_iid() {
-        return Err(
-            "chaos owns the channel (burst-loss runs Gilbert–Elliott); drop --channel".to_string(),
-        );
-    }
-    let topo = topo_of(cli);
+    let topo = cli.topo.topo();
     let n = topo.len();
     if n < 2 {
         return Err("chaos needs at least two nodes".to_string());
@@ -482,27 +420,10 @@ fn render_chaos(cli: &Cli) -> Result<String, String> {
     Ok(s)
 }
 
-/// Undirected edge list of the chosen topology (unit-disk edges for the
-/// geometric kinds, explicit edges for star/tree).
-fn check_edges(cli: &Cli) -> (usize, Vec<(u32, u32)>) {
-    match cli.topo {
-        TopoSpec::Star(leaves) => topology::star_edges(leaves),
-        TopoSpec::Tree(n) => topology::binary_tree_edges(n),
-        ref geo => {
-            let positions = geo_positions(geo);
-            let n = positions.len();
-            let world = World::new(
-                SimConfig::default().radio_range,
-                positions.into_iter().map(Position::from).collect(),
-            );
-            (n, world.csr_snapshot().edges().collect())
-        }
-    }
-}
-
 fn check_spec_of(cli: &Cli) -> Result<CheckSpec, String> {
-    let (n, edges) = check_edges(cli);
-    let mut spec = CheckSpec::new(cli.alg, cli.topo.to_string(), n, edges);
+    let topo = cli.topo.topo();
+    let edges = topo.edges(SimConfig::default().radio_range).into_owned();
+    let mut spec = CheckSpec::new(cli.alg, cli.topo.to_string(), topo.len(), edges);
     spec.seed = cli.seed;
     spec.horizon = cli.horizon;
     spec.eat = cli.eat.0;
@@ -765,11 +686,15 @@ fn render_certify(cli: &Cli) -> Result<String, String> {
     Ok(s)
 }
 
-/// Map the generic `--alg` flag onto the live-capable subset (everything
-/// but `choy-singh`, whose shared coloring cannot cross threads, and
-/// `a1-random`, whose RNG stream is engine-owned).
-fn live_alg_of(kind: AlgKind) -> Result<LiveAlg, String> {
-    LiveAlg::parse(kind.name())
+/// Node positions of a live run's topology: the driver moves and crashes
+/// nodes in space, so live runs need a geometry.
+fn live_positions(topo: &TopoSpec) -> Result<Vec<(f64, f64)>, String> {
+    match topo.topo() {
+        Topo::Geo(positions) => Ok(positions),
+        Topo::Graph { .. } => Err(format!(
+            "live runs need a geometric topology, not {topo} (the driver owns positions)"
+        )),
+    }
 }
 
 /// The worker pool the flags ask for (`--workers`, else sized to the
@@ -783,7 +708,7 @@ fn live_runtime_of(cli: &Cli) -> LiveRuntime {
 /// Assemble one live-run configuration from the flags. `--victim` crashes
 /// a quarter into the run; `--moves` reuses the harness random-waypoint
 /// generator as driver-pushed teleports.
-fn live_config_of(cli: &Cli, alg: LiveAlg, positions: Vec<(f64, f64)>) -> LiveConfig {
+fn live_config_of(cli: &Cli, alg: AlgKind, positions: Vec<(f64, f64)>) -> LiveConfig {
     let n = positions.len();
     let mut cfg = LiveConfig::new(alg, cli.transport, positions);
     cfg.duration_ms = cli.duration_ms;
@@ -835,14 +760,12 @@ fn render_live(cli: &Cli) -> Result<String, String> {
     if cli.matrix {
         return render_live_matrix(cli);
     }
-    let alg = live_alg_of(cli.alg)?;
-    let positions = geo_positions(&cli.topo);
-    let cfg = live_config_of(cli, alg, positions);
+    let cfg = live_config_of(cli, cli.alg, live_positions(&cli.topo)?);
     let out = run_live(&cfg)?;
     let lat = Summary::of(&out.latencies_ns);
     let mut s = format!(
         "live: {} over {} on {} (n = {}), {} ms, rate {}/s, seed {}, {} runtime{}\n",
-        alg.name(),
+        cli.alg.name(),
         cli.transport.name(),
         cli.topo,
         cli.topo.len(),
@@ -894,12 +817,12 @@ fn render_live(cli: &Cli) -> Result<String, String> {
     Ok(s)
 }
 
-/// The fixed algorithm × topology acceptance matrix: every live-capable
-/// algorithm over a clique and a ring, each cell validated by the safety
-/// monitor. Nonzero exit on any violation.
+/// The fixed algorithm × topology acceptance matrix: every algorithm over
+/// a clique and a ring, each cell validated by the safety monitor.
+/// Nonzero exit on any violation.
 fn render_live_matrix(cli: &Cli) -> Result<String, String> {
     let topos = [TopoSpec::Clique(5), TopoSpec::Ring(6)];
-    let algs = LiveAlg::all();
+    let algs = AlgKind::extended();
     if let Some(v) = cli.victim {
         if v as usize >= 5 {
             return Err(format!(
@@ -932,7 +855,7 @@ fn render_live_matrix(cli: &Cli) -> Result<String, String> {
     let mut bad_cells = 0;
     for alg in algs {
         for topo in &topos {
-            let cfg = live_config_of(cli, alg, geo_positions(topo));
+            let cfg = live_config_of(cli, alg, live_positions(topo)?);
             let n = cfg.positions.len();
             let out = run_live(&cfg)?;
             let lat = Summary::of(&out.latencies_ns);
@@ -1021,7 +944,7 @@ fn bench_live_row_json(
 }
 
 /// `lme bench live`: wall-clock throughput and pooled hungry→eat latency
-/// percentiles for every live-capable algorithm, written as JSON. With an
+/// percentiles for every algorithm, written as JSON. With an
 /// explicit `--ns` ladder it also runs `--alg` on `ring:n` per rung and
 /// records the rungs as `scale_rows`.
 fn render_bench_live(cli: &Cli) -> Result<String, String> {
@@ -1029,11 +952,11 @@ fn render_bench_live(cli: &Cli) -> Result<String, String> {
         .bench_out
         .clone()
         .unwrap_or_else(|| "BENCH_live.json".to_string());
-    let positions = geo_positions(&cli.topo);
+    let positions = live_positions(&cli.topo)?;
     let n = positions.len();
     let runtime = live_runtime_of(cli).name();
-    let mut results: Vec<(LiveAlg, LiveOutcome, Summary)> = Vec::new();
-    for alg in LiveAlg::all() {
+    let mut results: Vec<(AlgKind, LiveOutcome, Summary)> = Vec::new();
+    for alg in AlgKind::extended() {
         let cfg = live_config_of(cli, alg, positions.clone());
         let out = run_live(&cfg)?;
         if !out.violations.is_empty() {
@@ -1073,15 +996,13 @@ fn render_bench_live(cli: &Cli) -> Result<String, String> {
     // The `--ns` scale ladder: `--alg` on `ring:n` per rung.
     let mut scale_results: Vec<(usize, LiveOutcome)> = Vec::new();
     if cli.explicitly_set("--ns") {
-        let alg = live_alg_of(cli.alg)?;
         for &sn in &cli.bench_ns {
-            let topo = TopoSpec::Ring(sn);
-            let cfg = live_config_of(cli, alg, geo_positions(&topo));
+            let cfg = live_config_of(cli, cli.alg, topology::ring(sn));
             let out = run_live(&cfg)?;
             if !out.violations.is_empty() {
                 return Err(format!(
-                    "bench live scale: {} on {topo} had {} safety violations",
-                    alg.name(),
+                    "bench live scale: {} on ring:{sn} had {} safety violations",
+                    cli.alg.name(),
                     out.violations.len()
                 ));
             }
@@ -1215,8 +1136,7 @@ fn render_bench_channel(cli: &Cli) -> Result<String, String> {
                 think: cli.think.0..=cli.think.1,
                 ..RunSpec::default()
             };
-            let positions = geo_positions(topo);
-            let out = run_algorithm(cli.alg, &spec, &positions, &[]);
+            let out = run(cli.alg, &spec, &topo.topo(), &[], None);
             if !out.violations.is_empty() {
                 return Err(format!(
                     "bench channel: {} under {model} on {topo} had {} safety violations",
@@ -1333,7 +1253,14 @@ pub fn execute(cli: &Cli) -> Result<String, String> {
         }
         Command::Run => {
             let spec = spec_of(cli)?;
-            let out = run_outcome(cli, &spec);
+            let topo = cli.topo.topo();
+            let n = topo.len();
+            let commands = match &cli.mix {
+                Some(mix) => mobility_mix_of(cli, mix, n).commands(n),
+                None if cli.moves > 0 => waypoint_plan(cli, n).commands(n),
+                None => Vec::new(),
+            };
+            let out = run(cli.alg, &spec, &topo, &commands, None);
             emit_metrics(
                 cli,
                 &SweepReport {
@@ -1428,8 +1355,8 @@ mod tests {
         assert!(json.contains("\"net_max_node_decode_errors\""), "{json}");
         assert!(json.contains("\"net_nodes_with_errors\""), "{json}");
         let jsonl = std::fs::read_to_string(&jsonl_p).unwrap();
-        // One line per main row (5 algorithms) + the one scale rung.
-        assert_eq!(jsonl.lines().count(), 6, "{jsonl}");
+        // One line per main row (6 algorithms) + the one scale rung.
+        assert_eq!(jsonl.lines().count(), 7, "{jsonl}");
         std::fs::remove_file(&out_p).ok();
         std::fs::remove_file(&jsonl_p).ok();
     }
@@ -1481,6 +1408,29 @@ mod tests {
         .unwrap();
         assert!(out.contains("crash probe"), "{out}");
         assert!(out.contains("crash fired at"), "{out}");
+    }
+
+    #[test]
+    fn probe_reports_locality_on_explicit_graphs() {
+        // A hub crashed mid-CS holds every leaf's fork: all six leaves
+        // starve, one hop away.
+        let out = run_cli(argv("probe --topo star:6 --victim 0 --horizon 20000")).unwrap();
+        assert!(out.contains("victim p0 crashed mid-CS"), "{out}");
+        assert!(out.contains("empirical locality: 1"), "{out}");
+    }
+
+    #[test]
+    fn live_runs_choy_singh_and_refuses_explicit_graphs() {
+        let out = run_cli(argv(
+            "live --alg choy-singh --topo ring:5 --oneshot --conformance --eat-ms 1",
+        ))
+        .unwrap();
+        assert!(out.contains("safety violations : 0"), "{out}");
+        assert!(out.contains("conformance       : PASS"), "{out}");
+        // `bench live` has no explicit-graph driver either; it says so
+        // instead of panicking.
+        let err = run_cli(argv("bench live --topo tree:7 --duration 100")).unwrap_err();
+        assert!(err.contains("geometric topology"), "{err}");
     }
 
     #[test]

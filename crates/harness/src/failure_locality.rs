@@ -13,7 +13,8 @@ use manet_sim::{
     SimTime,
 };
 
-use crate::runner::{run_algorithm, AlgKind, RunOutcome, RunSpec};
+use crate::runner::{run, run_algorithm, AlgKind, RunOutcome, RunSpec};
+use crate::topology::Topo;
 
 /// Result of one crash probe.
 #[derive(Clone, Debug)]
@@ -41,7 +42,7 @@ pub struct FlReport {
 pub fn crash_probe(
     kind: AlgKind,
     spec: &RunSpec,
-    positions: &[(f64, f64)],
+    topo: &Topo,
     victim: NodeId,
     crash_at: u64,
 ) -> FlReport {
@@ -55,15 +56,14 @@ pub fn crash_probe(
         crash_eating: Some((victim, crash_at)),
         ..spec.clone()
     };
-    let outcome = run_algorithm(kind, &spec, positions, &[]);
+    let outcome = run(kind, &spec, topo, &[], None);
     analyze_crash(outcome, victim, crash_at, spec.horizon)
 }
 
 /// Post-process a finished run that carried a [`RunSpec::crash_eating`]
 /// fault into an [`FlReport`]: find the starving nodes and the farthest
 /// starvation distance. Split out of [`crash_probe`] so callers that run
-/// the engine themselves (explicit-graph topologies, the sweep executor)
-/// can reuse the analysis.
+/// the engine themselves (the sweep executor) can reuse the analysis.
 pub fn analyze_crash(outcome: RunOutcome, victim: NodeId, crash_at: u64, horizon: u64) -> FlReport {
     let crash_at = outcome.crash_time.map_or(crash_at, |t| t.0);
     // Starvation deadline: hungry since before the midpoint of the
@@ -378,7 +378,7 @@ mod tests {
             ..RunSpec::default()
         };
         let positions = topology::line(9);
-        let report = crash_probe(AlgKind::A2, &spec, &positions, NodeId(4), 2_000);
+        let report = crash_probe(AlgKind::A2, &spec, &Topo::Geo(positions), NodeId(4), 2_000);
         assert!(report.outcome.violations.is_empty());
         if let Some(m) = report.locality {
             assert!(
@@ -398,7 +398,13 @@ mod tests {
             horizon: 30_000,
             ..RunSpec::default()
         };
-        let report = crash_probe(AlgKind::A2, &spec, &topology::line(7), NodeId(3), 1_000);
+        let report = crash_probe(
+            AlgKind::A2,
+            &spec,
+            &Topo::Geo(topology::line(7)),
+            NodeId(3),
+            1_000,
+        );
         let curve = response_by_distance(
             &report.outcome,
             NodeId(3),
@@ -545,7 +551,7 @@ mod tests {
             horizon: 20_000,
             ..RunSpec::default()
         };
-        let report = crash_probe(AlgKind::A2, &spec, &positions, NodeId(3), 1_000);
+        let report = crash_probe(AlgKind::A2, &spec, &Topo::Geo(positions), NodeId(3), 1_000);
         assert_eq!(report.locality, None);
         assert!(report.starving.is_empty());
     }

@@ -2,7 +2,9 @@
 //!
 //! Everything needed to turn the algorithm crates into measurements:
 //!
-//! * [`topology`] — line / ring / grid / clique / random unit-disk layouts;
+//! * [`topology`] — line / ring / grid / clique / random unit-disk layouts,
+//!   star / tree edge lists, and [`Topo`], the initial topology every run
+//!   takes;
 //! * [`workload`] — cyclic and one-shot hungry/eat drivers (the model's
 //!   application layer, with eating time ≤ τ);
 //! * [`mobility`] — random-waypoint movement scripts and heterogeneous
@@ -15,8 +17,9 @@
 //! * [`failure_locality`] — crash probes that measure how far from a
 //!   crashed node starvation reaches;
 //! * [`census`] — message-complexity accounting by message kind;
-//! * [`runner`] — one-call execution of any implemented algorithm
-//!   ([`runner::AlgKind`]) on any layout, returning a [`runner::RunOutcome`];
+//! * [`runner`] — one-call execution of any implemented algorithm on any
+//!   [`Topo`], returning a [`runner::RunOutcome`]; [`runner::AlgKind`] is
+//!   the one table that turns an algorithm name into automata;
 //! * [`sweep`] — the parallel, deterministic sweep executor: fans a grid of
 //!   `(algorithm, seed)` cells across scoped worker threads, each cell an
 //!   independent single-threaded engine run, with output order (and bytes)
@@ -50,12 +53,10 @@ pub use failure_locality::{
 pub use metrics::{Metrics, MetricsData, Sample};
 pub use mobility::{MobilityMix, NodeClass, WaypointPlan};
 pub use report::{AggregateRow, RunReport, SweepReport};
-pub use runner::{
-    run_algorithm, run_algorithm_graph, run_algorithm_with_strategy, run_protocol,
-    run_protocol_graph, AlgKind, RunOutcome, RunSpec,
-};
+pub use runner::{run, run_algorithm, run_protocol, AlgKind, Automata, RunOutcome, RunSpec};
 pub use safety::{SafetyCore, SafetyMonitor, Violation};
 pub use stats::Summary;
-pub use sweep::{default_jobs, par_map, run_cells, Job, SweepCell, SweepSpec, Topo};
+pub use sweep::{default_jobs, par_map, run_cells, Job, SweepCell, SweepSpec};
 pub use table::Table;
+pub use topology::Topo;
 pub use workload::Workload;

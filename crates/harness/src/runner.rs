@@ -8,13 +8,14 @@ use baselines::{choy_singh, ChandyMisra, StaticColoring};
 use coloring::LinialSchedule;
 use local_mutex::{Algorithm1, Algorithm2};
 use manet_sim::{
-    Command, CsrAdjacency, Engine, EngineStats, NodeId, Position, Protocol, SimConfig, SimRng,
-    SimTime, Strategy, World,
+    Command, CsrAdjacency, Engine, EngineStats, NodeId, NodeSeed, Protocol, SimConfig, SimRng,
+    SimTime, Strategy,
 };
 
 use crate::metrics::{Metrics, MetricsData};
 use crate::safety::{SafetyMonitor, Violation};
 use crate::stats::Summary;
+use crate::topology::{max_degree, Topo};
 use crate::workload::Workload;
 
 /// What to run and for how long.
@@ -134,40 +135,19 @@ impl RunOutcome {
     }
 }
 
-/// Run `spec` with one protocol instance per position, built by `factory`;
-/// `setup` may schedule extra commands (crashes, mobility) on the engine
-/// before it runs.
-pub fn run_protocol<P, F, S>(
-    spec: &RunSpec,
-    positions: &[(f64, f64)],
-    factory: F,
-    setup: S,
-) -> RunOutcome
+/// Run `spec` on `topo` with one protocol instance per node, built by
+/// `factory`; `setup` may schedule extra commands (crashes, mobility) on
+/// the engine before it runs.
+pub fn run_protocol<P, F, S>(spec: &RunSpec, topo: &Topo, factory: F, setup: S) -> RunOutcome
 where
     P: Protocol,
-    F: FnMut(manet_sim::NodeSeed) -> P + 'static,
+    F: FnMut(NodeSeed) -> P + 'static,
     S: FnOnce(&mut Engine<P>),
 {
-    let engine = Engine::new(spec.sim.clone(), positions.to_vec(), factory);
-    drive(engine, spec, setup)
-}
-
-/// Like [`run_protocol`], but over an *explicit* topology (see
-/// [`manet_sim::World::from_adjacency`]): `n` nodes wired exactly by
-/// `edges`. Movement commands are rejected in such worlds.
-pub fn run_protocol_graph<P, F, S>(
-    spec: &RunSpec,
-    n: usize,
-    edges: &[(u32, u32)],
-    factory: F,
-    setup: S,
-) -> RunOutcome
-where
-    P: Protocol,
-    F: FnMut(manet_sim::NodeSeed) -> P + 'static,
-    S: FnOnce(&mut Engine<P>),
-{
-    let engine = Engine::new_graph(spec.sim.clone(), n, edges, factory);
+    let engine = match topo {
+        Topo::Geo(positions) => Engine::new(spec.sim.clone(), positions.clone(), factory),
+        Topo::Graph { n, edges } => Engine::new_graph(spec.sim.clone(), *n, edges, factory),
+    };
     drive(engine, spec, setup)
 }
 
@@ -335,91 +315,109 @@ impl AlgKind {
             AlgKind::ChoySingh => "O(δ²) (static only)",
         }
     }
+
+    /// The one place an algorithm name becomes automata, for the initial
+    /// topology of `n` nodes wired by `edges`. δ is `delta_bound`, else
+    /// the topology's maximum degree, and at least 1; `seed` seeds the
+    /// randomized recoloring. Whatever the algorithm shares between its
+    /// nodes (the Linial schedule, the static coloring) is built here,
+    /// once.
+    pub fn automata(
+        self,
+        n: usize,
+        edges: &[(u32, u32)],
+        delta_bound: Option<usize>,
+        seed: u64,
+    ) -> Automata {
+        let delta = || delta_bound.unwrap_or_else(|| max_degree(n, edges)).max(1) as u64;
+        match self {
+            AlgKind::A1Greedy => Automata::A1(Arc::new(Algorithm1::greedy)),
+            AlgKind::A1Linial => {
+                let sched = Arc::new(LinialSchedule::compute(n as u64, delta()));
+                Automata::A1(Arc::new(move |s: &NodeSeed| {
+                    Algorithm1::linial(s, sched.clone())
+                }))
+            }
+            AlgKind::A1Random => {
+                let delta = delta();
+                Automata::A1(Arc::new(move |s: &NodeSeed| {
+                    Algorithm1::randomized(s, delta, seed)
+                }))
+            }
+            AlgKind::ChoySingh => {
+                let coloring = StaticColoring::compute(n, edges.iter().copied());
+                Automata::A1(Arc::new(move |s: &NodeSeed| choy_singh(s, &coloring)))
+            }
+            AlgKind::A2 => Automata::A2,
+            AlgKind::ChandyMisra => Automata::ChandyMisra,
+        }
+    }
 }
 
-/// Run one of the five algorithms on `positions` under `spec`, after
-/// scheduling `commands` (crashes / mobility).
+/// The automata of one algorithm, as [`AlgKind::automata`] builds them.
+/// Every host — runner, checker, live runtime — matches these three arms
+/// and nothing else.
+pub enum Automata {
+    /// The Algorithm 1 family: the three recoloring variants and the
+    /// Choy–Singh baseline built on it, as one node factory.
+    A1(Arc<dyn Fn(&NodeSeed) -> Algorithm1 + Send + Sync>),
+    /// Algorithm 2 ([`Algorithm2::new`]).
+    A2,
+    /// The Chandy–Misra baseline ([`ChandyMisra::new`]).
+    ChandyMisra,
+}
+
+/// Run `kind` on `topo` under `spec`, after scheduling `commands` (crashes,
+/// mobility; explicit graphs reject movement) and installing `strategy`,
+/// an injectable delivery-delay [`Strategy`] — the hook through which a
+/// recorded live execution is replayed deterministically for conformance
+/// checking.
+pub fn run(
+    kind: AlgKind,
+    spec: &RunSpec,
+    topo: &Topo,
+    commands: &[(SimTime, Command)],
+    strategy: Option<Box<dyn Strategy>>,
+) -> RunOutcome {
+    let automata = kind.automata(
+        topo.len(),
+        &topo.edges(spec.sim.radio_range),
+        spec.delta_bound,
+        spec.sim.seed,
+    );
+    match automata {
+        Automata::A1(make) => run_protocol(
+            spec,
+            topo,
+            move |seed| make(&seed),
+            |e| install(e, commands, strategy),
+        ),
+        Automata::A2 => run_protocol(
+            spec,
+            topo,
+            |seed| Algorithm2::new(&seed),
+            |e| install(e, commands, strategy),
+        ),
+        Automata::ChandyMisra => run_protocol(
+            spec,
+            topo,
+            |seed| ChandyMisra::new(&seed),
+            |e| install(e, commands, strategy),
+        ),
+    }
+}
+
+/// [`run`] on the unit-disk geometry of `positions`, with no strategy.
 pub fn run_algorithm(
     kind: AlgKind,
     spec: &RunSpec,
     positions: &[(f64, f64)],
     commands: &[(SimTime, Command)],
 ) -> RunOutcome {
-    run_algorithm_with_strategy(kind, spec, positions, commands, None)
+    run(kind, spec, &Topo::Geo(positions.to_vec()), commands, None)
 }
 
-/// Like [`run_algorithm`], but with an injectable delivery-delay
-/// [`Strategy`] (see `manet_sim::Strategy`) installed on the engine before
-/// the run — the hook through which a recorded live execution is replayed
-/// deterministically in the simulator for conformance checking.
-pub fn run_algorithm_with_strategy(
-    kind: AlgKind,
-    spec: &RunSpec,
-    positions: &[(f64, f64)],
-    commands: &[(SimTime, Command)],
-    strategy: Option<Box<dyn Strategy>>,
-) -> RunOutcome {
-    let n = positions.len();
-    let init_world = World::new(
-        spec.sim.radio_range,
-        positions.iter().map(|&p| Position::from(p)).collect(),
-    );
-    let delta = spec
-        .delta_bound
-        .unwrap_or_else(|| init_world.max_degree())
-        .max(1);
-    match kind {
-        AlgKind::A1Greedy => run_protocol(
-            spec,
-            positions,
-            |seed| Algorithm1::greedy(&seed),
-            |e| install_and_schedule(e, commands, strategy),
-        ),
-        AlgKind::A1Linial => {
-            let sched = Arc::new(LinialSchedule::compute(n as u64, delta as u64));
-            run_protocol(
-                spec,
-                positions,
-                move |seed| Algorithm1::linial(&seed, sched.clone()),
-                |e| install_and_schedule(e, commands, strategy),
-            )
-        }
-        AlgKind::A1Random => {
-            let delta = delta as u64;
-            let rng_seed = spec.sim.seed;
-            run_protocol(
-                spec,
-                positions,
-                move |seed| Algorithm1::randomized(&seed, delta, rng_seed),
-                |e| install_and_schedule(e, commands, strategy),
-            )
-        }
-        AlgKind::A2 => run_protocol(
-            spec,
-            positions,
-            |seed| Algorithm2::new(&seed),
-            |e| install_and_schedule(e, commands, strategy),
-        ),
-        AlgKind::ChandyMisra => run_protocol(
-            spec,
-            positions,
-            |seed| ChandyMisra::new(&seed),
-            |e| install_and_schedule(e, commands, strategy),
-        ),
-        AlgKind::ChoySingh => {
-            let edges: Vec<(u32, u32)> = init_world.csr_snapshot().edges().collect();
-            let coloring = Rc::new(StaticColoring::compute(n, edges));
-            run_protocol(
-                spec,
-                positions,
-                move |seed| choy_singh(&seed, &coloring),
-                |e| install_and_schedule(e, commands, strategy),
-            )
-        }
-    }
-}
-
-fn install_and_schedule<P: Protocol>(
+fn install<P: Protocol>(
     engine: &mut Engine<P>,
     commands: &[(SimTime, Command)],
     strategy: Option<Box<dyn Strategy>>,
@@ -427,81 +425,6 @@ fn install_and_schedule<P: Protocol>(
     if let Some(s) = strategy {
         engine.set_strategy(s);
     }
-    schedule_all(engine, commands);
-}
-
-/// Run one of the implemented algorithms over an *explicit* topology (`n`
-/// nodes wired exactly by `edges`); movement commands are rejected by such
-/// worlds, crashes work normally.
-pub fn run_algorithm_graph(
-    kind: AlgKind,
-    spec: &RunSpec,
-    n: usize,
-    edges: &[(u32, u32)],
-    commands: &[(SimTime, Command)],
-) -> RunOutcome {
-    let init_world = World::from_adjacency(n, edges);
-    let delta = spec
-        .delta_bound
-        .unwrap_or_else(|| init_world.max_degree())
-        .max(1);
-    match kind {
-        AlgKind::A1Greedy => run_protocol_graph(
-            spec,
-            n,
-            edges,
-            |seed| Algorithm1::greedy(&seed),
-            |e| schedule_all(e, commands),
-        ),
-        AlgKind::A1Linial => {
-            let sched = Arc::new(LinialSchedule::compute(n as u64, delta as u64));
-            run_protocol_graph(
-                spec,
-                n,
-                edges,
-                move |seed| Algorithm1::linial(&seed, sched.clone()),
-                |e| schedule_all(e, commands),
-            )
-        }
-        AlgKind::A1Random => {
-            let delta = delta as u64;
-            let rng_seed = spec.sim.seed;
-            run_protocol_graph(
-                spec,
-                n,
-                edges,
-                move |seed| Algorithm1::randomized(&seed, delta, rng_seed),
-                |e| schedule_all(e, commands),
-            )
-        }
-        AlgKind::A2 => run_protocol_graph(
-            spec,
-            n,
-            edges,
-            |seed| Algorithm2::new(&seed),
-            |e| schedule_all(e, commands),
-        ),
-        AlgKind::ChandyMisra => run_protocol_graph(
-            spec,
-            n,
-            edges,
-            |seed| ChandyMisra::new(&seed),
-            |e| schedule_all(e, commands),
-        ),
-        AlgKind::ChoySingh => {
-            let coloring = Rc::new(StaticColoring::compute(n, edges.iter().copied()));
-            run_protocol_graph(
-                spec,
-                n,
-                edges,
-                move |seed| choy_singh(&seed, &coloring),
-                |e| schedule_all(e, commands),
-            )
-        }
-    }
-}
-
-fn schedule_all<P: Protocol>(engine: &mut Engine<P>, commands: &[(SimTime, Command)]) {
     for (at, cmd) in commands {
         engine.schedule(*at, cmd.clone());
     }

@@ -23,37 +23,8 @@ use manet_sim::{Command, NodeId, SimConfig, SimTime};
 use crate::failure_locality::analyze_crash;
 use crate::mobility::{MobilityMix, WaypointPlan};
 use crate::report::{RunReport, SweepReport};
-use crate::runner::{run_algorithm, run_algorithm_graph, AlgKind, RunSpec};
-
-/// A topology a sweep cell runs on.
-#[derive(Clone, Debug)]
-pub enum Topo {
-    /// Unit-disk geometry: node positions (links follow the radio range).
-    Geo(Vec<(f64, f64)>),
-    /// Explicit graph: `n` nodes wired exactly by `edges` (movement
-    /// commands are rejected by such worlds).
-    Graph {
-        /// Node count.
-        n: usize,
-        /// Undirected edges.
-        edges: Vec<(u32, u32)>,
-    },
-}
-
-impl Topo {
-    /// Node count of the topology.
-    pub fn len(&self) -> usize {
-        match self {
-            Topo::Geo(p) => p.len(),
-            Topo::Graph { n, .. } => *n,
-        }
-    }
-
-    /// True when the topology has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
+use crate::runner::{run, AlgKind, RunSpec};
+use crate::topology::Topo;
 
 /// What a sweep cell measures.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -98,12 +69,7 @@ impl SweepCell {
                 ..self.spec.clone()
             },
         };
-        let outcome = match &self.topo {
-            Topo::Geo(positions) => run_algorithm(self.kind, &spec, positions, &self.commands),
-            Topo::Graph { n, edges } => {
-                run_algorithm_graph(self.kind, &spec, *n, edges, &self.commands)
-            }
-        };
+        let outcome = run(self.kind, &spec, &self.topo, &self.commands, None);
         let probe = match self.job {
             // Plain runs still report starvation (continuously hungry
             // through the back half of the horizon) so fault sweeps can

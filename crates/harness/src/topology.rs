@@ -1,9 +1,71 @@
-//! Topology generators for experiments.
+//! Topology generators for experiments, and [`Topo`], the one type every
+//! run takes its initial topology as.
 //!
 //! All generators target the default radio range of 1.5 distance units: they
 //! place nodes so that exactly the intended pairs fall within range.
 
-use manet_sim::SimRng;
+use std::borrow::Cow;
+
+use manet_sim::{Position, SimRng, World};
+
+/// The initial topology of a run.
+#[derive(Clone, Debug)]
+pub enum Topo {
+    /// Unit-disk geometry: node positions (links follow the radio range).
+    Geo(Vec<(f64, f64)>),
+    /// Explicit graph: `n` nodes wired exactly by `edges` (movement
+    /// commands are rejected by such worlds).
+    Graph {
+        /// Node count.
+        n: usize,
+        /// Undirected edges.
+        edges: Vec<(u32, u32)>,
+    },
+}
+
+impl Topo {
+    /// Node count of the topology.
+    pub fn len(&self) -> usize {
+        match self {
+            Topo::Geo(p) => p.len(),
+            Topo::Graph { n, .. } => *n,
+        }
+    }
+
+    /// True when the topology has no nodes.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Undirected edge list: the unit-disk links at `radio_range` for a
+    /// geometry, the given edges for an explicit graph.
+    pub fn edges(&self, radio_range: f64) -> Cow<'_, [(u32, u32)]> {
+        match self {
+            Topo::Geo(positions) => Cow::Owned(unit_disk_edges(radio_range, positions)),
+            Topo::Graph { edges, .. } => Cow::Borrowed(edges),
+        }
+    }
+}
+
+/// The links of `positions` under the unit-disk rule at `radio_range`, each
+/// once as `(a, b)` with `a < b`, in ascending order.
+pub fn unit_disk_edges(radio_range: f64, positions: &[(f64, f64)]) -> Vec<(u32, u32)> {
+    let world = World::new(
+        radio_range,
+        positions.iter().map(|&p| Position::from(p)).collect(),
+    );
+    world.csr_snapshot().edges().collect()
+}
+
+/// Largest vertex degree (δ) of the simple graph on `n` nodes with `edges`.
+pub fn max_degree(n: usize, edges: &[(u32, u32)]) -> usize {
+    let mut deg = vec![0usize; n];
+    for &(a, b) in edges {
+        deg[a as usize] += 1;
+        deg[b as usize] += 1;
+    }
+    deg.into_iter().max().unwrap_or(0)
+}
 
 /// A line (path graph): `p_i — p_{i+1}`, unit spacing.
 pub fn line(n: usize) -> Vec<(f64, f64)> {
@@ -94,7 +156,7 @@ pub fn binary_tree_edges(n: usize) -> (usize, Vec<(u32, u32)>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use manet_sim::{NodeId, World};
+    use manet_sim::NodeId;
 
     fn world(pos: Vec<(f64, f64)>) -> World {
         World::new(1.5, pos.into_iter().map(Into::into).collect())

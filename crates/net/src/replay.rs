@@ -19,7 +19,7 @@
 //! assertion is that the live timing profile, pushed through the model,
 //! preserves the outcomes the model promises.
 
-use harness::run_algorithm_with_strategy;
+use harness::{run, Topo};
 use manet_sim::SimConfig;
 
 use crate::runtime::{LiveConfig, LiveOutcome};
@@ -87,10 +87,10 @@ pub fn conformance_replay(
         panic_on_violation: false,
         ..harness::RunSpec::default()
     };
-    let sim_out = run_algorithm_with_strategy(
-        cfg.alg.as_alg_kind(),
+    let sim_out = run(
+        cfg.alg,
         &spec,
-        &cfg.positions,
+        &Topo::Geo(cfg.positions.clone()),
         &[],
         Some(Box::new(schedule)),
     );
@@ -109,13 +109,14 @@ pub fn conformance_replay(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::{run_live, LiveAlg};
+    use crate::runtime::run_live;
     use crate::transport::TransportKind;
+    use harness::AlgKind;
 
     #[test]
     fn replay_rejects_cyclic_and_faulty_runs() {
         let cfg = LiveConfig::new(
-            LiveAlg::A2,
+            AlgKind::A2,
             TransportKind::Mpsc,
             vec![(0.0, 0.0), (1.0, 0.0)],
         );
@@ -135,7 +136,7 @@ mod tests {
     #[test]
     fn one_shot_live_run_conforms_under_replay() {
         let mut cfg = LiveConfig::new(
-            LiveAlg::A1Greedy,
+            AlgKind::A1Greedy,
             TransportKind::Mpsc,
             vec![(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)],
         );

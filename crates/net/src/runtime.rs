@@ -7,88 +7,18 @@
 //! which is validated by the harness safety core and exportable as a
 //! simulator schedule.
 
-use std::sync::Arc;
-
 use baselines::ChandyMisra;
-use coloring::LinialSchedule;
-use harness::Violation;
-use local_mutex::{Algorithm1, Algorithm2};
-use manet_sim::{LinkUpKind, NodeId, Position, SimConfig, World};
+use harness::{topology, AlgKind, Automata, Violation};
+use local_mutex::Algorithm2;
+use manet_sim::{LinkUpKind, NodeId, Position, SimConfig};
 
 use crate::shard::{run_sharded_with, ShardTuning};
 use crate::trace::LiveTrace;
 use crate::transport::TransportKind;
 
-/// Which protocol a live run hosts.
-///
-/// The set is the thread-safe subset of [`harness::AlgKind`]:
-/// `choy-singh` shares its coloring via `Rc` and cannot cross threads.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LiveAlg {
-    /// Algorithm 1 with the greedy doorway coloring.
-    A1Greedy,
-    /// Algorithm 1 with the Linial-schedule coloring.
-    A1Linial,
-    /// Algorithm 1 with the randomized recoloring doorway. The `SimRng`
-    /// choice state stays node-local; only the recoloring messages cross
-    /// the wire, and those have a codec, so the algorithm is fully
-    /// live-capable.
-    A1Random,
-    /// Algorithm 2 (doorway-free).
-    A2,
-    /// The Chandy–Misra baseline.
-    ChandyMisra,
-}
-
-impl LiveAlg {
-    /// All live-capable algorithms, in canonical order.
-    pub fn all() -> [LiveAlg; 5] {
-        [
-            LiveAlg::A1Greedy,
-            LiveAlg::A1Linial,
-            LiveAlg::A1Random,
-            LiveAlg::A2,
-            LiveAlg::ChandyMisra,
-        ]
-    }
-
-    /// Canonical name (also the `--alg` flag value).
-    pub fn name(self) -> &'static str {
-        match self {
-            LiveAlg::A1Greedy => "A1-greedy",
-            LiveAlg::A1Linial => "A1-linial",
-            LiveAlg::A1Random => "A1-random",
-            LiveAlg::A2 => "A2",
-            LiveAlg::ChandyMisra => "chandy-misra",
-        }
-    }
-
-    /// Parse an `--alg` flag value (case-insensitive).
-    pub fn parse(s: &str) -> Result<LiveAlg, String> {
-        match s.to_ascii_lowercase().as_str() {
-            "a1-greedy" => Ok(LiveAlg::A1Greedy),
-            "a1-linial" => Ok(LiveAlg::A1Linial),
-            "a1-random" => Ok(LiveAlg::A1Random),
-            "a2" => Ok(LiveAlg::A2),
-            "chandy-misra" => Ok(LiveAlg::ChandyMisra),
-            other => Err(format!(
-                "unknown live algorithm '{other}'; live runs support \
-                 A1-greedy, A1-linial, A1-random, A2, chandy-misra"
-            )),
-        }
-    }
-
-    /// The corresponding simulator algorithm (for conformance replay).
-    pub fn as_alg_kind(self) -> harness::AlgKind {
-        match self {
-            LiveAlg::A1Greedy => harness::AlgKind::A1Greedy,
-            LiveAlg::A1Linial => harness::AlgKind::A1Linial,
-            LiveAlg::A1Random => harness::AlgKind::A1Random,
-            LiveAlg::A2 => harness::AlgKind::A2,
-            LiveAlg::ChandyMisra => harness::AlgKind::ChandyMisra,
-        }
-    }
-}
+/// Which protocol a live run hosts: any [`AlgKind`]. The name survives
+/// for callers that spelled it before every algorithm was live-capable.
+pub type LiveAlg = AlgKind;
 
 /// Which execution engine hosts the nodes of a live run. There is one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -114,7 +44,7 @@ impl LiveRuntime {
 #[derive(Clone, Debug)]
 pub struct LiveConfig {
     /// Which protocol to host.
-    pub alg: LiveAlg,
+    pub alg: AlgKind,
     /// Which transport carries the frames.
     pub transport: TransportKind,
     /// Node positions; links follow the unit-disk rule with the
@@ -165,7 +95,7 @@ impl LiveConfig {
     /// A config with the standard knobs: 2 s runs, 25 hungry cycles per
     /// node-second, 2 ms meals, 0.1 ms ticks (so ν = 10 ticks = 1 ms of
     /// wall time).
-    pub fn new(alg: LiveAlg, transport: TransportKind, positions: Vec<(f64, f64)>) -> LiveConfig {
+    pub fn new(alg: AlgKind, transport: TransportKind, positions: Vec<(f64, f64)>) -> LiveConfig {
         LiveConfig {
             alg,
             transport,
@@ -314,40 +244,14 @@ pub(crate) enum Action {
 pub fn run_live(cfg: &LiveConfig) -> Result<LiveOutcome, String> {
     cfg.validate()?;
     let tuning = ShardTuning::default();
-    match cfg.alg {
-        LiveAlg::A1Greedy => run_sharded_with(cfg, Algorithm1::greedy, tuning),
-        LiveAlg::A1Linial => {
-            let radio_range = SimConfig::default().radio_range;
-            let world = World::new(
-                radio_range,
-                cfg.positions.iter().map(|&p| p.into()).collect(),
-            );
-            let sched = Arc::new(LinialSchedule::compute(
-                world.len() as u64,
-                world.max_degree() as u64,
-            ));
-            run_sharded_with(
-                cfg,
-                move |seed| Algorithm1::linial(seed, sched.clone()),
-                tuning,
-            )
-        }
-        LiveAlg::A1Random => {
-            let radio_range = SimConfig::default().radio_range;
-            let world = World::new(
-                radio_range,
-                cfg.positions.iter().map(|&p| p.into()).collect(),
-            );
-            let delta = (world.max_degree() as u64).max(1);
-            let rng_seed = cfg.seed;
-            run_sharded_with(
-                cfg,
-                move |seed| Algorithm1::randomized(seed, delta, rng_seed),
-                tuning,
-            )
-        }
-        LiveAlg::A2 => run_sharded_with(cfg, Algorithm2::new, tuning),
-        LiveAlg::ChandyMisra => run_sharded_with(cfg, ChandyMisra::new, tuning),
+    let edges = topology::unit_disk_edges(SimConfig::default().radio_range, &cfg.positions);
+    match cfg
+        .alg
+        .automata(cfg.positions.len(), &edges, None, cfg.seed)
+    {
+        Automata::A1(make) => run_sharded_with(cfg, move |seed| make(seed), tuning),
+        Automata::A2 => run_sharded_with(cfg, Algorithm2::new, tuning),
+        Automata::ChandyMisra => run_sharded_with(cfg, ChandyMisra::new, tuning),
     }
 }
 
@@ -361,7 +265,7 @@ mod tests {
 
     #[test]
     fn validation_rejects_bad_configs() {
-        let mut cfg = LiveConfig::new(LiveAlg::A2, TransportKind::Mpsc, vec![]);
+        let mut cfg = LiveConfig::new(AlgKind::A2, TransportKind::Mpsc, vec![]);
         assert!(run_live(&cfg).is_err(), "empty topology");
         cfg.positions = line3();
         cfg.rate = 0.0;
@@ -376,7 +280,7 @@ mod tests {
 
     #[test]
     fn short_mpsc_run_is_safe_and_joins_all_threads() {
-        let mut cfg = LiveConfig::new(LiveAlg::A1Greedy, TransportKind::Mpsc, line3());
+        let mut cfg = LiveConfig::new(AlgKind::A1Greedy, TransportKind::Mpsc, line3());
         cfg.duration_ms = 300;
         cfg.rate = 60.0;
         cfg.eat_ms = 1;
@@ -390,7 +294,7 @@ mod tests {
 
     #[test]
     fn one_shot_run_feeds_every_node_exactly_once() {
-        let mut cfg = LiveConfig::new(LiveAlg::ChandyMisra, TransportKind::Mpsc, line3());
+        let mut cfg = LiveConfig::new(AlgKind::ChandyMisra, TransportKind::Mpsc, line3());
         cfg.duration_ms = 2_000;
         cfg.one_shot = true;
         cfg.eat_ms = 1;
@@ -403,9 +307,14 @@ mod tests {
 
     #[test]
     fn alg_names_round_trip() {
-        for alg in LiveAlg::all() {
-            assert_eq!(LiveAlg::parse(alg.name()).unwrap(), alg);
+        // Every algorithm name is accepted live: a one-shot line:3 run of
+        // each feeds every node once.
+        for alg in AlgKind::extended() {
+            let mut cfg = LiveConfig::new(alg, TransportKind::Mpsc, line3());
+            cfg.one_shot = true;
+            cfg.eat_ms = 1;
+            let out = run_live(&cfg).unwrap_or_else(|e| panic!("{}: {e}", alg.name()));
+            assert_eq!(out.meals, vec![1, 1, 1], "{}", alg.name());
         }
-        assert!(LiveAlg::parse("choy-singh").is_err());
     }
 }

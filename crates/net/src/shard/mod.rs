@@ -1054,7 +1054,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::{run_live, LiveAlg};
+    use crate::runtime::run_live;
+    use harness::AlgKind;
     use local_mutex::Algorithm2;
 
     fn clique4() -> Vec<(f64, f64)> {
@@ -1062,7 +1063,7 @@ mod tests {
     }
 
     fn sharded_cfg() -> LiveConfig {
-        let mut cfg = LiveConfig::new(LiveAlg::A2, TransportKind::Mpsc, clique4());
+        let mut cfg = LiveConfig::new(AlgKind::A2, TransportKind::Mpsc, clique4());
         cfg.runtime = LiveRuntime::Sharded { workers: 2 };
         cfg.duration_ms = 300;
         cfg.rate = 60.0;

@@ -504,8 +504,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::LiveAlg;
     use crate::transport::TransportKind;
+    use harness::AlgKind;
     use local_mutex::Algorithm2;
     use manet_sim::{LinkUpKind, NodeSeed};
 
@@ -514,7 +514,7 @@ mod tests {
     /// Node 0 of a two-node line, due to go hungry on its first tick.
     fn node0(reliable: bool) -> (ShardNode<Algorithm2>, WireOut, ShardShared) {
         let mut cfg = LiveConfig::new(
-            LiveAlg::A2,
+            AlgKind::A2,
             TransportKind::Mpsc,
             vec![(0.0, 0.0), (1.0, 0.0)],
         );

@@ -12,7 +12,7 @@
 //!
 //! Run with: `cargo run --example data_mule`
 
-use manet_local_mutex::harness::{run_protocol, topology, RunSpec};
+use manet_local_mutex::harness::{run_protocol, topology, RunSpec, Topo};
 use manet_local_mutex::lme::Algorithm1;
 use manet_local_mutex::sim::{Command, NodeId, Position, SimTime};
 
@@ -47,7 +47,7 @@ fn main() {
 
     let out = run_protocol(
         &spec,
-        &positions,
+        &Topo::Geo(positions),
         |seed| Algorithm1::greedy(&seed),
         |engine| {
             for (at, cmd) in &commands {

@@ -3,7 +3,9 @@
 //! chapter) and explicit-graph topologies that unit-disk geometry cannot
 //! embed.
 
-use manet_local_mutex::harness::{run_algorithm, run_protocol_graph, topology, AlgKind, RunSpec};
+use manet_local_mutex::harness::{
+    run, run_algorithm, run_protocol, topology, AlgKind, RunSpec, Topo,
+};
 use manet_local_mutex::lme::{Algorithm1, Algorithm2};
 use manet_local_mutex::sim::{Command, NodeId, Position, SimTime};
 
@@ -69,7 +71,8 @@ fn algorithms_work_on_an_explicit_star() {
         horizon: 60_000,
         ..RunSpec::default()
     };
-    let out = run_protocol_graph(&spec, n, &edges, |seed| Algorithm2::new(&seed), |_| {});
+    let star = Topo::Graph { n, edges };
+    let out = run_protocol(&spec, &star, |seed| Algorithm2::new(&seed), |_| {});
     assert!(out.violations.is_empty());
     assert!(
         out.metrics.meals.iter().all(|&m| m >= 3),
@@ -92,8 +95,9 @@ fn every_algorithm_runs_on_an_explicit_star() {
         horizon: 20_000,
         ..RunSpec::default()
     };
+    let star = Topo::Graph { n, edges };
     for kind in manet_local_mutex::harness::AlgKind::extended() {
-        let out = manet_local_mutex::harness::run_algorithm_graph(kind, &spec, n, &edges, &[]);
+        let out = run(kind, &spec, &star, &[], None);
         assert!(out.violations.is_empty(), "{} unsafe on star", kind.name());
         assert!(
             out.metrics.meals.iter().all(|&m| m >= 2),
@@ -111,7 +115,8 @@ fn algorithms_work_on_an_explicit_tree() {
         horizon: 60_000,
         ..RunSpec::default()
     };
-    let out = run_protocol_graph(&spec, n, &edges, |seed| Algorithm1::greedy(&seed), |_| {});
+    let tree = Topo::Graph { n, edges };
+    let out = run_protocol(&spec, &tree, |seed| Algorithm1::greedy(&seed), |_| {});
     assert!(out.violations.is_empty());
     assert!(
         out.metrics.meals.iter().all(|&m| m >= 3),
@@ -130,7 +135,8 @@ fn crash_on_explicit_star_blocks_only_the_hub_side() {
         crash_eating: Some((NodeId(3), 2_000)),
         ..RunSpec::default()
     };
-    let out = run_protocol_graph(&spec, n, &edges, |seed| Algorithm2::new(&seed), |_| {});
+    let star = Topo::Graph { n, edges };
+    let out = run_protocol(&spec, &star, |seed| Algorithm2::new(&seed), |_| {});
     assert!(out.violations.is_empty());
     assert!(out.crash_time.is_some(), "the victim leaf must have eaten");
     for i in 1..n {

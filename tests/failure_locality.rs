@@ -1,7 +1,7 @@
 //! Integration tests of the failure-locality claims (Definition 1 and
 //! Theorems 16/22/25): crash a node and check how far starvation reaches.
 
-use manet_local_mutex::harness::{crash_probe, topology, AlgKind, RunSpec};
+use manet_local_mutex::harness::{crash_probe, topology, AlgKind, RunSpec, Topo};
 use manet_local_mutex::sim::NodeId;
 
 fn spec(horizon: u64) -> RunSpec {
@@ -17,7 +17,7 @@ fn a2_failure_locality_is_at_most_two_on_a_line() {
     let report = crash_probe(
         AlgKind::A2,
         &spec(60_000),
-        &topology::line(n),
+        &Topo::Geo(topology::line(n)),
         NodeId(n as u32 / 2),
         2_000,
     );
@@ -35,7 +35,7 @@ fn a2_failure_locality_is_at_most_two_on_a_grid() {
     let report = crash_probe(
         AlgKind::A2,
         &spec(60_000),
-        &topology::grid(5, 5),
+        &Topo::Geo(topology::grid(5, 5)),
         NodeId(12),
         2_000,
     );
@@ -54,7 +54,7 @@ fn doorway_algorithms_contain_the_figure_six_crash() {
         let report = crash_probe(
             kind,
             &spec(60_000),
-            &topology::line(n),
+            &Topo::Geo(topology::line(n)),
             NodeId(n as u32 / 2),
             2_000,
         );
@@ -82,7 +82,7 @@ fn chandy_misra_starvation_reaches_far() {
     let report = crash_probe(
         AlgKind::ChandyMisra,
         &spec(60_000),
-        &topology::line(n),
+        &Topo::Geo(topology::line(n)),
         NodeId(n as u32 / 2),
         2_000,
     );
@@ -101,7 +101,8 @@ fn crash_of_a_leaf_barely_matters() {
     // for every implemented algorithm.
     let n = 9;
     for kind in AlgKind::all() {
-        let report = crash_probe(kind, &spec(40_000), &topology::line(n), NodeId(0), 2_000);
+        let line = Topo::Geo(topology::line(n));
+        let report = crash_probe(kind, &spec(40_000), &line, NodeId(0), 2_000);
         assert!(report.outcome.violations.is_empty());
         assert!(
             report.outcome.metrics.meals[n - 1] >= 5,
@@ -132,7 +133,7 @@ fn recoloring_crash_separates_greedy_from_linial() {
         ));
         let out = manet_local_mutex::harness::run_protocol(
             &spec,
-            &topology::line(n),
+            &Topo::Geo(topology::line(n)),
             move |seed| {
                 let mut node = if greedy {
                     manet_local_mutex::lme::Algorithm1::greedy(&seed)

@@ -1,17 +1,17 @@
 //! Live-runtime safety and conformance (DESIGN.md §11).
 //!
-//! Short in-process mpsc runs of every live-capable algorithm on a clique
-//! and a ring, each with one mid-run crash: the captured trace must be
-//! safe under the harness monitor, every node thread must join, and the
-//! wire codec must not drop a single frame. A separate test exports one
-//! fault-free one-shot run's delivery timings as a simulator schedule and
-//! asserts the deterministic replay is safe and reproduces the same
-//! eating census — the sim-conformance bridge.
+//! Short in-process mpsc runs of every algorithm on a clique and a ring,
+//! each with one mid-run crash: the captured trace must be safe under the
+//! harness monitor, every node thread must join, and the wire codec must
+//! not drop a single frame. Separate tests export fault-free one-shot
+//! runs' delivery timings as simulator schedules and assert the
+//! deterministic replay is safe and reproduces the same eating census —
+//! the sim-conformance bridge.
 
-use harness::topology;
-use lme_net::{conformance_replay, run_live, LiveAlg, LiveConfig, TransportKind};
+use harness::{topology, AlgKind};
+use lme_net::{conformance_replay, run_live, LiveConfig, TransportKind};
 
-fn crash_cfg(alg: LiveAlg, positions: Vec<(f64, f64)>) -> LiveConfig {
+fn crash_cfg(alg: AlgKind, positions: Vec<(f64, f64)>) -> LiveConfig {
     let mut cfg = LiveConfig::new(alg, TransportKind::Mpsc, positions);
     cfg.duration_ms = 300;
     cfg.rate = 60.0;
@@ -22,7 +22,7 @@ fn crash_cfg(alg: LiveAlg, positions: Vec<(f64, f64)>) -> LiveConfig {
 
 #[test]
 fn crashed_mpsc_runs_stay_safe_on_clique_and_ring() {
-    for alg in LiveAlg::all() {
+    for alg in AlgKind::extended() {
         for (name, positions) in [
             ("clique:4", topology::clique(4)),
             ("ring:5", topology::ring(5)),
@@ -64,7 +64,7 @@ fn live_delivery_order_replays_safely_in_the_simulator() {
     // One-shot and fault-free: every node eats exactly once, so the
     // eating census is schedule-independent and the sim replay of the
     // observed delivery timings must reproduce it exactly.
-    let mut cfg = LiveConfig::new(LiveAlg::A1Greedy, TransportKind::Mpsc, topology::ring(5));
+    let mut cfg = LiveConfig::new(AlgKind::A1Greedy, TransportKind::Mpsc, topology::ring(5));
     cfg.one_shot = true;
     cfg.eat_ms = 1;
     cfg.duration_ms = 5_000;
@@ -94,11 +94,34 @@ fn live_delivery_order_replays_safely_in_the_simulator() {
 }
 
 #[test]
+fn choy_singh_one_shot_run_conforms_in_the_simulator() {
+    // The static-coloring baseline runs live too: its one-shot census
+    // survives the crossing into the simulator like every other
+    // algorithm's.
+    let mut cfg = LiveConfig::new(AlgKind::ChoySingh, TransportKind::Mpsc, topology::ring(6));
+    cfg.one_shot = true;
+    cfg.eat_ms = 1;
+    cfg.duration_ms = 5_000;
+    let out = run_live(&cfg).expect("live run");
+    assert!(out.violations.is_empty(), "{:?}", out.violations);
+    assert_eq!(out.meals, vec![1; 6], "one-shot run must feed every node");
+    let report = conformance_replay(&cfg, &out).expect("replay");
+    assert!(report.imported_delays > 0, "no delays were imported");
+    assert!(
+        report.conforms(),
+        "sim census {:?} != live census {:?}, {} sim violations",
+        report.sim_census,
+        report.live_census,
+        report.sim_violations
+    );
+}
+
+#[test]
 fn reliable_mpsc_runs_stay_safe_with_the_live_shim() {
     // The in-process transport never loses frames, so the live ARQ shim
     // must be pure overhead: same safety, all threads joined, and no
     // decode or send failures introduced by the envelope layer.
-    for alg in LiveAlg::all() {
+    for alg in AlgKind::extended() {
         let mut cfg = LiveConfig::new(alg, TransportKind::Mpsc, topology::ring(5));
         cfg.duration_ms = 300;
         cfg.rate = 60.0;
@@ -130,7 +153,7 @@ fn crashed_node_recovers_and_rejoins_on_mpsc() {
     // Crash node 0 at 100 ms and recover it at 180 ms of a 500 ms run:
     // the fresh incarnation must rejoin (link flaps to every world
     // neighbor), the run must stay safe, and all threads must join.
-    for alg in LiveAlg::all() {
+    for alg in AlgKind::extended() {
         let mut cfg = LiveConfig::new(alg, TransportKind::Mpsc, topology::clique(4));
         cfg.duration_ms = 500;
         cfg.rate = 60.0;

@@ -46,13 +46,21 @@ fn spec(seed: u64, horizon: u64) -> RunSpec {
 #[test]
 fn a2_crash_probes_confirm_failure_locality_two() {
     let cells = [
-        ("line:9", topology::line(9), NodeId(4)),
-        ("random:16:1", topology::random_connected(16, 1), NodeId(7)),
-        ("random:16:2", topology::random_connected(16, 2), NodeId(3)),
+        ("line:9", Topo::Geo(topology::line(9)), NodeId(4)),
+        (
+            "random:16:1",
+            Topo::Geo(topology::random_connected(16, 1)),
+            NodeId(7),
+        ),
+        (
+            "random:16:2",
+            Topo::Geo(topology::random_connected(16, 2)),
+            NodeId(3),
+        ),
     ];
-    for (label, positions, victim) in cells {
+    for (label, topo, victim) in cells {
         for seed in [11, 23] {
-            let report = crash_probe(AlgKind::A2, &spec(seed, 30_000), &positions, victim, 4_000);
+            let report = crash_probe(AlgKind::A2, &spec(seed, 30_000), &topo, victim, 4_000);
             assert!(
                 report.locality.is_none_or(|d| d <= 2),
                 "{label} seed {seed}: A2 starved a node {}(>2) hops from the crash; starving: {:?}",

@@ -16,9 +16,7 @@
 
 mod sim_golden;
 
-use harness::{
-    run_algorithm_with_strategy, topology, AlgKind, RunOutcome, RunSpec, SweepSpec, Topo,
-};
+use harness::{run, topology, AlgKind, RunOutcome, RunSpec, SweepSpec, Topo};
 use lme_check::{run_schedule, CheckSpec, Plan};
 use manet_sim::{Command, FaultPlan, ImportedSchedule, NodeId, SimConfig, SimTime, Strategy};
 use sim_golden::{fold_traced_run, jsonl_of, spec_with_seed, waypoints, Fold, SEEDS};
@@ -91,14 +89,8 @@ fn cell_check_strategies_agree_across_cores() {
 
 fn replay_outcome(schedule: ImportedSchedule, seed: u64) -> (RunOutcome, String) {
     let spec = spec_with_seed(seed, 5_000, FaultPlan::default());
-    let positions = topology::clique(6);
-    let out = run_algorithm_with_strategy(
-        AlgKind::A2,
-        &spec,
-        &positions,
-        &[],
-        Some(Box::new(schedule)),
-    );
+    let clique = Topo::Geo(topology::clique(6));
+    let out = run(AlgKind::A2, &spec, &clique, &[], Some(Box::new(schedule)));
     let jsonl = jsonl_of("replay:clique6", AlgKind::A2, &spec, &out);
     (out, jsonl)
 }

@@ -10,14 +10,14 @@
 //! cross-shard traffic at all) or one worker per node (nothing but) —
 //! plus crash/recovery, the reliable shim and the conformance bridge.
 
-use harness::topology;
+use harness::{topology, AlgKind};
 use lme_net::{
-    conformance_replay, merge_stamped, run_live, LiveAlg, LiveConfig, LiveEventKind, LiveRuntime,
+    conformance_replay, merge_stamped, run_live, LiveConfig, LiveEventKind, LiveRuntime,
     StampedRecord, TransportKind,
 };
 use manet_sim::{NodeId, SimRng};
 
-fn sharded_cfg(alg: LiveAlg, positions: Vec<(f64, f64)>, workers: usize) -> LiveConfig {
+fn sharded_cfg(alg: AlgKind, positions: Vec<(f64, f64)>, workers: usize) -> LiveConfig {
     let mut cfg = LiveConfig::new(alg, TransportKind::Mpsc, positions);
     cfg.duration_ms = 300;
     cfg.rate = 60.0;
@@ -62,7 +62,7 @@ fn assert_valid_merge(out: &lme_net::LiveOutcome, n: usize) {
 /// compared against.
 #[test]
 fn crashed_sharded_runs_match_thread_per_node_verdicts() {
-    for alg in LiveAlg::all() {
+    for alg in AlgKind::extended() {
         for (name, positions) in [
             ("clique:4", topology::clique(4)),
             ("ring:5", topology::ring(5)),
@@ -88,7 +88,7 @@ fn sharded_one_shot_run_conforms_in_the_simulator() {
     // The conformance bridge must not care how the trace was merged: a
     // fault-free one-shot two-shard run's delivery timings replay safely
     // in the simulator with the same eating census.
-    let mut cfg = LiveConfig::new(LiveAlg::A1Greedy, TransportKind::Mpsc, topology::ring(5));
+    let mut cfg = LiveConfig::new(AlgKind::A1Greedy, TransportKind::Mpsc, topology::ring(5));
     cfg.one_shot = true;
     cfg.eat_ms = 1;
     cfg.duration_ms = 5_000;
@@ -114,7 +114,7 @@ fn sharded_udp_smoke_stays_safe() {
     // shutdown are asserted, not delivery counts — with the reliable shim
     // off, and on, where a retransmission can actually be needed.
     for reliable in [false, true] {
-        let mut cfg = sharded_cfg(LiveAlg::A2, topology::clique(4), 2);
+        let mut cfg = sharded_cfg(AlgKind::A2, topology::clique(4), 2);
         cfg.transport = TransportKind::Udp;
         cfg.reliable = reliable;
         let out = run_live(&cfg).expect("sharded udp run");
@@ -135,7 +135,7 @@ fn sharded_crash_and_recovery_rejoins() {
     // retransmissions stay inside one worker or cross a ring.
     for (reliable, workers) in [(false, 2), (true, 1), (true, 2)] {
         let cell = format!("reliable {reliable}, {workers} workers");
-        let mut cfg = sharded_cfg(LiveAlg::A2, topology::clique(4), workers);
+        let mut cfg = sharded_cfg(AlgKind::A2, topology::clique(4), workers);
         cfg.duration_ms = 500;
         cfg.reliable = reliable;
         cfg.crash = Some((0, 100));
@@ -175,7 +175,7 @@ fn closed_loop_outruns_the_open_loop_rate_cap() {
     // The saturation blind spot: at rate 60/s a 300 ms open-loop run caps
     // every algorithm near the same meal count. Closed-loop re-requests
     // immediately after eating, so the same cell must eat strictly more.
-    let open = sharded_cfg(LiveAlg::A2, topology::clique(4), 2);
+    let open = sharded_cfg(AlgKind::A2, topology::clique(4), 2);
     let mut closed = open.clone();
     closed.closed_loop = true;
     let open_out = run_live(&open).expect("open-loop run");

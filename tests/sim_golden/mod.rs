@@ -1,6 +1,6 @@
 //! Golden pin of the simulator core, shared by `tests/queue_equivalence.rs`,
-//! `tests/engine_equivalence.rs`, `tests/reliable_delivery.rs` and
-//! `tests/channel_models.rs`.
+//! `tests/engine_equivalence.rs`, `tests/reliable_delivery.rs`,
+//! `tests/channel_models.rs` and `tests/algorithm_table.rs`.
 //!
 //! The engine used to ship two event queues (binary heap, timing wheel) and
 //! two link engines (pairwise scan, spatial grid), and those two suites
@@ -238,4 +238,60 @@ pub fn random_crash_wave_and_partition() {
         );
     }
     fold.check("random:40", 0xd6e2_55ff_d74d_4102);
+}
+
+// ---------------------------------------------------------------------
+// The algorithm table: every `AlgKind::extended()` through the runner on
+// a geometric world with motion and on an explicit graph, and through the
+// checker. Computed on parent `344bdbe`, where each algorithm name still
+// became automata in four hand-kept places, run by
+// `tests/algorithm_table.rs`.
+// ---------------------------------------------------------------------
+
+/// Every algorithm on `random:24` under random-waypoint motion.
+pub fn every_algorithm_random_waypoint() {
+    let mut fold = Fold::new();
+    for kind in AlgKind::extended() {
+        for seed in 1..4 {
+            let positions = topology::random_connected(24, seed);
+            let spec = spec_with_seed(seed, 5_000, FaultPlan::default());
+            let commands = waypoints(24, 8, 5_000, seed ^ 0xB0B);
+            fold_outcome(&mut fold, "random:24", kind, &spec, &positions, &commands);
+        }
+    }
+    fold.check("every-alg random:24+waypoint", 0x77e0_cbeb_4bb5_f6b8);
+}
+
+/// Every algorithm on the explicit complete binary tree `tree:15`.
+pub fn every_algorithm_explicit_tree() {
+    let (n, edges) = topology::binary_tree_edges(15);
+    let tree = harness::Topo::Graph { n, edges };
+    let mut fold = Fold::new();
+    for kind in AlgKind::extended() {
+        for seed in 1..4 {
+            let spec = spec_with_seed(seed, 5_000, FaultPlan::default());
+            let out = harness::run(kind, &spec, &tree, &[], None);
+            fold.add_outcome(&out, &jsonl_of("tree:15", kind, &spec, &out));
+        }
+    }
+    fold.check("every-alg tree:15", 0x7e93_0331_17ca_7240);
+}
+
+/// Every algorithm under `lme check --alg <a> --topo line:3 --horizon
+/// 4000`: the bounded DFS with dedup and DPOR, folded as `(schedules,
+/// dedup_prunes, dpor_prunes, verdict)`.
+pub fn every_algorithm_check_line3() {
+    let mut fold = Fold::new();
+    for kind in AlgKind::extended() {
+        let spec = lme_check::CheckSpec::new(kind, "line:3", 3, vec![(0, 1), (1, 2)]);
+        let result = lme_check::explore(&spec, &lme_check::ExploreConfig::default());
+        let verdict = result.witness.map(|w| (w.property, w.detail, w.choices));
+        fold.add(&(
+            result.schedules,
+            result.dedup_prunes,
+            result.dpor_prunes,
+            verdict,
+        ));
+    }
+    fold.check("every-alg check line:3", 0x8f8e_7122_7b7b_fc5e);
 }
