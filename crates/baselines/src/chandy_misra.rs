@@ -21,7 +21,7 @@ use std::collections::BTreeMap;
 use manet_sim::{Context, DiningState, Event, LinkUpKind, NodeId, NodeSeed, Protocol};
 
 /// Messages of the Chandy–Misra protocol.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CmMsg {
     /// The request token for the shared fork.
     ReqToken,
@@ -39,7 +39,7 @@ impl CmMsg {
     }
 }
 
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 struct Edge {
     holds_fork: bool,
     dirty: bool,
@@ -47,7 +47,7 @@ struct Edge {
 }
 
 /// Per-node counters exposed for experiments.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct CmStats {
     /// Completed critical sections.
     pub meals: u64,
@@ -56,7 +56,7 @@ pub struct CmStats {
 }
 
 /// One Chandy–Misra node. Implements [`Protocol`] for the simulator.
-#[derive(Debug)]
+#[derive(Debug, Hash)]
 pub struct ChandyMisra {
     me: NodeId,
     state: DiningState,
@@ -244,7 +244,7 @@ impl Protocol for ChandyMisra {
     }
 
     fn state_digest(&self) -> Option<u64> {
-        Some(manet_sim::digest_of_debug(self))
+        Some(manet_sim::digest_of(self))
     }
 }
 

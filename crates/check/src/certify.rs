@@ -16,15 +16,18 @@
 //!   response times. Certification therefore branches at every delivery
 //!   except those whose arrival instant is pinned (degenerate window or
 //!   full FIFO clamp), and DPOR stays off.
-//! * **Dedup is exact here.** The absolute state digest covers every
+//! * **Dedup under-reports.** The absolute state digest covers every
 //!   queue item with its absolute dispatch time and the monotone
-//!   eating-session counters, and evolution from a state does not depend
-//!   on the clock reading — so two runs reaching equal digests have
-//!   identical continuations with identical absolute times, and the set
-//!   of nodes already fed agrees. A pruned subtree's response times are
-//!   exactly the prefix times of the pruned run (observed when that run
-//!   itself executed) plus continuation times already explored from the
-//!   digest's first occurrence: the worst case is preserved.
+//!   eating-session counters, which was meant to make equal digests
+//!   imply identical continuations, so that pruning keeps the worst case.
+//!   It does not: on `line:3` dedup certifies a worst response of 41
+//!   ticks where exhausting without dedup finds 42
+//!   (`dedup_under_reports_the_worst_case_on_line3`). Suspects, per
+//!   ROADMAP item 1, which owns the fix: the digest is taken *at a send*,
+//!   before the pending delay is chosen, and leaves out the per-link FIFO
+//!   floors that clamp the choice and the rest of the sending handler's
+//!   outbox. Until then a certificate with dedup is a lower bound on the
+//!   extremal worst case.
 //!
 //! The certificate's `space` field records the `"extremal"` caveat: a
 //! worst case over interior delays (2..ν−1) is not enumerated. Response
@@ -43,8 +46,9 @@ pub struct CertifyConfig {
     pub max_schedules: usize,
     /// Worker threads per wave (results are independent of this).
     pub jobs: usize,
-    /// Deduplicate subtrees by absolute state digest (exact here; the
-    /// knob exists so tests can differentially validate the dedup proof).
+    /// Deduplicate subtrees by absolute state digest. Not exact: it can
+    /// prune the worst case (see the module docs and ROADMAP item 1);
+    /// `false` exhausts the space and is the differential reference.
     pub dedup: bool,
 }
 
@@ -82,7 +86,7 @@ pub struct Certificate {
     pub complete: bool,
     /// Largest number of branch points in any single run.
     pub max_branch_points: usize,
-    /// Subtrees pruned by exact absolute-digest dedup.
+    /// Subtrees pruned by absolute-digest dedup.
     pub dedup_prunes: usize,
     /// Worst response time observed: hungry at tick 1 to first `→ Eating`,
     /// maximized over nodes and schedules.
@@ -273,6 +277,30 @@ mod tests {
         assert!(with.holds() && without.holds());
         assert_eq!(with.worst_rt, without.worst_rt);
         assert!(with.schedules <= without.schedules);
+    }
+
+    /// ROADMAP item 1's finding, pinned as it stands: on `line:3` the
+    /// dedup prunes a subtree holding the worst case, so the certificate
+    /// with dedup reports one tick less than exhausting without it. The
+    /// prune counts also pin which states the digest merges. A sound
+    /// dedup flips the first triple.
+    #[test]
+    fn dedup_under_reports_the_worst_case_on_line3() {
+        let spec = CheckSpec::new(AlgKind::A2, "line:3", 3, vec![(0, 1), (1, 2)]);
+        let run = |dedup| {
+            let c = certify(
+                &spec,
+                &CertifyConfig {
+                    dedup,
+                    jobs: 2,
+                    ..CertifyConfig::default()
+                },
+            );
+            assert!(c.holds(), "{c:?}");
+            (c.schedules, c.dedup_prunes, c.worst_rt)
+        };
+        assert_eq!(run(true), (112, 442, 41));
+        assert_eq!(run(false), (3_360, 0, 42));
     }
 
     #[test]

@@ -30,7 +30,7 @@
 /// assert_eq!(s.len(), fam.q() as usize);
 /// assert!(s.iter().all(|&x| x < fam.range()));
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct CoverFreeFamily {
     m: u64,
     delta: u64,

@@ -12,7 +12,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// assert!(g.adjacent(0, 1));
 /// assert!(!g.adjacent(0, 2));
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct AdjGraph {
     adj: BTreeMap<u32, BTreeSet<u32>>,
 }

@@ -25,7 +25,7 @@ use crate::cover_free::CoverFreeFamily;
 /// let c1 = sched.step(0, 77, &[5, 1000]);
 /// assert!(c1 < sched.input_range(1));
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub struct LinialSchedule {
     n: u64,
     delta: u64,

@@ -33,7 +33,6 @@
 //! release loops walk one record per neighbour and nothing is allocated per
 //! event.
 
-use std::fmt;
 use std::sync::Arc;
 
 use coloring::{smallest_free_color, LinialSchedule};
@@ -59,7 +58,7 @@ pub const SDF: DoorwayTag = DoorwayTag::new(3);
 
 /// Which recoloring procedure the algorithm runs (Section 5.4, plus the
 /// randomized extension from the Discussion chapter).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub enum RecolorConfig {
     /// The simple greedy procedure (Algorithm 4): no knowledge of `n`/δ,
     /// failure locality `n`, recoloring time `O(n)`.
@@ -78,7 +77,7 @@ pub enum RecolorConfig {
 }
 
 /// Where the node is in the Figure 5 pipeline.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// Thinking, outside all doorways.
     Idle,
@@ -117,7 +116,7 @@ impl Phase {
 }
 
 /// Per-node counters exposed for experiments.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct Alg1Stats {
     /// Completed critical sections.
     pub meals: u64,
@@ -130,6 +129,7 @@ pub struct Alg1Stats {
 }
 
 /// One node of Algorithm 1. Implements [`Protocol`] for the simulator.
+#[derive(Debug, Hash)]
 pub struct Algorithm1 {
     me: NodeId,
     state: DiningState,
@@ -171,36 +171,6 @@ pub struct Algorithm1 {
     pub sdf_guard_enabled: bool,
     /// Experiment counters.
     pub stats: Alg1Stats,
-}
-
-/// The rendering a derive gave when the colours were a field of their
-/// own, byte for byte: `colors` is rendered from the fork records in its
-/// old place.
-impl fmt::Debug for Algorithm1 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Algorithm1")
-            .field("me", &self.me)
-            .field("state", &self.state)
-            .field("my_color", &self.my_color)
-            .field("colors", &self.colors())
-            .field("forks", &self.forks)
-            .field("adr", &self.adr)
-            .field("sdr", &self.sdr)
-            .field("adf", &self.adf)
-            .field("sdf", &self.sdf)
-            .field("phase", &self.phase)
-            .field("needs_recolor", &self.needs_recolor)
-            .field("pending_info", &self.pending_info)
-            .field("recolor_cfg", &self.recolor_cfg)
-            .field("active_proc", &self.active_proc)
-            .field("phase_log", &self.phase_log)
-            .field("record_phases", &self.record_phases)
-            .field("recolor_on_move", &self.recolor_on_move)
-            .field("return_path_enabled", &self.return_path_enabled)
-            .field("sdf_guard_enabled", &self.sdf_guard_enabled)
-            .field("stats", &self.stats)
-            .finish()
-    }
 }
 
 /// A known colour below `mine`: the neighbour has priority (it is *low*).
@@ -303,11 +273,6 @@ impl Algorithm1 {
     /// set `S`; observability for tests and experiments).
     pub fn suspended_requests(&self) -> Vec<NodeId> {
         self.forks.suspended().collect()
-    }
-
-    /// `colors`, rendered as the ordered map it used to be.
-    fn colors(&self) -> impl fmt::Debug + '_ {
-        self.forks.records().debug_map(|f| Some(f.ext))
     }
 
     // -- predicates --------------------------------------------------------
@@ -749,20 +714,19 @@ impl Protocol for Algorithm1 {
     }
 
     fn state_digest(&self) -> Option<u64> {
-        Some(manet_sim::digest_of_debug(self))
+        Some(manet_sim::digest_of(self))
     }
 
     fn progress_digest(&self) -> Option<u64> {
         // Everything behavioral, nothing monotone: `stats` and `phase_log`
         // only grow and the fork table's transfer generations never repeat,
         // so all three are excluded (see `ForkTable::progress_digest`).
-        Some(manet_sim::digest_of_debug(&(
+        Some(manet_sim::digest_of(&(
             self.me,
             self.state,
             self.my_color,
-            self.colors(),
             self.forks.progress_digest(),
-            (&self.adr, &self.sdr, &self.adf, &self.sdf),
+            [&self.adr, &self.sdr, &self.adf, &self.sdf],
             self.phase,
             self.needs_recolor,
             &self.pending_info,
@@ -839,5 +803,47 @@ mod tests {
             let c = e.protocol(NodeId(i)).color();
             assert!((0..=2).contains(&c), "p{i} color {c} outside [0, δ]");
         }
+    }
+
+    /// Node 2 of a line, between 1 and 3.
+    fn middle() -> Algorithm1 {
+        Algorithm1::greedy(&NodeSeed {
+            id: NodeId(2),
+            neighbors: vec![NodeId(1), NodeId(3)],
+            n_nodes: 4,
+            max_degree: 2,
+        })
+    }
+
+    fn assert_both_digests_differ(a: &Algorithm1, b: &Algorithm1, what: &str) {
+        assert_ne!(a.state_digest(), b.state_digest(), "{what}");
+        assert_ne!(a.progress_digest(), b.progress_digest(), "{what}");
+    }
+
+    #[test]
+    fn a_doorway_flag_or_a_recolor_inbox_entry_moves_both_digests() {
+        let mut entering = middle();
+        entering.sdf.begin_entry(&[NodeId(1), NodeId(3)]);
+        assert_both_digests_differ(&entering, &middle(), "doorway flag");
+        // A running procedure is hashed through its trait object.
+        let recoloring = || {
+            let mut p = middle();
+            let mut proc = GreedyRecolor::new(p.me);
+            proc.start(&[NodeId(1), NodeId(3)], &mut Vec::new());
+            p.active_proc = Some(Box::new(proc));
+            p
+        };
+        let mut answered = recoloring();
+        let graph = RecolorMsg::Graph {
+            edges: vec![],
+            finished: false,
+        };
+        let proc = answered.active_proc.as_mut().expect("running");
+        // Node 3 has not answered, so the round stays open.
+        assert_eq!(
+            proc.on_message(NodeId(1), graph, &mut Vec::new()),
+            RecolorOutcome::Continue
+        );
+        assert_both_digests_differ(&answered, &recoloring(), "recolor inbox entry");
     }
 }

@@ -12,16 +12,17 @@
 //! flag, Algorithm 1's colour view). A link-up inserts one record, a
 //! link-down removes it, and the request and release loops of both
 //! algorithms walk the records in place, in ascending ID order, with
-//! nothing allocated. The table's `Debug` rendering is the one the four
-//! ordered trees it replaced produced (`at`, `suspended`, `requested`,
-//! `gen`), so state digests do not depend on the layout.
+//! nothing allocated. The table derives `Hash` over the records, so the
+//! state digest of an algorithm holding it covers every fork bit, every
+//! transfer generation and every `ext`, whatever order the links came up
+//! in.
 
-use std::fmt;
+use std::hash::{Hash, Hasher};
 
-use manet_sim::{KeysWhere, Neighbors, NodeId};
+use manet_sim::{Fnv, KeysWhere, Neighbors, NodeId};
 
 /// One neighbour's fork record.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, Hash)]
 pub struct Fork<T> {
     /// This node holds the fork (the paper's `at[j]`).
     pub have: bool,
@@ -61,7 +62,7 @@ pub struct Fork<T> {
 /// assert_eq!(asked, [NodeId(0)]);
 /// assert_eq!(t.records().get(NodeId(0)).map(|f| f.requested), Some(true));
 /// ```
-#[derive(Clone)]
+#[derive(Clone, Debug, Hash)]
 pub struct ForkTable<T = ()> {
     links: Neighbors<Fork<T>>,
 }
@@ -195,18 +196,22 @@ impl<T> ForkTable<T> {
             .is_some_and(|f| !std::mem::replace(&mut f.requested, true))
     }
 
-    /// Deterministic fingerprint of the *behavioral* fork state — holdings,
-    /// suspensions, outstanding requests — excluding the monotone transfer
-    /// generations. Generations exist solely to reject duplicated
-    /// deliveries and never repeat, so including them would make a node
-    /// that returns to the same behavioral configuration digest differently
-    /// forever; liveness (lasso) detection keys on this method instead.
-    pub fn progress_digest(&self) -> u64 {
-        manet_sim::digest_of_debug(&(
-            self.links.debug_map(|f| Some(f.have)),
-            self.links.debug_set(|f| f.suspended),
-            self.links.debug_set(|f| f.requested),
-        ))
+    /// Deterministic fingerprint of the *behavioral* fork state — per
+    /// neighbour, holding, suspension, outstanding request and `ext` —
+    /// excluding the monotone transfer generations. Generations exist
+    /// solely to reject duplicated deliveries and never repeat, so
+    /// including them would make a node that returns to the same
+    /// behavioral configuration digest differently forever; liveness
+    /// (lasso) detection keys on this method instead.
+    pub fn progress_digest(&self) -> u64
+    where
+        T: Hash,
+    {
+        let mut h = Fnv::new();
+        for (j, f) in self.links.iter() {
+            (j, f.have, f.suspended, f.requested, &f.ext).hash(&mut h);
+        }
+        h.finish()
     }
 
     /// Whether this node holds the forks of **all** neighbors whose value
@@ -261,23 +266,10 @@ impl<T> Fork<T> {
     }
 }
 
-/// Rendered as the four ordered trees the records replaced — `at`,
-/// `suspended`, `requested`, `gen` — byte for byte; `ext` belongs to the
-/// algorithm, which renders it under its own name.
-impl<T> fmt::Debug for ForkTable<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ForkTable")
-            .field("at", &self.links.debug_map(|f| Some(f.have)))
-            .field("suspended", &self.links.debug_set(|f| f.suspended))
-            .field("requested", &self.links.debug_set(|f| f.requested))
-            .field("gen", &self.links.debug_map(|f| f.gen))
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use manet_sim::digest_of;
 
     fn table() -> ForkTable {
         ForkTable::new(NodeId(2), &[NodeId(0), NodeId(1), NodeId(3), NodeId(4)])
@@ -347,11 +339,10 @@ mod tests {
             !t.try_mark_requested(NodeId(9)),
             "no phantom request for a non-neighbour"
         );
-        assert_eq!(
-            format!("{t:?}"),
-            "ForkTable { at: {p0: true, p1: false, p3: true, p4: true}, \
-             suspended: {}, requested: {p0}, gen: {} }"
-        );
+        let (r, held) = (t.records(), [NodeId(0), NodeId(3), NodeId(4)]);
+        assert!(r.keys_where(|f| f.have).eq(held));
+        assert!(r.keys_where(|f| f.requested).eq([NodeId(0)]));
+        assert!(r.keys_where(|f| f.suspended || f.gen.is_some()).is_empty());
     }
 
     #[test]
@@ -393,7 +384,8 @@ mod tests {
             "unknown links never accept"
         );
         assert_eq!(t.sent(NodeId(9)), 0, "unknown links never send");
-        assert_eq!(format!("{:?}", t.records().debug_map(|f| f.gen)), "{p3: 1}");
+        let gens = t.records().iter().filter_map(|(j, f)| Some((j, f.gen?)));
+        assert!(gens.eq([(NodeId(3), 1)]));
     }
 
     #[test]
@@ -410,5 +402,41 @@ mod tests {
         t.release_where(|_| true, |j, _, gen| granted.push((j, gen)));
         assert_eq!(granted, [(NodeId(4), 1)]);
         assert!(t.suspended().is_empty() && !t.holds(NodeId(4)));
+    }
+
+    #[test]
+    fn equal_tables_digest_equal_however_they_were_reached() {
+        let a = ForkTable::new(NodeId(2), &[NodeId(0), NodeId(4), NodeId(3)]);
+        let b = ForkTable::new(NodeId(2), &[NodeId(4), NodeId(3), NodeId(0)]);
+        assert_eq!(digest_of(&a), digest_of(&b), "insertion order");
+        let (mut a, mut b) = (table(), table());
+        a.link_down(NodeId(3));
+        a.link_up(NodeId(5), true);
+        a.link_up(NodeId(3), true);
+        b.link_up(NodeId(5), true);
+        b.sent(NodeId(3)); // history the flap below erases
+        b.link_down(NodeId(3));
+        b.link_up(NodeId(3), true);
+        assert_eq!(digest_of(&a), digest_of(&b), "link down then up");
+        assert_eq!(a.progress_digest(), b.progress_digest());
+    }
+
+    #[test]
+    fn every_field_moves_the_digest_and_gen_only_the_state_digest() {
+        let base = ForkTable::with(NodeId(2), &[NodeId(1), NodeId(3)], |j| j.0);
+        for field in ["have", "suspended", "requested", "gen", "ext"] {
+            let mut t = base.clone();
+            let f = t.links.get_mut(NodeId(3)).expect("a neighbour");
+            match field {
+                "have" => f.have = !f.have,
+                "suspended" => f.suspended = true,
+                "requested" => f.requested = true,
+                "gen" => f.gen = Some(7),
+                _ => f.ext += 1,
+            }
+            assert_ne!(digest_of(&t), digest_of(&base), "{field}");
+            let same_progress = t.progress_digest() == base.progress_digest();
+            assert_eq!(same_progress, field == "gen", "{field}");
+        }
     }
 }

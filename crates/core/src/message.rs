@@ -3,7 +3,7 @@
 use doorway::{DoorwayMsg, DoorwaySet};
 
 /// Messages of the recoloring procedures (Algorithms 4 and 5).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub enum RecolorMsg {
     /// Greedy procedure: one iteration's view of the conflict graph, with
     /// the `finished` flag of Algorithm 4 (Line 65 / Line 71).
@@ -31,7 +31,7 @@ pub enum RecolorMsg {
 }
 
 /// All messages of Algorithm 1, multiplexed on one channel.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub enum A1Msg {
     /// Doorway crossing/exit/status traffic for the four doorways.
     Doorway(DoorwayMsg),
@@ -65,7 +65,7 @@ pub enum A1Msg {
 }
 
 /// All messages of Algorithm 2.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum A2Msg {
     /// Request for the shared fork.
     Req,

@@ -9,9 +9,9 @@
 //! link fails is dropped by the wrapper via [`RecolorProcedure::on_removed`].
 //!
 //! `R` and the responses not yet consumed are one record per participant
-//! (a [`Neighbors`] of FIFO queues), walked in ascending ID order; each
-//! procedure's `Debug` still renders them as the `r` set and `inbox` map
-//! they used to be, so Algorithm 1's state digest does not move.
+//! (a [`Neighbors`] of FIFO queues), walked in ascending ID order. Every
+//! procedure derives `Hash`; [`RecolorProcedure::hash_state`] hands it to
+//! Algorithm 1's state digest through the trait object.
 //!
 //! The procedures return a *raw* non-negative value; the wrapper (Algorithm
 //! 2, Line 38) maps it to the final color `-(raw) - 1`, keeping all
@@ -19,7 +19,7 @@
 //! `[0, δ]` colors chosen on critical-section exit.
 
 use std::collections::{BTreeSet, VecDeque};
-use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use coloring::{greedy_color_graph, AdjGraph, LinialSchedule};
@@ -55,6 +55,17 @@ pub trait RecolorProcedure: std::fmt::Debug + Send {
 
     /// The link to `j` failed (Algorithm 3, Line 61: `R := R \ {j}`).
     fn on_removed(&mut self, j: NodeId, out: &mut Vec<(NodeId, RecolorMsg)>) -> RecolorOutcome;
+
+    /// Feed the procedure's whole state to `h`: the object-safe form of
+    /// its `Hash`, so Algorithm 1's state digest covers a running
+    /// procedure behind the `Box`.
+    fn hash_state(&self, h: &mut dyn Hasher);
+}
+
+impl Hash for dyn RecolorProcedure {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        self.hash_state(h);
+    }
 }
 
 fn to_color(raw: u64) -> i64 {
@@ -63,7 +74,8 @@ fn to_color(raw: u64) -> i64 {
 
 /// `on_message` and `on_removed`, the same for every procedure: update
 /// `R` (stale traffic from a member already dropped is ignored), then
-/// consume every round that is complete.
+/// consume every round that is complete. And `hash_state`, the derived
+/// `Hash`.
 macro_rules! feed_rounds {
     () => {
         fn on_message(
@@ -84,12 +96,16 @@ macro_rules! feed_rounds {
             }
             self.try_rounds(out)
         }
+
+        fn hash_state(&self, mut h: &mut dyn Hasher) {
+            self.hash(&mut h);
+        }
     };
 }
 
 /// The participant set `R`, one record per member holding the responses
 /// it sent that no round has consumed yet.
-#[derive(Default)]
+#[derive(Debug, Default, Hash)]
 struct Participants(Neighbors<VecDeque<RecolorMsg>>);
 
 impl Participants {
@@ -127,16 +143,6 @@ impl Participants {
     fn send_all(&self, msg: RecolorMsg, out: &mut Vec<(NodeId, RecolorMsg)>) {
         out.extend(self.0.iter().map(|(j, _)| (j, msg.clone())));
     }
-
-    /// The `r` and `inbox` fields of a procedure's `Debug` rendering, as
-    /// the ordered set and ordered map of queues they used to be.
-    fn fields<'a, 'f, 'g>(
-        &self,
-        d: &'a mut fmt::DebugStruct<'f, 'g>,
-    ) -> &'a mut fmt::DebugStruct<'f, 'g> {
-        d.field("r", &self.0.debug_set(|_| true))
-            .field("inbox", &self.0)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -146,18 +152,11 @@ impl Participants {
 /// The greedy recoloring procedure: flood the conflict graph of concurrent
 /// participants until it stabilizes, then greedily color it with the shared
 /// deterministic traversal of [`greedy_color_graph`].
+#[derive(Debug, Hash)]
 pub struct GreedyRecolor {
     me: u32,
     r: Participants,
     g: AdjGraph,
-}
-
-impl fmt::Debug for GreedyRecolor {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut d = f.debug_struct("GreedyRecolor");
-        d.field("me", &self.me);
-        self.r.fields(&mut d).field("g", &self.g).finish()
-    }
 }
 
 impl GreedyRecolor {
@@ -258,24 +257,13 @@ impl RecolorProcedure for GreedyRecolor {
 /// falls back to the always-legal color `-(final_range + ID) - 1`; the
 /// fallback range is disjoint from both the normal recoloring range and the
 /// exit-time colors, so legality is preserved at the cost of a larger Δ.
+#[derive(Debug, Hash)]
 pub struct LinialRecolor {
     me: u32,
     schedule: Arc<LinialSchedule>,
     r: Participants,
     temp: u64,
     ph: usize,
-}
-
-impl fmt::Debug for LinialRecolor {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut d = f.debug_struct("LinialRecolor");
-        d.field("me", &self.me).field("schedule", &self.schedule);
-        self.r
-            .fields(&mut d)
-            .field("temp", &self.temp)
-            .field("ph", &self.ph)
-            .finish()
-    }
 }
 
 impl LinialRecolor {
@@ -378,6 +366,7 @@ impl RecolorProcedure for LinialRecolor {
 /// variant needs only a bound on δ — no knowledge of `n`, no precomputed
 /// schedule — at the price of probabilistic guarantees, exactly the
 /// trade-off the paper describes.
+#[derive(Debug, Hash)]
 pub struct RandomizedRecolor {
     me: u32,
     palette: u64,
@@ -388,22 +377,6 @@ pub struct RandomizedRecolor {
     committed: BTreeSet<u64>,
     candidate: u64,
     round: usize,
-}
-
-impl fmt::Debug for RandomizedRecolor {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut d = f.debug_struct("RandomizedRecolor");
-        d.field("me", &self.me)
-            .field("palette", &self.palette)
-            .field("max_rounds", &self.max_rounds)
-            .field("rng", &self.rng);
-        self.r
-            .fields(&mut d)
-            .field("committed", &self.committed)
-            .field("candidate", &self.candidate)
-            .field("round", &self.round)
-            .finish()
-    }
 }
 
 impl RandomizedRecolor {

@@ -9,7 +9,7 @@ use crate::tag::{DoorwaySet, DoorwayTag};
 /// crossed (Algorithm 3, Line 52 and the "LinkUp while moving" handler of
 /// Figure 2); `Status` carries a static node's position relative to all
 /// doorways to a newly arrived neighbor (the `L[i]` part of Line 46).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum DoorwayMsg {
     /// The sender crossed doorway `0` (completed its entry code).
     Cross(DoorwayTag),

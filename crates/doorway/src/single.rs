@@ -1,9 +1,8 @@
 //! The single-doorway state machine.
 //!
 //! A doorway's view of its neighbours is two [`NeighborSet`]s — sorted
-//! vectors of at most δ IDs, rendered by `Debug` exactly like the ordered
-//! sets they replaced, so the state digests of the algorithms embedding a
-//! doorway do not depend on the layout.
+//! vectors of at most δ IDs. A doorway derives `Hash`, so it enters the
+//! state digest of the algorithm embedding it field by field.
 
 use manet_sim::{NeighborSet, NodeId};
 
@@ -11,7 +10,7 @@ use crate::message::DoorwayMsg;
 use crate::tag::DoorwayTag;
 
 /// Synchronous or asynchronous entry discipline (Figure 2).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum DoorwayKind {
     /// Cross when all neighbors are observed outside *simultaneously*.
     Synchronous,
@@ -47,7 +46,7 @@ pub enum DoorwayKind {
 /// assert!(d.is_behind());
 /// assert_eq!(d.exit(), DoorwayMsg::Exit(tag));
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub struct Doorway {
     tag: DoorwayTag,
     kind: DoorwayKind,

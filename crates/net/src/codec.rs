@@ -21,6 +21,8 @@
 //! malformed input, which the robustness suite exercises with seeded
 //! corruption (see `tests/codec_robustness.rs`).
 
+use std::hash::Hasher;
+
 use baselines::CmMsg;
 use doorway::{DoorwayMsg, DoorwaySet, DoorwayTag};
 use local_mutex::{A1Msg, A2Msg, RecolorMsg};
@@ -166,7 +168,7 @@ pub fn encode_frame<M: WireMsg>(msg: &M) -> Vec<u8> {
     let mut body = vec![WIRE_VERSION, M::ALG_ID];
     msg.encode_payload(&mut body);
     let mut h = Fnv::new();
-    h.write_bytes(&body);
+    h.write(&body);
     let mut out = Vec::with_capacity(4 + body.len() + 8);
     put_u32(&mut out, (body.len() + 8) as u32);
     out.extend_from_slice(&body);
@@ -194,7 +196,7 @@ pub fn decode_frame<M: WireMsg>(bytes: &[u8]) -> Result<M, CodecError> {
     }
     let (body, sum) = rest.split_at(announced - 8);
     let mut h = Fnv::new();
-    h.write_bytes(body);
+    h.write(body);
     let expect = u64::from_le_bytes([
         sum[0], sum[1], sum[2], sum[3], sum[4], sum[5], sum[6], sum[7],
     ]);
@@ -492,7 +494,7 @@ mod tests {
         let mut body = vec![WIRE_VERSION, A1Msg::ALG_ID, 5, 0];
         body.extend_from_slice(&u32::MAX.to_le_bytes());
         let mut h = Fnv::new();
-        h.write_bytes(&body);
+        h.write(&body);
         let mut frame = Vec::new();
         frame.extend_from_slice(&((body.len() + 8) as u32).to_le_bytes());
         frame.extend_from_slice(&body);

@@ -1,5 +1,7 @@
 //! External commands injected into a running simulation.
 
+use std::hash::{Hash, Hasher};
+
 use crate::ids::NodeId;
 use crate::world::Position;
 
@@ -63,6 +65,21 @@ pub enum Command {
     /// implies across the former cut come back as *fresh incarnations*
     /// (LinkUp notifications, new epochs — exactly like a reconnect).
     Heal,
+}
+
+/// Field by field, the speed by its bits (see [`Position`]'s `Hash`).
+impl Hash for Command {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        std::mem::discriminant(self).hash(h);
+        match self {
+            Command::SetHungry(n) | Command::Crash(n) | Command::Recover(n) => n.hash(h),
+            Command::ExitCs { node, session } => (node, session).hash(h),
+            Command::StartMove { node, dest, speed } => (node, dest, speed.to_bits()).hash(h),
+            Command::Teleport { node, dest } => (node, dest).hash(h),
+            Command::Partition { side } => side.hash(h),
+            Command::Heal => {}
+        }
+    }
 }
 
 impl Command {

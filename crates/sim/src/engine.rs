@@ -9,6 +9,8 @@
 //! Everything kept per link lives in [`crate::links::LinkStore`]s, so a
 //! run's memory follows its links, not `n²`.
 
+use std::hash::{Hash, Hasher};
+
 use crate::arq::Rto;
 use crate::channel::{ChannelStats, Scan};
 use crate::command::Command;
@@ -79,6 +81,9 @@ impl EngineStats {
     }
 }
 
+/// A queued event. `Hash` covers every field, so a pending item enters
+/// [`Engine::state_digest`] as exactly what it will do when dispatched.
+#[derive(Hash)]
 enum Item<M> {
     /// A physical frame in flight.
     Frame(Frame<Wire<M>>),
@@ -119,7 +124,7 @@ enum Item<M> {
 
 /// What the shim (or its absence) puts on the wire for one
 /// [`Engine::send`].
-#[derive(Clone)]
+#[derive(Clone, Hash)]
 enum Wire<M> {
     /// Shim disabled: the bare protocol message, exactly as always.
     Plain(M),
@@ -557,12 +562,8 @@ impl<P: Protocol> Engine<P> {
         for p in &self.protocols {
             h.write_u64(p.state_digest()?);
         }
-        // A dining state hashes as its declaration index: Thinking 0,
-        // Hungry 1, Eating 2.
-        for (&d, &s) in self.core.dining.iter().zip(&self.core.eating_session) {
-            h.write_u64(d as u64);
-            h.write_u64(s);
-        }
+        self.core.dining.hash(&mut h);
+        self.core.eating_session.hash(&mut h);
         self.hash_queue(&mut h, SimTime::ZERO);
         Some(h.finish())
     }
@@ -582,29 +583,22 @@ impl<P: Protocol> Engine<P> {
         for p in &self.protocols {
             h.write_u64(p.progress_digest()?);
         }
-        for &d in &self.core.dining {
-            h.write_u64(d as u64);
-        }
+        self.core.dining.hash(&mut h);
         self.hash_queue(&mut h, self.core.now);
         Some(h.finish())
     }
 
     /// The pending queue's signature, at times relative to `since`, in
-    /// dispatch order: sorted by (at, seq) but hashing only (at, content)
+    /// dispatch order: sorted by (at, seq) but hashing only (at, item)
     /// — the insertion-order seq values differ across histories even when
     /// the executions are equivalent, while the *relative* order they
-    /// induce is exactly what matters.
+    /// induce is exactly what matters. The sort's scratch vector is the
+    /// only allocation of a digest.
     fn hash_queue(&self, h: &mut sched::Fnv, since: SimTime) {
-        let mut items: Vec<(SimTime, u64, u64)> = self
-            .core
-            .queue
-            .iter()
-            .map(|(at, seq, item)| (at, seq, item_digest(item)))
-            .collect();
-        items.sort_unstable();
-        for (at, _, content) in items {
-            h.write_u64(at.0.saturating_sub(since.0));
-            h.write_u64(content);
+        let mut items: Vec<_> = self.core.queue.iter().collect();
+        items.sort_unstable_by_key(|&(at, seq, _)| (at, seq));
+        for (at, _, item) in items {
+            (at.0.saturating_sub(since.0), item).hash(h);
         }
     }
 
@@ -1287,87 +1281,6 @@ fn item_node<M>(item: &Item<M>) -> Option<NodeId> {
         Item::ShimRto { from, .. } => Some(*from),
         Item::Command(_) | Item::ChannelTick { .. } => None,
     }
-}
-
-/// Content fingerprint of one queued item, for [`Engine::state_digest`].
-/// Message and event payloads are hashed via their `Debug` rendering
-/// (deterministic; `Protocol::Msg: Debug` is already required).
-fn item_digest<M: std::fmt::Debug>(item: &Item<M>) -> u64 {
-    let mut h = sched::Fnv::new();
-    match item {
-        // Tag 1/6/7 by wire kind, then the frame's link, then the kind's
-        // fields: the bytes every pinned state digest was computed over.
-        Item::Frame(Frame {
-            from,
-            to,
-            link_epoch,
-            wire,
-        }) => {
-            h.write_u64(match wire {
-                Wire::Plain(_) => 1,
-                Wire::Data { .. } => 6,
-                Wire::Ack { .. } => 7,
-            });
-            h.write_u64(from.0 as u64);
-            h.write_u64(to.0 as u64);
-            h.write_u64(*link_epoch);
-            match wire {
-                Wire::Plain(msg) => h.write_u64(sched::digest_of_debug(msg)),
-                Wire::Data { seq, ack, msg } => {
-                    h.write_u64(*seq);
-                    h.write_u64(*ack);
-                    h.write_u64(sched::digest_of_debug(msg));
-                }
-                Wire::Ack { ack } => h.write_u64(*ack),
-            }
-        }
-        Item::Proto { node, ev } => {
-            h.write_u64(2);
-            h.write_u64(node.0 as u64);
-            h.write_u64(sched::digest_of_debug(ev));
-        }
-        Item::Command(cmd) => {
-            h.write_u64(3);
-            h.write_u64(sched::digest_of_debug(cmd));
-        }
-        Item::MoveStep { node, epoch } => {
-            h.write_u64(4);
-            h.write_u64(node.0 as u64);
-            h.write_u64(*epoch);
-        }
-        Item::MotionDone { node, epoch } => {
-            h.write_u64(5);
-            h.write_u64(node.0 as u64);
-            h.write_u64(*epoch);
-        }
-        Item::ShimRto {
-            from,
-            to,
-            epoch,
-            gen,
-        }
-        | Item::ShimAckIdle {
-            from,
-            to,
-            epoch,
-            gen,
-        } => {
-            h.write_u64(if matches!(item, Item::ShimRto { .. }) {
-                8
-            } else {
-                9
-            });
-            h.write_u64(from.0 as u64);
-            h.write_u64(to.0 as u64);
-            h.write_u64(*epoch);
-            h.write_u64(*gen);
-        }
-        Item::ChannelTick { gen } => {
-            h.write_u64(10);
-            h.write_u64(*gen);
-        }
-    }
-    h.finish()
 }
 
 #[cfg(test)]

@@ -38,7 +38,7 @@ impl LinkUpKind {
 /// about its own motion (the paper assumes nodes are aware of their own
 /// mobility, e.g. via start/stop beacons); `Timer` is a self-scheduled
 /// wake-up.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub enum Event<M> {
     /// The application wants the critical section. Delivered only while the
     /// node is thinking.

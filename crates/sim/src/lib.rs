@@ -94,7 +94,7 @@ pub use neighbors::{KeysWhere, NeighborSet, Neighbors};
 pub use protocol::{Context, DiningState, Protocol};
 pub use rng::SimRng;
 pub use sched::{
-    digest_of_debug, DeliveryChoice, DigestMode, Fnv, ImportedSchedule, RandomDelays, Strategy,
+    digest_of, DeliveryChoice, DigestMode, Fnv, ImportedSchedule, RandomDelays, Strategy,
 };
 pub use shim::{ArqConfig, ShimStats};
 pub use time::SimTime;

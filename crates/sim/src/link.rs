@@ -53,7 +53,7 @@ use crate::trace::{Trace, TraceKind};
 
 /// One frame on one directed link incarnation: what the queue holds
 /// between send and arrival.
-#[derive(Clone)]
+#[derive(Clone, Hash)]
 pub(crate) struct Frame<W> {
     pub from: NodeId,
     pub to: NodeId,

@@ -9,14 +9,9 @@
 //! nothing is allocated per lookup or per walk. [`NeighborSet`] is the
 //! same container without values.
 //!
-//! **`Debug` identity.** Schedule explorers fingerprint automata by their
-//! `Debug` rendering (`digest_of_debug`), and golden fingerprints pin those
-//! digests. A `Neighbors<T>` renders byte-for-byte like the
-//! `std::collections::BTreeMap` with the same entries, a [`NeighborSet`]
-//! like the `BTreeSet`, and the views [`Neighbors::debug_map`] and
-//! [`Neighbors::debug_set`] like the map or set of the entries a closure
-//! selects, so state can move out of ordered trees into one record per
-//! neighbour without moving a digest. The types live here, beside
+//! Both derive `Hash` over the sorted entries, so the state digest of an
+//! automaton holding them (`crate::digest_of`) does not depend on the
+//! order its neighbours were inserted in. The types live here, beside
 //! [`NodeId`], because every automaton crate needs them — the doorway crate
 //! included, which cannot depend on the algorithms.
 
@@ -34,12 +29,12 @@ use crate::ids::NodeId;
 /// n.insert(NodeId(1), 'a');
 /// assert_eq!(n.get(NodeId(1)), Some(&'a'));
 /// assert!(n.iter().map(|(j, _)| j).eq([NodeId(1), NodeId(3)]));
-/// // Rendered like an ordered map and an ordered set of IDs.
+/// // Rendered like an ordered map.
 /// assert_eq!(format!("{n:?}"), "{p1: 'a', p3: 'c'}");
-/// assert_eq!(format!("{:?}", n.debug_set(|&c| c == 'c')), "{p3}");
+/// assert!(n.keys_where(|&c| c == 'c').eq([NodeId(3)]));
 /// assert!(n.keys_where(|&c| c == 'b').is_empty());
 /// ```
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Neighbors<T> {
     /// Strictly ascending by ID.
     entries: Vec<(NodeId, T)>,
@@ -127,31 +122,12 @@ impl<T> Neighbors<T> {
             pred,
         }
     }
-
-    /// A `Debug` view rendered exactly like the ordered map holding
-    /// `value(v)` for every neighbour where it is `Some`.
-    pub fn debug_map<'a, U: fmt::Debug>(
-        &'a self,
-        value: impl Fn(&'a T) -> Option<U> + 'a,
-    ) -> impl fmt::Debug + 'a {
-        fmt::from_fn(move |f| {
-            f.debug_map()
-                .entries(self.iter().filter_map(|(j, v)| Some((j, value(v)?))))
-                .finish()
-        })
-    }
-
-    /// A `Debug` view rendered exactly like the ordered set of the
-    /// neighbours whose value satisfies `pred`.
-    pub fn debug_set(&self, pred: fn(&T) -> bool) -> impl fmt::Debug + '_ {
-        fmt::from_fn(move |f| f.debug_set().entries(self.keys_where(pred)).finish())
-    }
 }
 
 /// Rendered like the ordered map with the same entries.
 impl<T: fmt::Debug> fmt::Debug for Neighbors<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&self.debug_map(Some), f)
+        f.debug_map().entries(self.iter()).finish()
     }
 }
 
@@ -192,7 +168,7 @@ impl<T> Iterator for KeysWhere<'_, T> {
 
 /// A set of neighbours: a [`Neighbors`] without values, rendered like the
 /// ordered set with the same members.
-#[derive(Clone, Default, PartialEq, Eq)]
+#[derive(Clone, Default, PartialEq, Eq, Hash)]
 pub struct NeighborSet(Neighbors<()>);
 
 impl NeighborSet {
@@ -249,8 +225,8 @@ mod tests {
     }
 
     /// Every observable of `n` and `set` equals the trees they replace:
-    /// contents, iteration order, and every `Debug` rendering in plain and
-    /// alternate form.
+    /// contents, iteration order, the selected keys, and the `Debug`
+    /// rendering.
     fn assert_same(
         n: &Neighbors<u8>,
         set: &NeighborSet,
@@ -267,25 +243,8 @@ mod tests {
             .collect();
         assert!(n.keys_where(odd).eq(odd_ids.iter().copied()), "{at}");
         assert_eq!(n.keys_where(odd).is_empty(), odd_ids.is_empty(), "{at}");
-        let halves: BTreeMap<NodeId, u8> = reference
-            .iter()
-            .filter(|(_, v)| !odd(v))
-            .map(|(&j, v)| (j, v / 2))
-            .collect();
-        let map_view = n.debug_map(|v| (!odd(v)).then_some(v / 2));
-        let set_view = n.debug_set(odd);
-        for (got, want) in [
-            (format!("{n:?}"), format!("{reference:?}")),
-            (format!("{n:#?}"), format!("{reference:#?}")),
-            (format!("{map_view:?}"), format!("{halves:?}")),
-            (format!("{map_view:#?}"), format!("{halves:#?}")),
-            (format!("{set_view:?}"), format!("{odd_ids:?}")),
-            (format!("{set_view:#?}"), format!("{odd_ids:#?}")),
-            (format!("{set:?}"), format!("{members:?}")),
-            (format!("{set:#?}"), format!("{members:#?}")),
-        ] {
-            assert_eq!(got, want, "{at}");
-        }
+        assert_eq!(format!("{n:?}"), format!("{reference:?}"), "{at}");
+        assert_eq!(format!("{set:?}"), format!("{members:?}"), "{at}");
     }
 
     #[test]
@@ -351,6 +310,8 @@ mod tests {
             let rebuilt: Neighbors<u8> = reference.iter().rev().map(|(&j, &v)| (j, v)).collect();
             let at = format!("seed {seed} collected");
             assert_same(&rebuilt, &set, &reference, &members, &at);
+            // Built in another order, hashed the same.
+            assert_eq!(crate::digest_of(&rebuilt), crate::digest_of(&n), "{at}");
         }
     }
 

@@ -43,8 +43,9 @@ impl std::fmt::Display for DiningState {
 /// Handlers must not block: all "wait until" conditions of the paper's
 /// pseudo-code are encoded as protocol state re-evaluated on later events.
 pub trait Protocol {
-    /// The message type exchanged between nodes.
-    type Msg: Clone + std::fmt::Debug;
+    /// The message type exchanged between nodes. `Hash` is what the
+    /// engine's state digest hashes a queued message by.
+    type Msg: Clone + std::fmt::Debug + std::hash::Hash;
 
     /// Handle one event. Outgoing messages and timers are issued through
     /// `ctx`.
@@ -65,7 +66,10 @@ pub trait Protocol {
     /// default) opts out: exploration still works, just without dedup
     /// pruning. Implementations must be pure and history-independent —
     /// equal states must digest equally regardless of how they were
-    /// reached.
+    /// reached. The usual body is `Some(manet_sim::digest_of(self))` over
+    /// a derived `Hash`, which covers every field: configuration that
+    /// stays constant through a run hashes the same in every state of
+    /// that run, so it never changes which states are merged.
     fn state_digest(&self) -> Option<u64> {
         None
     }

@@ -24,7 +24,7 @@ use std::ops::{Range, RangeInclusive};
 /// let x = a.gen_range(10..=20u64);
 /// assert!((10..=20).contains(&x));
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct SimRng {
     s: [u64; 4],
 }

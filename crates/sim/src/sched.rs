@@ -11,6 +11,8 @@
 //! without a strategy are bit-for-bit identical to runs before this module
 //! existed.
 
+use std::hash::{Hash, Hasher};
+
 use crate::ids::NodeId;
 use crate::rng::SimRng;
 use crate::time::SimTime;
@@ -209,8 +211,10 @@ impl Strategy for ImportedSchedule {
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// An incremental FNV-1a hasher, used for schedule-exploration state
-/// digests. Not cryptographic; collisions merely weaken dedup pruning.
+/// An incremental FNV-1a [`Hasher`], used for state digests and frame
+/// checksums. Unlike std's `DefaultHasher` it is unkeyed, so a digest is
+/// the same in every process. Not cryptographic; collisions merely weaken
+/// dedup pruning.
 #[derive(Clone, Copy, Debug)]
 pub struct Fnv(u64);
 
@@ -218,24 +222,6 @@ impl Fnv {
     /// A fresh hasher at the FNV offset basis.
     pub fn new() -> Fnv {
         Fnv(FNV_OFFSET)
-    }
-
-    /// Absorb raw bytes.
-    pub fn write_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    /// Absorb one word (little-endian).
-    pub fn write_u64(&mut self, v: u64) {
-        self.write_bytes(&v.to_le_bytes());
-    }
-
-    /// The accumulated digest.
-    pub fn finish(&self) -> u64 {
-        self.0
     }
 }
 
@@ -245,11 +231,24 @@ impl Default for Fnv {
     }
 }
 
-/// FNV-1a digest of a value's `Debug` rendering — the lazy but fully
-/// deterministic way to fingerprint protocol state without a `Hash` bound.
-pub fn digest_of_debug<T: std::fmt::Debug + ?Sized>(value: &T) -> u64 {
+impl Hasher for Fnv {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(FNV_PRIME);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// FNV-1a digest of a value's [`Hash`]: the fingerprint of protocol and
+/// engine state. Equal values digest equally however they were reached.
+pub fn digest_of<T: Hash + ?Sized>(value: &T) -> u64 {
     let mut h = Fnv::new();
-    h.write_bytes(format!("{value:?}").as_bytes());
+    value.hash(&mut h);
     h.finish()
 }
 
@@ -323,14 +322,13 @@ mod tests {
     }
 
     #[test]
-    fn debug_digest_is_stable_and_discriminating() {
-        assert_eq!(
-            digest_of_debug(&(1u64, 2u64)),
-            digest_of_debug(&(1u64, 2u64))
-        );
+    fn digest_is_stable_and_order_sensitive() {
+        assert_eq!(digest_of(&(1u64, 2u64)), digest_of(&(1u64, 2u64)));
+        assert_ne!(digest_of(&(1u64, 2u64)), digest_of(&(2u64, 1u64)));
+        // Length-prefixed: moving an element across a boundary shows.
         assert_ne!(
-            digest_of_debug(&(1u64, 2u64)),
-            digest_of_debug(&(2u64, 1u64))
+            digest_of(&(vec![1u8], vec![2u8])),
+            digest_of(&(vec![1u8, 2], Vec::<u8>::new()))
         );
     }
 }

@@ -1,6 +1,8 @@
 //! The physical world: node positions, unit-disk connectivity, motion and
 //! crash status.
 
+use std::hash::{Hash, Hasher};
+
 use crate::geo::{CsrAdjacency, Grid};
 use crate::ids::NodeId;
 
@@ -11,6 +13,14 @@ pub struct Position {
     pub x: f64,
     /// Vertical coordinate.
     pub y: f64,
+}
+
+/// By the coordinates' bits (`f64` has no `Hash`), so the state digest
+/// tells apart any two positions a queued move can name.
+impl Hash for Position {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        (self.x.to_bits(), self.y.to_bits()).hash(h);
+    }
 }
 
 impl Position {

@@ -12,7 +12,7 @@ struct Recorder {
     events: Vec<(u64, String)>,
 }
 
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 enum Msg {
     Ping,
     Pong,

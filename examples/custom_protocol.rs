@@ -11,13 +11,18 @@
 use manet_local_mutex::harness::{stats::jain_index, topology, Metrics, SafetyMonitor, Workload};
 use manet_local_mutex::lme::Algorithm2;
 use manet_local_mutex::sim::{
-    Context, DiningState, Engine, Event, NodeId, Protocol, SimConfig, SimTime,
+    digest_of, Context, DiningState, Engine, Event, NodeId, Protocol, SimConfig, SimTime,
 };
 
 /// Naive protocol: announce intent; enter only if no *smaller-ID* neighbor
 /// announced first; retry on a timer otherwise. Looks plausible, but two
 /// nodes whose `Want`s cross in flight can both enter (unsafe), and
 /// deference by fixed ID starves the largest IDs.
+///
+/// Messages must be `Hash` (the engine's state digest hashes queued ones);
+/// deriving `Hash` on the state too lets `state_digest` opt the protocol
+/// into the model checker's state deduplication.
+#[derive(Hash)]
 struct PoliteBackoff {
     me: NodeId,
     state: DiningState,
@@ -25,7 +30,7 @@ struct PoliteBackoff {
     claims: std::collections::BTreeSet<NodeId>,
 }
 
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 enum Claim {
     Want,
     Release,
@@ -79,6 +84,9 @@ impl Protocol for PoliteBackoff {
     }
     fn dining_state(&self) -> DiningState {
         self.state
+    }
+    fn state_digest(&self) -> Option<u64> {
+        Some(digest_of(self))
     }
 }
 

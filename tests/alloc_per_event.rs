@@ -19,12 +19,17 @@
 //! |---|---|---|
 //! | A2, `grid:20x20`, horizon 6 000 (288 339 events) | 0.980 | 0.120 |
 //! | A1-linial, `random:300`, waypoints, horizon 6 000 (742 308 events) | 0.523 | 0.122 |
+//!
+//! A third cell gates the checker's per-branch-point cost the same way:
+//! allocations per `Engine::state_digest` call (37 when digests formatted
+//! `Debug` text, 1 since they hash the state).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use harness::{run_algorithm, topology, AlgKind, RunSpec, WaypointPlan};
-use manet_sim::{SimConfig, World};
+use local_mutex::Algorithm2;
+use manet_sim::{Engine, NodeId, SimConfig, SimTime, World};
 
 /// The bound both runs must meet.
 const MAX_ALLOCS_PER_EVENT: f64 = 0.25;
@@ -139,4 +144,27 @@ fn a2_on_a_static_grid_stays_under_the_allocation_bound() {
 fn a1_linial_under_waypoint_motion_stays_under_the_allocation_bound() {
     let positions = topology::random_connected(300, 7);
     assert_within_bound(AlgKind::A1Linial, &positions, 6_000, true);
+}
+
+/// The checker computes a state digest at every branch point. It hashes
+/// the automata and the queued items in place: the one allocation per
+/// call is the scratch vector the pending queue is sorted in.
+#[test]
+fn state_digest_allocates_once_per_call() {
+    const CALLS: u64 = 100;
+    let edges: Vec<(u32, u32)> = (0..4).map(|i| (i, i + 1)).collect();
+    let mut engine: Engine<Algorithm2> =
+        Engine::new_graph(SimConfig::default(), 5, &edges, |s| Algorithm2::new(&s));
+    for i in 0..5 {
+        engine.set_hungry_at(SimTime(1), NodeId(i));
+    }
+    engine.run_until(SimTime(15));
+    assert!(engine.pending_events() > 0, "mid-run: something is queued");
+    let before = ALLOCS.with(Cell::get);
+    for _ in 0..CALLS {
+        std::hint::black_box(engine.state_digest());
+    }
+    let allocs = ALLOCS.with(Cell::get) - before;
+    println!("state_digest: {allocs} allocations / {CALLS} calls");
+    assert!(allocs <= CALLS, "{allocs} allocations in {CALLS} calls");
 }

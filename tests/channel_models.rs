@@ -39,7 +39,10 @@
 //! this file copied onto it and the constants zeroed; they must be
 //! reproduced unchanged by the one link layer (`manet_sim`'s
 //! `link.rs`). There no cell aborts, and every seed of every cell
-//! injects drops, duplicates and skews.
+//! injects drops, duplicates and skews. They and `GOLDEN_DIGEST` fold
+//! state digests and were re-pinned once for structural digests, with the
+//! partition of states shown unchanged (see "Digest re-pin" in
+//! `tests/sim_golden/mod.rs`).
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -90,7 +93,7 @@ fn fingerprint(channel: ChannelConfig) -> (u64, u64, usize, Option<u64>) {
 const GOLDEN_EVENTS: u64 = 46;
 const GOLDEN_MESSAGES: u64 = 34;
 const GOLDEN_TRACE_LEN: usize = 51;
-const GOLDEN_DIGEST: Option<u64> = Some(4863837214346979772);
+const GOLDEN_DIGEST: Option<u64> = Some(3509928648375927906);
 
 #[test]
 fn explicit_iid_matches_the_golden_fingerprint() {
@@ -303,10 +306,10 @@ fn pipeline_golden_strategy_bypasses_the_channel() {
     assert_eq!(sum.channel.frames_queued, 0, "{:?}", sum.channel);
 }
 
-const PIPELINE_BANDWIDTH: u64 = 0xe7ec_2373_de3c_aa3a;
-const PIPELINE_SHARED: u64 = 0xa037_1bf2_bf39_a635;
-const PIPELINE_GILBERT: u64 = 0xda88_b620_57ca_3263;
-const PIPELINE_STRATEGY: u64 = 0xc356_f168_8b35_8993;
+const PIPELINE_BANDWIDTH: u64 = 0xdf34_0007_d07b_6060;
+const PIPELINE_SHARED: u64 = 0xd1aa_5af1_d10c_d78f;
+const PIPELINE_GILBERT: u64 = 0x53f2_8639_318c_ce1f;
+const PIPELINE_STRATEGY: u64 = 0xd409_5de8_7f7e_808f;
 
 // ---------------------------------------------------------------------
 // 2. Constant bandwidth: FIFO serialization, structured aborts.

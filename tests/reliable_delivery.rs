@@ -45,6 +45,10 @@
 //!
 //! No cell aborts. An *intentional* change to the machine's timing re-pins
 //! by pasting the printed value over the constant, and says so.
+//! `SHIM_ON_GOLDEN` and `GOLDEN_DIGEST` fold state digests and were
+//! re-pinned once for structural digests, with the partition of states
+//! shown unchanged (see "Digest re-pin" in `tests/sim_golden/mod.rs`);
+//! `GOLDEN_EVENTS`, `GOLDEN_MESSAGES` and `GOLDEN_TRACE_LEN` never moved.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -241,7 +245,7 @@ fn shim_off_runs_are_bit_for_bit_the_bare_channel() {
 const GOLDEN_EVENTS: u64 = 46;
 const GOLDEN_MESSAGES: u64 = 34;
 const GOLDEN_TRACE_LEN: usize = 51;
-const GOLDEN_DIGEST: Option<u64> = Some(4863837214346979772);
+const GOLDEN_DIGEST: Option<u64> = Some(3509928648375927906);
 
 #[test]
 fn shim_off_reports_render_zero_suffix_counters() {
@@ -376,7 +380,7 @@ fn shim_on_runs_are_bit_for_bit_the_pinned_machine() {
     fold.check("random:30+arq / ring:12+arq", SHIM_ON_GOLDEN);
 }
 
-const SHIM_ON_GOLDEN: u64 = 0xb228_430a_38bf_1f24;
+const SHIM_ON_GOLDEN: u64 = 0xfe16_5e08_4b57_5b86;
 
 // ---------------------------------------------------------------------
 // 2. Shim on, loss-free: same census, no overhead on correctness.

@@ -21,11 +21,24 @@
 //! patched to honour `LME_QUEUE=heap` / `LME_LINK=pairwise`; the suites
 //! printed the same eleven digests under all four settings (wheel+grid,
 //! heap+grid, wheel+pairwise, heap+pairwise).
+//!
+//! **Digest re-pin.** Cells that fold an engine state digest — the three
+//! engine-level cells here and in `engine_equivalence.rs`,
+//! `line:12+overflow` and `check:line:4`, and the digest-folding pins of
+//! `reliable_delivery.rs` and `channel_models.rs` — were re-pinned once,
+//! when digests stopped hashing each automaton's `Debug` text and started
+//! hashing its derived `Hash`. A digest's value is arbitrary; dedup, DPOR
+//! and lasso detection act only on which states digest equal. So before
+//! re-pinning, every such cell was folded on the old and the new code with
+//! each digest replaced by the index of its first occurrence, and the two
+//! folds were equal: the new digest merges exactly the states the old one
+//! merged.
 
 // Each test binary uses its own subset of this module.
 #![allow(dead_code)]
 
 use std::fmt::Debug;
+use std::hash::Hasher;
 
 use harness::{run_algorithm, topology, AlgKind, RunOutcome, RunReport, RunSpec, WaypointPlan};
 use local_mutex::Algorithm2;
@@ -44,7 +57,7 @@ impl Fold {
     }
 
     pub fn add(&mut self, value: &impl Debug) {
-        self.0.write_bytes(format!("{value:?}\n").as_bytes());
+        self.0.write(format!("{value:?}\n").as_bytes());
     }
 
     /// Everything the differential suites compared about one harness run.
@@ -150,7 +163,7 @@ pub fn random_waypoint_smooth_motion() {
         let commands = waypoints(30, 12, 6_000, seed ^ 0xB0B);
         fold_traced_run(&mut fold, seed, &positions, &commands);
     }
-    fold.check("random:30+waypoint", 0x48f7_0aec_04ea_53fb);
+    fold.check("random:30+waypoint", 0x4a6c_247c_d8d6_94c3);
 }
 
 /// Clique under the adaptive max-delay adversary with moves.
