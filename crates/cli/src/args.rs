@@ -6,6 +6,8 @@ use lme_check::{Mutation, StrategyKind};
 use lme_net::TransportKind;
 use manet_sim::{ChannelConfig, SimConfig};
 
+use crate::experiments;
+
 /// A parsed topology specification.
 #[derive(Clone, Debug, PartialEq)]
 pub enum TopoSpec {
@@ -98,20 +100,10 @@ pub enum Command {
     Chaos,
     /// Bounded schedule-space model checking with witness shrink/replay.
     Check,
-    /// Benchmarks (`lme bench live`, `lme bench channel`).
-    Bench,
     /// Live run on the shard worker pool over a real transport (`lme live`).
     Live,
-}
-
-/// Which benchmark `lme bench` runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BenchMode {
-    /// Live-runtime throughput/latency over a real transport (wall time).
-    Live,
-    /// Channel-model matrix: every channel model × a clique and a ring,
-    /// reporting meals, response times and channel counters.
-    Channel,
+    /// Regenerate the tables and figures of EXPERIMENTS.md.
+    Experiments,
 }
 
 /// Everything the CLI understood.
@@ -200,14 +192,13 @@ pub struct Cli {
     /// conflicts between the command line and a replayed witness's
     /// recorded instance.
     pub explicit: Vec<String>,
-    /// Bench: which benchmark to run.
-    pub bench_mode: BenchMode,
-    /// Bench live: ring sizes of the `--ns` scale ladder (none unless
-    /// the flag is given).
-    pub bench_ns: Vec<usize>,
-    /// Bench: where the JSON output is written (`None` = the mode's
-    /// default: `BENCH_live.json` / `BENCH_channel.json`).
-    pub bench_out: Option<String>,
+    /// Where output goes: the certificate JSON of `check --certify`, or
+    /// the document whose blocks `experiments` rewrites in place.
+    pub out: Option<String>,
+    /// Experiments: the ids to render, in the order given (empty = all).
+    pub ids: Vec<&'static str>,
+    /// Experiments: reduced sizes that run in seconds.
+    pub quick: bool,
     /// Live: which transport carries the frames.
     pub transport: TransportKind,
     /// Live: wall-clock run length in milliseconds.
@@ -227,7 +218,7 @@ pub struct Cli {
     /// Live: worker-thread count of the shard pool (`None` = size to the
     /// machine's parallelism).
     pub workers: Option<usize>,
-    /// Live / bench live: closed-loop workload — a node goes hungry again
+    /// Live: closed-loop workload — a node goes hungry again
     /// immediately after eating instead of drawing an open-loop think
     /// time from `--rate`.
     pub closed_loop: bool,
@@ -239,19 +230,17 @@ impl Cli {
         self.explicit.iter().any(|f| f == flag)
     }
 
-    /// This command's bit in [`FLAG_READERS`] and its name; `bench` counts
-    /// as one command per mode.
+    /// This command's bit in [`FLAG_READERS`] and its name.
     fn reader(&self) -> (u8, &'static str) {
-        match (&self.command, self.bench_mode) {
-            (Command::List, _) => (0, "list"),
-            (Command::Run, _) => (RUN, "run"),
-            (Command::Probe, _) => (PROBE, "probe"),
-            (Command::Sweep, _) => (SWEEP, "sweep"),
-            (Command::Chaos, _) => (CHAOS, "chaos"),
-            (Command::Check, _) => (CHECK, "check"),
-            (Command::Live, _) => (LIVE, "live"),
-            (Command::Bench, BenchMode::Live) => (BENCH_LIVE, "bench live"),
-            (Command::Bench, BenchMode::Channel) => (BENCH_CHANNEL, "bench channel"),
+        match self.command {
+            Command::List => (0, "list"),
+            Command::Run => (RUN, "run"),
+            Command::Probe => (PROBE, "probe"),
+            Command::Sweep => (SWEEP, "sweep"),
+            Command::Chaos => (CHAOS, "chaos"),
+            Command::Check => (CHECK, "check"),
+            Command::Live => (LIVE, "live"),
+            Command::Experiments => (EXPERIMENTS, "experiments"),
         }
     }
 }
@@ -262,34 +251,31 @@ const SWEEP: u8 = 1 << 2;
 const CHAOS: u8 = 1 << 3;
 const CHECK: u8 = 1 << 4;
 const LIVE: u8 = 1 << 5;
-const BENCH_LIVE: u8 = 1 << 6;
-const BENCH_CHANNEL: u8 = 1 << 7;
+const EXPERIMENTS: u8 = 1 << 6;
 /// The simulator runs that take a workload and a fault plan.
 const SIM: u8 = RUN | PROBE | SWEEP;
-/// The wall-clock runs of the live runtime.
-const LIVE_RUNS: u8 = LIVE | BENCH_LIVE;
 
 /// Which commands read each flag. Passing a flag to any other command is
 /// an error (exit 2), never a silent drop.
 const FLAG_READERS: &[(&str, u8)] = &[
-    ("--alg", SIM | CHAOS | CHECK | LIVE_RUNS | BENCH_CHANNEL),
-    ("--topo", SIM | CHAOS | CHECK | LIVE_RUNS),
-    ("--nodes", SIM | CHAOS | CHECK | LIVE_RUNS),
-    ("--horizon", SIM | CHAOS | CHECK | BENCH_CHANNEL),
-    ("--seed", SIM | CHAOS | CHECK | LIVE_RUNS | BENCH_CHANNEL),
-    ("--eat", SIM | CHAOS | CHECK | BENCH_CHANNEL),
-    ("--think", SIM | CHAOS | CHECK | BENCH_CHANNEL),
-    ("--moves", RUN | SWEEP | LIVE_RUNS),
+    ("--alg", SIM | CHAOS | CHECK | LIVE),
+    ("--topo", SIM | CHAOS | CHECK | LIVE),
+    ("--nodes", SIM | CHAOS | CHECK | LIVE),
+    ("--horizon", SIM | CHAOS | CHECK),
+    ("--seed", SIM | CHAOS | CHECK | LIVE),
+    ("--eat", SIM | CHAOS | CHECK),
+    ("--think", SIM | CHAOS | CHECK),
+    ("--moves", RUN | SWEEP | LIVE),
     ("--mix", RUN | SWEEP),
     ("--channel", SIM),
-    ("--victim", SIM | CHAOS | LIVE_RUNS),
+    ("--victim", SIM | CHAOS | LIVE),
     ("--arq", SIM),
-    ("--recover", RUN | SWEEP | LIVE_RUNS),
-    ("--reliable", LIVE_RUNS),
+    ("--recover", RUN | SWEEP | LIVE),
+    ("--reliable", LIVE),
     ("--csv", RUN),
-    ("--jobs", SWEEP | CHAOS | CHECK),
+    ("--jobs", SWEEP | CHAOS | CHECK | EXPERIMENTS),
     ("--seeds", SWEEP | CHAOS | CHECK),
-    ("--metrics-out", SIM | CHAOS | BENCH_LIVE),
+    ("--metrics-out", SIM | CHAOS),
     ("--fault-drop", SIM),
     ("--fault-dup", SIM),
     ("--fault-skew", SIM),
@@ -306,17 +292,17 @@ const FLAG_READERS: &[(&str, u8)] = &[
     ("--certify", CHECK),
     ("--witness-out", CHECK),
     ("--replay", CHECK),
-    ("--ns", BENCH_LIVE),
-    ("--out", CHECK | BENCH_LIVE | BENCH_CHANNEL),
-    ("--transport", LIVE_RUNS),
-    ("--duration", LIVE_RUNS),
-    ("--rate", LIVE_RUNS),
-    ("--eat-ms", LIVE_RUNS),
-    ("--oneshot", LIVE_RUNS),
+    ("--out", CHECK | EXPERIMENTS),
+    ("--quick", EXPERIMENTS),
+    ("--transport", LIVE),
+    ("--duration", LIVE),
+    ("--rate", LIVE),
+    ("--eat-ms", LIVE),
+    ("--oneshot", LIVE),
     ("--conformance", LIVE),
     ("--matrix", LIVE),
-    ("--workers", LIVE_RUNS),
-    ("--closed-loop", LIVE_RUNS),
+    ("--workers", LIVE),
+    ("--closed-loop", LIVE),
 ];
 
 impl Default for Cli {
@@ -358,9 +344,9 @@ impl Default for Cli {
             liveness: false,
             certify: false,
             explicit: Vec::new(),
-            bench_mode: BenchMode::Live,
-            bench_ns: Vec::new(),
-            bench_out: None,
+            out: None,
+            ids: Vec::new(),
+            quick: false,
             transport: TransportKind::Mpsc,
             duration_ms: 2_000,
             rate: 25.0,
@@ -376,7 +362,7 @@ impl Default for Cli {
 
 /// Usage text shown for `lme list` and on errors.
 pub const USAGE: &str = "\
-usage: lme <list|run|probe|sweep|chaos|check|bench|live> [options]
+usage: lme <list|run|probe|sweep|chaos|check|live|experiments> [options]
 
 commands:
   list    print algorithms and topology syntax
@@ -389,16 +375,15 @@ commands:
           command exits nonzero if that class stalls
   check   explore the legal delivery schedules of a small model for
           safety/liveness violations; shrink and replay witnesses
-  bench   `bench live`: wall-clock throughput (eating sessions/sec) and
-          hungry->eat latency percentiles of every algorithm over a
-          real transport, written as BENCH_live.json
-          `bench channel`: every channel model x {clique:8, ring:8},
-          reporting meals, response percentiles and channel counters,
-          written as BENCH_channel.json
   live    real message passing (in-process rings or UDP on loopback)
           on an M:N sharded worker pool that scales the same automata
           to tens of thousands of nodes; every algorithm runs live, and
           the live trace is validated by the safety monitor
+  experiments [ID...]
+          regenerate the tables and figures of EXPERIMENTS.md as
+          Markdown blocks: T1 F1-F4 F5 F6 C1 C2 C3 C4 M1 AB R CH L1
+          (default: all); exits 2 naming id, cell and seed if any cell
+          is unsafe or misses its expectation
 
 A flag the command does not read is an error (exit 2).
 
@@ -466,13 +451,14 @@ model checking (check):
                        lasso (property starvation-lasso)
   --certify            exhaust the extremal schedule space and report the
                        exact worst-case response time as a machine-
-                       readable certificate (written to --out if given)
+                       readable certificate
+  --out <p>            --certify: write the certificate JSON to <p>
   --witness-out <p>    write the shrunk witness JSON to <p>
   --replay <p>         replay a witness file instead of exploring; any
                        explicitly-passed instance flag that conflicts
                        with the witness is a structured error
 
-live runtime (live, bench live):
+live runtime (live):
   --transport <t>      mpsc | udp               (default mpsc)
   --duration <ms>      wall-clock run length    (default 2000)
   --rate <r>           hungry cycles per node-second        (default 25)
@@ -495,8 +481,14 @@ live runtime (live, bench live):
   --closed-loop        nodes go hungry again immediately after eating
                        (saturation workload; --rate only staggers the
                        first cycle)
-  --ns <a,b,...>       bench live: also run --alg on ring:n per rung
-  --out <p>            bench live: JSON path    (default BENCH_live.json)
+
+experiments:
+  --quick              reduced sizes that run in seconds
+  --jobs <n>           worker threads (default: all cores; every block
+                       but the wall-clock L1 is identical for any value)
+  --out <p>            rewrite the blocks between the ids' markers in <p>
+                       (appending missing ones) and draw figures/*.svg
+                       beside it; without it the blocks are printed
 ";
 
 fn parse_alg(s: &str) -> Result<AlgKind, String> {
@@ -638,7 +630,7 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Cli, String> {
         args.remove(0);
     }
     let mut cli = Cli::default();
-    let mut it = args.into_iter().peekable();
+    let mut it = args.into_iter();
     let cmd = it
         .next()
         .ok_or_else(|| format!("missing command\n{USAGE}"))?;
@@ -649,24 +641,21 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Cli, String> {
         "sweep" => Command::Sweep,
         "chaos" => Command::Chaos,
         "check" => Command::Check,
-        "bench" => Command::Bench,
         "live" => Command::Live,
+        "experiments" => Command::Experiments,
         other => return Err(format!("unknown command '{other}'\n{USAGE}")),
     };
-    if cli.command == Command::Bench {
-        // `bench` takes a positional mode.
-        let mode = it.next_if(|a| !a.starts_with("--")).unwrap_or_default();
-        cli.bench_mode = match mode.as_str() {
-            "live" => BenchMode::Live,
-            "channel" => BenchMode::Channel,
-            _ => {
-                return Err(format!(
-                    "unknown bench mode '{mode}'; try `lme bench live` or `lme bench channel`"
-                ))
-            }
-        };
-    }
     while let Some(flag) = it.next() {
+        if cli.command == Command::Experiments && !flag.starts_with("--") {
+            let id = experiments::id(&flag).ok_or_else(|| {
+                format!(
+                    "unknown experiment id '{flag}'; ids: {}",
+                    experiments::ids().join(" ")
+                )
+            })?;
+            cli.ids.push(id);
+            continue;
+        }
         if flag.starts_with("--") {
             cli.explicit.push(flag.clone());
         }
@@ -704,7 +693,7 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Cli, String> {
             "--reliable" => cli.reliable = true,
             "--csv" => cli.csv = true,
             "--jobs" => {
-                let jobs = parse_usize(&value("--jobs")?, "job count")?;
+                let jobs = parse_usize(&value("--jobs")?, "--jobs value")?;
                 if jobs == 0 {
                     return Err("--jobs must be at least 1".to_string());
                 }
@@ -766,13 +755,8 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Cli, String> {
             "--certify" => cli.certify = true,
             "--witness-out" => cli.witness_out = Some(value("--witness-out")?),
             "--replay" => cli.replay_witness = Some(value("--replay")?),
-            "--ns" => {
-                cli.bench_ns = value("--ns")?
-                    .split(',')
-                    .map(|s| ring_size(parse_usize(s.trim(), "node count")?, "--ns "))
-                    .collect::<Result<_, _>>()?;
-            }
-            "--out" => cli.bench_out = Some(value("--out")?),
+            "--out" => cli.out = Some(value("--out")?),
+            "--quick" => cli.quick = true,
             "--transport" => cli.transport = TransportKind::parse(&value("--transport")?)?,
             "--duration" => {
                 cli.duration_ms = parse_u64(&value("--duration")?, "duration")?;
@@ -1102,14 +1086,17 @@ mod tests {
 
     #[test]
     fn parses_bench_flags() {
-        let cli = parse(argv("bench live --ns 100,200 --out b.json")).unwrap();
-        assert_eq!(cli.command, Command::Bench);
-        assert_eq!(cli.bench_mode, BenchMode::Live);
-        assert_eq!(cli.bench_ns, vec![100, 200]);
-        assert_eq!(cli.bench_out.as_deref(), Some("b.json"));
-        let default = parse(argv("bench live")).unwrap();
-        assert!(default.bench_ns.is_empty(), "no ladder unless --ns");
-        assert_eq!(default.bench_out, None);
+        // The experiment front end that replaced `lme bench`.
+        let cli = parse(argv("experiments --quick --jobs 2 t1 --out E.md C3 l1")).unwrap();
+        assert_eq!(cli.command, Command::Experiments);
+        assert!(cli.quick);
+        assert_eq!(cli.jobs, Some(2));
+        assert_eq!(cli.out.as_deref(), Some("E.md"));
+        assert_eq!(cli.ids, vec!["T1", "C3", "L1"]);
+        let default = parse(argv("experiments")).unwrap();
+        assert!(default.ids.is_empty(), "no ids means every id");
+        assert!(!default.quick);
+        assert_eq!(default.out, None);
     }
 
     #[test]
@@ -1129,9 +1116,6 @@ mod tests {
         // Default stays the historical i.i.d. draw.
         assert_eq!(parse(argv("run")).unwrap().channel, ChannelConfig::Iid);
         assert!(parse(argv("run")).unwrap().mix.is_none());
-        let bench = parse(argv("bench channel --out c.json")).unwrap();
-        assert_eq!(bench.bench_mode, BenchMode::Channel);
-        assert_eq!(bench.bench_out.as_deref(), Some("c.json"));
     }
 
     #[test]
@@ -1146,30 +1130,31 @@ mod tests {
 
     #[test]
     fn rejects_malformed_bench_flags() {
-        // The mode word is mandatory, and the retired modes are unknown.
-        for line in [
-            "bench",
-            "bench --out b.json",
-            "bench warp",
-            "bench scale",
-            "bench engine",
+        // `lme bench` is gone: every former mode is an unknown command.
+        for line in ["bench", "bench live", "bench channel --out c.json"] {
+            let err = parse(argv(line)).unwrap_err();
+            assert!(err.starts_with("unknown command 'bench'"), "{line}: {err}");
+        }
+        for flags in ["--jobs 0", "--jobs many", "--jobs", "--out"] {
+            assert!(
+                parse(argv(&format!("experiments {flags}"))).is_err(),
+                "{flags}"
+            );
+        }
+        let err = parse(argv("experiments T1 T9")).unwrap_err();
+        assert!(err.starts_with("unknown experiment id 'T9'"), "{err}");
+        assert!(err.contains("F1-F4") && err.contains("L1"), "{err}");
+        let err = parse(argv("experiments --ns 3")).unwrap_err();
+        assert!(err.starts_with("unknown flag '--ns'"), "{err}");
+        for (line, flag) in [
+            ("experiments --topo line:3", "--topo"),
+            ("experiments --horizon 500", "--horizon"),
+            ("experiments --metrics-out m.jsonl", "--metrics-out"),
+            ("run --quick", "--quick"),
         ] {
             let err = parse(argv(line)).unwrap_err();
-            assert!(err.starts_with("unknown bench mode"), "{line}: {err}");
-            assert!(err.contains("`lme bench live`") && err.contains("`lme bench channel`"));
+            assert!(err.starts_with(&format!("{flag} does not apply")), "{err}");
         }
-        assert!(parse(argv("bench live --ns")).is_err());
-        assert!(parse(argv("bench live --ns 0")).is_err());
-        let err = parse(argv("bench live --ns 8,2")).unwrap_err();
-        assert!(err.starts_with("--ns 2 is too small"), "{err}");
-        parse(argv("bench live --ns 3")).unwrap();
-        assert!(parse(argv("bench live --ns 10,x")).is_err());
-        let err = parse(argv("bench channel --topo line:3")).unwrap_err();
-        assert_eq!(err, "--topo does not apply to `lme bench channel`");
-        let err = parse(argv("bench live --horizon 500")).unwrap_err();
-        assert_eq!(err, "--horizon does not apply to `lme bench live`");
-        let err = parse(argv("bench live --matrix")).unwrap_err();
-        assert_eq!(err, "--matrix does not apply to `lme bench live`");
     }
 
     #[test]
@@ -1190,10 +1175,6 @@ mod tests {
         assert_eq!(cli.seed, 9);
         let matrix = parse(argv("live --matrix --duration 250")).unwrap();
         assert!(matrix.matrix);
-        let bench = parse(argv("bench live --duration 300 --rate 50")).unwrap();
-        assert_eq!(bench.command, Command::Bench);
-        assert_eq!(bench.bench_mode, BenchMode::Live);
-        assert_eq!(bench.duration_ms, 300);
     }
 
     #[test]
@@ -1204,13 +1185,13 @@ mod tests {
         let default = parse(argv("live")).unwrap();
         assert_eq!(default.workers, None);
         assert!(!default.closed_loop);
-        let bench = parse(argv("bench live --workers 2")).unwrap();
-        assert_eq!(bench.workers, Some(2));
+        let err = parse(argv("experiments --workers 2")).unwrap_err();
+        assert_eq!(err, "--workers does not apply to `lme experiments`");
     }
 
     #[test]
     fn the_retired_runtime_flag_is_an_unknown_flag() {
-        for cmd in ["live --runtime sharded", "bench live --runtime sharded"] {
+        for cmd in ["live --runtime sharded", "experiments --runtime sharded"] {
             let err = parse(argv(cmd)).unwrap_err();
             assert!(err.contains("unknown flag '--runtime'"), "{err}");
         }

@@ -1,21 +1,24 @@
 //! Command execution: turn a parsed [`Cli`] into a run and render the
 //! report.
 
+use std::path::Path;
+
 use harness::{
-    crash_probe, default_jobs, run, run_cells, stats::jain_index, topology, AlgKind, FaultClass,
-    Job, MobilityMix, RunOutcome, RunReport, RunSpec, Summary, SweepCell, SweepReport, SweepSpec,
-    Table, Topo, WaypointPlan,
+    crash_probe, default_jobs, run, run_cells, stats::jain_index, AlgKind, FaultClass, Job,
+    MobilityMix, RunOutcome, RunReport, RunSpec, Summary, SweepCell, SweepReport, SweepSpec, Table,
+    Topo, WaypointPlan,
 };
 use lme_check::{
     certify, explore, replay, CertifyConfig, CheckSpec, ExploreConfig, StrategyKind, Witness,
 };
-use lme_net::{conformance_replay, run_live, LiveConfig, LiveOutcome, LiveRuntime};
+use lme_net::{conformance_replay, run_live, LiveConfig, LiveRuntime};
 use manet_sim::{
     ArqConfig, ChannelConfig, CrashWave, DelayAdversary, FaultPlan, LinkFaults, NodeId,
     PartitionWindow, SimConfig, SimTime,
 };
 
-use crate::args::{BenchMode, Cli, Command, TopoSpec, USAGE};
+use crate::args::{Cli, Command, TopoSpec, USAGE};
+use crate::experiments;
 
 fn spec_of(cli: &Cli) -> Result<RunSpec, String> {
     Ok(RunSpec {
@@ -678,7 +681,7 @@ fn render_certify(cli: &Cli) -> Result<String, String> {
     } else {
         s.push_str("  certificate       : VOID (see above)\n");
     }
-    if let Some(path) = &cli.bench_out {
+    if let Some(path) = &cli.out {
         std::fs::write(path, cert.to_json() + "\n")
             .map_err(|e| format!("cannot write certificate to {path}: {e}"))?;
         s.push_str(&format!("  certificate written to: {path}\n"));
@@ -887,347 +890,43 @@ fn render_live_matrix(cli: &Cli) -> Result<String, String> {
     Ok(s)
 }
 
-/// One `bench live` result row as a JSON object, including the per-node
-/// network-health suffix keys (`net_*`) aggregated from the trace's
-/// [`lme_net::NodeNetStats`] records — previously collected by every node
-/// and dropped at aggregation.
-fn bench_live_row_json(
-    alg: &str,
-    runtime: &str,
-    n: usize,
-    topo: &str,
-    out: &LiveOutcome,
-) -> String {
-    let lat = Summary::of(&out.latencies_ns);
-    let net = out.trace.net_stats(n);
-    let nodes_with_errors = net
+/// `lme experiments`: the blocks of the asked ids (all by default), or with
+/// `--out` spliced into that document, its `figures/` redrawn beside it.
+fn render_experiments(cli: &Cli) -> Result<String, String> {
+    let mut ids = cli.ids.clone();
+    if ids.is_empty() {
+        ids = experiments::ids();
+    }
+    let jobs = cli.jobs.unwrap_or_else(default_jobs);
+    let report = experiments::run_ids(&ids, cli.quick, jobs, &experiments::commit());
+    let mut s: String = report
+        .blocks
         .iter()
-        .filter(|s| s.decode_errors + s.send_failures > 0)
-        .count();
-    let max_decode = net.iter().map(|s| s.decode_errors).max().unwrap_or(0);
-    let max_send = net.iter().map(|s| s.send_failures).max().unwrap_or(0);
-    let max_rtx = net.iter().map(|s| s.retransmissions).max().unwrap_or(0);
-    let max_acks = net.iter().map(|s| s.acks_sent).max().unwrap_or(0);
-    format!(
-        "{{\"alg\": \"{alg}\", \"runtime\": \"{runtime}\", \"n\": {n}, \
-         \"topo\": \"{topo}\", \"elapsed_ms\": {}, \"meals\": {}, \
-         \"sessions_per_sec\": {:.2}, \"latency_ns\": {{\"count\": {}, \
-         \"mean\": {:.0}, \"p50\": {}, \"p95\": {}, \"max\": {}}}, \
-         \"messages_sent\": {}, \"messages_delivered\": {}, \
-         \"decode_errors\": {}, \"violations\": {}, \
-         \"send_failures\": {}, \"retransmissions\": {}, \
-         \"acks_sent\": {}, \"recoveries\": {}, \
-         \"net_nodes_with_errors\": {nodes_with_errors}, \
-         \"net_max_node_decode_errors\": {max_decode}, \
-         \"net_max_node_send_failures\": {max_send}, \
-         \"net_max_node_retransmissions\": {max_rtx}, \
-         \"net_max_node_acks\": {max_acks}, \
-         \"verdict_ms\": {}}}",
-        out.elapsed_ms,
-        out.total_meals(),
-        out.sessions_per_sec(),
-        lat.count,
-        lat.mean,
-        lat.p50,
-        lat.p95,
-        lat.max,
-        out.messages_sent,
-        out.messages_delivered,
-        out.decode_errors,
-        out.violations.len(),
-        out.send_failures,
-        out.retransmissions,
-        out.acks_sent,
-        out.recoveries,
-        out.verdict_ms,
-    )
-}
-
-/// `lme bench live`: wall-clock throughput and pooled hungry→eat latency
-/// percentiles for every algorithm, written as JSON. With an
-/// explicit `--ns` ladder it also runs `--alg` on `ring:n` per rung and
-/// records the rungs as `scale_rows`.
-fn render_bench_live(cli: &Cli) -> Result<String, String> {
-    let out_path = cli
-        .bench_out
-        .clone()
-        .unwrap_or_else(|| "BENCH_live.json".to_string());
-    let positions = live_positions(&cli.topo)?;
-    let n = positions.len();
-    let runtime = live_runtime_of(cli).name();
-    let mut results: Vec<(AlgKind, LiveOutcome, Summary)> = Vec::new();
-    for alg in AlgKind::extended() {
-        let cfg = live_config_of(cli, alg, positions.clone());
-        let out = run_live(&cfg)?;
-        if !out.violations.is_empty() {
-            return Err(format!(
-                "bench live: {} on {} had {} safety violations",
-                alg.name(),
-                cli.topo,
-                out.violations.len()
-            ));
-        }
-        let lat = Summary::of(&out.latencies_ns);
-        results.push((alg, out, lat));
-    }
-    let mut json = String::from("{\n");
-    json.push_str("  \"bench\": \"live\",\n");
-    json.push_str(&format!("  \"transport\": \"{}\",\n", cli.transport.name()));
-    json.push_str(&format!("  \"topo\": \"{}\",\n", cli.topo));
-    json.push_str(&format!("  \"n\": {n},\n"));
-    json.push_str(&format!("  \"duration_ms\": {},\n", cli.duration_ms));
-    json.push_str(&format!("  \"rate_per_node_sec\": {},\n", cli.rate));
-    json.push_str(&format!("  \"eat_ms\": {},\n", cli.eat_ms));
-    json.push_str(&format!("  \"seed\": {},\n", cli.seed));
-    json.push_str(&format!("  \"runtime\": \"{runtime}\",\n"));
-    json.push_str(&format!("  \"closed_loop\": {},\n", cli.closed_loop));
-    let mut jsonl: Vec<String> = Vec::new();
-    json.push_str("  \"rows\": [\n");
-    for (i, (alg, out, _lat)) in results.iter().enumerate() {
-        let row = bench_live_row_json(alg.name(), runtime, n, &cli.topo.to_string(), out);
-        jsonl.push(row.clone());
-        json.push_str(&format!(
-            "    {row}{}\n",
-            if i + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-
-    // The `--ns` scale ladder: `--alg` on `ring:n` per rung.
-    let mut scale_results: Vec<(usize, LiveOutcome)> = Vec::new();
-    if cli.explicitly_set("--ns") {
-        for &sn in &cli.bench_ns {
-            let cfg = live_config_of(cli, cli.alg, topology::ring(sn));
-            let out = run_live(&cfg)?;
-            if !out.violations.is_empty() {
-                return Err(format!(
-                    "bench live scale: {} on ring:{sn} had {} safety violations",
-                    cli.alg.name(),
-                    out.violations.len()
-                ));
+        .map(|(_, b)| format!("{b}\n\n"))
+        .collect();
+    if let Some(out) = &cli.out {
+        let path = Path::new(out);
+        let doc = match std::fs::read_to_string(path) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+                return Err(format!("cannot read {out}: {e}"))
             }
-            scale_results.push((sn, out));
-        }
-    }
-    json.push_str("  \"scale_rows\": [\n");
-    for (i, (sn, out)) in scale_results.iter().enumerate() {
-        let row = bench_live_row_json(cli.alg.name(), runtime, *sn, &format!("ring:{sn}"), out);
-        jsonl.push(row.clone());
-        json.push_str(&format!(
-            "    {row}{}\n",
-            if i + 1 < scale_results.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    if let Some(path) = &cli.metrics_out {
-        std::fs::write(path, jsonl.join("\n") + "\n")
-            .map_err(|e| format!("cannot write metrics to {path}: {e}"))?;
-    }
-    std::fs::write(&out_path, &json).map_err(|e| format!("cannot write {out_path}: {e}"))?;
-    let mut s = format!(
-        "bench live: {} on {} (n = {n}, {} runtime{}), {} ms per algorithm, rate {}/s\n",
-        cli.transport.name(),
-        cli.topo,
-        runtime,
-        if cli.closed_loop { ", closed loop" } else { "" },
-        cli.duration_ms,
-        cli.rate,
-    );
-    let mut table = Table::new(&[
-        "algorithm",
-        "meals",
-        "sessions/s",
-        "hungry→eat (pooled)",
-        "delivered",
-    ]);
-    for (alg, out, lat) in &results {
-        table.row([
-            alg.name().to_string(),
-            out.total_meals().to_string(),
-            format!("{:.1}", out.sessions_per_sec()),
-            fmt_latency_ms(lat),
-            out.messages_delivered.to_string(),
-        ]);
-    }
-    s.push_str(&table.to_string());
-    if !scale_results.is_empty() {
-        s.push_str(&format!("scale ladder: {} on ring:n\n", cli.alg.name()));
-        let mut scale_table = Table::new(&["n", "meals", "sessions/s", "p95"]);
-        for (sn, out) in &scale_results {
-            let lat = Summary::of(&out.latencies_ns);
-            scale_table.row([
-                sn.to_string(),
-                out.total_meals().to_string(),
-                format!("{:.1}", out.sessions_per_sec()),
-                format!("{:.2} ms", lat.p95 as f64 / 1e6),
-            ]);
-        }
-        s.push_str(&scale_table.to_string());
-    }
-    s.push_str(&format!("results written to {out_path}\n"));
-    Ok(s)
-}
-
-/// The fixed channel-model matrix `lme bench channel` sweeps: every
-/// model over a dense (clique) and a sparse (ring) topology. The
-/// Gilbert–Elliott cells arm the ARQ shim — burst loss without
-/// retransmission starves by design.
-fn bench_channel_models() -> Vec<(&'static str, ChannelConfig, bool)> {
-    vec![
-        ("iid", ChannelConfig::Iid, false),
-        (
-            "constant-bandwidth",
-            ChannelConfig::ConstantBandwidth {
-                ticks_per_frame: 2,
-                max_queue: 64,
-            },
-            false,
-        ),
-        (
-            "shared-medium",
-            ChannelConfig::SharedMedium {
-                ticks_per_frame: 2,
-                max_inflight: 64,
-            },
-            false,
-        ),
-        ("gilbert-elliott", ChannelConfig::burst_loss_default(), true),
-    ]
-}
-
-/// `lme bench channel`: run the algorithm under every channel model on a
-/// clique and a ring, reporting meals, response percentiles and the
-/// channel counters, written as JSON. This is the degradation matrix in
-/// miniature: the i.i.d. rows are the paper's assumption-satisfying
-/// baseline, everything below shows what contention and burst loss cost.
-/// A cell whose offered load exceeds channel capacity (a dense clique on
-/// one shared medium) ends in a structured queue-overflow abort; the row
-/// is kept with its `abort` recorded — saturation is the result, not an
-/// error. Only safety violations fail the bench.
-fn render_bench_channel(cli: &Cli) -> Result<String, String> {
-    let out_path = cli
-        .bench_out
-        .clone()
-        .unwrap_or_else(|| "BENCH_channel.json".to_string());
-    let topos = [TopoSpec::Clique(8), TopoSpec::Ring(8)];
-    struct Row {
-        model: &'static str,
-        topo: String,
-        arq: bool,
-        meals: u64,
-        rt: Summary,
-        messages: u64,
-        stats: manet_sim::ChannelStats,
-        violations: usize,
-        abort: Option<String>,
-    }
-    let mut rows: Vec<Row> = Vec::new();
-    for (model, channel, arq) in bench_channel_models() {
-        for topo in &topos {
-            let spec = RunSpec {
-                sim: SimConfig {
-                    seed: cli.seed,
-                    channel: channel.clone(),
-                    arq: arq.then(ArqConfig::default),
-                    ..SimConfig::default()
-                },
-                horizon: cli.horizon,
-                eat: cli.eat.0..=cli.eat.1,
-                think: cli.think.0..=cli.think.1,
-                ..RunSpec::default()
-            };
-            let out = run(cli.alg, &spec, &topo.topo(), &[], None);
-            if !out.violations.is_empty() {
-                return Err(format!(
-                    "bench channel: {} under {model} on {topo} had {} safety violations",
-                    cli.alg.name(),
-                    out.violations.len()
-                ));
-            }
-            rows.push(Row {
-                model,
-                topo: topo.to_string(),
-                arq,
-                meals: out.total_meals(),
-                rt: out.all_summary(),
-                messages: out.messages_sent,
-                stats: out.stats.channel.clone(),
-                violations: out.violations.len(),
-                abort: out.abort.clone(),
-            });
-        }
-    }
-    let mut json = String::from("{\n");
-    json.push_str("  \"bench\": \"channel\",\n");
-    json.push_str(&format!("  \"alg\": \"{}\",\n", cli.alg.name()));
-    json.push_str(&format!("  \"seed\": {},\n", cli.seed));
-    json.push_str(&format!("  \"horizon\": {},\n", cli.horizon));
-    json.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let abort = match &r.abort {
-            Some(a) => format!("\"{}\"", a.replace('\\', "\\\\").replace('"', "\\\"")),
-            None => "null".to_string(),
+            doc => experiments::splice(&doc.unwrap_or_default(), &report.blocks),
         };
-        json.push_str(&format!(
-            "    {{\"model\": \"{}\", \"topo\": \"{}\", \"arq\": {}, \"meals\": {}, \
-             \"rt\": {{\"count\": {}, \"p50\": {}, \"p95\": {}, \"max\": {}}}, \
-             \"messages\": {}, \"frames_queued\": {}, \"queue_peak\": {}, \
-             \"burst_transitions\": {}, \"frames_lost\": {}, \"violations\": {}, \
-             \"abort\": {abort}}}{}\n",
-            r.model,
-            r.topo,
-            r.arq,
-            r.meals,
-            r.rt.count,
-            r.rt.p50,
-            r.rt.p95,
-            r.rt.max,
-            r.messages,
-            r.stats.frames_queued,
-            r.stats.queue_peak,
-            r.stats.burst_transitions,
-            r.stats.frames_lost,
-            r.violations,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
+        std::fs::write(path, doc).map_err(|e| format!("cannot write {out}: {e}"))?;
+        s = format!("rewrote {} block(s) of {out}\n", report.blocks.len());
+        let dir = path.parent().unwrap_or(Path::new(".")).join("figures");
+        for (name, svg) in &report.figures {
+            let file = dir.join(name);
+            let written = std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&file, svg));
+            written.map_err(|e| format!("cannot write {}: {e}", file.display()))?;
+            s += &format!("wrote {}\n", file.display());
+        }
     }
-    json.push_str("  ]\n}\n");
-    std::fs::write(&out_path, &json).map_err(|e| format!("cannot write {out_path}: {e}"))?;
-    let mut s = format!(
-        "bench channel: {} x {{clique:8, ring:8}}, horizon {}, seed {}\n",
-        cli.alg.name(),
-        cli.horizon,
-        cli.seed
-    );
-    let mut table = Table::new(&[
-        "model",
-        "topology",
-        "meals",
-        "rt p50/p95/max",
-        "messages",
-        "queued/peak",
-        "transitions/lost",
-        "outcome",
-    ]);
-    for r in &rows {
-        table.row([
-            r.model.to_string(),
-            r.topo.clone(),
-            r.meals.to_string(),
-            format!("{}/{}/{}", r.rt.p50, r.rt.p95, r.rt.max),
-            r.messages.to_string(),
-            format!("{}/{}", r.stats.frames_queued, r.stats.queue_peak),
-            format!("{}/{}", r.stats.burst_transitions, r.stats.frames_lost),
-            if r.abort.is_some() {
-                "saturated".to_string()
-            } else {
-                "ok".to_string()
-            },
-        ]);
+    if report.failures.is_empty() {
+        return Ok(s);
     }
-    s.push_str(&table.to_string());
-    s.push_str(&format!("results written to {out_path}\n"));
-    Ok(s)
+    let (count, failures) = (report.failures.len(), report.failures.join("\n  "));
+    Err(format!("{count} expectation(s) failed:\n  {failures}\n{s}"))
 }
 
 /// Execute a parsed command and return the rendered report.
@@ -1280,11 +979,8 @@ pub fn execute(cli: &Cli) -> Result<String, String> {
         Command::Sweep => render_sweep(cli),
         Command::Chaos => render_chaos(cli),
         Command::Check => render_check(cli),
-        Command::Bench => match cli.bench_mode {
-            BenchMode::Live => render_bench_live(cli),
-            BenchMode::Channel => render_bench_channel(cli),
-        },
         Command::Live => render_live(cli),
+        Command::Experiments => render_experiments(cli),
     }
 }
 
@@ -1298,7 +994,7 @@ mod tests {
 
     #[test]
     fn unwritable_output_paths_are_errors_not_panics() {
-        // `run --metrics-out` and `bench live --out` both surface write
+        // `run --metrics-out` and `experiments --out` both surface write
         // failures as Err (main exits 2), never a panic.
         let err = run_cli(argv(
             "run --alg a2 --topo line:3 --horizon 5000 --metrics-out /nonexistent-dir/m.json",
@@ -1306,8 +1002,7 @@ mod tests {
         .unwrap_err();
         assert!(err.contains("cannot write"), "{err}");
         let err = run_cli(argv(
-            "bench live --topo line:2 --duration 120 --rate 40 --eat-ms 1 \
-             --out /nonexistent-dir/b.json",
+            "experiments --quick C4 --out /nonexistent-dir/EXPERIMENTS.md",
         ))
         .unwrap_err();
         assert!(err.contains("cannot write"), "{err}");
@@ -1335,30 +1030,23 @@ mod tests {
 
     #[test]
     fn bench_live_scale_rows_are_one_per_rung_with_net_stats() {
-        let dir = std::env::temp_dir().join("lme-cli-test-bench-live");
-        std::fs::create_dir_all(&dir).unwrap();
-        let out_p = dir.join("b.json");
-        let jsonl_p = dir.join("b.jsonl");
-        let out = run_cli(argv(&format!(
-            "bench live --alg a2 --topo line:2 --duration 150 --rate 40 \
-             --eat-ms 1 --ns 3 --out {} --metrics-out {}",
-            out_p.display(),
-            jsonl_p.display()
-        )))
-        .unwrap();
-        assert!(out.contains("scale ladder"), "{out}");
-        let json = std::fs::read_to_string(&out_p).unwrap();
-        assert!(json.contains("\"scale_rows\""), "{json}");
-        assert!(json.contains("\"runtime\": \"sharded\""), "{json}");
-        assert!(!json.contains("thread"), "{json}");
-        assert!(!json.contains("skipped"), "{json}");
-        assert!(json.contains("\"net_max_node_decode_errors\""), "{json}");
-        assert!(json.contains("\"net_nodes_with_errors\""), "{json}");
-        let jsonl = std::fs::read_to_string(&jsonl_p).unwrap();
-        // One line per main row (6 algorithms) + the one scale rung.
-        assert_eq!(jsonl.lines().count(), 7, "{jsonl}");
-        std::fs::remove_file(&out_p).ok();
-        std::fs::remove_file(&jsonl_p).ok();
+        // L1, the live rows and ring ladder that replaced `bench live`:
+        // one row per algorithm plus one per rung, each with its spread.
+        let out = run_cli(argv("experiments --quick L1")).unwrap();
+        assert!(out.starts_with("<!-- experiments:L1 -->\n_`lme experiments --quick L1`"));
+        let rows = |topo: &str| out.lines().filter(|l| l.contains(topo)).count();
+        assert_eq!(
+            (rows(" | clique:5 |"), rows(" | ring:100 |")),
+            (6, 1),
+            "{out}"
+        );
+        let rung = out.lines().find(|l| l.contains(" | ring:100 |")).unwrap();
+        assert!(
+            rung.starts_with("| A2 |") && rung.ends_with(" | 0 |"),
+            "{out}"
+        );
+        let live = |l: &&str| l.contains(" | clique:5 |") || l.contains(" | ring:100 |");
+        assert!(out.lines().filter(live).all(|r| r.contains('–')), "{out}");
     }
 
     #[test]
@@ -1427,9 +1115,9 @@ mod tests {
         .unwrap();
         assert!(out.contains("safety violations : 0"), "{out}");
         assert!(out.contains("conformance       : PASS"), "{out}");
-        // `bench live` has no explicit-graph driver either; it says so
-        // instead of panicking.
-        let err = run_cli(argv("bench live --topo tree:7 --duration 100")).unwrap_err();
+        // The live driver owns positions; an explicit graph is refused,
+        // not a panic.
+        let err = run_cli(argv("live --topo tree:7 --duration 100")).unwrap_err();
         assert!(err.contains("geometric topology"), "{err}");
     }
 
@@ -1595,28 +1283,31 @@ mod tests {
 
     #[test]
     fn bench_channel_writes_the_matrix() {
-        let dir = std::env::temp_dir().join("lme-cli-test-bench-channel");
+        // CH, the channel matrix that replaced `bench channel`, spliced
+        // into a document between its markers, prose around it kept.
+        let dir = std::env::temp_dir().join("lme-cli-test-experiments-ch");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("channel.json");
+        let path = dir.join("EXPERIMENTS.md");
+        let (open, close) = ("<!-- experiments:CH -->", "<!-- /experiments:CH -->");
+        std::fs::write(&path, format!("# prose\n{open}\nstale\n{close}\nafter\n")).unwrap();
         let out = run_cli(argv(&format!(
-            "bench channel --alg a2 --horizon 6000 --out {}",
+            "experiments --quick CH --out {}",
             path.display()
-        )))
-        .unwrap();
-        assert!(out.contains("results written to"), "{out}");
-        let json = std::fs::read_to_string(&path).unwrap();
-        for model in [
+        )));
+        assert!(out.unwrap().starts_with("rewrote 1 block(s)"));
+        let doc = std::fs::read_to_string(&path).unwrap();
+        let (head, tail) = (format!("# prose\n{open}\n"), format!("{close}\nafter\n"));
+        assert!(doc.starts_with(&head) && doc.ends_with(&tail), "{doc}");
+        assert!(!doc.contains("stale"), "{doc}");
+        let models = [
             "iid",
             "constant-bandwidth",
             "shared-medium",
             "gilbert-elliott",
-        ] {
-            assert!(json.contains(&format!("\"model\": \"{model}\"")), "{json}");
+        ];
+        for (model, topo) in models.iter().flat_map(|m| [(m, "clique:8"), (m, "ring:8")]) {
+            assert!(doc.contains(&format!("| {model} | {topo} |")), "{doc}");
         }
-        for topo in ["clique:8", "ring:8"] {
-            assert!(json.contains(&format!("\"topo\": \"{topo}\"")), "{json}");
-        }
-        assert!(json.matches("\"violations\": 0").count() == 8, "{json}");
         std::fs::remove_file(&path).ok();
     }
 

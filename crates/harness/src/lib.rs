@@ -27,7 +27,7 @@
 //! * [`report`] — run-level observability: per-run [`report::RunReport`]
 //!   records, stable JSON-lines emission, and pooled percentile aggregation
 //!   across seeds ([`report::AggregateRow`]);
-//! * [`stats`] / [`table`] — reporting helpers for the experiment binaries.
+//! * [`stats`] / [`table`] — reporting helpers for the `lme` reports.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -33,8 +33,9 @@
 //! println!("static response times: {}", out.static_summary());
 //! ```
 //!
-//! See `examples/` for runnable application scenarios and `crates/bench`
-//! for the experiment binaries behind EXPERIMENTS.md.
+//! See `examples/` for runnable application scenarios, and `lme
+//! experiments` (`crates/cli`) for the command that regenerates every
+//! table and figure of EXPERIMENTS.md.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,12 +1,18 @@
 //! Mobility integration tests: recoloring, demotion, and post-move
 //! liveness for Algorithm 1 and Algorithm 2.
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use manet_local_mutex::coloring::LinialSchedule;
-use manet_local_mutex::harness::{Metrics, SafetyMonitor, Workload};
-use manet_local_mutex::lme::{Algorithm1, Algorithm2, RecolorConfig};
-use manet_local_mutex::sim::{DiningState, Engine, NodeId, SimConfig, SimTime};
+use manet_local_mutex::harness::{
+    run, run_protocol, topology, AlgKind, Automata, Metrics, RunSpec, SafetyMonitor, Topo, Workload,
+};
+use manet_local_mutex::lme::{A1Msg, Algorithm1, Algorithm2, RecolorConfig};
+use manet_local_mutex::sim::{
+    Command, DiningState, Engine, Hook, NodeId, SimConfig, SimTime, Sink, View,
+};
 
 fn a1_engine(positions: Vec<(f64, f64)>, cfg: RecolorConfig) -> Engine<Algorithm1> {
     Engine::new(SimConfig::default(), positions, move |seed| {
@@ -223,5 +229,121 @@ fn bootstrap_recoloring_yields_legal_colors_and_liveness() {
         for &j in engine.world().neighbors(NodeId(i)) {
             assert_ne!(ci, engine.protocol(j).color(), "illegal pair ({i},{j})");
         }
+    }
+}
+
+/// EXPERIMENTS C2-recolor's full-size `k = 12` cell: a resident `line:16`
+/// plus 12 movers staged at `(200 + 0.2i, 200)`, all teleported at
+/// t = 2000 to `(i, 1)`.
+fn twelve_movers() -> (RunSpec, Topo, Vec<(SimTime, Command)>) {
+    let mut positions = topology::line(16);
+    positions.extend((0..12).map(|i| (200.0 + 0.2 * i as f64, 200.0)));
+    let teleport = |i: u32| {
+        let (node, dest) = (NodeId(16 + i), (f64::from(i), 1.0).into());
+        (SimTime(2_000), Command::Teleport { node, dest })
+    };
+    let spec = RunSpec {
+        horizon: 40_000,
+        delta_bound: Some(8),
+        ..RunSpec::default()
+    };
+    (spec, Topo::Geo(positions), (0..12).map(teleport).collect())
+}
+
+const P25: NodeId = NodeId(25);
+const P26: NodeId = NodeId(26);
+
+/// The p25 → p26 forks as `(delivered at, delivery number within the link
+/// incarnation, generation)`; a link change between the two restarts the
+/// numbering, as the engine's does.
+#[derive(Default)]
+struct Forks {
+    seq: u64,
+    log: Vec<(SimTime, u64, u64)>,
+}
+
+struct Recorder(Rc<RefCell<Forks>>);
+
+impl Recorder {
+    fn link_changed(&mut self, a: NodeId, b: NodeId) {
+        if (a.min(b), a.max(b)) == (P25, P26) {
+            self.0.borrow_mut().seq = 0;
+        }
+    }
+}
+
+impl Hook<A1Msg> for Recorder {
+    fn on_link_up(&mut self, _: &View<'_>, a: NodeId, b: NodeId, _: &mut Sink) {
+        self.link_changed(a, b);
+    }
+
+    fn on_link_down(&mut self, _: &View<'_>, a: NodeId, b: NodeId, _: &mut Sink) {
+        self.link_changed(a, b);
+    }
+
+    fn on_deliver(&mut self, view: &View<'_>, from: NodeId, to: NodeId, msg: &A1Msg, _: &mut Sink) {
+        let mut forks = self.0.borrow_mut();
+        if (from, to) == (P25, P26) {
+            forks.seq += 1;
+            if let A1Msg::Fork { gen, .. } = msg {
+                let entry = (view.time(), forks.seq, *gen);
+                forks.log.push(entry);
+            }
+        }
+    }
+}
+
+/// A known defect, pinned until it is fixed (ROADMAP): a fork sent on a
+/// link incarnation its sender has not yet been notified of is delivered
+/// on the new one, and the fork is duplicated.
+///
+/// The teleports bump p25–p26's incarnation at t = 2000, but
+/// `Core::notify` only queues the LinkDown/LinkUp events. p25 first
+/// handles an earlier-queued LinkDown of another mover and sends p26 the
+/// fork from its old record (generation 11). `send` checks only that the
+/// nodes are linked, so the frame rides the new incarnation as its first
+/// delivery (t = 2008); p26 accepts generation 11 over its fresh 0 and both
+/// ends hold the fork. The two first eat together at t = 3291. The fix
+/// flips this test: the frame must carry the incarnation its sender was
+/// last notified of, and the run must be safe.
+#[test]
+fn stale_fork_rides_a_new_link_incarnation_and_duplicates_the_fork() {
+    let (spec, topo, commands) = twelve_movers();
+    let edges = topo.edges(spec.sim.radio_range);
+    let automata = AlgKind::A1Greedy.automata(topo.len(), &edges, Some(8), spec.sim.seed);
+    let Automata::A1(make) = automata else {
+        unreachable!("A1-greedy is an Algorithm 1 variant");
+    };
+    let forks = Rc::new(RefCell::new(Forks::default()));
+    let recorder = Recorder(forks.clone());
+    let setup = |engine: &mut Engine<Algorithm1>| {
+        engine.add_hook(Box::new(recorder));
+        for (at, cmd) in &commands {
+            engine.schedule(*at, cmd.clone());
+        }
+    };
+    let out = run_protocol(&spec, &topo, move |seed| make(&seed), setup);
+    let first = out.violations.first().expect("the race is pinned");
+    let pair = (first.a.min(first.b), first.a.max(first.b));
+    assert_eq!((first.at, pair), (SimTime(3_291), (P25, P26)));
+    let after_move = forks
+        .borrow()
+        .log
+        .iter()
+        .find(|f| f.0 >= SimTime(2_000))
+        .copied();
+    assert_eq!(after_move, Some((SimTime(2_008), 1, 11)));
+
+    // The whole Algorithm 1 family shares the race; the static-colour
+    // Choy–Singh baseline, Chandy–Misra and A2 do not.
+    for (kind, unsafe_) in [
+        (AlgKind::A1Linial, true),
+        (AlgKind::A1Random, true),
+        (AlgKind::ChoySingh, false),
+        (AlgKind::ChandyMisra, false),
+        (AlgKind::A2, false),
+    ] {
+        let out = run(kind, &spec, &topo, &commands, None);
+        assert_eq!(!out.violations.is_empty(), unsafe_, "{}", kind.name());
     }
 }
