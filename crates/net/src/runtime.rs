@@ -10,7 +10,7 @@
 use baselines::ChandyMisra;
 use harness::{topology, AlgKind, Automata, Violation};
 use local_mutex::Algorithm2;
-use manet_sim::{LinkUpKind, NodeId, Position, SimConfig};
+use manet_sim::SimConfig;
 
 use crate::shard::{run_sharded_with, ShardTuning};
 use crate::trace::LiveTrace;
@@ -170,7 +170,8 @@ pub struct LiveOutcome {
     pub trace: LiveTrace,
     /// Eating sessions entered, per node.
     pub meals: Vec<u64>,
-    /// Pooled hungry→eating latencies in nanoseconds.
+    /// Pooled hungry→eating latencies in nanoseconds, sampled under the
+    /// simulator's response-time rule (see [`LiveTrace::audit_safety`]).
     pub latencies_ns: Vec<u64>,
     /// Safety violations found by replaying the trace into the harness
     /// safety core (empty = the run was safe).
@@ -194,8 +195,9 @@ pub struct LiveOutcome {
     /// Wall-clock length of the run in milliseconds.
     pub elapsed_ms: u64,
     /// Milliseconds from the end of the run (every node joined, where
-    /// `elapsed_ms` stops) until `violations` was known: trace merge or
-    /// sort plus the safety replay.
+    /// `elapsed_ms` stops) until the whole verdict was known: the trace
+    /// merge plus the one pass that yields `violations`, `meals` and
+    /// `latencies_ns`.
     pub verdict_ms: u64,
     /// Nodes whose worker thread exited cleanly (always `n` on success).
     pub threads_joined: usize,
@@ -212,24 +214,6 @@ impl LiveOutcome {
         let secs = self.elapsed_ms.max(1) as f64 / 1_000.0;
         self.total_meals() as f64 / secs
     }
-}
-
-/// Driver → node control plane. Kept separate from the data plane so
-/// topology changes cannot be lost to a severed link.
-pub(crate) enum Ctrl {
-    LinkUp { peer: NodeId, kind: LinkUpKind },
-    LinkDown { peer: NodeId },
-    MoveStarted,
-    MoveEnded,
-    Crash,
-    Recover,
-}
-
-/// A driver-side fault/mobility action on the run's timeline.
-pub(crate) enum Action {
-    Crash(NodeId),
-    Recover(NodeId),
-    Move(NodeId, Position),
 }
 
 /// Run one live execution and validate its trace.

@@ -69,6 +69,8 @@ pub struct StampedRecord {
     pub kind: LiveEventKind,
 }
 
+const _: () = assert!(std::mem::size_of::<StampedRecord>() == 40);
+
 /// K-way merge the per-shard record streams into one dense total order.
 ///
 /// Each input stream must be non-decreasing in `clock` (the per-shard
@@ -82,8 +84,9 @@ pub struct StampedRecord {
 /// The streams are consumed, back to front: the record with the largest
 /// key among the streams' tails is taken next and written to the front of
 /// the output, so each stream gives its memory back as it drains (shrunk
-/// whenever an eighth of its capacity is free) while the output fills in
-/// from its end, and the trace is never held twice.
+/// whenever a 32nd of its capacity is free) while the output fills in
+/// from its end, and the trace is never held twice: the peak is the
+/// records plus a 32nd of each stream.
 pub fn merge_stamped(mut streams: Vec<Vec<StampedRecord>>) -> Vec<LiveRecord> {
     for stream in &mut streams {
         let mut max = 0;
@@ -116,7 +119,7 @@ pub fn merge_stamped(mut streams: Vec<Vec<StampedRecord>>) -> Vec<LiveRecord> {
                 order: (total - 1 - out.len()) as u64,
                 kind: rec.kind,
             });
-            if stream.len() < stream.capacity() / 8 * 7 {
+            if stream.len() < stream.capacity() / 32 * 31 {
                 stream.shrink_to_fit();
             }
         }

@@ -52,10 +52,10 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
 
-use manet_sim::{LinkChange, LinkUpKind, NodeId, NodeSeed, Protocol, SimConfig, World};
+use manet_sim::{LinkChange, LinkUpKind, NodeId, NodeSeed, Position, Protocol, SimConfig, World};
 
 use crate::codec::WireMsg;
-use crate::runtime::{Action, Ctrl, LiveConfig, LiveOutcome, LiveRuntime};
+use crate::runtime::{LiveConfig, LiveOutcome, LiveRuntime};
 use crate::trace::{LiveEventKind, LiveTrace};
 use crate::transport::TransportKind;
 
@@ -311,6 +311,24 @@ impl ShardShared {
             }
         }
     }
+}
+
+/// Driver → node control plane. Kept separate from the data plane so
+/// topology changes cannot be lost to a severed link.
+pub(crate) enum Ctrl {
+    LinkUp { peer: NodeId, kind: LinkUpKind },
+    LinkDown { peer: NodeId },
+    MoveStarted,
+    MoveEnded,
+    Crash,
+    Recover,
+}
+
+/// A driver-side fault/mobility action on the run's timeline.
+enum Action {
+    Crash(NodeId),
+    Recover(NodeId),
+    Move(NodeId, Position),
 }
 
 /// Driver → worker control plane.
@@ -1029,15 +1047,13 @@ where
     let elapsed_ms = shared.now_ns() / 1_000_000;
 
     let trace = LiveTrace::from_merged(merge_stamped(streams));
-    let violations = trace.check_safety(radio_range, &cfg.positions);
+    let audit = trace.audit_safety(radio_range, &cfg.positions);
     let verdict_ms = shared.now_ns() / 1_000_000 - elapsed_ms;
-    let meals = trace.census(n);
-    let latencies_ns = trace.hungry_to_eat_latencies_ns(n);
     Ok(LiveOutcome {
         trace,
-        meals,
-        latencies_ns,
-        violations,
+        meals: audit.meals,
+        latencies_ns: audit.latencies_ns,
+        violations: audit.violations,
         messages_sent: shared.sent.load(Ordering::Relaxed),
         messages_delivered: shared.delivered.load(Ordering::Relaxed),
         decode_errors: shared.decode_errors.load(Ordering::Relaxed),

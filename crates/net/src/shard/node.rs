@@ -22,9 +22,9 @@ use manet_sim::arq::{ArqTiming, GoBackN, Rto};
 use manet_sim::{Context, DiningState, Event, NodeId, Protocol, SimConfig, SimRng, SimTime};
 
 use super::clock::{HybridClock, StampedRecord};
-use super::ShardShared;
+use super::{Ctrl, ShardShared};
 use crate::codec::{decode_frame, encode_frame, WireMsg};
-use crate::runtime::{Ctrl, LiveConfig};
+use crate::runtime::LiveConfig;
 use crate::trace::LiveEventKind;
 use crate::transport::{decode_envelope, encode_envelope, ENV_ACK, ENV_DATA};
 
@@ -470,8 +470,7 @@ where
                         from,
                         to: self.me,
                         seq,
-                        kind: P::msg_kind(&msg),
-                        latency_ns,
+                        latency_ns: saturate(latency_ns),
                     },
                     wire,
                     shared,
@@ -490,15 +489,20 @@ where
         self.record(
             LiveEventKind::NetStats {
                 node: self.me,
-                decode_errors: self.n_decode_errors,
-                send_failures: self.n_send_failures,
-                retransmissions: self.n_retransmissions,
-                acks_sent: self.n_acks_sent,
+                decode_errors: saturate(self.n_decode_errors),
+                send_failures: saturate(self.n_send_failures),
+                retransmissions: saturate(self.n_retransmissions),
+                acks_sent: saturate(self.n_acks_sent),
             },
             wire,
             shared,
         );
     }
+}
+
+/// A trace record's `u32` field: `x`, or `u32::MAX` if it does not fit.
+fn saturate(x: u64) -> u32 {
+    u32::try_from(x).unwrap_or(u32::MAX)
 }
 
 #[cfg(test)]

@@ -22,7 +22,8 @@
 //!   neighborhoods the record touched; `Deliver`, `LinkUp`, `LinkDown`
 //!   and `NetStats` records cannot change what the invariant reads and
 //!   never reach the core. The replay is O(records + eating transitions
-//!   · δ), not O(records · n);
+//!   · δ), not O(records · n), and [`LiveTrace::audit_safety`] reads the
+//!   eating census and the response-time samples off the same pass;
 //! * [`LiveTrace::to_schedule`] quantizes each observed delivery latency
 //!   into virtual-time delivery delays, producing an [`ImportedSchedule`]
 //!   the deterministic engine can replay (the conformance bridge).
@@ -31,6 +32,10 @@ use harness::{SafetyCore, Violation};
 use manet_sim::{DiningState, ImportedSchedule, LinkChange, NodeId, SimTime, World};
 
 /// What happened, as observed by one thread of the live run.
+///
+/// Plain data of 24 bytes: a one-byte tag, then every variant's fields
+/// packed behind it with no `u64` wider than it has to be, so a trace
+/// record is 40 bytes (DESIGN §11).
 #[derive(Clone, Debug, PartialEq)]
 pub enum LiveEventKind {
     /// A node's dining state changed. `session` is the node's eating-session
@@ -54,10 +59,9 @@ pub enum LiveEventKind {
         /// Sequence number from the envelope: per directed link
         /// incarnation, from 1 (a reconnect restarts at 1).
         seq: u64,
-        /// Protocol-reported message kind (for the census).
-        kind: &'static str,
-        /// Receive instant minus the envelope's send instant.
-        latency_ns: u64,
+        /// Receive instant minus the envelope's send instant, saturating
+        /// at `u32::MAX` (≈ 4.29 s; see [`LiveTrace::to_schedule`]).
+        latency_ns: u32,
     },
     /// A link came up; `a` is the designated static side.
     LinkUp {
@@ -86,18 +90,19 @@ pub enum LiveEventKind {
     },
     /// A node's network counters at shutdown — one record per node, the
     /// per-node ledger behind the run-level totals. All zero on a healthy
-    /// fault-free transport.
+    /// fault-free transport. Each counter saturates at `u32::MAX`;
+    /// [`LiveTrace::net_stats`] widens them back into [`NodeNetStats`].
     NetStats {
         /// The reporting node.
         node: NodeId,
         /// Envelopes or frames that failed to decode.
-        decode_errors: u64,
+        decode_errors: u32,
         /// Transport send calls that returned an error.
-        send_failures: u64,
+        send_failures: u32,
         /// Data frames retransmitted by the reliable shim.
-        retransmissions: u64,
+        retransmissions: u32,
         /// Standalone acknowledgment frames sent by the reliable shim.
-        acks_sent: u64,
+        acks_sent: u32,
     },
     /// The driver teleported a node (recorded *before* the resulting
     /// link records, so a validator's mirror world stays in sync).
@@ -110,6 +115,8 @@ pub enum LiveEventKind {
         y: f64,
     },
 }
+
+const _: () = assert!(std::mem::size_of::<LiveEventKind>() == 24);
 
 /// One node's network counters, as reported at shutdown.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -134,6 +141,8 @@ pub struct LiveRecord {
     /// The observation itself.
     pub kind: LiveEventKind,
 }
+
+const _: () = assert!(std::mem::size_of::<LiveRecord>() == 40);
 
 /// A captured live run, sorted into its total order.
 #[derive(Clone, Debug, Default)]
@@ -173,22 +182,6 @@ impl LiveTrace {
         self.records.is_empty()
     }
 
-    /// Eating sessions entered per node (the live census).
-    pub fn census(&self, n: usize) -> Vec<u64> {
-        let mut meals = vec![0u64; n];
-        for r in &self.records {
-            if let LiveEventKind::State {
-                node,
-                new: DiningState::Eating,
-                ..
-            } = r.kind
-            {
-                meals[node.index()] += 1;
-            }
-        }
-        meals
-    }
-
     /// Per-node network counters from the shutdown [`LiveEventKind::NetStats`]
     /// records. Nodes that never reported (a thread that died before
     /// shutdown) stay at zero.
@@ -204,10 +197,10 @@ impl LiveTrace {
             } = r.kind
             {
                 out[node.index()] = NodeNetStats {
-                    decode_errors,
-                    send_failures,
-                    retransmissions,
-                    acks_sent,
+                    decode_errors: decode_errors.into(),
+                    send_failures: send_failures.into(),
+                    retransmissions: retransmissions.into(),
+                    acks_sent: acks_sent.into(),
                 };
             }
         }
@@ -222,38 +215,19 @@ impl LiveTrace {
             .count()
     }
 
-    /// Hungry→eating latencies in nanoseconds, pooled over all nodes.
-    /// Measured from the *first* entry into hungry (a demotion back to
-    /// hungry does not restart the clock, matching the paper's response
-    /// time).
-    pub fn hungry_to_eat_latencies_ns(&self, n: usize) -> Vec<u64> {
-        let mut since = vec![None; n];
-        let mut out = Vec::new();
-        for r in &self.records {
-            if let LiveEventKind::State { node, old, new, .. } = r.kind {
-                let slot = &mut since[node.index()];
-                match (old, new) {
-                    (DiningState::Thinking, DiningState::Hungry) => {
-                        slot.get_or_insert(r.at_ns);
-                    }
-                    (_, DiningState::Eating) => {
-                        if let Some(h) = slot.take() {
-                            out.push(r.at_ns.saturating_sub(h));
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-        out
-    }
-
     /// Quantize every observed delivery latency into a virtual-time delay
     /// and build the per-channel schedule the deterministic engine can
     /// replay. Latencies are clamped into `[min_delay, max_delay]` ticks —
     /// the engine rejects out-of-window replay delays as malformed
     /// schedules, so quantization is where real latencies get squeezed into
     /// the model's legal window.
+    ///
+    /// A recorded latency saturates at `u32::MAX` ns (≈ 4.29 s). That
+    /// cannot change a schedule while `max_delay · tick_ns` stays below
+    /// 4.29 s: the clamp maps every latency of at least that much to
+    /// `max_delay` ticks, so a saturated latency lands there exactly as
+    /// its true value would have. The live runtime calls this with
+    /// `max_delay` = ν = 10 ticks of 100 µs by default, i.e. 1 ms.
     pub fn to_schedule(&self, tick_ns: u64, min_delay: u64, max_delay: u64) -> ImportedSchedule {
         let tick_ns = tick_ns.max(1);
         let lo = min_delay.max(1);
@@ -266,7 +240,7 @@ impl LiveTrace {
                 ..
             } = r.kind
             {
-                let ticks = (latency_ns / tick_ns).clamp(lo, max_delay.max(lo));
+                let ticks = (u64::from(latency_ns) / tick_ns).clamp(lo, max_delay.max(lo));
                 sched.push(from, to, ticks);
             }
         }
@@ -283,22 +257,42 @@ impl LiveTrace {
         self.audit_safety(radio_range, positions).violations
     }
 
-    /// [`LiveTrace::check_safety`] together with what the replay cost.
+    /// The run's verdict in one pass over the trace: the
+    /// [`LiveTrace::check_safety`] replay, what it cost, the eating census
+    /// and the response-time samples, over `positions.len()` nodes.
     pub fn audit_safety(&self, radio_range: f64, positions: &[(f64, f64)]) -> SafetyAudit {
         let mut world = World::new(radio_range, positions.iter().map(|&p| p.into()).collect());
         let mut core = SafetyCore::new(world.len());
         let mut violations = Vec::new();
+        let mut meals = vec![0u64; world.len()];
+        let mut hungry_since = vec![None; world.len()];
+        let mut latencies_ns = Vec::new();
         for r in &self.records {
             match r.kind {
                 LiveEventKind::State {
-                    node, new, session, ..
-                } => core.state_changed(node, new, session),
+                    node,
+                    old,
+                    new,
+                    session,
+                } => {
+                    if new == DiningState::Eating {
+                        meals[node.index()] += 1;
+                    }
+                    let open = &mut hungry_since[node.index()];
+                    latencies_ns.extend(response_sample(open, old, new, r.at_ns));
+                    core.state_changed(node, new, session);
+                }
                 // Nodes record their own crash and recovery, serialized
                 // against their state records, so the seat freezes on its
                 // reading at the crash instant and the fresh incarnation
                 // starts thinking (no State record bridges the two).
                 LiveEventKind::Crash { node } => core.crashed(node),
-                LiveEventKind::Recover { node } => core.recovered(node),
+                LiveEventKind::Recover { node } => {
+                    // An episode the dead incarnation left open is its
+                    // own, not the fresh one's.
+                    hungry_since[node.index()] = None;
+                    core.recovered(node);
+                }
                 LiveEventKind::Relocate { node, x, y } => {
                     // The adjacency change is what matters for the
                     // invariant; the LinkUp/LinkDown records that follow
@@ -320,18 +314,48 @@ impl LiveTrace {
         SafetyAudit {
             violations,
             pairs_examined: core.pairs_examined(),
+            meals,
+            latencies_ns,
         }
     }
 }
 
-/// The verdict of [`LiveTrace::audit_safety`] and its machine-independent
-/// cost.
+/// The response-time rule of the simulator's `harness::Metrics`, applied
+/// to one dining transition taken at `at_ns`; `open` is the node's
+/// pending hungry instant. Entering `Hungry` — from `Thinking`, or by a
+/// mobility demotion from `Eating` — opens a new episode; `Hungry` →
+/// `Eating` closes it with one sample; `Thinking` → `Eating` inside one
+/// handler is a zero-latency episode of its own.
+fn response_sample(
+    open: &mut Option<u64>,
+    old: DiningState,
+    new: DiningState,
+    at_ns: u64,
+) -> Option<u64> {
+    match (old, new) {
+        (_, DiningState::Hungry) => {
+            *open = Some(at_ns);
+            None
+        }
+        (DiningState::Hungry, DiningState::Eating) => open.take().map(|h| at_ns.saturating_sub(h)),
+        (DiningState::Thinking, DiningState::Eating) => Some(0),
+        _ => None,
+    }
+}
+
+/// The verdict of [`LiveTrace::audit_safety`], its machine-independent
+/// cost, and the census and response times read on the same pass.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SafetyAudit {
     /// Every recorded violation, in trace order.
     pub violations: Vec<Violation>,
     /// [`SafetyCore::pairs_examined`] at the end of the replay.
     pub pairs_examined: u64,
+    /// Eating sessions entered, per node (the live census).
+    pub meals: Vec<u64>,
+    /// Hungry→eating latencies in nanoseconds, pooled over all nodes in
+    /// the order the episodes closed.
+    pub latencies_ns: Vec<u64>,
 }
 
 #[cfg(test)]
@@ -371,10 +395,61 @@ mod tests {
             state(5, 1, H, E, 1),
             state(6, 1, E, T, 1),
         ]);
-        let violations = trace.check_safety(1.5, &[(0.0, 0.0), (1.0, 0.0)]);
-        assert!(violations.is_empty(), "{violations:?}");
-        assert_eq!(trace.census(2), vec![1, 1]);
-        assert_eq!(trace.hungry_to_eat_latencies_ns(2), vec![1_000, 1_000]);
+        let audit = trace.audit_safety(1.5, &[(0.0, 0.0), (1.0, 0.0)]);
+        assert!(audit.violations.is_empty(), "{:?}", audit.violations);
+        assert_eq!(audit.meals, vec![1, 1]);
+        assert_eq!(audit.latencies_ns, vec![1_000, 1_000]);
+    }
+
+    /// The response times one pass reads off `records` on a lone node.
+    fn latencies(records: Vec<LiveRecord>) -> Vec<u64> {
+        LiveTrace::new(records)
+            .audit_safety(1.5, &[(0.0, 0.0)])
+            .latencies_ns
+    }
+
+    #[test]
+    fn thinking_to_eating_in_one_handler_is_a_zero_latency_sample() {
+        // All forks in hand: hungry and eating inside one handler, so the
+        // node records Thinking → Eating and the simulator samples 0.
+        let rt = latencies(vec![state(1, 0, T, E, 1), state(2, 0, E, T, 1)]);
+        assert_eq!(rt, vec![0]);
+    }
+
+    #[test]
+    fn a_demotion_to_hungry_opens_a_new_episode() {
+        // Eating → Hungry (a mobility demotion) restarts the clock at the
+        // demotion, as the simulator's `Metrics` does.
+        let rt = latencies(vec![
+            state(1, 0, T, H, 0),
+            state(3, 0, H, E, 1),
+            state(4, 0, E, H, 1),
+            state(9, 0, H, E, 2),
+        ]);
+        assert_eq!(rt, vec![2_000, 5_000]);
+    }
+
+    #[test]
+    fn a_recovery_drops_the_dead_incarnations_open_episode() {
+        // Hungry at 1, crashed at 2, recovered at 10: the fresh
+        // incarnation's first episode starts at its own hunger (11), not
+        // at the dead one's.
+        let rt = latencies(vec![
+            state(1, 0, T, H, 0),
+            LiveRecord {
+                at_ns: 2_000,
+                order: 2,
+                kind: LiveEventKind::Crash { node: NodeId(0) },
+            },
+            LiveRecord {
+                at_ns: 10_000,
+                order: 10,
+                kind: LiveEventKind::Recover { node: NodeId(0) },
+            },
+            state(11, 0, T, H, 0),
+            state(14, 0, H, E, 1),
+        ]);
+        assert_eq!(rt, vec![3_000]);
     }
 
     #[test]
@@ -448,14 +523,13 @@ mod tests {
 
     #[test]
     fn schedule_export_quantizes_latencies_per_channel() {
-        let deliver = |order: u64, from: u32, to: u32, latency_ns: u64| LiveRecord {
+        let deliver = |order: u64, from: u32, to: u32, latency_ns: u32| LiveRecord {
             at_ns: order * 1_000,
             order,
             kind: LiveEventKind::Deliver {
                 from: NodeId(from),
                 to: NodeId(to),
                 seq: order,
-                kind: "req",
                 latency_ns,
             },
         };

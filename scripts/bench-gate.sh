@@ -7,6 +7,13 @@
 # metrics are not compared: on a shared CI runner they are too noisy to
 # gate on.
 #
+# It also runs live_ring_local once at --quick sizes on both sides and
+# fails if either is not correct or if head's live memory per trace
+# record, peak_rss_mb * 2^20 / (events_per_s * wall_s) bytes, is more
+# than 10 % (peak_rss_mb's bound in BENCHMARK.json) above base's. Peak
+# RSS follows the trace's length, which follows host speed, so the
+# quotient is what stays put across runners.
+#
 # Usage, from anywhere in the repository:
 #   scripts/bench-gate.sh [BASE_REV]      # BASE_REV defaults to HEAD^
 set -euo pipefail
@@ -47,4 +54,31 @@ print(f"{workload}: " + ("; ".join(problems) or "simulated-time metrics equal, b
 sys.exit(1 if problems else 0)
 EOF
 done
+
+before=$(result "$work" "$work/target" live_ring_local) || true
+after=$(result . "$PWD/target/bench-gate" live_ring_local) || true
+python3 - "$before" "$after" <<'EOF' || status=1
+import json
+import sys
+
+sides = {}
+for side, line in zip(("base", "head"), sys.argv[1:]):
+    try:
+        sides[side] = json.loads(line)
+    except ValueError:
+        sys.exit(f"live_ring_local: {side} printed no result line: {line!r}")
+problems = [f"{side} is not correct" for side, r in sides.items() if not r["correct"]]
+per_record = {}
+for side, r in sides.items():
+    m = {k: v["value"] for k, v in r["metrics"].items()}
+    per_record[side] = m["peak_rss_mb"] * 2**20 / (m["events_per_s"] * m["wall_s"])
+base, head = per_record["base"], per_record["head"]
+if head > base * 1.10:
+    problems.append(f"peak RSS per record {base:.1f} -> {head:.1f} B (more than +10 %)")
+print(
+    "live_ring_local: "
+    + ("; ".join(problems) or f"peak RSS per record {base:.1f} -> {head:.1f} B, both correct")
+)
+sys.exit(1 if problems else 0)
+EOF
 exit "$status"

@@ -374,7 +374,6 @@ fn random_trace(seed: u64, n: usize, side: f64, len: usize) -> (Vec<(f64, f64)>,
                 from: NodeId(rng.gen_range(0..n as u32)),
                 to: node,
                 seq: records.len() as u64,
-                kind: "req",
                 latency_ns: 1_000,
             },
         };
@@ -432,16 +431,10 @@ fn ring_trace(n: usize) -> (Vec<(f64, f64)>, Vec<LiveRecord>) {
                     session: sessions[node.index()],
                 }
             }
-            TraceKind::Deliver {
-                from,
-                to,
-                kind,
-                seq,
-            } => LiveEventKind::Deliver {
+            TraceKind::Deliver { from, to, seq, .. } => LiveEventKind::Deliver {
                 from,
                 to,
                 seq,
-                kind,
                 latency_ns: 0,
             },
             _ => continue,

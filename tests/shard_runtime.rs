@@ -216,7 +216,7 @@ fn synthetic_ticket_merge_is_a_dense_valid_interleaving() {
                     at_ns: clock * 10,
                     kind: LiveEventKind::NetStats {
                         node: NodeId(s as u32),
-                        decode_errors: i as u64,
+                        decode_errors: i as u32,
                         send_failures: 0,
                         retransmissions: 0,
                         acks_sent: 0,
@@ -228,7 +228,7 @@ fn synthetic_ticket_merge_is_a_dense_valid_interleaving() {
         let total: usize = streams.iter().map(Vec::len).sum();
         let merged = merge_stamped(streams);
         assert_eq!(merged.len(), total, "round {round}: records lost");
-        let mut next_index = vec![0u64; shards];
+        let mut next_index = vec![0u32; shards];
         for (i, r) in merged.iter().enumerate() {
             assert_eq!(r.order, i as u64, "round {round}: ticket reused or skipped");
             if let LiveEventKind::NetStats {
