@@ -1,10 +1,17 @@
 //! Hand-rolled argument parsing (the workspace is dependency-minimal by
-//! design; see DESIGN.md §6).
+//! design; see DESIGN.md §6). Each command parses into its own type, and a
+//! parser takes exactly the flags its type has a field for: a flag left
+//! over does not apply to that command (or mode) and is an error.
 
-use harness::{topology, AlgKind, MobilityMix, Topo};
+use std::str::FromStr;
+
+use harness::{topology, AlgKind, MobilityMix, Topo, WaypointPlan};
 use lme_check::{Mutation, StrategyKind};
-use lme_net::TransportKind;
-use manet_sim::{ChannelConfig, SimConfig};
+use lme_net::{LiveConfig, LiveRuntime, TransportKind};
+use manet_sim::{
+    ChannelConfig, CrashWave, DelayAdversary, FaultPlan, LinkFaults, NodeId, PartitionWindow,
+    SimConfig,
+};
 
 use crate::experiments;
 
@@ -85,278 +92,644 @@ impl std::fmt::Display for TopoSpec {
     }
 }
 
-/// The parsed command.
-#[derive(Clone, Debug, PartialEq)]
+/// The parsed command line: one variant per command, each carrying exactly
+/// the flags that command reads.
+#[derive(Clone, Debug)]
 pub enum Command {
     /// Print the available algorithms and topology syntax.
     List,
     /// Run a workload and report.
-    Run,
+    Run(Run),
     /// Crash probe: crash the victim mid-CS and report locality.
-    Probe,
+    Probe(Probe),
     /// Multi-seed sweep: algorithms × seeds in parallel, aggregated.
-    Sweep,
+    Sweep(Sweep),
     /// Fault-injection matrix: every fault class × seeds, aggregated.
-    Chaos,
+    Chaos(Chaos),
     /// Bounded schedule-space model checking with witness shrink/replay.
-    Check,
-    /// Live run on the shard worker pool over a real transport (`lme live`).
-    Live,
+    Check(Check),
+    /// Live run on the shard worker pool over a real transport.
+    Live(Live),
     /// Regenerate the tables and figures of EXPERIMENTS.md.
-    Experiments,
+    Experiments(Experiments),
 }
 
-/// Everything the CLI understood.
-#[derive(Clone, Debug)]
-pub struct Cli {
-    /// Which subcommand to run.
-    pub command: Command,
+/// The instance flags as passed, `None` where left out.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Asked {
+    /// `--alg`.
+    pub alg: Option<AlgKind>,
+    /// `--topo`, or `--nodes N` for `line:N`.
+    pub topo: Option<TopoSpec>,
+    /// `--seed`.
+    pub seed: Option<u64>,
+    /// `--horizon`.
+    pub horizon: Option<u64>,
+    /// `--eat a..b`.
+    pub eat: Option<(u64, u64)>,
+    /// `--think a..b`.
+    pub think: Option<(u64, u64)>,
+}
+
+/// The RNG seed of a run that names none.
+const SEED: u64 = 0xA77D_2008;
+
+impl Asked {
+    fn take(args: &mut Args) -> Result<Asked, String> {
+        Ok(Asked {
+            alg: args.with("--alg", parse_alg)?,
+            topo: take_topo(args)?,
+            seed: args.parsed("--seed")?,
+            horizon: args.parsed("--horizon")?,
+            eat: args.with("--eat", |s| parse_range("--eat", s))?,
+            think: args.with("--think", |s| parse_range("--think", s))?,
+        })
+    }
+
+    /// The instance, each flag left out at its default.
+    pub fn instance(&self) -> Instance {
+        Instance {
+            alg: self.alg.unwrap_or(AlgKind::A2),
+            topo: self.topo.clone().unwrap_or(TopoSpec::Line(8)),
+            seed: self.seed.unwrap_or(SEED),
+            horizon: self.horizon.unwrap_or(40_000),
+            eat: self.eat.unwrap_or((10, 30)),
+            think: self.think.unwrap_or((50, 150)),
+        }
+    }
+}
+
+/// One algorithm on one topology for a horizon: what the simulator runs.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Instance {
     /// Algorithm under test.
     pub alg: AlgKind,
-    /// Algorithms a sweep compares (all of Table 1 unless `--alg` narrows
-    /// it to one).
-    pub algs: Vec<AlgKind>,
     /// Topology specification.
     pub topo: TopoSpec,
+    /// RNG seed (`sweep`, `chaos`: the first seed of the range).
+    pub seed: u64,
     /// Virtual-time horizon.
     pub horizon: u64,
-    /// RNG seed.
-    pub seed: u64,
     /// Eating-time range.
     pub eat: (u64, u64),
     /// Think-time range.
     pub think: (u64, u64),
-    /// Random-waypoint movements to schedule.
-    pub moves: usize,
-    /// Heterogeneous mobility mix (static-core : highway : group); wins
-    /// over `--moves` when both are given.
-    pub mix: Option<MobilityMix>,
+}
+
+/// How a simulated run's messages travel (`--channel`, `--arq`, the
+/// `--fault-*` plan), and where `--metrics-out` writes its metrics.
+#[derive(Clone, Debug, Default)]
+pub struct Sim {
     /// Channel model messages traverse (`iid` is the historical default).
     pub channel: ChannelConfig,
-    /// Crash-probe victim (probe) or optional mid-run crash (run).
-    pub victim: Option<u32>,
-    /// Arm the reliable-delivery ARQ shim in simulator runs.
+    /// Arm the reliable-delivery ARQ shim.
     pub arq: bool,
-    /// Recover the crashed `--victim`: ticks for `run`, ms for `live`.
-    pub recover_at: Option<u64>,
-    /// Live: per-link ARQ (retransmit + ack) over the real transport.
-    pub reliable: bool,
-    /// Emit per-episode samples as CSV instead of the text report.
-    pub csv: bool,
-    /// Sweep worker threads (`None` = the machine's parallelism).
-    pub jobs: Option<usize>,
-    /// Number of consecutive seeds a sweep runs, starting at `seed`.
-    pub seeds: u64,
+    /// The `--fault-*` flags (and the crash → recover cycle of `run` and
+    /// `sweep`) as one fault plan, empty when none were given.
+    pub fault: FaultPlan,
     /// Write per-run metrics as JSON lines to this path.
     pub metrics_out: Option<String>,
-    /// Per-message drop probability on faulted links.
-    pub fault_drop: f64,
-    /// Per-message duplication probability on faulted links.
-    pub fault_dup: f64,
-    /// Extra delay (ticks) added to every message on faulted links
-    /// (`0` = off).
-    pub fault_skew: u64,
-    /// Run the adaptive maximum-delay adversary (every message to or from
-    /// a target is charged exactly ν).
-    pub fault_delay: bool,
-    /// Partition window `at..heal_at`: cut `fault_targets` off at `at`,
-    /// heal at `heal_at`.
-    pub fault_partition: Option<(u64, u64)>,
-    /// Nodes the link faults / adversary / partition aim at
-    /// (`None` = every link; the partition requires an explicit side).
-    pub fault_targets: Option<Vec<u32>>,
-    /// Active window `[a, b)` for link faults and the delay adversary
-    /// (`None` = the whole run).
-    pub fault_window: Option<(u64, u64)>,
-    /// Seed of the fault RNG (`0` = derive from the run seed).
-    pub fault_seed: u64,
-    /// Check: exploration strategy.
-    pub strategy: StrategyKind,
-    /// Check: DFS schedule budget.
-    pub steps: usize,
-    /// Check: DFS flip-depth bound.
-    pub depth: usize,
-    /// Check: write the (shrunk) witness JSON here when a violation is found.
-    pub witness_out: Option<String>,
-    /// Check: replay this witness file instead of exploring.
-    pub replay_witness: Option<String>,
-    /// Check: deliberate algorithm defect for checker self-validation.
-    pub mutate: Mutation,
-    /// Check: recycling liveness workload — nodes go hungry again after
-    /// eating and starvation is checked as a repeated-progress-state lasso.
+}
+
+impl Sim {
+    /// The sim flags on `inst`, plus `recover`: crash node `.0` at
+    /// horizon/4 and recover it as a fresh incarnation at tick `.1`.
+    fn take(args: &mut Args, inst: &Instance, recover: Option<(u32, u64)>) -> Result<Sim, String> {
+        let n = inst.topo.len();
+        let targets = args.with("--fault-targets", parse_nodes)?;
+        if let Some(&bad) = targets.iter().flatten().find(|&&t| t as usize >= n) {
+            return Err(format!(
+                "fault target {bad} out of range for a {n}-node topology"
+            ));
+        }
+        let targets: Option<Vec<NodeId>> = targets.map(|ts| ts.into_iter().map(NodeId).collect());
+        let window = args.with("--fault-window", |s| parse_window(s, "fault window"))?;
+        let mut fault = FaultPlan {
+            seed: args.parsed("--fault-seed")?.unwrap_or(0),
+            ..FaultPlan::default()
+        };
+        let drop = args.with("--fault-drop", |s| parse_prob(s, "drop probability"))?;
+        let duplicate = args.with("--fault-dup", |s| parse_prob(s, "duplication probability"))?;
+        let skew_ticks = args.parsed("--fault-skew")?.unwrap_or(0);
+        let (drop, duplicate) = (drop.unwrap_or(0.0), duplicate.unwrap_or(0.0));
+        if drop > 0.0 || duplicate > 0.0 || skew_ticks > 0 {
+            fault.link = Some(LinkFaults {
+                drop,
+                duplicate,
+                skew: if skew_ticks > 0 { 1.0 } else { 0.0 },
+                skew_ticks,
+                window,
+                targets: targets.clone(),
+                ..LinkFaults::default()
+            });
+        }
+        if args.switch("--fault-delay") {
+            let targets = targets.clone();
+            let targets = targets.unwrap_or_else(|| (0..n as u32).map(NodeId).collect());
+            fault.max_delay = Some(DelayAdversary { targets, window });
+        }
+        let partition = args.with("--fault-partition", |s| parse_window(s, "partition window"))?;
+        if let Some((at, heal_at)) = partition {
+            let side =
+                targets.ok_or("--fault-partition needs --fault-targets (the side to cut off)")?;
+            fault.partitions = vec![PartitionWindow {
+                at,
+                side,
+                heal_after: heal_at - at,
+            }];
+        }
+        if let Some((victim, at)) = recover {
+            let crash_at = (inst.horizon / 4).max(1);
+            if at <= crash_at {
+                return Err(format!(
+                    "--recover {at} must come after the crash at tick {crash_at} (horizon/4)"
+                ));
+            }
+            let nodes = vec![NodeId(victim)];
+            fault.crash_waves.push(CrashWave {
+                at: crash_at,
+                nodes: nodes.clone(),
+            });
+            fault.recovers.push(CrashWave { at, nodes });
+        }
+        fault
+            .validate(n)
+            .map_err(|e| format!("invalid fault plan: {e}"))?;
+        Ok(Sim {
+            channel: args
+                .with("--channel", ChannelConfig::parse)?
+                .unwrap_or_default(),
+            arq: args.switch("--arq"),
+            fault,
+            metrics_out: args.take("--metrics-out")?,
+        })
+    }
+}
+
+/// What `run` and `sweep` simulate.
+#[derive(Clone, Debug)]
+pub struct Scenario {
+    /// Algorithm, topology, seed and times (a sweep runs its `algs`, not
+    /// `inst.alg`).
+    pub inst: Instance,
+    /// Channel, ARQ, fault plan and metrics path. `--victim N --recover
+    /// T` (one needs the other) adds a crash → recover cycle to the plan.
+    pub sim: Sim,
+    /// How nodes move.
+    pub mobility: Mobility,
+}
+
+/// How nodes move in `run` and `sweep`, grounded in the instance: both
+/// models roam the same area over the middle 80 % of the horizon, seeded
+/// from the run seed.
+#[derive(Clone, Debug)]
+pub enum Mobility {
+    /// Nobody moves.
+    Static,
+    /// `--moves k`: k random-waypoint movements.
+    Waypoints(WaypointPlan),
+    /// `--mix s:h`: heterogeneous mobility classes.
+    Mix(MobilityMix),
+}
+
+impl Scenario {
+    fn take(asked: &Asked, args: &mut Args) -> Result<Scenario, String> {
+        let inst = asked.instance();
+        let area_side = (inst.topo.len() as f64 / 1.6).sqrt().max(2.0);
+        let window = (inst.horizon / 10, inst.horizon * 9 / 10);
+        let seed = inst.seed ^ 0xB0B;
+        let (moves, mix) = (
+            args.parsed("--moves")?,
+            args.with("--mix", MobilityMix::parse)?,
+        );
+        let mobility = match (moves, mix) {
+            (Some(_), Some(_)) => return Err("--mix and --moves are two mobility models".into()),
+            (_, Some(mix)) => Mobility::Mix(MobilityMix {
+                area_side,
+                window,
+                seed,
+                ..mix
+            }),
+            (Some(moves), None) if moves > 0 => Mobility::Waypoints(WaypointPlan {
+                area_side,
+                moves,
+                window,
+                speed: Some(0.25),
+                seed,
+            }),
+            _ => Mobility::Static,
+        };
+        if !matches!(mobility, Mobility::Static) && inst.topo.is_explicit() {
+            return Err(
+                "star/tree topologies are explicit graphs: movement is not supported".into(),
+            );
+        }
+        let recover = match take_crash(args, &inst.topo)? {
+            (Some(_), None) => {
+                return Err("--victim needs --recover (`lme probe` crashes without one)".into())
+            }
+            (victim, at) => victim.zip(at),
+        };
+        Ok(Scenario {
+            sim: Sim::take(args, &inst, recover)?,
+            inst,
+            mobility,
+        })
+    }
+}
+
+/// `lme run`: one simulated run, full report.
+#[derive(Clone, Debug)]
+pub struct Run {
+    /// What runs.
+    pub scenario: Scenario,
+    /// `--csv`: per-episode samples as CSV instead of the text report.
+    pub csv: bool,
+}
+
+/// `lme probe`: crash the victim mid-CS and report failure locality.
+#[derive(Clone, Debug)]
+pub struct Probe {
+    /// What runs.
+    pub inst: Instance,
+    /// Channel, ARQ, fault plan and metrics path.
+    pub sim: Sim,
+    /// `--victim` (default: the middle node).
+    pub victim: Option<u32>,
+}
+
+/// `lme sweep`: algorithms × seeds in parallel, aggregated.
+#[derive(Clone, Debug)]
+pub struct Sweep {
+    /// What each cell runs.
+    pub scenario: Scenario,
+    /// The algorithms compared: all of Table 1 unless `--alg` names one.
+    pub algs: Vec<AlgKind>,
+    /// `--seeds`: consecutive seeds from the instance's (default 8).
+    pub seeds: u64,
+    /// `--jobs` (`None` = the machine's parallelism).
+    pub jobs: Option<usize>,
+}
+
+/// `lme chaos`: every fault class × seeds, aggregated.
+#[derive(Clone, Debug)]
+pub struct Chaos {
+    /// What each cell runs; chaos builds its own fault schedule.
+    pub inst: Instance,
+    /// `--victim` of the node-fault classes (default: the middle node).
+    pub victim: Option<u32>,
+    /// `--seeds`: consecutive seeds from the instance's (default 8).
+    pub seeds: u64,
+    /// `--jobs` (`None` = the machine's parallelism).
+    pub jobs: Option<usize>,
+    /// `--metrics-out`: per-run metrics as JSON lines.
+    pub metrics_out: Option<String>,
+}
+
+/// `lme check`: model checking in one of three modes.
+#[derive(Clone, Debug)]
+pub struct Check {
+    /// The instance flags as passed. Explore and certify fill in the
+    /// defaults; a replay compares each one passed with the witness.
+    /// `eat` and `think` hold one time each (`a == b`).
+    pub asked: Asked,
+    /// `--mutate`: a deliberate defect that validates the checker.
+    pub mutate: Option<Mutation>,
+    /// `--liveness`: the recycling workload, checked for starvation
+    /// lassos; `--think` needs it.
     pub liveness: bool,
-    /// Check: exhaust the extremal schedule space and certify the exact
-    /// worst-case response time instead of exploring for violations.
-    pub certify: bool,
-    /// Every flag the user passed explicitly, in order — used to detect
-    /// conflicts between the command line and a replayed witness's
-    /// recorded instance.
-    pub explicit: Vec<String>,
-    /// Where output goes: the certificate JSON of `check --certify`, or
-    /// the document whose blocks `experiments` rewrites in place.
-    pub out: Option<String>,
-    /// Experiments: the ids to render, in the order given (empty = all).
-    pub ids: Vec<&'static str>,
-    /// Experiments: reduced sizes that run in seconds.
-    pub quick: bool,
-    /// Live: which transport carries the frames.
-    pub transport: TransportKind,
-    /// Live: wall-clock run length in milliseconds.
-    pub duration_ms: u64,
-    /// Live: mean hungry-cycle rate per node, in cycles per second.
-    pub rate: f64,
-    /// Live: eating time per session in milliseconds.
-    pub eat_ms: u64,
-    /// Live: one hungry cycle per node, stop once everyone has eaten.
-    pub one_shot: bool,
-    /// Live: after the run, replay its delivery timing in the simulator
-    /// and check safety + census conformance (needs `--oneshot`).
+    /// What to do with the instance.
+    pub mode: CheckMode,
+}
+
+/// The three things `lme check` does; each reads only its own flags.
+#[derive(Clone, Debug, PartialEq)]
+pub enum CheckMode {
+    /// Explore the schedule space for violations (the default).
+    Explore {
+        /// `--strategy` and its budget.
+        strategy: Strategy,
+        /// `--jobs` (default 1).
+        jobs: Option<usize>,
+        /// `--witness-out`: write the shrunk witness JSON here.
+        witness_out: Option<String>,
+    },
+    /// `--certify`: exhaust the extremal schedule space and certify the
+    /// exact worst-case response time over it.
+    Certify {
+        /// `--steps` (default: the certifier's budget).
+        steps: Option<usize>,
+        /// `--jobs` (default 1).
+        jobs: Option<usize>,
+        /// `--out`: write the certificate JSON here.
+        out: Option<String>,
+    },
+    /// `--replay`: replay this witness file.
+    Replay {
+        /// The witness file.
+        path: String,
+    },
+}
+
+/// How `check` explores.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Strategy {
+    /// Bounded exhaustive DFS.
+    Dfs {
+        /// `--steps`: schedule budget (default 256).
+        steps: usize,
+        /// `--depth`: branch points eligible to flip (default 12).
+        depth: usize,
+    },
+    /// Seeded random walks.
+    Random {
+        /// `--seeds` (default 8).
+        walks: usize,
+    },
+    /// PCT priority schedules.
+    Pct {
+        /// `--seeds` (default 8).
+        walks: usize,
+    },
+}
+
+impl Check {
+    fn take(args: &mut Args) -> Result<Check, String> {
+        let asked = Asked::take(args)?;
+        let mutate = args.with("--mutate", Mutation::parse)?;
+        for (flag, time) in [("--eat", asked.eat), ("--think", asked.think)] {
+            if let Some((a, b)) = time.filter(|(a, b)| a < b) {
+                return Err(format!(
+                    "{flag} {a}..{b}: `lme check` takes one time, N or N..N"
+                ));
+            }
+        }
+        let mode = if let Some(path) = args.take("--replay")? {
+            args.cmd += " --replay";
+            CheckMode::Replay { path }
+        } else if args.switch("--certify") {
+            args.cmd += " --certify";
+            CheckMode::Certify {
+                steps: args.count("--steps")?,
+                jobs: args.count("--jobs")?,
+                out: args.take("--out")?,
+            }
+        } else {
+            let kind = args
+                .with("--strategy", StrategyKind::parse)?
+                .unwrap_or_default();
+            args.cmd += &format!(" --strategy {}", kind.name());
+            let walks = |args: &mut Args| args.count("--seeds").map(|w| w.unwrap_or(8));
+            let strategy = match kind {
+                StrategyKind::Dfs => Strategy::Dfs {
+                    steps: args.count("--steps")?.unwrap_or(256),
+                    depth: args.parsed("--depth")?.unwrap_or(12),
+                },
+                StrategyKind::Random => Strategy::Random {
+                    walks: walks(args)?,
+                },
+                StrategyKind::Pct => Strategy::Pct {
+                    walks: walks(args)?,
+                },
+            };
+            CheckMode::Explore {
+                strategy,
+                jobs: args.count("--jobs")?,
+                witness_out: args.take("--witness-out")?,
+            }
+        };
+        // A certificate measures one hungry cycle per node, and the
+        // recycling workload never quiesces: certify has no `--liveness`.
+        let liveness = !matches!(mode, CheckMode::Certify { .. }) && args.switch("--liveness");
+        if asked.think.is_some() && !liveness {
+            return Err("--think needs --liveness (only the recycling workload thinks)".into());
+        }
+        Ok(Check {
+            asked,
+            mutate,
+            liveness,
+            mode,
+        })
+    }
+}
+
+/// `lme live`: real message passing on the shard worker pool.
+#[derive(Clone, Debug)]
+pub struct Live {
+    /// The one cell, or `None` under `--matrix`, which runs every
+    /// algorithm × {clique:5, ring:6}.
+    pub cell: Option<LiveCell>,
+    /// Every other flag: `--alg` (of the one cell), `--seed`,
+    /// `--transport`, `--duration`, `--rate`, `--eat-ms`, `--oneshot`,
+    /// `--reliable`, `--closed-loop`, `--workers`, and `--victim` (crashed
+    /// a quarter into the run) with `--recover` (in ms). Each cell fills in
+    /// its positions and `moves` teleports.
+    pub cfg: LiveConfig,
+    /// `--moves`: teleport waypoints pushed by the driver.
+    pub moves: usize,
+}
+
+/// The single cell a `live` run without `--matrix` runs.
+#[derive(Clone, Debug, PartialEq)]
+pub struct LiveCell {
+    /// `--topo` or `--nodes`; always geometric.
+    pub topo: TopoSpec,
+    /// `--conformance`: after the run, replay its delivery timing in the
+    /// simulator and check safety + census conformance.
     pub conformance: bool,
-    /// Live: run the full algorithm × {clique, ring} matrix instead of a
-    /// single cell.
-    pub matrix: bool,
-    /// Live: worker-thread count of the shard pool (`None` = size to the
-    /// machine's parallelism).
-    pub workers: Option<usize>,
-    /// Live: closed-loop workload — a node goes hungry again
-    /// immediately after eating instead of drawing an open-loop think
-    /// time from `--rate`.
-    pub closed_loop: bool,
 }
 
-impl Cli {
-    /// Whether the user passed `flag` explicitly on the command line.
-    pub fn explicitly_set(&self, flag: &str) -> bool {
-        self.explicit.iter().any(|f| f == flag)
+impl Live {
+    fn take(args: &mut Args) -> Result<Live, String> {
+        let transport = args.with("--transport", TransportKind::parse)?;
+        let mut cfg = LiveConfig::new(
+            AlgKind::A2,
+            transport.unwrap_or(TransportKind::Mpsc),
+            vec![],
+        );
+        let cell = if args.switch("--matrix") {
+            args.cmd += " --matrix";
+            None
+        } else {
+            let topo = take_topo(args)?.unwrap_or(TopoSpec::Line(8));
+            if topo.is_explicit() {
+                return Err(
+                    "live runs need a geometric topology (the driver owns positions)".into(),
+                );
+            }
+            cfg.alg = args.with("--alg", parse_alg)?.unwrap_or(cfg.alg);
+            let conformance = args.switch("--conformance");
+            Some(LiveCell { topo, conformance })
+        };
+        // The smallest matrix cell is clique:5.
+        let topo = cell.as_ref().map_or(&TopoSpec::Clique(5), |c| &c.topo);
+        let (victim, recover) = take_crash(args, topo)?;
+        cfg.seed = args.parsed("--seed")?.unwrap_or(cfg.seed);
+        cfg.duration_ms = args.count("--duration")?.unwrap_or(cfg.duration_ms);
+        cfg.rate = args
+            .with("--rate", |s| parse_pos_f64(s, "rate"))?
+            .unwrap_or(cfg.rate);
+        cfg.eat_ms = args.count("--eat-ms")?.unwrap_or(cfg.eat_ms);
+        cfg.one_shot = args.switch("--oneshot");
+        cfg.reliable = args.switch("--reliable");
+        cfg.closed_loop = args.switch("--closed-loop");
+        let workers = args.count("--workers")?.unwrap_or(0);
+        cfg.runtime = LiveRuntime::Sharded { workers };
+        cfg.crash = victim.map(|v| (v, (cfg.duration_ms / 4).max(1)));
+        cfg.recover = victim.zip(recover);
+        let moves = args.parsed("--moves")?.unwrap_or(0);
+        if cell.as_ref().is_some_and(|c| c.conformance) {
+            if !cfg.one_shot {
+                return Err("--conformance needs --oneshot (see `lme list`)".to_string());
+            }
+            if victim.is_some() || moves > 0 {
+                return Err(
+                    "--conformance needs a fault-free, static run (drop --victim/--moves)".into(),
+                );
+            }
+        }
+        Ok(Live { cell, cfg, moves })
+    }
+}
+
+/// `lme experiments`: regenerate EXPERIMENTS.md's tables and figures.
+#[derive(Clone, Debug)]
+pub struct Experiments {
+    /// The ids to render, in the order given (empty = all).
+    pub ids: Vec<&'static str>,
+    /// `--quick`: reduced sizes that run in seconds.
+    pub quick: bool,
+    /// `--jobs` (`None` = the machine's parallelism).
+    pub jobs: Option<usize>,
+    /// `--out`: the document whose blocks are rewritten in place.
+    pub out: Option<String>,
+}
+
+impl Experiments {
+    fn take(args: &mut Args) -> Result<Experiments, String> {
+        let quick = args.switch("--quick");
+        let (jobs, out) = (args.count("--jobs")?, args.take("--out")?);
+        let ids = args.rest()?.into_iter().map(|id| {
+            experiments::id(&id).ok_or_else(|| {
+                format!(
+                    "unknown experiment id '{id}'; ids: {}",
+                    experiments::ids().join(" ")
+                )
+            })
+        });
+        Ok(Experiments {
+            ids: ids.collect::<Result<_, _>>()?,
+            quick,
+            jobs,
+            out,
+        })
+    }
+}
+
+/// A command line being parsed. Each command takes the flags its type has
+/// a field for; whatever is left over is refused, naming the command.
+struct Args {
+    /// `lme <cmd>` as errors name it, followed by the mode once a flag
+    /// has chosen one (`check --certify`).
+    cmd: String,
+    /// The words after the command; a taken word becomes `None`.
+    words: Vec<Option<String>>,
+}
+
+impl Args {
+    /// Take every `flag` with its value; the last one given wins.
+    fn take(&mut self, flag: &str) -> Result<Option<String>, String> {
+        let mut value = None;
+        while let Some(i) = self.words.iter().position(|w| w.as_deref() == Some(flag)) {
+            self.words[i] = None;
+            let next = self.words.get_mut(i + 1).and_then(Option::take);
+            value = Some(next.ok_or_else(|| format!("flag {flag} needs a value\n{USAGE}"))?);
+        }
+        Ok(value)
     }
 
-    /// This command's bit in [`FLAG_READERS`] and its name.
-    fn reader(&self) -> (u8, &'static str) {
-        match self.command {
-            Command::List => (0, "list"),
-            Command::Run => (RUN, "run"),
-            Command::Probe => (PROBE, "probe"),
-            Command::Sweep => (SWEEP, "sweep"),
-            Command::Chaos => (CHAOS, "chaos"),
-            Command::Check => (CHECK, "check"),
-            Command::Live => (LIVE, "live"),
-            Command::Experiments => (EXPERIMENTS, "experiments"),
+    /// Take every `flag` that has no value; true if one was given.
+    fn switch(&mut self, flag: &str) -> bool {
+        let mut given = false;
+        for word in self.words.iter_mut().filter(|w| w.as_deref() == Some(flag)) {
+            *word = None;
+            given = true;
+        }
+        given
+    }
+
+    fn with<T>(
+        &mut self,
+        flag: &str,
+        parse: impl FnOnce(&str) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        self.take(flag)?.map(|s| parse(&s)).transpose()
+    }
+
+    fn parsed<T: FromStr>(&mut self, flag: &str) -> Result<Option<T>, String> {
+        self.with(flag, |s| parse_num(s, &format!("{flag} value")))
+    }
+
+    /// A count, which must be at least 1.
+    fn count<T: FromStr + PartialOrd + From<u8>>(
+        &mut self,
+        flag: &str,
+    ) -> Result<Option<T>, String> {
+        match self.parsed(flag)? {
+            Some(n) if n < T::from(1) => Err(format!("{flag} must be at least 1")),
+            n => Ok(n),
+        }
+    }
+
+    /// The words no flag took. A flag among them does not apply to the
+    /// command if USAGE documents it, and is unknown otherwise.
+    fn rest(&mut self) -> Result<Vec<String>, String> {
+        let rest: Vec<String> = self.words.drain(..).flatten().collect();
+        let Some(flag) = rest.iter().find(|w| w.starts_with("--")) else {
+            return Ok(rest);
+        };
+        let mut words = USAGE.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'));
+        if words.any(|w| w == flag) {
+            Err(format!("{flag} does not apply to `lme {}`", self.cmd))
+        } else {
+            Err(format!("unknown flag '{flag}'\n{USAGE}"))
+        }
+    }
+
+    /// Refuse whatever no flag took.
+    fn end(&mut self) -> Result<(), String> {
+        match self.rest()?.first() {
+            Some(word) => Err(format!("unknown flag '{word}'\n{USAGE}")),
+            None => Ok(()),
         }
     }
 }
 
-const RUN: u8 = 1;
-const PROBE: u8 = 1 << 1;
-const SWEEP: u8 = 1 << 2;
-const CHAOS: u8 = 1 << 3;
-const CHECK: u8 = 1 << 4;
-const LIVE: u8 = 1 << 5;
-const EXPERIMENTS: u8 = 1 << 6;
-/// The simulator runs that take a workload and a fault plan.
-const SIM: u8 = RUN | PROBE | SWEEP;
+/// `--topo`, or `--nodes N` for `line:N`.
+fn take_topo(args: &mut Args) -> Result<Option<TopoSpec>, String> {
+    match (args.with("--topo", parse_topo)?, args.count("--nodes")?) {
+        (Some(_), Some(_)) => Err("--nodes is shorthand for --topo line:N: pass one".to_string()),
+        (topo, nodes) => Ok(topo.or(nodes.map(TopoSpec::Line))),
+    }
+}
 
-/// Which commands read each flag. Passing a flag to any other command is
-/// an error (exit 2), never a silent drop.
-const FLAG_READERS: &[(&str, u8)] = &[
-    ("--alg", SIM | CHAOS | CHECK | LIVE),
-    ("--topo", SIM | CHAOS | CHECK | LIVE),
-    ("--nodes", SIM | CHAOS | CHECK | LIVE),
-    ("--horizon", SIM | CHAOS | CHECK),
-    ("--seed", SIM | CHAOS | CHECK | LIVE),
-    ("--eat", SIM | CHAOS | CHECK),
-    ("--think", SIM | CHAOS | CHECK),
-    ("--moves", RUN | SWEEP | LIVE),
-    ("--mix", RUN | SWEEP),
-    ("--channel", SIM),
-    ("--victim", SIM | CHAOS | LIVE),
-    ("--arq", SIM),
-    ("--recover", RUN | SWEEP | LIVE),
-    ("--reliable", LIVE),
-    ("--csv", RUN),
-    ("--jobs", SWEEP | CHAOS | CHECK | EXPERIMENTS),
-    ("--seeds", SWEEP | CHAOS | CHECK),
-    ("--metrics-out", SIM | CHAOS),
-    ("--fault-drop", SIM),
-    ("--fault-dup", SIM),
-    ("--fault-skew", SIM),
-    ("--fault-delay", SIM),
-    ("--fault-partition", SIM),
-    ("--fault-targets", SIM),
-    ("--fault-window", SIM),
-    ("--fault-seed", SIM),
-    ("--strategy", CHECK),
-    ("--steps", CHECK),
-    ("--depth", CHECK),
-    ("--mutate", CHECK),
-    ("--liveness", CHECK),
-    ("--certify", CHECK),
-    ("--witness-out", CHECK),
-    ("--replay", CHECK),
-    ("--out", CHECK | EXPERIMENTS),
-    ("--quick", EXPERIMENTS),
-    ("--transport", LIVE),
-    ("--duration", LIVE),
-    ("--rate", LIVE),
-    ("--eat-ms", LIVE),
-    ("--oneshot", LIVE),
-    ("--conformance", LIVE),
-    ("--matrix", LIVE),
-    ("--workers", LIVE),
-    ("--closed-loop", LIVE),
-];
+/// `--victim`, which must name a node of `topo`, and `--recover`, which
+/// needs it.
+fn take_crash(args: &mut Args, topo: &TopoSpec) -> Result<(Option<u32>, Option<u64>), String> {
+    match (take_victim(args, topo)?, args.parsed("--recover")?) {
+        (None, Some(_)) => Err("--recover needs --victim (the node that crashes)".into()),
+        crash => Ok(crash),
+    }
+}
 
-impl Default for Cli {
-    fn default() -> Cli {
-        Cli {
-            command: Command::Run,
-            alg: AlgKind::A2,
-            algs: AlgKind::all().to_vec(),
-            topo: TopoSpec::Line(8),
-            horizon: 40_000,
-            seed: 0xA77D_2008,
-            eat: (10, 30),
-            think: (50, 150),
-            moves: 0,
-            mix: None,
-            channel: ChannelConfig::default(),
-            victim: None,
-            arq: false,
-            recover_at: None,
-            reliable: false,
-            csv: false,
-            jobs: None,
-            seeds: 8,
-            metrics_out: None,
-            fault_drop: 0.0,
-            fault_dup: 0.0,
-            fault_skew: 0,
-            fault_delay: false,
-            fault_partition: None,
-            fault_targets: None,
-            fault_window: None,
-            fault_seed: 0,
-            strategy: StrategyKind::Dfs,
-            steps: 256,
-            depth: 12,
-            witness_out: None,
-            replay_witness: None,
-            mutate: Mutation::None,
-            liveness: false,
-            certify: false,
-            explicit: Vec::new(),
-            out: None,
-            ids: Vec::new(),
-            quick: false,
-            transport: TransportKind::Mpsc,
-            duration_ms: 2_000,
-            rate: 25.0,
-            eat_ms: 2,
-            one_shot: false,
-            conformance: false,
-            matrix: false,
-            workers: None,
-            closed_loop: false,
-        }
+/// `--victim`, which must name a node of `topo`.
+fn take_victim(args: &mut Args, topo: &TopoSpec) -> Result<Option<u32>, String> {
+    match args.parsed("--victim")? {
+        Some(v) if v as usize >= topo.len() => Err(format!(
+            "victim {v} out of range for a {}-node topology",
+            topo.len()
+        )),
+        victim => Ok(victim),
     }
 }
 
@@ -385,7 +758,8 @@ commands:
           (default: all); exits 2 naming id, cell and seed if any cell
           is unsafe or misses its expectation
 
-A flag the command does not read is an error (exit 2).
+A flag the command does not read is an error (exit 2), and so is a flag
+of a check or live mode other than the one chosen.
 
 options:
   --alg <name>       a1-greedy | a1-linial | a1-random | a2 |
@@ -393,18 +767,19 @@ options:
                      sweep compares all Table 1 algorithms unless given)
   --topo <spec>      line:N | ring:N | grid:WxH | clique:N |
                      random:N[:SEED] | star:LEAVES | tree:N (default line:8)
+  --nodes <n>        shorthand for --topo line:N
   --horizon <ticks>  run length                             (default 40000)
-  --seed <n>         RNG seed (sweep: first seed of the range)
-  --eat <a..b>       eating-time range in ticks             (default 10..30)
+  --seed <n>         RNG seed (sweep/chaos: first seed of the range)
+  --eat <a..b>       eating-time range in ticks, n = n..n   (default 10..30)
   --think <a..b>     think-time range in ticks              (default 50..150)
   --moves <k>        random-waypoint movements              (default 0)
   --mix <s:h>        heterogeneous mobility mix: fraction of static-core
                      and highway nodes (rest wander in groups), e.g.
-                     0.4:0.3; wins over --moves    (default: homogeneous)
+                     0.4:0.3; not with --moves     (default: homogeneous)
   --channel <spec>   channel model: iid | bandwidth:TPF[:QUEUE] |
                      shared:TPF[:INFLIGHT] | gilbert:PG2B:PB2G[:LG:LB]
                      (default iid — the historical i.i.d. delay draw)
-  --victim <node>    probe: node to crash mid-CS            (default center)
+  --victim <node>    probe/chaos: node to crash mid-CS      (default center)
   --csv              emit per-episode samples as CSV
   --jobs <n>         sweep worker threads         (default: all cores;
                      results are identical for every value)
@@ -428,35 +803,39 @@ reliable delivery and recovery:
                          protocol and its channel
   --recover <t>          run/sweep: crash --victim at horizon/4 and
                          recover it as a fresh incarnation at tick <t>
+                         (--victim and --recover come together)
                          live: recover the crashed --victim at <t> ms
   --reliable             live: per-link go-back-N ARQ (retransmit + ack)
                          between every node pair
 
-model checking (check):
-  --strategy <s>       dfs | random | pct                  (default dfs)
-  --steps <n>          dfs: schedule budget (default 256; with --certify
-                       the budget defaults to 2000000)
-  --seeds <n>          random/pct: number of walks         (default 8)
-  --depth <n>          dfs: branch points eligible to flip (default 12)
-  --jobs <n>           exploration worker threads (default 1; verdicts,
-                       prune counts and witnesses are byte-identical for
-                       every value)
-  --nodes <n>          shorthand for --topo line:N
+model checking (check): --eat n is one eating time and --think n one
+thinking time (it needs --liveness); each mode reads only its own flags
   --mutate <m>         none | no-sdf-guard | unfair-fork — deliberately
                        break the algorithm to validate the checker
                        (default none)
-  --liveness           recycling workload: every node goes hungry again
-                       --think ticks after eating, and starvation is
-                       checked directly as a repeated-progress-state
-                       lasso (property starvation-lasso)
+  --liveness           explore/replay: recycling workload: every node
+                       goes hungry again --think ticks after eating, and
+                       starvation is checked directly as a repeated-
+                       progress-state lasso (property starvation-lasso)
+ explore (the default):
+  --strategy <s>       dfs | random | pct                  (default dfs)
+  --steps <n>          dfs: schedule budget                (default 256)
+  --depth <n>          dfs: branch points eligible to flip (default 12)
+  --seeds <n>          random/pct: number of walks         (default 8)
+  --jobs <n>           exploration worker threads (default 1; verdicts,
+                       prune counts and witnesses are byte-identical for
+                       every value)
+  --witness-out <p>    write the shrunk witness JSON to <p>
+ certify:
   --certify            exhaust the extremal schedule space and report the
                        exact worst-case response time as a machine-
-                       readable certificate
-  --out <p>            --certify: write the certificate JSON to <p>
-  --witness-out <p>    write the shrunk witness JSON to <p>
+                       readable certificate; reads --steps (default
+                       2000000) and --jobs as above
+  --out <p>            write the certificate JSON to <p>
+ replay:
   --replay <p>         replay a witness file instead of exploring; any
-                       explicitly-passed instance flag that conflicts
-                       with the witness is a structured error
+                       instance flag passed that conflicts with the
+                       witness is a structured error
 
 live runtime (live):
   --transport <t>      mpsc | udp               (default mpsc)
@@ -469,7 +848,8 @@ live runtime (live):
                        simulator and check safety + census (needs
                        --oneshot on a fault-free static topology)
   --matrix             run every algorithm x {clique:5, ring:6}
-                       instead of a single cell; nonzero exit on any
+                       instead of the --alg/--topo cell (so neither they
+                       nor --conformance apply); nonzero exit on any
                        safety violation
   --victim <node>      crash this node a quarter into the run
   --moves <k>          teleport waypoints pushed by the driver
@@ -498,16 +878,12 @@ fn parse_alg(s: &str) -> Result<AlgKind, String> {
         .ok_or_else(|| format!("unknown algorithm '{s}'; try `lme list`"))
 }
 
-fn parse_usize(s: &str, what: &str) -> Result<usize, String> {
-    s.parse().map_err(|_| format!("invalid {what} '{s}'"))
-}
-
-fn parse_u64(s: &str, what: &str) -> Result<u64, String> {
+fn parse_num<T: FromStr>(s: &str, what: &str) -> Result<T, String> {
     s.parse().map_err(|_| format!("invalid {what} '{s}'"))
 }
 
 fn parse_pos_f64(s: &str, what: &str) -> Result<f64, String> {
-    let v: f64 = s.parse().map_err(|_| format!("invalid {what} '{s}'"))?;
+    let v: f64 = parse_num(s, what)?;
     if v <= 0.0 || !v.is_finite() {
         return Err(format!("{what} '{s}' must be a positive number"));
     }
@@ -515,7 +891,7 @@ fn parse_pos_f64(s: &str, what: &str) -> Result<f64, String> {
 }
 
 fn parse_prob(s: &str, what: &str) -> Result<f64, String> {
-    let p: f64 = s.parse().map_err(|_| format!("invalid {what} '{s}'"))?;
+    let p: f64 = parse_num(s, what)?;
     if !(0.0..=1.0).contains(&p) {
         return Err(format!("{what} '{s}' must be a probability in [0, 1]"));
     }
@@ -528,8 +904,8 @@ fn parse_window(s: &str, what: &str) -> Result<(u64, u64), String> {
     let (a, b) = s
         .split_once("..")
         .ok_or_else(|| format!("{what} '{s}' must look like 100..900"))?;
-    let a = parse_u64(a, what)?;
-    let b = parse_u64(b, what)?;
+    let a = parse_num(a, what)?;
+    let b = parse_num(b, what)?;
     if b <= a {
         return Err(format!("{what} '{s}' must satisfy a < b"));
     }
@@ -546,14 +922,18 @@ fn parse_nodes(s: &str) -> Result<Vec<u32>, String> {
         .collect()
 }
 
-fn parse_range(s: &str) -> Result<(u64, u64), String> {
-    let (a, b) = s
-        .split_once("..")
-        .ok_or_else(|| format!("range '{s}' must look like 10..30"))?;
-    let a = parse_u64(a, "range start")?;
-    let b = parse_u64(b, "range end")?;
+/// Parse an `--eat`/`--think` range `a..b` with `1 ≤ a ≤ b` (`n` is
+/// `n..n`); an eating time must also fit under τ.
+fn parse_range(flag: &str, s: &str) -> Result<(u64, u64), String> {
+    let (a, b) = s.split_once("..").unwrap_or((s, s));
+    let a = parse_num(a, "range start")?;
+    let b = parse_num(b, "range end")?;
     if a == 0 || b < a {
         return Err(format!("range '{s}' must satisfy 1 ≤ a ≤ b"));
+    }
+    let tau = SimConfig::default().max_eating_ticks;
+    if flag == "--eat" && b > tau {
+        return Err(format!("--eat {s} exceeds τ ({tau} ticks)"));
     }
     Ok((a, b))
 }
@@ -577,24 +957,21 @@ pub fn parse_topo(s: &str) -> Result<TopoSpec, String> {
         .next()
         .ok_or_else(|| format!("topology '{s}' needs a size, e.g. line:8"))?;
     let spec = match kind {
-        "line" => TopoSpec::Line(parse_usize(arg, "size")?),
-        "ring" => TopoSpec::Ring(ring_size(parse_usize(arg, "size")?, "ring:")?),
-        "clique" => TopoSpec::Clique(parse_usize(arg, "size")?),
-        "star" => TopoSpec::Star(parse_usize(arg, "leaf count")?),
-        "tree" => TopoSpec::Tree(parse_usize(arg, "size")?),
+        "line" => TopoSpec::Line(parse_num(arg, "size")?),
+        "ring" => TopoSpec::Ring(ring_size(parse_num(arg, "size")?, "ring:")?),
+        "clique" => TopoSpec::Clique(parse_num(arg, "size")?),
+        "star" => TopoSpec::Star(parse_num(arg, "leaf count")?),
+        "tree" => TopoSpec::Tree(parse_num(arg, "size")?),
         "grid" => {
             let (w, h) = arg
                 .split_once('x')
                 .ok_or_else(|| format!("grid spec '{arg}' must look like 4x5"))?;
-            TopoSpec::Grid(
-                parse_usize(w, "grid width")?,
-                parse_usize(h, "grid height")?,
-            )
+            TopoSpec::Grid(parse_num(w, "grid width")?, parse_num(h, "grid height")?)
         }
         "random" => {
-            let n = parse_usize(arg, "size")?;
+            let n = parse_num(arg, "size")?;
             let seed = match parts.next() {
-                Some(s) => parse_u64(s, "topology seed")?,
+                Some(s) => parse_num(s, "topology seed")?,
                 None => 7,
             };
             TopoSpec::Random(n, seed)
@@ -604,259 +981,71 @@ pub fn parse_topo(s: &str) -> Result<TopoSpec, String> {
     if spec.is_empty() {
         return Err("topology must have at least one node".to_string());
     }
+    // `random` took its optional seed above; anything further is junk.
     if let Some(extra) = parts.next() {
-        if !matches!(spec, TopoSpec::Random(..)) || !extra.is_empty() {
-            // random consumed its optional seed above; anything else is junk
-            if !matches!(spec, TopoSpec::Random(..)) {
-                return Err(format!("trailing topology arguments: '{extra}'"));
-            }
-        }
+        return Err(format!("trailing topology arguments: '{extra}'"));
     }
     Ok(spec)
 }
 
-/// Parse full argv (excluding the binary name is fine too — `list`, `run`
-/// or `probe` is located positionally).
+/// Parse full argv (a leading binary name ending in `lme` is skipped).
 ///
 /// # Errors
 ///
-/// Returns a diagnostic (often including [`USAGE`]) on malformed input.
-pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Cli, String> {
-    let mut args: Vec<String> = argv.into_iter().collect();
-    if args
-        .first()
-        .is_some_and(|a| a.ends_with("lme") || a.ends_with("lme.exe"))
-    {
-        args.remove(0);
-    }
-    let mut cli = Cli::default();
-    let mut it = args.into_iter();
-    let cmd = it
+/// Returns a diagnostic (often including [`USAGE`]) on malformed input,
+/// and on a flag the command (or its mode) does not read.
+pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Command, String> {
+    let mut argv = argv.into_iter().peekable();
+    argv.next_if(|a| a.ends_with("lme") || a.ends_with("lme.exe"));
+    let cmd = argv
         .next()
         .ok_or_else(|| format!("missing command\n{USAGE}"))?;
-    cli.command = match cmd.as_str() {
+    let args = &mut Args {
+        cmd: cmd.clone(),
+        words: argv.map(Some).collect(),
+    };
+    let command = match cmd.as_str() {
         "list" => Command::List,
-        "run" => Command::Run,
-        "probe" => Command::Probe,
-        "sweep" => Command::Sweep,
-        "chaos" => Command::Chaos,
-        "check" => Command::Check,
-        "live" => Command::Live,
-        "experiments" => Command::Experiments,
+        "run" => Command::Run(Run {
+            scenario: Scenario::take(&Asked::take(args)?, args)?,
+            csv: args.switch("--csv"),
+        }),
+        "probe" => {
+            let inst = Asked::take(args)?.instance();
+            Command::Probe(Probe {
+                victim: take_victim(args, &inst.topo)?,
+                sim: Sim::take(args, &inst, None)?,
+                inst,
+            })
+        }
+        "sweep" => {
+            let asked = Asked::take(args)?;
+            Command::Sweep(Sweep {
+                algs: asked
+                    .alg
+                    .map_or_else(|| AlgKind::all().to_vec(), |alg| vec![alg]),
+                scenario: Scenario::take(&asked, args)?,
+                seeds: args.count("--seeds")?.unwrap_or(8),
+                jobs: args.count("--jobs")?,
+            })
+        }
+        "chaos" => {
+            let inst = Asked::take(args)?.instance();
+            Command::Chaos(Chaos {
+                victim: take_victim(args, &inst.topo)?,
+                seeds: args.count("--seeds")?.unwrap_or(8),
+                jobs: args.count("--jobs")?,
+                metrics_out: args.take("--metrics-out")?,
+                inst,
+            })
+        }
+        "check" => Command::Check(Check::take(args)?),
+        "live" => Command::Live(Live::take(args)?),
+        "experiments" => Command::Experiments(Experiments::take(args)?),
         other => return Err(format!("unknown command '{other}'\n{USAGE}")),
     };
-    while let Some(flag) = it.next() {
-        if cli.command == Command::Experiments && !flag.starts_with("--") {
-            let id = experiments::id(&flag).ok_or_else(|| {
-                format!(
-                    "unknown experiment id '{flag}'; ids: {}",
-                    experiments::ids().join(" ")
-                )
-            })?;
-            cli.ids.push(id);
-            continue;
-        }
-        if flag.starts_with("--") {
-            cli.explicit.push(flag.clone());
-        }
-        let mut value = |name: &str| {
-            it.next()
-                .ok_or_else(|| format!("flag {name} needs a value\n{USAGE}"))
-        };
-        match flag.as_str() {
-            "--alg" => {
-                cli.alg = parse_alg(&value("--alg")?)?;
-                cli.algs = vec![cli.alg];
-            }
-            "--topo" => cli.topo = parse_topo(&value("--topo")?)?,
-            "--horizon" => cli.horizon = parse_u64(&value("--horizon")?, "horizon")?,
-            "--seed" => cli.seed = parse_u64(&value("--seed")?, "seed")?,
-            "--eat" => {
-                let spec = value("--eat")?;
-                cli.eat = parse_range(&spec)?;
-                let tau = SimConfig::default().max_eating_ticks;
-                if cli.eat.1 > tau {
-                    return Err(format!("--eat {spec} exceeds τ ({tau} ticks)"));
-                }
-            }
-            "--think" => cli.think = parse_range(&value("--think")?)?,
-            "--moves" => cli.moves = parse_usize(&value("--moves")?, "move count")?,
-            "--mix" => cli.mix = Some(MobilityMix::parse(&value("--mix")?)?),
-            "--channel" => cli.channel = ChannelConfig::parse(&value("--channel")?)?,
-            "--victim" => {
-                cli.victim = Some(parse_u64(&value("--victim")?, "victim")? as u32);
-            }
-            "--arq" => cli.arq = true,
-            "--recover" => {
-                cli.recover_at = Some(parse_u64(&value("--recover")?, "recover time")?);
-            }
-            "--reliable" => cli.reliable = true,
-            "--csv" => cli.csv = true,
-            "--jobs" => {
-                let jobs = parse_usize(&value("--jobs")?, "--jobs value")?;
-                if jobs == 0 {
-                    return Err("--jobs must be at least 1".to_string());
-                }
-                cli.jobs = Some(jobs);
-            }
-            "--seeds" => {
-                cli.seeds = parse_u64(&value("--seeds")?, "seed count")?;
-                if cli.seeds == 0 {
-                    return Err("--seeds must be at least 1".to_string());
-                }
-            }
-            "--metrics-out" => cli.metrics_out = Some(value("--metrics-out")?),
-            "--fault-drop" => {
-                cli.fault_drop = parse_prob(&value("--fault-drop")?, "drop probability")?;
-            }
-            "--fault-dup" => {
-                cli.fault_dup = parse_prob(&value("--fault-dup")?, "duplication probability")?;
-            }
-            "--fault-skew" => {
-                cli.fault_skew = parse_u64(&value("--fault-skew")?, "skew ticks")?;
-            }
-            "--fault-delay" => cli.fault_delay = true,
-            "--fault-partition" => {
-                cli.fault_partition = Some(parse_window(
-                    &value("--fault-partition")?,
-                    "partition window",
-                )?);
-            }
-            "--fault-targets" => {
-                let nodes = parse_nodes(&value("--fault-targets")?)?;
-                if nodes.is_empty() {
-                    return Err("--fault-targets needs at least one node".to_string());
-                }
-                cli.fault_targets = Some(nodes);
-            }
-            "--fault-window" => {
-                cli.fault_window = Some(parse_window(&value("--fault-window")?, "fault window")?);
-            }
-            "--fault-seed" => {
-                cli.fault_seed = parse_u64(&value("--fault-seed")?, "fault seed")?;
-            }
-            "--strategy" => cli.strategy = StrategyKind::parse(&value("--strategy")?)?,
-            "--steps" => {
-                cli.steps = parse_usize(&value("--steps")?, "step budget")?;
-                if cli.steps == 0 {
-                    return Err("--steps must be at least 1".to_string());
-                }
-            }
-            "--depth" => cli.depth = parse_usize(&value("--depth")?, "depth bound")?,
-            "--nodes" => {
-                let n = parse_usize(&value("--nodes")?, "node count")?;
-                if n == 0 {
-                    return Err("--nodes must be at least 1".to_string());
-                }
-                cli.topo = TopoSpec::Line(n);
-            }
-            "--mutate" => cli.mutate = Mutation::parse(&value("--mutate")?)?,
-            "--liveness" => cli.liveness = true,
-            "--certify" => cli.certify = true,
-            "--witness-out" => cli.witness_out = Some(value("--witness-out")?),
-            "--replay" => cli.replay_witness = Some(value("--replay")?),
-            "--out" => cli.out = Some(value("--out")?),
-            "--quick" => cli.quick = true,
-            "--transport" => cli.transport = TransportKind::parse(&value("--transport")?)?,
-            "--duration" => {
-                cli.duration_ms = parse_u64(&value("--duration")?, "duration")?;
-                if cli.duration_ms == 0 {
-                    return Err("--duration must be at least 1 ms".to_string());
-                }
-            }
-            "--rate" => cli.rate = parse_pos_f64(&value("--rate")?, "rate")?,
-            "--eat-ms" => {
-                cli.eat_ms = parse_u64(&value("--eat-ms")?, "eating time")?;
-                if cli.eat_ms == 0 {
-                    return Err("--eat-ms must be at least 1 ms".to_string());
-                }
-            }
-            "--oneshot" => cli.one_shot = true,
-            "--conformance" => cli.conformance = true,
-            "--matrix" => cli.matrix = true,
-            "--workers" => {
-                let workers = parse_usize(&value("--workers")?, "worker count")?;
-                if workers == 0 {
-                    return Err("--workers must be at least 1".to_string());
-                }
-                cli.workers = Some(workers);
-            }
-            "--closed-loop" => cli.closed_loop = true,
-            other => return Err(format!("unknown flag '{other}'\n{USAGE}")),
-        }
-    }
-    let (bit, name) = cli.reader();
-    for flag in &cli.explicit {
-        let readers = FLAG_READERS
-            .iter()
-            .find(|(f, _)| f == flag)
-            .map_or(0, |&(_, readers)| readers);
-        if readers & bit == 0 {
-            return Err(format!("{flag} does not apply to `lme {name}`"));
-        }
-    }
-    if cli.certify {
-        if cli.liveness {
-            return Err(
-                "--certify measures one hungry cycle per node; the recycling \
-                 --liveness workload never quiesces"
-                    .to_string(),
-            );
-        }
-        if cli.strategy != StrategyKind::Dfs {
-            return Err("--certify exhausts the schedule space; --strategy does not apply".into());
-        }
-        if cli.replay_witness.is_some() {
-            return Err("--certify and --replay are mutually exclusive".to_string());
-        }
-    }
-    if (cli.moves > 0 || cli.mix.is_some()) && cli.topo.is_explicit() {
-        return Err("star/tree topologies are explicit graphs: movement is not supported".into());
-    }
-    if let Some(v) = cli.victim {
-        if v as usize >= cli.topo.len() {
-            return Err(format!(
-                "victim {v} out of range for a {}-node topology",
-                cli.topo.len()
-            ));
-        }
-    }
-    if cli.recover_at.is_some() && cli.victim.is_none() {
-        return Err("--recover needs --victim (the node that crashes)".to_string());
-    }
-    if cli.fault_partition.is_some() && cli.fault_targets.is_none() {
-        return Err("--fault-partition needs --fault-targets (the side to cut off)".to_string());
-    }
-    if let Some(targets) = &cli.fault_targets {
-        let n = cli.topo.len();
-        if let Some(&bad) = targets.iter().find(|&&t| t as usize >= n) {
-            return Err(format!(
-                "fault target {bad} out of range for a {n}-node topology"
-            ));
-        }
-        if cli.fault_partition.is_some() && targets.len() >= n {
-            return Err("a partition side must leave at least one node outside".to_string());
-        }
-    }
-    if cli.command == Command::Live {
-        if cli.topo.is_explicit() {
-            return Err(
-                "live runs need a geometric topology (the driver owns positions)".to_string(),
-            );
-        }
-        if cli.conformance {
-            if !cli.one_shot {
-                return Err("--conformance needs --oneshot (see `lme list`)".to_string());
-            }
-            if cli.victim.is_some() || cli.moves > 0 {
-                return Err(
-                    "--conformance needs a fault-free, static run (drop --victim/--moves)"
-                        .to_string(),
-                );
-            }
-        }
-    }
-    Ok(cli)
+    args.end()?;
+    Ok(command)
 }
 
 #[cfg(test)]
@@ -867,30 +1056,40 @@ mod tests {
         s.split_whitespace().map(str::to_string)
     }
 
+    /// Parse `line` and unwrap the `$cmd` variant.
+    macro_rules! parse_as {
+        ($cmd:ident, $line:expr) => {
+            match parse(argv($line)).unwrap() {
+                Command::$cmd(cmd) => cmd,
+                other => panic!("{}: parsed as {other:?}", $line),
+            }
+        };
+    }
+
     #[test]
     fn parses_run_with_defaults() {
-        let cli = parse(argv("run")).unwrap();
-        assert_eq!(cli.command, Command::Run);
-        assert_eq!(cli.alg, AlgKind::A2);
-        assert_eq!(cli.topo, TopoSpec::Line(8));
+        let run = parse_as!(Run, "run");
+        assert_eq!(run.scenario.inst.alg, AlgKind::A2);
+        assert_eq!(run.scenario.inst.topo, TopoSpec::Line(8));
     }
 
     #[test]
     fn parses_full_flag_set() {
-        let cli = parse(argv(
+        let run = parse_as!(
+            Run,
             "run --alg a1-linial --topo grid:4x5 --horizon 9000 --seed 3 \
-             --eat 5..9 --think 11..20 --moves 4 --csv",
-        ))
-        .unwrap();
-        assert_eq!(cli.alg, AlgKind::A1Linial);
-        assert_eq!(cli.topo, TopoSpec::Grid(4, 5));
-        assert_eq!(cli.topo.len(), 20);
-        assert_eq!(cli.horizon, 9000);
-        assert_eq!(cli.seed, 3);
-        assert_eq!(cli.eat, (5, 9));
-        assert_eq!(cli.think, (11, 20));
-        assert_eq!(cli.moves, 4);
-        assert!(cli.csv);
+             --eat 5..9 --think 11..20 --moves 4 --csv"
+        );
+        let inst = &run.scenario.inst;
+        assert_eq!(inst.alg, AlgKind::A1Linial);
+        assert_eq!(inst.topo, TopoSpec::Grid(4, 5));
+        assert_eq!(inst.topo.len(), 20);
+        assert_eq!(inst.horizon, 9000);
+        assert_eq!(inst.seed, 3);
+        assert_eq!(inst.eat, (5, 9));
+        assert_eq!(inst.think, (11, 20));
+        assert!(matches!(&run.scenario.mobility, Mobility::Waypoints(p) if p.moves == 4));
+        assert!(run.csv);
     }
 
     #[test]
@@ -906,17 +1105,16 @@ mod tests {
 
     #[test]
     fn parses_sweep_flags() {
-        let cli = parse(argv(
-            "sweep --topo line:6 --seeds 12 --jobs 3 --metrics-out m.jsonl",
-        ))
-        .unwrap();
-        assert_eq!(cli.command, Command::Sweep);
-        assert_eq!(cli.seeds, 12);
-        assert_eq!(cli.jobs, Some(3));
-        assert_eq!(cli.metrics_out.as_deref(), Some("m.jsonl"));
+        let sweep = parse_as!(
+            Sweep,
+            "sweep --topo line:6 --seeds 12 --jobs 3 --metrics-out m.jsonl"
+        );
+        assert_eq!(sweep.seeds, 12);
+        assert_eq!(sweep.jobs, Some(3));
+        assert_eq!(sweep.scenario.sim.metrics_out.as_deref(), Some("m.jsonl"));
         // No --alg: the sweep compares the whole Table 1 field.
-        assert_eq!(cli.algs, AlgKind::all().to_vec());
-        let one = parse(argv("sweep --alg a2")).unwrap();
+        assert_eq!(sweep.algs, AlgKind::all().to_vec());
+        let one = parse_as!(Sweep, "sweep --alg a2");
         assert_eq!(one.algs, vec![AlgKind::A2]);
     }
 
@@ -944,6 +1142,8 @@ mod tests {
         assert!(parse(argv("run --alg nope")).is_err());
         assert!(parse(argv("run --topo blob:3")).is_err());
         assert!(parse(argv("run --topo grid:4")).is_err());
+        assert!(parse(argv("run --topo line:8:3")).is_err());
+        assert!(parse(argv("run --topo random:24:7:9")).is_err());
         assert!(parse(argv("run --eat 30..10")).is_err());
         assert!(parse(argv("run --eat 0..10")).is_err());
         let err = parse(argv("run --eat 10..100")).unwrap_err();
@@ -959,6 +1159,7 @@ mod tests {
         assert!(parse(argv("run --horizon")).is_err());
         assert!(parse(argv("run --topo star:4 --moves 2")).is_err());
         assert!(parse(argv("probe --topo line:5 --victim 9")).is_err());
+        assert!(parse(argv("run --topo line:5 --nodes 5")).is_err());
         // A flag the command never reads is an error naming both.
         for (line, flag, cmd) in [
             ("list --alg a2", "--alg", "list"),
@@ -980,50 +1181,89 @@ mod tests {
 
     #[test]
     fn every_documented_flag_has_readers() {
+        // Some command takes each flag USAGE documents: given to it, the
+        // flag is neither refused nor unknown.
+        let commands = [
+            "run",
+            "probe",
+            "sweep",
+            "chaos",
+            "check",
+            "live",
+            "experiments",
+        ];
         let flags = USAGE
             .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
             .filter(|w| w.starts_with("--") && w.len() > 2);
         for flag in flags {
-            let readers = FLAG_READERS.iter().find(|(f, _)| *f == flag);
-            assert!(readers.is_some_and(|&(_, r)| r != 0), "{flag}");
+            let read = commands.iter().any(|cmd| {
+                let err = parse(argv(&format!("{cmd} {flag} 1")))
+                    .err()
+                    .unwrap_or_default();
+                !err.starts_with(&format!("{flag} does not apply"))
+                    && !err.starts_with(&format!("unknown flag '{flag}'"))
+            });
+            assert!(read, "{flag}");
         }
     }
 
     #[test]
     fn parses_reliability_flags() {
-        let cli = parse(argv("run --topo line:5 --arq --victim 2 --recover 5000")).unwrap();
-        assert!(cli.arq);
-        assert_eq!(cli.victim, Some(2));
-        assert_eq!(cli.recover_at, Some(5000));
-        assert!(!cli.reliable);
-        let live = parse(argv(
-            "live --topo ring:6 --reliable --victim 1 --recover 800",
-        ))
-        .unwrap();
-        assert!(live.reliable);
-        assert_eq!(live.recover_at, Some(800));
+        // The recovery must come after the crash at horizon/4.
+        let run = parse_as!(
+            Run,
+            "run --topo line:5 --horizon 12000 --arq --victim 2 --recover 5000"
+        );
+        let sim = &run.scenario.sim;
+        assert!(sim.arq);
+        assert_eq!(sim.fault.crash_waves[0].nodes, vec![NodeId(2)]);
+        assert_eq!(sim.fault.recovers[0].at, 5000);
+        let live = parse_as!(
+            Live,
+            "live --topo ring:6 --reliable --victim 1 --recover 800"
+        );
+        assert!(live.cfg.reliable);
+        assert_eq!(live.cfg.recover, Some((1, 800)));
         assert!(parse(argv("run --topo line:5 --recover 5000")).is_err()); // no victim
+        assert!(parse(argv("run --topo line:5 --victim 2 --recover 5000")).is_err()); // too early
         assert!(parse(argv("probe --topo line:5 --victim 2 --recover 5000")).is_err());
     }
 
     #[test]
+    fn run_and_sweep_victim_needs_recover_and_one_mobility_model() {
+        // A crash with no recovery is `lme probe`'s job; on run/sweep the
+        // victim alone used to be dropped without a word.
+        for cmd in ["run", "sweep"] {
+            let err = parse(argv(&format!("{cmd} --topo line:5 --victim 2"))).unwrap_err();
+            assert!(err.starts_with("--victim needs --recover"), "{cmd}: {err}");
+            let err = parse(argv(&format!("{cmd} --moves 3 --mix 0.5:0.25"))).unwrap_err();
+            assert!(err.contains("--mix and --moves"), "{cmd}: {err}");
+        }
+    }
+
+    #[test]
     fn parses_fault_flags() {
-        let cli = parse(argv(
+        let run = parse_as!(
+            Run,
             "run --topo line:6 --fault-drop 0.25 --fault-dup 0.1 --fault-skew 40 \
              --fault-delay --fault-partition 100..900 --fault-targets 2,3 \
-             --fault-window 50..5000 --fault-seed 99",
-        ))
-        .unwrap();
-        assert_eq!(cli.fault_drop, 0.25);
-        assert_eq!(cli.fault_dup, 0.1);
-        assert_eq!(cli.fault_skew, 40);
-        assert!(cli.fault_delay);
-        assert_eq!(cli.fault_partition, Some((100, 900)));
-        assert_eq!(cli.fault_targets, Some(vec![2, 3]));
-        assert_eq!(cli.fault_window, Some((50, 5000)));
-        assert_eq!(cli.fault_seed, 99);
-        let chaos = parse(argv("chaos --topo line:9 --seeds 4")).unwrap();
-        assert_eq!(chaos.command, Command::Chaos);
+             --fault-window 50..5000 --fault-seed 99"
+        );
+        let fault = &run.scenario.sim.fault;
+        let link = fault.link.as_ref().expect("link faults");
+        assert_eq!(link.drop, 0.25);
+        assert_eq!(link.duplicate, 0.1);
+        assert_eq!(link.skew_ticks, 40);
+        let delay = fault.max_delay.as_ref().expect("delay adversary");
+        assert_eq!(fault.partitions[0].at, 100);
+        assert_eq!(fault.partitions[0].heal_after, 800);
+        assert_eq!(delay.targets, vec![NodeId(2), NodeId(3)]);
+        assert_eq!(
+            (link.window, delay.window),
+            (Some((50, 5000)), Some((50, 5000)))
+        );
+        assert_eq!(fault.seed, 99);
+        parse_as!(Chaos, "chaos --topo line:9 --seeds 4");
     }
 
     #[test]
@@ -1042,20 +1282,44 @@ mod tests {
 
     #[test]
     fn parses_check_flags() {
-        let cli = parse(argv(
-            "check --alg a1-greedy --strategy pct --steps 99 --depth 7 \
-             --nodes 4 --mutate no-sdf-guard --witness-out w.json",
-        ))
-        .unwrap();
-        assert_eq!(cli.command, Command::Check);
-        assert_eq!(cli.strategy, StrategyKind::Pct);
-        assert_eq!(cli.steps, 99);
-        assert_eq!(cli.depth, 7);
-        assert_eq!(cli.topo, TopoSpec::Line(4));
-        assert_eq!(cli.mutate, Mutation::NoSdfGuard);
-        assert_eq!(cli.witness_out.as_deref(), Some("w.json"));
-        let replay = parse(argv("check --replay w.json")).unwrap();
-        assert_eq!(replay.replay_witness.as_deref(), Some("w.json"));
+        let check = parse_as!(
+            Check,
+            "check --alg a1-greedy --strategy dfs --steps 99 --depth 7 \
+             --nodes 4 --mutate no-sdf-guard --witness-out w.json"
+        );
+        let CheckMode::Explore {
+            strategy,
+            witness_out,
+            ..
+        } = &check.mode
+        else {
+            panic!("{check:?}");
+        };
+        assert_eq!(
+            *strategy,
+            Strategy::Dfs {
+                steps: 99,
+                depth: 7
+            }
+        );
+        assert_eq!(check.asked.topo, Some(TopoSpec::Line(4)));
+        assert_eq!(check.mutate, Some(Mutation::NoSdfGuard));
+        assert_eq!(witness_out.as_deref(), Some("w.json"));
+        let pct = parse_as!(Check, "check --strategy pct --seeds 5");
+        assert!(matches!(
+            pct.mode,
+            CheckMode::Explore {
+                strategy: Strategy::Pct { walks: 5 },
+                ..
+            }
+        ));
+        let replay = parse_as!(Check, "check --replay w.json");
+        assert_eq!(
+            replay.mode,
+            CheckMode::Replay {
+                path: "w.json".to_string()
+            }
+        );
     }
 
     #[test]
@@ -1078,22 +1342,69 @@ mod tests {
         ] {
             let err = parse(argv(&format!("check --topo line:3 {flag}"))).unwrap_err();
             assert!(
-                err.ends_with("does not apply to `lme check`"),
+                err.ends_with("does not apply to `lme check --strategy dfs`"),
                 "{flag}: {err}"
             );
         }
     }
 
     #[test]
+    fn check_flags_apply_only_in_their_mode() {
+        // Each of these exited 0 with the flag ignored before modes had
+        // their own fields.
+        for (line, flag, mode) in [
+            ("--out c.json", "--out", "--strategy dfs"),
+            (
+                "--certify --witness-out w.json",
+                "--witness-out",
+                "--certify",
+            ),
+            ("--certify --liveness", "--liveness", "--certify"),
+            ("--certify --depth 3", "--depth", "--certify"),
+            ("--seeds 3", "--seeds", "--strategy dfs"),
+            (
+                "--strategy random --steps 9",
+                "--steps",
+                "--strategy random",
+            ),
+            ("--strategy pct --depth 4", "--depth", "--strategy pct"),
+            ("--replay w.json --jobs 2", "--jobs", "--replay"),
+            ("--replay w.json --strategy dfs", "--strategy", "--replay"),
+            ("--replay w.json --out c.json", "--out", "--replay"),
+        ] {
+            let err = parse(argv(&format!("check {line}"))).unwrap_err();
+            assert_eq!(
+                err,
+                format!("{flag} does not apply to `lme check {mode}`"),
+                "{line}"
+            );
+        }
+        let err = parse(argv("check --think 10")).unwrap_err();
+        assert!(err.starts_with("--think needs --liveness"), "{err}");
+        for flag in ["--eat 5..9", "--think 5..9 --liveness"] {
+            let err = parse(argv(&format!("check {flag}"))).unwrap_err();
+            assert!(err.contains("takes one time"), "{flag}: {err}");
+        }
+        // One time is N or N..N.
+        let check = parse_as!(Check, "check --eat 7 --think 10..10 --liveness");
+        assert_eq!(
+            (check.asked.eat, check.asked.think),
+            (Some((7, 7)), Some((10, 10)))
+        );
+    }
+
+    #[test]
     fn parses_bench_flags() {
         // The experiment front end that replaced `lme bench`.
-        let cli = parse(argv("experiments --quick --jobs 2 t1 --out E.md C3 l1")).unwrap();
-        assert_eq!(cli.command, Command::Experiments);
-        assert!(cli.quick);
-        assert_eq!(cli.jobs, Some(2));
-        assert_eq!(cli.out.as_deref(), Some("E.md"));
-        assert_eq!(cli.ids, vec!["T1", "C3", "L1"]);
-        let default = parse(argv("experiments")).unwrap();
+        let exp = parse_as!(
+            Experiments,
+            "experiments --quick --jobs 2 t1 --out E.md C3 l1"
+        );
+        assert!(exp.quick);
+        assert_eq!(exp.jobs, Some(2));
+        assert_eq!(exp.out.as_deref(), Some("E.md"));
+        assert_eq!(exp.ids, vec!["T1", "C3", "L1"]);
+        let default = parse_as!(Experiments, "experiments");
         assert!(default.ids.is_empty(), "no ids means every id");
         assert!(!default.quick);
         assert_eq!(default.out, None);
@@ -1101,21 +1412,24 @@ mod tests {
 
     #[test]
     fn parses_channel_and_mix_flags() {
-        let cli = parse(argv("run --topo ring:6 --channel bandwidth:3:16")).unwrap();
+        let run = parse_as!(Run, "run --topo ring:6 --channel bandwidth:3:16");
         assert_eq!(
-            cli.channel,
+            run.scenario.sim.channel,
             ChannelConfig::ConstantBandwidth {
                 ticks_per_frame: 3,
                 max_queue: 16
             }
         );
-        let cli = parse(argv("sweep --topo line:8 --mix 0.5:0.25")).unwrap();
-        let mix = cli.mix.expect("mix parsed");
+        let sweep = parse_as!(Sweep, "sweep --topo line:8 --mix 0.5:0.25");
+        let Mobility::Mix(mix) = sweep.scenario.mobility else {
+            panic!("mix parsed");
+        };
         assert_eq!(mix.static_frac, 0.5);
         assert_eq!(mix.highway_frac, 0.25);
         // Default stays the historical i.i.d. draw.
-        assert_eq!(parse(argv("run")).unwrap().channel, ChannelConfig::Iid);
-        assert!(parse(argv("run")).unwrap().mix.is_none());
+        let run = parse_as!(Run, "run");
+        assert_eq!(run.scenario.sim.channel, ChannelConfig::Iid);
+        assert!(matches!(run.scenario.mobility, Mobility::Static));
     }
 
     #[test]
@@ -1159,32 +1473,38 @@ mod tests {
 
     #[test]
     fn parses_live_flags() {
-        let cli = parse(argv(
+        let live = parse_as!(
+            Live,
             "live --transport udp --alg a1-greedy --topo ring:6 --duration 500 \
-             --rate 40 --eat-ms 1 --oneshot --conformance --seed 9",
-        ))
-        .unwrap();
-        assert_eq!(cli.command, Command::Live);
-        assert_eq!(cli.transport, TransportKind::Udp);
-        assert_eq!(cli.alg, AlgKind::A1Greedy);
-        assert_eq!(cli.topo, TopoSpec::Ring(6));
-        assert_eq!(cli.duration_ms, 500);
-        assert_eq!(cli.rate, 40.0);
-        assert_eq!(cli.eat_ms, 1);
-        assert!(cli.one_shot && cli.conformance);
-        assert_eq!(cli.seed, 9);
-        let matrix = parse(argv("live --matrix --duration 250")).unwrap();
-        assert!(matrix.matrix);
+             --rate 40 --eat-ms 1 --oneshot --conformance --seed 9"
+        );
+        let cell = live.cell.as_ref().expect("one cell");
+        assert_eq!(live.cfg.transport, TransportKind::Udp);
+        assert_eq!(live.cfg.alg, AlgKind::A1Greedy);
+        assert_eq!(cell.topo, TopoSpec::Ring(6));
+        assert_eq!(live.cfg.duration_ms, 500);
+        assert_eq!(live.cfg.rate, 40.0);
+        assert_eq!(live.cfg.eat_ms, 1);
+        assert!(live.cfg.one_shot && cell.conformance);
+        assert_eq!(live.cfg.seed, 9);
+        let matrix = parse_as!(Live, "live --matrix --duration 250");
+        assert!(matrix.cell.is_none());
+        // The matrix runs its fixed cells: a cell's flags do not apply.
+        for flag in ["--alg a2", "--topo ring:6", "--nodes 4", "--conformance"] {
+            let err = parse(argv(&format!("live --matrix {flag}"))).unwrap_err();
+            let name = flag.split(' ').next().unwrap();
+            assert_eq!(err, format!("{name} does not apply to `lme live --matrix`"));
+        }
     }
 
     #[test]
     fn parses_worker_pool_flags() {
-        let cli = parse(argv("live --workers 4 --closed-loop --reliable")).unwrap();
-        assert_eq!(cli.workers, Some(4));
-        assert!(cli.closed_loop && cli.reliable);
-        let default = parse(argv("live")).unwrap();
-        assert_eq!(default.workers, None);
-        assert!(!default.closed_loop);
+        let live = parse_as!(Live, "live --workers 4 --closed-loop --reliable");
+        assert_eq!(live.cfg.runtime, LiveRuntime::Sharded { workers: 4 });
+        assert!(live.cfg.closed_loop && live.cfg.reliable);
+        let default = parse_as!(Live, "live");
+        assert_eq!(default.cfg.runtime, LiveRuntime::Sharded { workers: 0 });
+        assert!(!default.cfg.closed_loop);
         let err = parse(argv("experiments --workers 2")).unwrap_err();
         assert_eq!(err, "--workers does not apply to `lme experiments`");
     }
@@ -1209,6 +1529,7 @@ mod tests {
         assert!(parse(argv("live --conformance")).is_err()); // needs --oneshot
         assert!(parse(argv("live --conformance --oneshot --victim 0")).is_err());
         assert!(parse(argv("live --conformance --oneshot --moves 2")).is_err());
+        assert!(parse(argv("live --matrix --victim 5")).is_err()); // clique:5 has 0..4
         for flag in [
             "--fault-drop 0.1",
             "--fault-window 1..9",

@@ -1,129 +1,51 @@
-//! Command execution: turn a parsed [`Cli`] into a run and render the
+//! Command execution: turn a parsed [`Command`] into a run and render the
 //! report.
 
 use std::path::Path;
 
 use harness::{
     crash_probe, default_jobs, run, run_cells, stats::jain_index, AlgKind, FaultClass, Job,
-    MobilityMix, RunOutcome, RunReport, RunSpec, Summary, SweepCell, SweepReport, SweepSpec, Table,
-    Topo, WaypointPlan,
+    RunOutcome, RunReport, RunSpec, Summary, SweepCell, SweepReport, SweepSpec, Table, Topo,
+    WaypointPlan,
 };
 use lme_check::{
-    certify, explore, replay, CertifyConfig, CheckSpec, ExploreConfig, StrategyKind, Witness,
+    certify, explore, replay, CertifyConfig, CheckSpec, ExploreConfig, Mutation, StrategyKind,
+    Witness,
 };
-use lme_net::{conformance_replay, run_live, LiveConfig, LiveRuntime};
-use manet_sim::{
-    ArqConfig, ChannelConfig, CrashWave, DelayAdversary, FaultPlan, LinkFaults, NodeId,
-    PartitionWindow, SimConfig, SimTime,
-};
+use lme_net::{conformance_replay, run_live, LiveConfig};
+use manet_sim::{ArqConfig, ChannelConfig, NodeId, SimConfig, SimTime};
 
-use crate::args::{Cli, Command, TopoSpec, USAGE};
+use crate::args::{
+    Chaos, Check, CheckMode, Command, Experiments, Instance, Live, Mobility, Probe, Run, Scenario,
+    Sim, Strategy, Sweep, TopoSpec, USAGE,
+};
 use crate::experiments;
 
-fn spec_of(cli: &Cli) -> Result<RunSpec, String> {
-    Ok(RunSpec {
+/// The run spec of `inst` at `seed`, with the default sim settings.
+fn base_spec(inst: &Instance, seed: u64) -> RunSpec {
+    RunSpec {
         sim: SimConfig {
-            seed: cli.seed,
-            fault: fault_plan_of(cli)?,
-            arq: cli.arq.then(ArqConfig::default),
-            channel: cli.channel.clone(),
+            seed,
             ..SimConfig::default()
         },
-        horizon: cli.horizon,
-        eat: cli.eat.0..=cli.eat.1,
-        think: cli.think.0..=cli.think.1,
+        horizon: inst.horizon,
+        eat: inst.eat.0..=inst.eat.1,
+        think: inst.think.0..=inst.think.1,
         ..RunSpec::default()
-    })
-}
-
-/// Assemble the [`FaultPlan`] the `--fault-*` flags describe (empty when
-/// none were given).
-fn fault_plan_of(cli: &Cli) -> Result<FaultPlan, String> {
-    let targets: Option<Vec<NodeId>> = cli
-        .fault_targets
-        .as_ref()
-        .map(|ts| ts.iter().map(|&t| NodeId(t)).collect());
-    let mut plan = FaultPlan {
-        seed: cli.fault_seed,
-        ..FaultPlan::default()
-    };
-    if cli.fault_drop > 0.0 || cli.fault_dup > 0.0 || cli.fault_skew > 0 {
-        plan.link = Some(LinkFaults {
-            drop: cli.fault_drop,
-            duplicate: cli.fault_dup,
-            skew: if cli.fault_skew > 0 { 1.0 } else { 0.0 },
-            skew_ticks: cli.fault_skew,
-            window: cli.fault_window,
-            targets: targets.clone(),
-            ..LinkFaults::default()
-        });
-    }
-    if cli.fault_delay {
-        let adversary_targets = targets
-            .clone()
-            .unwrap_or_else(|| (0..cli.topo.len() as u32).map(NodeId).collect());
-        plan.max_delay = Some(DelayAdversary {
-            targets: adversary_targets,
-            window: cli.fault_window,
-        });
-    }
-    if let Some((at, heal_at)) = cli.fault_partition {
-        let side = targets.ok_or("--fault-partition needs --fault-targets")?;
-        plan.partitions = vec![PartitionWindow {
-            at,
-            side,
-            heal_after: heal_at - at,
-        }];
-    }
-    if let Some(at) = cli.recover_at {
-        // `live` interprets --recover itself (in ms); here it is a tick
-        // against the sim fault plan: crash --victim at horizon/4,
-        // restart it as a fresh incarnation at the given tick.
-        let victim = cli.victim.ok_or("--recover needs --victim")?;
-        let crash_at = (cli.horizon / 4).max(1);
-        if at <= crash_at {
-            return Err(format!(
-                "--recover {at} must come after the crash at tick {crash_at} (horizon/4)"
-            ));
-        }
-        plan.crash_waves.push(CrashWave {
-            at: crash_at,
-            nodes: vec![NodeId(victim)],
-        });
-        plan.recovers.push(CrashWave {
-            at,
-            nodes: vec![NodeId(victim)],
-        });
-    }
-    plan.validate(cli.topo.len())
-        .map_err(|e| format!("invalid fault plan: {e}"))?;
-    Ok(plan)
-}
-
-fn waypoint_plan(cli: &Cli, n: usize) -> WaypointPlan {
-    WaypointPlan {
-        area_side: (n as f64 / 1.6).sqrt().max(2.0),
-        moves: cli.moves,
-        window: (cli.horizon / 10, cli.horizon * 9 / 10),
-        speed: Some(0.25),
-        seed: cli.seed ^ 0xB0B,
     }
 }
 
-/// Ground a parsed `--mix` (class fractions only) in this run's geometry:
-/// same area, window, and seed derivation as [`waypoint_plan`].
-fn mobility_mix_of(cli: &Cli, mix: &MobilityMix, n: usize) -> MobilityMix {
-    MobilityMix {
-        area_side: (n as f64 / 1.6).sqrt().max(2.0),
-        window: (cli.horizon / 10, cli.horizon * 9 / 10),
-        seed: cli.seed ^ 0xB0B,
-        ..mix.clone()
-    }
+fn spec_of(inst: &Instance, sim: &Sim) -> RunSpec {
+    let mut spec = base_spec(inst, inst.seed);
+    spec.sim.fault = sim.fault.clone();
+    spec.sim.arq = sim.arq.then(ArqConfig::default);
+    spec.sim.channel = sim.channel.clone();
+    spec
 }
 
 /// Write the JSONL metrics file when `--metrics-out` was given.
-fn emit_metrics(cli: &Cli, report: &SweepReport) -> Result<(), String> {
-    if let Some(path) = &cli.metrics_out {
+fn emit_metrics(path: Option<&String>, report: &SweepReport) -> Result<(), String> {
+    if let Some(path) = path {
         report
             .write_jsonl(std::path::Path::new(path))
             .map_err(|e| format!("cannot write metrics to {path}: {e}"))?;
@@ -131,8 +53,41 @@ fn emit_metrics(cli: &Cli, report: &SweepReport) -> Result<(), String> {
     Ok(())
 }
 
-fn render_run(cli: &Cli, out: &RunOutcome) -> String {
-    if cli.csv {
+/// The metrics of one run as a one-run report.
+fn one_run(
+    inst: &Instance,
+    out: &RunOutcome,
+    locality: Option<(usize, Option<usize>)>,
+) -> SweepReport {
+    SweepReport {
+        runs: vec![RunReport::from_outcome(
+            &inst.topo.to_string(),
+            inst.alg.name(),
+            inst.seed,
+            inst.horizon,
+            out,
+            locality,
+        )],
+    }
+}
+
+fn render_run(cmd: &Run) -> Result<String, String> {
+    let Scenario {
+        inst,
+        sim,
+        mobility,
+    } = &cmd.scenario;
+    let spec = spec_of(inst, sim);
+    let topo = inst.topo.topo();
+    let n = topo.len();
+    let commands = match mobility {
+        Mobility::Static => Vec::new(),
+        Mobility::Waypoints(plan) => plan.commands(n),
+        Mobility::Mix(mix) => mix.commands(n),
+    };
+    let out = run(inst.alg, &spec, &topo, &commands, None);
+    emit_metrics(sim.metrics_out.as_ref(), &one_run(inst, &out, None))?;
+    if cmd.csv {
         let mut t = Table::new(&["node", "hungry_at", "eat_at", "response", "moved", "msgs"]);
         for s in &out.metrics.samples {
             t.row([
@@ -144,16 +99,16 @@ fn render_run(cli: &Cli, out: &RunOutcome) -> String {
                 s.msgs.to_string(),
             ]);
         }
-        return t.to_csv();
+        return Ok(t.to_csv());
     }
     let mut report = String::new();
     report.push_str(&format!(
         "{} on {:?} (n = {}), horizon {}, seed {}\n",
-        cli.alg.name(),
-        cli.topo,
-        cli.topo.len(),
-        cli.horizon,
-        cli.seed
+        inst.alg.name(),
+        inst.topo,
+        inst.topo.len(),
+        inst.horizon,
+        inst.seed
     ));
     report.push_str(&format!("  safety violations : {}\n", out.violations.len()));
     report.push_str(&format!("  total meals       : {}\n", out.total_meals()));
@@ -168,7 +123,7 @@ fn render_run(cli: &Cli, out: &RunOutcome) -> String {
         out.messages_sent,
         out.messages_per_meal()
     ));
-    if cli.arq {
+    if sim.arq {
         report.push_str(&format!(
             "  arq shim          : {} retransmissions, {} acks, buffer high water {}\n",
             out.stats.shim.retransmissions,
@@ -182,37 +137,36 @@ fn render_run(cli: &Cli, out: &RunOutcome) -> String {
             out.stats.faults.recoveries
         ));
     }
-    let starving = out.metrics.starving_since(SimTime(cli.horizon / 2));
+    let starving = out.metrics.starving_since(SimTime(inst.horizon / 2));
     if starving.is_empty() {
         report.push_str("  starvation        : none\n");
     } else {
         report.push_str(&format!("  starvation        : {starving:?}\n"));
     }
-    report
+    Ok(report)
 }
 
-fn render_probe(cli: &Cli) -> Result<String, String> {
-    let spec = spec_of(cli)?;
-    let victim = NodeId(cli.victim.unwrap_or(cli.topo.len() as u32 / 2));
-    let report = crash_probe(cli.alg, &spec, &cli.topo.topo(), victim, spec.horizon / 20);
+fn render_probe(cmd: &Probe) -> Result<String, String> {
+    let inst = &cmd.inst;
+    let spec = spec_of(inst, &cmd.sim);
+    let victim = NodeId(cmd.victim.unwrap_or(inst.topo.len() as u32 / 2));
+    let report = crash_probe(
+        inst.alg,
+        &spec,
+        &inst.topo.topo(),
+        victim,
+        spec.horizon / 20,
+    );
+    let locality = Some((report.starving.len(), report.locality));
     emit_metrics(
-        cli,
-        &SweepReport {
-            runs: vec![RunReport::from_outcome(
-                &cli.topo.to_string(),
-                cli.alg.name(),
-                cli.seed,
-                spec.horizon,
-                &report.outcome,
-                Some((report.starving.len(), report.locality)),
-            )],
-        },
+        cmd.sim.metrics_out.as_ref(),
+        &one_run(inst, &report.outcome, locality),
     )?;
     let mut s = String::new();
     s.push_str(&format!(
         "crash probe: {} on {:?}, victim {victim} crashed mid-CS\n",
-        cli.alg.name(),
-        cli.topo
+        inst.alg.name(),
+        inst.topo
     ));
     s.push_str(&format!(
         "  crash fired at    : {}\n",
@@ -235,34 +189,39 @@ fn render_probe(cli: &Cli) -> Result<String, String> {
     Ok(s)
 }
 
-fn render_sweep(cli: &Cli) -> Result<String, String> {
-    let base = spec_of(cli)?;
-    let topo = cli.topo.topo();
+fn render_sweep(cmd: &Sweep) -> Result<String, String> {
+    let Scenario {
+        inst,
+        sim,
+        mobility,
+    } = &cmd.scenario;
+    let base = spec_of(inst, sim);
+    let topo = inst.topo.topo();
     let n = topo.len();
-    let mut sweep = SweepSpec::new(cli.topo.to_string(), topo, base)
-        .kinds(cli.algs.iter().copied())
-        .seed_range(cli.seed, cli.seeds);
-    if let Some(mix) = &cli.mix {
-        sweep = sweep.mix(mobility_mix_of(cli, mix, n));
-    } else if cli.moves > 0 {
-        sweep = sweep.moves(waypoint_plan(cli, n));
+    let mut sweep = SweepSpec::new(inst.topo.to_string(), topo, base)
+        .kinds(cmd.algs.iter().copied())
+        .seed_range(inst.seed, cmd.seeds);
+    match mobility {
+        Mobility::Static => {}
+        Mobility::Waypoints(plan) => sweep = sweep.moves(plan.clone()),
+        Mobility::Mix(mix) => sweep = sweep.mix(mix.clone()),
     }
-    let jobs = cli.jobs.unwrap_or_else(default_jobs);
+    let jobs = cmd.jobs.unwrap_or_else(default_jobs);
     let report = sweep.run(jobs);
-    emit_metrics(cli, &report)?;
+    emit_metrics(sim.metrics_out.as_ref(), &report)?;
 
     let mut s = format!(
         "sweep: {} on {} (n = {}), seeds {}..{}, horizon {}, {} jobs\n",
-        if cli.algs.len() == 1 {
-            cli.algs[0].name()
+        if cmd.algs.len() == 1 {
+            cmd.algs[0].name()
         } else {
             "all algorithms"
         },
-        cli.topo,
+        inst.topo,
         n,
-        cli.seed,
-        cli.seed + cli.seeds,
-        cli.horizon,
+        inst.seed,
+        inst.seed + cmd.seeds,
+        inst.horizon,
         jobs,
     );
     let mut table = Table::new(&[
@@ -289,7 +248,7 @@ fn render_sweep(cli: &Cli) -> Result<String, String> {
         ]);
     }
     s.push_str(&table.to_string());
-    if let Some(path) = &cli.metrics_out {
+    if let Some(path) = &sim.metrics_out {
         s.push_str(&format!("per-run metrics written to {path}\n"));
     }
     Ok(s)
@@ -313,28 +272,20 @@ const CHAOS_CLASSES: [FaultClass; 8] = [
     FaultClass::MaxDelay,
 ];
 
-fn render_chaos(cli: &Cli) -> Result<String, String> {
-    let topo = cli.topo.topo();
+fn render_chaos(cmd: &Chaos) -> Result<String, String> {
+    let inst = &cmd.inst;
+    let topo = inst.topo.topo();
     let n = topo.len();
     if n < 2 {
         return Err("chaos needs at least two nodes".to_string());
     }
-    let victim = NodeId(cli.victim.unwrap_or(n as u32 / 2));
-    let fault_at = (cli.horizon / 20).max(1);
-    let quiesce = fault_at + (cli.horizon - fault_at) / 2;
-    let mut cells = Vec::with_capacity(CHAOS_CLASSES.len() * cli.seeds as usize);
+    let victim = NodeId(cmd.victim.unwrap_or(n as u32 / 2));
+    let fault_at = (inst.horizon / 20).max(1);
+    let quiesce = fault_at + (inst.horizon - fault_at) / 2;
+    let mut cells = Vec::with_capacity(CHAOS_CLASSES.len() * cmd.seeds as usize);
     for &class in &CHAOS_CLASSES {
-        for seed in cli.seed..cli.seed + cli.seeds {
-            let mut spec = RunSpec {
-                sim: SimConfig {
-                    seed,
-                    ..SimConfig::default()
-                },
-                horizon: cli.horizon,
-                eat: cli.eat.0..=cli.eat.1,
-                think: cli.think.0..=cli.think.1,
-                ..RunSpec::default()
-            };
+        for seed in inst.seed..inst.seed + cmd.seeds {
+            let mut spec = base_spec(inst, seed);
             let job = match class {
                 FaultClass::Crash => Job::Probe {
                     victim,
@@ -355,8 +306,8 @@ fn render_chaos(cli: &Cli) -> Result<String, String> {
                 }
             };
             cells.push(SweepCell {
-                label: format!("{}/{}", cli.topo, class.label()),
-                kind: cli.alg,
+                label: format!("{}/{}", inst.topo, class.label()),
+                kind: inst.alg,
                 spec,
                 topo: topo.clone(),
                 commands: Vec::new(),
@@ -364,21 +315,21 @@ fn render_chaos(cli: &Cli) -> Result<String, String> {
             });
         }
     }
-    let jobs = cli.jobs.unwrap_or_else(default_jobs);
+    let jobs = cmd.jobs.unwrap_or_else(default_jobs);
     let report = run_cells(&cells, jobs);
-    emit_metrics(cli, &report)?;
+    emit_metrics(cmd.metrics_out.as_ref(), &report)?;
 
     // The job count is deliberately absent from the output: the chaos
     // report (and its JSONL) is byte-identical for every --jobs value.
     let mut s = format!(
         "chaos: {} on {} (n = {}), victim {victim}, seeds {}..{}, horizon {}\n\
          faults strike at {fault_at}, quiesce by {quiesce}\n",
-        cli.alg.name(),
-        cli.topo,
+        inst.alg.name(),
+        inst.topo,
         n,
-        cli.seed,
-        cli.seed + cli.seeds,
-        cli.horizon,
+        inst.seed,
+        inst.seed + cmd.seeds,
+        inst.horizon,
     );
     let mut table = Table::new(&[
         "fault class",
@@ -404,7 +355,7 @@ fn render_chaos(cli: &Cli) -> Result<String, String> {
         ]);
     }
     s.push_str(&table.to_string());
-    if let Some(path) = &cli.metrics_out {
+    if let Some(path) = &cmd.metrics_out {
         s.push_str(&format!("per-run metrics written to {path}\n"));
     }
     // Sustained and burst loss are survivable only through the ARQ shim;
@@ -423,93 +374,60 @@ fn render_chaos(cli: &Cli) -> Result<String, String> {
     Ok(s)
 }
 
-fn check_spec_of(cli: &Cli) -> Result<CheckSpec, String> {
-    let topo = cli.topo.topo();
+fn check_spec_of(cmd: &Check) -> Result<CheckSpec, String> {
+    let inst = cmd.asked.instance();
+    let topo = inst.topo.topo();
     let edges = topo.edges(SimConfig::default().radio_range).into_owned();
-    let mut spec = CheckSpec::new(cli.alg, cli.topo.to_string(), topo.len(), edges);
-    spec.seed = cli.seed;
-    spec.horizon = cli.horizon;
-    spec.eat = cli.eat.0;
-    spec.mutation = cli.mutate;
-    spec.liveness = cli.liveness;
-    spec.think = cli.think.0;
+    let mut spec = CheckSpec::new(inst.alg, inst.topo.to_string(), topo.len(), edges);
+    spec.seed = inst.seed;
+    spec.horizon = inst.horizon;
+    spec.eat = inst.eat.0;
+    spec.mutation = cmd.mutate.unwrap_or(Mutation::None);
+    spec.liveness = cmd.liveness;
+    spec.think = inst.think.0;
     spec.validate()?;
     Ok(spec)
 }
 
-/// Explicitly-passed CLI flags that contradict the instance a witness
-/// records. Flags left at their defaults never conflict: the witness is
-/// the authority on its own instance.
-fn witness_flag_conflicts(cli: &Cli, witness: &Witness) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut check = |flags: &[&str], same: bool, asked: String, recorded: String| {
-        if !same && flags.iter().any(|f| cli.explicitly_set(f)) {
-            out.push(format!(
-                "{} asks for {asked} but the witness records {recorded}",
-                flags[0]
-            ));
-        }
-    };
-    check(
-        &["--alg"],
-        cli.alg.name() == witness.alg,
-        cli.alg.name().to_string(),
-        witness.alg.clone(),
-    );
-    check(
-        &["--topo", "--nodes"],
-        cli.topo.to_string() == witness.topo,
-        cli.topo.to_string(),
-        witness.topo.clone(),
-    );
-    check(
-        &["--seed"],
-        cli.seed == witness.seed,
-        cli.seed.to_string(),
-        witness.seed.to_string(),
-    );
-    check(
-        &["--horizon"],
-        cli.horizon == witness.horizon,
-        cli.horizon.to_string(),
-        witness.horizon.to_string(),
-    );
-    check(
-        &["--eat"],
-        cli.eat.0 == witness.eat,
-        cli.eat.0.to_string(),
-        witness.eat.to_string(),
-    );
-    check(
-        &["--think"],
-        !witness.liveness || cli.think.0 == witness.think,
-        cli.think.0.to_string(),
-        witness.think.to_string(),
-    );
-    check(
-        &["--mutate"],
-        cli.mutate.name() == witness.mutation,
-        cli.mutate.name().to_string(),
-        witness.mutation.clone(),
-    );
-    check(
-        &["--liveness"],
-        cli.liveness == witness.liveness,
-        "a liveness run".to_string(),
-        "a safety-only run".to_string(),
-    );
-    out
+/// The instance flags passed that contradict the instance a witness
+/// records. A flag left out never conflicts: the witness is the authority
+/// on its own instance.
+fn witness_flag_conflicts(cmd: &Check, w: &Witness) -> Vec<String> {
+    let asked = &cmd.asked;
+    let text = |v: Option<u64>| v.map(|v| v.to_string());
+    let run = |live| format!("a {} run", if live { "liveness" } else { "safety-only" });
+    let topo = asked.topo.as_ref().map(TopoSpec::to_string);
+    let think = asked.think.filter(|_| w.liveness).map(|t| t.0);
+    let mutate = cmd.mutate.map(|m| m.name().to_string());
+    let liveness = cmd.liveness.then(|| run(true));
+    let flags = [
+        ("--alg", asked.alg.map(|k| k.name().into()), w.alg.clone()),
+        ("--topo", topo, w.topo.clone()),
+        ("--seed", text(asked.seed), w.seed.to_string()),
+        ("--horizon", text(asked.horizon), w.horizon.to_string()),
+        ("--eat", text(asked.eat.map(|e| e.0)), w.eat.to_string()),
+        ("--think", text(think), w.think.to_string()),
+        ("--mutate", mutate, w.mutation.clone()),
+        ("--liveness", liveness, run(w.liveness)),
+    ];
+    let conflicts = flags.into_iter().filter_map(|(flag, asked, recorded)| {
+        let asked = asked.filter(|asked| *asked != recorded)?;
+        Some(format!(
+            "{flag} asks for {asked} but the witness records {recorded}"
+        ))
+    });
+    conflicts.collect()
 }
 
 /// Replay a witness file: the rendered report (including the full trace) is
-/// a pure function of the file, byte-identical across machines and `--jobs`.
-/// Explicitly-passed instance flags that contradict the witness are a
-/// structured error (exit 2), never silently ignored.
-fn render_replay(cli: &Cli, path: &str) -> Result<String, String> {
+/// a pure function of the file, byte-identical across machines.
+/// Instance flags passed that contradict the witness are a structured
+/// error (exit 2), never silently ignored.
+fn render_replay(cmd: &Check, path: &str) -> Result<String, String> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("cannot read witness {path}: {e}"))?;
     let witness = Witness::from_json(text.trim())?;
-    let conflicts = witness_flag_conflicts(cli, &witness);
+    let conflicts = witness_flag_conflicts(cmd, &witness);
     if !conflicts.is_empty() {
         return Err(format!(
             "replay: witness {path} conflicts with the command line:\n  {}\n\
@@ -557,23 +475,28 @@ fn render_replay(cli: &Cli, path: &str) -> Result<String, String> {
     Ok(s)
 }
 
-fn render_check(cli: &Cli) -> Result<String, String> {
-    if let Some(path) = &cli.replay_witness {
-        return render_replay(cli, path);
-    }
-    if cli.certify {
-        return render_certify(cli);
-    }
-    let spec = check_spec_of(cli)?;
-    let cfg = ExploreConfig {
-        strategy: cli.strategy,
-        max_schedules: match cli.strategy {
-            StrategyKind::Dfs => cli.steps,
-            StrategyKind::Random | StrategyKind::Pct => cli.seeds as usize,
-        },
-        max_depth: cli.depth,
-        jobs: cli.jobs.unwrap_or(1),
+fn render_check(cmd: &Check) -> Result<String, String> {
+    let (strategy, jobs, witness_out) = match &cmd.mode {
+        CheckMode::Replay { path } => return render_replay(cmd, path),
+        CheckMode::Certify { steps, jobs, out } => return render_certify(cmd, *steps, *jobs, out),
+        CheckMode::Explore {
+            strategy,
+            jobs,
+            witness_out,
+        } => (*strategy, *jobs, witness_out),
+    };
+    let spec = check_spec_of(cmd)?;
+    let mut cfg = ExploreConfig {
+        jobs: jobs.unwrap_or(1),
         ..ExploreConfig::default()
+    };
+    (cfg.strategy, cfg.max_schedules) = match strategy {
+        Strategy::Dfs { steps, depth } => {
+            cfg.max_depth = depth;
+            (StrategyKind::Dfs, steps)
+        }
+        Strategy::Random { walks } => (StrategyKind::Random, walks),
+        Strategy::Pct { walks } => (StrategyKind::Pct, walks),
     };
     let result = explore(&spec, &cfg);
     let mut s = format!(
@@ -581,7 +504,7 @@ fn render_check(cli: &Cli) -> Result<String, String> {
         spec.alg.name(),
         spec.topo,
         spec.n,
-        cli.strategy.name(),
+        cfg.strategy.name(),
         spec.seed,
         spec.mutation.name(),
     );
@@ -595,7 +518,7 @@ fn render_check(cli: &Cli) -> Result<String, String> {
         "  schedules run     : {}{}\n",
         result.schedules,
         if result.complete {
-            match cli.strategy {
+            match cfg.strategy {
                 StrategyKind::Dfs => " (bounded schedule space exhausted)",
                 _ => " (all requested walks)",
             }
@@ -607,7 +530,7 @@ fn render_check(cli: &Cli) -> Result<String, String> {
         "  max branch points : {}\n",
         result.max_branch_points
     ));
-    if cli.strategy == StrategyKind::Dfs {
+    if cfg.strategy == StrategyKind::Dfs {
         s.push_str(&format!("  dedup prunes      : {}\n", result.dedup_prunes));
         s.push_str(&format!("  dpor prunes       : {}\n", result.dpor_prunes));
     }
@@ -622,7 +545,7 @@ fn render_check(cli: &Cli) -> Result<String, String> {
                 w.hungry.len(),
                 result.shrink_runs
             ));
-            if let Some(path) = &cli.witness_out {
+            if let Some(path) = witness_out {
                 std::fs::write(path, w.to_json() + "\n")
                     .map_err(|e| format!("cannot write witness to {path}: {e}"))?;
                 s.push_str(&format!("  witness written to: {path}\n"));
@@ -634,16 +557,18 @@ fn render_check(cli: &Cli) -> Result<String, String> {
 
 /// `lme check --certify`: exhaust the extremal schedule space and report
 /// the exact worst-case response time as a machine-readable certificate.
-fn render_certify(cli: &Cli) -> Result<String, String> {
-    let spec = check_spec_of(cli)?;
+fn render_certify(
+    cmd: &Check,
+    steps: Option<usize>,
+    jobs: Option<usize>,
+    out: &Option<String>,
+) -> Result<String, String> {
+    let spec = check_spec_of(cmd)?;
+    let default = CertifyConfig::default();
     let cfg = CertifyConfig {
-        max_schedules: if cli.explicitly_set("--steps") {
-            cli.steps
-        } else {
-            CertifyConfig::default().max_schedules
-        },
-        jobs: cli.jobs.unwrap_or(1),
-        ..CertifyConfig::default()
+        max_schedules: steps.unwrap_or(default.max_schedules),
+        jobs: jobs.unwrap_or(1),
+        ..default
     };
     let cert = certify(&spec, &cfg);
     let mut s = format!(
@@ -681,7 +606,7 @@ fn render_certify(cli: &Cli) -> Result<String, String> {
     } else {
         s.push_str("  certificate       : VOID (see above)\n");
     }
-    if let Some(path) = &cli.out {
+    if let Some(path) = out {
         std::fs::write(path, cert.to_json() + "\n")
             .map_err(|e| format!("cannot write certificate to {path}: {e}"))?;
         s.push_str(&format!("  certificate written to: {path}\n"));
@@ -689,52 +614,26 @@ fn render_certify(cli: &Cli) -> Result<String, String> {
     Ok(s)
 }
 
-/// Node positions of a live run's topology: the driver moves and crashes
-/// nodes in space, so live runs need a geometry.
-fn live_positions(topo: &TopoSpec) -> Result<Vec<(f64, f64)>, String> {
-    match topo.topo() {
-        Topo::Geo(positions) => Ok(positions),
-        Topo::Graph { .. } => Err(format!(
-            "live runs need a geometric topology, not {topo} (the driver owns positions)"
-        )),
-    }
-}
-
-/// The worker pool the flags ask for (`--workers`, else sized to the
-/// machine).
-fn live_runtime_of(cli: &Cli) -> LiveRuntime {
-    LiveRuntime::Sharded {
-        workers: cli.workers.unwrap_or(0),
-    }
-}
-
-/// Assemble one live-run configuration from the flags. `--victim` crashes
-/// a quarter into the run; `--moves` reuses the harness random-waypoint
-/// generator as driver-pushed teleports.
-fn live_config_of(cli: &Cli, alg: AlgKind, positions: Vec<(f64, f64)>) -> LiveConfig {
-    let n = positions.len();
-    let mut cfg = LiveConfig::new(alg, cli.transport, positions);
-    cfg.duration_ms = cli.duration_ms;
-    cfg.rate = cli.rate;
-    cfg.eat_ms = cli.eat_ms;
-    cfg.one_shot = cli.one_shot;
-    cfg.seed = cli.seed;
-    cfg.reliable = cli.reliable;
-    cfg.closed_loop = cli.closed_loop;
-    cfg.runtime = live_runtime_of(cli);
-    if let Some(v) = cli.victim {
-        cfg.crash = Some((v, (cli.duration_ms / 4).max(1)));
-        if let Some(at) = cli.recover_at {
-            cfg.recover = Some((v, at));
-        }
-    }
-    if cli.moves > 0 {
+/// The config of one live cell: `alg` on `topo`, with `--moves`
+/// random waypoints pushed by the driver as teleports.
+fn live_cell(cmd: &Live, alg: AlgKind, topo: &TopoSpec) -> Result<LiveConfig, String> {
+    // The driver moves and crashes nodes in space: live runs need a geometry.
+    let Topo::Geo(positions) = topo.topo() else {
+        return Err(format!("live runs need a geometric topology, not {topo}"));
+    };
+    let mut cfg = LiveConfig {
+        alg,
+        positions,
+        ..cmd.cfg.clone()
+    };
+    let n = cfg.positions.len();
+    if cmd.moves > 0 {
         let plan = WaypointPlan {
             area_side: (n as f64 / 1.6).sqrt().max(2.0),
-            moves: cli.moves,
-            window: (cli.duration_ms / 10, (cli.duration_ms * 9 / 10).max(1)),
+            moves: cmd.moves,
+            window: (cfg.duration_ms / 10, (cfg.duration_ms * 9 / 10).max(1)),
             speed: None,
-            seed: cli.seed ^ 0xB0B,
+            seed: cfg.seed ^ 0xB0B,
         };
         for (t, cmd) in plan.commands(n) {
             if let manet_sim::Command::Teleport { node, dest } = cmd {
@@ -742,7 +641,7 @@ fn live_config_of(cli: &Cli, alg: AlgKind, positions: Vec<(f64, f64)>) -> LiveCo
             }
         }
     }
-    cfg
+    Ok(cfg)
 }
 
 /// Render a pooled hungry→eat latency summary in milliseconds.
@@ -759,24 +658,24 @@ fn fmt_latency_ms(s: &Summary) -> String {
     )
 }
 
-fn render_live(cli: &Cli) -> Result<String, String> {
-    if cli.matrix {
-        return render_live_matrix(cli);
-    }
-    let cfg = live_config_of(cli, cli.alg, live_positions(&cli.topo)?);
+fn render_live(cmd: &Live) -> Result<String, String> {
+    let Some(cell) = &cmd.cell else {
+        return render_live_matrix(cmd);
+    };
+    let cfg = live_cell(cmd, cmd.cfg.alg, &cell.topo)?;
     let out = run_live(&cfg)?;
     let lat = Summary::of(&out.latencies_ns);
     let mut s = format!(
         "live: {} over {} on {} (n = {}), {} ms, rate {}/s, seed {}, {} runtime{}\n",
-        cli.alg.name(),
-        cli.transport.name(),
-        cli.topo,
-        cli.topo.len(),
+        cfg.alg.name(),
+        cfg.transport.name(),
+        cell.topo,
+        cell.topo.len(),
         out.elapsed_ms,
-        cli.rate,
-        cli.seed,
+        cfg.rate,
+        cfg.seed,
         cfg.runtime.name(),
-        if cli.closed_loop { ", closed loop" } else { "" },
+        if cfg.closed_loop { ", closed loop" } else { "" },
     );
     s.push_str(&format!("  safety violations : {}\n", out.violations.len()));
     s.push_str(&format!(
@@ -794,7 +693,7 @@ fn render_live(cli: &Cli) -> Result<String, String> {
          {} send failures\n",
         out.messages_sent, out.messages_delivered, out.decode_errors, out.send_failures
     ));
-    if cli.reliable || cli.recover_at.is_some() {
+    if cfg.reliable || cfg.recover.is_some() {
         s.push_str(&format!(
             "  reliability       : {} retransmissions, {} acks, {} recoveries\n",
             out.retransmissions, out.acks_sent, out.recoveries
@@ -803,9 +702,9 @@ fn render_live(cli: &Cli) -> Result<String, String> {
     s.push_str(&format!(
         "  threads joined    : {}/{}\n",
         out.threads_joined,
-        cli.topo.len()
+        cell.topo.len()
     ));
-    if cli.conformance {
+    if cell.conformance {
         let report = conformance_replay(&cfg, &out)?;
         s.push_str(&format!(
             "  conformance       : {} delays imported, sim census {:?} vs live {:?}, \
@@ -823,27 +722,21 @@ fn render_live(cli: &Cli) -> Result<String, String> {
 /// The fixed algorithm × topology acceptance matrix: every algorithm over
 /// a clique and a ring, each cell validated by the safety monitor.
 /// Nonzero exit on any violation.
-fn render_live_matrix(cli: &Cli) -> Result<String, String> {
+fn render_live_matrix(cmd: &Live) -> Result<String, String> {
     let topos = [TopoSpec::Clique(5), TopoSpec::Ring(6)];
+    let cfg = &cmd.cfg;
     let algs = AlgKind::extended();
-    if let Some(v) = cli.victim {
-        if v as usize >= 5 {
-            return Err(format!(
-                "matrix cells have 5–6 nodes; victim {v} out of range"
-            ));
-        }
-    }
     let mut s = format!(
         "live matrix: {} algorithms x {} topologies{} over {} ({} runtime), \
          {} ms per cell, rate {}/s, seed {}\n",
         algs.len(),
         topos.len(),
-        if cli.victim.is_some() { " + crash" } else { "" },
-        cli.transport.name(),
-        live_runtime_of(cli).name(),
-        cli.duration_ms,
-        cli.rate,
-        cli.seed,
+        if cfg.crash.is_some() { " + crash" } else { "" },
+        cfg.transport.name(),
+        cfg.runtime.name(),
+        cfg.duration_ms,
+        cfg.rate,
+        cfg.seed,
     );
     let mut table = Table::new(&[
         "algorithm",
@@ -858,7 +751,7 @@ fn render_live_matrix(cli: &Cli) -> Result<String, String> {
     let mut bad_cells = 0;
     for alg in algs {
         for topo in &topos {
-            let cfg = live_config_of(cli, alg, live_positions(topo)?);
+            let cfg = live_cell(cmd, alg, topo)?;
             let n = cfg.positions.len();
             let out = run_live(&cfg)?;
             let lat = Summary::of(&out.latencies_ns);
@@ -892,19 +785,19 @@ fn render_live_matrix(cli: &Cli) -> Result<String, String> {
 
 /// `lme experiments`: the blocks of the asked ids (all by default), or with
 /// `--out` spliced into that document, its `figures/` redrawn beside it.
-fn render_experiments(cli: &Cli) -> Result<String, String> {
-    let mut ids = cli.ids.clone();
+fn render_experiments(cmd: &Experiments) -> Result<String, String> {
+    let mut ids = cmd.ids.clone();
     if ids.is_empty() {
         ids = experiments::ids();
     }
-    let jobs = cli.jobs.unwrap_or_else(default_jobs);
-    let report = experiments::run_ids(&ids, cli.quick, jobs, &experiments::commit());
+    let jobs = cmd.jobs.unwrap_or_else(default_jobs);
+    let report = experiments::run_ids(&ids, cmd.quick, jobs, &experiments::commit());
     let mut s: String = report
         .blocks
         .iter()
         .map(|(_, b)| format!("{b}\n\n"))
         .collect();
-    if let Some(out) = &cli.out {
+    if let Some(out) = &cmd.out {
         let path = Path::new(out);
         let doc = match std::fs::read_to_string(path) {
             Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
@@ -934,8 +827,8 @@ fn render_experiments(cli: &Cli) -> Result<String, String> {
 /// # Errors
 ///
 /// Returns a diagnostic on unsupported combinations.
-pub fn execute(cli: &Cli) -> Result<String, String> {
-    match cli.command {
+pub fn execute(cmd: &Command) -> Result<String, String> {
+    match cmd {
         Command::List => {
             let mut s = String::from("algorithms:\n");
             for k in AlgKind::extended() {
@@ -950,37 +843,13 @@ pub fn execute(cli: &Cli) -> Result<String, String> {
             s.push_str(USAGE);
             Ok(s)
         }
-        Command::Run => {
-            let spec = spec_of(cli)?;
-            let topo = cli.topo.topo();
-            let n = topo.len();
-            let commands = match &cli.mix {
-                Some(mix) => mobility_mix_of(cli, mix, n).commands(n),
-                None if cli.moves > 0 => waypoint_plan(cli, n).commands(n),
-                None => Vec::new(),
-            };
-            let out = run(cli.alg, &spec, &topo, &commands, None);
-            emit_metrics(
-                cli,
-                &SweepReport {
-                    runs: vec![RunReport::from_outcome(
-                        &cli.topo.to_string(),
-                        cli.alg.name(),
-                        cli.seed,
-                        spec.horizon,
-                        &out,
-                        None,
-                    )],
-                },
-            )?;
-            Ok(render_run(cli, &out))
-        }
-        Command::Probe => render_probe(cli),
-        Command::Sweep => render_sweep(cli),
-        Command::Chaos => render_chaos(cli),
-        Command::Check => render_check(cli),
-        Command::Live => render_live(cli),
-        Command::Experiments => render_experiments(cli),
+        Command::Run(cmd) => render_run(cmd),
+        Command::Probe(cmd) => render_probe(cmd),
+        Command::Sweep(cmd) => render_sweep(cmd),
+        Command::Chaos(cmd) => render_chaos(cmd),
+        Command::Check(cmd) => render_check(cmd),
+        Command::Live(cmd) => render_live(cmd),
+        Command::Experiments(cmd) => render_experiments(cmd),
     }
 }
 
@@ -1323,23 +1192,35 @@ mod tests {
 
     #[test]
     fn check_finds_the_mutation_and_replays_it_jobs_invariant() {
+        // Exploration reads --jobs: the shrunk witness it writes must be
+        // byte-identical at any worker count. Replay reads no --jobs.
         let dir = std::env::temp_dir().join("lme-cli-test-check");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("witness.json");
-        let out = run_cli(argv(&format!(
-            "check --alg a1-greedy --topo line:3 --mutate no-sdf-guard \
-             --horizon 4000 --witness-out {}",
-            path.display()
-        )))
-        .unwrap();
-        assert!(out.contains("VIOLATION lme-safety"), "{out}");
-        assert!(out.contains("witness written to"), "{out}");
-        let a = run_cli(argv(&format!("check --replay {} --jobs 1", path.display()))).unwrap();
-        let b = run_cli(argv(&format!("check --replay {} --jobs 4", path.display()))).unwrap();
+        let explore = |jobs: usize| {
+            let path = dir.join(format!("witness-j{jobs}.json"));
+            let out = run_cli(argv(&format!(
+                "check --alg a1-greedy --topo line:3 --mutate no-sdf-guard \
+                 --horizon 4000 --jobs {jobs} --witness-out {}",
+                path.display()
+            )))
+            .unwrap();
+            assert!(out.contains("VIOLATION lme-safety"), "{out}");
+            assert!(out.contains("witness written to"), "{out}");
+            path
+        };
+        let (p1, p4) = (explore(1), explore(4));
+        let w1 = std::fs::read(&p1).unwrap();
+        assert!(!w1.is_empty());
+        assert_eq!(
+            w1,
+            std::fs::read(&p4).unwrap(),
+            "witness must not depend on --jobs"
+        );
+        let a = run_cli(argv(&format!("check --replay {}", p1.display()))).unwrap();
         assert!(a.contains("violation reproduced: lme-safety"), "{a}");
         assert!(a.contains("trace ("), "{a}");
-        assert_eq!(a, b, "witness replay must not depend on --jobs");
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&p1).ok();
+        std::fs::remove_file(&p4).ok();
     }
 
     #[test]

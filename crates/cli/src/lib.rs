@@ -23,7 +23,7 @@ pub mod exec;
 pub mod experiments;
 pub mod svg;
 
-pub use args::{parse, Cli, Command, TopoSpec};
+pub use args::{parse, Command, TopoSpec};
 pub use exec::execute;
 
 /// Entry point shared by `main.rs` and tests: parse and execute, returning
@@ -33,6 +33,5 @@ pub use exec::execute;
 ///
 /// Returns a usage/diagnostic message on bad arguments or a failed run.
 pub fn run_cli<I: IntoIterator<Item = String>>(argv: I) -> Result<String, String> {
-    let cli = parse(argv)?;
-    execute(&cli)
+    execute(&parse(argv)?)
 }
