@@ -303,6 +303,31 @@ mod tests {
         assert_eq!(run(false), (3_360, 0, 42));
     }
 
+    /// Every algorithm's dedup partition on `line:3`, pinned: the schedule
+    /// and prune counts move whenever a digest merges more or fewer
+    /// states, so a change to what an automaton hashes shows up here.
+    #[test]
+    fn dedup_partition_on_line3_for_every_algorithm() {
+        let table = [
+            (AlgKind::A2, (112, 442, 41)),
+            (AlgKind::A1Greedy, (1_960, 10_875, 45)),
+            (AlgKind::A1Linial, (1_960, 10_875, 45)),
+            (AlgKind::A1Random, (1_960, 10_875, 45)),
+            (AlgKind::ChandyMisra, (22, 22, 31)),
+            (AlgKind::ChoySingh, (1_584, 11_795, 43)),
+        ];
+        for (alg, want) in table {
+            let spec = CheckSpec::new(alg, "line:3", 3, vec![(0, 1), (1, 2)]);
+            let config = CertifyConfig {
+                jobs: 2,
+                ..CertifyConfig::default()
+            };
+            let c = certify(&spec, &config);
+            assert!(c.holds(), "{alg:?}: {c:?}");
+            assert_eq!((c.schedules, c.dedup_prunes, c.worst_rt), want, "{alg:?}");
+        }
+    }
+
     #[test]
     fn jobs_do_not_change_the_certificate() {
         let mut spec = CheckSpec::new(AlgKind::A2, "line:2", 2, vec![(0, 1)]);
