@@ -46,23 +46,12 @@ struct Edge {
     has_token: bool,
 }
 
-/// Per-node counters exposed for experiments.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
-pub struct CmStats {
-    /// Completed critical sections.
-    pub meals: u64,
-    /// Eating→hungry demotions caused by arriving in a new neighborhood.
-    pub demotions: u64,
-}
-
 /// One Chandy–Misra node. Implements [`Protocol`] for the simulator.
 #[derive(Debug, Hash)]
 pub struct ChandyMisra {
     me: NodeId,
     state: DiningState,
     edges: BTreeMap<NodeId, Edge>,
-    /// Experiment counters.
-    pub stats: CmStats,
 }
 
 impl ChandyMisra {
@@ -87,7 +76,6 @@ impl ChandyMisra {
                     )
                 })
                 .collect(),
-            stats: CmStats::default(),
         }
     }
 
@@ -148,7 +136,6 @@ impl Protocol for ChandyMisra {
             Event::ExitCs => {
                 if self.state == DiningState::Eating {
                     self.state = DiningState::Thinking;
-                    self.stats.meals += 1;
                     // Grant all deferred requests (token + fork both here).
                     let deferred: Vec<NodeId> = self
                         .edges
@@ -220,7 +207,6 @@ impl Protocol for ChandyMisra {
                         );
                         if self.state == DiningState::Eating {
                             self.state = DiningState::Hungry;
-                            self.stats.demotions += 1;
                         }
                         self.kick(ctx);
                     }
@@ -268,7 +254,7 @@ mod tests {
         e.add_hook(Box::new(AutoExit::new(20)));
         e.set_hungry_at(SimTime(1), NodeId(0));
         e.run_until(SimTime(200));
-        assert!(e.protocol(NodeId(0)).stats.meals >= 1);
+        assert!(e.observed(NodeId(0)).meals >= 1);
     }
 
     #[test]
@@ -281,7 +267,7 @@ mod tests {
         }
         e.run_until(SimTime(50_000));
         for i in 0..6 {
-            assert!(e.protocol(NodeId(i)).stats.meals >= 1, "p{i} starved");
+            assert!(e.observed(NodeId(i)).meals >= 1, "p{i} starved");
         }
     }
 
@@ -318,6 +304,6 @@ mod tests {
         e.teleport_at(SimTime(150), NodeId(1), (1.0, 0.0));
         e.run_until(SimTime(200));
         assert_eq!(e.dining_state(NodeId(1)), DiningState::Hungry);
-        assert_eq!(e.protocol(NodeId(1)).stats.demotions, 1);
+        assert_eq!(e.observed(NodeId(1)).demotions, 1);
     }
 }

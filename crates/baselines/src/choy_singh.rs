@@ -4,7 +4,7 @@
 //! failure locality 4, response time `O(δ²)`) is exactly the fork-collection
 //! module of Algorithm 1 run with a *fixed*, precomputed legal coloring and
 //! no recoloring. We therefore instantiate [`Algorithm1`] with
-//! `recolor_on_move = false` and install a greedy coloring of the initial
+//! [`RecolorConfig::Never`] and install a greedy coloring of the initial
 //! topology.
 //!
 //! In a static network this matches CS92's structure and bounds. Under
@@ -14,7 +14,7 @@
 //! on the forks alone). The Table 1 experiment exercises both regimes.
 
 use coloring::{greedy_color_graph, AdjGraph};
-use local_mutex::Algorithm1;
+use local_mutex::{Algorithm1, RecolorConfig};
 use manet_sim::NodeSeed;
 
 /// A precomputed legal coloring for the initial topology, shared by every
@@ -52,8 +52,7 @@ impl StaticColoring {
 /// Construct one Choy–Singh baseline node: Algorithm 1's fork collection
 /// with the fixed `coloring` and the recoloring module disabled.
 pub fn choy_singh(seed: &NodeSeed, coloring: &StaticColoring) -> Algorithm1 {
-    let mut node = Algorithm1::greedy(seed);
-    node.recolor_on_move = false;
+    let mut node = Algorithm1::new(seed, RecolorConfig::Never);
     node.set_initial_coloring(coloring.as_slice());
     node
 }
@@ -109,7 +108,7 @@ mod tests {
         }
         e.run_until(SimTime(50_000));
         for i in 0..n as u32 {
-            assert!(e.protocol(NodeId(i)).stats.meals >= 1, "p{i} starved");
+            assert!(e.observed(NodeId(i)).meals >= 1, "p{i} starved");
         }
     }
 
@@ -128,9 +127,9 @@ mod tests {
         e.teleport_at(SimTime(5), NodeId(2), (2.0, 0.0));
         e.set_hungry_at(SimTime(50), NodeId(2));
         e.run_until(SimTime(5_000));
-        assert_eq!(e.protocol(NodeId(2)).stats.recolorings, 0);
+        assert_eq!(e.observed(NodeId(2)).recolorings, 0);
         // It still makes progress here because greedy colors happen to stay
         // legal in this layout.
-        assert!(e.protocol(NodeId(2)).stats.meals >= 1);
+        assert!(e.observed(NodeId(2)).meals >= 1);
     }
 }

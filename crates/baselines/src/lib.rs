@@ -20,5 +20,5 @@
 pub mod chandy_misra;
 pub mod choy_singh;
 
-pub use chandy_misra::{ChandyMisra, CmMsg, CmStats};
+pub use chandy_misra::{ChandyMisra, CmMsg};
 pub use choy_singh::{choy_singh, StaticColoring};

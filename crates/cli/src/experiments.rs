@@ -559,11 +559,11 @@ fn pipeline(n: usize, ticks: u64, moves: Option<usize>) -> Pipeline {
     let mut phase_ticks = BTreeMap::new();
     let mut counters = [data.borrow().meals.iter().sum(), 0, 0, 0];
     for i in 0..n as u32 {
-        let p = engine.protocol(NodeId(i));
-        counters[1] += p.stats.recolorings;
-        counters[2] += p.stats.return_paths;
-        counters[3] += p.stats.demotions;
-        for w in p.phase_log.windows(2) {
+        let seen = engine.observed(NodeId(i));
+        counters[1] += seen.recolorings;
+        counters[2] += seen.return_paths;
+        counters[3] += seen.demotions;
+        for w in engine.protocol(NodeId(i)).phase_log.windows(2) {
             let ((t0, phase), (t1, _)) = (w[0], w[1]);
             if phase != Phase::Idle {
                 *phase_ticks.entry(phase.name()).or_insert(0) += t1 - t0;
@@ -664,7 +664,7 @@ fn f6(cx: &mut Cx) {
     let cells = nodes.into_iter().zip(before).zip(expected);
     let rows = cells.map(|(((name, node), (was, ate)), want)| {
         let (now, after) = (engine.dining_state(node), meals(node));
-        let returns = engine.protocol(node).stats.return_paths;
+        let returns = engine.observed(node).return_paths;
         let id = node.0;
         let text = format!("{name} (node{id}) | {was} | {ate} | {now} | {after} | {returns}");
         let what = format!("{was}/{ate} meals, then {after} meals and {returns} return paths");
@@ -688,7 +688,7 @@ fn ab(cx: &mut Cx) {
         let (p2, data) = (NodeId(2), data.borrow());
         let ate = data.samples.iter().find(|s| s.node == p2);
         let latency = ate.map(|s| s.eat_at.ticks_since(SimTime(4_000)));
-        let returns = engine.protocol(p2).stats.return_paths;
+        let returns = engine.observed(p2).return_paths;
         let meals = data.meals[p2.index()];
         let text = format!("{enabled} | {meals} | {} | {returns}", dash(latency));
         let row = Row::new(format!("AB-1 return path {enabled}"), text);
@@ -723,7 +723,7 @@ fn ab(cx: &mut Cx) {
         let fast = data.samples.iter().filter(|s| s.node.0 % 2 == 0);
         let fast: Vec<u64> = fast.map(Sample::response).collect();
         let s = Summary::of(&fast);
-        let switches = (0..n as u32).map(|i| engine.protocol(NodeId(i)).stats.switches);
+        let switches = (0..n as u32).map(|i| engine.observed(NodeId(i)).switches);
         let (switches, meals) = (switches.sum::<u64>(), data.meals.iter().sum::<u64>());
         let text = format!("{enabled} | {} | {} | {meals} | {switches}", s.p95, s.max);
         let unsafe_ = violations.borrow().len();

@@ -38,7 +38,7 @@ use std::sync::Arc;
 use coloring::{smallest_free_color, LinialSchedule};
 use doorway::{Doorway, DoorwayKind, DoorwayMsg, DoorwaySet, DoorwayTag};
 use manet_sim::{
-    Context, DiningState, Event, LinkUpKind, NeighborSet, NodeId, NodeSeed, Protocol, SimTime,
+    Context, DiningState, Event, LinkUpKind, NeighborSet, NodeId, NodeSeed, Obs, Protocol, SimTime,
 };
 
 use crate::forks::ForkTable;
@@ -74,6 +74,11 @@ pub enum RecolorConfig {
         /// Seed for the per-node candidate streams.
         seed: u64,
     },
+    /// Never recolor, not even after moving: the installed coloring stays
+    /// for the whole run. This is the Choy–Singh-style static-color
+    /// baseline; colors may become illegal under mobility, which degrades
+    /// liveness but never safety.
+    Never,
 }
 
 /// Where the node is in the Figure 5 pipeline.
@@ -115,19 +120,6 @@ impl Phase {
     }
 }
 
-/// Per-node counters exposed for experiments.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
-pub struct Alg1Stats {
-    /// Completed critical sections.
-    pub meals: u64,
-    /// Completed recoloring-procedure runs.
-    pub recolorings: u64,
-    /// Times the `SD^f` return path was taken (Figure 6 situations).
-    pub return_paths: u64,
-    /// Eating→hungry demotions caused by arriving in a new neighborhood.
-    pub demotions: u64,
-}
-
 /// One node of Algorithm 1. Implements [`Protocol`] for the simulator.
 #[derive(Debug, Hash)]
 pub struct Algorithm1 {
@@ -150,11 +142,6 @@ pub struct Algorithm1 {
     pub phase_log: Vec<(SimTime, Phase)>,
     /// Record phase transitions into [`Algorithm1::phase_log`].
     pub record_phases: bool,
-    /// When false, a node never schedules the recoloring module after
-    /// moving — this turns the protocol into the Choy–Singh-style
-    /// static-color algorithm used as a baseline (colors may become illegal
-    /// under mobility, which degrades liveness but never safety).
-    pub recolor_on_move: bool,
     /// Ablation switch: when false, the `SD^f` return path (Lines 59–60)
     /// is disabled — a node that loses a low neighbor holding their shared
     /// fork stays behind the doorway. The Figure 6 scenario then leaves
@@ -169,8 +156,6 @@ pub struct Algorithm1 {
     /// exclusion; `lme check` must find a witness for it. Never disabled on
     /// production paths.
     pub sdf_guard_enabled: bool,
-    /// Experiment counters.
-    pub stats: Alg1Stats,
 }
 
 /// A known colour below `mine`: the neighbour has priority (it is *low*).
@@ -203,10 +188,8 @@ impl Algorithm1 {
             active_proc: None,
             phase_log: Vec::new(),
             record_phases: false,
-            recolor_on_move: true,
             return_path_enabled: true,
             sdf_guard_enabled: true,
-            stats: Alg1Stats::default(),
         }
     }
 
@@ -248,9 +231,14 @@ impl Algorithm1 {
     /// section, as the paper prescribes for initialization ("the recoloring
     /// module is also executed by each node in order to obtain an initial
     /// color"). Without this, nodes start from their (always legal) ID
-    /// colors and only recolor after moving.
+    /// colors and only recolor after moving. A [`RecolorConfig::Never`]
+    /// node ignores it.
     pub fn require_initial_recoloring(&mut self) {
-        self.needs_recolor = true;
+        self.needs_recolor = self.recolors();
+    }
+
+    fn recolors(&self) -> bool {
+        !matches!(self.recolor_cfg, RecolorConfig::Never)
     }
 
     /// This node's current color.
@@ -480,6 +468,7 @@ impl Algorithm1 {
             RecolorConfig::Randomized { delta_bound, seed } => {
                 Box::new(RandomizedRecolor::new(self.me, *delta_bound, *seed))
             }
+            RecolorConfig::Never => unreachable!("a never-recoloring node entered SD^r"),
         };
         self.active_proc = Some(proc);
         let r = ctx.neighbors();
@@ -511,7 +500,7 @@ impl Algorithm1 {
         self.active_proc = None;
         self.my_color = color;
         self.needs_recolor = false;
-        self.stats.recolorings += 1;
+        ctx.observe(Obs::Recolored);
         ctx.broadcast(A1Msg::UpdateColor(color));
         self.adf.begin_entry(ctx.neighbors());
         self.set_phase(Phase::EnterAdf, ctx.time());
@@ -533,7 +522,6 @@ impl Algorithm1 {
     fn exit_cs(&mut self, ctx: &mut Context<'_, A1Msg>) {
         debug_assert_eq!(self.state, DiningState::Eating);
         self.state = DiningState::Thinking;
-        self.stats.meals += 1;
         // Line 6: the smallest non-negative color unused by any neighbor.
         self.my_color = smallest_free_color(self.forks.records().iter().filter_map(|(_, f)| f.ext));
         ctx.broadcast(A1Msg::UpdateColor(self.my_color));
@@ -569,7 +557,6 @@ impl Algorithm1 {
         if self.behind_sdf() {
             if self.state == DiningState::Eating {
                 self.state = DiningState::Hungry;
-                self.stats.demotions += 1;
             }
             self.release(false, ctx);
         }
@@ -579,7 +566,7 @@ impl Algorithm1 {
         }
         ctx.broadcast(A1Msg::Doorway(DoorwayMsg::ExitAll));
         self.active_proc = None;
-        self.needs_recolor = self.recolor_on_move;
+        self.needs_recolor = self.recolors();
         self.pending_info.insert(peer);
         self.set_phase(Phase::AwaitInfo, ctx.time());
     }
@@ -633,7 +620,7 @@ impl Algorithm1 {
                     && self.return_path_enabled =>
             {
                 // Lines 59–60: return path of SD^f.
-                self.stats.return_paths += 1;
+                ctx.observe(Obs::ReturnPath);
                 let m = self.sdf.exit();
                 ctx.broadcast(A1Msg::Doorway(m));
                 self.release(false, ctx);
@@ -718,9 +705,9 @@ impl Protocol for Algorithm1 {
     }
 
     fn progress_digest(&self) -> Option<u64> {
-        // Everything behavioral, nothing monotone: `stats` and `phase_log`
-        // only grow and the fork table's transfer generations never repeat,
-        // so all three are excluded (see `ForkTable::progress_digest`).
+        // Everything behavioral, nothing monotone: `phase_log` only grows
+        // and the fork table's transfer generations never repeat, so both
+        // are excluded (see `ForkTable::progress_digest`).
         Some(manet_sim::digest_of(&(
             self.me,
             self.state,
@@ -759,7 +746,7 @@ mod tests {
         e.add_hook(exit_hook());
         e.set_hungry_at(SimTime(1), NodeId(0));
         e.run_until(SimTime(500));
-        assert!(e.protocol(NodeId(0)).stats.meals >= 1);
+        assert!(e.observed(NodeId(0)).meals >= 1);
     }
 
     #[test]
@@ -770,8 +757,8 @@ mod tests {
         e.set_hungry_at(SimTime(1), NodeId(0));
         e.set_hungry_at(SimTime(1), NodeId(1));
         e.run_until(SimTime(5_000));
-        assert!(e.protocol(NodeId(0)).stats.meals >= 1, "p0 starved");
-        assert!(e.protocol(NodeId(1)).stats.meals >= 1, "p1 starved");
+        assert!(e.observed(NodeId(0)).meals >= 1, "p0 starved");
+        assert!(e.observed(NodeId(1)).meals >= 1, "p1 starved");
     }
 
     #[test]
@@ -784,10 +771,7 @@ mod tests {
         }
         e.run_until(SimTime(50_000));
         for i in 0..5 {
-            assert!(
-                e.protocol(NodeId(i)).stats.meals >= 1,
-                "p{i} starved on the line"
-            );
+            assert!(e.observed(NodeId(i)).meals >= 1, "p{i} starved on the line");
         }
     }
 

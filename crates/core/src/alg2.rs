@@ -20,23 +20,10 @@
 //! the node's whole state is one record per neighbour, and the request,
 //! release and lowering loops walk those records in place.
 
-use manet_sim::{Context, DiningState, Event, LinkUpKind, NodeId, NodeSeed, Protocol};
+use manet_sim::{Context, DiningState, Event, LinkUpKind, NodeId, NodeSeed, Obs, Protocol};
 
 use crate::forks::ForkTable;
 use crate::message::A2Msg;
-
-/// Per-node counters exposed for experiments.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
-pub struct Alg2Stats {
-    /// Completed critical sections.
-    pub meals: u64,
-    /// Eating→hungry demotions caused by arriving in a new neighborhood.
-    pub demotions: u64,
-    /// `switch` messages sent.
-    pub switches: u64,
-    /// `notification` messages sent.
-    pub notifications: u64,
-}
 
 /// One node of Algorithm 2. Implements [`Protocol`] for the simulator.
 #[derive(Debug, Hash)]
@@ -60,8 +47,6 @@ pub struct Algorithm2 {
     /// `lme check --liveness` must find the resulting starvation lasso.
     /// Never set on production paths.
     pub defer_requests_from: Option<NodeId>,
-    /// Experiment counters.
-    pub stats: Alg2Stats,
 }
 
 impl Algorithm2 {
@@ -75,7 +60,6 @@ impl Algorithm2 {
             forks: ForkTable::with(seed.id, &seed.neighbors, |j| seed.id < j),
             notifications_enabled: true,
             defer_requests_from: None,
-            stats: Alg2Stats::default(),
         }
     }
 
@@ -144,7 +128,7 @@ impl Algorithm2 {
         for (j, higher) in self.forks.exts_mut() {
             if !*higher {
                 ctx.send(j, A2Msg::Switch);
-                self.stats.switches += 1;
+                ctx.observe(Obs::Switched);
                 *higher = true;
             }
         }
@@ -212,7 +196,6 @@ impl Algorithm2 {
         // Lines 1–5.
         self.state = DiningState::Hungry;
         if self.notifications_enabled {
-            self.stats.notifications += ctx.neighbors().len() as u64;
             ctx.broadcast(A2Msg::Notification);
         }
         self.kick(ctx);
@@ -233,7 +216,6 @@ impl Protocol for Algorithm2 {
                 // Lines 6–9.
                 if self.state == DiningState::Eating {
                     self.state = DiningState::Thinking;
-                    self.stats.meals += 1;
                     self.lower_below_all(ctx);
                     self.release(false, ctx);
                 }
@@ -269,7 +251,6 @@ impl Protocol for Algorithm2 {
                         *higher = true;
                     }
                     if self.state == DiningState::Eating {
-                        self.stats.demotions += 1;
                         self.become_hungry(ctx);
                     }
                     self.lower_below_all(ctx);
@@ -298,9 +279,9 @@ impl Protocol for Algorithm2 {
     }
 
     fn progress_digest(&self) -> Option<u64> {
-        // Everything behavioral, nothing monotone: `stats` counters only
-        // grow and the fork table's transfer generations never repeat, so
-        // both are excluded (see `ForkTable::progress_digest`).
+        // Everything behavioral, nothing monotone: the fork table's
+        // transfer generations never repeat, so they are excluded (see
+        // `ForkTable::progress_digest`).
         Some(manet_sim::digest_of(&(
             self.me,
             self.state,
@@ -331,7 +312,7 @@ mod tests {
         e.add_hook(Box::new(AutoExit::new(20)));
         e.set_hungry_at(SimTime(1), NodeId(0));
         e.run_until(SimTime(500));
-        assert!(e.protocol(NodeId(0)).stats.meals >= 1);
+        assert!(e.observed(NodeId(0)).meals >= 1);
     }
 
     #[test]
@@ -344,7 +325,7 @@ mod tests {
         }
         e.run_until(SimTime(50_000));
         for i in 0..6 {
-            assert!(e.protocol(NodeId(i)).stats.meals >= 1, "p{i} starved");
+            assert!(e.observed(NodeId(i)).meals >= 1, "p{i} starved");
         }
     }
 
@@ -359,8 +340,8 @@ mod tests {
         e.run_until(SimTime(2_000));
         // p1 (thinking, dominating) must have switched below p0 on p0's
         // notification, letting p0 eat.
-        assert!(e.protocol(NodeId(0)).stats.meals >= 1);
-        assert!(e.protocol(NodeId(1)).stats.switches >= 1);
+        assert!(e.observed(NodeId(0)).meals >= 1);
+        assert!(e.observed(NodeId(1)).switches >= 1);
         // After p0's exit it lowered itself again, so p1 dominates once more.
         assert!(!e.protocol(NodeId(1)).neighbor_has_priority(NodeId(0)));
     }
@@ -379,8 +360,8 @@ mod tests {
             e.set_hungry_at(SimTime(t), NodeId(1));
         }
         e.run_until(SimTime(6_000));
-        assert!(e.protocol(NodeId(0)).stats.meals >= 3);
-        assert!(e.protocol(NodeId(1)).stats.meals >= 3);
+        assert!(e.observed(NodeId(0)).meals >= 3);
+        assert!(e.observed(NodeId(1)).meals >= 3);
     }
 
     /// Node 2 with initial neighbours `neighbors`.
@@ -401,7 +382,7 @@ mod tests {
     }
 
     #[test]
-    fn digests_ignore_history_and_progress_ignores_gen_and_stats() {
+    fn digests_ignore_history_and_progress_ignores_gen() {
         let up = |j| Event::LinkUp {
             peer: NodeId(j),
             kind: LinkUpKind::AsStatic,
@@ -416,19 +397,13 @@ mod tests {
         }
         assert_eq!(a.state_digest(), b.state_digest());
         assert_eq!(a.progress_digest(), b.progress_digest());
-        // The same state again, except one monotone field moved.
-        for field in ["stats", "gen"] {
-            let mut c = node(&[3, 4]);
-            feed(&mut c, down(4));
-            feed(&mut c, up(4));
-            if field == "stats" {
-                c.stats.meals += 1;
-            } else {
-                c.forks.sent(NodeId(3));
-                c.forks.received(NodeId(3));
-            }
-            assert_ne!(c.state_digest(), a.state_digest(), "{field}");
-            assert_eq!(c.progress_digest(), a.progress_digest(), "{field}");
-        }
+        // The same state again, except the transfer generation moved.
+        let mut c = node(&[3, 4]);
+        feed(&mut c, down(4));
+        feed(&mut c, up(4));
+        c.forks.sent(NodeId(3));
+        c.forks.received(NodeId(3));
+        assert_ne!(c.state_digest(), a.state_digest());
+        assert_eq!(c.progress_digest(), a.progress_digest());
     }
 }

@@ -38,7 +38,7 @@
 //! }
 //! engine.run_until(SimTime(10_000));
 //! for i in 0..3 {
-//!     assert!(engine.protocol(NodeId(i)).stats.meals >= 1);
+//!     assert!(engine.observed(NodeId(i)).meals >= 1);
 //! }
 //! ```
 
@@ -52,6 +52,6 @@ pub mod message;
 pub mod recolor;
 pub mod testutil;
 
-pub use alg1::{Alg1Stats, Algorithm1, Phase, RecolorConfig};
-pub use alg2::{Alg2Stats, Algorithm2};
+pub use alg1::{Algorithm1, Phase, RecolorConfig};
+pub use alg2::Algorithm2;
 pub use message::{A1Msg, A2Msg, RecolorMsg};

@@ -49,8 +49,8 @@ fn high_request_is_suspended_while_eating_and_granted_at_exit() {
     assert!(e.protocol(NodeId(0)).holds_fork(NodeId(1)));
     // After node0 exits (t ≈ 101), node1 gets the fork, eats, and exits.
     e.run_until(SimTime(400));
-    assert_eq!(e.protocol(NodeId(0)).stats.meals, 1);
-    assert_eq!(e.protocol(NodeId(1)).stats.meals, 1);
+    assert_eq!(e.observed(NodeId(0)).meals, 1);
+    assert_eq!(e.observed(NodeId(1)).meals, 1);
     assert!(e.protocol(NodeId(0)).suspended_requests().is_empty());
     // node1 is node0's high neighbor, so the exit-time grant carried no
     // want-back flag: the fork stays with node1.
@@ -77,8 +77,8 @@ fn want_back_flag_returns_the_fork_after_the_priority_meal() {
     assert_eq!(e.protocol(NodeId(0)).suspended_requests(), vec![NodeId(1)]);
     e.run_until(SimTime(2_000));
     // Both ate exactly once; the want-back flag brought the fork home.
-    assert_eq!(e.protocol(NodeId(0)).stats.meals, 1);
-    assert_eq!(e.protocol(NodeId(1)).stats.meals, 1);
+    assert_eq!(e.observed(NodeId(0)).meals, 1);
+    assert_eq!(e.observed(NodeId(1)).meals, 1);
     assert!(
         e.protocol(NodeId(0)).holds_fork(NodeId(1)),
         "the want-back flag must return the fork to node0"
@@ -98,10 +98,10 @@ fn lone_mover_recolors_via_nack_and_gets_minus_one() {
     e.set_hungry_at(SimTime(100), NodeId(1));
     // No auto-exit: node1 stays eating so we can observe its recolor color.
     e.run_until(SimTime(1_000));
-    let p1 = e.protocol(NodeId(1));
-    assert_eq!(p1.stats.recolorings, 1, "the mover must recolor");
+    let recolorings = e.observed(NodeId(1)).recolorings;
+    assert_eq!(recolorings, 1, "the mover must recolor");
     assert_eq!(
-        p1.color(),
+        e.protocol(NodeId(1)).color(),
         -1,
         "NACKed recoloring yields the lonely color −1"
     );
@@ -164,7 +164,7 @@ fn exit_color_is_chosen_fresh_against_neighbor_updates() {
         }
     }
     for i in 0..3 {
-        assert!(e.protocol(NodeId(i)).stats.meals >= 1);
+        assert!(e.observed(NodeId(i)).meals >= 1);
     }
 }
 

@@ -32,7 +32,7 @@ fn thinking_node_always_grants() {
     e.add_hook(Box::new(SafetyCheck::default()));
     e.set_hungry_at(SimTime(1), NodeId(1));
     e.run_until(SimTime(100));
-    assert_eq!(e.protocol(NodeId(1)).stats.meals, 1);
+    assert_eq!(e.observed(NodeId(1)).meals, 1);
 }
 
 #[test]
@@ -47,9 +47,9 @@ fn notification_cascade_lowers_dominator_below_everyone() {
     e.add_hook(Box::new(SafetyCheck::default()));
     e.set_hungry_at(SimTime(1), NodeId(0));
     e.run_until(SimTime(500));
-    assert_eq!(e.protocol(NodeId(0)).stats.meals, 1, "n0 must eat");
+    assert_eq!(e.observed(NodeId(0)).meals, 1, "n0 must eat");
     assert_eq!(
-        e.protocol(NodeId(1)).stats.switches,
+        e.observed(NodeId(1)).switches,
         1,
         "the thinking dominator lowers itself exactly once"
     );
@@ -57,7 +57,7 @@ fn notification_cascade_lowers_dominator_below_everyone() {
     // priority points back at n1 — the mechanism is a see-saw.)
     // n2 never saw a notification-triggered switch (it dominated nobody
     // adjacent to a hungry node: n1 was the notified party).
-    assert_eq!(e.protocol(NodeId(2)).stats.switches, 0);
+    assert_eq!(e.observed(NodeId(2)).switches, 0);
 }
 
 #[test]
@@ -76,8 +76,8 @@ fn exit_reverses_all_incident_priorities() {
         e.set_hungry_at(SimTime(t), NodeId(1));
     }
     e.run_until(SimTime(3_500));
-    let m0 = e.protocol(NodeId(0)).stats.meals;
-    let m1 = e.protocol(NodeId(1)).stats.meals;
+    let m0 = e.observed(NodeId(0)).meals;
+    let m1 = e.observed(NodeId(1)).meals;
     assert!(m0 >= 20 && m1 >= 20, "both must keep eating: {m0} vs {m1}");
     assert!(
         m0.max(m1) <= 3 * m0.min(m1),
@@ -129,7 +129,7 @@ fn clique_contention_is_fair_under_dynamic_priorities() {
         }
     }
     e.run_until(SimTime(22_000));
-    let meals: Vec<u64> = (0..5).map(|i| e.protocol(NodeId(i)).stats.meals).collect();
+    let meals: Vec<u64> = (0..5).map(|i| e.observed(NodeId(i)).meals).collect();
     let min = *meals.iter().min().expect("nonempty");
     let max = *meals.iter().max().expect("nonempty");
     assert!(min >= 10, "meals: {meals:?}");

@@ -20,7 +20,7 @@ use crate::fault::FaultStats;
 use crate::hooks::{Hook, Sink, View};
 use crate::ids::NodeId;
 use crate::link::{Fate, Frame, Ledger, LinkLayer};
-use crate::protocol::{Context, DiningState, Protocol};
+use crate::protocol::{Context, DiningState, Observed, Protocol};
 use crate::sched::{self, DeliveryChoice, Strategy};
 use crate::shim::{self, ShimState, ShimStats};
 use crate::time::SimTime;
@@ -238,6 +238,8 @@ struct Core<M> {
     world: World,
     dining: Vec<DiningState>,
     eating_session: Vec<u64>,
+    /// Per node, what [`Engine::observed`] reports; never digested.
+    observed: Vec<Observed>,
     /// Link incarnations and each frame's fate. The shim keeps a store of
     /// its own; [`Core::bump_link`] keeps both in step.
     link: LinkLayer<Wire<M>>,
@@ -397,6 +399,7 @@ impl<P: Protocol> Engine<P> {
                 world,
                 dining,
                 eating_session: vec![0; n],
+                observed: vec![Observed::default(); n],
                 stats: EngineStats::default(),
                 trace,
                 sched: None,
@@ -532,6 +535,12 @@ impl<P: Protocol> Engine<P> {
     /// Borrow the protocol instance of `node` (for tests and inspection).
     pub fn protocol(&self, node: NodeId) -> &P {
         &self.protocols[node.index()]
+    }
+
+    /// What the engine saw `node` do so far: its meals and demotions and
+    /// the observations its protocol reported (see [`Observed`]).
+    pub fn observed(&self, node: NodeId) -> Observed {
+        self.core.observed[node.index()]
     }
 
     /// Install a schedule [`Strategy`]: from now on it picks every delivery
@@ -967,6 +976,7 @@ impl<P: Protocol> Engine<P> {
                 moving: self.core.world.is_moving(node),
                 outbox: &mut outbox,
                 timers: &mut timers,
+                observed: Some(&mut self.core.observed[node.index()]),
             };
             self.protocols[node.index()].on_event(ev, &mut ctx);
         }
@@ -988,8 +998,12 @@ impl<P: Protocol> Engine<P> {
         let new = self.protocols[node.index()].dining_state();
         if new != old {
             self.core.dining[node.index()] = new;
-            if new == DiningState::Eating {
-                self.core.eating_session[node.index()] += 1;
+            let seen = &mut self.core.observed[node.index()];
+            match (old, new) {
+                (_, DiningState::Eating) => self.core.eating_session[node.index()] += 1,
+                (DiningState::Eating, DiningState::Thinking) => seen.meals += 1,
+                (DiningState::Eating, DiningState::Hungry) => seen.demotions += 1,
+                _ => {}
             }
             self.core
                 .trace
@@ -1357,6 +1371,63 @@ mod tests {
         );
         assert_eq!(e.stats().messages_sent, 4);
         assert_eq!(e.stats().messages_delivered, 4);
+    }
+
+    /// Eats when hungry; a timer with token 0 reports a switch, any other
+    /// token demotes it from eating to hungry.
+    struct Reporter(DiningState);
+
+    impl Protocol for Reporter {
+        type Msg = ();
+        fn on_event(&mut self, ev: Event<()>, ctx: &mut Context<'_, ()>) {
+            match ev {
+                Event::Hungry => self.0 = DiningState::Eating,
+                Event::ExitCs => self.0 = DiningState::Thinking,
+                Event::Timer { token: 0 } => ctx.observe(crate::Obs::Switched),
+                Event::Timer { .. } => self.0 = DiningState::Hungry,
+                _ => {}
+            }
+        }
+        fn dining_state(&self) -> DiningState {
+            self.0
+        }
+        fn state_digest(&self) -> Option<u64> {
+            Some(sched::digest_of(&self.0))
+        }
+    }
+
+    #[test]
+    fn observed_counts_meals_demotions_and_reports_outside_the_digests() {
+        let run = |report: bool| {
+            let node = NodeId(0);
+            let mut e = Engine::new(SimConfig::default(), vec![(0.0, 0.0)], |_| {
+                Reporter(DiningState::Thinking)
+            });
+            e.set_hungry_at(SimTime(1), node);
+            e.schedule(SimTime(2), Command::ExitCs { node, session: 1 });
+            e.set_hungry_at(SimTime(3), node);
+            let timer = |token| Item::Proto {
+                node,
+                ev: Event::Timer { token },
+            };
+            e.core.push(SimTime(4), timer(1));
+            if report {
+                e.core.push(SimTime(4), timer(0));
+            }
+            e.run_until(SimTime(10));
+            (e.observed(node), e.state_digest(), e.progress_digest())
+        };
+        let (seen, state, progress) = run(true);
+        let want = Observed {
+            meals: 1,
+            demotions: 1,
+            switches: 1,
+            ..Observed::default()
+        };
+        assert_eq!(seen, want);
+        let (quiet, quiet_state, quiet_progress) = run(false);
+        assert_eq!(quiet.switches, 0);
+        assert_eq!((state, progress), (quiet_state, quiet_progress));
     }
 
     #[test]

@@ -91,7 +91,7 @@ pub use geo::CsrAdjacency;
 pub use hooks::{Hook, Sink, View};
 pub use ids::NodeId;
 pub use neighbors::{KeysWhere, NeighborSet, Neighbors};
-pub use protocol::{Context, DiningState, Protocol};
+pub use protocol::{Context, DiningState, Obs, Observed, Protocol};
 pub use rng::SimRng;
 pub use sched::{
     digest_of, DeliveryChoice, DigestMode, Fnv, ImportedSchedule, RandomDelays, Strategy,

@@ -76,9 +76,9 @@ pub trait Protocol {
 
     /// Deterministic fingerprint of this node's *progress* state: like
     /// [`Protocol::state_digest`] but with monotone observational fields
-    /// (meal counters, phase logs, transfer generations) excluded, so the
-    /// digest of a node that returns to the same behavioral configuration
-    /// repeats. Liveness (lasso) detection keys on it: a repeated global
+    /// (phase logs, transfer generations) excluded, so the digest of a
+    /// node that returns to the same behavioral configuration repeats.
+    /// Liveness (lasso) detection keys on it: a repeated global
     /// progress digest means the run has entered a schedulable cycle.
     /// Defaults to [`Protocol::state_digest`], which is correct — merely
     /// pessimal, never unsound — for protocols whose state digest already
@@ -89,9 +89,39 @@ pub trait Protocol {
     }
 }
 
+/// Something a protocol did that its host cannot see from messages and
+/// dining transitions alone, reported through [`Context::observe`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Obs {
+    /// A recoloring procedure finished with a new color.
+    Recolored,
+    /// The `SD^f` return path of Algorithm 1 was taken (Lines 59–60).
+    ReturnPath,
+    /// A `switch` message of Algorithm 2 was sent.
+    Switched,
+}
+
+/// What the engine saw one node do over a run: its meals and demotions
+/// (read off its dining transitions) and the [`Obs`] it reported. An
+/// observation, not state: no digest covers it, and a recovered node keeps
+/// counting where its crashed incarnation stopped.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Observed {
+    /// Completed critical sections (eating → thinking).
+    pub meals: u64,
+    /// Eating → hungry demotions, caused by arriving in a new neighborhood.
+    pub demotions: u64,
+    /// [`Obs::Recolored`] reports.
+    pub recolorings: u64,
+    /// [`Obs::ReturnPath`] reports.
+    pub return_paths: u64,
+    /// [`Obs::Switched`] reports.
+    pub switches: u64,
+}
+
 /// Handle through which a protocol interacts with the simulated world during
 /// one event: sending messages, reading the neighbor set maintained by the
-/// link-level protocol, and setting timers.
+/// link-level protocol, setting timers and reporting observations.
 pub struct Context<'a, M> {
     pub(crate) me: NodeId,
     pub(crate) now: SimTime,
@@ -99,6 +129,8 @@ pub struct Context<'a, M> {
     pub(crate) moving: bool,
     pub(crate) outbox: &'a mut Vec<(NodeId, M)>,
     pub(crate) timers: &'a mut Vec<(u64, u64)>,
+    /// Where [`Context::observe`] counts; `None` discards.
+    pub(crate) observed: Option<&'a mut Observed>,
 }
 
 impl<'a, M> Context<'a, M> {
@@ -109,8 +141,8 @@ impl<'a, M> Context<'a, M> {
     /// `outbox` collects `(destination, message)` pairs issued via
     /// [`Context::send`]/[`Context::broadcast`]; `timers` collects
     /// `(delay_ticks, token)` pairs issued via [`Context::set_timer`]. The
-    /// host owns delivery and timer semantics; the engine's own event loop
-    /// never uses this constructor.
+    /// host owns delivery and timer semantics; observations are discarded.
+    /// The engine's own event loop never uses this constructor.
     pub fn for_host(
         me: NodeId,
         now: SimTime,
@@ -126,6 +158,7 @@ impl<'a, M> Context<'a, M> {
             moving,
             outbox,
             timers,
+            observed: None,
         }
     }
 }
@@ -174,6 +207,18 @@ impl<'a, M: Clone> Context<'a, M> {
     pub fn set_timer(&mut self, delay: u64, token: u64) {
         self.timers.push((delay.max(1), token));
     }
+
+    /// Report `obs` to the host, which counts it in the node's
+    /// [`Observed`] record (the engine) or drops it (a live host).
+    pub fn observe(&mut self, obs: Obs) {
+        if let Some(seen) = self.observed.as_deref_mut() {
+            match obs {
+                Obs::Recolored => seen.recolorings += 1,
+                Obs::ReturnPath => seen.return_paths += 1,
+                Obs::Switched => seen.switches += 1,
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -190,6 +235,7 @@ mod tests {
     fn context_collects_sends_and_timers() {
         let mut outbox = Vec::new();
         let mut timers = Vec::new();
+        let mut observed = Observed::default();
         let neighbors = [NodeId(1), NodeId(2)];
         let mut ctx = Context {
             me: NodeId(0),
@@ -198,11 +244,21 @@ mod tests {
             moving: false,
             outbox: &mut outbox,
             timers: &mut timers,
+            observed: Some(&mut observed),
         };
         ctx.send(NodeId(1), 9u8);
         ctx.broadcast(7u8);
         ctx.set_timer(0, 42); // clamped to 1
+        ctx.observe(Obs::Switched);
+        ctx.observe(Obs::Switched);
+        ctx.observe(Obs::Recolored);
         assert_eq!(outbox, vec![(NodeId(1), 9), (NodeId(1), 7), (NodeId(2), 7)]);
         assert_eq!(timers, vec![(1, 42)]);
+        let want = Observed {
+            recolorings: 1,
+            switches: 2,
+            ..Observed::default()
+        };
+        assert_eq!(observed, want);
     }
 }

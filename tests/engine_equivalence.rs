@@ -53,7 +53,7 @@ fn cell_line_teleports_onto_cell_edges() {
         ];
         fold_traced_run(&mut fold, seed, &positions, &commands);
     }
-    fold.check("line:12+edge-teleports", 0xbc0e_26c1_850f_3f04);
+    fold.check("line:12+edge-teleports", 0x9437_745f_11d4_9fc8);
 }
 
 /// Cell 2: random deployment with smooth random-waypoint motion — the
@@ -86,7 +86,7 @@ fn cell_grid_partition_and_heal() {
         commands.sort_by_key(|(t, _)| *t);
         fold_traced_run(&mut fold, seed, &positions, &commands);
     }
-    fold.check("grid:5x5+partition", 0xec4b_07a4_1c6b_a247);
+    fold.check("grid:5x5+partition", 0xae3a_4721_c657_7d0a);
 }
 
 // ---------------------------------------------------------------------

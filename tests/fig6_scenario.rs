@@ -43,13 +43,13 @@ fn crash_is_contained_and_return_path_frees_p2() {
     assert_eq!(engine.dining_state(P2), DiningState::Hungry, "p2 blocked");
     // p2 granted p1's fork request and is stuck in its low phase; it must
     // not have taken a return path yet.
-    assert_eq!(engine.protocol(P2).stats.return_paths, 0);
+    assert_eq!(engine.observed(P2).return_paths, 0);
 
     // Phase 2: p3 departs; the return path unblocks p2.
     engine.teleport_at(SimTime(4_000), P3, (50.0, 0.0));
     engine.run_until(SimTime(8_000));
     assert!(
-        engine.protocol(P2).stats.return_paths >= 1,
+        engine.observed(P2).return_paths >= 1,
         "p2 took the return path"
     );
     assert_eq!(

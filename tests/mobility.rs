@@ -38,9 +38,8 @@ fn mover_recolors_and_eats(cfg: RecolorConfig) {
     engine.teleport_at(SimTime(500), mover, (0.1, 0.1));
     engine.run_until(SimTime(30_000));
 
-    let p = engine.protocol(mover);
     assert!(
-        p.stats.recolorings >= 1,
+        engine.observed(mover).recolorings >= 1,
         "mover must run the recoloring module"
     );
     assert!(
@@ -95,7 +94,7 @@ fn eating_mover_is_demoted_for_safety() {
         DiningState::Hungry,
         "mover demoted"
     );
-    assert_eq!(engine.protocol(NodeId(1)).stats.demotions, 1);
+    assert_eq!(engine.observed(NodeId(1)).demotions, 1);
 }
 
 #[test]
@@ -114,7 +113,7 @@ fn a2_eating_mover_is_demoted_for_safety() {
     engine.run_until(SimTime(200));
     assert_eq!(engine.dining_state(NodeId(0)), DiningState::Eating);
     assert_eq!(engine.dining_state(NodeId(1)), DiningState::Hungry);
-    assert_eq!(engine.protocol(NodeId(1)).stats.demotions, 1);
+    assert_eq!(engine.observed(NodeId(1)).demotions, 1);
 }
 
 #[test]
@@ -220,7 +219,7 @@ fn bootstrap_recoloring_yields_legal_colors_and_liveness() {
     );
     for i in 0..9u32 {
         assert!(
-            engine.protocol(NodeId(i)).stats.recolorings >= 1,
+            engine.observed(NodeId(i)).recolorings >= 1,
             "node {i} skipped its initial recoloring"
         );
         // After eating, exit-colors are in [0, δ] and legal vs neighbors.

@@ -44,7 +44,7 @@ fn cell_line_motion_with_far_overflow_command() {
         commands.sort_by_key(|(t, _)| *t);
         fold_traced_run(&mut fold, seed, &positions, &commands);
     }
-    fold.check("line:12+overflow", 0xd234_3607_d5b9_a818);
+    fold.check("line:12+overflow", 0x6285_ba34_0254_f7aa);
 }
 
 // ---------------------------------------------------------------------
@@ -80,7 +80,7 @@ fn cell_check_strategies_agree_across_cores() {
             fold_verdict(&mut fold, alg, &Plan::Replay { delays });
         }
     }
-    fold.check("check:line:4", 0x9be2_47a0_2350_ec73);
+    fold.check("check:line:4", 0x1fb9_fc15_9a14_23d3);
 }
 
 // ---------------------------------------------------------------------

@@ -25,14 +25,24 @@
 //! **Digest re-pin.** Cells that fold an engine state digest — the three
 //! engine-level cells here and in `engine_equivalence.rs`,
 //! `line:12+overflow` and `check:line:4`, and the digest-folding pins of
-//! `reliable_delivery.rs` and `channel_models.rs` — were re-pinned once,
+//! `reliable_delivery.rs` and `channel_models.rs` — were re-pinned twice:
 //! when digests stopped hashing each automaton's `Debug` text and started
-//! hashing its derived `Hash`. A digest's value is arbitrary; dedup, DPOR
-//! and lasso detection act only on which states digest equal. So before
-//! re-pinning, every such cell was folded on the old and the new code with
-//! each digest replaced by the index of its first occurrence, and the two
-//! folds were equal: the new digest merges exactly the states the old one
-//! merged.
+//! hashing its derived `Hash` (`f86a6d9`), and when the automata's meal,
+//! demotion, recoloring, return-path and switch counters moved out of
+//! their state into the engine's `Observed` records and Choy–Singh's
+//! `recolor_on_move` switch became `RecolorConfig::Never` (`94651b5`). A
+//! digest's value is arbitrary; dedup, DPOR and lasso detection act only
+//! on which states digest equal. So before each re-pin, every such cell
+//! was folded on the old and the new code with `Engine::state_digest` and
+//! `Engine::progress_digest` patched to return each digest's index of
+//! first occurrence on the test's thread, and the two folds were equal:
+//! the new digest merges exactly the states the old one merged. These
+//! cells take few digests and see each one about once (a throwaway
+//! mutation that adds `now` to the engine digest folds identically too),
+//! so the sensitive evidence for the second re-pin is the certify pins,
+//! which moved under that mutation and did not move under the re-pin:
+//! `dedup_partition_on_line3_for_every_algorithm` in
+//! `crates/check/src/certify.rs` and CI's four-algorithm `line:4` canary.
 
 // Each test binary uses its own subset of this module.
 #![allow(dead_code)]
@@ -163,7 +173,7 @@ pub fn random_waypoint_smooth_motion() {
         let commands = waypoints(30, 12, 6_000, seed ^ 0xB0B);
         fold_traced_run(&mut fold, seed, &positions, &commands);
     }
-    fold.check("random:30+waypoint", 0x4a6c_247c_d8d6_94c3);
+    fold.check("random:30+waypoint", 0x4cbe_dd53_720e_b869);
 }
 
 /// Clique under the adaptive max-delay adversary with moves.
