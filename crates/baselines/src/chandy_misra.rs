@@ -237,8 +237,10 @@ impl Protocol for ChandyMisra {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use local_mutex::testutil::{AutoExit, SafetyCheck};
-    use manet_sim::{Engine, SimConfig, SimTime};
+    use local_mutex::testutil::AutoExit;
+    use manet_sim::{Engine, Metrics, MetricsData, SafetyMonitor, SimConfig, SimTime};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn line_engine(n: usize) -> Engine<ChandyMisra> {
         Engine::new(
@@ -248,26 +250,36 @@ mod tests {
         )
     }
 
+    /// Install the LME checker (it panics on the first violation) and a
+    /// meal counter; returns the counter's data.
+    fn watch<P: Protocol>(e: &mut Engine<P>) -> Rc<RefCell<MetricsData>> {
+        e.add_hook(Box::new(SafetyMonitor::new(true).0));
+        let (metrics, data) = Metrics::new(e.world().len());
+        e.add_hook(Box::new(metrics));
+        data
+    }
+
     #[test]
     fn lone_node_eats() {
         let mut e = line_engine(1);
         e.add_hook(Box::new(AutoExit::new(20)));
+        let data = watch(&mut e);
         e.set_hungry_at(SimTime(1), NodeId(0));
         e.run_until(SimTime(200));
-        assert!(e.observed(NodeId(0)).meals >= 1);
+        assert!(data.borrow().meals[0] >= 1);
     }
 
     #[test]
     fn contention_line_all_eat_safely() {
         let mut e = line_engine(6);
         e.add_hook(Box::new(AutoExit::new(20)));
-        e.add_hook(Box::new(SafetyCheck::default()));
+        let data = watch(&mut e);
         for i in 0..6 {
             e.set_hungry_at(SimTime(1), NodeId(i));
         }
         e.run_until(SimTime(50_000));
         for i in 0..6 {
-            assert!(e.observed(NodeId(i)).meals >= 1, "p{i} starved");
+            assert!(data.borrow().meals[i as usize] >= 1, "p{i} starved");
         }
     }
 
@@ -294,7 +306,7 @@ mod tests {
             |seed| ChandyMisra::new(&seed),
         );
         e.add_hook(Box::new(AutoExit::new(10_000)));
-        e.add_hook(Box::new(SafetyCheck::default()));
+        let data = watch(&mut e);
         e.set_hungry_at(SimTime(1), NodeId(0));
         e.set_hungry_at(SimTime(1), NodeId(1));
         e.run_until(SimTime(100));
@@ -304,6 +316,6 @@ mod tests {
         e.teleport_at(SimTime(150), NodeId(1), (1.0, 0.0));
         e.run_until(SimTime(200));
         assert_eq!(e.dining_state(NodeId(1)), DiningState::Hungry);
-        assert_eq!(e.observed(NodeId(1)).demotions, 1);
+        assert_eq!(data.borrow().demotions[1], 1);
     }
 }

@@ -60,8 +60,12 @@ pub fn choy_singh(seed: &NodeSeed, coloring: &StaticColoring) -> Algorithm1 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use local_mutex::testutil::{AutoExit, SafetyCheck};
-    use manet_sim::{Engine, NodeId, SimConfig, SimTime};
+    use local_mutex::testutil::AutoExit;
+    use manet_sim::{
+        Engine, Metrics, MetricsData, NodeId, Protocol, SafetyMonitor, SimConfig, SimTime,
+    };
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn ring_positions(n: usize) -> Vec<(f64, f64)> {
         let r = n as f64 / std::f64::consts::TAU * 1.0 / 1.0;
@@ -88,6 +92,15 @@ mod tests {
         })
     }
 
+    /// Install the LME checker (it panics on the first violation) and a
+    /// meal counter; returns the counter's data.
+    fn watch<P: Protocol>(e: &mut Engine<P>) -> Rc<RefCell<MetricsData>> {
+        e.add_hook(Box::new(SafetyMonitor::new(true).0));
+        let (metrics, data) = Metrics::new(e.world().len());
+        e.add_hook(Box::new(metrics));
+        data
+    }
+
     #[test]
     fn coloring_is_legal_on_ring() {
         let coloring = StaticColoring::compute(5, (0..5u32).map(|i| (i, (i + 1) % 5)));
@@ -102,13 +115,13 @@ mod tests {
         let n = 8;
         let mut e = engine(n);
         e.add_hook(Box::new(AutoExit::new(20)));
-        e.add_hook(Box::new(SafetyCheck::default()));
+        let data = watch(&mut e);
         for i in 0..n as u32 {
             e.set_hungry_at(SimTime(1), NodeId(i));
         }
         e.run_until(SimTime(50_000));
         for i in 0..n as u32 {
-            assert!(e.observed(NodeId(i)).meals >= 1, "p{i} starved");
+            assert!(data.borrow().meals[i as usize] >= 1, "p{i} starved");
         }
     }
 
@@ -123,13 +136,13 @@ mod tests {
             )
         };
         e.add_hook(Box::new(AutoExit::new(10)));
-        e.add_hook(Box::new(SafetyCheck::default()));
+        let data = watch(&mut e);
         e.teleport_at(SimTime(5), NodeId(2), (2.0, 0.0));
         e.set_hungry_at(SimTime(50), NodeId(2));
         e.run_until(SimTime(5_000));
         assert_eq!(e.observed(NodeId(2)).recolorings, 0);
         // It still makes progress here because greedy colors happen to stay
         // legal in this layout.
-        assert!(e.observed(NodeId(2)).meals >= 1);
+        assert!(data.borrow().meals[2] >= 1);
     }
 }

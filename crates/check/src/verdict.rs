@@ -3,12 +3,12 @@
 use std::collections::HashMap;
 
 use baselines::ChandyMisra;
-use harness::{Automata, SafetyMonitor, Violation};
+use harness::Automata;
 use local_mutex::testutil::AutoExit;
 use local_mutex::{Algorithm1, Algorithm2, Phase};
 use manet_sim::{
-    Command, DigestMode, DiningState, Engine, Hook, NodeId, Protocol, SimConfig, SimTime, Sink,
-    TraceEntry, TraceKind, View,
+    Command, DigestMode, DiningState, Engine, Hook, NodeId, Protocol, SafetyMonitor, SessionFold,
+    SimConfig, SimTime, Sink, TraceEntry, TraceKind, View, Violation,
 };
 
 use crate::spec::{CheckSpec, Mutation};
@@ -189,26 +189,18 @@ where
 
     let drained = engine.pending_events() == 0;
     let trace = engine.trace().to_vec();
-    let meals = trace
-        .iter()
-        .filter(|t| {
-            matches!(
-                t.kind,
-                TraceKind::StateChange(_, DiningState::Eating, DiningState::Thinking)
-            )
-        })
-        .count() as u64;
-
-    let deliveries = recorder.deliveries();
+    let mut sessions = SessionFold::new(spec.n);
     let mut first_eat = vec![None; spec.n];
     for t in &trace {
-        if let TraceKind::StateChange(node, _, DiningState::Eating) = t.kind {
-            let slot = &mut first_eat[node.index()];
-            if slot.is_none() {
-                *slot = Some(t.at.0);
+        if let TraceKind::StateChange(node, old, new) = t.kind {
+            sessions.state_changed(node, old, new, t.at, false);
+            if new == DiningState::Eating {
+                first_eat[node.index()].get_or_insert(t.at.0);
             }
         }
     }
+    let meals = sessions.meals.iter().sum();
+    let deliveries = recorder.deliveries();
 
     let violation = check_lme(&violations.borrow())
         .or_else(|| check_doorway(&engine, &trace))
@@ -243,7 +235,7 @@ where
 }
 
 /// Local mutual exclusion: no two current neighbors eating simultaneously
-/// (delegated to the harness [`SafetyMonitor`], which also handles nodes
+/// (delegated to [`SafetyMonitor`], which also handles nodes
 /// that crash mid-meal).
 fn check_lme(violations: &[Violation]) -> Option<PropertyViolation> {
     violations.first().map(|v| PropertyViolation {

@@ -21,15 +21,15 @@ use doorway::DoorwayKind;
 use harness::census::MessageCensus;
 use harness::{
     crash_probe, par_map, response_by_distance, run, run_algorithm, run_cells, run_protocol,
-    topology, AlgKind, Automata, Job, Metrics, MetricsData, RunReport, RunSpec, SafetyMonitor,
-    Sample, Summary, SweepCell, SweepSpec, Topo, Violation, WaypointPlan, Workload,
+    topology, AlgKind, Automata, Job, RunReport, RunSpec, Summary, SweepCell, SweepSpec, Topo,
+    WaypointPlan, Workload,
 };
 use lme_net::{run_live, LiveConfig, TransportKind};
 use local_mutex::recolor::{GreedyRecolor, LinialRecolor, RecolorOutcome, RecolorProcedure};
 use local_mutex::{Algorithm1, Algorithm2, Phase, RecolorMsg};
 use manet_sim::{
-    ArqConfig, ChannelConfig, Command, DiningState, Engine, NodeId, NodeSeed, Position, Protocol,
-    SimConfig, SimTime,
+    ArqConfig, ChannelConfig, Command, DiningState, Engine, Metrics, MetricsData, NodeId, NodeSeed,
+    Position, Protocol, SafetyMonitor, Sample, SimConfig, SimTime, Violation,
 };
 
 use crate::svg::{BarChart, LineChart, Series};
@@ -557,12 +557,12 @@ fn pipeline(n: usize, ticks: u64, moves: Option<usize>) -> Pipeline {
     }
     engine.run_until(SimTime(ticks));
     let mut phase_ticks = BTreeMap::new();
-    let mut counters = [data.borrow().meals.iter().sum(), 0, 0, 0];
+    let d = data.borrow();
+    let mut counters = [d.meals.iter().sum(), 0, 0, d.demotions.iter().sum()];
     for i in 0..n as u32 {
         let seen = engine.observed(NodeId(i));
         counters[1] += seen.recolorings;
         counters[2] += seen.return_paths;
-        counters[3] += seen.demotions;
         for w in engine.protocol(NodeId(i)).phase_log.windows(2) {
             let ((t0, phase), (t1, _)) = (w[0], w[1]);
             if phase != Phase::Idle {

@@ -726,7 +726,9 @@ impl Protocol for Algorithm1 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use manet_sim::{Engine, SimConfig};
+    use manet_sim::{Engine, Metrics, MetricsData, SafetyMonitor, SimConfig};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn line_engine(n: usize) -> Engine<Algorithm1> {
         Engine::new(
@@ -736,42 +738,50 @@ mod tests {
         )
     }
 
+    /// [`line_engine`] with a [`Metrics`] hook counting meals.
+    fn fed_line(n: usize) -> (Engine<Algorithm1>, Rc<RefCell<MetricsData>>) {
+        let mut e = line_engine(n);
+        let (metrics, data) = Metrics::new(n);
+        e.add_hook(Box::new(metrics));
+        (e, data)
+    }
+
     fn exit_hook() -> Box<crate::testutil::AutoExit> {
         Box::new(crate::testutil::AutoExit::new(20))
     }
 
     #[test]
     fn lone_hungry_node_eats() {
-        let mut e = line_engine(1);
+        let (mut e, data) = fed_line(1);
         e.add_hook(exit_hook());
         e.set_hungry_at(SimTime(1), NodeId(0));
         e.run_until(SimTime(500));
-        assert!(e.observed(NodeId(0)).meals >= 1);
+        assert!(data.borrow().meals[0] >= 1);
     }
 
     #[test]
     fn two_neighbors_both_eat_in_turn() {
-        let mut e = line_engine(2);
+        let (mut e, data) = fed_line(2);
         e.add_hook(exit_hook());
-        e.add_hook(Box::new(crate::testutil::SafetyCheck::default()));
+        e.add_hook(Box::new(SafetyMonitor::new(true).0));
         e.set_hungry_at(SimTime(1), NodeId(0));
         e.set_hungry_at(SimTime(1), NodeId(1));
         e.run_until(SimTime(5_000));
-        assert!(e.observed(NodeId(0)).meals >= 1, "p0 starved");
-        assert!(e.observed(NodeId(1)).meals >= 1, "p1 starved");
+        assert!(data.borrow().meals[0] >= 1, "p0 starved");
+        assert!(data.borrow().meals[1] >= 1, "p1 starved");
     }
 
     #[test]
     fn line_of_five_all_eat_under_full_contention() {
-        let mut e = line_engine(5);
+        let (mut e, data) = fed_line(5);
         e.add_hook(exit_hook());
-        e.add_hook(Box::new(crate::testutil::SafetyCheck::default()));
+        e.add_hook(Box::new(SafetyMonitor::new(true).0));
         for i in 0..5 {
             e.set_hungry_at(SimTime(1), NodeId(i));
         }
         e.run_until(SimTime(50_000));
-        for i in 0..5 {
-            assert!(e.observed(NodeId(i)).meals >= 1, "p{i} starved on the line");
+        for (i, &m) in data.borrow().meals.iter().enumerate() {
+            assert!(m >= 1, "p{i} starved on the line");
         }
     }
 

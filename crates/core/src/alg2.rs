@@ -295,8 +295,10 @@ impl Protocol for Algorithm2 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{AutoExit, SafetyCheck};
-    use manet_sim::{Engine, SimConfig, SimTime};
+    use crate::testutil::AutoExit;
+    use manet_sim::{Engine, Metrics, MetricsData, SafetyMonitor, SimConfig, SimTime};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn line_engine(n: usize) -> Engine<Algorithm2> {
         Engine::new(
@@ -306,26 +308,34 @@ mod tests {
         )
     }
 
+    /// [`line_engine`] with a [`Metrics`] hook counting meals.
+    fn fed_line(n: usize) -> (Engine<Algorithm2>, Rc<RefCell<MetricsData>>) {
+        let mut e = line_engine(n);
+        let (metrics, data) = Metrics::new(n);
+        e.add_hook(Box::new(metrics));
+        (e, data)
+    }
+
     #[test]
     fn lone_node_eats() {
-        let mut e = line_engine(1);
+        let (mut e, data) = fed_line(1);
         e.add_hook(Box::new(AutoExit::new(20)));
         e.set_hungry_at(SimTime(1), NodeId(0));
         e.run_until(SimTime(500));
-        assert!(e.observed(NodeId(0)).meals >= 1);
+        assert!(data.borrow().meals[0] >= 1);
     }
 
     #[test]
     fn full_contention_line_all_eat() {
-        let mut e = line_engine(6);
+        let (mut e, data) = fed_line(6);
         e.add_hook(Box::new(AutoExit::new(20)));
-        e.add_hook(Box::new(SafetyCheck::default()));
+        e.add_hook(Box::new(SafetyMonitor::new(true).0));
         for i in 0..6 {
             e.set_hungry_at(SimTime(1), NodeId(i));
         }
         e.run_until(SimTime(50_000));
-        for i in 0..6 {
-            assert!(e.observed(NodeId(i)).meals >= 1, "p{i} starved");
+        for (i, &m) in data.borrow().meals.iter().enumerate() {
+            assert!(m >= 1, "p{i} starved");
         }
     }
 
@@ -334,13 +344,13 @@ mod tests {
         // p0 < p1: initially higher_0[1] = true, i.e. p1 dominates... no:
         // higher_i[j] = ID[i] < ID[j], so p0 sees p1 as higher. p1 sees p0
         // as lower (higher_1[0] = false) — p1 dominates p0.
-        let mut e = line_engine(2);
+        let (mut e, data) = fed_line(2);
         e.add_hook(Box::new(AutoExit::new(20)));
         e.set_hungry_at(SimTime(1), NodeId(0));
         e.run_until(SimTime(2_000));
         // p1 (thinking, dominating) must have switched below p0 on p0's
         // notification, letting p0 eat.
-        assert!(e.observed(NodeId(0)).meals >= 1);
+        assert!(data.borrow().meals[0] >= 1);
         assert!(e.observed(NodeId(1)).switches >= 1);
         // After p0's exit it lowered itself again, so p1 dominates once more.
         assert!(!e.protocol(NodeId(1)).neighbor_has_priority(NodeId(0)));
@@ -348,9 +358,9 @@ mod tests {
 
     #[test]
     fn priorities_alternate_between_two_contenders() {
-        let mut e = line_engine(2);
+        let (mut e, data) = fed_line(2);
         e.add_hook(Box::new(AutoExit::new(10)));
-        e.add_hook(Box::new(SafetyCheck::default()));
+        e.add_hook(Box::new(SafetyMonitor::new(true).0));
         for i in 0..2 {
             e.set_hungry_at(SimTime(1), NodeId(i));
         }
@@ -360,8 +370,8 @@ mod tests {
             e.set_hungry_at(SimTime(t), NodeId(1));
         }
         e.run_until(SimTime(6_000));
-        assert!(e.observed(NodeId(0)).meals >= 3);
-        assert!(e.observed(NodeId(1)).meals >= 3);
+        assert!(data.borrow().meals[0] >= 3);
+        assert!(data.borrow().meals[1] >= 3);
     }
 
     /// Node 2 with initial neighbours `neighbors`.

@@ -22,8 +22,8 @@
 //!
 //! ```
 //! use local_mutex::Algorithm2;
-//! use local_mutex::testutil::{AutoExit, SafetyCheck};
-//! use manet_sim::{Engine, NodeId, SimConfig, SimTime};
+//! use local_mutex::testutil::AutoExit;
+//! use manet_sim::{Engine, Metrics, NodeId, SafetyMonitor, SimConfig, SimTime};
 //!
 //! // Three nodes in a line; everyone hungry at t = 1.
 //! let mut engine = Engine::new(
@@ -31,15 +31,15 @@
 //!     vec![(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)],
 //!     |seed| Algorithm2::new(&seed),
 //! );
-//! engine.add_hook(Box::new(AutoExit::new(20)));     // eat for 20 ticks
-//! engine.add_hook(Box::new(SafetyCheck::default())); // assert LME always
+//! let (metrics, data) = Metrics::new(3);
+//! engine.add_hook(Box::new(metrics)); // count meals
+//! engine.add_hook(Box::new(AutoExit::new(20))); // eat for 20 ticks
+//! engine.add_hook(Box::new(SafetyMonitor::new(true).0)); // assert LME always
 //! for i in 0..3 {
 //!     engine.set_hungry_at(SimTime(1), NodeId(i));
 //! }
 //! engine.run_until(SimTime(10_000));
-//! for i in 0..3 {
-//!     assert!(engine.observed(NodeId(i)).meals >= 1);
-//! }
+//! assert!(data.borrow().meals.iter().all(|&m| m >= 1));
 //! ```
 
 #![forbid(unsafe_code)]

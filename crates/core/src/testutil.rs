@@ -1,9 +1,8 @@
-//! Minimal simulation hooks for tests: an auto-exit workload and the local
-//! mutual exclusion safety checker.
-//!
-//! The `harness` crate provides full-featured versions with metrics; these
-//! exist so the algorithm crates can test themselves without a dependency
-//! cycle.
+//! A minimal workload hook for tests: the algorithm crates cannot depend on
+//! `harness` (it sits above them), so [`AutoExit`] stands in for its
+//! `Workload`. Safety and meals need no stand-in: the algorithm crates'
+//! tests install `manet_sim::SafetyMonitor` and `manet_sim::Metrics`, the
+//! same observers every host uses.
 
 use manet_sim::{Command, DiningState, Hook, NodeId, Sink, View};
 
@@ -43,41 +42,10 @@ impl<M> Hook<M> for AutoExit {
     }
 }
 
-/// Asserts the local mutual exclusion invariant — no two *current* neighbors
-/// eating — after every instant of virtual time.
-///
-/// # Panics
-///
-/// Panics (failing the test) on the first violation.
-#[derive(Clone, Debug, Default)]
-pub struct SafetyCheck {
-    /// Number of configurations checked (for test assertions).
-    pub checked: u64,
-}
-
-impl<M> Hook<M> for SafetyCheck {
-    fn on_quantum_end(&mut self, view: &View<'_>, _sink: &mut Sink) {
-        self.checked += 1;
-        for a in view.nodes() {
-            if view.dining(a) != DiningState::Eating {
-                continue;
-            }
-            for &b in view.world().neighbors(a) {
-                if b > a && view.dining(b) == DiningState::Eating {
-                    panic!(
-                        "local mutual exclusion violated at {}: {a} and {b} both eating",
-                        view.time()
-                    );
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use manet_sim::{Context, Engine, Event, Protocol, SimConfig, SimTime};
+    use manet_sim::{Context, Engine, Event, Protocol, SafetyMonitor, SimConfig, SimTime};
 
     /// Deliberately unsafe protocol: eats whenever told.
     struct Rogue(DiningState);
@@ -102,7 +70,7 @@ mod tests {
             Engine::new(SimConfig::default(), vec![(0.0, 0.0), (1.0, 0.0)], |_| {
                 Rogue(DiningState::Thinking)
             });
-        e.add_hook(Box::new(SafetyCheck::default()));
+        e.add_hook(Box::new(SafetyMonitor::new(true).0));
         e.set_hungry_at(SimTime(1), NodeId(0));
         e.set_hungry_at(SimTime(1), NodeId(1));
         e.run_until(SimTime(10));

@@ -3,9 +3,14 @@
 //! flag (Lines 20–23, 31), exit-time granting (Line 8), and recoloring
 //! NACKs (Lines 40–43). Fixed message delays make every schedule exact.
 
-use local_mutex::testutil::SafetyCheck;
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use local_mutex::{Algorithm1, Phase};
-use manet_sim::{Command, DiningState, Engine, NodeId, SimConfig, SimTime};
+use manet_sim::{
+    Command, DiningState, Engine, Metrics, MetricsData, NodeId, Protocol, SafetyMonitor, SimConfig,
+    SimTime,
+};
 
 fn fixed_delay_config() -> SimConfig {
     SimConfig {
@@ -23,6 +28,15 @@ fn engine_with_colors(positions: Vec<(f64, f64)>, colors: Vec<i64>) -> Engine<Al
     })
 }
 
+/// Install the LME checker (it panics on the first violation) and a meal
+/// counter; returns the counter's data.
+fn watch<P: Protocol>(engine: &mut Engine<P>) -> Rc<RefCell<MetricsData>> {
+    engine.add_hook(Box::new(SafetyMonitor::new(true).0));
+    let (metrics, data) = Metrics::new(engine.world().len());
+    engine.add_hook(Box::new(metrics));
+    data
+}
+
 /// Exit the critical section `ticks` after a node starts eating.
 fn auto_exit(engine: &mut Engine<Algorithm1>, ticks: u64) {
     engine.add_hook(Box::new(local_mutex::testutil::AutoExit::new(ticks)));
@@ -35,7 +49,7 @@ fn high_request_is_suspended_while_eating_and_granted_at_exit() {
     // node0's exit code grants it (Line 8).
     let mut e = engine_with_colors(vec![(0.0, 0.0), (1.0, 0.0)], vec![0, 1]);
     auto_exit(&mut e, 100);
-    e.add_hook(Box::new(SafetyCheck::default()));
+    let data = watch(&mut e);
     e.set_hungry_at(SimTime(1), NodeId(0));
     e.set_hungry_at(SimTime(1), NodeId(1));
     e.run_until(SimTime(60));
@@ -49,8 +63,8 @@ fn high_request_is_suspended_while_eating_and_granted_at_exit() {
     assert!(e.protocol(NodeId(0)).holds_fork(NodeId(1)));
     // After node0 exits (t ≈ 101), node1 gets the fork, eats, and exits.
     e.run_until(SimTime(400));
-    assert_eq!(e.observed(NodeId(0)).meals, 1);
-    assert_eq!(e.observed(NodeId(1)).meals, 1);
+    assert_eq!(data.borrow().meals[0], 1);
+    assert_eq!(data.borrow().meals[1], 1);
     assert!(e.protocol(NodeId(0)).suspended_requests().is_empty());
     // node1 is node0's high neighbor, so the exit-time grant carried no
     // want-back flag: the fork stays with node1.
@@ -68,7 +82,7 @@ fn want_back_flag_returns_the_fork_after_the_priority_meal() {
     // return the fork at its own exit — ping-pong exactly once.
     let mut e = engine_with_colors(vec![(0.0, 0.0), (1.0, 0.0)], vec![1, 0]);
     auto_exit(&mut e, 50);
-    e.add_hook(Box::new(SafetyCheck::default()));
+    let data = watch(&mut e);
     e.set_hungry_at(SimTime(1), NodeId(0));
     e.set_hungry_at(SimTime(1), NodeId(1));
     e.run_until(SimTime(40));
@@ -77,8 +91,8 @@ fn want_back_flag_returns_the_fork_after_the_priority_meal() {
     assert_eq!(e.protocol(NodeId(0)).suspended_requests(), vec![NodeId(1)]);
     e.run_until(SimTime(2_000));
     // Both ate exactly once; the want-back flag brought the fork home.
-    assert_eq!(e.observed(NodeId(0)).meals, 1);
-    assert_eq!(e.observed(NodeId(1)).meals, 1);
+    assert_eq!(data.borrow().meals[0], 1);
+    assert_eq!(data.borrow().meals[1], 1);
     assert!(
         e.protocol(NodeId(0)).holds_fork(NodeId(1)),
         "the want-back flag must return the fork to node0"
@@ -93,7 +107,7 @@ fn lone_mover_recolors_via_nack_and_gets_minus_one() {
     // procedure returns color −1 (Algorithm 4's R-empty case), after which
     // node1 collects and eats.
     let mut e = engine_with_colors(vec![(0.0, 0.0), (30.0, 0.0)], vec![0, 1]);
-    e.add_hook(Box::new(SafetyCheck::default()));
+    watch(&mut e);
     e.teleport_at(SimTime(10), NodeId(1), (1.0, 0.0));
     e.set_hungry_at(SimTime(100), NodeId(1));
     // No auto-exit: node1 stays eating so we can observe its recolor color.
@@ -115,7 +129,7 @@ fn newcomer_waits_while_static_neighbor_is_behind_sdf() {
     // at the SD^f entry until node0 exits — the doorway keeps newcomers
     // from interfering with nodes in the fork module.
     let mut e = engine_with_colors(vec![(0.0, 0.0), (30.0, 0.0)], vec![0, 1]);
-    e.add_hook(Box::new(SafetyCheck::default()));
+    watch(&mut e);
     e.set_hungry_at(SimTime(1), NodeId(0)); // eats forever (no exit hook)
     e.teleport_at(SimTime(50), NodeId(1), (1.0, 0.0));
     e.set_hungry_at(SimTime(100), NodeId(1));
@@ -151,7 +165,7 @@ fn exit_color_is_chosen_fresh_against_neighbor_updates() {
     // colors, so the coloring stays legal through every rotation.
     let mut e = engine_with_colors(manet_local_mutex_positions(), vec![0, 1, 2]);
     auto_exit(&mut e, 20);
-    e.add_hook(Box::new(SafetyCheck::default()));
+    let data = watch(&mut e);
     for i in 0..3 {
         e.set_hungry_at(SimTime(1), NodeId(i));
     }
@@ -164,7 +178,7 @@ fn exit_color_is_chosen_fresh_against_neighbor_updates() {
         }
     }
     for i in 0..3 {
-        assert!(e.observed(NodeId(i)).meals >= 1);
+        assert!(data.borrow().meals[i as usize] >= 1);
     }
 }
 

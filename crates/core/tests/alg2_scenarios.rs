@@ -3,9 +3,14 @@
 //! reversal (Lines 6–8, 26–27), withholding while not thinking, and the
 //! want-back flag under dynamic priorities.
 
-use local_mutex::testutil::{AutoExit, SafetyCheck};
+use std::cell::RefCell;
+use std::rc::Rc;
+
+use local_mutex::testutil::AutoExit;
 use local_mutex::Algorithm2;
-use manet_sim::{DiningState, Engine, NodeId, SimConfig, SimTime};
+use manet_sim::{
+    DiningState, Engine, Metrics, MetricsData, NodeId, Protocol, SafetyMonitor, SimConfig, SimTime,
+};
 
 fn fixed_engine(positions: Vec<(f64, f64)>) -> Engine<Algorithm2> {
     Engine::new(
@@ -19,6 +24,15 @@ fn fixed_engine(positions: Vec<(f64, f64)>) -> Engine<Algorithm2> {
     )
 }
 
+/// Install the LME checker (it panics on the first violation) and a meal
+/// counter; returns the counter's data.
+fn watch<P: Protocol>(engine: &mut Engine<P>) -> Rc<RefCell<MetricsData>> {
+    engine.add_hook(Box::new(SafetyMonitor::new(true).0));
+    let (metrics, data) = Metrics::new(engine.world().len());
+    engine.add_hook(Box::new(metrics));
+    data
+}
+
 #[test]
 fn thinking_node_always_grants() {
     // node0 holds the fork (ID rule) and stays thinking; node1 becomes
@@ -29,10 +43,10 @@ fn thinking_node_always_grants() {
     // holder never withholds.
     let mut e = fixed_engine(vec![(0.0, 0.0), (1.0, 0.0)]);
     e.add_hook(Box::new(AutoExit::new(20)));
-    e.add_hook(Box::new(SafetyCheck::default()));
+    let data = watch(&mut e);
     e.set_hungry_at(SimTime(1), NodeId(1));
     e.run_until(SimTime(100));
-    assert_eq!(e.observed(NodeId(1)).meals, 1);
+    assert_eq!(data.borrow().meals[1], 1);
 }
 
 #[test]
@@ -44,10 +58,10 @@ fn notification_cascade_lowers_dominator_below_everyone() {
     // switch is sent.
     let mut e = fixed_engine(vec![(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]);
     e.add_hook(Box::new(AutoExit::new(20)));
-    e.add_hook(Box::new(SafetyCheck::default()));
+    let data = watch(&mut e);
     e.set_hungry_at(SimTime(1), NodeId(0));
     e.run_until(SimTime(500));
-    assert_eq!(e.observed(NodeId(0)).meals, 1, "n0 must eat");
+    assert_eq!(data.borrow().meals[0], 1, "n0 must eat");
     assert_eq!(
         e.observed(NodeId(1)).switches,
         1,
@@ -69,15 +83,15 @@ fn exit_reverses_all_incident_priorities() {
     // sides, not strict alternation.)
     let mut e = fixed_engine(vec![(0.0, 0.0), (1.0, 0.0)]);
     e.add_hook(Box::new(AutoExit::new(10)));
-    e.add_hook(Box::new(SafetyCheck::default()));
+    let data = watch(&mut e);
     // Keep both perpetually hungry.
     for t in (1..3_000).step_by(25) {
         e.set_hungry_at(SimTime(t), NodeId(0));
         e.set_hungry_at(SimTime(t), NodeId(1));
     }
     e.run_until(SimTime(3_500));
-    let m0 = e.observed(NodeId(0)).meals;
-    let m1 = e.observed(NodeId(1)).meals;
+    let m0 = data.borrow().meals[0];
+    let m1 = data.borrow().meals[1];
     assert!(m0 >= 20 && m1 >= 20, "both must keep eating: {m0} vs {m1}");
     assert!(
         m0.max(m1) <= 3 * m0.min(m1),
@@ -88,7 +102,7 @@ fn exit_reverses_all_incident_priorities() {
 #[test]
 fn eating_node_suspends_and_grants_at_exit() {
     let mut e = fixed_engine(vec![(0.0, 0.0), (1.0, 0.0)]);
-    e.add_hook(Box::new(SafetyCheck::default()));
+    watch(&mut e);
     // node1 eats forever (no auto-exit); node0 requests mid-meal.
     e.set_hungry_at(SimTime(1), NodeId(1));
     e.run_until(SimTime(50));
@@ -122,14 +136,14 @@ fn clique_contention_is_fair_under_dynamic_priorities() {
         .collect();
     let mut e = fixed_engine(positions);
     e.add_hook(Box::new(AutoExit::new(15)));
-    e.add_hook(Box::new(SafetyCheck::default()));
+    let data = watch(&mut e);
     for t in (1..20_000).step_by(40) {
         for i in 0..5 {
             e.set_hungry_at(SimTime(t + i as u64), NodeId(i));
         }
     }
     e.run_until(SimTime(22_000));
-    let meals: Vec<u64> = (0..5).map(|i| e.observed(NodeId(i)).meals).collect();
+    let meals: Vec<u64> = (0..5).map(|i| data.borrow().meals[i as usize]).collect();
     let min = *meals.iter().min().expect("nonempty");
     let max = *meals.iter().max().expect("nonempty");
     assert!(min >= 10, "meals: {meals:?}");

@@ -9,11 +9,12 @@
 //!   application layer, with eating time ≤ τ);
 //! * [`mobility`] — random-waypoint movement scripts and heterogeneous
 //!   mobility mixes (static-core + highway + group waypoint);
-//! * [`metrics`] — response-time samples (with per-episode static/moved
-//!   flags, matching Definition 1 of the paper), meals, starvation probes;
-//! * [`safety`] — the local-mutual-exclusion invariant checker: an
-//!   incremental core that settles after **every** instant of virtual
-//!   time but examines only the neighborhoods that changed;
+//! * [`metrics`] and [`safety`] — re-exports of the observers that live in
+//!   `manet_sim`, because every host links it: the session fold behind
+//!   [`Metrics`] (response-time samples with per-episode static/moved
+//!   flags, matching Definition 1 of the paper, meals, demotions,
+//!   starvation probes) and the incremental LME checker [`SafetyCore`]
+//!   behind [`SafetyMonitor`];
 //! * [`failure_locality`] — crash probes that measure how far from a
 //!   crashed node starvation reaches;
 //! * [`census`] — message-complexity accounting by message kind;

@@ -1,207 +1,15 @@
-//! Response-time and progress metrics.
+//! Response-time and progress metrics: the [`manet_sim`] session fold
+//! and its [`Metrics`] hook, re-exported where experiments have always
+//! found them.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use manet_sim::{DiningState, Hook, NodeId, SimTime, Sink, View};
-
-/// One completed hungry→eating episode.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Sample {
-    /// The node that ate.
-    pub node: NodeId,
-    /// When it became hungry.
-    pub hungry_at: SimTime,
-    /// When it started eating.
-    pub eat_at: SimTime,
-    /// Whether the node moved (or was demoted by mobility) during the
-    /// episode. Definition 1 of the paper bounds response time only for
-    /// nodes that stay static, so experiments usually filter on this.
-    pub moved: bool,
-    /// Messages delivered to or from the node during the episode — the
-    /// empirical message complexity of this CS entry (Section 5 of the
-    /// paper counts messages per eating session the same way).
-    pub msgs: u64,
-}
-
-impl Sample {
-    /// The episode's response time in ticks.
-    pub fn response(&self) -> u64 {
-        self.eat_at - self.hungry_at
-    }
-}
-
-#[derive(Clone, Copy, Debug)]
-struct Pending {
-    since: SimTime,
-    moved: bool,
-    msgs: u64,
-}
-
-/// Data collected by the [`Metrics`] hook, shared via `Rc<RefCell<_>>`.
-#[derive(Clone, Debug, Default)]
-pub struct MetricsData {
-    /// All completed episodes in completion order.
-    pub samples: Vec<Sample>,
-    /// Completed critical sections per node.
-    pub meals: Vec<u64>,
-    pending: Vec<Option<Pending>>,
-}
-
-impl MetricsData {
-    /// Response times of episodes where the node stayed static.
-    pub fn static_responses(&self) -> Vec<u64> {
-        self.samples
-            .iter()
-            .filter(|s| !s.moved)
-            .map(Sample::response)
-            .collect()
-    }
-
-    /// Response times of all episodes.
-    pub fn all_responses(&self) -> Vec<u64> {
-        self.samples.iter().map(Sample::response).collect()
-    }
-
-    /// Per-episode message counts (the message complexity of each CS
-    /// entry), in completion order.
-    pub fn msg_complexities(&self) -> Vec<u64> {
-        self.samples.iter().map(|s| s.msgs).collect()
-    }
-
-    /// Nodes still hungry, with the time they became hungry; sorted by ID.
-    pub fn still_hungry(&self) -> Vec<(NodeId, SimTime)> {
-        self.pending
-            .iter()
-            .enumerate()
-            .filter_map(|(i, p)| p.map(|p| (NodeId(i as u32), p.since)))
-            .collect()
-    }
-
-    /// Nodes that have been hungry since before `deadline` — the empirical
-    /// notion of starvation used by the failure-locality probes.
-    pub fn starving_since(&self, deadline: SimTime) -> Vec<NodeId> {
-        self.still_hungry()
-            .into_iter()
-            .filter(|&(_, since)| since <= deadline)
-            .map(|(n, _)| n)
-            .collect()
-    }
-}
-
-/// Hook recording hungry→eating latencies, meals, and mobility flags.
-#[derive(Debug)]
-pub struct Metrics {
-    data: Rc<RefCell<MetricsData>>,
-}
-
-impl Metrics {
-    /// Create the hook and the shared handle to its data.
-    pub fn new(n_nodes: usize) -> (Metrics, Rc<RefCell<MetricsData>>) {
-        let data = Rc::new(RefCell::new(MetricsData {
-            samples: Vec::new(),
-            meals: vec![0; n_nodes],
-            pending: vec![None; n_nodes],
-        }));
-        (Metrics { data: data.clone() }, data)
-    }
-}
-
-impl<M> Hook<M> for Metrics {
-    fn on_state_change(
-        &mut self,
-        view: &View<'_>,
-        node: NodeId,
-        old: DiningState,
-        new: DiningState,
-        _sink: &mut Sink,
-    ) {
-        let mut d = self.data.borrow_mut();
-        match (old, new) {
-            (DiningState::Thinking, DiningState::Hungry) => {
-                d.pending[node.index()] = Some(Pending {
-                    since: view.time(),
-                    moved: view.world().is_moving(node),
-                    msgs: 0,
-                });
-            }
-            (DiningState::Eating, DiningState::Hungry) => {
-                // Mobility demotion: the node restarts its quest; count the
-                // new episode as a moved one.
-                d.pending[node.index()] = Some(Pending {
-                    since: view.time(),
-                    moved: true,
-                    msgs: 0,
-                });
-            }
-            (DiningState::Hungry, DiningState::Eating) => {
-                if let Some(p) = d.pending[node.index()].take() {
-                    d.samples.push(Sample {
-                        node,
-                        hungry_at: p.since,
-                        eat_at: view.time(),
-                        moved: p.moved,
-                        msgs: p.msgs,
-                    });
-                }
-            }
-            (DiningState::Thinking, DiningState::Eating) => {
-                // The node got hungry and ate within a single handler (all
-                // forks already in hand): a zero-latency episode.
-                d.samples.push(Sample {
-                    node,
-                    hungry_at: view.time(),
-                    eat_at: view.time(),
-                    moved: view.world().is_moving(node),
-                    msgs: 0,
-                });
-            }
-            (DiningState::Eating, DiningState::Thinking) => {
-                d.meals[node.index()] += 1;
-            }
-            _ => {}
-        }
-    }
-
-    fn on_deliver(
-        &mut self,
-        _view: &View<'_>,
-        from: NodeId,
-        to: NodeId,
-        _msg: &M,
-        _sink: &mut Sink,
-    ) {
-        // Every delivery is charged to the open episodes of both endpoints:
-        // a hungry node pays for the traffic its quest causes in either
-        // direction.
-        let mut d = self.data.borrow_mut();
-        for node in [from, to] {
-            if let Some(p) = d.pending[node.index()].as_mut() {
-                p.msgs += 1;
-            }
-        }
-    }
-
-    fn on_recover(&mut self, _view: &View<'_>, node: NodeId, _sink: &mut Sink) {
-        // Any episode left open by the dead incarnation belongs to it, not
-        // to the fresh protocol instance (which starts Thinking).
-        self.data.borrow_mut().pending[node.index()] = None;
-    }
-
-    fn on_move(&mut self, _view: &View<'_>, node: NodeId, started: bool, _sink: &mut Sink) {
-        if started {
-            let mut d = self.data.borrow_mut();
-            if let Some(p) = d.pending[node.index()].as_mut() {
-                p.moved = true;
-            }
-        }
-    }
-}
+pub use manet_sim::{Metrics, MetricsData, Sample};
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use manet_sim::{Command, Context, Engine, Event, Protocol, SimConfig};
+    use manet_sim::{
+        Command, Context, DiningState, Engine, Event, NodeId, Protocol, SimConfig, SimTime,
+    };
 
     struct Instant(DiningState);
     impl Protocol for Instant {
@@ -238,7 +46,7 @@ mod tests {
         assert_eq!(d.samples.len(), 1);
         assert_eq!(d.samples[0].response(), 0); // Instant eats at once
         assert_eq!(d.meals[0], 1);
-        assert!(d.still_hungry().is_empty());
+        assert!(d.starving_since(SimTime(u64::MAX)).is_empty());
     }
 
     #[test]

@@ -8,12 +8,10 @@ use baselines::{choy_singh, ChandyMisra, StaticColoring};
 use coloring::LinialSchedule;
 use local_mutex::{Algorithm1, Algorithm2};
 use manet_sim::{
-    Command, CsrAdjacency, Engine, EngineStats, NodeId, NodeSeed, Protocol, SimConfig, SimRng,
-    SimTime, Strategy,
+    Command, CsrAdjacency, Engine, EngineStats, Metrics, MetricsData, NodeId, NodeSeed, Protocol,
+    SafetyMonitor, SimConfig, SimRng, SimTime, Strategy, Violation,
 };
 
-use crate::metrics::{Metrics, MetricsData};
-use crate::safety::{SafetyMonitor, Violation};
 use crate::stats::Summary;
 use crate::topology::{max_degree, Topo};
 use crate::workload::Workload;

@@ -27,8 +27,9 @@
 //!   go-back-N machine, hosted on wall time;
 //! * [`trace`] — totally-ordered capture of everything observable, safety
 //!   validation by replaying the state, crash, recover and relocate
-//!   records into the harness [`harness::SafetyCore`], and export of
-//!   delivery timings as a simulator schedule;
+//!   records into [`manet_sim::SafetyCore`], meals and response times by
+//!   the simulator's [`manet_sim::SessionFold`] on the same pass, and
+//!   export of delivery timings as a simulator schedule;
 //! * [`replay`] — the conformance bridge: re-run a live execution's
 //!   timing shape inside the deterministic engine and check that safety
 //!   and the eating census survive the crossing.

@@ -27,7 +27,7 @@ use crate::runtime::{LiveConfig, LiveOutcome};
 /// What the conformance replay observed.
 #[derive(Clone, Debug)]
 pub struct ConformanceReport {
-    /// Eating sessions per node in the live run.
+    /// Completed meals per node in the live run.
     pub live_census: Vec<u64>,
     /// Completed meals per node in the simulator replay.
     pub sim_census: Vec<u64>,

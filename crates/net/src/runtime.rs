@@ -8,9 +8,9 @@
 //! simulator schedule.
 
 use baselines::ChandyMisra;
-use harness::{topology, AlgKind, Automata, Violation};
+use harness::{topology, AlgKind, Automata};
 use local_mutex::Algorithm2;
-use manet_sim::SimConfig;
+use manet_sim::{SimConfig, Violation};
 
 use crate::shard::{run_sharded_with, ShardTuning};
 use crate::trace::LiveTrace;
@@ -168,13 +168,15 @@ impl LiveConfig {
 pub struct LiveOutcome {
     /// The totally-ordered trace (already sorted).
     pub trace: LiveTrace,
-    /// Eating sessions entered, per node.
+    /// Completed meals (Eating → Thinking) per node, under the
+    /// simulator's meal rule (see [`LiveTrace::audit_safety`]): a meal cut
+    /// off by a crash or by the end of the run does not count.
     pub meals: Vec<u64>,
     /// Pooled hungry→eating latencies in nanoseconds, sampled under the
     /// simulator's response-time rule (see [`LiveTrace::audit_safety`]).
     pub latencies_ns: Vec<u64>,
-    /// Safety violations found by replaying the trace into the harness
-    /// safety core (empty = the run was safe).
+    /// Safety violations found by replaying the trace into
+    /// [`manet_sim::SafetyCore`] (empty = the run was safe).
     pub violations: Vec<Violation>,
     /// Data envelopes handed to the wire (first transmissions).
     pub messages_sent: u64,
@@ -204,12 +206,12 @@ pub struct LiveOutcome {
 }
 
 impl LiveOutcome {
-    /// Total eating sessions across all nodes.
+    /// Total completed meals across all nodes.
     pub fn total_meals(&self) -> u64 {
         self.meals.iter().sum()
     }
 
-    /// Throughput: eating sessions per wall-clock second.
+    /// Throughput: completed meals per wall-clock second.
     pub fn sessions_per_sec(&self) -> f64 {
         let secs = self.elapsed_ms.max(1) as f64 / 1_000.0;
         self.total_meals() as f64 / secs

@@ -25,7 +25,7 @@
 //! - **Per-shard ticket ranges.** One hybrid logical clock per shard
 //!   ([`clock`]) stamps every record; the per-shard streams are k-way
 //!   merged into one dense total order at export, and the merged
-//!   [`crate::trace::LiveTrace`] is replayed through the harness safety
+//!   [`crate::trace::LiveTrace`] is replayed through the simulator's safety
 //!   core.
 //!
 //! The driver (the calling thread) owns the mirror `World`: it teleports
@@ -257,7 +257,7 @@ pub(crate) struct ShardShared {
     pub(crate) send_failures: AtomicU64,
     pub(crate) retransmissions: AtomicU64,
     pub(crate) acks_sent: AtomicU64,
-    /// Nodes that have eaten at least once (one-shot early stop).
+    /// Nodes that have finished at least one meal (one-shot early stop).
     pub(crate) ate: AtomicU64,
     /// Raised on abort so every thread winds down promptly.
     stop: AtomicBool,
@@ -1006,8 +1006,8 @@ where
         if now >= deadline_ns || shared.stop.load(Ordering::Relaxed) {
             break;
         }
-        // One-shot runs end early once every node has eaten, after a
-        // short drain window for trailing records.
+        // One-shot runs end early once every node has finished a meal,
+        // after a short drain window for trailing records.
         if cfg.one_shot && cfg.crash.is_none() && shared.ate.load(Ordering::Relaxed) as usize >= n {
             let at = *quiesce_at.get_or_insert(now + 50_000_000);
             if now >= at {

@@ -188,15 +188,17 @@ where
             if new == DiningState::Eating {
                 self.session += 1;
                 self.exit_at = Some(shared.now_ns() + self.eat_ns);
-                if !self.ate_once {
-                    self.ate_once = true;
-                    shared.ate.fetch_add(1, Ordering::Relaxed);
-                }
             }
             if old == DiningState::Eating {
                 // Covers both a normal exit and a mobility demotion back
                 // to hungry: either way the meal is over.
                 self.exit_at = None;
+                // Only a finished meal counts (DESIGN "Sessions"), so a
+                // one-shot run may stop once every node has finished one.
+                if new == DiningState::Thinking && !self.ate_once {
+                    self.ate_once = true;
+                    shared.ate.fetch_add(1, Ordering::Relaxed);
+                }
                 if new == DiningState::Thinking && !self.one_shot {
                     let think = if self.closed_loop {
                         0

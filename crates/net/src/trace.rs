@@ -11,8 +11,8 @@
 //! That total order is what lets two sim-grade facilities run over a live
 //! execution:
 //!
-//! * [`LiveTrace::check_safety`] replays the trace into the harness
-//!   [`SafetyCore`] — the incremental invariant the simulator's
+//! * [`LiveTrace::check_safety`] replays the trace into
+//!   [`manet_sim::SafetyCore`] — the incremental invariant the simulator's
 //!   `SafetyMonitor` hook adapts, so there is no second implementation —
 //!   over a mirror [`World`]. The core's event vocabulary maps one to one
 //!   onto records: `State` → `state_changed`, `Crash` → `crashed`,
@@ -22,14 +22,17 @@
 //!   neighborhoods the record touched; `Deliver`, `LinkUp`, `LinkDown`
 //!   and `NetStats` records cannot change what the invariant reads and
 //!   never reach the core. The replay is O(records + eating transitions
-//!   · δ), not O(records · n), and [`LiveTrace::audit_safety`] reads the
-//!   eating census and the response-time samples off the same pass;
+//!   · δ), not O(records · n), and [`LiveTrace::audit_safety`] feeds the
+//!   same `State` and `Recover` records to a [`SessionFold`], the
+//!   simulator's one rule for meals and response times;
 //! * [`LiveTrace::to_schedule`] quantizes each observed delivery latency
 //!   into virtual-time delivery delays, producing an [`ImportedSchedule`]
 //!   the deterministic engine can replay (the conformance bridge).
 
-use harness::{SafetyCore, Violation};
-use manet_sim::{DiningState, ImportedSchedule, LinkChange, NodeId, SimTime, World};
+use manet_sim::{
+    DiningState, ImportedSchedule, LinkChange, NodeId, SafetyCore, SessionFold, SimTime, Violation,
+    World,
+};
 
 /// What happened, as observed by one thread of the live run.
 ///
@@ -247,7 +250,7 @@ impl LiveTrace {
         sched
     }
 
-    /// Replay the trace into the harness [`SafetyCore`] — the invariant
+    /// Replay the trace into [`SafetyCore`] — the invariant
     /// that audits simulated runs — over a mirror world that follows the
     /// `Relocate` records. Every record is an instant of its own. Returns
     /// every recorded violation (empty = the live run never had two
@@ -258,14 +261,14 @@ impl LiveTrace {
     }
 
     /// The run's verdict in one pass over the trace: the
-    /// [`LiveTrace::check_safety`] replay, what it cost, the eating census
-    /// and the response-time samples, over `positions.len()` nodes.
+    /// [`LiveTrace::check_safety`] replay, what it cost, and the meals and
+    /// response times of the [`SessionFold`] fed on the same pass, over
+    /// `positions.len()` nodes.
     pub fn audit_safety(&self, radio_range: f64, positions: &[(f64, f64)]) -> SafetyAudit {
         let mut world = World::new(radio_range, positions.iter().map(|&p| p.into()).collect());
         let mut core = SafetyCore::new(world.len());
+        let mut sessions = SessionFold::new(world.len());
         let mut violations = Vec::new();
-        let mut meals = vec![0u64; world.len()];
-        let mut hungry_since = vec![None; world.len()];
         let mut latencies_ns = Vec::new();
         for r in &self.records {
             match r.kind {
@@ -275,11 +278,8 @@ impl LiveTrace {
                     new,
                     session,
                 } => {
-                    if new == DiningState::Eating {
-                        meals[node.index()] += 1;
-                    }
-                    let open = &mut hungry_since[node.index()];
-                    latencies_ns.extend(response_sample(open, old, new, r.at_ns));
+                    let closed = sessions.state_changed(node, old, new, SimTime(r.at_ns), false);
+                    latencies_ns.extend(closed.map(|s| s.response()));
                     core.state_changed(node, new, session);
                 }
                 // Nodes record their own crash and recovery, serialized
@@ -288,9 +288,7 @@ impl LiveTrace {
                 // starts thinking (no State record bridges the two).
                 LiveEventKind::Crash { node } => core.crashed(node),
                 LiveEventKind::Recover { node } => {
-                    // An episode the dead incarnation left open is its
-                    // own, not the fresh one's.
-                    hungry_since[node.index()] = None;
+                    sessions.recovered(node);
                     core.recovered(node);
                 }
                 LiveEventKind::Relocate { node, x, y } => {
@@ -314,44 +312,22 @@ impl LiveTrace {
         SafetyAudit {
             violations,
             pairs_examined: core.pairs_examined(),
-            meals,
+            meals: sessions.meals,
             latencies_ns,
         }
     }
 }
 
-/// The response-time rule of the simulator's `harness::Metrics`, applied
-/// to one dining transition taken at `at_ns`; `open` is the node's
-/// pending hungry instant. Entering `Hungry` — from `Thinking`, or by a
-/// mobility demotion from `Eating` — opens a new episode; `Hungry` →
-/// `Eating` closes it with one sample; `Thinking` → `Eating` inside one
-/// handler is a zero-latency episode of its own.
-fn response_sample(
-    open: &mut Option<u64>,
-    old: DiningState,
-    new: DiningState,
-    at_ns: u64,
-) -> Option<u64> {
-    match (old, new) {
-        (_, DiningState::Hungry) => {
-            *open = Some(at_ns);
-            None
-        }
-        (DiningState::Hungry, DiningState::Eating) => open.take().map(|h| at_ns.saturating_sub(h)),
-        (DiningState::Thinking, DiningState::Eating) => Some(0),
-        _ => None,
-    }
-}
-
 /// The verdict of [`LiveTrace::audit_safety`], its machine-independent
-/// cost, and the census and response times read on the same pass.
+/// cost, and the meals and response times read on the same pass.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SafetyAudit {
     /// Every recorded violation, in trace order.
     pub violations: Vec<Violation>,
     /// [`SafetyCore::pairs_examined`] at the end of the replay.
     pub pairs_examined: u64,
-    /// Eating sessions entered, per node (the live census).
+    /// Completed meals (Eating → Thinking) per node: a meal cut off by a
+    /// crash or by the end of the run does not count, as in the simulator.
     pub meals: Vec<u64>,
     /// Hungry→eating latencies in nanoseconds, pooled over all nodes in
     /// the order the episodes closed.
@@ -361,6 +337,7 @@ pub struct SafetyAudit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use manet_sim::SimConfig;
 
     fn state(
         order: u64,
@@ -450,6 +427,147 @@ mod tests {
             state(14, 0, H, E, 1),
         ]);
         assert_eq!(rt, vec![3_000]);
+    }
+
+    /// One step of a dining script for a lone node, at a tick.
+    #[derive(Clone, Copy)]
+    enum Step {
+        To(DiningState),
+        Crash,
+        Recover,
+    }
+
+    /// A protocol that walks the dining states its incarnation was given:
+    /// the `Hungry` kick arms one timer per step, and each timer applies
+    /// its step.
+    struct Script {
+        steps: Vec<(u64, DiningState)>,
+        state: DiningState,
+    }
+
+    impl manet_sim::Protocol for Script {
+        type Msg = ();
+        fn on_event(&mut self, ev: manet_sim::Event<()>, ctx: &mut manet_sim::Context<'_, ()>) {
+            match ev {
+                manet_sim::Event::Hungry => {
+                    for (i, &(at, _)) in self.steps.iter().enumerate() {
+                        ctx.set_timer(at - ctx.time().0, i as u64);
+                    }
+                }
+                manet_sim::Event::Timer { token } => self.state = self.steps[token as usize].1,
+                _ => {}
+            }
+        }
+        fn dining_state(&self) -> DiningState {
+            self.state
+        }
+    }
+
+    /// `(meals, response times)` of `script` run by the engine under the
+    /// `Metrics` hook.
+    fn simulated(script: &[(u64, Step)]) -> (Vec<u64>, Vec<u64>) {
+        // One incarnation per stretch between recoveries, each kicked at
+        // tick 1 or at its recovery.
+        let mut lives = vec![Vec::new()];
+        for &(at, step) in script {
+            match step {
+                Step::To(state) => lives.last_mut().unwrap().push((at, state)),
+                Step::Recover => lives.push(Vec::new()),
+                Step::Crash => {}
+            }
+        }
+        let mut lives = lives.into_iter();
+        let mut e =
+            manet_sim::Engine::new(SimConfig::default(), vec![(0.0, 0.0)], move |_| Script {
+                steps: lives.next().expect("one script per incarnation"),
+                state: T,
+            });
+        let (metrics, data) = manet_sim::Metrics::new(1);
+        e.add_hook(Box::new(metrics));
+        e.set_hungry_at(SimTime(1), NodeId(0));
+        for &(at, step) in script {
+            match step {
+                Step::Crash => e.crash_at(SimTime(at), NodeId(0)),
+                Step::Recover => {
+                    e.recover_at(SimTime(at), NodeId(0));
+                    e.set_hungry_at(SimTime(at), NodeId(0));
+                }
+                Step::To(_) => {}
+            }
+        }
+        e.run_until(SimTime(100));
+        let d = data.borrow();
+        (d.meals.clone(), d.all_responses())
+    }
+
+    /// `(meals, response times)` that [`LiveTrace::audit_safety`] reads
+    /// off the records `script` would leave, with `at_ns` = the tick.
+    fn audited(script: &[(u64, Step)]) -> (Vec<u64>, Vec<u64>) {
+        let (mut state, mut session) = (T, 0);
+        let node = NodeId(0);
+        let records = script.iter().map(|&(at, step)| {
+            let kind = match step {
+                Step::To(new) => {
+                    let old = std::mem::replace(&mut state, new);
+                    session += u64::from(new == E);
+                    LiveEventKind::State {
+                        node,
+                        old,
+                        new,
+                        session,
+                    }
+                }
+                Step::Crash => LiveEventKind::Crash { node },
+                Step::Recover => {
+                    state = T;
+                    LiveEventKind::Recover { node }
+                }
+            };
+            LiveRecord {
+                at_ns: at,
+                order: at,
+                kind,
+            }
+        });
+        let audit = LiveTrace::new(records.collect()).audit_safety(1.5, &[(0.0, 0.0)]);
+        (audit.meals, audit.latencies_ns)
+    }
+
+    #[test]
+    fn sim_and_live_count_meals_and_response_times_by_one_rule() {
+        use Step::{Crash, Recover, To};
+        let rows = [
+            ("T→H→E→T", vec![(2, To(H)), (4, To(E)), (7, To(T))], 1),
+            ("T→E→T, zero latency", vec![(2, To(E)), (5, To(T))], 1),
+            ("meal open at the end", vec![(2, To(H)), (4, To(E))], 0),
+            (
+                "crash mid-meal",
+                vec![(2, To(H)), (4, To(E)), (5, Crash)],
+                0,
+            ),
+            (
+                "recovery with an episode open",
+                vec![
+                    (2, To(H)),
+                    (3, Crash),
+                    (6, Recover),
+                    (7, To(H)),
+                    (9, To(E)),
+                    (11, To(T)),
+                ],
+                1,
+            ),
+            (
+                "E→H demotion",
+                vec![(2, To(H)), (4, To(E)), (5, To(H)), (8, To(E)), (10, To(T))],
+                1,
+            ),
+        ];
+        for (name, script, meals) in rows {
+            let sim = simulated(&script);
+            assert_eq!(audited(&script), sim, "{name}: live vs sim");
+            assert_eq!(sim.0, vec![meals], "{name}: meals");
+        }
     }
 
     #[test]

@@ -537,8 +537,8 @@ impl<P: Protocol> Engine<P> {
         &self.protocols[node.index()]
     }
 
-    /// What the engine saw `node` do so far: its meals and demotions and
-    /// the observations its protocol reported (see [`Observed`]).
+    /// The observations `node`'s protocol reported so far (see
+    /// [`Observed`]).
     pub fn observed(&self, node: NodeId) -> Observed {
         self.core.observed[node.index()]
     }
@@ -998,12 +998,8 @@ impl<P: Protocol> Engine<P> {
         let new = self.protocols[node.index()].dining_state();
         if new != old {
             self.core.dining[node.index()] = new;
-            let seen = &mut self.core.observed[node.index()];
-            match (old, new) {
-                (_, DiningState::Eating) => self.core.eating_session[node.index()] += 1,
-                (DiningState::Eating, DiningState::Thinking) => seen.meals += 1,
-                (DiningState::Eating, DiningState::Hungry) => seen.demotions += 1,
-                _ => {}
+            if new == DiningState::Eating {
+                self.core.eating_session[node.index()] += 1;
             }
             self.core
                 .trace
@@ -1403,6 +1399,8 @@ mod tests {
             let mut e = Engine::new(SimConfig::default(), vec![(0.0, 0.0)], |_| {
                 Reporter(DiningState::Thinking)
             });
+            let (metrics, data) = crate::Metrics::new(1);
+            e.add_hook(Box::new(metrics));
             e.set_hungry_at(SimTime(1), node);
             e.schedule(SimTime(2), Command::ExitCs { node, session: 1 });
             e.set_hungry_at(SimTime(3), node);
@@ -1415,17 +1413,23 @@ mod tests {
                 e.core.push(SimTime(4), timer(0));
             }
             e.run_until(SimTime(10));
-            (e.observed(node), e.state_digest(), e.progress_digest())
+            let d = data.borrow();
+            let sessions = (d.meals[0], d.demotions[0]);
+            (
+                sessions,
+                e.observed(node),
+                e.state_digest(),
+                e.progress_digest(),
+            )
         };
-        let (seen, state, progress) = run(true);
+        let (sessions, seen, state, progress) = run(true);
+        assert_eq!(sessions, (1, 1), "(meals, demotions)");
         let want = Observed {
-            meals: 1,
-            demotions: 1,
             switches: 1,
             ..Observed::default()
         };
         assert_eq!(seen, want);
-        let (quiet, quiet_state, quiet_progress) = run(false);
+        let (_, quiet, quiet_state, quiet_progress) = run(false);
         assert_eq!(quiet.switches, 0);
         assert_eq!((state, progress), (quiet_state, quiet_progress));
     }

@@ -23,6 +23,12 @@
 //! `(time, sequence-number)`. Running the same configuration twice produces
 //! byte-identical traces.
 //!
+//! Two observers live here because every host links this crate: the
+//! simulator, the model checker and the live runtime all count meals and
+//! response times with [`SessionFold`] (behind the [`Metrics`] hook), and
+//! all check local mutual exclusion with [`SafetyCore`] (behind the
+//! [`SafetyMonitor`] hook).
+//!
 //! # Example
 //!
 //! ```
@@ -72,7 +78,9 @@ mod links;
 mod neighbors;
 mod protocol;
 pub mod rng;
+mod safety;
 mod sched;
+mod session;
 mod shim;
 mod time;
 mod trace;
@@ -93,9 +101,11 @@ pub use ids::NodeId;
 pub use neighbors::{KeysWhere, NeighborSet, Neighbors};
 pub use protocol::{Context, DiningState, Obs, Observed, Protocol};
 pub use rng::SimRng;
+pub use safety::{SafetyCore, SafetyMonitor, Violation};
 pub use sched::{
     digest_of, DeliveryChoice, DigestMode, Fnv, ImportedSchedule, RandomDelays, Strategy,
 };
+pub use session::{Metrics, MetricsData, Sample, SessionFold};
 pub use shim::{ArqConfig, ShimStats};
 pub use time::SimTime;
 pub use trace::{TraceEntry, TraceKind};

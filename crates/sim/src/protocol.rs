@@ -101,16 +101,12 @@ pub enum Obs {
     Switched,
 }
 
-/// What the engine saw one node do over a run: its meals and demotions
-/// (read off its dining transitions) and the [`Obs`] it reported. An
-/// observation, not state: no digest covers it, and a recovered node keeps
-/// counting where its crashed incarnation stopped.
+/// The [`Obs`] one node reported over a run, as the engine counted them.
+/// An observation, not state: no digest covers it, and a recovered node
+/// keeps counting where its crashed incarnation stopped. Meals and
+/// demotions are read off dining transitions by [`crate::Metrics`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Observed {
-    /// Completed critical sections (eating → thinking).
-    pub meals: u64,
-    /// Eating → hungry demotions, caused by arriving in a new neighborhood.
-    pub demotions: u64,
     /// [`Obs::Recolored`] reports.
     pub recolorings: u64,
     /// [`Obs::ReturnPath`] reports.

@@ -8,10 +8,11 @@
 //!
 //! Run with: `cargo run --example custom_protocol`
 
-use manet_local_mutex::harness::{stats::jain_index, topology, Metrics, SafetyMonitor, Workload};
+use manet_local_mutex::harness::{stats::jain_index, topology, Workload};
 use manet_local_mutex::lme::Algorithm2;
 use manet_local_mutex::sim::{
-    digest_of, Context, DiningState, Engine, Event, NodeId, Protocol, SimConfig, SimTime,
+    digest_of, Context, DiningState, Engine, Event, Metrics, NodeId, Protocol, SafetyMonitor,
+    SimConfig, SimTime,
 };
 
 /// Naive protocol: announce intent; enter only if no *smaller-ID* neighbor

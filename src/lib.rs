@@ -9,14 +9,16 @@
 //!
 //! This umbrella crate re-exports the workspace members:
 //!
-//! * [`sim`] — deterministic discrete-event MANET simulator;
+//! * [`sim`] — deterministic discrete-event MANET simulator, with the
+//!   observers every host shares: the session metrics (one rule for meals
+//!   and response times) and the LME safety checker;
 //! * [`doorway`] — synchronous/asynchronous/double doorways (Figures 1–4);
 //! * [`coloring`] — greedy + Linial coloring over cover-free families;
 //! * [`lme`] — the paper's Algorithm 1 (two recoloring variants) and
 //!   Algorithm 2;
 //! * [`baselines`] — Chandy–Misra and Choy–Singh comparators;
-//! * [`harness`] — topologies, workloads, safety/liveness checkers,
-//!   metrics, failure-locality probes, and the one-call runner;
+//! * [`harness`] — topologies, workloads, liveness/starvation and
+//!   failure-locality probes, and the one-call runner;
 //! * [`check`] — bounded schedule-space model checker with witness
 //!   shrinking and byte-for-byte replay (`lme check`).
 //!

@@ -23,7 +23,7 @@ use std::hash::{Hash, Hasher};
 use harness::{topology, AlgKind, Automata};
 use local_mutex::testutil::AutoExit;
 use local_mutex::Algorithm1;
-use manet_sim::{DiningState, Engine, NodeId, NodeSeed, Protocol, SimConfig, SimTime};
+use manet_sim::{DiningState, Engine, Metrics, NodeId, NodeSeed, Protocol, SimConfig, SimTime};
 
 /// The ends of the two busy stretches, and the quiet time after each.
 const STRETCHES: [u64; 2] = [1_000, 10_000];
@@ -61,6 +61,8 @@ where
     let n = positions.len() as u32;
     let mut engine = Engine::new(SimConfig::default(), positions.to_vec(), make);
     engine.add_hook(Box::new(AutoExit::new(20)));
+    let (metrics, data) = Metrics::new(positions.len());
+    engine.add_hook(Box::new(metrics));
     let measure = |e: &Engine<P>| -> Vec<u64> {
         let thinking = (0..n).all(|i| e.dining_state(NodeId(i)) == DiningState::Thinking);
         assert!(thinking, "not quiescent at {:?}", e.now());
@@ -68,7 +70,6 @@ where
             .map(|i| hashed_bytes(e.protocol(NodeId(i))))
             .collect()
     };
-    let meals = |e: &Engine<P>| (0..n).map(|i| e.observed(NodeId(i)).meals).sum();
     let mut start = 1;
     STRETCHES.map(|end| {
         for i in 0..n {
@@ -78,7 +79,7 @@ where
         }
         start = end + QUIET;
         engine.run_until(SimTime(start));
-        (measure(&engine), meals(&engine))
+        (measure(&engine), data.borrow().meals.iter().sum())
     })
 }
 

@@ -74,6 +74,8 @@ fn eating_mover_is_demoted_for_safety() {
     // mover must drop to hungry (Algorithm 3, Line 50), never producing two
     // eating neighbors.
     let mut engine = a1_engine(vec![(0.0, 0.0), (50.0, 0.0)], RecolorConfig::Greedy);
+    let (metrics, data) = Metrics::new(2);
+    engine.add_hook(Box::new(metrics));
     let (monitor, _) = SafetyMonitor::new(true);
     engine.add_hook(Box::new(monitor));
     // No workload: nodes eat forever until demoted.
@@ -94,7 +96,7 @@ fn eating_mover_is_demoted_for_safety() {
         DiningState::Hungry,
         "mover demoted"
     );
-    assert_eq!(engine.observed(NodeId(1)).demotions, 1);
+    assert_eq!(data.borrow().demotions[1], 1);
 }
 
 #[test]
@@ -104,6 +106,8 @@ fn a2_eating_mover_is_demoted_for_safety() {
         vec![(0.0, 0.0), (50.0, 0.0)],
         |seed| Algorithm2::new(&seed),
     );
+    let (metrics, data) = Metrics::new(2);
+    engine.add_hook(Box::new(metrics));
     let (monitor, _) = SafetyMonitor::new(true);
     engine.add_hook(Box::new(monitor));
     engine.set_hungry_at(SimTime(1), NodeId(0));
@@ -113,7 +117,7 @@ fn a2_eating_mover_is_demoted_for_safety() {
     engine.run_until(SimTime(200));
     assert_eq!(engine.dining_state(NodeId(0)), DiningState::Eating);
     assert_eq!(engine.dining_state(NodeId(1)), DiningState::Hungry);
-    assert_eq!(engine.observed(NodeId(1)).demotions, 1);
+    assert_eq!(data.borrow().demotions[1], 1);
 }
 
 #[test]

@@ -108,6 +108,28 @@ fn sharded_one_shot_run_conforms_in_the_simulator() {
 }
 
 #[test]
+fn one_shot_run_waits_for_meals_longer_than_its_drain_window() {
+    // A meal counts when it ends, so the one-shot early stop must wait for
+    // every node to *finish* one: an 80 ms meal outlasts the 50 ms drain
+    // window that follows the last entry into Eating.
+    let mut cfg = LiveConfig::new(AlgKind::A2, TransportKind::Mpsc, topology::clique(3));
+    cfg.one_shot = true;
+    cfg.tick_ns = 2_000_000; // τ = 50 ticks = 100 ms
+    cfg.eat_ms = 80;
+    cfg.duration_ms = 5_000;
+    let out = run_live(&cfg).expect("one-shot run");
+    assert!(out.violations.is_empty(), "{:?}", out.violations);
+    assert_eq!(out.meals, vec![1, 1, 1], "every meal must finish");
+    let report = conformance_replay(&cfg, &out).expect("replay");
+    assert!(
+        report.conforms(),
+        "sim census {:?} != live census {:?}",
+        report.sim_census,
+        report.live_census
+    );
+}
+
+#[test]
 fn sharded_udp_smoke_stays_safe() {
     // Same batches, real datagrams: one shard pair per socket on
     // loopback. Loss is possible in principle, so only safety and clean
