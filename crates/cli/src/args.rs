@@ -9,8 +9,8 @@ use harness::{topology, AlgKind, MobilityMix, Topo, WaypointPlan};
 use lme_check::{Mutation, StrategyKind};
 use lme_net::{LiveConfig, LiveRuntime, TransportKind};
 use manet_sim::{
-    ChannelConfig, CrashWave, DelayAdversary, FaultPlan, LinkFaults, NodeId, PartitionWindow,
-    SimConfig,
+    ChannelConfig, Command as SimCommand, CrashWave, DelayAdversary, FaultPlan, LinkFaults, NodeId,
+    PartitionWindow, SimConfig,
 };
 
 use crate::experiments;
@@ -522,8 +522,9 @@ pub struct Live {
     /// Every other flag: `--alg` (of the one cell), `--seed`,
     /// `--transport`, `--duration`, `--rate`, `--eat-ms`, `--oneshot`,
     /// `--reliable`, `--closed-loop`, `--workers`, and `--victim` (crashed
-    /// a quarter into the run) with `--recover` (in ms). Each cell fills in
-    /// its positions and `moves` teleports.
+    /// a quarter into the run) with `--recover` (in ms), both on the
+    /// command timeline. Each cell fills in its positions and appends its
+    /// `moves` teleports.
     pub cfg: LiveConfig,
     /// `--moves`: teleport waypoints pushed by the driver.
     pub moves: usize,
@@ -575,8 +576,11 @@ impl Live {
         cfg.closed_loop = args.switch("--closed-loop");
         let workers = args.count("--workers")?.unwrap_or(0);
         cfg.runtime = LiveRuntime::Sharded { workers };
-        cfg.crash = victim.map(|v| (v, (cfg.duration_ms / 4).max(1)));
-        cfg.recover = victim.zip(recover);
+        let crash = victim.map(|v| ((cfg.duration_ms / 4).max(1), SimCommand::Crash(NodeId(v))));
+        let recover = victim
+            .zip(recover)
+            .map(|(v, at)| (at, SimCommand::Recover(NodeId(v))));
+        cfg.commands.extend(crash.into_iter().chain(recover));
         let moves = args.parsed("--moves")?.unwrap_or(0);
         if cell.as_ref().is_some_and(|c| c.conformance) {
             if !cfg.one_shot {
@@ -1223,7 +1227,7 @@ mod tests {
             "live --topo ring:6 --reliable --victim 1 --recover 800"
         );
         assert!(live.cfg.reliable);
-        assert_eq!(live.cfg.recover, Some((1, 800)));
+        assert_eq!(live.cfg.commands[1], (800, SimCommand::Recover(NodeId(1))));
         assert!(parse(argv("run --topo line:5 --recover 5000")).is_err()); // no victim
         assert!(parse(argv("run --topo line:5 --victim 2 --recover 5000")).is_err()); // too early
         assert!(parse(argv("probe --topo line:5 --victim 2 --recover 5000")).is_err());

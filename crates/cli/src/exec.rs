@@ -13,7 +13,7 @@ use lme_check::{
     Witness,
 };
 use lme_net::{conformance_replay, run_live, LiveConfig};
-use manet_sim::{ArqConfig, ChannelConfig, NodeId, SimConfig, SimTime};
+use manet_sim::{ArqConfig, ChannelConfig, Command as SimCommand, NodeId, SimConfig, SimTime};
 
 use crate::args::{
     Chaos, Check, CheckMode, Command, Experiments, Instance, Live, Mobility, Probe, Run, Scenario,
@@ -635,11 +635,8 @@ fn live_cell(cmd: &Live, alg: AlgKind, topo: &TopoSpec) -> Result<LiveConfig, St
             speed: None,
             seed: cfg.seed ^ 0xB0B,
         };
-        for (t, cmd) in plan.commands(n) {
-            if let manet_sim::Command::Teleport { node, dest } = cmd {
-                cfg.moves.push((t.0, node.0, (dest.x, dest.y)));
-            }
-        }
+        let teleports = plan.commands(n).into_iter();
+        cfg.commands.extend(teleports.map(|(t, cmd)| (t.0, cmd)));
     }
     Ok(cfg)
 }
@@ -693,7 +690,7 @@ fn render_live(cmd: &Live) -> Result<String, String> {
          {} send failures\n",
         out.messages_sent, out.messages_delivered, out.decode_errors, out.send_failures
     ));
-    if cfg.reliable || cfg.recover.is_some() {
+    if cfg.reliable || cfg.schedules(|c| matches!(c, SimCommand::Recover(_))) {
         s.push_str(&format!(
             "  reliability       : {} retransmissions, {} acks, {} recoveries\n",
             out.retransmissions, out.acks_sent, out.recoveries
@@ -726,12 +723,13 @@ fn render_live_matrix(cmd: &Live) -> Result<String, String> {
     let topos = [TopoSpec::Clique(5), TopoSpec::Ring(6)];
     let cfg = &cmd.cfg;
     let algs = AlgKind::extended();
+    let crashes = cfg.schedules(|c| matches!(c, SimCommand::Crash(_)));
     let mut s = format!(
         "live matrix: {} algorithms x {} topologies{} over {} ({} runtime), \
          {} ms per cell, rate {}/s, seed {}\n",
         algs.len(),
         topos.len(),
-        if cfg.crash.is_some() { " + crash" } else { "" },
+        if crashes { " + crash" } else { "" },
         cfg.transport.name(),
         cfg.runtime.name(),
         cfg.duration_ms,

@@ -61,7 +61,7 @@ pub fn conformance_replay(
     if !cfg.one_shot {
         return Err("conformance replay needs a one-shot live run (--oneshot)".into());
     }
-    if cfg.crash.is_some() || !cfg.moves.is_empty() {
+    if !cfg.commands.is_empty() {
         return Err("conformance replay needs a fault-free, static live run".into());
     }
     let sim = SimConfig {
@@ -112,6 +112,7 @@ mod tests {
     use crate::runtime::run_live;
     use crate::transport::TransportKind;
     use harness::AlgKind;
+    use manet_sim::{Command, NodeId};
 
     #[test]
     fn replay_rejects_cyclic_and_faulty_runs() {
@@ -126,7 +127,7 @@ mod tests {
         let out = run_live(&one_shot).expect("live run");
         assert!(conformance_replay(&cfg, &out).is_err(), "cyclic rejected");
         let mut crashed = one_shot.clone();
-        crashed.crash = Some((0, 100));
+        crashed.commands = vec![(100, Command::Crash(NodeId(0)))];
         assert!(
             conformance_replay(&crashed, &out).is_err(),
             "fault rejected"

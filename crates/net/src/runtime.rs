@@ -10,7 +10,7 @@
 use baselines::ChandyMisra;
 use harness::{topology, AlgKind, Automata};
 use local_mutex::Algorithm2;
-use manet_sim::{SimConfig, Violation};
+use manet_sim::{Command, SimConfig, Violation};
 
 use crate::shard::{run_sharded_with, ShardTuning};
 use crate::trace::LiveTrace;
@@ -66,23 +66,21 @@ pub struct LiveConfig {
     /// Wall nanoseconds per virtual tick (the live analogue of the
     /// simulator quantum; ν = 10 ticks of this).
     pub tick_ns: u64,
-    /// Crash `(node, at_ms)`: sever every adjacent link and make the
-    /// node inert.
-    pub crash: Option<(u32, u64)>,
-    /// Recover `(node, at_ms)`: restart the crashed node as a fresh
-    /// protocol incarnation, let its traffic flow again, and rejoin it to
-    /// its neighbors with link flaps, as the simulator's
-    /// `Command::Recover` does. Requires a matching `crash` of the same
-    /// node at an earlier time.
-    pub recover: Option<(u32, u64)>,
+    /// The run's timeline: `(at_ms, command)` pairs the driver executes
+    /// as the simulator's engine does. Three commands are live:
+    /// - `Crash` silences the node and drops its traffic both ways;
+    /// - `Recover` restarts a crashed node as a fresh protocol
+    ///   incarnation and rejoins it with a flap of each of its links. It
+    ///   needs a `Crash` of the same node at an earlier time;
+    /// - `Teleport` moves a node, which learns the link changes as the
+    ///   moving side.
+    pub commands: Vec<(u64, Command)>,
     /// Arm the per-link reliable-delivery shim: go-back-N retransmission
     /// with capped exponential backoff, cumulative acks piggybacked on
     /// data frames, and standalone acks after an idle timeout — what
     /// `manet_sim::ArqConfig` arms in the simulator, run by the same
     /// machine ([`manet_sim::arq`]).
     pub reliable: bool,
-    /// Teleport waypoints `(at_ms, node, destination)`.
-    pub moves: Vec<(u64, u32, (f64, f64))>,
     /// Worker-pool sizing of the execution engine.
     pub runtime: LiveRuntime,
     /// Closed-loop workload: a node goes hungry again immediately after
@@ -106,13 +104,16 @@ impl LiveConfig {
             one_shot: false,
             seed: 0xA77D_2008,
             tick_ns: 100_000,
-            crash: None,
-            recover: None,
-            moves: Vec::new(),
+            commands: Vec::new(),
             reliable: false,
             runtime: LiveRuntime::Sharded { workers: 0 },
             closed_loop: false,
         }
+    }
+
+    /// Whether the timeline has a command that `is` picks out.
+    pub fn schedules(&self, is: fn(&Command) -> bool) -> bool {
+        self.commands.iter().any(|(_, cmd)| is(cmd))
     }
 
     fn validate(&self) -> Result<(), String> {
@@ -137,26 +138,32 @@ impl LiveConfig {
                 tau_ns / 1_000_000
             ));
         }
-        for &(_, node, _) in &self.moves {
-            if node as usize >= n {
-                return Err(format!("move targets node {node}, but n = {n}"));
-            }
-        }
-        if let Some((victim, _)) = self.crash {
-            if victim as usize >= n {
-                return Err(format!("crash targets node {victim}, but n = {n}"));
-            }
-        }
-        if let Some((node, at_ms)) = self.recover {
-            match self.crash {
-                Some((victim, crash_ms)) if victim == node && at_ms > crash_ms => {}
-                Some((victim, _)) if victim != node => {
+        for (at_ms, cmd) in &self.commands {
+            match *cmd {
+                Command::Crash(node) | Command::Recover(node) | Command::Teleport { node, .. }
+                    if node.index() >= n =>
+                {
+                    return Err(format!("{cmd:?} targets node {node}, but n = {n}"));
+                }
+                Command::Teleport { dest, .. } if !(dest.x.is_finite() && dest.y.is_finite()) => {
+                    return Err(format!("{cmd:?} has a destination that is not finite"));
+                }
+                Command::Recover(node)
+                    if !self
+                        .commands
+                        .iter()
+                        .any(|(t, c)| t < at_ms && *c == Command::Crash(node)) =>
+                {
                     return Err(format!(
-                        "recover targets node {node}, but the crash targets {victim}"
+                        "recover of {node} at {at_ms} ms needs a crash of {node} before it"
                     ));
                 }
-                Some(_) => return Err("recover must come after the crash".into()),
-                None => return Err("recover needs a preceding crash".into()),
+                Command::Crash(_) | Command::Recover(_) | Command::Teleport { .. } => {}
+                _ => {
+                    return Err(format!(
+                        "{cmd:?}: a live run executes only crash, recover and teleport commands"
+                    ));
+                }
             }
         }
         Ok(())
@@ -244,6 +251,7 @@ pub fn run_live(cfg: &LiveConfig) -> Result<LiveOutcome, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use manet_sim::{NodeId, Position};
 
     fn line3() -> Vec<(f64, f64)> {
         vec![(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]
@@ -260,8 +268,51 @@ mod tests {
         cfg.eat_ms = 10_000;
         assert!(run_live(&cfg).is_err(), "eating beyond tau");
         cfg.eat_ms = 2;
-        cfg.crash = Some((9, 10));
+        let crash = |at, node| (at, Command::Crash(NodeId(node)));
+        let recover = |at, node| (at, Command::Recover(NodeId(node)));
+        let teleport = |at, node, x| {
+            let dest = Position { x, y: 0.0 };
+            (
+                at,
+                Command::Teleport {
+                    node: NodeId(node),
+                    dest,
+                },
+            )
+        };
+        cfg.commands = vec![crash(10, 9)];
         assert!(run_live(&cfg).is_err(), "crash target out of range");
+        cfg.commands = vec![teleport(10, 3, 0.0)];
+        assert!(run_live(&cfg).is_err(), "teleport target out of range");
+        cfg.commands = vec![recover(20, 1)];
+        assert!(run_live(&cfg).is_err(), "recover with no crash");
+        cfg.commands = vec![crash(10, 0), recover(20, 1)];
+        assert!(run_live(&cfg).is_err(), "recover of another node");
+        for at in [5, 10] {
+            cfg.commands = vec![crash(10, 0), recover(at, 0)];
+            assert!(run_live(&cfg).is_err(), "recover at {at} ms, crash at 10");
+        }
+        cfg.commands = vec![(
+            10,
+            Command::Partition {
+                side: vec![NodeId(0)],
+            },
+        )];
+        assert!(run_live(&cfg).is_err(), "a partition is not live");
+        let dest = Position { x: 1.0, y: 0.0 };
+        cfg.commands = vec![(
+            10,
+            Command::StartMove {
+                node: NodeId(0),
+                dest,
+                speed: 1.0,
+            },
+        )];
+        assert!(run_live(&cfg).is_err(), "smooth motion is not live");
+        for x in [f64::NAN, f64::INFINITY] {
+            cfg.commands = vec![teleport(10, 0, x)];
+            assert!(run_live(&cfg).is_err(), "teleport to x = {x}");
+        }
     }
 
     #[test]

@@ -28,13 +28,13 @@
 //!   [`crate::trace::LiveTrace`] is replayed through the simulator's safety
 //!   core.
 //!
-//! The driver (the calling thread) owns the mirror `World`: it teleports
-//! nodes along the configured waypoints, translates the resulting
-//! `LinkChange`s into per-node control events with the engine's
-//! static/moving symmetry breaking, and injects a crash by marking the
-//! victim down in a bitmap every worker reads — traffic to and from it is
-//! dropped without telling the protocols, exactly like the simulator's
-//! silent crashes. See DESIGN.md §11.
+//! The driver (the calling thread) owns the mirror `World` and runs the
+//! configured `Command` timeline on it the way `Engine::execute` does:
+//! a teleport's or a recovery's `LinkChange`s reach the nodes as
+//! [`LinkChange::notices`] decides, the simulator's own rule, and a crash
+//! marks the victim down in a bitmap every worker reads — traffic to and
+//! from it is dropped without telling the protocols, exactly like the
+//! simulator's silent crashes. See DESIGN.md §11.
 
 mod batch;
 pub mod clock;
@@ -52,7 +52,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
 
-use manet_sim::{LinkChange, LinkUpKind, NodeId, NodeSeed, Position, Protocol, SimConfig, World};
+use manet_sim::{Command, Event, LinkChange, NodeId, NodeSeed, Protocol, SimConfig, World};
 
 use crate::codec::WireMsg;
 use crate::runtime::{LiveConfig, LiveOutcome, LiveRuntime};
@@ -247,7 +247,7 @@ impl Default for ShardTuning {
 pub(crate) struct ShardShared {
     origin: Instant,
     /// Which nodes are crashed right now, flipped by the driver; present
-    /// only when the run schedules a crash, so fault-free runs pay one
+    /// only when the timeline has a crash, so fault-free runs pay one
     /// `None` check per frame. The flags publish nothing — a victim learns
     /// of its own crash through its control channel — hence `Relaxed`.
     down: Option<Vec<AtomicBool>>,
@@ -315,30 +315,21 @@ impl ShardShared {
 
 /// Driver → node control plane. Kept separate from the data plane so
 /// topology changes cannot be lost to a severed link.
-pub(crate) enum Ctrl {
-    LinkUp { peer: NodeId, kind: LinkUpKind },
-    LinkDown { peer: NodeId },
-    MoveStarted,
-    MoveEnded,
+pub(crate) enum Ctrl<M> {
+    /// A link or motion event for the protocol.
+    Tell(Event<M>),
     Crash,
     Recover,
 }
 
-/// A driver-side fault/mobility action on the run's timeline.
-enum Action {
-    Crash(NodeId),
-    Recover(NodeId),
-    Move(NodeId, Position),
-}
-
 /// Driver → worker control plane.
-enum WorkerMsg {
+enum WorkerMsg<M> {
     /// A control event for one owned node, stamped with the driver's
     /// clock so the node's reaction merges after the driver's records.
     Node {
         clock: u64,
         node: NodeId,
-        ctrl: Ctrl,
+        ctrl: Ctrl<M>,
     },
     /// Emit final per-node stats and exit.
     Shutdown { clock: u64 },
@@ -486,7 +477,7 @@ fn worker_main<P>(
     env: WorkerEnv,
     mut nodes: Vec<ShardNode<P>>,
     mut links: Links,
-    ctrl: Receiver<WorkerMsg>,
+    ctrl: Receiver<WorkerMsg<P::Msg>>,
     shared: Arc<ShardShared>,
 ) -> Vec<StampedRecord>
 where
@@ -668,6 +659,92 @@ where
     wire.records
 }
 
+/// The calling thread's side of a run: it executes the command timeline
+/// on the mirror world, records what no node sees (relocations and link
+/// changes) on its own clock, and tells each node what happened to it.
+struct Driver<'a, M> {
+    shared: &'a ShardShared,
+    shard_map: &'a [u32],
+    ctrls: Vec<Sender<WorkerMsg<M>>>,
+    tick_ns: u64,
+    clock: HybridClock,
+    records: Vec<StampedRecord>,
+    world: World,
+    recoveries: u64,
+}
+
+impl<M> Driver<'_, M> {
+    fn record(&mut self, kind: LiveEventKind) {
+        let at_ns = self.shared.now_ns();
+        let clock = self.clock.stamp(at_ns / self.tick_ns);
+        self.records.push(StampedRecord { clock, at_ns, kind });
+    }
+
+    /// Send `ctrl` to `node`'s worker, stamped with the driver's clock so
+    /// the node's reaction merges after the driver's records.
+    fn tell(&self, node: NodeId, ctrl: Ctrl<M>) {
+        let s = self.shard_map[node.index()] as usize;
+        let clock = self.clock.current();
+        let _ = self.ctrls[s].send(WorkerMsg::Node { clock, node, ctrl });
+        self.shared.wake(s);
+    }
+
+    /// Record each change and tell both of its ends what
+    /// [`LinkChange::notices`] says.
+    fn notify(&mut self, changes: Vec<LinkChange>) {
+        for change in changes {
+            let (change, notices) = change.notices(&self.world);
+            self.record(match change {
+                LinkChange::Up(a, b) => LiveEventKind::LinkUp { a, b },
+                LinkChange::Down(a, b) => LiveEventKind::LinkDown { a, b },
+            });
+            for (node, ev) in notices {
+                self.tell(node, Ctrl::Tell(ev));
+            }
+        }
+    }
+
+    /// Execute one command of the timeline, as `Engine::execute` does.
+    fn execute(&mut self, cmd: &Command) {
+        match *cmd {
+            Command::Crash(node) if !self.world.is_crashed(node) => {
+                // Sever first so no further traffic leaks, then tell the
+                // victim. Peers are not told: a crash is silent.
+                self.shared.set_down(node, true);
+                self.world.crash(node);
+                self.tell(node, Ctrl::Crash);
+            }
+            Command::Recover(node) if self.world.is_crashed(node) => {
+                // The node restarts as a fresh incarnation first; then the
+                // rejoin flap re-forms each link with the surviving peer
+                // as the static (fork-owning) side, so no fork is
+                // duplicated or lost across the crash.
+                let flap = self.world.recover(node);
+                self.shared.set_down(node, false);
+                self.tell(node, Ctrl::Recover);
+                self.notify(flap);
+                self.recoveries += 1;
+            }
+            Command::Teleport { node, dest } if !self.world.is_crashed(node) => {
+                // Record the relocation *before* the link records, so the
+                // audit's mirror world updates its adjacency at the right
+                // point in the total order.
+                let (x, y) = (dest.x, dest.y);
+                self.record(LiveEventKind::Relocate { node, x, y });
+                self.tell(node, Ctrl::Tell(Event::MovementStarted));
+                self.world.begin_motion(node, dest, 0.0);
+                let changes = self.world.relocate(node, dest);
+                self.notify(changes);
+                self.world.end_motion(node);
+                self.tell(node, Ctrl::Tell(Event::MovementEnded));
+            }
+            // A no-op on a crashed node, or a recovery of a live one.
+            // `LiveConfig::validate` rejects every other command.
+            _ => {}
+        }
+    }
+}
+
 /// Resolve the worker-pool size: explicit, or the host parallelism
 /// (min 2 so cross-shard machinery is always exercised), capped at n.
 fn resolve_workers(cfg: &LiveConfig, n: usize) -> usize {
@@ -698,7 +775,7 @@ where
 {
     let n = cfg.positions.len();
     let radio_range = SimConfig::default().radio_range;
-    let mut world = World::new(
+    let world = World::new(
         radio_range,
         cfg.positions.iter().map(|&p| p.into()).collect(),
     );
@@ -724,7 +801,8 @@ where
     }
     let shard_map = Arc::new(shard_map);
 
-    let shared = Arc::new(ShardShared::new(n, cfg.crash.is_some()));
+    let crashes = cfg.schedules(|cmd| matches!(cmd, Command::Crash(_)));
+    let shared = Arc::new(ShardShared::new(n, crashes));
 
     // Transport endpoints: a ring matrix in-process, a socket per shard
     // on UDP.
@@ -778,9 +856,9 @@ where
         }
     };
 
-    // Build every automaton (and the recovery spare) on this thread —
+    // Build every automaton (and the recovery spares) on this thread —
     // the factory is not shared with workers.
-    let mut ctrls: Vec<Sender<WorkerMsg>> = Vec::with_capacity(workers);
+    let mut ctrls: Vec<Sender<WorkerMsg<P::Msg>>> = Vec::with_capacity(workers);
     let mut handles = Vec::with_capacity(workers);
     for s in 0..workers {
         let mut nodes = Vec::with_capacity(starts[s + 1] - starts[s]);
@@ -793,22 +871,26 @@ where
                 max_degree,
             };
             let proto = factory(&seed);
-            // The recovery victim carries a pre-built fresh incarnation:
+            // One pre-built fresh incarnation per recovery of this node:
             // a recovering node rejoins with an empty neighborhood
             // (rejoin link-ups follow).
-            let spare = match cfg.recover {
-                Some((victim, _)) if victim as usize == i => Some(factory(&NodeSeed {
-                    id: me,
-                    neighbors: Vec::new(),
-                    n_nodes: n,
-                    max_degree,
-                })),
-                _ => None,
-            };
+            let spares = cfg
+                .commands
+                .iter()
+                .filter(|(_, cmd)| *cmd == Command::Recover(me))
+                .map(|_| {
+                    factory(&NodeSeed {
+                        id: me,
+                        neighbors: Vec::new(),
+                        n_nodes: n,
+                        max_degree,
+                    })
+                })
+                .collect();
             nodes.push(ShardNode::new(
                 me,
                 proto,
-                spare,
+                spares,
                 seed.neighbors,
                 cfg,
                 shared.now_ns(),
@@ -824,7 +906,7 @@ where
             shard_map: shard_map.clone(),
         };
         let my_links = links[s].take().expect("links built per shard");
-        let (ctx, crx) = channel::<WorkerMsg>();
+        let (ctx, crx) = channel();
         ctrls.push(ctx);
         let sh = shared.clone();
         handles.push(
@@ -840,194 +922,58 @@ where
 
     // The driver: its own clock and record stream (merged as the last
     // input).
-    let mut clock = HybridClock::new();
-    let mut drv_records: Vec<StampedRecord> = Vec::new();
-    let tick_ns = cfg.tick_ns;
-    let send_ctrl = |ctrls: &[Sender<WorkerMsg>], clock: &HybridClock, node: NodeId, ctrl: Ctrl| {
-        let s = shard_map[node.index()] as usize;
-        let _ = ctrls[s].send(WorkerMsg::Node {
-            clock: clock.current(),
-            node,
-            ctrl,
-        });
-        shared.wake(s);
+    let mut driver = Driver {
+        shared: &shared,
+        shard_map: &shard_map,
+        ctrls,
+        tick_ns: cfg.tick_ns,
+        clock: HybridClock::new(),
+        records: Vec::new(),
+        world,
+        recoveries: 0,
     };
-
-    // The action timeline in nanoseconds. Saturating: an instant past
-    // the representable range is "never", not a wrapped early one.
-    let ns = |at_ms: u64| at_ms.saturating_mul(1_000_000);
-    let mut actions: Vec<(u64, Action)> = Vec::new();
-    if let Some((victim, at_ms)) = cfg.crash {
-        actions.push((ns(at_ms), Action::Crash(NodeId(victim))));
-    }
-    if let Some((node, at_ms)) = cfg.recover {
-        actions.push((ns(at_ms), Action::Recover(NodeId(node))));
-    }
-    for &(at_ms, node, dest) in &cfg.moves {
-        actions.push((ns(at_ms), Action::Move(NodeId(node), dest.into())));
-    }
-    actions.sort_by_key(|&(at, _)| at);
+    // The timeline in nanoseconds. Saturating: an instant past the
+    // representable range is "never", not a wrapped early one.
+    let mut timeline: Vec<(u64, &Command)> = cfg
+        .commands
+        .iter()
+        .map(|(at_ms, cmd)| (at_ms.saturating_mul(1_000_000), cmd))
+        .collect();
+    timeline.sort_by_key(|&(at, _)| at);
 
     let deadline_ns = cfg.duration_ms.saturating_mul(1_000_000);
-    let mut ai = 0;
+    let mut next = 0;
     let mut quiesce_at: Option<u64> = None;
-    let mut recoveries: u64 = 0;
     loop {
         let now = shared.now_ns();
-        while ai < actions.len() && actions[ai].0 <= now {
-            let (_, action) = &actions[ai];
-            ai += 1;
-            match action {
-                Action::Crash(victim) => {
-                    // Sever first so no further traffic leaks, then tell
-                    // the victim. Peers are NOT notified: a crash is
-                    // silent, exactly as in the simulator.
-                    shared.set_down(*victim, true);
-                    world.mark_crashed(*victim);
-                    send_ctrl(&ctrls, &clock, *victim, Ctrl::Crash);
-                }
-                Action::Recover(node) => {
-                    let node = *node;
-                    if !world.is_crashed(node) {
-                        continue;
-                    }
-                    world.mark_recovered(node);
-                    shared.set_down(node, false);
-                    // The victim restarts as a fresh incarnation first;
-                    // then the rejoin flap makes each surviving neighbor
-                    // drop its stale edge state and re-form the link with
-                    // itself as the static (fork-owning) side, so no fork
-                    // is duplicated or lost across the crash.
-                    send_ctrl(&ctrls, &clock, node, Ctrl::Recover);
-                    for &peer in world.neighbors(node) {
-                        if world.is_crashed(peer) {
-                            continue;
-                        }
-                        let at_ns = shared.now_ns();
-                        drv_records.push(StampedRecord {
-                            clock: clock.stamp(at_ns / tick_ns),
-                            at_ns,
-                            kind: LiveEventKind::LinkDown { a: node, b: peer },
-                        });
-                        send_ctrl(&ctrls, &clock, peer, Ctrl::LinkDown { peer: node });
-                        let at_ns = shared.now_ns();
-                        drv_records.push(StampedRecord {
-                            clock: clock.stamp(at_ns / tick_ns),
-                            at_ns,
-                            kind: LiveEventKind::LinkUp { a: peer, b: node },
-                        });
-                        send_ctrl(
-                            &ctrls,
-                            &clock,
-                            peer,
-                            Ctrl::LinkUp {
-                                peer: node,
-                                kind: LinkUpKind::AsStatic,
-                            },
-                        );
-                        send_ctrl(
-                            &ctrls,
-                            &clock,
-                            node,
-                            Ctrl::LinkUp {
-                                peer,
-                                kind: LinkUpKind::AsMoving,
-                            },
-                        );
-                    }
-                    recoveries += 1;
-                }
-                Action::Move(m, dest) => {
-                    if world.is_crashed(*m) {
-                        continue;
-                    }
-                    // Record the relocation *before* the link records so
-                    // a trace validator's mirror world updates its
-                    // adjacency at the right point in the total order.
-                    let at_ns = shared.now_ns();
-                    drv_records.push(StampedRecord {
-                        clock: clock.stamp(at_ns / tick_ns),
-                        at_ns,
-                        kind: LiveEventKind::Relocate {
-                            node: *m,
-                            x: dest.x,
-                            y: dest.y,
-                        },
-                    });
-                    send_ctrl(&ctrls, &clock, *m, Ctrl::MoveStarted);
-                    for change in world.relocate(*m, *dest) {
-                        match change {
-                            LinkChange::Up(a, b) => {
-                                // The moved node is the moving side; the
-                                // peer is static and owns the new fork —
-                                // the engine's symmetry breaking.
-                                let (stat, mov) = if a == *m { (b, a) } else { (a, b) };
-                                let at_ns = shared.now_ns();
-                                drv_records.push(StampedRecord {
-                                    clock: clock.stamp(at_ns / tick_ns),
-                                    at_ns,
-                                    kind: LiveEventKind::LinkUp { a: stat, b: mov },
-                                });
-                                send_ctrl(
-                                    &ctrls,
-                                    &clock,
-                                    stat,
-                                    Ctrl::LinkUp {
-                                        peer: mov,
-                                        kind: LinkUpKind::AsStatic,
-                                    },
-                                );
-                                send_ctrl(
-                                    &ctrls,
-                                    &clock,
-                                    mov,
-                                    Ctrl::LinkUp {
-                                        peer: stat,
-                                        kind: LinkUpKind::AsMoving,
-                                    },
-                                );
-                            }
-                            LinkChange::Down(a, b) => {
-                                let at_ns = shared.now_ns();
-                                drv_records.push(StampedRecord {
-                                    clock: clock.stamp(at_ns / tick_ns),
-                                    at_ns,
-                                    kind: LiveEventKind::LinkDown { a, b },
-                                });
-                                send_ctrl(&ctrls, &clock, a, Ctrl::LinkDown { peer: b });
-                                send_ctrl(&ctrls, &clock, b, Ctrl::LinkDown { peer: a });
-                            }
-                        }
-                    }
-                    send_ctrl(&ctrls, &clock, *m, Ctrl::MoveEnded);
-                }
-            }
+        while let Some(&(_, cmd)) = timeline.get(next).filter(|&&(at, _)| at <= now) {
+            next += 1;
+            driver.execute(cmd);
         }
         if now >= deadline_ns || shared.stop.load(Ordering::Relaxed) {
             break;
         }
         // One-shot runs end early once every node has finished a meal,
         // after a short drain window for trailing records.
-        if cfg.one_shot && cfg.crash.is_none() && shared.ate.load(Ordering::Relaxed) as usize >= n {
+        if cfg.one_shot && !crashes && shared.ate.load(Ordering::Relaxed) as usize >= n {
             let at = *quiesce_at.get_or_insert(now + 50_000_000);
             if now >= at {
                 break;
             }
         }
-        let next_action = actions
-            .get(ai)
-            .map(|&(at, _)| at)
-            .unwrap_or(u64::MAX)
+        let next_at = timeline
+            .get(next)
+            .map_or(u64::MAX, |&(at, _)| at)
             .min(deadline_ns);
-        let wait_ns = next_action
+        let wait_ns = next_at
             .saturating_sub(shared.now_ns())
             .clamp(1_000_000, 5_000_000);
         thread::sleep(Duration::from_nanos(wait_ns));
     }
 
-    for (s, c) in ctrls.iter().enumerate() {
+    for (s, c) in driver.ctrls.iter().enumerate() {
         let _ = c.send(WorkerMsg::Shutdown {
-            clock: clock.current(),
+            clock: driver.clock.current(),
         });
         shared.wake(s);
     }
@@ -1043,7 +989,7 @@ where
     if let Some(abort) = shared.abort.lock().expect("abort slot").take() {
         return Err(format!("sharded runtime aborted: {abort}"));
     }
-    streams.push(drv_records);
+    streams.push(driver.records);
     let elapsed_ms = shared.now_ns() / 1_000_000;
 
     let trace = LiveTrace::from_merged(merge_stamped(streams));
@@ -1060,7 +1006,7 @@ where
         send_failures: shared.send_failures.load(Ordering::Relaxed),
         retransmissions: shared.retransmissions.load(Ordering::Relaxed),
         acks_sent: shared.acks_sent.load(Ordering::Relaxed),
-        recoveries,
+        recoveries: driver.recoveries,
         elapsed_ms,
         verdict_ms,
         threads_joined,
@@ -1123,8 +1069,10 @@ mod tests {
         // debug builds panic, release builds sort the recovery before the
         // crash and silently skip it.
         let mut cfg = sharded_cfg();
-        cfg.crash = Some((0, 100));
-        cfg.recover = Some((0, u64::MAX / 2));
+        cfg.commands = vec![
+            (100, Command::Crash(NodeId(0))),
+            (u64::MAX / 2, Command::Recover(NodeId(0))),
+        ];
         let out = run_live(&cfg).expect("a far-future recovery is a legal config");
         assert!(out.violations.is_empty(), "{:?}", out.violations);
         assert_eq!(out.recoveries, 0, "recovery fired before the deadline");

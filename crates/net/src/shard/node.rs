@@ -79,17 +79,18 @@ pub(crate) struct ShardNode<P: Protocol> {
     exit_at: Option<u64>,
     outbox: Vec<(NodeId, P::Msg)>,
     timer_buf: Vec<(u64, u64)>,
-    /// Fresh incarnation swapped in on a driver `Recover`.
-    spare: Option<P>,
+    /// Fresh incarnations, one per `Recover` command for this node,
+    /// swapped in by the driver's recoveries.
+    spares: Vec<P>,
     /// The shim's timeouts from ν in wall nanoseconds when it is armed
     /// (`LiveConfig::reliable`), `None` when it is off.
     arq_timing: Option<ArqTiming>,
     /// Per-peer go-back-N state over encoded frames, created on first use
     /// and dropped when the link resets; always empty with the shim off.
     arq: HashMap<u32, GoBackN<Vec<u8>>>,
-    // Per-node counters behind the shutdown NetStats record.
+    // Per-node counters behind the shutdown NetStats record. A failed
+    // send is counted per shard batch (`flush_batches`), not per node.
     n_decode_errors: u64,
-    n_send_failures: u64,
     n_retransmissions: u64,
     n_acks_sent: u64,
 }
@@ -102,7 +103,7 @@ where
     pub(crate) fn new(
         me: NodeId,
         proto: P,
-        spare: Option<P>,
+        spares: Vec<P>,
         neighbors: Vec<NodeId>,
         cfg: &LiveConfig,
         now_ns: u64,
@@ -134,7 +135,7 @@ where
             exit_at: None,
             outbox: Vec::new(),
             timer_buf: Vec::new(),
-            spare,
+            spares,
             arq_timing: cfg.reliable.then(|| {
                 ArqTiming::from_nu(
                     SimConfig::default()
@@ -144,7 +145,6 @@ where
             }),
             arq: HashMap::new(),
             n_decode_errors: 0,
-            n_send_failures: 0,
             n_retransmissions: 0,
             n_acks_sent: 0,
         }
@@ -316,7 +316,12 @@ where
     }
 
     /// Apply a driver control event.
-    pub(crate) fn handle_ctrl(&mut self, ctrl: Ctrl, wire: &mut WireOut, shared: &ShardShared) {
+    pub(crate) fn handle_ctrl(
+        &mut self,
+        ctrl: Ctrl<P::Msg>,
+        wire: &mut WireOut,
+        shared: &ShardShared,
+    ) {
         match ctrl {
             Ctrl::Crash => {
                 // From here on the node is inert. The crash record is
@@ -333,7 +338,7 @@ where
                 // NOT reset — it is monotonic across incarnations, which
                 // the trace validator depends on.
                 if self.crashed {
-                    if let Some(fresh) = self.spare.take() {
+                    if let Some(fresh) = self.spares.pop() {
                         self.crashed = false;
                         self.proto = fresh;
                         self.neighbors.clear();
@@ -351,27 +356,25 @@ where
                 }
             }
             _ if self.crashed => {}
-            Ctrl::LinkUp { peer, kind } => {
-                if let Err(slot) = self.neighbors.binary_search(&peer) {
-                    self.neighbors.insert(slot, peer);
+            Ctrl::Tell(ev) => {
+                match ev {
+                    Event::LinkUp { peer, .. } => {
+                        if let Err(slot) = self.neighbors.binary_search(&peer) {
+                            self.neighbors.insert(slot, peer);
+                        }
+                        self.reset_link(peer);
+                    }
+                    Event::LinkDown { peer } => {
+                        if let Ok(slot) = self.neighbors.binary_search(&peer) {
+                            self.neighbors.remove(slot);
+                        }
+                        self.reset_link(peer);
+                    }
+                    Event::MovementStarted => self.moving = true,
+                    Event::MovementEnded => self.moving = false,
+                    _ => {}
                 }
-                self.reset_link(peer);
-                self.apply(Event::LinkUp { peer, kind }, wire, shared);
-            }
-            Ctrl::LinkDown { peer } => {
-                if let Ok(slot) = self.neighbors.binary_search(&peer) {
-                    self.neighbors.remove(slot);
-                }
-                self.reset_link(peer);
-                self.apply(Event::LinkDown { peer }, wire, shared);
-            }
-            Ctrl::MoveStarted => {
-                self.moving = true;
-                self.apply(Event::MovementStarted, wire, shared);
-            }
-            Ctrl::MoveEnded => {
-                self.moving = false;
-                self.apply(Event::MovementEnded, wire, shared);
+                self.apply(ev, wire, shared);
             }
         }
     }
@@ -492,7 +495,7 @@ where
             LiveEventKind::NetStats {
                 node: self.me,
                 decode_errors: saturate(self.n_decode_errors),
-                send_failures: saturate(self.n_send_failures),
+                send_failures: 0,
                 retransmissions: saturate(self.n_retransmissions),
                 acks_sent: saturate(self.n_acks_sent),
             },
@@ -533,7 +536,7 @@ mod tests {
             max_degree: 1,
         };
         let proto = Algorithm2::new(&seed);
-        let node = ShardNode::new(seed.id, proto, None, seed.neighbors, &cfg, 0);
+        let node = ShardNode::new(seed.id, proto, Vec::new(), seed.neighbors, &cfg, 0);
         (node, WireOut::new(), ShardShared::new(2, true))
     }
 
@@ -559,9 +562,14 @@ mod tests {
             let numbered = (1..).map(|seq| (ENV_DATA, seq));
             assert!(first.iter().copied().eq(numbered.take(first.len())));
 
-            node.handle_ctrl(Ctrl::LinkDown { peer: PEER }, &mut wire, &shared);
+            let down = Ctrl::Tell(Event::LinkDown { peer: PEER });
+            node.handle_ctrl(down, &mut wire, &shared);
             let kind = LinkUpKind::AsMoving;
-            node.handle_ctrl(Ctrl::LinkUp { peer: PEER, kind }, &mut wire, &shared);
+            node.handle_ctrl(
+                Ctrl::Tell(Event::LinkUp { peer: PEER, kind }),
+                &mut wire,
+                &shared,
+            );
             let after = sent(&mut wire);
             assert_eq!(
                 after.first(),

@@ -15,7 +15,7 @@ use crate::arq::Rto;
 use crate::channel::{ChannelStats, Scan};
 use crate::command::Command;
 use crate::config::SimConfig;
-use crate::event::{Event, LinkUpKind};
+use crate::event::Event;
 use crate::fault::FaultStats;
 use crate::hooks::{Hook, Sink, View};
 use crate::ids::NodeId;
@@ -804,7 +804,7 @@ impl<P: Protocol> Engine<P> {
                 if !self.core.world.is_crashed(node) {
                     return;
                 }
-                self.core.world.recover(node);
+                let flap = self.core.world.recover(node);
                 self.core.stats.faults.recoveries += 1;
                 self.core
                     .trace
@@ -826,18 +826,10 @@ impl<P: Protocol> Engine<P> {
                 // both).
                 self.core.dining[node.index()] = self.protocols[node.index()].dining_state();
                 self.fire_hooks(|h, view, sink| h.on_recover(view, node, sink));
-                // Rejoin handshake: flap every incident link so both ends
-                // start a fresh incarnation — in-flight traffic and stale
-                // ARQ/FIFO state die with the old epoch, and the surviving
-                // peer (static side) re-mints shared fork state exactly as
-                // after mobility.
-                let peers = self.core.world.neighbors(node).to_vec();
-                for peer in peers {
-                    self.emit_link_changes(vec![
-                        LinkChange::Down(node, peer),
-                        LinkChange::Up(peer, node),
-                    ]);
-                }
+                // Rejoin handshake: ARQ and FIFO state die with the old
+                // incarnation of each link, and the surviving peer (static
+                // side) re-mints shared fork state exactly as after mobility.
+                self.emit_link_changes(flap);
             }
             Command::StartMove { node, dest, speed } => {
                 if self.core.world.is_crashed(node) || speed <= 0.0 || speed.is_nan() {
@@ -915,48 +907,26 @@ impl<P: Protocol> Engine<P> {
         }
     }
 
+    /// Apply each change to the link layer, record it, show it to the
+    /// hooks and queue what [`LinkChange::notices`] tells each end.
     fn emit_link_changes(&mut self, changes: Vec<LinkChange>) {
         for change in changes {
+            let (LinkChange::Up(a, b) | LinkChange::Down(a, b)) = change;
+            self.core.bump_link(a, b);
+            let (change, notices) = change.notices(&self.core.world);
+            let now = self.core.now;
             match change {
                 LinkChange::Up(a, b) => {
-                    self.core.bump_link(a, b);
-                    // Symmetry breaking biased toward static nodes; ties
-                    // between two movers broken by ID (smaller = static).
-                    let a_moving = self.core.world.is_moving(a);
-                    let b_moving = self.core.world.is_moving(b);
-                    let static_side = match (a_moving, b_moving) {
-                        (false, _) => a,
-                        (true, false) => b,
-                        (true, true) => {
-                            if a.0 < b.0 {
-                                a
-                            } else {
-                                b
-                            }
-                        }
-                    };
-                    let moving_side = if static_side == a { b } else { a };
-                    self.core
-                        .trace
-                        .record(self.core.now, TraceKind::LinkUp(static_side, moving_side));
-                    self.fire_hooks(|h, view, sink| {
-                        h.on_link_up(view, static_side, moving_side, sink)
-                    });
-                    let up = |peer, kind| Event::LinkUp { peer, kind };
-                    self.core
-                        .notify(static_side, up(moving_side, LinkUpKind::AsStatic));
-                    self.core
-                        .notify(moving_side, up(static_side, LinkUpKind::AsMoving));
+                    self.core.trace.record(now, TraceKind::LinkUp(a, b));
+                    self.fire_hooks(|h, view, sink| h.on_link_up(view, a, b, sink));
                 }
                 LinkChange::Down(a, b) => {
-                    self.core.bump_link(a, b);
-                    self.core
-                        .trace
-                        .record(self.core.now, TraceKind::LinkDown(a, b));
+                    self.core.trace.record(now, TraceKind::LinkDown(a, b));
                     self.fire_hooks(|h, view, sink| h.on_link_down(view, a, b, sink));
-                    self.core.notify(a, Event::LinkDown { peer: b });
-                    self.core.notify(b, Event::LinkDown { peer: a });
                 }
+            }
+            for (node, ev) in notices {
+                self.core.notify(node, ev);
             }
         }
     }
@@ -1296,6 +1266,7 @@ fn item_node<M>(item: &Item<M>) -> Option<NodeId> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::LinkUpKind;
 
     /// Echo protocol: replies `x+1` to any numeric message; used to test
     /// delivery, FIFO and link semantics.

@@ -3,6 +3,7 @@
 
 use std::hash::{Hash, Hasher};
 
+use crate::event::{Event, LinkUpKind};
 use crate::geo::{CsrAdjacency, Grid};
 use crate::ids::NodeId;
 
@@ -84,13 +85,49 @@ pub struct World {
     severed: Vec<(NodeId, NodeId)>,
 }
 
-/// A change to the link set caused by a node's position update.
+/// A change to the link set: a node moved ([`World::relocate`]), a
+/// partition was cut or healed, or a crashed node recovered
+/// ([`World::recover`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LinkChange {
     /// A link formed between the two nodes.
     Up(NodeId, NodeId),
     /// The link between the two nodes broke.
     Down(NodeId, NodeId),
+}
+
+impl LinkChange {
+    /// The paper's link-level protocol for this change, judged on `world`
+    /// as the change leaves it: the change as the trace records it, and
+    /// what each end is told, in the order it is told.
+    ///
+    /// A new link tells both ends which side is static, biased toward
+    /// static nodes: the static side is the end that is not moving, and
+    /// between two movers the smaller ID. The static side owns the new
+    /// fork, is told first, and is named first in the returned `Up`. A
+    /// failure tells both ends, in the change's own order. Both hosts,
+    /// the engine and the live driver, notify through this one rule.
+    pub fn notices<M>(self, world: &World) -> (LinkChange, [(NodeId, Event<M>); 2]) {
+        match self {
+            LinkChange::Up(a, b) => {
+                let a_static = !world.is_moving(a) || (world.is_moving(b) && a < b);
+                let (s, m) = if a_static { (a, b) } else { (b, a) };
+                let up = |peer, kind| Event::LinkUp { peer, kind };
+                let told = [
+                    (s, up(m, LinkUpKind::AsStatic)),
+                    (m, up(s, LinkUpKind::AsMoving)),
+                ];
+                (LinkChange::Up(s, m), told)
+            }
+            LinkChange::Down(a, b) => {
+                let told = [
+                    (a, Event::LinkDown { peer: b }),
+                    (b, Event::LinkDown { peer: a }),
+                ];
+                (self, told)
+            }
+        }
+    }
 }
 
 impl World {
@@ -265,7 +302,15 @@ impl World {
         self.moving[n.index()].as_ref()
     }
 
-    pub(crate) fn begin_motion(&mut self, n: NodeId, dest: Position, step_len: f64) -> u64 {
+    /// Mark `n` moving toward `dest`, `step_len` per step (0 for a
+    /// teleport), and return the motion's epoch. The node stays moving,
+    /// and so the moving side of every link it forms, until
+    /// [`World::end_motion`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on explicit-graph worlds, whose topology is immutable.
+    pub fn begin_motion(&mut self, n: NodeId, dest: Position, step_len: f64) -> u64 {
         assert!(
             !self.is_explicit(),
             "explicit-graph worlds are immutable: movement rejected"
@@ -279,36 +324,29 @@ impl World {
         epoch
     }
 
-    pub(crate) fn end_motion(&mut self, n: NodeId) {
+    /// `n` stopped moving.
+    pub fn end_motion(&mut self, n: NodeId) {
         self.moving[n.index()] = None;
     }
 
-    pub(crate) fn crash(&mut self, n: NodeId) {
+    /// Crash `n`. A node does not change its location after it fails, and
+    /// a crash is silent: its links stay up.
+    pub fn crash(&mut self, n: NodeId) {
         self.crashed[n.index()] = true;
-        // A node does not change its location after it fails.
         self.moving[n.index()] = None;
     }
 
-    /// Mark `n` crashed from *outside* the engine — used by hosts (the
-    /// live runtime's drivers) that maintain a mirror world of a run the
-    /// engine does not execute. Same semantics as an engine crash: the
-    /// node never moves again and its links stay up.
-    pub fn mark_crashed(&mut self, n: NodeId) {
-        self.crash(n);
-    }
-
-    pub(crate) fn recover(&mut self, n: NodeId) {
-        // Links were never taken down by the crash, so clearing the flag
-        // is all the physical world needs; the engine owns the rejoin
-        // handshake (link flaps, fresh protocol incarnation).
+    /// Clear `n`'s crashed flag and return its rejoin flap: `Down(n,
+    /// peer), Up(peer, n)` per neighbour, by ascending peer. The crash
+    /// left every link up, so the flap is what starts a fresh incarnation
+    /// of each: in-flight traffic dies with the old one, and each end
+    /// re-mints the link's shared state as after a move.
+    pub fn recover(&mut self, n: NodeId) -> Vec<LinkChange> {
         self.crashed[n.index()] = false;
-    }
-
-    /// Clear the crashed flag of `n` from *outside* the engine — the
-    /// recovery counterpart of [`World::mark_crashed`] for host-side
-    /// mirror worlds.
-    pub fn mark_recovered(&mut self, n: NodeId) {
-        self.recover(n);
+        self.adj[n.index()]
+            .iter()
+            .flat_map(|&peer| [LinkChange::Down(n, peer), LinkChange::Up(peer, n)])
+            .collect()
     }
 
     /// Move `n` one motion step toward its destination; returns the link

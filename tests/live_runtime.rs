@@ -10,13 +10,14 @@
 
 use harness::{topology, AlgKind};
 use lme_net::{conformance_replay, run_live, LiveConfig, TransportKind};
+use manet_sim::{Command, NodeId};
 
 fn crash_cfg(alg: AlgKind, positions: Vec<(f64, f64)>) -> LiveConfig {
     let mut cfg = LiveConfig::new(alg, TransportKind::Mpsc, positions);
     cfg.duration_ms = 300;
     cfg.rate = 60.0;
     cfg.eat_ms = 1;
-    cfg.crash = Some((0, 100));
+    cfg.commands = vec![(100, Command::Crash(NodeId(0)))];
     cfg
 }
 
@@ -159,8 +160,10 @@ fn crashed_node_recovers_and_rejoins_on_mpsc() {
         cfg.rate = 60.0;
         cfg.eat_ms = 1;
         cfg.reliable = true;
-        cfg.crash = Some((0, 100));
-        cfg.recover = Some((0, 180));
+        cfg.commands = vec![
+            (100, Command::Crash(NodeId(0))),
+            (180, Command::Recover(NodeId(0))),
+        ];
         let out = run_live(&cfg).unwrap_or_else(|e| panic!("{}: {e}", alg.name()));
         assert!(
             out.violations.is_empty(),

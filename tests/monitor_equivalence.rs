@@ -124,10 +124,10 @@ fn oracle_check_safety(
             }
             LiveEventKind::Crash { node } => {
                 oracle.crash(node, dining[node.index()] == E);
-                world.mark_crashed(node);
+                world.crash(node);
             }
             LiveEventKind::Recover { node } => {
-                world.mark_recovered(node);
+                world.recover(node);
                 dining[node.index()] = T;
                 oracle.recover(node);
             }

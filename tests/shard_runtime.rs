@@ -15,7 +15,8 @@ use lme_net::{
     conformance_replay, merge_stamped, run_live, LiveConfig, LiveEventKind, LiveRuntime,
     StampedRecord, TransportKind,
 };
-use manet_sim::{NodeId, SimRng};
+use manet_sim::DiningState::{Eating, Hungry};
+use manet_sim::{Command, NodeId, Position, SimRng};
 
 fn sharded_cfg(alg: AlgKind, positions: Vec<(f64, f64)>, workers: usize) -> LiveConfig {
     let mut cfg = LiveConfig::new(alg, TransportKind::Mpsc, positions);
@@ -70,7 +71,7 @@ fn crashed_sharded_runs_match_thread_per_node_verdicts() {
             let n = positions.len();
             for workers in [1, 3, n] {
                 let mut cfg = sharded_cfg(alg, positions.clone(), workers);
-                cfg.crash = Some((0, 100));
+                cfg.commands = vec![(100, Command::Crash(NodeId(0)))];
                 let cell = format!("{} on {name}, {workers} workers", alg.name());
                 let out = run_live(&cfg).unwrap_or_else(|e| panic!("{cell}: {e}"));
                 assert!(out.violations.is_empty(), "{cell}: {:?}", out.violations);
@@ -160,8 +161,10 @@ fn sharded_crash_and_recovery_rejoins() {
         let mut cfg = sharded_cfg(AlgKind::A2, topology::clique(4), workers);
         cfg.duration_ms = 500;
         cfg.reliable = reliable;
-        cfg.crash = Some((0, 100));
-        cfg.recover = Some((0, 180));
+        cfg.commands = vec![
+            (100, Command::Crash(NodeId(0))),
+            (180, Command::Recover(NodeId(0))),
+        ];
         let out = run_live(&cfg).unwrap_or_else(|e| panic!("{cell}: {e}"));
         assert!(out.violations.is_empty(), "{cell}: {:?}", out.violations);
         assert_eq!(out.recoveries, 1, "{cell}: recovery was not executed");
@@ -267,6 +270,68 @@ fn synthetic_ticket_merge_is_a_dense_valid_interleaving() {
                 );
                 next_index[node.index()] += 1;
             }
+        }
+    }
+}
+
+/// A known live/sim divergence, pinned until ROADMAP item 15 flips it.
+///
+/// p1 shuttles between (50, 0), alone, and (0.5, 0), next to p0, while
+/// both eat back to back. p1 arrives `Eating` and demotes itself only when
+/// it handles its `LinkUp(AsMoving)`, tens of microseconds after the
+/// driver's `Relocate` record. The live audit settles at every record, so
+/// it flags the pair inside that window: at the `Relocate` record itself,
+/// or, when p0 was between two meals there, at p0's next entry into
+/// `Eating`, made before p0 has handled its own `LinkUp`. The simulator
+/// settles at the end of the instant, after the demotion, and reports
+/// nothing for the same script. Item 15's rule (each node records its own
+/// link notifications, and the audit raises a link once both ends have
+/// recorded it) turns the expectation into "no violations".
+#[test]
+fn live_audit_flags_an_eating_mover_until_it_demotes() {
+    let p1 = NodeId(1);
+    let script = [(100, 0.5), (160, 50.0), (220, 0.5), (280, 50.0), (340, 0.5)];
+    for alg in AlgKind::extended() {
+        let mut cfg = LiveConfig::new(alg, TransportKind::Mpsc, vec![(0.0, 0.0), (50.0, 0.0)]);
+        cfg.closed_loop = true;
+        cfg.eat_ms = 5;
+        cfg.duration_ms = 400;
+        for (at_ms, x) in script {
+            let dest = Position { x, y: 0.0 };
+            cfg.commands
+                .push((at_ms, Command::Teleport { node: p1, dest }));
+        }
+        let out = run_live(&cfg).unwrap_or_else(|e| panic!("{}: {e}", alg.name()));
+        // The instants of every record from a p1 `Relocate` up to p1's
+        // next demotion from `Eating` to `Hungry`, in merged order.
+        let mut window = Vec::new();
+        let mut open = false;
+        for r in out.trace.records() {
+            match r.kind {
+                LiveEventKind::Relocate { node, .. } if node == p1 => open = true,
+                LiveEventKind::State { node, old, new, .. }
+                    if node == p1 && (old, new) == (Eating, Hungry) =>
+                {
+                    open = false
+                }
+                _ => {}
+            }
+            if open {
+                window.push(r.at_ns);
+            }
+        }
+        assert!(
+            !out.violations.is_empty(),
+            "{}: item 15 no longer reproduces; flip this test",
+            alg.name()
+        );
+        for v in &out.violations {
+            assert_eq!((v.a, v.b), (NodeId(0), p1), "{}: {v:?}", alg.name());
+            assert!(
+                window.contains(&v.at.0),
+                "{}: {v:?} is outside every relocate-to-demotion window",
+                alg.name()
+            );
         }
     }
 }
