@@ -33,11 +33,20 @@
 //! worst case over interior delays (2..ν−1) is not enumerated. Response
 //! time is measured per node from the hungry command at tick 1 to the
 //! first `→ Eating` transition.
+//!
+//! The search does only the work its merge reads. A run's state digest is
+//! computed only past its DFS prefix (inside it the merge never looks), a
+//! wave keeps of each run only its branch choices, first-eat times and
+//! verdict (no trace, no delivery log), and the seen-set of digests is a
+//! plain set that grows with the search, because only the sequential
+//! merge, in wave order, reads or writes it. A complete certify therefore
+//! reads exactly `schedules − 1 + dedup_prunes` digests.
+
+use std::collections::HashSet;
 
 use crate::explore::run_wave;
 use crate::spec::CheckSpec;
 use crate::strategy::{Plan, RecorderMode};
-use crate::table::{DigestTable, Insert};
 
 /// Certification bounds.
 #[derive(Clone, Debug)]
@@ -107,8 +116,12 @@ pub struct Certificate {
 }
 
 impl Certificate {
-    /// Whether this certificate establishes `worst_rt` as the exact bound
-    /// over the extremal schedule space.
+    /// Whether this certificate certifies anything: the extremal schedule
+    /// space was exhausted, with no violation and every run fed. Then
+    /// `worst_rt` is the worst response time the search observed. Without
+    /// dedup that is the exact extremal worst case; with dedup it is a
+    /// lower bound on it, because dedup can prune the subtree that holds
+    /// the worst case (see the module docs and ROADMAP item 1).
     pub fn holds(&self) -> bool {
         self.complete && self.violation.is_none() && self.unfed_runs == 0
     }
@@ -158,7 +171,8 @@ pub fn certify(spec: &CheckSpec, cfg: &CertifyConfig) -> Certificate {
         digest: None, // the DFS-with-dedup plan already asks for absolute digests
         branch_all: true,
     };
-    let table = DigestTable::with_capacity(1 << 20);
+    // Only the sequential merge reads and writes the seen-set.
+    let mut seen: HashSet<u64> = HashSet::new();
     let mut cert = Certificate {
         alg: spec.alg.name().to_string(),
         topo: spec.topo.clone(),
@@ -198,7 +212,7 @@ pub fn certify(spec: &CheckSpec, cfg: &CertifyConfig) -> Certificate {
                 dedup: cfg.dedup,
             })
             .collect();
-        let verdicts = run_wave(spec, &plans, rmode, cfg.jobs);
+        let verdicts = run_wave(spec, &plans, rmode, cfg.jobs, false);
         cert.schedules += verdicts.len();
         for (prefix, verdict) in wave.iter().zip(&verdicts) {
             cert.max_branch_points = cert.max_branch_points.max(verdict.choices.len());
@@ -224,7 +238,7 @@ pub fn certify(spec: &CheckSpec, cfg: &CertifyConfig) -> Certificate {
             for i in prefix.len()..verdict.choices.len() {
                 if cfg.dedup {
                     if let Some(digest) = verdict.choices[i].digest {
-                        if table.insert(digest) == Insert::Present {
+                        if !seen.insert(digest) {
                             cert.dedup_prunes += 1;
                             continue;
                         }

@@ -10,6 +10,8 @@
 //! deduplication, DPOR pruning, child generation, and picking the first
 //! violating run in wave order — is sequential. Verdicts, counts, and the
 //! emitted witness are therefore byte-identical at any `--jobs` value.
+//! Each worker reduces its run to what the merge reads ([`WaveRun`]), and
+//! the merge alone keeps the seen-set of state digests.
 //!
 //! # Partial-order reduction
 //!
@@ -40,12 +42,12 @@
 //! family, intact and mutated; the timing-exact `certify` mode never
 //! uses DPOR.
 
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use crate::spec::CheckSpec;
-use crate::strategy::{DeliveryRecord, Plan, RecorderMode};
-use crate::table::{DigestTable, Insert};
+use crate::strategy::{ChoicePoint, DeliveryRecord, Plan, RecorderMode};
 use crate::verdict::{run_schedule, run_schedule_mode, PropertyViolation, RunVerdict};
 use crate::witness::{shrink, Witness};
 
@@ -202,6 +204,33 @@ fn finish(
     out.witness = Some(Witness::new(&shrunk_spec, final_delays, &property, &detail));
 }
 
+/// What a wave's merge reads of one run. The worker that ran the schedule
+/// reduces its [`RunVerdict`] to this, so a wave never holds a trace.
+pub(crate) struct WaveRun {
+    pub choices: Vec<ChoicePoint>,
+    pub violation: Option<PropertyViolation>,
+    pub drained: bool,
+    pub first_eat: Vec<Option<u64>>,
+    /// The full delivery log, kept only for a DPOR merge (empty otherwise).
+    pub deliveries: Vec<DeliveryRecord>,
+}
+
+impl WaveRun {
+    fn of(verdict: RunVerdict, keep_deliveries: bool) -> WaveRun {
+        WaveRun {
+            choices: verdict.choices,
+            violation: verdict.violation,
+            drained: verdict.drained,
+            first_eat: verdict.first_eat,
+            deliveries: if keep_deliveries {
+                verdict.deliveries
+            } else {
+                Vec::new()
+            },
+        }
+    }
+}
+
 /// Run a wave of independent schedules, `jobs` at a time. Workers claim
 /// run indices off a shared counter; results land in their slot, so the
 /// returned order matches `plans` regardless of completion order.
@@ -210,15 +239,14 @@ pub(crate) fn run_wave(
     plans: &[Plan],
     rmode: RecorderMode,
     jobs: usize,
-) -> Vec<RunVerdict> {
+    keep_deliveries: bool,
+) -> Vec<WaveRun> {
+    let run = |plan: &Plan| WaveRun::of(run_schedule_mode(spec, plan, rmode), keep_deliveries);
     if jobs <= 1 || plans.len() <= 1 {
-        return plans
-            .iter()
-            .map(|p| run_schedule_mode(spec, p, rmode))
-            .collect();
+        return plans.iter().map(run).collect();
     }
     let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<RunVerdict>>> = plans.iter().map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<WaveRun>>> = plans.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..jobs.min(plans.len()) {
             scope.spawn(|| loop {
@@ -226,8 +254,8 @@ pub(crate) fn run_wave(
                 if i >= plans.len() {
                     break;
                 }
-                let verdict = run_schedule_mode(spec, &plans[i], rmode);
-                *slots[i].lock().expect("wave slot poisoned") = Some(verdict);
+                let reduced = run(&plans[i]);
+                *slots[i].lock().expect("wave slot poisoned") = Some(reduced);
             });
         }
     });
@@ -275,10 +303,11 @@ pub(crate) fn flip_commutes(r: &DeliveryRecord, deliveries: &[DeliveryRecord]) -
 /// earliest/latest schedule of the bounded tree is generated exactly once:
 /// a prefix ending in `1` decomposes uniquely as `parent ++ 0^m ++ 1`.
 /// State digests prune subtrees already explored from an identical engine
-/// state; DPOR prunes flips that provably commute.
+/// state; DPOR prunes flips that provably commute. The merge is the only
+/// reader and writer of the seen-set, so a plain growing set serves.
 fn dfs(spec: &CheckSpec, cfg: &ExploreConfig) -> Exploration {
     let mut out = new_exploration();
-    let table = DigestTable::with_capacity(1 << 16);
+    let mut seen: HashSet<u64> = HashSet::new();
     let dpor_on = cfg.dpor && dpor_applicable(spec);
     let mut frontier: Vec<Vec<u8>> = vec![Vec::new()];
     let mut truncated = false;
@@ -300,7 +329,7 @@ fn dfs(spec: &CheckSpec, cfg: &ExploreConfig) -> Exploration {
                 dedup: cfg.dedup,
             })
             .collect();
-        let verdicts = run_wave(spec, &plans, RecorderMode::default(), cfg.jobs);
+        let verdicts = run_wave(spec, &plans, RecorderMode::default(), cfg.jobs, dpor_on);
         out.schedules += verdicts.len();
         // Sequential merge, in wave order: the first violating run wins
         // deterministically, otherwise children join the next frontier.
@@ -325,7 +354,7 @@ fn dfs(spec: &CheckSpec, cfg: &ExploreConfig) -> Exploration {
                 }
                 if cfg.dedup {
                     if let Some(digest) = verdict.choices[i].digest {
-                        if table.insert(digest) == Insert::Present {
+                        if !seen.insert(digest) {
                             out.dedup_prunes += 1;
                             continue;
                         }
@@ -365,7 +394,7 @@ fn sample(spec: &CheckSpec, cfg: &ExploreConfig) -> Exploration {
                 }
             })
             .collect();
-        let verdicts = run_wave(spec, &plans, RecorderMode::default(), cfg.jobs);
+        let verdicts = run_wave(spec, &plans, RecorderMode::default(), cfg.jobs, false);
         out.schedules += verdicts.len();
         for verdict in &verdicts {
             out.max_branch_points = out.max_branch_points.max(verdict.choices.len());

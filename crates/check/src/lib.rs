@@ -13,11 +13,12 @@
 //!   properties (LME safety, doorway non-bypass, fork conservation and
 //!   eventual eating at quiescence);
 //! * [`explore`] — search the space by bounded exhaustive DFS (with DPOR
-//!   flip pruning, shared lock-free state-digest dedup, and deterministic
-//!   wave parallelism across `jobs` workers), seeded random walks, or
-//!   PCT-style priority schedules — in liveness mode runs recycle through
-//!   think/hungry and starvation is detected directly as a *lasso*
-//!   (repeated progress digest bracketing a never-fed hungry node);
+//!   flip pruning, state-digest dedup in the sequential merge, and
+//!   deterministic wave parallelism across `jobs` workers), seeded random
+//!   walks, or PCT-style priority schedules — in liveness mode runs
+//!   recycle through think/hungry and starvation is detected directly as
+//!   a *lasso* (repeated progress digest bracketing a never-fed hungry
+//!   node);
 //! * [`certify`] — exhaust the extremal schedule space of a small
 //!   instance and emit a machine-readable worst-case response-time
 //!   certificate for the paper's bounds;

@@ -28,8 +28,10 @@ pub struct ChoicePoint {
     pub index: u8,
     /// The chosen delay in ticks.
     pub delay: u64,
-    /// Engine state digest *before* the choice (only when the plan or mode
-    /// asked for digests).
+    /// Engine state digest *before* the choice, present only when the plan
+    /// or mode asked for digests. An absolute digest under a DFS plan is
+    /// taken only past the plan's prefix, the only branch points a DFS
+    /// merge reads; a progress digest (liveness) is taken at every one.
     pub digest: Option<u64>,
 }
 
@@ -64,11 +66,12 @@ pub struct DeliveryRecord {
 pub enum Plan {
     /// Depth-first exploration: follow `prefix` (0 = earliest, 1 = latest)
     /// and default to earliest beyond it. `dedup` additionally asks the
-    /// engine for state digests at each branch point.
+    /// engine for state digests at each branch point past the prefix.
     Dfs {
         /// Branch indices to follow, outermost first.
         prefix: Vec<u8>,
-        /// Collect state digests for driver-level deduplication.
+        /// Collect state digests past the prefix for driver-level
+        /// deduplication.
         dedup: bool,
     },
     /// Replay recorded delays verbatim (clamped to the legal window);
@@ -97,7 +100,8 @@ pub enum Plan {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RecorderMode {
     /// Digest override: `None` derives the mode from the plan (DFS with
-    /// dedup ⇒ [`DigestMode::Absolute`], everything else ⇒ off). Liveness
+    /// dedup ⇒ [`DigestMode::Absolute`], everything else ⇒ off). Under a
+    /// DFS plan an absolute digest is skipped inside the prefix. Liveness
     /// runs pass [`DigestMode::Progress`] so every delivery carries the
     /// cycle-detection digest.
     pub digest: Option<DigestMode>,
@@ -275,7 +279,15 @@ impl Strategy for Recorder {
     }
 
     fn digest_mode(&self) -> DigestMode {
-        self.inner.borrow().digest_mode
+        let inner = self.inner.borrow();
+        match (&inner.mode, inner.digest_mode) {
+            // The DFS merges read an absolute digest only past the prefix:
+            // the next branch point indexes `cursor`, so none is wanted yet.
+            (Mode::Dfs { prefix, cursor }, DigestMode::Absolute) if *cursor < prefix.len() => {
+                DigestMode::Off
+            }
+            (_, mode) => mode,
+        }
     }
 }
 

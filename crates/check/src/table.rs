@@ -1,4 +1,11 @@
-//! A lock-free seen-state table shared across exploration workers.
+//! A lock-free seen-state table, kept only for the frozen benchmark.
+//!
+//! No search uses it: `certify` and the DFS of `explore` keep their
+//! seen-sets in a plain `HashSet<u64>` that grows with the search, because
+//! only their sequential merge, in wave order, reads or writes it. The
+//! benchmark still measures this table's insert cost (`check.table.*`),
+//! so it stays public until the benchmark is unfrozen (ROADMAP item 14
+//! deletes it).
 //!
 //! The table is a fixed-capacity open-addressing hash set of `u64` state
 //! digests built on [`AtomicU64`] slots and CAS insertion: a worker (or the

@@ -468,4 +468,34 @@ mod tests {
         assert!(with.choices.iter().all(|c| c.digest.is_some()));
         assert!(without.choices.iter().all(|c| c.digest.is_none()));
     }
+
+    /// A DFS run digests exactly the branch points its merge reads: the
+    /// ones past its prefix. The count is exact: a complete certify runs
+    /// the root plus one child per unpruned flip, and reads one digest per
+    /// flip candidate, so it reads `schedules − 1 + dedup_prunes` digests
+    /// (199,583 for A2 on `line:5`, where digesting every branch point
+    /// computed 658,151).
+    #[test]
+    fn dfs_digests_only_past_the_prefix() {
+        let spec = CheckSpec::new(AlgKind::A2, "line:3", 3, line(3));
+        let prefix = vec![0, 1, 0];
+        let with = run_schedule(
+            &spec,
+            &Plan::Dfs {
+                prefix: prefix.clone(),
+                dedup: true,
+            },
+        );
+        assert!(with.choices[..3].iter().all(|c| c.digest.is_none()));
+        assert!(with.choices.len() > 3, "the run branches past its prefix");
+        assert!(with.choices[3..].iter().all(|c| c.digest.is_some()));
+        let without = run_schedule(
+            &spec,
+            &Plan::Dfs {
+                prefix,
+                dedup: false,
+            },
+        );
+        assert!(without.choices.iter().all(|c| c.digest.is_none()));
+    }
 }

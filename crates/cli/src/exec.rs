@@ -602,7 +602,9 @@ fn render_certify(
             cert.worst_rt_node,
             cert.worst_schedule.len(),
         ));
-        s.push_str("  certificate       : holds (exact over the extremal space)\n");
+        // The CLI always certifies with dedup, which can prune the worst
+        // case (ROADMAP item 1).
+        s.push_str("  certificate       : holds (a lower bound on the extremal worst case)\n");
     } else {
         s.push_str("  certificate       : VOID (see above)\n");
     }
@@ -610,6 +612,11 @@ fn render_certify(
         std::fs::write(path, cert.to_json() + "\n")
             .map_err(|e| format!("cannot write certificate to {path}: {e}"))?;
         s.push_str(&format!("  certificate written to: {path}\n"));
+    }
+    // A void certificate certifies nothing: a script must not read it as a
+    // pass.
+    if !cert.holds() {
+        return Err(format!("the certificate is void\n{s}"));
     }
     Ok(s)
 }
