@@ -747,9 +747,9 @@ commands:
   probe   crash the victim mid-CS, report failure locality
   sweep   algorithms x seeds grid in parallel, aggregated report
   chaos   fault classes x seeds matrix (crash, recover, windowed-loss,
-          sustained-loss, windowed-duplication, partition, max-delay),
-          aggregated report; sustained-loss arms the ARQ shim and the
-          command exits nonzero if that class stalls
+          sustained-loss, burst-loss, windowed-duplication, partition,
+          max-delay), aggregated report; sustained-loss and burst-loss
+          arm the ARQ shim, and the command exits 2 if either stalls
   check   explore the legal delivery schedules of a small model for
           safety/liveness violations; shrink and replay witnesses
   live    real message passing (in-process rings or UDP on loopback)
@@ -763,7 +763,10 @@ commands:
           is unsafe or misses its expectation
 
 A flag the command does not read is an error (exit 2), and so is a flag
-of a check or live mode other than the one chosen.
+of a check or live mode other than the one chosen. run, probe, sweep and
+chaos exit 2 on a safety violation in a run inside the paper's model (no
+frame lost or duplicated: no drop, dup or gilbert channel); a run outside
+it only reports the count. A live cell exits 2 on any violation.
 
 options:
   --alg <name>       a1-greedy | a1-linial | a1-random | a2 |

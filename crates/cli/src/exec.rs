@@ -4,7 +4,7 @@
 use std::path::Path;
 
 use harness::{
-    crash_probe, default_jobs, run, run_cells, stats::jain_index, AlgKind, FaultClass, Job,
+    default_jobs, probe, run, run_cells, starvation, stats::jain_index, AlgKind, FaultClass,
     RunOutcome, RunReport, RunSpec, Summary, SweepCell, SweepReport, SweepSpec, Table, Topo,
     WaypointPlan,
 };
@@ -13,7 +13,7 @@ use lme_check::{
     Witness,
 };
 use lme_net::{conformance_replay, run_live, LiveConfig};
-use manet_sim::{ArqConfig, ChannelConfig, Command as SimCommand, NodeId, SimConfig, SimTime};
+use manet_sim::{ArqConfig, Command as SimCommand, NodeId, SimConfig};
 
 use crate::args::{
     Chaos, Check, CheckMode, Command, Experiments, Instance, Live, Mobility, Probe, Run, Scenario,
@@ -71,6 +71,19 @@ fn one_run(
     }
 }
 
+/// The command's result: its report `s`, or, when an in-model run of
+/// `spec` (see [`RunSpec::in_model`]) saw safety violations, an error
+/// carrying the report (exit 2). An out-of-model run only reports its
+/// count: lost or duplicated frames are outside what the paper proves.
+fn verdict(spec: &RunSpec, violations: usize, s: String) -> Result<String, String> {
+    if violations == 0 || !spec.in_model() {
+        return Ok(s);
+    }
+    Err(format!(
+        "{violations} safety violation(s) in an in-model run\n{s}"
+    ))
+}
+
 fn render_run(cmd: &Run) -> Result<String, String> {
     let Scenario {
         inst,
@@ -85,8 +98,9 @@ fn render_run(cmd: &Run) -> Result<String, String> {
         Mobility::Waypoints(plan) => plan.commands(n),
         Mobility::Mix(mix) => mix.commands(n),
     };
-    let out = run(inst.alg, &spec, &topo, &commands, None);
-    emit_metrics(sim.metrics_out.as_ref(), &one_run(inst, &out, None))?;
+    let fl = starvation(&spec, run(inst.alg, &spec, &topo, &commands, None));
+    let out = &fl.outcome;
+    emit_metrics(sim.metrics_out.as_ref(), &one_run(inst, out, None))?;
     if cmd.csv {
         let mut t = Table::new(&["node", "hungry_at", "eat_at", "response", "moved", "msgs"]);
         for s in &out.metrics.samples {
@@ -99,7 +113,7 @@ fn render_run(cmd: &Run) -> Result<String, String> {
                 s.msgs.to_string(),
             ]);
         }
-        return Ok(t.to_csv());
+        return verdict(&spec, out.violations.len(), t.to_csv());
     }
     let mut report = String::new();
     report.push_str(&format!(
@@ -137,26 +151,22 @@ fn render_run(cmd: &Run) -> Result<String, String> {
             out.stats.faults.recoveries
         ));
     }
-    let starving = out.metrics.starving_since(SimTime(inst.horizon / 2));
-    if starving.is_empty() {
+    if fl.starving.is_empty() {
         report.push_str("  starvation        : none\n");
     } else {
+        let starving: Vec<NodeId> = fl.starving.iter().map(|&(node, _)| node).collect();
         report.push_str(&format!("  starvation        : {starving:?}\n"));
     }
-    Ok(report)
+    verdict(&spec, out.violations.len(), report)
 }
 
 fn render_probe(cmd: &Probe) -> Result<String, String> {
     let inst = &cmd.inst;
     let spec = spec_of(inst, &cmd.sim);
     let victim = NodeId(cmd.victim.unwrap_or(inst.topo.len() as u32 / 2));
-    let report = crash_probe(
-        inst.alg,
-        &spec,
-        &inst.topo.topo(),
-        victim,
-        spec.horizon / 20,
-    );
+    let topo = inst.topo.topo();
+    let crash = FaultClass::Crash;
+    let report = probe(inst.alg, &spec, &topo, victim, crash, spec.horizon / 20);
     let locality = Some((report.starving.len(), report.locality));
     emit_metrics(
         cmd.sim.metrics_out.as_ref(),
@@ -186,7 +196,7 @@ fn render_probe(cmd: &Probe) -> Result<String, String> {
             s.push_str(&format!("  empirical locality: {m}\n"));
         }
     }
-    Ok(s)
+    verdict(&spec, report.outcome.violations.len(), s)
 }
 
 fn render_sweep(cmd: &Sweep) -> Result<String, String> {
@@ -251,16 +261,16 @@ fn render_sweep(cmd: &Sweep) -> Result<String, String> {
     if let Some(path) = &sim.metrics_out {
         s.push_str(&format!("per-run metrics written to {path}\n"));
     }
-    Ok(s)
+    let violations = report.runs.iter().map(|r| r.violations).sum();
+    verdict(&sweep.base, violations, s)
 }
 
 /// The fixed fault matrix the `chaos` subcommand sweeps: one column per
 /// fault class, crash and crash→recover first (matching the paper's fault
 /// model), then the out-of-model link faults, then partition and the
-/// ν-adversary. Sustained loss and burst loss run with the ARQ shim
-/// armed — they are the classes whose liveness depends on reliable
-/// delivery (burst loss rides the Gilbert–Elliott channel model rather
-/// than a fault plan).
+/// ν-adversary. [`FaultClass::apply`] decides what each class does to a
+/// run; sustained and burst loss arm the ARQ shim, the classes whose
+/// liveness depends on reliable delivery.
 const CHAOS_CLASSES: [FaultClass; 8] = [
     FaultClass::Crash,
     FaultClass::Recover,
@@ -282,39 +292,22 @@ fn render_chaos(cmd: &Chaos) -> Result<String, String> {
     let victim = NodeId(cmd.victim.unwrap_or(n as u32 / 2));
     let fault_at = (inst.horizon / 20).max(1);
     let quiesce = fault_at + (inst.horizon - fault_at) / 2;
-    let mut cells = Vec::with_capacity(CHAOS_CLASSES.len() * cmd.seeds as usize);
-    for &class in &CHAOS_CLASSES {
-        for seed in inst.seed..inst.seed + cmd.seeds {
-            let mut spec = base_spec(inst, seed);
-            let job = match class {
-                FaultClass::Crash => Job::Probe {
-                    victim,
-                    crash_at: fault_at,
-                },
-                _ => {
-                    spec.sim.fault = class.plan(victim, (fault_at, quiesce));
-                    if matches!(class, FaultClass::SustainedLoss(_)) {
-                        spec.sim.arq = Some(ArqConfig::default());
-                    }
-                    if matches!(class, FaultClass::BurstLoss) {
-                        // Correlated loss comes from the channel model, not
-                        // the fault adversary; the shim restores liveness.
-                        spec.sim.channel = ChannelConfig::burst_loss_default();
-                        spec.sim.arq = Some(ArqConfig::default());
-                    }
-                    Job::Run
-                }
-            };
-            cells.push(SweepCell {
-                label: format!("{}/{}", inst.topo, class.label()),
-                kind: inst.alg,
-                spec,
-                topo: topo.clone(),
-                commands: Vec::new(),
-                job,
-            });
-        }
-    }
+    let specs = CHAOS_CLASSES.map(|class| {
+        let mut spec = base_spec(inst, inst.seed);
+        class.apply(&mut spec, victim, (fault_at, quiesce));
+        spec
+    });
+    let cells: Vec<SweepCell> = CHAOS_CLASSES
+        .iter()
+        .zip(&specs)
+        .flat_map(|(class, spec)| {
+            let label = format!("{}/{}", inst.topo, class.label());
+            SweepSpec::new(label, topo.clone(), spec.clone())
+                .kinds([inst.alg])
+                .seed_range(inst.seed, cmd.seeds)
+                .cells()
+        })
+        .collect();
     let jobs = cmd.jobs.unwrap_or_else(default_jobs);
     let report = run_cells(&cells, jobs);
     emit_metrics(cmd.metrics_out.as_ref(), &report)?;
@@ -341,7 +334,8 @@ fn render_chaos(cmd: &Chaos) -> Result<String, String> {
         "starving",
         "locality",
     ]);
-    for (row, class) in report.aggregate().iter().zip(CHAOS_CLASSES) {
+    let rows = report.aggregate();
+    for (row, class) in rows.iter().zip(CHAOS_CLASSES) {
         table.row([
             class.label().to_string(),
             if class.in_model() { "yes" } else { "no" }.to_string(),
@@ -358,12 +352,12 @@ fn render_chaos(cmd: &Chaos) -> Result<String, String> {
     if let Some(path) = &cmd.metrics_out {
         s.push_str(&format!("per-run metrics written to {path}\n"));
     }
-    // Sustained and burst loss are survivable only through the ARQ shim;
-    // a stall there means reliable delivery is broken, so the command
-    // fails.
-    for (row, class) in report.aggregate().iter().zip(CHAOS_CLASSES) {
-        if matches!(class, FaultClass::SustainedLoss(_) | FaultClass::BurstLoss) && row.starving > 0
-        {
+    for ((row, class), spec) in rows.iter().zip(CHAOS_CLASSES).zip(&specs) {
+        s = verdict(spec, row.violations, s).map_err(|e| format!("{}: {e}", class.label()))?;
+        // A class that arms the ARQ shim is survivable only through it; a
+        // stall there means reliable delivery is broken, so the command
+        // fails.
+        if spec.sim.arq.is_some() && row.starving > 0 {
             return Err(format!(
                 "{} stalled: {} starving node-run(s) despite the ARQ shim\n{s}",
                 class.label(),
@@ -719,6 +713,12 @@ fn render_live(cmd: &Live) -> Result<String, String> {
             return Err(format!("conformance replay diverged\n{s}"));
         }
         s.push_str("  conformance       : PASS (replay safe, census match)\n");
+    }
+    // Live links are reliable, so every live run is in the model: any
+    // violation fails the command, as in `--matrix`.
+    if !out.violations.is_empty() {
+        let count = out.violations.len();
+        return Err(format!("{count} safety violation(s) in a live run\n{s}"));
     }
     Ok(s)
 }
@@ -1343,10 +1343,29 @@ mod tests {
 
     #[test]
     fn mobile_run_stays_safe() {
-        let out = run_cli(argv(
+        // The second line is CI's heterogeneous-mix smoke.
+        for line in [
             "run --alg a1-linial --topo random:12:3 --moves 4 --horizon 12000",
+            "run --alg a2 --topo random:12:3 --horizon 12000 --channel bandwidth:2 --mix 0.5:0.25",
+        ] {
+            let out = run_cli(argv(line)).unwrap();
+            assert!(out.contains("safety violations : 0"), "{out}");
+        }
+    }
+
+    /// Known failure, pinned until ROADMAP item 15 flips it: the live audit
+    /// flags a mover that the simulator does not, so this run reports
+    /// violations, and a violation in a live run exits 2. Once item 15
+    /// lands it reports 0 and exits 0.
+    #[test]
+    fn live_movers_fail_the_command_until_item_15() {
+        let err = run_cli(argv(
+            "live --alg a2 --topo random:24 --moves 20 --duration 1500 --rate 40 --eat-ms 1",
         ))
-        .unwrap();
-        assert!(out.contains("safety violations : 0"), "{out}");
+        .expect_err("the live mover audit of ROADMAP item 15 is fixed");
+        let count = err.split(' ').next().and_then(|n| n.parse::<usize>().ok());
+        assert!(count.is_some_and(|n| n > 0), "{err}");
+        assert!(err.contains("safety violation(s) in a live run"), "{err}");
+        assert!(err.contains(&format!("safety violations : {}\n", count.unwrap())));
     }
 }

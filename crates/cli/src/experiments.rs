@@ -20,9 +20,9 @@ use doorway::demo::{DemoConfig, DemoEvent, DoorwayDemo, Structure, INNER, OUTER}
 use doorway::DoorwayKind;
 use harness::census::MessageCensus;
 use harness::{
-    crash_probe, par_map, response_by_distance, run, run_algorithm, run_cells, run_protocol,
-    topology, AlgKind, Automata, Job, RunReport, RunSpec, Summary, SweepCell, SweepSpec, Topo,
-    WaypointPlan, Workload,
+    par_map, response_by_distance, run, run_algorithm, run_cells, run_protocol, topology, AlgKind,
+    Automata, FaultClass, RunReport, RunSpec, Summary, SweepCell, SweepSpec, Topo, WaypointPlan,
+    Workload,
 };
 use lme_net::{run_live, LiveConfig, TransportKind};
 use local_mutex::recolor::{GreedyRecolor, LinialRecolor, RecolorOutcome, RecolorProcedure};
@@ -276,14 +276,13 @@ fn recoloring_a1(kind: AlgKind, n: usize) -> impl FnMut(NodeSeed) -> Algorithm1 
 }
 
 fn cell(label: String, kind: AlgKind, spec: RunSpec, positions: Vec<(f64, f64)>) -> SweepCell {
-    let (topo, commands, job) = (Topo::Geo(positions), Vec::new(), Job::Run);
+    let (topo, commands) = (Topo::Geo(positions), Vec::new());
     SweepCell {
         label,
         kind,
         spec,
         topo,
         commands,
-        job,
     }
 }
 
@@ -361,7 +360,8 @@ fn t1(cx: &mut Cx) {
     let mut rows = par_map(&AlgKind::extended(), cx.jobs, |&kind| {
         let stat = run_algorithm(kind, &spec, &positions, &[]);
         let mob = run_algorithm(kind, &spec, &positions, &commands);
-        let probe = crash_probe(kind, &fl_spec, &fl_topo, victim, fl_ticks / 20);
+        let crash = FaultClass::Crash;
+        let probe = harness::probe(kind, &fl_spec, &fl_topo, victim, crash, fl_ticks / 20);
         let bad = stat.violations.len() + mob.violations.len() + probe.outcome.violations.len();
         let mut name = kind.name().to_string();
         if kind == AlgKind::A1Random {
@@ -938,7 +938,7 @@ fn probe(cx: &mut Cx, name: &str, positions: &[(f64, f64)], ticks: u64) -> Vec<(
     let victim = NodeId(positions.len() as u32 / 2);
     let (spec, topo) = (horizon(ticks), Topo::Geo(positions.to_vec()));
     let outs = par_map(&AlgKind::all(), cx.jobs, |&kind| {
-        let report = crash_probe(kind, &spec, &topo, victim, ticks / 20);
+        let report = harness::probe(kind, &spec, &topo, victim, FaultClass::Crash, ticks / 20);
         let locality = dash(report.locality);
         let ok = kind != AlgKind::A2 || report.locality.is_none_or(|m| m <= 2);
         // Any algorithm with bounded locality keeps the farthest node fed.
@@ -991,7 +991,7 @@ fn c3(cx: &mut Cx) {
     let kinds = [AlgKind::ChandyMisra, AlgKind::A1Linial, AlgKind::A2];
     let curves = par_map(&kinds, cx.jobs, |&kind| {
         let line = Topo::Geo(topology::line(gradient_n));
-        let report = crash_probe(kind, &spec, &line, victim, ticks / 20);
+        let report = harness::probe(kind, &spec, &line, victim, FaultClass::Crash, ticks / 20);
         let after = report.outcome.crash_time.unwrap_or(SimTime(ticks / 20));
         let curve = response_by_distance(&report.outcome, victim, after);
         (curve, report.outcome.violations.len())

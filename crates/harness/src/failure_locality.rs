@@ -1,4 +1,5 @@
-//! Empirical failure-locality probes.
+//! Empirical failure-locality probes, and the one rule for what a fault
+//! class does to a run.
 //!
 //! Definition 1 of the paper: an algorithm has failure locality `m` if any
 //! node with no failures in its `m`-neighborhood makes progress. The probe
@@ -7,20 +8,26 @@
 //! An algorithm with failure locality `m` must show starvation only at
 //! hop distance ≤ `m`; the farthest starving node is the empirical
 //! locality.
+//!
+//! [`FaultClass::apply`] alone decides what a fault class changes in a
+//! [`RunSpec`]: `lme probe`, `lme chaos`, the experiments and the tests all
+//! reach a fault through it. A crash probe is a run whose spec crashes a
+//! node mid-CS ([`RunSpec::crash_eating`]), and [`starvation`] judges any
+//! finished run, probe or not.
 
 use manet_sim::{
-    ChannelConfig, CrashWave, DelayAdversary, FaultPlan, LinkFaults, NodeId, PartitionWindow,
-    SimTime,
+    ArqConfig, ChannelConfig, CrashWave, DelayAdversary, FaultPlan, LinkFaults, NodeId,
+    PartitionWindow, SimTime,
 };
 
-use crate::runner::{run, run_algorithm, AlgKind, RunOutcome, RunSpec};
+use crate::runner::{run, AlgKind, RunOutcome, RunSpec};
 use crate::topology::Topo;
 
-/// Result of one crash probe.
+/// Result of one probe: which nodes starved, and how far from the victim.
 #[derive(Clone, Debug)]
 pub struct FlReport {
-    /// Starving nodes with their hop distance from the crashed node
-    /// (`None` = disconnected from it).
+    /// Starving nodes with their hop distance from the victim (`None` =
+    /// disconnected from it, or a run that crashed no node mid-CS).
     pub starving: Vec<(NodeId, Option<usize>)>,
     /// The farthest observed starvation distance — the empirical failure
     /// locality. `Some(0)` can only be the crashed node itself (excluded),
@@ -30,45 +37,64 @@ pub struct FlReport {
     pub outcome: RunOutcome,
 }
 
-/// Crash `victim` *while it is eating* (first meal at or after `crash_at`)
-/// and measure which nodes starve afterwards. Crashing mid-CS is the
-/// adversarial fault: the victim provably holds every shared fork, so its
-/// neighbors' requests go unanswered and blocking chains get their best
-/// chance to form.
+/// Inject `class` around `victim` at tick `at` (see [`FaultClass::apply`])
+/// and measure which nodes starve afterwards.
 ///
-/// A node "starves" if it has been continuously hungry for the entire
-/// second half of the post-crash window. The spec should use a horizon much
-/// larger than the crash time plus the algorithm's normal response time.
-pub fn crash_probe(
+/// The fault window is `[at, quiesce)`, where `quiesce = at + (horizon −
+/// at) / 2` splits the rest of the run: every class but the crash, which
+/// is permanent, has quiesced by then, and the second half measures
+/// recovery. A node other than the victim "starves" if it stays hungry
+/// from before `quiesce` to the horizon; under [`FaultClass::Crash`] the
+/// window starts when the crash fired. Crashing mid-CS is the adversarial
+/// fault: the victim provably holds every shared fork, so its neighbors'
+/// requests go unanswered and blocking chains get their best chance to
+/// form. The spec should use a horizon much larger than `at` plus the
+/// algorithm's normal response time.
+pub fn probe(
     kind: AlgKind,
     spec: &RunSpec,
     topo: &Topo,
     victim: NodeId,
-    crash_at: u64,
+    class: FaultClass,
+    at: u64,
 ) -> FlReport {
     assert!(
-        crash_at < spec.horizon,
-        "crash_at {} must precede the horizon {}",
-        crash_at,
+        at < spec.horizon,
+        "fault at {} must precede the horizon {}",
+        at,
         spec.horizon
     );
-    let spec = RunSpec {
-        crash_eating: Some((victim, crash_at)),
-        ..spec.clone()
-    };
+    let quiesce = at + (spec.horizon - at) / 2;
+    let mut spec = spec.clone();
+    class.apply(&mut spec, victim, (at, quiesce));
     let outcome = run(kind, &spec, topo, &[], None);
-    analyze_crash(outcome, victim, crash_at, spec.horizon)
+    analyze_crash(outcome, victim, at, spec.horizon)
 }
 
-/// Post-process a finished run that carried a [`RunSpec::crash_eating`]
-/// fault into an [`FlReport`]: find the starving nodes and the farthest
-/// starvation distance. Split out of [`crash_probe`] so callers that run
-/// the engine themselves (the sweep executor) can reuse the analysis.
-pub fn analyze_crash(outcome: RunOutcome, victim: NodeId, crash_at: u64, horizon: u64) -> FlReport {
-    let crash_at = outcome.crash_time.map_or(crash_at, |t| t.0);
-    // Starvation deadline: hungry since before the midpoint of the
-    // post-crash window.
-    let deadline = SimTime(crash_at + horizon.saturating_sub(crash_at) / 2);
+/// The starvation verdict on a finished run of `spec`. A run whose spec
+/// crashes a node mid-CS ([`RunSpec::crash_eating`]) is judged as a
+/// [`probe`] of [`FaultClass::Crash`], with each starving node's distance
+/// from the victim. In any other run a node starves if it stays hungry
+/// through the back half of the horizon, and the locality is `None`.
+pub fn starvation(spec: &RunSpec, outcome: RunOutcome) -> FlReport {
+    if let Some((victim, at)) = spec.crash_eating {
+        return analyze_crash(outcome, victim, at, spec.horizon);
+    }
+    let starving = outcome.metrics.starving_since(SimTime(spec.horizon / 2));
+    FlReport {
+        starving: starving.into_iter().map(|node| (node, None)).collect(),
+        locality: None,
+        outcome,
+    }
+}
+
+/// The nodes other than `victim` and the crashed that stayed hungry from
+/// before the midpoint of the post-fault window to `horizon`, with their
+/// distance from `victim`. The window starts when the
+/// [`RunSpec::crash_eating`] crash fired, if it did, and at `at` otherwise.
+fn analyze_crash(outcome: RunOutcome, victim: NodeId, at: u64, horizon: u64) -> FlReport {
+    let at = outcome.crash_time.map_or(at, |t| t.0);
+    let deadline = SimTime(at + horizon.saturating_sub(at) / 2);
     let dist = outcome.distances_from(victim);
     let starving: Vec<(NodeId, Option<usize>)> = outcome
         .metrics
@@ -120,12 +146,13 @@ pub fn response_by_distance(
         .collect()
 }
 
-/// A fault class the generalized probe can inject around a victim node.
+/// A fault class a probe or the chaos matrix injects around a victim node.
 ///
-/// `Crash`, `Partition`, and `MaxDelay` are **in-model** faults (the paper
-/// assumes reliable FIFO links whose delay is bounded by ν and a link layer
-/// that reports failures); `Loss` and `Duplication` violate the link
-/// contract and are probed only to measure *graceful degradation*.
+/// `Crash`, `Recover`, `Partition` and `MaxDelay` are **in-model** faults
+/// (the paper assumes reliable FIFO links whose delay is bounded by ν and a
+/// link layer that reports failures); the loss and duplication classes
+/// violate the link contract and are probed only to measure *graceful
+/// degradation*.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum FaultClass {
     /// Crash the victim mid-eating (the adversarial crash of Definition 1).
@@ -138,17 +165,20 @@ pub enum FaultClass {
     /// re-incarnates the links, restoring any forks lost in flight).
     Loss(f64),
     /// Drop each message on the victim's links with this probability for
-    /// the *entire run* — no window, no healing partition. Only an ARQ
-    /// shim (see `manet_sim::ArqConfig`) can restore liveness under this
-    /// class; without it, runs are expected to stall.
+    /// the *entire run* — no window, no healing partition. [`apply`] arms
+    /// the ARQ shim (`manet_sim::ArqConfig`), the only thing that can
+    /// restore liveness under this class.
+    ///
+    /// [`apply`]: FaultClass::apply
     SustainedLoss(f64),
     /// Correlated (bursty) loss on *every* link for the entire run: the
-    /// Gilbert–Elliott channel model with its chaos defaults (see
-    /// `manet_sim::ChannelConfig::burst_loss_default`). Where
+    /// Gilbert–Elliott channel model with its chaos defaults. Where
     /// `SustainedLoss` drops frames independently, bursts black a link out
     /// for several consecutive frames — the regime ARQ retransmission
-    /// timers find hardest. Not expressible as a [`FaultPlan`]; probes and
-    /// the chaos runner arm the channel model instead.
+    /// timers find hardest. [`apply`] arms that channel model, not a
+    /// [`FaultPlan`], and the ARQ shim.
+    ///
+    /// [`apply`]: FaultClass::apply
     BurstLoss,
     /// Duplicate each message on the victim's links with this probability.
     Duplication(f64),
@@ -174,211 +204,153 @@ impl FaultClass {
         }
     }
 
-    /// Whether the paper's system model admits this fault (reliable FIFO
-    /// links rule out loss and duplication).
+    /// Whether the paper's system model admits this fault: whether a run it
+    /// is applied to stays [`RunSpec::in_model`].
     pub fn in_model(&self) -> bool {
-        !matches!(
-            self,
-            FaultClass::Loss(_)
-                | FaultClass::SustainedLoss(_)
-                | FaultClass::BurstLoss
-                | FaultClass::Duplication(_)
-        )
+        let mut spec = RunSpec::default();
+        self.apply(&mut spec, NodeId(0), (0, 1));
+        spec.in_model()
     }
 
-    /// Build the [`FaultPlan`] that realizes this class against `victim`
-    /// over the active window `[start, end)`. `Crash` returns an empty
-    /// plan: the probe arms [`RunSpec::crash_eating`] instead, so the
-    /// victim dies mid-CS (the worst case) rather than at a fixed time.
-    pub fn plan(&self, victim: NodeId, window: (u64, u64)) -> FaultPlan {
+    /// Set in `spec` everything this class changes, against `victim` over
+    /// the active window `[start, end)`. `Crash` sets
+    /// [`RunSpec::crash_eating`] at `start`, so the victim dies mid-CS (the
+    /// worst case) rather than at a fixed time; `BurstLoss` sets the
+    /// channel model; every other class sets `spec.sim.fault`. The two
+    /// whole-run loss classes also arm the ARQ shim.
+    pub fn apply(self, spec: &mut RunSpec, victim: NodeId, window: (u64, u64)) {
         let targets = Some(vec![victim]);
-        match *self {
-            FaultClass::Crash => FaultPlan::default(),
-            // Burst loss lives in the channel model, not the fault plan;
-            // callers arm `SimConfig::channel` instead (see `fault_probe`).
-            FaultClass::BurstLoss => FaultPlan::default(),
-            FaultClass::Recover => FaultPlan {
-                crash_waves: vec![CrashWave {
-                    at: window.0,
-                    nodes: vec![victim],
-                }],
-                recovers: vec![CrashWave {
-                    at: window.1,
-                    nodes: vec![victim],
-                }],
-                ..FaultPlan::default()
-            },
-            FaultClass::Loss(p) => FaultPlan {
-                link: Some(LinkFaults {
-                    drop: p,
-                    window: Some(window),
-                    targets,
-                    ..LinkFaults::default()
-                }),
-                // A dropped fork is gone for good on a surviving link
-                // incarnation, so loss probes end with a one-tick
-                // partition/heal of the victim: healing re-derives the
-                // links as fresh incarnations with freshly minted forks.
-                partitions: vec![PartitionWindow {
-                    at: window.1,
-                    side: vec![victim],
-                    heal_after: 1,
-                }],
-                ..FaultPlan::default()
-            },
+        match self {
+            FaultClass::Crash => spec.crash_eating = Some((victim, window.0)),
+            FaultClass::Recover => {
+                spec.sim.fault = FaultPlan {
+                    crash_waves: vec![CrashWave {
+                        at: window.0,
+                        nodes: vec![victim],
+                    }],
+                    recovers: vec![CrashWave {
+                        at: window.1,
+                        nodes: vec![victim],
+                    }],
+                    ..FaultPlan::default()
+                }
+            }
+            FaultClass::Loss(p) => {
+                spec.sim.fault = FaultPlan {
+                    link: Some(LinkFaults {
+                        drop: p,
+                        window: Some(window),
+                        targets,
+                        ..LinkFaults::default()
+                    }),
+                    // A dropped fork is gone for good on a surviving link
+                    // incarnation, so loss probes end with a one-tick
+                    // partition/heal of the victim: healing re-derives the
+                    // links as fresh incarnations with freshly minted forks.
+                    partitions: vec![PartitionWindow {
+                        at: window.1,
+                        side: vec![victim],
+                        heal_after: 1,
+                    }],
+                    ..FaultPlan::default()
+                }
+            }
             // Sustained loss runs unbounded and gets no healing partition:
             // recovery is the ARQ shim's job, not the fault schedule's.
-            FaultClass::SustainedLoss(p) => FaultPlan {
-                link: Some(LinkFaults {
-                    drop: p,
-                    window: None,
-                    targets,
-                    ..LinkFaults::default()
-                }),
-                ..FaultPlan::default()
-            },
-            FaultClass::Duplication(p) => FaultPlan {
-                link: Some(LinkFaults {
-                    duplicate: p,
-                    window: Some(window),
-                    targets,
-                    ..LinkFaults::default()
-                }),
-                ..FaultPlan::default()
-            },
-            FaultClass::Partition => FaultPlan {
-                partitions: vec![PartitionWindow {
-                    at: window.0,
-                    side: vec![victim],
-                    heal_after: (window.1 - window.0).max(1),
-                }],
-                ..FaultPlan::default()
-            },
-            FaultClass::MaxDelay => FaultPlan {
-                max_delay: Some(DelayAdversary {
-                    targets: vec![victim],
-                    window: Some(window),
-                }),
-                ..FaultPlan::default()
-            },
+            FaultClass::SustainedLoss(p) => {
+                spec.sim.fault = FaultPlan {
+                    link: Some(LinkFaults {
+                        drop: p,
+                        window: None,
+                        targets,
+                        ..LinkFaults::default()
+                    }),
+                    ..FaultPlan::default()
+                };
+                spec.sim.arq = Some(ArqConfig::default());
+            }
+            FaultClass::BurstLoss => {
+                spec.sim.channel = ChannelConfig::burst_loss_default();
+                spec.sim.arq = Some(ArqConfig::default());
+            }
+            FaultClass::Duplication(p) => {
+                spec.sim.fault = FaultPlan {
+                    link: Some(LinkFaults {
+                        duplicate: p,
+                        window: Some(window),
+                        targets,
+                        ..LinkFaults::default()
+                    }),
+                    ..FaultPlan::default()
+                }
+            }
+            FaultClass::Partition => {
+                spec.sim.fault = FaultPlan {
+                    partitions: vec![PartitionWindow {
+                        at: window.0,
+                        side: vec![victim],
+                        heal_after: (window.1 - window.0).max(1),
+                    }],
+                    ..FaultPlan::default()
+                }
+            }
+            FaultClass::MaxDelay => {
+                spec.sim.fault = FaultPlan {
+                    max_delay: Some(DelayAdversary {
+                        targets: vec![victim],
+                        window: Some(window),
+                    }),
+                    ..FaultPlan::default()
+                }
+            }
         }
     }
 }
 
-/// Result of one [`fault_probe`]: a baseline run and a faulted run of the
-/// same spec, compared per hop distance from the victim.
-#[derive(Clone, Debug)]
-pub struct FaultProbeReport {
-    /// The injected fault class.
-    pub class: FaultClass,
-    /// When the fault schedule went quiet (faults stop; partitions healed).
-    pub quiesced_at: u64,
-    /// Mean post-`fault_at` response time by hop distance, fault-free run.
-    pub baseline_response: Vec<Option<f64>>,
-    /// Mean post-`fault_at` response time by hop distance, faulted run.
-    pub faulted_response: Vec<Option<f64>>,
-    /// Starvation analysis of the faulted run (starving = continuously
-    /// hungry since before the quiescence point).
-    pub fl: FlReport,
-}
-
-impl FaultProbeReport {
-    /// Per-distance degradation: faulted mean response ÷ baseline mean
-    /// response (`None` where either run has no samples at that distance).
-    pub fn degradation(&self) -> Vec<Option<f64>> {
-        let len = self
-            .baseline_response
-            .len()
-            .max(self.faulted_response.len());
-        (0..len)
-            .map(|d| {
-                match (
-                    self.baseline_response.get(d).copied().flatten(),
-                    self.faulted_response.get(d).copied().flatten(),
-                ) {
-                    (Some(b), Some(f)) if b > 0.0 => Some(f / b),
-                    _ => None,
-                }
-            })
-            .collect()
-    }
-
-    /// Graceful-degradation check: every distance bucket strictly beyond
-    /// `radius` (with data in both runs) stayed within `factor`× the
-    /// baseline mean response, and no node beyond `radius` starved.
-    pub fn graceful_beyond(&self, radius: usize, factor: f64) -> bool {
-        let slow = self
-            .degradation()
-            .into_iter()
-            .skip(radius + 1)
-            .flatten()
-            .any(|r| r > factor);
-        let starved = self
-            .fl
-            .starving
-            .iter()
-            .any(|&(_, d)| d.is_none_or(|d| d > radius));
-        !slow && !starved
-    }
-}
-
-/// Generalized fault probe: run `spec` once fault-free and once with
-/// `class` injected around `victim` starting at `fault_at`, and compare.
-///
-/// The fault window is `[fault_at, midpoint)` where the midpoint splits
-/// the post-`fault_at` part of the horizon, so every class (except the
-/// crash, which is permanent) has quiesced by `quiesced_at` and the whole
-/// second half of the window measures recovery. Starvation is judged
-/// against the quiescence point, matching [`analyze_crash`].
-pub fn fault_probe(
-    kind: AlgKind,
-    spec: &RunSpec,
-    positions: &[(f64, f64)],
-    victim: NodeId,
-    class: FaultClass,
-    fault_at: u64,
-) -> FaultProbeReport {
-    assert!(
-        fault_at < spec.horizon,
-        "fault_at {} must precede the horizon {}",
-        fault_at,
-        spec.horizon
-    );
-    let quiesce = fault_at + (spec.horizon - fault_at) / 2;
-    let baseline = run_algorithm(kind, spec, positions, &[]);
-    let baseline_response = response_by_distance(&baseline, victim, SimTime(fault_at));
-
-    let mut faulted = spec.clone();
-    match class {
-        FaultClass::Crash => faulted.crash_eating = Some((victim, fault_at)),
-        FaultClass::BurstLoss => faulted.sim.channel = ChannelConfig::burst_loss_default(),
-        _ => faulted.sim.fault = class.plan(victim, (fault_at, quiesce)),
-    }
-    let outcome = run_algorithm(kind, &faulted, positions, &[]);
-    let faulted_response = response_by_distance(&outcome, victim, SimTime(fault_at));
-    let fl = analyze_crash(outcome, victim, fault_at, spec.horizon);
-    FaultProbeReport {
-        class,
-        quiesced_at: quiesce,
-        baseline_response,
-        faulted_response,
-        fl,
+// The in-model rule lives beside the fault classes it judges; `RunSpec`
+// itself is defined in `runner`.
+impl RunSpec {
+    /// Whether a run of this spec stays inside the paper's system model of
+    /// reliable links: no frame can be lost or duplicated. A fault plan
+    /// whose [`LinkFaults`] drop or duplicate with a probability above 0,
+    /// or a Gilbert–Elliott channel, takes the run out of the model. A
+    /// safety violation in an in-model run is a bug; out of the model it is
+    /// a measurement.
+    pub fn in_model(&self) -> bool {
+        let link = self.sim.fault.link.as_ref();
+        let lossy = link.is_some_and(|l| l.drop > 0.0 || l.duplicate > 0.0);
+        !lossy && !matches!(self.sim.channel, ChannelConfig::GilbertElliott { .. })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::SweepCell;
     use crate::topology;
+
+    fn spec(horizon: u64) -> RunSpec {
+        RunSpec {
+            horizon,
+            ..RunSpec::default()
+        }
+    }
+
+    fn line(n: usize) -> Topo {
+        Topo::Geo(topology::line(n))
+    }
 
     #[test]
     fn a2_starvation_stays_within_two_hops_of_a_crash() {
-        let spec = RunSpec {
-            horizon: 60_000,
-            ..RunSpec::default()
-        };
-        let positions = topology::line(9);
-        let report = crash_probe(AlgKind::A2, &spec, &Topo::Geo(positions), NodeId(4), 2_000);
+        let crash = FaultClass::Crash;
+        let report = probe(
+            AlgKind::A2,
+            &spec(60_000),
+            &line(9),
+            NodeId(4),
+            crash,
+            2_000,
+        );
         assert!(report.outcome.violations.is_empty());
         if let Some(m) = report.locality {
             assert!(
@@ -394,15 +366,13 @@ mod tests {
 
     #[test]
     fn response_by_distance_buckets_samples() {
-        let spec = RunSpec {
-            horizon: 30_000,
-            ..RunSpec::default()
-        };
-        let report = crash_probe(
+        let crash = FaultClass::Crash;
+        let report = probe(
             AlgKind::A2,
-            &spec,
-            &Topo::Geo(topology::line(7)),
+            &spec(30_000),
+            &line(7),
             NodeId(3),
+            crash,
             1_000,
         );
         let curve = response_by_distance(
@@ -418,112 +388,93 @@ mod tests {
 
     #[test]
     fn loss_probe_recovers_after_quiescence() {
-        let spec = RunSpec {
-            horizon: 40_000,
-            ..RunSpec::default()
-        };
-        let report = fault_probe(
-            AlgKind::A2,
-            &spec,
-            &topology::line(7),
-            NodeId(3),
-            FaultClass::Loss(0.5),
-            2_000,
-        );
-        let out = &report.fl.outcome;
+        let loss = FaultClass::Loss(0.5);
+        let report = probe(AlgKind::A2, &spec(40_000), &line(7), NodeId(3), loss, 2_000);
+        let out = &report.outcome;
         assert!(out.violations.is_empty(), "{:?}", out.violations);
         assert!(out.stats.faults.msgs_dropped > 0, "loss window never hit");
         // The heal at quiescence re-incarnates the victim's links; nobody
         // stays hungry through the whole recovery half of the run.
         assert!(
-            report.fl.starving.is_empty(),
+            report.starving.is_empty(),
             "starving after quiescence: {:?}",
-            report.fl.starving
+            report.starving
         );
     }
 
     #[test]
     fn duplication_probe_is_safe_and_live() {
-        let spec = RunSpec {
-            horizon: 40_000,
-            ..RunSpec::default()
-        };
-        let report = fault_probe(
-            AlgKind::A2,
-            &spec,
-            &topology::line(7),
-            NodeId(3),
-            FaultClass::Duplication(1.0),
-            2_000,
-        );
-        let out = &report.fl.outcome;
+        let dup = FaultClass::Duplication(1.0);
+        let report = probe(AlgKind::A2, &spec(40_000), &line(7), NodeId(3), dup, 2_000);
+        let out = &report.outcome;
         assert!(out.violations.is_empty(), "{:?}", out.violations);
         assert!(out.stats.faults.msgs_duplicated > 0);
-        assert!(report.fl.starving.is_empty(), "{:?}", report.fl.starving);
+        assert!(report.starving.is_empty(), "{:?}", report.starving);
     }
 
     #[test]
     fn max_delay_adversary_slows_but_never_starves() {
-        let spec = RunSpec {
-            horizon: 40_000,
-            ..RunSpec::default()
-        };
-        let report = fault_probe(
+        let delay = FaultClass::MaxDelay;
+        let report = probe(
             AlgKind::A2,
-            &spec,
-            &topology::line(7),
+            &spec(40_000),
+            &line(7),
             NodeId(3),
-            FaultClass::MaxDelay,
+            delay,
             2_000,
         );
-        let out = &report.fl.outcome;
+        let out = &report.outcome;
         assert!(out.violations.is_empty(), "{:?}", out.violations);
         assert!(out.stats.faults.max_delay_forced > 0);
         // ν is a legal delay: liveness must be untouched.
-        assert!(report.fl.starving.is_empty(), "{:?}", report.fl.starving);
+        assert!(report.starving.is_empty(), "{:?}", report.starving);
     }
 
     #[test]
     fn partition_probe_heals_and_victim_rejoins() {
-        let spec = RunSpec {
-            horizon: 40_000,
-            ..RunSpec::default()
-        };
-        let report = fault_probe(
-            AlgKind::A2,
-            &spec,
-            &topology::line(7),
-            NodeId(3),
-            FaultClass::Partition,
-            2_000,
-        );
-        let out = &report.fl.outcome;
+        let cut = FaultClass::Partition;
+        let report = probe(AlgKind::A2, &spec(40_000), &line(7), NodeId(3), cut, 2_000);
+        let out = &report.outcome;
         assert!(out.violations.is_empty(), "{:?}", out.violations);
         assert_eq!(out.stats.faults.partitions, 1);
         assert_eq!(out.stats.faults.heals, 1);
-        assert!(report.fl.starving.is_empty(), "{:?}", report.fl.starving);
+        assert!(report.starving.is_empty(), "{:?}", report.starving);
         // The victim itself eats again after the heal.
         assert!(out.metrics.meals[3] >= 1);
     }
 
+    /// A crash probe is a run whose spec crashes the victim mid-CS: a
+    /// [`SweepCell`] carrying the same `crash_eating` reports the same
+    /// starvation as the probe.
     #[test]
-    fn crash_probe_class_matches_the_dedicated_probe() {
-        let spec = RunSpec {
-            horizon: 30_000,
-            ..RunSpec::default()
-        };
-        let report = fault_probe(
-            AlgKind::A2,
-            &spec,
-            &topology::line(7),
-            NodeId(3),
-            FaultClass::Crash,
-            1_000,
-        );
-        assert!(report.fl.outcome.crash_time.is_some());
-        if let Some(m) = report.fl.locality {
-            assert!(m <= 2, "{:?}", report.fl.starving);
+    fn crash_class_probe_matches_its_sweep_cell() {
+        let (victim, at) = (NodeId(3), 1_000);
+        let crash = FaultClass::Crash;
+        let report = probe(AlgKind::A2, &spec(30_000), &line(7), victim, crash, at);
+        assert!(report.outcome.crash_time.is_some());
+        assert!(!report.starving.is_empty(), "the crash starved nobody");
+        if let Some(m) = report.locality {
+            assert!(m <= 2, "{:?}", report.starving);
         }
+        let cell = SweepCell {
+            label: "line:7".to_string(),
+            kind: AlgKind::A2,
+            spec: RunSpec {
+                crash_eating: Some((victim, at)),
+                ..spec(30_000)
+            },
+            topo: line(7),
+            commands: Vec::new(),
+        };
+        let run = cell.run();
+        assert_eq!(
+            (run.starving, run.locality, run.meals),
+            (
+                report.starving.len(),
+                report.locality,
+                report.outcome.total_meals()
+            )
+        );
         assert!(!FaultClass::Loss(0.1).in_model());
         assert!(!FaultClass::SustainedLoss(0.3).in_model());
         assert!(!FaultClass::BurstLoss.in_model());
@@ -531,15 +482,53 @@ mod tests {
         assert_eq!(FaultClass::Loss(0.1).label(), "windowed-loss");
         assert_eq!(FaultClass::SustainedLoss(0.3).label(), "sustained-loss");
         assert_eq!(FaultClass::BurstLoss.label(), "burst-loss");
-        assert!(FaultClass::SustainedLoss(0.3)
-            .plan(NodeId(3), (0, 100))
-            .partitions
-            .is_empty());
-        // Burst loss is channel-armed, not plan-armed.
-        assert_eq!(
-            FaultClass::BurstLoss.plan(NodeId(3), (0, 100)),
-            FaultPlan::default()
-        );
+    }
+
+    /// The fault rule as a table: which of `crash_eating`, `sim.fault`,
+    /// `sim.channel` and `sim.arq` each class sets (every other one stays
+    /// at its default), and whether the run stays in the paper's model.
+    #[test]
+    fn apply_sets_exactly_what_its_class_changes() {
+        let (victim, window) = (NodeId(3), (100, 900));
+        #[rustfmt::skip]
+        let rows = [
+            // class                        crash  fault  channel arq    in-model
+            (FaultClass::Crash,             true,  false, false,  false, true),
+            (FaultClass::Recover,           false, true,  false,  false, true),
+            (FaultClass::Loss(0.3),         false, true,  false,  false, false),
+            (FaultClass::SustainedLoss(0.3), false, true, false,  true,  false),
+            (FaultClass::BurstLoss,         false, false, true,   true,  false),
+            (FaultClass::Duplication(0.3),  false, true,  false,  false, false),
+            (FaultClass::Partition,         false, true,  false,  false, true),
+            (FaultClass::MaxDelay,          false, true,  false,  false, true),
+        ];
+        for (class, crash, fault, channel, arq, in_model) in rows {
+            let mut spec = RunSpec::default();
+            class.apply(&mut spec, victim, window);
+            let set = (
+                spec.crash_eating.is_some(),
+                spec.sim.fault != FaultPlan::default(),
+                spec.sim.channel != ChannelConfig::default(),
+                spec.sim.arq.is_some(),
+            );
+            assert_eq!(set, (crash, fault, channel, arq), "{}", class.label());
+            assert_eq!(spec.in_model(), in_model, "{}", class.label());
+            assert_eq!(class.in_model(), in_model, "{}", class.label());
+        }
+        let mut spec = RunSpec::default();
+        FaultClass::Crash.apply(&mut spec, victim, window);
+        assert_eq!(spec.crash_eating, Some((victim, 100)));
+        FaultClass::BurstLoss.apply(&mut spec, victim, window);
+        let burst = matches!(spec.sim.channel, ChannelConfig::GilbertElliott { .. });
+        assert!(burst, "{:?}", spec.sim.channel);
+        // Sustained loss gets no healing partition; windowed loss does.
+        let plan = |class: FaultClass| {
+            let mut spec = RunSpec::default();
+            class.apply(&mut spec, victim, window);
+            spec.sim.fault
+        };
+        assert!(plan(FaultClass::SustainedLoss(0.3)).partitions.is_empty());
+        assert_eq!(plan(FaultClass::Loss(0.3)).partitions[0].at, 900);
     }
 
     #[test]
@@ -547,11 +536,14 @@ mod tests {
         // Crash an isolated node: nobody else is affected.
         let mut positions = topology::line(3);
         positions.push((100.0, 100.0));
-        let spec = RunSpec {
-            horizon: 20_000,
-            ..RunSpec::default()
-        };
-        let report = crash_probe(AlgKind::A2, &spec, &Topo::Geo(positions), NodeId(3), 1_000);
+        let report = probe(
+            AlgKind::A2,
+            &spec(20_000),
+            &Topo::Geo(positions),
+            NodeId(3),
+            FaultClass::Crash,
+            1_000,
+        );
         assert_eq!(report.locality, None);
         assert!(report.starving.is_empty());
     }

@@ -15,7 +15,8 @@
 //!   flags, matching Definition 1 of the paper, meals, demotions,
 //!   starvation probes) and the incremental LME checker [`SafetyCore`]
 //!   behind [`SafetyMonitor`];
-//! * [`failure_locality`] — crash probes that measure how far from a
+//! * [`failure_locality`] — the one rule for what a fault class does to a
+//!   run ([`FaultClass::apply`]), and probes that measure how far from a
 //!   crashed node starvation reaches;
 //! * [`census`] — message-complexity accounting by message kind;
 //! * [`runner`] — one-call execution of any implemented algorithm on any
@@ -47,17 +48,14 @@ pub mod topology;
 pub mod workload;
 
 pub use census::{CensusCounts, MessageCensus};
-pub use failure_locality::{
-    analyze_crash, crash_probe, fault_probe, response_by_distance, FaultClass, FaultProbeReport,
-    FlReport,
-};
+pub use failure_locality::{probe, response_by_distance, starvation, FaultClass, FlReport};
 pub use metrics::{Metrics, MetricsData, Sample};
 pub use mobility::{MobilityMix, NodeClass, WaypointPlan};
 pub use report::{AggregateRow, RunReport, SweepReport};
 pub use runner::{run, run_algorithm, run_protocol, AlgKind, Automata, RunOutcome, RunSpec};
 pub use safety::{SafetyCore, SafetyMonitor, Violation};
 pub use stats::Summary;
-pub use sweep::{default_jobs, par_map, run_cells, Job, SweepCell, SweepSpec};
+pub use sweep::{default_jobs, par_map, run_cells, SweepCell, SweepSpec};
 pub use table::Table;
 pub use topology::Topo;
 pub use workload::Workload;

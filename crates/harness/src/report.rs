@@ -12,7 +12,7 @@
 
 use std::fmt;
 
-use manet_sim::{FaultStats, NodeId};
+use manet_sim::FaultStats;
 
 use crate::runner::RunOutcome;
 use crate::stats::{jain_index, Summary};
@@ -430,11 +430,6 @@ fn json_summary(s: &Summary) -> String {
         s.p95,
         s.max
     )
-}
-
-/// Convenience: hop-distance helper re-exported for probe reports.
-pub fn distance_of(outcome: &RunOutcome, from: NodeId, to: NodeId) -> Option<usize> {
-    outcome.distances_from(from)[to.index()]
 }
 
 #[cfg(test)]

@@ -20,29 +20,15 @@ use std::sync::mpsc;
 
 use manet_sim::{Command, NodeId, SimConfig, SimTime};
 
-use crate::failure_locality::analyze_crash;
+use crate::failure_locality::starvation;
 use crate::mobility::{MobilityMix, WaypointPlan};
 use crate::report::{RunReport, SweepReport};
 use crate::runner::{run, AlgKind, RunSpec};
 use crate::topology::Topo;
 
-/// What a sweep cell measures.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Job {
-    /// A plain run: workload only.
-    Run,
-    /// A failure-locality probe: crash `victim` the first time it eats at
-    /// or after `crash_at`, then report starvation distances.
-    Probe {
-        /// The node to crash mid-CS.
-        victim: NodeId,
-        /// Earliest crash time.
-        crash_at: u64,
-    },
-}
-
 /// One independent unit of sweep work: an algorithm, a fully-seeded
-/// [`RunSpec`], a topology, and optional pre-scheduled commands.
+/// [`RunSpec`], a topology, and optional pre-scheduled commands. A spec
+/// with [`RunSpec::crash_eating`] set makes the cell a crash probe.
 #[derive(Clone, Debug)]
 pub struct SweepCell {
     /// Group label carried into the report (e.g. the topology name).
@@ -55,52 +41,22 @@ pub struct SweepCell {
     pub topo: Topo,
     /// Commands (mobility, crashes) scheduled before the run starts.
     pub commands: Vec<(SimTime, Command)>,
-    /// Plain run or crash probe.
-    pub job: Job,
 }
 
 impl SweepCell {
-    /// Execute the cell to completion and report it.
+    /// Execute the cell to completion and report it, with its
+    /// [`starvation`] verdict: plain runs still report starving nodes so
+    /// fault sweeps can flag stalls, and crash probes add the locality.
     pub fn run(&self) -> RunReport {
-        let spec = match self.job {
-            Job::Run => self.spec.clone(),
-            Job::Probe { victim, crash_at } => RunSpec {
-                crash_eating: Some((victim, crash_at)),
-                ..self.spec.clone()
-            },
-        };
-        let outcome = run(self.kind, &spec, &self.topo, &self.commands, None);
-        let probe = match self.job {
-            // Plain runs still report starvation (continuously hungry
-            // through the back half of the horizon) so fault sweeps can
-            // flag stalls; locality stays probe-only.
-            Job::Run => {
-                let starving = outcome
-                    .metrics
-                    .starving_since(SimTime(spec.horizon / 2))
-                    .len();
-                Some((starving, None))
-            }
-            Job::Probe { victim, crash_at } => {
-                let fl = analyze_crash(outcome, victim, crash_at, spec.horizon);
-                let probe = (fl.starving.len(), fl.locality);
-                return RunReport::from_outcome(
-                    &self.label,
-                    self.kind.name(),
-                    spec.sim.seed,
-                    spec.horizon,
-                    &fl.outcome,
-                    Some(probe),
-                );
-            }
-        };
+        let outcome = run(self.kind, &self.spec, &self.topo, &self.commands, None);
+        let fl = starvation(&self.spec, outcome);
         RunReport::from_outcome(
             &self.label,
             self.kind.name(),
-            spec.sim.seed,
-            spec.horizon,
-            &outcome,
-            probe,
+            self.spec.sim.seed,
+            self.spec.horizon,
+            &fl.outcome,
+            Some((fl.starving.len(), fl.locality)),
         )
     }
 }
@@ -130,8 +86,6 @@ pub struct SweepSpec {
     /// Heterogeneous mobility-mix template; each cell re-seeds it with its
     /// own seed. Takes precedence over `moves` when both are set.
     pub mix: Option<MobilityMix>,
-    /// Plain runs or crash probes.
-    pub job: Job,
 }
 
 impl SweepSpec {
@@ -146,7 +100,6 @@ impl SweepSpec {
             kinds: Vec::new(),
             moves: None,
             mix: None,
-            job: Job::Run,
         }
     }
 
@@ -183,9 +136,10 @@ impl SweepSpec {
         self
     }
 
-    /// Turn every cell into a crash probe.
+    /// Turn every cell into a crash probe: crash `victim` the first time
+    /// it eats at or after `crash_at` ([`RunSpec::crash_eating`]).
     pub fn probe(mut self, victim: NodeId, crash_at: u64) -> SweepSpec {
-        self.job = Job::Probe { victim, crash_at };
+        self.base.crash_eating = Some((victim, crash_at));
         self
     }
 
@@ -225,7 +179,6 @@ impl SweepSpec {
                     spec,
                     topo: self.topo.clone(),
                     commands,
-                    job: self.job,
                 });
             }
         }

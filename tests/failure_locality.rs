@@ -1,7 +1,7 @@
 //! Integration tests of the failure-locality claims (Definition 1 and
 //! Theorems 16/22/25): crash a node and check how far starvation reaches.
 
-use manet_local_mutex::harness::{crash_probe, topology, AlgKind, RunSpec, Topo};
+use manet_local_mutex::harness::{probe, topology, AlgKind, FaultClass, RunSpec, Topo};
 use manet_local_mutex::sim::NodeId;
 
 fn spec(horizon: u64) -> RunSpec {
@@ -14,11 +14,12 @@ fn spec(horizon: u64) -> RunSpec {
 #[test]
 fn a2_failure_locality_is_at_most_two_on_a_line() {
     let n = 15;
-    let report = crash_probe(
+    let report = probe(
         AlgKind::A2,
         &spec(60_000),
         &Topo::Geo(topology::line(n)),
         NodeId(n as u32 / 2),
+        FaultClass::Crash,
         2_000,
     );
     assert!(report.outcome.violations.is_empty());
@@ -32,11 +33,12 @@ fn a2_failure_locality_is_at_most_two_on_a_line() {
 
 #[test]
 fn a2_failure_locality_is_at_most_two_on_a_grid() {
-    let report = crash_probe(
+    let report = probe(
         AlgKind::A2,
         &spec(60_000),
         &Topo::Geo(topology::grid(5, 5)),
         NodeId(12),
+        FaultClass::Crash,
         2_000,
     );
     assert!(report.outcome.violations.is_empty());
@@ -51,11 +53,12 @@ fn doorway_algorithms_contain_the_figure_six_crash() {
     // nodes at distance ≥ 3 progressing for the A1 variants too.
     let n = 13;
     for kind in [AlgKind::A1Greedy, AlgKind::A1Linial, AlgKind::ChoySingh] {
-        let report = crash_probe(
+        let report = probe(
             kind,
             &spec(60_000),
             &Topo::Geo(topology::line(n)),
             NodeId(n as u32 / 2),
+            FaultClass::Crash,
             2_000,
         );
         assert!(report.outcome.violations.is_empty());
@@ -79,11 +82,12 @@ fn chandy_misra_starvation_reaches_far() {
     // starve nodes arbitrarily far away. On a 13-line with a center crash,
     // starvation reaches beyond distance 2 (where A2 is guaranteed safe).
     let n = 13;
-    let report = crash_probe(
+    let report = probe(
         AlgKind::ChandyMisra,
         &spec(60_000),
         &Topo::Geo(topology::line(n)),
         NodeId(n as u32 / 2),
+        FaultClass::Crash,
         2_000,
     );
     assert!(report.outcome.violations.is_empty());
@@ -102,7 +106,14 @@ fn crash_of_a_leaf_barely_matters() {
     let n = 9;
     for kind in AlgKind::all() {
         let line = Topo::Geo(topology::line(n));
-        let report = crash_probe(kind, &spec(40_000), &line, NodeId(0), 2_000);
+        let report = probe(
+            kind,
+            &spec(40_000),
+            &line,
+            NodeId(0),
+            FaultClass::Crash,
+            2_000,
+        );
         assert!(report.outcome.violations.is_empty());
         assert!(
             report.outcome.metrics.meals[n - 1] >= 5,

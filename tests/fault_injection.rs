@@ -5,7 +5,7 @@
 //! progress.
 
 use manet_local_mutex::harness::{
-    fault_probe, run_algorithm, topology, AlgKind, FaultClass, RunSpec,
+    probe, run_algorithm, topology, AlgKind, FaultClass, RunSpec, Topo,
 };
 use manet_local_mutex::sim::{NodeId, SimTime};
 
@@ -28,20 +28,14 @@ const CLASSES: [FaultClass; 5] = [
 fn safety_holds_under_every_fault_class() {
     for kind in [AlgKind::A1Greedy, AlgKind::A2] {
         for class in CLASSES {
-            let report = fault_probe(
-                kind,
-                &spec(30_000),
-                &topology::line(9),
-                NodeId(4),
-                class,
-                1_500,
-            );
+            let line = Topo::Geo(topology::line(9));
+            let report = probe(kind, &spec(30_000), &line, NodeId(4), class, 1_500);
             assert!(
-                report.fl.outcome.violations.is_empty(),
+                report.outcome.violations.is_empty(),
                 "{} under {} faults violated safety: {:?}",
                 kind.name(),
                 class.label(),
-                report.fl.outcome.violations
+                report.outcome.violations
             );
         }
     }
@@ -50,31 +44,31 @@ fn safety_holds_under_every_fault_class() {
 #[test]
 fn a2_crash_probe_failure_locality_is_at_most_two() {
     let victim = NodeId(5);
-    let report = fault_probe(
+    let report = probe(
         AlgKind::A2,
         &spec(60_000),
-        &topology::line(11),
+        &Topo::Geo(topology::line(11)),
         victim,
         FaultClass::Crash,
         2_000,
     );
     assert!(
-        report.fl.outcome.crash_time.is_some(),
+        report.outcome.crash_time.is_some(),
         "the victim never ate, so the crash never fired"
     );
-    if let Some(m) = report.fl.locality {
+    if let Some(m) = report.locality {
         assert!(
             m <= 2,
             "empirical failure locality {m} exceeds Theorem 25's bound of 2: {:?}",
-            report.fl.starving
+            report.starving
         );
     }
     // Graceful degradation: every node beyond radius 2 keeps eating.
-    let dist = report.fl.outcome.distances_from(victim);
+    let dist = report.outcome.distances_from(victim);
     for (i, d) in dist.iter().enumerate() {
         if d.is_some_and(|d| d > 2) {
             assert!(
-                report.fl.outcome.metrics.meals[i] >= 3,
+                report.outcome.metrics.meals[i] >= 3,
                 "node {i} at distance {d:?} from the crash stopped eating"
             );
         }
@@ -88,16 +82,12 @@ fn progress_resumes_after_loss_duplication_and_partition_quiesce() {
         FaultClass::Duplication(1.0),
         FaultClass::Partition,
     ] {
-        let n = 9;
-        let report = fault_probe(
-            AlgKind::A2,
-            &spec(40_000),
-            &topology::line(n),
-            NodeId(4),
-            class,
-            2_000,
-        );
-        let out = &report.fl.outcome;
+        let (n, horizon, at) = (9, 40_000, 2_000);
+        let line = Topo::Geo(topology::line(n));
+        let report = probe(AlgKind::A2, &spec(horizon), &line, NodeId(4), class, at);
+        // The fault window closes halfway through the rest of the run.
+        let quiesced_at = at + (horizon - at) / 2;
+        let out = &report.outcome;
         assert!(
             out.violations.is_empty(),
             "{}: safety violated: {:?}",
@@ -105,15 +95,15 @@ fn progress_resumes_after_loss_duplication_and_partition_quiesce() {
             out.violations
         );
         assert!(
-            report.fl.starving.is_empty(),
+            report.starving.is_empty(),
             "{}: still starving after quiescence at {}: {:?}",
             class.label(),
-            report.quiesced_at,
-            report.fl.starving
+            quiesced_at,
+            report.starving
         );
         // Stronger than "not starving": every live node completes a meal
         // in the post-quiescence tail.
-        let tail = SimTime(report.quiesced_at);
+        let tail = SimTime(quiesced_at);
         for i in 0..n as u32 {
             let node = NodeId(i);
             let tail_meals = out
@@ -126,7 +116,7 @@ fn progress_resumes_after_loss_duplication_and_partition_quiesce() {
                 tail_meals > 0,
                 "{}: node {i} made no progress after the faults quiesced at {}",
                 class.label(),
-                report.quiesced_at
+                quiesced_at
             );
         }
     }
@@ -136,7 +126,7 @@ fn progress_resumes_after_loss_duplication_and_partition_quiesce() {
 fn faulted_runs_are_deterministic() {
     let run = || {
         let mut s = spec(20_000);
-        s.sim.fault = FaultClass::Loss(0.3).plan(NodeId(4), (1_000, 10_000));
+        FaultClass::Loss(0.3).apply(&mut s, NodeId(4), (1_000, 10_000));
         run_algorithm(AlgKind::A2, &s, &topology::line(9), &[])
     };
     let a = run();

@@ -20,8 +20,8 @@
 //! nightly job fails only on safety violations, never on degraded bounds.
 
 use harness::{
-    crash_probe, run_algorithm, run_cells, topology, AlgKind, Job, MobilityMix, RunSpec, SweepCell,
-    Topo,
+    probe, run_algorithm, run_cells, topology, AlgKind, FaultClass, MobilityMix, RunSpec,
+    SweepCell, Topo,
 };
 use lme_check::{certify, Certificate, CertifyConfig, CheckSpec};
 use manet_sim::{ArqConfig, ChannelConfig, NodeId, SimConfig};
@@ -60,7 +60,15 @@ fn a2_crash_probes_confirm_failure_locality_two() {
     ];
     for (label, topo, victim) in cells {
         for seed in [11, 23] {
-            let report = crash_probe(AlgKind::A2, &spec(seed, 30_000), &topo, victim, 4_000);
+            let crash = FaultClass::Crash;
+            let report = probe(
+                AlgKind::A2,
+                &spec(seed, 30_000),
+                &topo,
+                victim,
+                crash,
+                4_000,
+            );
             assert!(
                 report.locality.is_none_or(|d| d <= 2),
                 "{label} seed {seed}: A2 starved a node {}(>2) hops from the crash; starving: {:?}",
@@ -285,13 +293,12 @@ fn probe_fl_cell(
             cells.push(SweepCell {
                 label: format!("random:{n}:{topo_seed}/{}", channel.name()),
                 kind: AlgKind::A2,
-                spec: channel_spec(seed, horizon, channel, arq),
+                spec: RunSpec {
+                    crash_eating: Some((NodeId(7), horizon / 10)),
+                    ..channel_spec(seed, horizon, channel, arq)
+                },
                 topo: Topo::Geo(positions.clone()),
                 commands,
-                job: Job::Probe {
-                    victim: NodeId(7),
-                    crash_at: horizon / 10,
-                },
             });
         }
     }
