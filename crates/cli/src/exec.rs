@@ -100,7 +100,8 @@ fn render_run(cmd: &Run) -> Result<String, String> {
     };
     let fl = starvation(&spec, run(inst.alg, &spec, &topo, &commands, None));
     let out = &fl.outcome;
-    emit_metrics(sim.metrics_out.as_ref(), &one_run(inst, out, None))?;
+    let locality = Some((fl.starving.len(), fl.locality));
+    emit_metrics(sim.metrics_out.as_ref(), &one_run(inst, out, locality))?;
     if cmd.csv {
         let mut t = Table::new(&["node", "hungry_at", "eat_at", "response", "moved", "msgs"]);
         for s in &out.metrics.samples {
@@ -1027,6 +1028,33 @@ mod tests {
         assert_eq!(written.lines().count(), 2);
         assert!(written.starts_with("{\"label\":\"line:3\",\"alg\":\"chandy-misra\",\"seed\":"));
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn run_metrics_count_the_starving_nodes_its_text_lists() {
+        let dir = std::env::temp_dir().join("lme-cli-test-metrics");
+        std::fs::create_dir_all(&dir).unwrap();
+        let spec = "--alg a2 --topo line:5 --horizon 8000 --seed 42 --fault-drop 0.5 \
+                    --fault-targets 2";
+        let jsonl = |cmd: &str, file: &str| {
+            let path = dir.join(file);
+            let out = run_cli(argv(&format!(
+                "{cmd} {spec} --metrics-out {}",
+                path.display()
+            )))
+            .unwrap();
+            let written = std::fs::read_to_string(&path).unwrap();
+            std::fs::remove_file(&path).ok();
+            (out, written)
+        };
+        let (text, run) = jsonl("run", "run-starving.jsonl");
+        assert!(
+            text.contains("starvation        : [p1, p2, p3, p4]"),
+            "{text}"
+        );
+        assert!(run.contains("\"starving\":4,"), "{run}");
+        let (_, sweep) = jsonl("sweep --seeds 1", "sweep-starving.jsonl");
+        assert!(sweep.contains("\"starving\":4,"), "{sweep}");
     }
 
     #[test]

@@ -165,15 +165,24 @@ pub trait WireMsg: Clone + std::fmt::Debug + Sized {
 
 /// Encode one message as a complete length-prefixed frame.
 pub fn encode_frame<M: WireMsg>(msg: &M) -> Vec<u8> {
-    let mut body = vec![WIRE_VERSION, M::ALG_ID];
-    msg.encode_payload(&mut body);
-    let mut h = Fnv::new();
-    h.write(&body);
-    let mut out = Vec::with_capacity(4 + body.len() + 8);
-    put_u32(&mut out, (body.len() + 8) as u32);
-    out.extend_from_slice(&body);
-    put_u64(&mut out, h.finish());
+    let mut out = Vec::with_capacity(32);
+    write_frame(msg, &mut out);
     out
+}
+
+/// Append one message's frame to `out` in place: the one writer of the
+/// frame layout, behind [`encode_frame`] and the cross-shard batches.
+pub(crate) fn write_frame<M: WireMsg>(msg: &M, out: &mut Vec<u8>) {
+    let len_at = out.len();
+    put_u32(out, 0);
+    let body_at = out.len();
+    out.extend_from_slice(&[WIRE_VERSION, M::ALG_ID]);
+    msg.encode_payload(out);
+    let mut h = Fnv::new();
+    h.write(&out[body_at..]);
+    let len = (out.len() - body_at + 8) as u32;
+    out[len_at..body_at].copy_from_slice(&len.to_le_bytes());
+    put_u64(out, h.finish());
 }
 
 /// Decode one complete frame. Strict: the buffer must contain exactly one

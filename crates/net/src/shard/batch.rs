@@ -13,6 +13,9 @@
 //! processed, which is what makes cross-shard deliveries causally later
 //! than the records the sender took before transmitting. The same bytes
 //! ride a ring slot on the in-process transport and a datagram on UDP.
+//! [`batch_push`] hands its writer the buffer itself, so an envelope is
+//! encoded straight into its batch, once; [`batch_decode`] lends out
+//! slices of the received buffer.
 
 use manet_sim::NodeId;
 
@@ -28,18 +31,39 @@ pub(crate) fn batch_begin(from_shard: u32) -> Vec<u8> {
     buf
 }
 
-/// Append one envelope addressed to `to`.
-pub(crate) fn batch_push(buf: &mut Vec<u8>, to: NodeId, envelope: &[u8]) {
+/// Append one envelope addressed to `to`, its bytes written in place by
+/// `write`.
+pub(crate) fn batch_push(buf: &mut Vec<u8>, to: NodeId, write: impl FnOnce(&mut Vec<u8>)) {
     buf.extend_from_slice(&to.0.to_le_bytes());
-    buf.extend_from_slice(&(envelope.len() as u32).to_le_bytes());
-    buf.extend_from_slice(envelope);
+    let len_at = buf.len();
+    buf.extend_from_slice(&0u32.to_le_bytes());
+    write(buf);
+    let len = (buf.len() - len_at - 4) as u32;
+    buf[len_at..len_at + 4].copy_from_slice(&len.to_le_bytes());
     let count = batch_count(buf) + 1;
-    buf[12..16].copy_from_slice(&count.to_le_bytes());
+    set_count(buf, count);
+}
+
+/// Move the batch's last entry, which starts at byte `at`, into a fresh
+/// batch of its own and return that.
+pub(crate) fn batch_split_last(buf: &mut Vec<u8>, at: usize) -> Vec<u8> {
+    let from_shard = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]);
+    let mut last = batch_begin(from_shard);
+    last.extend_from_slice(&buf[at..]);
+    set_count(&mut last, 1);
+    buf.truncate(at);
+    let count = batch_count(buf) - 1;
+    set_count(buf, count);
+    last
 }
 
 /// How many envelopes the batch carries.
 pub(crate) fn batch_count(buf: &[u8]) -> u32 {
     u32::from_le_bytes([buf[12], buf[13], buf[14], buf[15]])
+}
+
+fn set_count(buf: &mut [u8], count: u32) {
+    buf[12..16].copy_from_slice(&count.to_le_bytes());
 }
 
 /// Seal the batch with the sender's current clock stamp.
@@ -85,12 +109,17 @@ pub(crate) fn batch_decode(buf: &[u8]) -> Option<DecodedBatch<'_>> {
 mod tests {
     use super::*;
 
+    /// A writer of the literal bytes `b`.
+    fn bytes(b: &[u8]) -> impl FnOnce(&mut Vec<u8>) + '_ {
+        move |out| out.extend_from_slice(b)
+    }
+
     #[test]
     fn round_trip_preserves_order_clock_and_payloads() {
         let mut buf = batch_begin(3);
-        batch_push(&mut buf, NodeId(7), b"alpha");
-        batch_push(&mut buf, NodeId(9), b"");
-        batch_push(&mut buf, NodeId(7), b"bravo");
+        batch_push(&mut buf, NodeId(7), bytes(b"alpha"));
+        batch_push(&mut buf, NodeId(9), bytes(b""));
+        batch_push(&mut buf, NodeId(7), bytes(b"bravo"));
         batch_seal(&mut buf, 0xDEAD_BEEF);
         assert_eq!(batch_count(&buf), 3);
         let (from, clock, envs) = batch_decode(&buf).expect("well-formed batch");
@@ -109,7 +138,7 @@ mod tests {
     #[test]
     fn truncations_never_decode() {
         let mut buf = batch_begin(0);
-        batch_push(&mut buf, NodeId(1), b"payload");
+        batch_push(&mut buf, NodeId(1), bytes(b"payload"));
         batch_seal(&mut buf, 42);
         for cut in 0..buf.len() {
             assert!(batch_decode(&buf[..cut]).is_none(), "cut at {cut}");
@@ -120,9 +149,24 @@ mod tests {
     #[test]
     fn trailing_garbage_is_rejected() {
         let mut buf = batch_begin(0);
-        batch_push(&mut buf, NodeId(1), b"x");
+        batch_push(&mut buf, NodeId(1), bytes(b"x"));
         batch_seal(&mut buf, 1);
         buf.push(0);
         assert!(batch_decode(&buf).is_none());
+    }
+
+    #[test]
+    fn splitting_off_the_last_entry_leaves_two_whole_batches() {
+        let mut buf = batch_begin(2);
+        batch_push(&mut buf, NodeId(1), bytes(b"first"));
+        let at = buf.len();
+        batch_push(&mut buf, NodeId(4), bytes(b"second"));
+        let mut last = batch_split_last(&mut buf, at);
+        batch_seal(&mut buf, 5);
+        batch_seal(&mut last, 6);
+        let (from, _, envs) = batch_decode(&buf).expect("the kept batch");
+        assert_eq!((from, envs), (2, vec![(NodeId(1), b"first".as_slice())]));
+        let (from, _, envs) = batch_decode(&last).expect("the split-off batch");
+        assert_eq!((from, envs), (2, vec![(NodeId(4), b"second".as_slice())]));
     }
 }

@@ -13,11 +13,17 @@
 //!   node indices — plus a local delivery queue for same-shard traffic.
 //!   Workload deadlines, protocol timers and the reliable shim's
 //!   retransmission and idle-ack timers all land on it.
-//! - **Batched frames.** Cross-shard envelopes accumulate into one
-//!   buffer per shard pair per flush ([`batch`]), riding a bounded SPSC
-//!   ring ([`ring`]) in-process or a single datagram on UDP. Same-shard
-//!   envelopes never leave the worker, so under `--transport udp` only
-//!   cross-shard traffic crosses a socket.
+//! - **Typed inside a shard, bytes only in a batch.** A node emits typed
+//!   envelopes. A same-shard one goes on the local queue as it is and
+//!   never meets the codec; a cross-shard one is encoded once, straight
+//!   into the one buffer per shard pair per flush ([`batch`]), which
+//!   rides a bounded SPSC ring ([`ring`]) in-process or a single datagram
+//!   on UDP, and is decoded in place where it lands. So under
+//!   `--transport udp` only cross-shard traffic crosses a socket.
+//! - **Every input wakes its worker.** A worker parks until its next
+//!   deadline (at most 1 ms) or an input: a control message, a ring batch
+//!   and a UDP batch each unpark it, so a cross-shard frame never waits
+//!   out the park.
 //! - **Backpressure, not buffering.** A full ring stalls the producer
 //!   briefly and then aborts the run with a structured
 //!   [`ShardAbort::RingBackpressure`] — the live analogue of the
@@ -57,10 +63,10 @@ use manet_sim::{Command, Event, LinkChange, NodeId, NodeSeed, Protocol, SimConfi
 use crate::codec::WireMsg;
 use crate::runtime::{LiveConfig, LiveOutcome, LiveRuntime};
 use crate::trace::{LiveEventKind, LiveTrace};
-use crate::transport::TransportKind;
+use crate::transport::{Envelope, TransportKind};
 
-use batch::{batch_begin, batch_count, batch_decode, batch_push, batch_seal};
-use node::{ShardNode, WireOut};
+use batch::{batch_begin, batch_count, batch_decode, batch_push, batch_seal, batch_split_last};
+use node::{NetCounts, ShardNode, WireOut};
 use ring::{ring, RingReceiver, RingSender};
 use wheel::Wakeups;
 
@@ -251,12 +257,6 @@ pub(crate) struct ShardShared {
     /// `None` check per frame. The flags publish nothing — a victim learns
     /// of its own crash through its control channel — hence `Relaxed`.
     down: Option<Vec<AtomicBool>>,
-    pub(crate) sent: AtomicU64,
-    pub(crate) delivered: AtomicU64,
-    pub(crate) decode_errors: AtomicU64,
-    pub(crate) send_failures: AtomicU64,
-    pub(crate) retransmissions: AtomicU64,
-    pub(crate) acks_sent: AtomicU64,
     /// Nodes that have finished at least one meal (one-shot early stop).
     pub(crate) ate: AtomicU64,
     /// Raised on abort so every thread winds down promptly.
@@ -275,12 +275,6 @@ impl ShardShared {
         ShardShared {
             origin: Instant::now(),
             down: can_crash.then(|| (0..n).map(|_| AtomicBool::new(false)).collect()),
-            sent: AtomicU64::new(0),
-            delivered: AtomicU64::new(0),
-            decode_errors: AtomicU64::new(0),
-            send_failures: AtomicU64::new(0),
-            retransmissions: AtomicU64::new(0),
-            acks_sent: AtomicU64::new(0),
             ate: AtomicU64::new(0),
             stop: AtomicBool::new(false),
             abort: Mutex::new(None),
@@ -304,6 +298,8 @@ impl ShardShared {
         }
     }
 
+    /// Unpark `shard`'s worker: every input it may be parked on (a control
+    /// message, a ring batch, a UDP batch) is followed by this call.
     fn wake(&self, shard: usize) {
         if let Some(wakers) = self.wakers.get() {
             if let Some(t) = wakers.get(shard) {
@@ -351,6 +347,65 @@ enum Links {
     },
 }
 
+impl Links {
+    /// One endpoint per shard: a ring matrix in-process (rings of
+    /// `ring_capacity` batches), a nonblocking loopback socket per shard on
+    /// UDP.
+    fn build(
+        transport: TransportKind,
+        workers: usize,
+        ring_capacity: usize,
+    ) -> Result<Vec<Links>, String> {
+        Ok(match transport {
+            TransportKind::Mpsc => {
+                let mut txs: Vec<Vec<Option<RingSender<Vec<u8>>>>> = (0..workers)
+                    .map(|_| (0..workers).map(|_| None).collect())
+                    .collect();
+                let mut rxs: Vec<Vec<Option<RingReceiver<Vec<u8>>>>> = (0..workers)
+                    .map(|_| (0..workers).map(|_| None).collect())
+                    .collect();
+                for a in 0..workers {
+                    for b in 0..workers {
+                        if a != b {
+                            let (tx, rx) = ring(ring_capacity);
+                            txs[a][b] = Some(tx);
+                            rxs[b][a] = Some(rx);
+                        }
+                    }
+                }
+                txs.into_iter()
+                    .zip(rxs)
+                    .map(|(tx, rx)| Links::Rings { rx, tx })
+                    .collect()
+            }
+            TransportKind::Udp => {
+                let mut sockets = Vec::with_capacity(workers);
+                let mut addrs = Vec::with_capacity(workers);
+                for s in 0..workers {
+                    let socket = UdpSocket::bind("127.0.0.1:0")
+                        .map_err(|e| format!("failed to bind shard {s} socket: {e}"))?;
+                    socket
+                        .set_nonblocking(true)
+                        .map_err(|e| format!("failed to set shard {s} socket nonblocking: {e}"))?;
+                    addrs.push(
+                        socket
+                            .local_addr()
+                            .map_err(|e| format!("failed to read shard {s} socket addr: {e}"))?,
+                    );
+                    sockets.push(socket);
+                }
+                sockets
+                    .into_iter()
+                    .map(|socket| Links::Udp {
+                        socket,
+                        peers: addrs.clone(),
+                    })
+                    .collect()
+            }
+        })
+    }
+}
+
 /// Keep UDP batch datagrams under the practical payload ceiling.
 const UDP_BATCH_LIMIT: usize = 60_000;
 
@@ -366,41 +421,66 @@ struct WorkerEnv {
     shard_map: Arc<Vec<u32>>,
 }
 
-fn rearm<P>(node: &ShardNode<P>, i: usize, tick_ns: u64, wakeups: &mut Wakeups)
-where
-    P: Protocol,
-    P::Msg: WireMsg,
-{
-    if let Some(at) = node.earliest_deadline_ns() {
-        wakeups.arm(at.div_ceil(tick_ns), i as u32);
-    }
+/// A worker's cross-shard side: one open batch per peer shard, and the
+/// closed batches waiting for the flush.
+struct Outbound {
+    udp: bool,
+    /// Indexed by receiving shard; the own shard's stays empty.
+    open: Vec<Vec<u8>>,
+    ready: Vec<(usize, Vec<u8>)>,
 }
 
-/// Route everything a node call emitted: same-shard envelopes to the
-/// local queue, cross-shard ones into the per-pair batch (splitting
-/// batches that would exceed a UDP datagram into `ready`).
-fn route_sends(
-    wire: &mut WireOut,
-    env: &WorkerEnv,
-    udp: bool,
-    local_q: &mut VecDeque<(NodeId, Vec<u8>)>,
-    out_bufs: &mut [Vec<u8>],
-    ready: &mut Vec<(usize, Vec<u8>)>,
-) {
-    for (to, envelope) in wire.sends.drain(..) {
-        let s = env.shard_map[to.0 as usize] as usize;
-        if s == env.shard as usize {
-            local_q.push_back((to, envelope));
-        } else {
-            if udp
-                && batch_count(&out_bufs[s]) > 0
-                && out_bufs[s].len() + 8 + envelope.len() > UDP_BATCH_LIMIT
-            {
-                let full = std::mem::replace(&mut out_bufs[s], batch_begin(env.shard));
-                ready.push((s, full));
-            }
-            batch_push(&mut out_bufs[s], to, &envelope);
+impl Outbound {
+    fn new(env: &WorkerEnv, udp: bool) -> Outbound {
+        Outbound {
+            udp,
+            open: (0..env.workers).map(|_| batch_begin(env.shard)).collect(),
+            ready: Vec::new(),
         }
+    }
+
+    /// Encode `envelope` for `to` on shard `s` once, straight into the
+    /// pair's batch. On UDP an entry that takes a non-empty batch past a
+    /// datagram's ceiling moves to a batch of its own.
+    fn push<M: WireMsg>(&mut self, s: usize, to: NodeId, envelope: &Envelope<M>) {
+        let open = &mut self.open[s];
+        let at = open.len();
+        batch_push(open, to, |out| envelope.write(out));
+        if self.udp && open.len() > UDP_BATCH_LIMIT && batch_count(open) > 1 {
+            let last = batch_split_last(open, at);
+            self.ready.push((s, std::mem::replace(open, last)));
+        }
+    }
+
+    /// Seal every non-empty batch with `wire`'s clock and send it; each
+    /// sent batch wakes its shard.
+    fn flush<M>(
+        &mut self,
+        wire: &mut WireOut<M>,
+        env: &WorkerEnv,
+        links: &mut Links,
+        shared: &ShardShared,
+    ) -> Result<(), ShardAbort> {
+        for (s, open) in self.open.iter_mut().enumerate() {
+            if batch_count(open) > 0 {
+                let full = std::mem::replace(open, batch_begin(env.shard));
+                self.ready.push((s, full));
+            }
+        }
+        for (s, mut buf) in self.ready.drain(..) {
+            batch_seal(&mut buf, wire.clock.current());
+            match links {
+                Links::Rings { tx, .. } => {
+                    let tx = tx[s].as_ref().expect("ring to a peer shard");
+                    push_with_backpressure(tx, buf, env, s, shared)?;
+                }
+                Links::Udp { socket, peers } => match socket.send_to(&buf, peers[s]) {
+                    Ok(_) => shared.wake(s),
+                    Err(_) => wire.counts.send_failures += u64::from(batch_count(&buf)),
+                },
+            }
+        }
+        Ok(())
     }
 }
 
@@ -439,63 +519,93 @@ fn push_with_backpressure(
     }
 }
 
-/// Seal and transmit every non-empty batch.
-fn flush_batches(
-    wire: &mut WireOut,
-    env: &WorkerEnv,
-    links: &mut Links,
-    out_bufs: &mut [Vec<u8>],
-    ready: &mut Vec<(usize, Vec<u8>)>,
-    shared: &ShardShared,
-) -> Result<(), ShardAbort> {
-    for (s, buf) in out_bufs.iter_mut().enumerate() {
-        if s != env.shard as usize && batch_count(buf) > 0 {
-            let full = std::mem::replace(buf, batch_begin(env.shard));
-            ready.push((s, full));
-        }
-    }
-    for (s, mut buf) in ready.drain(..) {
-        batch_seal(&mut buf, wire.clock.current());
-        match links {
-            Links::Rings { tx, .. } => {
-                let tx = tx[s].as_ref().expect("ring to a peer shard");
-                push_with_backpressure(tx, buf, env, s, shared)?;
-            }
-            Links::Udp { socket, peers } => {
-                if socket.send_to(&buf, peers[s]).is_err() {
-                    shared
-                        .send_failures
-                        .fetch_add(batch_count(&buf) as u64, Ordering::Relaxed);
-                }
-            }
-        }
-    }
-    Ok(())
+/// One worker's nodes and everything they write to.
+struct Worker<P: Protocol> {
+    env: WorkerEnv,
+    nodes: Vec<ShardNode<P>>,
+    wire: WireOut<P::Msg>,
+    wakeups: Wakeups,
+    /// Same-shard envelopes, typed.
+    local_q: VecDeque<(NodeId, Envelope<P::Msg>)>,
+    out: Outbound,
 }
 
-fn worker_main<P>(
-    env: WorkerEnv,
-    mut nodes: Vec<ShardNode<P>>,
-    mut links: Links,
-    ctrl: Receiver<WorkerMsg<P::Msg>>,
-    shared: Arc<ShardShared>,
-) -> Vec<StampedRecord>
+impl<P> Worker<P>
 where
     P: Protocol,
     P::Msg: WireMsg,
 {
-    let udp = matches!(links, Links::Udp { .. });
-    let mut wire = WireOut::new();
-    let mut wakeups = Wakeups::new(nodes.len());
-    let mut local_q: VecDeque<(NodeId, Vec<u8>)> = VecDeque::new();
-    let mut out_bufs: Vec<Vec<u8>> = (0..env.workers).map(|_| batch_begin(env.shard)).collect();
-    let mut ready: Vec<(usize, Vec<u8>)> = Vec::new();
-    let mut inbound: Vec<Vec<u8>> = Vec::new();
+    /// After a call into local node `i`: re-arm its wakeup and route what
+    /// it emitted, a same-shard envelope onto the local queue as it is, a
+    /// cross-shard one into its batch.
+    fn settle(&mut self, i: usize) {
+        if let Some(at) = self.nodes[i].earliest_deadline_ns() {
+            self.wakeups.arm(at.div_ceil(self.env.tick_ns), i as u32);
+        }
+        for (to, envelope) in self.wire.sends.drain(..) {
+            let s = self.env.shard_map[to.index()] as usize;
+            if s == self.env.shard as usize {
+                self.local_q.push_back((to, envelope));
+            } else {
+                self.out.push(s, to, &envelope);
+            }
+        }
+    }
+
+    /// Deliver one inbound cross-shard batch, decoding from `buf` in place.
+    fn take_batch(&mut self, buf: &[u8], shared: &ShardShared) {
+        let Some((_, clock, envelopes)) = batch_decode(buf) else {
+            self.wire.counts.decode_errors += 1;
+            return;
+        };
+        self.wire.clock.witness(clock);
+        for (to, bytes) in envelopes {
+            let i = to.0.wrapping_sub(self.env.base) as usize;
+            if i < self.nodes.len() {
+                self.nodes[i].on_envelope(bytes, &mut self.wire, shared);
+                self.settle(i);
+            }
+        }
+    }
+
+    /// Deliver same-shard envelopes until none is left (chains drain
+    /// within the pass); whether there was any.
+    fn drain_local(&mut self, shared: &ShardShared) -> bool {
+        let busy = !self.local_q.is_empty();
+        while let Some((to, envelope)) = self.local_q.pop_front() {
+            let i = (to.0 - self.env.base) as usize;
+            self.nodes[i].receive(envelope, &mut self.wire, shared);
+            self.settle(i);
+        }
+        busy
+    }
+}
+
+fn worker_main<P>(
+    env: WorkerEnv,
+    nodes: Vec<ShardNode<P>>,
+    mut links: Links,
+    ctrl: Receiver<WorkerMsg<P::Msg>>,
+    shared: Arc<ShardShared>,
+) -> WireOut<P::Msg>
+where
+    P: Protocol,
+    P::Msg: WireMsg,
+{
+    let out = Outbound::new(&env, matches!(links, Links::Udp { .. }));
+    let mut w = Worker {
+        wakeups: Wakeups::new(nodes.len()),
+        nodes,
+        env,
+        wire: WireOut::new(),
+        local_q: VecDeque::new(),
+        out,
+    };
     let mut due: Vec<u32> = Vec::new();
     let mut rx_buf = vec![0u8; 65_535];
 
-    for (i, node) in nodes.iter().enumerate() {
-        rearm(node, i, env.tick_ns, &mut wakeups);
+    for i in 0..w.nodes.len() {
+        w.settle(i);
     }
 
     'run: loop {
@@ -506,23 +616,15 @@ where
             match ctrl.try_recv() {
                 Ok(WorkerMsg::Node { clock, node, ctrl }) => {
                     busy = true;
-                    wire.clock.witness(clock);
-                    let i = (node.0 - env.base) as usize;
-                    nodes[i].handle_ctrl(ctrl, &mut wire, &shared);
-                    rearm(&nodes[i], i, env.tick_ns, &mut wakeups);
-                    route_sends(
-                        &mut wire,
-                        &env,
-                        udp,
-                        &mut local_q,
-                        &mut out_bufs,
-                        &mut ready,
-                    );
+                    w.wire.clock.witness(clock);
+                    let i = (node.0 - w.env.base) as usize;
+                    w.nodes[i].handle_ctrl(ctrl, &mut w.wire, &shared);
+                    w.settle(i);
                 }
                 Ok(WorkerMsg::Shutdown { clock }) => {
-                    wire.clock.witness(clock);
-                    for node in &mut nodes {
-                        node.emit_net_stats(&mut wire, &shared);
+                    w.wire.clock.witness(clock);
+                    for node in &mut w.nodes {
+                        node.emit_net_stats(&mut w.wire, &shared);
                     }
                     break 'run;
                 }
@@ -532,107 +634,41 @@ where
         }
 
         // 2. Inbound cross-shard batches.
-        inbound.clear();
-        match &mut links {
+        match &links {
             Links::Rings { rx, .. } => {
                 for r in rx.iter().flatten() {
                     while let Some(buf) = r.try_pop() {
-                        inbound.push(buf);
+                        busy = true;
+                        w.take_batch(&buf, &shared);
                     }
                 }
             }
             Links::Udp { socket, .. } => {
                 while let Ok((len, _)) = socket.recv_from(&mut rx_buf) {
-                    inbound.push(rx_buf[..len].to_vec());
+                    busy = true;
+                    w.take_batch(&rx_buf[..len], &shared);
                 }
             }
         }
-        for buf in inbound.drain(..) {
-            busy = true;
-            match batch_decode(&buf) {
-                Some((_, clock, envelopes)) => {
-                    wire.clock.witness(clock);
-                    for (to, envelope) in envelopes {
-                        let i = to.0.wrapping_sub(env.base) as usize;
-                        if i < nodes.len() {
-                            nodes[i].on_envelope(envelope, &mut wire, &shared);
-                            rearm(&nodes[i], i, env.tick_ns, &mut wakeups);
-                        }
-                    }
-                }
-                None => {
-                    shared.decode_errors.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            route_sends(
-                &mut wire,
-                &env,
-                udp,
-                &mut local_q,
-                &mut out_bufs,
-                &mut ready,
-            );
-        }
 
-        // 3. Same-shard deliveries (chains drain within the pass).
-        while let Some((to, envelope)) = local_q.pop_front() {
-            busy = true;
-            let i = (to.0 - env.base) as usize;
-            nodes[i].on_envelope(&envelope, &mut wire, &shared);
-            rearm(&nodes[i], i, env.tick_ns, &mut wakeups);
-            route_sends(
-                &mut wire,
-                &env,
-                udp,
-                &mut local_q,
-                &mut out_bufs,
-                &mut ready,
-            );
-        }
+        // 3. Same-shard deliveries.
+        busy |= w.drain_local(&shared);
 
-        // 4. Due wakeups from the wheel.
-        let now_tick = shared.now_ns() / env.tick_ns;
+        // 4. Due wakeups from the wheel, then the same-shard traffic they
+        // enqueued, rather than sleeping on it.
+        let now_tick = shared.now_ns() / w.env.tick_ns;
         due.clear();
-        wakeups.drain_due(now_tick, &mut due);
+        w.wakeups.drain_due(now_tick, &mut due);
         for &i in &due {
             let i = i as usize;
-            nodes[i].tick(&mut wire, &shared);
-            rearm(&nodes[i], i, env.tick_ns, &mut wakeups);
-            route_sends(
-                &mut wire,
-                &env,
-                udp,
-                &mut local_q,
-                &mut out_bufs,
-                &mut ready,
-            );
+            w.nodes[i].tick(&mut w.wire, &shared);
+            w.settle(i);
             busy = true;
         }
-        // Wakeups can enqueue same-shard traffic; drain it now rather
-        // than sleeping on it.
-        while let Some((to, envelope)) = local_q.pop_front() {
-            let i = (to.0 - env.base) as usize;
-            nodes[i].on_envelope(&envelope, &mut wire, &shared);
-            rearm(&nodes[i], i, env.tick_ns, &mut wakeups);
-            route_sends(
-                &mut wire,
-                &env,
-                udp,
-                &mut local_q,
-                &mut out_bufs,
-                &mut ready,
-            );
-        }
+        w.drain_local(&shared);
 
         // 5. Flush cross-shard batches (one buffer per shard pair).
-        if let Err(abort) = flush_batches(
-            &mut wire,
-            &env,
-            &mut links,
-            &mut out_bufs,
-            &mut ready,
-            &shared,
-        ) {
+        if let Err(abort) = w.out.flush(&mut w.wire, &w.env, &mut links, &shared) {
             *shared.abort.lock().expect("abort slot") = Some(abort);
             shared.stop.store(true, Ordering::Relaxed);
             break 'run;
@@ -645,18 +681,20 @@ where
             continue;
         }
 
-        // 6. Sleep until the next deadline (or an unpark).
+        // 6. Park until the next deadline or an input's unpark; the 1 ms
+        // cap is the fallback.
         if !busy {
             let now_ns = shared.now_ns();
-            let sleep_ns = wakeups
+            let sleep_ns = w
+                .wakeups
                 .next_tick()
-                .map(|t| t.saturating_mul(env.tick_ns).saturating_sub(now_ns))
+                .map(|t| t.saturating_mul(w.env.tick_ns).saturating_sub(now_ns))
                 .unwrap_or(1_000_000)
                 .clamp(50_000, 1_000_000);
             thread::park_timeout(Duration::from_nanos(sleep_ns));
         }
     }
-    wire.records
+    w.wire
 }
 
 /// The calling thread's side of a run: it executes the command timeline
@@ -804,57 +842,7 @@ where
     let crashes = cfg.schedules(|cmd| matches!(cmd, Command::Crash(_)));
     let shared = Arc::new(ShardShared::new(n, crashes));
 
-    // Transport endpoints: a ring matrix in-process, a socket per shard
-    // on UDP.
-    let mut links: Vec<Option<Links>> = match cfg.transport {
-        TransportKind::Mpsc => {
-            let mut txs: Vec<Vec<Option<RingSender<Vec<u8>>>>> = (0..workers)
-                .map(|_| (0..workers).map(|_| None).collect())
-                .collect();
-            let mut rxs: Vec<Vec<Option<RingReceiver<Vec<u8>>>>> = (0..workers)
-                .map(|_| (0..workers).map(|_| None).collect())
-                .collect();
-            for a in 0..workers {
-                for b in 0..workers {
-                    if a != b {
-                        let (tx, rx) = ring(tuning.ring_capacity);
-                        txs[a][b] = Some(tx);
-                        rxs[b][a] = Some(rx);
-                    }
-                }
-            }
-            txs.into_iter()
-                .zip(rxs)
-                .map(|(tx, rx)| Some(Links::Rings { rx, tx }))
-                .collect()
-        }
-        TransportKind::Udp => {
-            let mut sockets = Vec::with_capacity(workers);
-            let mut addrs = Vec::with_capacity(workers);
-            for s in 0..workers {
-                let socket = UdpSocket::bind("127.0.0.1:0")
-                    .map_err(|e| format!("failed to bind shard {s} socket: {e}"))?;
-                socket
-                    .set_nonblocking(true)
-                    .map_err(|e| format!("failed to set shard {s} socket nonblocking: {e}"))?;
-                addrs.push(
-                    socket
-                        .local_addr()
-                        .map_err(|e| format!("failed to read shard {s} socket addr: {e}"))?,
-                );
-                sockets.push(socket);
-            }
-            sockets
-                .into_iter()
-                .map(|socket| {
-                    Some(Links::Udp {
-                        socket,
-                        peers: addrs.clone(),
-                    })
-                })
-                .collect()
-        }
-    };
+    let mut links = Links::build(cfg.transport, workers, tuning.ring_capacity)?.into_iter();
 
     // Build every automaton (and the recovery spares) on this thread —
     // the factory is not shared with workers.
@@ -905,7 +893,7 @@ where
             ring_capacity: tuning.ring_capacity,
             shard_map: shard_map.clone(),
         };
-        let my_links = links[s].take().expect("links built per shard");
+        let my_links = links.next().expect("links built per shard");
         let (ctx, crx) = channel();
         ctrls.push(ctx);
         let sh = shared.clone();
@@ -978,13 +966,15 @@ where
         shared.wake(s);
     }
     let mut streams: Vec<Vec<StampedRecord>> = Vec::with_capacity(workers + 1);
+    let mut counts = NetCounts::default();
     let mut threads_joined = 0;
     for (s, h) in handles.into_iter().enumerate() {
-        let recs = h
+        let wire = h
             .join()
             .map_err(|_| format!("shard worker {s} panicked during the live run"))?;
         threads_joined += starts[s + 1] - starts[s];
-        streams.push(recs);
+        counts += wire.counts;
+        streams.push(wire.records);
     }
     if let Some(abort) = shared.abort.lock().expect("abort slot").take() {
         return Err(format!("sharded runtime aborted: {abort}"));
@@ -1000,12 +990,12 @@ where
         meals: audit.meals,
         latencies_ns: audit.latencies_ns,
         violations: audit.violations,
-        messages_sent: shared.sent.load(Ordering::Relaxed),
-        messages_delivered: shared.delivered.load(Ordering::Relaxed),
-        decode_errors: shared.decode_errors.load(Ordering::Relaxed),
-        send_failures: shared.send_failures.load(Ordering::Relaxed),
-        retransmissions: shared.retransmissions.load(Ordering::Relaxed),
-        acks_sent: shared.acks_sent.load(Ordering::Relaxed),
+        messages_sent: counts.sent,
+        messages_delivered: counts.delivered,
+        decode_errors: counts.decode_errors,
+        send_failures: counts.send_failures,
+        retransmissions: counts.retransmissions,
+        acks_sent: counts.acks_sent,
         recoveries: driver.recoveries,
         elapsed_ms,
         verdict_ms,
@@ -1082,6 +1072,46 @@ mod tests {
             .iter()
             .any(|r| matches!(r.kind, LiveEventKind::Crash { node } if node == NodeId(0)));
         assert!(crashed, "the crash itself must still execute");
+    }
+
+    #[test]
+    fn a_sent_batch_wakes_its_receiver_on_either_transport() {
+        for transport in [TransportKind::Mpsc, TransportKind::Udp] {
+            let shared = ShardShared::new(2, false);
+            let _ = shared.wakers.set(vec![thread::current(); 2]);
+            let mut links = Links::build(transport, 2, 4).expect("links");
+            let env = WorkerEnv {
+                shard: 0,
+                base: 0,
+                workers: 2,
+                tick_ns: 100_000,
+                backpressure_wait_ms: 0,
+                ring_capacity: 4,
+                shard_map: Arc::new(vec![0, 1]),
+            };
+            let mut out = Outbound::new(&env, transport == TransportKind::Udp);
+            let mut wire = WireOut::<local_mutex::A2Msg>::new();
+            let envelope = Envelope {
+                from: NodeId(0),
+                seq: 1,
+                ack: 0,
+                sent_ns: 0,
+                msg: Some(local_mutex::A2Msg::Req),
+            };
+            out.push(1, NodeId(1), &envelope);
+            // Spend any unpark token left over, so only the flush's counts.
+            thread::park_timeout(Duration::ZERO);
+            out.flush(&mut wire, &env, &mut links[0], &shared)
+                .expect("one batch fits");
+            assert_eq!(wire.counts.send_failures, 0);
+            let parked = Instant::now();
+            thread::park_timeout(Duration::from_secs(5));
+            let woke = parked.elapsed();
+            assert!(
+                woke < Duration::from_secs(1),
+                "{transport:?}: the receiver slept {woke:?} on a sent batch"
+            );
+        }
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! workload clocked by a per-node [`SimRng`], and, under
 //! `LiveConfig::reliable`, one go-back-N state machine per neighbour
 //! ([`manet_sim::arq::GoBackN`] — the machine the engine hosts, here over
-//! encoded frames and wall nanoseconds, with jitter from the node's own
-//! stream). It has no thread, clock or socket of its own: the
+//! the protocol's own messages and wall nanoseconds, with jitter from the
+//! node's own stream). It has no thread, clock or socket of its own: the
 //! worker calls in with a control event, an envelope or a due wakeup,
 //! records come back stamped by the shard's hybrid clock, outbound
 //! envelopes land in the worker's routing buffer, and every deadline —
@@ -14,8 +14,15 @@
 //! is reported through [`ShardNode::earliest_deadline_ns`] for the
 //! worker's timing wheel. Wall time divided by `tick_ns` plays the role
 //! of virtual time in the `Context` handed to the automaton.
+//!
+//! A node never sees bytes on its way out: it emits typed
+//! [`Envelope`]s, and the worker encodes only those bound for another
+//! shard. On the way in, [`ShardNode::on_envelope`] decodes a
+//! cross-shard envelope and hands it to [`ShardNode::receive`], the one
+//! receive path, which same-shard envelopes enter directly.
 
 use std::collections::HashMap;
+use std::ops::AddAssign;
 use std::sync::atomic::Ordering;
 
 use manet_sim::arq::{ArqTiming, GoBackN, Rto};
@@ -23,30 +30,55 @@ use manet_sim::{Context, DiningState, Event, NodeId, Protocol, SimConfig, SimRng
 
 use super::clock::{HybridClock, StampedRecord};
 use super::{Ctrl, ShardShared};
-use crate::codec::{decode_frame, encode_frame, WireMsg};
+use crate::codec::WireMsg;
 use crate::runtime::LiveConfig;
 use crate::trace::LiveEventKind;
-use crate::transport::{decode_envelope, encode_envelope, ENV_ACK, ENV_DATA};
+use crate::transport::Envelope;
 
-/// The worker-owned output side of every node call: the shard clock,
-/// the stamped record stream, and the routing buffer for outbound
-/// envelopes. Owned by the worker (not the node) so one borrow serves
-/// every node in the shard.
-pub(crate) struct WireOut {
-    pub(crate) clock: HybridClock,
-    pub(crate) records: Vec<StampedRecord>,
-    /// `(to, envelope)` pairs the worker routes after the call — into
-    /// the local queue for same-shard peers, into a per-shard-pair
-    /// batch otherwise.
-    pub(crate) sends: Vec<(NodeId, Vec<u8>)>,
+/// A worker's data-plane counters, summed over the workers once they
+/// exit: no frame pays for a shared atomic.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct NetCounts {
+    pub(crate) sent: u64,
+    pub(crate) delivered: u64,
+    pub(crate) decode_errors: u64,
+    pub(crate) send_failures: u64,
+    pub(crate) retransmissions: u64,
+    pub(crate) acks_sent: u64,
 }
 
-impl WireOut {
-    pub(crate) fn new() -> WireOut {
+impl AddAssign for NetCounts {
+    fn add_assign(&mut self, o: NetCounts) {
+        self.sent += o.sent;
+        self.delivered += o.delivered;
+        self.decode_errors += o.decode_errors;
+        self.send_failures += o.send_failures;
+        self.retransmissions += o.retransmissions;
+        self.acks_sent += o.acks_sent;
+    }
+}
+
+/// The worker-owned output side of every node call: the shard clock,
+/// the stamped record stream, the routing buffer for outbound
+/// envelopes and the worker's counters. Owned by the worker (not the
+/// node) so one borrow serves every node in the shard.
+pub(crate) struct WireOut<M> {
+    pub(crate) clock: HybridClock,
+    pub(crate) records: Vec<StampedRecord>,
+    /// `(to, envelope)` pairs the worker routes after the call — as they
+    /// are into the local queue for same-shard peers, encoded into a
+    /// per-shard-pair batch otherwise.
+    pub(crate) sends: Vec<(NodeId, Envelope<M>)>,
+    pub(crate) counts: NetCounts,
+}
+
+impl<M> WireOut<M> {
+    pub(crate) fn new() -> WireOut<M> {
         WireOut {
             clock: HybridClock::new(),
             records: Vec::new(),
             sends: Vec::new(),
+            counts: NetCounts::default(),
         }
     }
 }
@@ -85,11 +117,12 @@ pub(crate) struct ShardNode<P: Protocol> {
     /// The shim's timeouts from ν in wall nanoseconds when it is armed
     /// (`LiveConfig::reliable`), `None` when it is off.
     arq_timing: Option<ArqTiming>,
-    /// Per-peer go-back-N state over encoded frames, created on first use
-    /// and dropped when the link resets; always empty with the shim off.
-    arq: HashMap<u32, GoBackN<Vec<u8>>>,
+    /// Per-peer go-back-N state over the protocol's messages, created on
+    /// first use and dropped when the link resets; always empty with the
+    /// shim off.
+    arq: HashMap<u32, GoBackN<P::Msg>>,
     // Per-node counters behind the shutdown NetStats record. A failed
-    // send is counted per shard batch (`flush_batches`), not per node.
+    // send is counted per shard batch (`Outbound::flush`), not per node.
     n_decode_errors: u64,
     n_retransmissions: u64,
     n_acks_sent: u64,
@@ -150,7 +183,7 @@ where
         }
     }
 
-    fn record(&self, kind: LiveEventKind, wire: &mut WireOut, shared: &ShardShared) {
+    fn record(&self, kind: LiveEventKind, wire: &mut WireOut<P::Msg>, shared: &ShardShared) {
         let at_ns = shared.now_ns();
         let clock = wire.clock.stamp(at_ns / self.tick_ns);
         wire.records.push(StampedRecord { clock, at_ns, kind });
@@ -158,7 +191,7 @@ where
 
     /// Feed one event to the automaton, flush what it emitted, and do
     /// the workload bookkeeping for any dining transition.
-    fn apply(&mut self, ev: Event<P::Msg>, wire: &mut WireOut, shared: &ShardShared) {
+    fn apply(&mut self, ev: Event<P::Msg>, wire: &mut WireOut<P::Msg>, shared: &ShardShared) {
         let now = shared.now_ns();
         {
             let mut ctx = Context::for_host(
@@ -235,7 +268,13 @@ where
         self.rng.gen_range(lo..=hi)
     }
 
-    fn transmit(&mut self, to: NodeId, msg: P::Msg, wire: &mut WireOut, shared: &ShardShared) {
+    fn transmit(
+        &mut self,
+        to: NodeId,
+        msg: P::Msg,
+        wire: &mut WireOut<P::Msg>,
+        shared: &ShardShared,
+    ) {
         if self.crashed || to == self.me || self.neighbors.binary_search(&to).is_err() {
             return;
         }
@@ -244,12 +283,11 @@ where
             // like the engine's `dropped_at_send`.
             return;
         }
-        let frame = encode_frame(&msg);
         let now = shared.now_ns();
         let (seq, ack) = match self.arq_timing {
             Some(timing) => {
                 let link = self.arq.entry(to.0).or_default();
-                let (seq, _) = link.send(now, frame.clone(), timing, &mut self.rng);
+                let (seq, _) = link.send(now, msg.clone(), timing, &mut self.rng);
                 (seq, link.take_ack())
             }
             None => {
@@ -258,9 +296,15 @@ where
                 (*seq, 0)
             }
         };
-        let env = encode_envelope(self.me, ENV_DATA, seq, ack, now, &frame);
-        wire.sends.push((to, env));
-        shared.sent.fetch_add(1, Ordering::Relaxed);
+        let envelope = Envelope {
+            from: self.me,
+            seq,
+            ack,
+            sent_ns: now,
+            msg: Some(msg),
+        };
+        wire.sends.push((to, envelope));
+        wire.counts.sent += 1;
     }
 
     /// Fire the due retransmission and idle-ack timers of every link.
@@ -268,7 +312,7 @@ where
     /// neighbour) the timers still run but nothing goes on the wire: a
     /// dark retransmission backs off without consuming the owed ack, a
     /// dark idle-ack forgets the debt.
-    fn fire_arq(&mut self, now: u64, wire: &mut WireOut, shared: &ShardShared) {
+    fn fire_arq(&mut self, now: u64, wire: &mut WireOut<P::Msg>, shared: &ShardShared) {
         let Some(timing) = self.arq_timing else {
             return;
         };
@@ -284,10 +328,17 @@ where
                 let verdict = link.on_rto(now, timing, &mut self.rng);
                 if !dark && matches!(verdict, Rto::Resend { .. }) {
                     let ack = link.take_ack();
-                    for (seq, frame) in link.unacked() {
+                    for (seq, msg) in link.unacked() {
                         resent += 1;
-                        wire.sends
-                            .push((peer, encode_envelope(me, ENV_DATA, seq, ack, now, frame)));
+                        let msg = Some(msg.clone());
+                        let envelope = Envelope {
+                            from: me,
+                            seq,
+                            ack,
+                            sent_ns: now,
+                            msg,
+                        };
+                        wire.sends.push((peer, envelope));
                     }
                 }
             }
@@ -295,17 +346,21 @@ where
                 let owed = link.on_ack_idle();
                 if let (Some(ack), false) = (owed, dark) {
                     acks += 1;
-                    wire.sends
-                        .push((peer, encode_envelope(me, ENV_ACK, 0, ack, now, b"")));
+                    let envelope = Envelope {
+                        from: me,
+                        seq: 0,
+                        ack,
+                        sent_ns: now,
+                        msg: None,
+                    };
+                    wire.sends.push((peer, envelope));
                 }
             }
         }
-        if resent + acks > 0 {
-            self.n_retransmissions += resent;
-            self.n_acks_sent += acks;
-            shared.retransmissions.fetch_add(resent, Ordering::Relaxed);
-            shared.acks_sent.fetch_add(acks, Ordering::Relaxed);
-        }
+        self.n_retransmissions += resent;
+        self.n_acks_sent += acks;
+        wire.counts.retransmissions += resent;
+        wire.counts.acks_sent += acks;
     }
 
     /// The link to `peer` flapped: a new incarnation owes nothing to the
@@ -319,7 +374,7 @@ where
     pub(crate) fn handle_ctrl(
         &mut self,
         ctrl: Ctrl<P::Msg>,
-        wire: &mut WireOut,
+        wire: &mut WireOut<P::Msg>,
         shared: &ShardShared,
     ) {
         match ctrl {
@@ -380,7 +435,7 @@ where
     }
 
     /// Fire every due workload deadline and timer.
-    pub(crate) fn tick(&mut self, wire: &mut WireOut, shared: &ShardShared) {
+    pub(crate) fn tick(&mut self, wire: &mut WireOut<P::Msg>, shared: &ShardShared) {
         if self.crashed {
             return;
         }
@@ -422,75 +477,80 @@ where
             .min()
     }
 
-    fn count_decode_error(&mut self, shared: &ShardShared) {
-        self.n_decode_errors += 1;
-        shared.decode_errors.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Process one envelope from the data plane.
-    pub(crate) fn on_envelope(&mut self, env: &[u8], wire: &mut WireOut, shared: &ShardShared) {
+    /// Decode one cross-shard envelope and [`receive`](Self::receive) it.
+    pub(crate) fn on_envelope(
+        &mut self,
+        bytes: &[u8],
+        wire: &mut WireOut<P::Msg>,
+        shared: &ShardShared,
+    ) {
         if self.crashed {
             return;
         }
-        let (from, env_kind, seq, ack, sent_ns, frame) = match decode_envelope(env) {
-            Ok(parts) => parts,
+        match Envelope::decode(bytes) {
+            Ok(envelope) => self.receive(envelope, wire, shared),
             Err(_) => {
-                self.count_decode_error(shared);
-                return;
+                self.n_decode_errors += 1;
+                wire.counts.decode_errors += 1;
             }
-        };
+        }
+    }
+
+    /// Process one envelope from the data plane, whichever route it came
+    /// by.
+    pub(crate) fn receive(
+        &mut self,
+        envelope: Envelope<P::Msg>,
+        wire: &mut WireOut<P::Msg>,
+        shared: &ShardShared,
+    ) {
+        let Envelope {
+            from,
+            seq,
+            ack,
+            sent_ns,
+            msg,
+        } = envelope;
         // In-flight losses: traffic from a peer that is no longer a
         // neighbor (the link died under the message) or across a severed
         // link is dropped before the protocol sees it, like the engine's
         // `dropped_in_flight`.
-        if self.neighbors.binary_search(&from).is_err() || shared.severed(from, self.me) {
+        if self.crashed
+            || self.neighbors.binary_search(&from).is_err()
+            || shared.severed(from, self.me)
+        {
             return;
         }
-        let is_data = match env_kind {
-            ENV_DATA => true,
-            ENV_ACK => false,
-            _ => {
-                self.count_decode_error(shared);
-                return;
-            }
-        };
         if let Some(timing) = self.arq_timing {
             let now = shared.now_ns();
             let link = self.arq.entry(from.0).or_default();
             link.on_ack(now, ack, timing, &mut self.rng);
-            if is_data && !link.on_data(now, seq, timing).0 {
+            if msg.is_some() && !link.on_data(now, seq, timing).0 {
                 return;
             }
         }
-        if !is_data {
-            // A standalone ack carries no frame; with the shim off a
-            // stray one is dropped, not an error.
+        // A standalone ack carries no message; with the shim off a stray
+        // one is dropped, not an error.
+        let Some(msg) = msg else {
             return;
-        }
-        match decode_frame::<P::Msg>(frame) {
-            Ok(msg) => {
-                let latency_ns = shared.now_ns().saturating_sub(sent_ns);
-                self.record(
-                    LiveEventKind::Deliver {
-                        from,
-                        to: self.me,
-                        seq,
-                        latency_ns: saturate(latency_ns),
-                    },
-                    wire,
-                    shared,
-                );
-                shared.delivered.fetch_add(1, Ordering::Relaxed);
-                self.apply(Event::Message { from, msg }, wire, shared);
-            }
-            Err(_) => {
-                self.count_decode_error(shared);
-            }
-        }
+        };
+        let latency_ns = shared.now_ns().saturating_sub(sent_ns);
+        self.record(
+            LiveEventKind::Deliver {
+                from,
+                to: self.me,
+                seq,
+                latency_ns: saturate(latency_ns),
+            },
+            wire,
+            shared,
+        );
+        wire.counts.delivered += 1;
+        self.apply(Event::Message { from, msg }, wire, shared);
     }
 
     /// Emit the shutdown `NetStats` record.
-    pub(crate) fn emit_net_stats(&mut self, wire: &mut WireOut, shared: &ShardShared) {
+    pub(crate) fn emit_net_stats(&mut self, wire: &mut WireOut<P::Msg>, shared: &ShardShared) {
         self.record(
             LiveEventKind::NetStats {
                 node: self.me,
@@ -512,16 +572,17 @@ fn saturate(x: u64) -> u32 {
 
 #[cfg(test)]
 mod tests {
+    use super::super::batch::{batch_begin, batch_decode, batch_push};
     use super::*;
-    use crate::transport::TransportKind;
+    use crate::transport::{decode_envelope, TransportKind, ENV_ACK, ENV_DATA};
     use harness::AlgKind;
-    use local_mutex::Algorithm2;
+    use local_mutex::{A2Msg, Algorithm2};
     use manet_sim::{LinkUpKind, NodeSeed};
 
     const PEER: NodeId = NodeId(1);
 
     /// Node 0 of a two-node line, due to go hungry on its first tick.
-    fn node0(reliable: bool) -> (ShardNode<Algorithm2>, WireOut, ShardShared) {
+    fn node0(reliable: bool) -> (ShardNode<Algorithm2>, WireOut<A2Msg>, ShardShared) {
         let mut cfg = LiveConfig::new(
             AlgKind::A2,
             TransportKind::Mpsc,
@@ -540,24 +601,56 @@ mod tests {
         (node, WireOut::new(), ShardShared::new(2, true))
     }
 
-    /// `(kind, seq)` of every envelope queued for the wire, draining it.
-    fn sent(wire: &mut WireOut) -> Vec<(u8, u64)> {
-        wire.sends
-            .drain(..)
-            .map(|(to, env)| {
-                assert_eq!(to, PEER);
-                let (_, kind, seq, ..) = decode_envelope(&env).expect("own envelope");
-                (kind, seq)
-            })
-            .collect()
+    /// How the peer gets node 0's envelopes: handed over as they are
+    /// (same shard), or written into a batch and decoded (cross-shard).
+    #[derive(Clone, Copy, Debug)]
+    enum Route {
+        Typed,
+        Encoded,
+    }
+
+    /// `(kind, seq)` of every envelope queued for the wire, as the peer
+    /// reads it on `route`, draining the queue.
+    fn sent(wire: &mut WireOut<A2Msg>, route: Route) -> Vec<(u8, u64)> {
+        let sends: Vec<_> = wire.sends.drain(..).collect();
+        assert!(sends.iter().all(|&(to, _)| to == PEER));
+        match route {
+            Route::Typed => sends
+                .into_iter()
+                .map(|(_, env)| {
+                    let kind = if env.msg.is_some() { ENV_DATA } else { ENV_ACK };
+                    (kind, env.seq)
+                })
+                .collect(),
+            Route::Encoded => {
+                let mut batch = batch_begin(0);
+                for (to, env) in &sends {
+                    batch_push(&mut batch, *to, |out| env.write(out));
+                }
+                let (_, _, entries) = batch_decode(&batch).expect("own batch");
+                assert_eq!(entries.len(), sends.len());
+                entries
+                    .into_iter()
+                    .zip(&sends)
+                    .map(|((_, bytes), (_, env))| {
+                        assert_eq!(Envelope::decode(bytes).as_ref(), Ok(env));
+                        let (_, kind, seq, ..) = decode_envelope(bytes).expect("own envelope");
+                        (kind, seq)
+                    })
+                    .collect()
+            }
+        }
     }
 
     #[test]
     fn each_link_incarnation_numbers_its_envelopes_from_one() {
-        for reliable in [false, true] {
+        for (reliable, route) in [false, true]
+            .into_iter()
+            .flat_map(|reliable| [Route::Typed, Route::Encoded].map(|route| (reliable, route)))
+        {
             let (mut node, mut wire, shared) = node0(reliable);
             node.tick(&mut wire, &shared);
-            let first = sent(&mut wire);
+            let first = sent(&mut wire, route);
             assert!(!first.is_empty(), "a hungry node announces itself");
             let numbered = (1..).map(|seq| (ENV_DATA, seq));
             assert!(first.iter().copied().eq(numbered.take(first.len())));
@@ -570,33 +663,43 @@ mod tests {
                 &mut wire,
                 &shared,
             );
-            let after = sent(&mut wire);
+            let after = sent(&mut wire, route);
             assert_eq!(
                 after.first(),
                 Some(&(ENV_DATA, 1)),
-                "reliable {reliable}: a reconnect restarts at 1, got {after:?}"
+                "reliable {reliable}, {route:?}: a reconnect restarts at 1, got {after:?}"
             );
         }
     }
 
     #[test]
     fn a_dark_path_lets_the_timers_run_but_puts_nothing_on_the_wire() {
-        let (mut node, mut wire, shared) = node0(true);
-        node.tick(&mut wire, &shared);
-        let buffered = sent(&mut wire);
-        let rto = node.arq[&PEER.0].rto_at().expect("frames in flight");
+        for route in [Route::Typed, Route::Encoded] {
+            let (mut node, mut wire, shared) = node0(true);
+            node.tick(&mut wire, &shared);
+            let buffered = sent(&mut wire, route);
+            let rto = node.arq[&PEER.0].rto_at().expect("frames in flight");
 
-        shared.set_down(PEER, true);
-        node.fire_arq(rto, &mut wire, &shared);
-        assert_eq!(sent(&mut wire), vec![], "nothing crosses a dark path");
-        let link = &node.arq[&PEER.0];
-        assert_eq!(link.in_flight(), buffered.len(), "still buffered");
-        let backed_off = link.rto_at().expect("still armed");
-        assert!(backed_off - rto >= 4_000_000, "doubled to 4ν = 4 ms");
+            shared.set_down(PEER, true);
+            node.fire_arq(rto, &mut wire, &shared);
+            assert_eq!(
+                sent(&mut wire, route),
+                vec![],
+                "nothing crosses a dark path"
+            );
+            let link = &node.arq[&PEER.0];
+            assert_eq!(link.in_flight(), buffered.len(), "still buffered");
+            let backed_off = link.rto_at().expect("still armed");
+            assert!(backed_off - rto >= 4_000_000, "doubled to 4ν = 4 ms");
 
-        shared.set_down(PEER, false);
-        node.fire_arq(backed_off, &mut wire, &shared);
-        assert_eq!(sent(&mut wire), buffered, "resent once the path is lit");
-        assert_eq!(node.n_retransmissions, buffered.len() as u64);
+            shared.set_down(PEER, false);
+            node.fire_arq(backed_off, &mut wire, &shared);
+            assert_eq!(
+                sent(&mut wire, route),
+                buffered,
+                "{route:?}: resent once the path is lit"
+            );
+            assert_eq!(node.n_retransmissions, buffered.len() as u64);
+        }
     }
 }
