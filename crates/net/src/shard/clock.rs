@@ -18,7 +18,7 @@
 //! counter (wall-time placement of *concurrent* records) and why the
 //! safety verdict does not depend on it.
 
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::trace::{LiveEventKind, LiveRecord};
 
@@ -86,7 +86,12 @@ const _: () = assert!(std::mem::size_of::<StampedRecord>() == 40);
 /// the output, so each stream gives its memory back as it drains (shrunk
 /// whenever a 32nd of its capacity is free) while the output fills in
 /// from its end, and the trace is never held twice: the peak is the
-/// records plus a 32nd of each stream.
+/// records plus a 32nd of each stream. The tails' keys are kept in a
+/// small array sorted largest first, not in a heap: the shards' stamps run
+/// far ahead of the wall tick, so the streams interleave finely and nearly
+/// every record ends a run; a run's new tail then sinks by a short scan
+/// down at most k ≤ 17 keys (the shards plus the driver) where a heap
+/// would pay a pop and a push.
 pub fn merge_stamped(mut streams: Vec<Vec<StampedRecord>>) -> Vec<LiveRecord> {
     for stream in &mut streams {
         let mut max = 0;
@@ -103,15 +108,14 @@ pub fn merge_stamped(mut streams: Vec<Vec<StampedRecord>>) -> Vec<LiveRecord> {
     // Filled from the back, exactly to capacity, so it ends contiguous
     // from the start of its buffer and converts to a `Vec` without a move.
     let mut out = VecDeque::with_capacity(total);
-    // Max-heap of the tails' `(clock, stream)`; a popped stream keeps the
-    // lead for as long as its tail stays above the next best tail.
-    let mut heap: BinaryHeap<(u64, usize)> = streams
-        .iter()
-        .enumerate()
-        .filter_map(|(s, stream)| Some((stream.last()?.clock, s)))
+    // The tails' `(clock, stream)`, largest first: the front stream keeps
+    // the lead for as long as its tail stays above the next one's.
+    let mut tails: Vec<_> = (0..streams.len())
+        .filter_map(|s| Some((streams[s].last()?.clock, s)))
         .collect();
-    while let Some((_, s)) = heap.pop() {
-        let rival = heap.peek().copied();
+    tails.sort_unstable_by(|a, b| b.cmp(a));
+    while let Some(&(_, s)) = tails.first() {
+        let rival = tails.get(1).copied();
         let stream = &mut streams[s];
         while let Some(rec) = stream.pop_if(|r| rival.is_none_or(|k| (r.clock, s) > k)) {
             out.push_front(LiveRecord {
@@ -123,9 +127,18 @@ pub fn merge_stamped(mut streams: Vec<Vec<StampedRecord>>) -> Vec<LiveRecord> {
                 stream.shrink_to_fit();
             }
         }
-        if let Some(tail) = stream.last() {
-            heap.push((tail.clock, s));
+        // The leader's new tail sinks to its place; a drained stream leaves.
+        let Some(tail) = stream.last() else {
+            tails.remove(0);
+            continue;
+        };
+        let key = (tail.clock, s);
+        let mut at = 0;
+        while tails.get(at + 1).is_some_and(|&next| next > key) {
+            tails[at] = tails[at + 1];
+            at += 1;
         }
+        tails[at] = key;
     }
     Vec::from(out)
 }
@@ -187,6 +200,7 @@ mod tests {
     /// stamp.
     fn heap_merge(streams: &[Vec<StampedRecord>]) -> Vec<LiveRecord> {
         use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
         let total: usize = streams.iter().map(Vec::len).sum();
         let mut out = Vec::with_capacity(total);
         let mut heap: BinaryHeap<Reverse<(u64, usize, usize)>> = BinaryHeap::new();
@@ -214,7 +228,8 @@ mod tests {
         use manet_sim::SimRng;
         for seed in 0..300u64 {
             let mut rng = SimRng::seed_from_u64(seed);
-            let streams: Vec<Vec<StampedRecord>> = (0..rng.gen_range(0..5usize))
+            // Up to 17 streams: 16 shards and the driver.
+            let streams: Vec<Vec<StampedRecord>> = (0..rng.gen_range(0..18usize))
                 .map(|s| {
                     let mut clock = 0u64;
                     (0..rng.gen_range(0..40u32))

@@ -24,6 +24,14 @@
 //!   deadline (at most 1 ms) or an input: a control message, a ring batch
 //!   and a UDP batch each unpark it, so a cross-shard frame never waits
 //!   out the park.
+//! - **The worker reads the clock, once per input.** It hands each node
+//!   input — a control message, a delivered envelope (cross-shard or
+//!   local), a due wakeup — the instant it took it in hand, one reading
+//!   per control message and per envelope; every wakeup a pass finds due
+//!   shares the reading that found it due. A node never reads a clock:
+//!   the records, envelope send instants, delivery latencies and
+//!   deadlines it produces for one input all carry that input's `now`,
+//!   as a simulator handler's carry its event's time.
 //! - **Backpressure, not buffering.** A full ring stalls the producer
 //!   briefly and then aborts the run with a structured
 //!   [`ShardAbort::RingBackpressure`] — the live analogue of the
@@ -267,6 +275,9 @@ pub(crate) struct ShardShared {
 }
 
 impl ShardShared {
+    /// Wall nanoseconds since the run origin. Read by the driver and by a
+    /// worker, once per input it hands a node (see the module docs);
+    /// never by a node.
     pub(crate) fn now_ns(&self) -> u64 {
         self.origin.elapsed().as_nanos() as u64
     }
@@ -552,7 +563,8 @@ where
         }
     }
 
-    /// Deliver one inbound cross-shard batch, decoding from `buf` in place.
+    /// Deliver one inbound cross-shard batch, decoding from `buf` in place;
+    /// each envelope is taken in hand at its own clock reading.
     fn take_batch(&mut self, buf: &[u8], shared: &ShardShared) {
         let Some((_, clock, envelopes)) = batch_decode(buf) else {
             self.wire.counts.decode_errors += 1;
@@ -562,7 +574,7 @@ where
         for (to, bytes) in envelopes {
             let i = to.0.wrapping_sub(self.env.base) as usize;
             if i < self.nodes.len() {
-                self.nodes[i].on_envelope(bytes, &mut self.wire, shared);
+                self.nodes[i].on_envelope(bytes, shared.now_ns(), &mut self.wire, shared);
                 self.settle(i);
             }
         }
@@ -574,7 +586,7 @@ where
         let busy = !self.local_q.is_empty();
         while let Some((to, envelope)) = self.local_q.pop_front() {
             let i = (to.0 - self.env.base) as usize;
-            self.nodes[i].receive(envelope, &mut self.wire, shared);
+            self.nodes[i].receive(envelope, shared.now_ns(), &mut self.wire, shared);
             self.settle(i);
         }
         busy
@@ -618,13 +630,14 @@ where
                     busy = true;
                     w.wire.clock.witness(clock);
                     let i = (node.0 - w.env.base) as usize;
-                    w.nodes[i].handle_ctrl(ctrl, &mut w.wire, &shared);
+                    w.nodes[i].handle_ctrl(ctrl, shared.now_ns(), &mut w.wire, &shared);
                     w.settle(i);
                 }
                 Ok(WorkerMsg::Shutdown { clock }) => {
                     w.wire.clock.witness(clock);
+                    let now = shared.now_ns();
                     for node in &mut w.nodes {
-                        node.emit_net_stats(&mut w.wire, &shared);
+                        node.emit_net_stats(now, &mut w.wire);
                     }
                     break 'run;
                 }
@@ -654,14 +667,15 @@ where
         // 3. Same-shard deliveries.
         busy |= w.drain_local(&shared);
 
-        // 4. Due wakeups from the wheel, then the same-shard traffic they
+        // 4. Due wakeups from the wheel, each taken in hand at the one
+        // reading that found it due, then the same-shard traffic they
         // enqueued, rather than sleeping on it.
-        let now_tick = shared.now_ns() / w.env.tick_ns;
+        let now = shared.now_ns();
         due.clear();
-        w.wakeups.drain_due(now_tick, &mut due);
+        w.wakeups.drain_due(now / w.env.tick_ns, &mut due);
         for &i in &due {
             let i = i as usize;
-            w.nodes[i].tick(&mut w.wire, &shared);
+            w.nodes[i].tick(now, &mut w.wire, &shared);
             w.settle(i);
             busy = true;
         }

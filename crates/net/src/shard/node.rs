@@ -7,13 +7,19 @@
 //! ([`manet_sim::arq::GoBackN`] — the machine the engine hosts, here over
 //! the protocol's own messages and wall nanoseconds, with jitter from the
 //! node's own stream). It has no thread, clock or socket of its own: the
-//! worker calls in with a control event, an envelope or a due wakeup,
-//! records come back stamped by the shard's hybrid clock, outbound
-//! envelopes land in the worker's routing buffer, and every deadline —
-//! think time, eating exit, protocol timer, retransmission, idle ack —
-//! is reported through [`ShardNode::earliest_deadline_ns`] for the
-//! worker's timing wheel. Wall time divided by `tick_ns` plays the role
-//! of virtual time in the `Context` handed to the automaton.
+//! worker calls in with a control event, an envelope or a due wakeup and
+//! `now`, the instant (wall nanoseconds since the run origin) at which it
+//! took that input in hand, as the simulator hands a handler its one
+//! `now`. Everything the node produces for the input carries that
+//! instant: each record's `at_ns`, each envelope's `sent_ns`, a
+//! delivery's latency (`now - sent_ns`) and every deadline it arms; the
+//! node never reads a clock. Records come back stamped by the shard's
+//! hybrid clock, outbound envelopes land in the worker's routing buffer,
+//! and every deadline — think time, eating exit, protocol timer,
+//! retransmission, idle ack — is reported through
+//! [`ShardNode::earliest_deadline_ns`] for the worker's timing wheel.
+//! `now` divided by `tick_ns` plays the role of virtual time in the
+//! `Context` handed to the automaton.
 //!
 //! A node never sees bytes on its way out: it emits typed
 //! [`Envelope`]s, and the worker encodes only those bound for another
@@ -21,12 +27,13 @@
 //! cross-shard envelope and hands it to [`ShardNode::receive`], the one
 //! receive path, which same-shard envelopes enter directly.
 
-use std::collections::HashMap;
 use std::ops::AddAssign;
 use std::sync::atomic::Ordering;
 
 use manet_sim::arq::{ArqTiming, GoBackN, Rto};
-use manet_sim::{Context, DiningState, Event, NodeId, Protocol, SimConfig, SimRng, SimTime};
+use manet_sim::{
+    Context, DiningState, Event, Neighbors, NodeId, Protocol, SimConfig, SimRng, SimTime,
+};
 
 use super::clock::{HybridClock, StampedRecord};
 use super::{Ctrl, ShardShared};
@@ -101,10 +108,10 @@ pub(crate) struct ShardNode<P: Protocol> {
     session: u64,
     ate_once: bool,
     /// Per-peer envelope sequence numbers of the current link incarnation
-    /// with the shim off (with it on, the machine numbers the frames); a
-    /// map, not a dense vector, so 10k-node shards do not pay O(n) memory
+    /// with the shim off (with it on, the machine numbers the frames);
+    /// O(δ), not a dense vector, so 10k-node shards do not pay O(n) memory
     /// per node.
-    send_seq: HashMap<u32, u64>,
+    send_seq: Neighbors<u64>,
     /// `(deadline_ns, token)` pairs from `Context::set_timer`.
     timers: Vec<(u64, u64)>,
     next_hungry: Option<u64>,
@@ -119,8 +126,8 @@ pub(crate) struct ShardNode<P: Protocol> {
     arq_timing: Option<ArqTiming>,
     /// Per-peer go-back-N state over the protocol's messages, created on
     /// first use and dropped when the link resets; always empty with the
-    /// shim off.
-    arq: HashMap<u32, GoBackN<P::Msg>>,
+    /// shim off. Sorted by peer, so its timers fire in ascending peer order.
+    arq: Neighbors<GoBackN<P::Msg>>,
     // Per-node counters behind the shutdown NetStats record. A failed
     // send is counted per shard batch (`Outbound::flush`), not per node.
     n_decode_errors: u64,
@@ -139,13 +146,13 @@ where
         spares: Vec<P>,
         neighbors: Vec<NodeId>,
         cfg: &LiveConfig,
-        now_ns: u64,
+        now: u64,
     ) -> ShardNode<P> {
         let mut rng = SimRng::seed_from_u64(cfg.seed ^ 0x11FE_0000 ^ ((me.0 as u64) << 32));
         let mean_think_ns = ((1e9 / cfg.rate) as u64).max(1);
         // Stagger the first hunger so the run opens with contention, not
         // a thundering herd at t = 0.
-        let first = now_ns + rng.gen_range(0..=mean_think_ns / 2);
+        let first = now + rng.gen_range(0..=mean_think_ns / 2);
         let dining = proto.dining_state();
         ShardNode {
             me,
@@ -162,7 +169,7 @@ where
             dining,
             session: 0,
             ate_once: false,
-            send_seq: HashMap::new(),
+            send_seq: Neighbors::new(),
             timers: Vec::new(),
             next_hungry: Some(first),
             exit_at: None,
@@ -176,23 +183,27 @@ where
                         .saturating_mul(cfg.tick_ns),
                 )
             }),
-            arq: HashMap::new(),
+            arq: Neighbors::new(),
             n_decode_errors: 0,
             n_retransmissions: 0,
             n_acks_sent: 0,
         }
     }
 
-    fn record(&self, kind: LiveEventKind, wire: &mut WireOut<P::Msg>, shared: &ShardShared) {
-        let at_ns = shared.now_ns();
+    fn record(&self, kind: LiveEventKind, at_ns: u64, wire: &mut WireOut<P::Msg>) {
         let clock = wire.clock.stamp(at_ns / self.tick_ns);
         wire.records.push(StampedRecord { clock, at_ns, kind });
     }
 
-    /// Feed one event to the automaton, flush what it emitted, and do
-    /// the workload bookkeeping for any dining transition.
-    fn apply(&mut self, ev: Event<P::Msg>, wire: &mut WireOut<P::Msg>, shared: &ShardShared) {
-        let now = shared.now_ns();
+    /// Feed one event to the automaton at `now`, flush what it emitted,
+    /// and do the workload bookkeeping for any dining transition.
+    fn apply(
+        &mut self,
+        ev: Event<P::Msg>,
+        now: u64,
+        wire: &mut WireOut<P::Msg>,
+        shared: &ShardShared,
+    ) {
         {
             let mut ctx = Context::for_host(
                 self.me,
@@ -220,7 +231,7 @@ where
             self.dining = new;
             if new == DiningState::Eating {
                 self.session += 1;
-                self.exit_at = Some(shared.now_ns() + self.eat_ns);
+                self.exit_at = Some(now + self.eat_ns);
             }
             if old == DiningState::Eating {
                 // Covers both a normal exit and a mobility demotion back
@@ -238,7 +249,7 @@ where
                     } else {
                         self.draw_think()
                     };
-                    self.next_hungry = Some(shared.now_ns() + think);
+                    self.next_hungry = Some(now + think);
                 }
             }
             self.record(
@@ -248,14 +259,14 @@ where
                     new,
                     session: self.session,
                 },
+                now,
                 wire,
-                shared,
             );
         }
         // Lent out and handed back drained, so its capacity is reused.
         let mut outbox = std::mem::take(&mut self.outbox);
         for (to, msg) in outbox.drain(..) {
-            self.transmit(to, msg, wire, shared);
+            self.transmit(to, msg, now, wire, shared);
         }
         self.outbox = outbox;
     }
@@ -272,6 +283,7 @@ where
         &mut self,
         to: NodeId,
         msg: P::Msg,
+        now: u64,
         wire: &mut WireOut<P::Msg>,
         shared: &ShardShared,
     ) {
@@ -283,15 +295,14 @@ where
             // like the engine's `dropped_at_send`.
             return;
         }
-        let now = shared.now_ns();
         let (seq, ack) = match self.arq_timing {
             Some(timing) => {
-                let link = self.arq.entry(to.0).or_default();
+                let link = peer_entry(&mut self.arq, to);
                 let (seq, _) = link.send(now, msg.clone(), timing, &mut self.rng);
                 (seq, link.take_ack())
             }
             None => {
-                let seq = self.send_seq.entry(to.0).or_insert(0);
+                let seq = peer_entry(&mut self.send_seq, to);
                 *seq += 1;
                 (*seq, 0)
             }
@@ -307,7 +318,8 @@ where
         wire.counts.sent += 1;
     }
 
-    /// Fire the due retransmission and idle-ack timers of every link.
+    /// Fire the due retransmission and idle-ack timers of every link, in
+    /// ascending peer order.
     /// While a path is dark (severed, or the peer is no longer a
     /// neighbour) the timers still run but nothing goes on the wire: a
     /// dark retransmission backs off without consuming the owed ack, a
@@ -318,11 +330,10 @@ where
         };
         let me = self.me;
         let (mut resent, mut acks) = (0, 0);
-        for (&peer, link) in &mut self.arq {
+        for (peer, link) in self.arq.iter_mut() {
             if link.next_deadline().is_none_or(|at| at > now) {
                 continue;
             }
-            let peer = NodeId(peer);
             let dark = shared.severed(me, peer) || self.neighbors.binary_search(&peer).is_err();
             if link.rto_at().is_some_and(|at| at <= now) {
                 let verdict = link.on_rto(now, timing, &mut self.rng);
@@ -366,14 +377,15 @@ where
     /// The link to `peer` flapped: a new incarnation owes nothing to the
     /// old one, and numbers its frames from 1 again, shim or no shim.
     fn reset_link(&mut self, peer: NodeId) {
-        self.send_seq.remove(&peer.0);
-        self.arq.remove(&peer.0);
+        self.send_seq.remove(peer);
+        self.arq.remove(peer);
     }
 
-    /// Apply a driver control event.
+    /// Apply a driver control event taken in hand at `now`.
     pub(crate) fn handle_ctrl(
         &mut self,
         ctrl: Ctrl<P::Msg>,
+        now: u64,
         wire: &mut WireOut<P::Msg>,
         shared: &ShardShared,
     ) {
@@ -383,7 +395,7 @@ where
                 // emitted here (not by the driver) so it is serialized
                 // against the node's own state records.
                 self.crashed = true;
-                self.record(LiveEventKind::Crash { node: self.me }, wire, shared);
+                self.record(LiveEventKind::Crash { node: self.me }, now, wire);
             }
             Ctrl::Recover => {
                 // Restart as a fresh incarnation: new protocol instance,
@@ -404,9 +416,9 @@ where
                         self.moving = false;
                         self.exit_at = None;
                         self.dining = self.proto.dining_state();
-                        self.record(LiveEventKind::Recover { node: self.me }, wire, shared);
+                        self.record(LiveEventKind::Recover { node: self.me }, now, wire);
                         let think = self.draw_think();
-                        self.next_hungry = Some(shared.now_ns() + think);
+                        self.next_hungry = Some(now + think);
                     }
                 }
             }
@@ -429,36 +441,27 @@ where
                     Event::MovementEnded => self.moving = false,
                     _ => {}
                 }
-                self.apply(ev, wire, shared);
+                self.apply(ev, now, wire, shared);
             }
         }
     }
 
-    /// Fire every due workload deadline and timer.
-    pub(crate) fn tick(&mut self, wire: &mut WireOut<P::Msg>, shared: &ShardShared) {
+    /// Fire every workload deadline and timer due at `now`.
+    pub(crate) fn tick(&mut self, now: u64, wire: &mut WireOut<P::Msg>, shared: &ShardShared) {
         if self.crashed {
             return;
         }
-        let now = shared.now_ns();
-        if self.dining == DiningState::Thinking {
-            if let Some(at) = self.next_hungry {
-                if at <= now {
-                    self.next_hungry = None;
-                    self.apply(Event::Hungry, wire, shared);
-                }
-            }
+        if self.dining == DiningState::Thinking && self.next_hungry.is_some_and(|at| at <= now) {
+            self.next_hungry = None;
+            self.apply(Event::Hungry, now, wire, shared);
         }
-        if self.dining == DiningState::Eating {
-            if let Some(at) = self.exit_at {
-                if at <= now {
-                    self.exit_at = None;
-                    self.apply(Event::ExitCs, wire, shared);
-                }
-            }
+        if self.dining == DiningState::Eating && self.exit_at.is_some_and(|at| at <= now) {
+            self.exit_at = None;
+            self.apply(Event::ExitCs, now, wire, shared);
         }
         while let Some(i) = self.timers.iter().position(|&(at, _)| at <= now) {
             let (_, token) = self.timers.swap_remove(i);
-            self.apply(Event::Timer { token }, wire, shared);
+            self.apply(Event::Timer { token }, now, wire, shared);
         }
         self.fire_arq(now, wire, shared);
     }
@@ -473,14 +476,16 @@ where
             .chain(self.exit_at.iter())
             .chain(self.timers.iter().map(|(at, _)| at))
             .copied()
-            .chain(self.arq.values().filter_map(GoBackN::next_deadline))
+            .chain(self.arq.iter().filter_map(|(_, link)| link.next_deadline()))
             .min()
     }
 
-    /// Decode one cross-shard envelope and [`receive`](Self::receive) it.
+    /// Decode one cross-shard envelope and [`receive`](Self::receive) it
+    /// at `now`.
     pub(crate) fn on_envelope(
         &mut self,
         bytes: &[u8],
+        now: u64,
         wire: &mut WireOut<P::Msg>,
         shared: &ShardShared,
     ) {
@@ -488,7 +493,7 @@ where
             return;
         }
         match Envelope::decode(bytes) {
-            Ok(envelope) => self.receive(envelope, wire, shared),
+            Ok(envelope) => self.receive(envelope, now, wire, shared),
             Err(_) => {
                 self.n_decode_errors += 1;
                 wire.counts.decode_errors += 1;
@@ -497,10 +502,11 @@ where
     }
 
     /// Process one envelope from the data plane, whichever route it came
-    /// by.
+    /// by, taken in hand at `now`.
     pub(crate) fn receive(
         &mut self,
         envelope: Envelope<P::Msg>,
+        now: u64,
         wire: &mut WireOut<P::Msg>,
         shared: &ShardShared,
     ) {
@@ -522,8 +528,7 @@ where
             return;
         }
         if let Some(timing) = self.arq_timing {
-            let now = shared.now_ns();
-            let link = self.arq.entry(from.0).or_default();
+            let link = peer_entry(&mut self.arq, from);
             link.on_ack(now, ack, timing, &mut self.rng);
             if msg.is_some() && !link.on_data(now, seq, timing).0 {
                 return;
@@ -534,23 +539,22 @@ where
         let Some(msg) = msg else {
             return;
         };
-        let latency_ns = shared.now_ns().saturating_sub(sent_ns);
         self.record(
             LiveEventKind::Deliver {
                 from,
                 to: self.me,
                 seq,
-                latency_ns: saturate(latency_ns),
+                latency_ns: saturate(now.saturating_sub(sent_ns)),
             },
+            now,
             wire,
-            shared,
         );
         wire.counts.delivered += 1;
-        self.apply(Event::Message { from, msg }, wire, shared);
+        self.apply(Event::Message { from, msg }, now, wire, shared);
     }
 
-    /// Emit the shutdown `NetStats` record.
-    pub(crate) fn emit_net_stats(&mut self, wire: &mut WireOut<P::Msg>, shared: &ShardShared) {
+    /// Emit the shutdown `NetStats` record at `now`.
+    pub(crate) fn emit_net_stats(&mut self, now: u64, wire: &mut WireOut<P::Msg>) {
         self.record(
             LiveEventKind::NetStats {
                 node: self.me,
@@ -559,10 +563,18 @@ where
                 retransmissions: saturate(self.n_retransmissions),
                 acks_sent: saturate(self.n_acks_sent),
             },
+            now,
             wire,
-            shared,
         );
     }
+}
+
+/// `peer`'s entry in `map`, created empty on first use.
+fn peer_entry<T: Default>(map: &mut Neighbors<T>, peer: NodeId) -> &mut T {
+    if !map.contains(peer) {
+        map.insert(peer, T::default());
+    }
+    map.get_mut(peer).expect("inserted above")
 }
 
 /// A trace record's `u32` field: `x`, or `u32::MAX` if it does not fit.
@@ -583,22 +595,27 @@ mod tests {
 
     /// Node 0 of a two-node line, due to go hungry on its first tick.
     fn node0(reliable: bool) -> (ShardNode<Algorithm2>, WireOut<A2Msg>, ShardShared) {
-        let mut cfg = LiveConfig::new(
-            AlgKind::A2,
-            TransportKind::Mpsc,
-            vec![(0.0, 0.0), (1.0, 0.0)],
-        );
+        hub(reliable, 1)
+    }
+
+    /// Node 0 linked to nodes `1..=peers`, due to go hungry on its first
+    /// tick, with think times of 1–2 ns and 1 ms meals. It holds every
+    /// fork, so it eats as soon as it is hungry.
+    fn hub(reliable: bool, peers: u32) -> (ShardNode<Algorithm2>, WireOut<A2Msg>, ShardShared) {
+        let n = peers as usize + 1;
+        let mut cfg = LiveConfig::new(AlgKind::A2, TransportKind::Mpsc, vec![(0.0, 0.0); n]);
         cfg.reliable = reliable;
         cfg.rate = 1e9;
+        cfg.eat_ms = 1;
         let seed = NodeSeed {
             id: NodeId(0),
-            neighbors: vec![PEER],
-            n_nodes: 2,
-            max_degree: 1,
+            neighbors: (1..=peers).map(NodeId).collect(),
+            n_nodes: n,
+            max_degree: peers as usize,
         };
         let proto = Algorithm2::new(&seed);
         let node = ShardNode::new(seed.id, proto, Vec::new(), seed.neighbors, &cfg, 0);
-        (node, WireOut::new(), ShardShared::new(2, true))
+        (node, WireOut::new(), ShardShared::new(n, true))
     }
 
     /// How the peer gets node 0's envelopes: handed over as they are
@@ -649,17 +666,18 @@ mod tests {
             .flat_map(|reliable| [Route::Typed, Route::Encoded].map(|route| (reliable, route)))
         {
             let (mut node, mut wire, shared) = node0(reliable);
-            node.tick(&mut wire, &shared);
+            node.tick(1, &mut wire, &shared);
             let first = sent(&mut wire, route);
             assert!(!first.is_empty(), "a hungry node announces itself");
             let numbered = (1..).map(|seq| (ENV_DATA, seq));
             assert!(first.iter().copied().eq(numbered.take(first.len())));
 
             let down = Ctrl::Tell(Event::LinkDown { peer: PEER });
-            node.handle_ctrl(down, &mut wire, &shared);
+            node.handle_ctrl(down, 2, &mut wire, &shared);
             let kind = LinkUpKind::AsMoving;
             node.handle_ctrl(
                 Ctrl::Tell(Event::LinkUp { peer: PEER, kind }),
+                3,
                 &mut wire,
                 &shared,
             );
@@ -676,9 +694,10 @@ mod tests {
     fn a_dark_path_lets_the_timers_run_but_puts_nothing_on_the_wire() {
         for route in [Route::Typed, Route::Encoded] {
             let (mut node, mut wire, shared) = node0(true);
-            node.tick(&mut wire, &shared);
+            node.tick(1, &mut wire, &shared);
             let buffered = sent(&mut wire, route);
-            let rto = node.arq[&PEER.0].rto_at().expect("frames in flight");
+            let rto = node.arq.get(PEER).expect("link").rto_at();
+            let rto = rto.expect("frames in flight");
 
             shared.set_down(PEER, true);
             node.fire_arq(rto, &mut wire, &shared);
@@ -687,7 +706,7 @@ mod tests {
                 vec![],
                 "nothing crosses a dark path"
             );
-            let link = &node.arq[&PEER.0];
+            let link = node.arq.get(PEER).expect("link");
             assert_eq!(link.in_flight(), buffered.len(), "still buffered");
             let backed_off = link.rto_at().expect("still armed");
             assert!(backed_off - rto >= 4_000_000, "doubled to 4ν = 4 ms");
@@ -701,5 +720,130 @@ mod tests {
             );
             assert_eq!(node.n_retransmissions, buffered.len() as u64);
         }
+    }
+
+    /// The records and envelopes one input produced, drained: every
+    /// record stamped `now`, every envelope sent at `now`.
+    fn outputs_at(now: u64, wire: &mut WireOut<A2Msg>) -> (Vec<LiveEventKind>, Vec<NodeId>) {
+        let records: Vec<_> = wire.records.drain(..).collect();
+        assert!(records.iter().all(|r| r.at_ns == now), "{records:?}");
+        let sends: Vec<_> = wire.sends.drain(..).collect();
+        assert!(sends.iter().all(|(_, env)| env.sent_ns == now));
+        let kinds = records.into_iter().map(|r| r.kind).collect();
+        (kinds, sends.into_iter().map(|(to, _)| to).collect())
+    }
+
+    #[test]
+    fn an_input_is_recorded_sent_and_timed_at_the_now_it_is_handed() {
+        use DiningState::{Eating, Thinking};
+        // Far above any reading of the shared clock, which starts with
+        // the test.
+        const T1: u64 = 7_000_000_000;
+        const NU: u64 = 1_000_000;
+        let (mut node, mut wire, shared) = node0(true);
+        let state = |old, new, session| LiveEventKind::State {
+            node: NodeId(0),
+            old,
+            new,
+            session,
+        };
+        let rto_from = |node: &ShardNode<Algorithm2>, now: u64| {
+            let rto = node.arq.get(PEER).and_then(GoBackN::rto_at).expect("armed");
+            assert!(
+                (now + 2 * NU..=now + 2 * NU + NU / 2).contains(&rto),
+                "{rto}"
+            );
+        };
+
+        // A tick: hungry, then eating at once; the announcement is sent,
+        // and the meal's end and the retransmission are armed from T1.
+        node.tick(T1, &mut wire, &shared);
+        let (records, sends) = outputs_at(T1, &mut wire);
+        assert_eq!(records, vec![state(Thinking, Eating, 1)]);
+        assert_eq!(sends, vec![PEER]);
+        assert_eq!(node.exit_at, Some(T1 + NU));
+        rto_from(&node, T1);
+        assert_eq!(node.earliest_deadline_ns(), Some(T1 + NU));
+
+        // A delivered envelope: its latency is counted to T2, its ack
+        // disarms the retransmission and its data arms the idle ack.
+        let t2 = T1 + NU / 2;
+        let envelope = Envelope {
+            from: PEER,
+            seq: 1,
+            ack: 1,
+            sent_ns: t2 - 123_456,
+            msg: Some(A2Msg::Req),
+        };
+        node.receive(envelope, t2, &mut wire, &shared);
+        let (records, sends) = outputs_at(t2, &mut wire);
+        let deliver = LiveEventKind::Deliver {
+            from: PEER,
+            to: NodeId(0),
+            seq: 1,
+            latency_ns: 123_456,
+        };
+        assert_eq!(records, vec![deliver]);
+        assert_eq!(sends, vec![], "an eating node holds the request");
+        let link = node.arq.get(PEER).expect("link");
+        assert_eq!((link.rto_at(), link.ack_at()), (None, Some(t2 + NU)));
+
+        // The meal's end: the held fork goes out, the next hunger and a
+        // new retransmission are armed from T3.
+        let t3 = T1 + NU;
+        node.tick(t3, &mut wire, &shared);
+        let (records, sends) = outputs_at(t3, &mut wire);
+        assert_eq!(records, vec![state(Eating, Thinking, 1)]);
+        assert_eq!(sends, vec![PEER]);
+        assert!(node
+            .next_hungry
+            .is_some_and(|at| (t3 + 1..=t3 + 2).contains(&at)));
+        rto_from(&node, t3);
+
+        // Control messages: a crash, then a recovery whose first hunger
+        // is drawn from T5, then the shutdown record.
+        let t4 = t3 + 10;
+        node.handle_ctrl(Ctrl::Crash, t4, &mut wire, &shared);
+        let (records, _) = outputs_at(t4, &mut wire);
+        assert_eq!(records, vec![LiveEventKind::Crash { node: NodeId(0) }]);
+        let seed = NodeSeed {
+            id: NodeId(0),
+            neighbors: Vec::new(),
+            n_nodes: 2,
+            max_degree: 1,
+        };
+        node.spares.push(Algorithm2::new(&seed));
+        let t5 = t4 + 1_000;
+        node.handle_ctrl(Ctrl::Recover, t5, &mut wire, &shared);
+        let (records, _) = outputs_at(t5, &mut wire);
+        assert_eq!(records, vec![LiveEventKind::Recover { node: NodeId(0) }]);
+        assert!(node
+            .next_hungry
+            .is_some_and(|at| (t5 + 1..=t5 + 2).contains(&at)));
+        let t6 = t5 + 1;
+        node.emit_net_stats(t6, &mut wire);
+        assert_eq!(outputs_at(t6, &mut wire).0.len(), 1);
+    }
+
+    #[test]
+    fn due_retransmissions_go_out_in_ascending_peer_order() {
+        let (mut node, mut wire, shared) = hub(true, 3);
+        // A standalone ack from the last peer opens its link first.
+        let ack = Envelope {
+            from: NodeId(3),
+            seq: 0,
+            ack: 0,
+            sent_ns: 0,
+            msg: None,
+        };
+        node.receive(ack, 1, &mut wire, &shared);
+        node.tick(2, &mut wire, &shared);
+        let announced: Vec<NodeId> = wire.sends.drain(..).map(|(to, _)| to).collect();
+        assert_eq!(announced, [1, 2, 3].map(NodeId));
+        let rtos = node.arq.iter().filter_map(|(_, link)| link.rto_at());
+        let all_due = rtos.max().expect("frames in flight");
+        node.fire_arq(all_due, &mut wire, &shared);
+        let resent: Vec<NodeId> = wire.sends.drain(..).map(|(to, _)| to).collect();
+        assert_eq!(resent, [1, 2, 3].map(NodeId));
     }
 }

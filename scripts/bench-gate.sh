@@ -14,6 +14,10 @@
 # RSS follows the trace's length, which follows host speed, so the
 # quotient is what stays put across runners.
 #
+# Last, it runs live_cross_udp once at --quick sizes on both sides and
+# fails if either is not correct, so the UDP path (batches over loopback
+# sockets) is exercised end to end; none of its numbers are compared.
+#
 # Usage, from anywhere in the repository:
 #   scripts/bench-gate.sh [BASE_REV]      # BASE_REV defaults to HEAD^
 set -euo pipefail
@@ -79,6 +83,23 @@ print(
     "live_ring_local: "
     + ("; ".join(problems) or f"peak RSS per record {base:.1f} -> {head:.1f} B, both correct")
 )
+sys.exit(1 if problems else 0)
+EOF
+
+before=$(result "$work" "$work/target" live_cross_udp) || true
+after=$(result . "$PWD/target/bench-gate" live_cross_udp) || true
+python3 - "$before" "$after" <<'EOF' || status=1
+import json
+import sys
+
+problems = []
+for side, line in zip(("base", "head"), sys.argv[1:]):
+    try:
+        if not json.loads(line)["correct"]:
+            problems.append(f"{side} is not correct")
+    except ValueError:
+        problems.append(f"{side} printed no result line: {line!r}")
+print("live_cross_udp: " + ("; ".join(problems) or "both correct"))
 sys.exit(1 if problems else 0)
 EOF
 exit "$status"
