@@ -237,8 +237,7 @@ impl Protocol for ChandyMisra {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use local_mutex::testutil::AutoExit;
-    use manet_sim::{Engine, Metrics, MetricsData, SafetyMonitor, SimConfig, SimTime};
+    use manet_sim::{Engine, Metrics, MetricsData, SafetyMonitor, SimConfig, SimTime, Workload};
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -262,7 +261,7 @@ mod tests {
     #[test]
     fn lone_node_eats() {
         let mut e = line_engine(1);
-        e.add_hook(Box::new(AutoExit::new(20)));
+        e.add_hook(Box::new(Workload::one_shot(20..=20, 0)));
         let data = watch(&mut e);
         e.set_hungry_at(SimTime(1), NodeId(0));
         e.run_until(SimTime(200));
@@ -272,7 +271,7 @@ mod tests {
     #[test]
     fn contention_line_all_eat_safely() {
         let mut e = line_engine(6);
-        e.add_hook(Box::new(AutoExit::new(20)));
+        e.add_hook(Box::new(Workload::one_shot(20..=20, 0)));
         let data = watch(&mut e);
         for i in 0..6 {
             e.set_hungry_at(SimTime(1), NodeId(i));
@@ -286,8 +285,8 @@ mod tests {
     #[test]
     fn dirty_fork_is_yielded_clean_fork_is_kept() {
         let mut e = line_engine(2);
-        e.add_hook(Box::new(AutoExit::new(5_000))); // p1 eats for a long time
-                                                    // p0 holds the dirty fork initially; p1 requests and gets it.
+        e.add_hook(Box::new(Workload::one_shot(5_000..=5_000, 0))); // p1 eats for a long time
+                                                                    // p0 holds the dirty fork initially; p1 requests and gets it.
         e.set_hungry_at(SimTime(1), NodeId(1));
         e.run_until(SimTime(100));
         assert_eq!(e.dining_state(NodeId(1)), DiningState::Eating);
@@ -305,7 +304,7 @@ mod tests {
             vec![(0.0, 0.0), (10.0, 0.0)],
             |seed| ChandyMisra::new(&seed),
         );
-        e.add_hook(Box::new(AutoExit::new(10_000)));
+        e.add_hook(Box::new(Workload::one_shot(10_000..=10_000, 0)));
         let data = watch(&mut e);
         e.set_hungry_at(SimTime(1), NodeId(0));
         e.set_hungry_at(SimTime(1), NodeId(1));

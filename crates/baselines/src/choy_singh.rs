@@ -60,9 +60,8 @@ pub fn choy_singh(seed: &NodeSeed, coloring: &StaticColoring) -> Algorithm1 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use local_mutex::testutil::AutoExit;
     use manet_sim::{
-        Engine, Metrics, MetricsData, NodeId, Protocol, SafetyMonitor, SimConfig, SimTime,
+        Engine, Metrics, MetricsData, NodeId, Protocol, SafetyMonitor, SimConfig, SimTime, Workload,
     };
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -114,7 +113,7 @@ mod tests {
     fn ring_contention_all_eat() {
         let n = 8;
         let mut e = engine(n);
-        e.add_hook(Box::new(AutoExit::new(20)));
+        e.add_hook(Box::new(Workload::one_shot(20..=20, 0)));
         let data = watch(&mut e);
         for i in 0..n as u32 {
             e.set_hungry_at(SimTime(1), NodeId(i));
@@ -135,7 +134,7 @@ mod tests {
                 move |seed| choy_singh(&seed, &coloring),
             )
         };
-        e.add_hook(Box::new(AutoExit::new(10)));
+        e.add_hook(Box::new(Workload::one_shot(10..=10, 0)));
         let data = watch(&mut e);
         e.teleport_at(SimTime(5), NodeId(2), (2.0, 0.0));
         e.set_hungry_at(SimTime(50), NodeId(2));

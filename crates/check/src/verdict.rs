@@ -4,11 +4,10 @@ use std::collections::HashMap;
 
 use baselines::ChandyMisra;
 use harness::Automata;
-use local_mutex::testutil::AutoExit;
 use local_mutex::{Algorithm1, Algorithm2, Phase};
 use manet_sim::{
-    Command, DigestMode, DiningState, Engine, Hook, NodeId, Protocol, SafetyMonitor, SessionFold,
-    SimConfig, SimTime, Sink, TraceEntry, TraceKind, View, Violation,
+    DigestMode, DiningState, Engine, NodeId, Protocol, SafetyMonitor, SessionFold, SimConfig,
+    SimTime, TraceEntry, TraceKind, Violation, Workload,
 };
 
 use crate::spec::{CheckSpec, Mutation};
@@ -133,29 +132,6 @@ fn prep_a1(mut node: Algorithm1, mutate: bool) -> Algorithm1 {
     node
 }
 
-/// The liveness workload: a node that finishes eating becomes hungry again
-/// `think` ticks later, so runs cycle until the horizon instead of draining
-/// and starvation manifests as a *lasso* (repeated progress state) rather
-/// than a quiescent hungry node.
-struct Recycle {
-    think: u64,
-}
-
-impl<M> Hook<M> for Recycle {
-    fn on_state_change(
-        &mut self,
-        view: &View<'_>,
-        node: NodeId,
-        old: DiningState,
-        new: DiningState,
-        sink: &mut Sink,
-    ) {
-        if old == DiningState::Eating && new == DiningState::Thinking {
-            sink.at(view.time() + self.think, Command::SetHungry(node));
-        }
-    }
-}
-
 fn drive<P, F>(spec: &CheckSpec, plan: &Plan, mut rmode: RecorderMode, factory: F) -> RunVerdict
 where
     P: Checkable,
@@ -178,10 +154,16 @@ where
     engine.set_strategy(Box::new(recorder.clone()));
     let (monitor, violations) = SafetyMonitor::new(false);
     engine.add_hook(Box::new(monitor));
-    engine.add_hook(Box::new(AutoExit::new(spec.eat)));
-    if spec.liveness {
-        engine.add_hook(Box::new(Recycle { think: spec.think }));
-    }
+    // Meals of exactly `eat` ticks. In liveness mode a node goes hungry
+    // again `think` ticks after each, so runs cycle until the horizon
+    // instead of draining, and starvation shows as a *lasso* (a repeated
+    // progress state) rather than as a quiescent hungry node.
+    let (eat, think) = (spec.eat..=spec.eat, spec.think..=spec.think);
+    engine.add_hook(Box::new(if spec.liveness {
+        Workload::cyclic(eat, think, spec.seed)
+    } else {
+        Workload::one_shot(eat, spec.seed)
+    }));
     for &h in &spec.hungry {
         engine.set_hungry_at(SimTime(1), NodeId(h));
     }

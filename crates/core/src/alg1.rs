@@ -726,7 +726,7 @@ impl Protocol for Algorithm1 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use manet_sim::{Engine, Metrics, MetricsData, SafetyMonitor, SimConfig};
+    use manet_sim::{Engine, Metrics, MetricsData, SafetyMonitor, SimConfig, Workload};
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -746,8 +746,8 @@ mod tests {
         (e, data)
     }
 
-    fn exit_hook() -> Box<crate::testutil::AutoExit> {
-        Box::new(crate::testutil::AutoExit::new(20))
+    fn exit_hook() -> Box<Workload> {
+        Box::new(Workload::one_shot(20..=20, 0))
     }
 
     #[test]

@@ -295,8 +295,7 @@ impl Protocol for Algorithm2 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::AutoExit;
-    use manet_sim::{Engine, Metrics, MetricsData, SafetyMonitor, SimConfig, SimTime};
+    use manet_sim::{Engine, Metrics, MetricsData, SafetyMonitor, SimConfig, SimTime, Workload};
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -319,7 +318,7 @@ mod tests {
     #[test]
     fn lone_node_eats() {
         let (mut e, data) = fed_line(1);
-        e.add_hook(Box::new(AutoExit::new(20)));
+        e.add_hook(Box::new(Workload::one_shot(20..=20, 0)));
         e.set_hungry_at(SimTime(1), NodeId(0));
         e.run_until(SimTime(500));
         assert!(data.borrow().meals[0] >= 1);
@@ -328,7 +327,7 @@ mod tests {
     #[test]
     fn full_contention_line_all_eat() {
         let (mut e, data) = fed_line(6);
-        e.add_hook(Box::new(AutoExit::new(20)));
+        e.add_hook(Box::new(Workload::one_shot(20..=20, 0)));
         e.add_hook(Box::new(SafetyMonitor::new(true).0));
         for i in 0..6 {
             e.set_hungry_at(SimTime(1), NodeId(i));
@@ -345,7 +344,7 @@ mod tests {
         // higher_i[j] = ID[i] < ID[j], so p0 sees p1 as higher. p1 sees p0
         // as lower (higher_1[0] = false) — p1 dominates p0.
         let (mut e, data) = fed_line(2);
-        e.add_hook(Box::new(AutoExit::new(20)));
+        e.add_hook(Box::new(Workload::one_shot(20..=20, 0)));
         e.set_hungry_at(SimTime(1), NodeId(0));
         e.run_until(SimTime(2_000));
         // p1 (thinking, dominating) must have switched below p0 on p0's
@@ -359,7 +358,7 @@ mod tests {
     #[test]
     fn priorities_alternate_between_two_contenders() {
         let (mut e, data) = fed_line(2);
-        e.add_hook(Box::new(AutoExit::new(10)));
+        e.add_hook(Box::new(Workload::one_shot(10..=10, 0)));
         e.add_hook(Box::new(SafetyMonitor::new(true).0));
         for i in 0..2 {
             e.set_hungry_at(SimTime(1), NodeId(i));

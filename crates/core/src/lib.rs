@@ -22,8 +22,7 @@
 //!
 //! ```
 //! use local_mutex::Algorithm2;
-//! use local_mutex::testutil::AutoExit;
-//! use manet_sim::{Engine, Metrics, NodeId, SafetyMonitor, SimConfig, SimTime};
+//! use manet_sim::{Engine, Metrics, NodeId, SafetyMonitor, SimConfig, SimTime, Workload};
 //!
 //! // Three nodes in a line; everyone hungry at t = 1.
 //! let mut engine = Engine::new(
@@ -33,7 +32,7 @@
 //! );
 //! let (metrics, data) = Metrics::new(3);
 //! engine.add_hook(Box::new(metrics)); // count meals
-//! engine.add_hook(Box::new(AutoExit::new(20))); // eat for 20 ticks
+//! engine.add_hook(Box::new(Workload::one_shot(20..=20, 0))); // eat for 20 ticks
 //! engine.add_hook(Box::new(SafetyMonitor::new(true).0)); // assert LME always
 //! for i in 0..3 {
 //!     engine.set_hungry_at(SimTime(1), NodeId(i));
@@ -50,7 +49,6 @@ pub mod alg2;
 pub mod forks;
 pub mod message;
 pub mod recolor;
-pub mod testutil;
 
 pub use alg1::{Algorithm1, Phase, RecolorConfig};
 pub use alg2::Algorithm2;

@@ -9,7 +9,7 @@ use std::rc::Rc;
 use local_mutex::{Algorithm1, Phase};
 use manet_sim::{
     Command, DiningState, Engine, Metrics, MetricsData, NodeId, Protocol, SafetyMonitor, SimConfig,
-    SimTime,
+    SimTime, Workload,
 };
 
 fn fixed_delay_config() -> SimConfig {
@@ -39,7 +39,7 @@ fn watch<P: Protocol>(engine: &mut Engine<P>) -> Rc<RefCell<MetricsData>> {
 
 /// Exit the critical section `ticks` after a node starts eating.
 fn auto_exit(engine: &mut Engine<Algorithm1>, ticks: u64) {
-    engine.add_hook(Box::new(local_mutex::testutil::AutoExit::new(ticks)));
+    engine.add_hook(Box::new(Workload::one_shot(ticks..=ticks, 0)));
 }
 
 #[test]

@@ -6,10 +6,10 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use local_mutex::testutil::AutoExit;
 use local_mutex::Algorithm2;
 use manet_sim::{
     DiningState, Engine, Metrics, MetricsData, NodeId, Protocol, SafetyMonitor, SimConfig, SimTime,
+    Workload,
 };
 
 fn fixed_engine(positions: Vec<(f64, f64)>) -> Engine<Algorithm2> {
@@ -42,7 +42,7 @@ fn thinking_node_always_grants() {
     // node1 dominates node0 from the start). Either way, a thinking
     // holder never withholds.
     let mut e = fixed_engine(vec![(0.0, 0.0), (1.0, 0.0)]);
-    e.add_hook(Box::new(AutoExit::new(20)));
+    e.add_hook(Box::new(Workload::one_shot(20..=20, 0)));
     let data = watch(&mut e);
     e.set_hungry_at(SimTime(1), NodeId(1));
     e.run_until(SimTime(100));
@@ -57,7 +57,7 @@ fn notification_cascade_lowers_dominator_below_everyone() {
     // (n2 has the larger ID, so it already dominates n1). Exactly one
     // switch is sent.
     let mut e = fixed_engine(vec![(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]);
-    e.add_hook(Box::new(AutoExit::new(20)));
+    e.add_hook(Box::new(Workload::one_shot(20..=20, 0)));
     let data = watch(&mut e);
     e.set_hungry_at(SimTime(1), NodeId(0));
     e.run_until(SimTime(500));
@@ -82,7 +82,7 @@ fn exit_reverses_all_incident_priorities() {
     // the system can phase-lock — so we assert sustained progress on both
     // sides, not strict alternation.)
     let mut e = fixed_engine(vec![(0.0, 0.0), (1.0, 0.0)]);
-    e.add_hook(Box::new(AutoExit::new(10)));
+    e.add_hook(Box::new(Workload::one_shot(10..=10, 0)));
     let data = watch(&mut e);
     // Keep both perpetually hungry.
     for t in (1..3_000).step_by(25) {
@@ -135,7 +135,7 @@ fn clique_contention_is_fair_under_dynamic_priorities() {
         })
         .collect();
     let mut e = fixed_engine(positions);
-    e.add_hook(Box::new(AutoExit::new(15)));
+    e.add_hook(Box::new(Workload::one_shot(15..=15, 0)));
     let data = watch(&mut e);
     for t in (1..20_000).step_by(40) {
         for i in 0..5 {

@@ -62,9 +62,8 @@ impl<M> Hook<M> for MessageCensus<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use local_mutex::testutil::AutoExit;
     use local_mutex::{A2Msg, Algorithm2};
-    use manet_sim::{Engine, SimConfig, SimTime};
+    use manet_sim::{Engine, SimConfig, SimTime, Workload};
 
     #[test]
     fn census_counts_a2_traffic_by_kind() {
@@ -74,7 +73,7 @@ mod tests {
             });
         let (census, counts) = MessageCensus::new(A2Msg::kind as fn(&A2Msg) -> &'static str);
         e.add_hook(Box::new(census));
-        e.add_hook(Box::new(AutoExit::new(10)));
+        e.add_hook(Box::new(Workload::one_shot(10..=10, 0)));
         e.set_hungry_at(SimTime(1), NodeId(0));
         e.set_hungry_at(SimTime(1), NodeId(1));
         e.run_until(SimTime(2_000));

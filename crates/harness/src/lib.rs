@@ -5,8 +5,10 @@
 //! * [`topology`] — line / ring / grid / clique / random unit-disk layouts,
 //!   star / tree edge lists, and [`Topo`], the initial topology every run
 //!   takes;
-//! * [`workload`] — cyclic and one-shot hungry/eat drivers (the model's
-//!   application layer, with eating time ≤ τ);
+//! * [`Workload`] — a re-export of the model's application layer, which
+//!   lives in `manet_sim` because the checker, the algorithm tests and
+//!   the live node use it too: one rule for every exit and every next
+//!   hunger (cyclic or one-shot, with eating time ≤ τ);
 //! * [`mobility`] — random-waypoint movement scripts and heterogeneous
 //!   mobility mixes (static-core + highway + group waypoint);
 //! * [`metrics`] and [`safety`] — re-exports of the observers that live in
@@ -45,10 +47,10 @@ pub mod stats;
 pub mod sweep;
 pub mod table;
 pub mod topology;
-pub mod workload;
 
 pub use census::{CensusCounts, MessageCensus};
 pub use failure_locality::{probe, response_by_distance, starvation, FaultClass, FlReport};
+pub use manet_sim::Workload;
 pub use metrics::{Metrics, MetricsData, Sample};
 pub use mobility::{MobilityMix, NodeClass, WaypointPlan};
 pub use report::{AggregateRow, RunReport, SweepReport};
@@ -58,4 +60,3 @@ pub use stats::Summary;
 pub use sweep::{default_jobs, par_map, run_cells, SweepCell, SweepSpec};
 pub use table::Table;
 pub use topology::Topo;
-pub use workload::Workload;

@@ -9,12 +9,11 @@ use coloring::LinialSchedule;
 use local_mutex::{Algorithm1, Algorithm2};
 use manet_sim::{
     Command, CsrAdjacency, Engine, EngineStats, Metrics, MetricsData, NodeId, NodeSeed, Protocol,
-    SafetyMonitor, SimConfig, SimRng, SimTime, Strategy, Violation,
+    SafetyMonitor, SimConfig, SimRng, SimTime, Strategy, Violation, Workload,
 };
 
 use crate::stats::Summary;
 use crate::topology::{max_degree, Topo};
-use crate::workload::Workload;
 
 /// What to run and for how long.
 #[derive(Clone, Debug)]
@@ -461,6 +460,29 @@ mod tests {
         let out = run_algorithm(AlgKind::A2, &spec, &topology::line(4), &[]);
         let d = out.distances_from(NodeId(0));
         assert_eq!(d, vec![Some(0), Some(1), Some(2), Some(3)]);
+    }
+
+    #[test]
+    fn a_recovered_node_rejoins_the_cycle() {
+        let spec = RunSpec {
+            horizon: 40_000,
+            ..RunSpec::default()
+        };
+        let victim = NodeId(2);
+        let commands = [
+            (SimTime(6_000), Command::Crash(victim)),
+            (SimTime(20_000), Command::Recover(victim)),
+        ];
+        let topo = Topo::Geo(topology::ring(6));
+        let out = run(AlgKind::A2, &spec, &topo, &commands, None);
+        assert!(out.violations.is_empty(), "{:?}", out.violations);
+        let rejoined = out
+            .metrics
+            .samples
+            .iter()
+            .filter(|s| s.node == victim && s.hungry_at > SimTime(20_000))
+            .count();
+        assert!(rejoined > 0, "no meal requested after the recovery");
     }
 
     #[test]

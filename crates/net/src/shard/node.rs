@@ -1,8 +1,9 @@
 //! The per-node automaton host inside a shard worker.
 //!
 //! A [`ShardNode`] owns one protocol automaton (`sim::Protocol` — the
-//! *same* state machines the deterministic engine runs), a self-driven
-//! workload clocked by a per-node [`SimRng`], and, under
+//! *same* state machines the deterministic engine runs), the
+//! simulator's application layer ([`Workload`], the rule the engine
+//! installs as a hook) with its one pending command, and, under
 //! `LiveConfig::reliable`, one go-back-N state machine per neighbour
 //! ([`manet_sim::arq::GoBackN`] — the machine the engine hosts, here over
 //! the protocol's own messages and wall nanoseconds, with jitter from the
@@ -32,7 +33,8 @@ use std::sync::atomic::Ordering;
 
 use manet_sim::arq::{ArqTiming, GoBackN, Rto};
 use manet_sim::{
-    Context, DiningState, Event, Neighbors, NodeId, Protocol, SimConfig, SimRng, SimTime,
+    Command, Context, DiningState, Event, Neighbors, NodeId, Protocol, SimConfig, SimRng, SimTime,
+    Workload,
 };
 
 use super::clock::{HybridClock, StampedRecord};
@@ -94,10 +96,11 @@ impl<M> WireOut<M> {
 pub(crate) struct ShardNode<P: Protocol> {
     me: NodeId,
     tick_ns: u64,
-    eat_ns: u64,
-    one_shot: bool,
-    closed_loop: bool,
-    mean_think_ns: u64,
+    workload: Workload,
+    /// The workload's one scheduled `(deadline_ns, command)`: the next
+    /// hunger or the current meal's exit. Run, once due, only if
+    /// [`Workload::applies`].
+    pending: Option<(u64, Command)>,
     rng: SimRng,
     proto: P,
     /// Sorted.
@@ -114,8 +117,6 @@ pub(crate) struct ShardNode<P: Protocol> {
     send_seq: Neighbors<u64>,
     /// `(deadline_ns, token)` pairs from `Context::set_timer`.
     timers: Vec<(u64, u64)>,
-    next_hungry: Option<u64>,
-    exit_at: Option<u64>,
     outbox: Vec<(NodeId, P::Msg)>,
     timer_buf: Vec<(u64, u64)>,
     /// Fresh incarnations, one per `Recover` command for this node,
@@ -148,19 +149,27 @@ where
         cfg: &LiveConfig,
         now: u64,
     ) -> ShardNode<P> {
-        let mut rng = SimRng::seed_from_u64(cfg.seed ^ 0x11FE_0000 ^ ((me.0 as u64) << 32));
-        let mean_think_ns = ((1e9 / cfg.rate) as u64).max(1);
+        let seed = cfg.seed ^ 0x11FE_0000 ^ ((me.0 as u64) << 32);
+        let mut rng = SimRng::seed_from_u64(seed);
+        let mean_think = ((1e9 / cfg.rate) as u64).max(1);
         // Stagger the first hunger so the run opens with contention, not
         // a thundering herd at t = 0.
-        let first = now + rng.gen_range(0..=mean_think_ns / 2);
+        let first = now + rng.gen_range(0..=mean_think / 2);
+        let eat = cfg.eat_ms.saturating_mul(1_000_000);
+        let lo = (mean_think / 2).max(1);
+        let workload = match (cfg.one_shot, cfg.closed_loop) {
+            (true, _) => Workload::one_shot(eat..=eat, seed),
+            // Hungry again at once: after the rule's floor of 1 ns.
+            (false, true) => Workload::cyclic(eat..=eat, 0..=0, seed),
+            // Open loop: think uniform in [0.5, 1.5] of the mean 1/rate.
+            (false, false) => Workload::cyclic(eat..=eat, lo..=lo + mean_think, seed),
+        };
         let dining = proto.dining_state();
         ShardNode {
             me,
             tick_ns: cfg.tick_ns,
-            eat_ns: cfg.eat_ms.saturating_mul(1_000_000),
-            one_shot: cfg.one_shot,
-            closed_loop: cfg.closed_loop,
-            mean_think_ns,
+            workload,
+            pending: Some((first, Command::SetHungry(me))),
             rng,
             proto,
             neighbors,
@@ -171,8 +180,6 @@ where
             ate_once: false,
             send_seq: Neighbors::new(),
             timers: Vec::new(),
-            next_hungry: Some(first),
-            exit_at: None,
             outbox: Vec::new(),
             timer_buf: Vec::new(),
             spares,
@@ -231,26 +238,17 @@ where
             self.dining = new;
             if new == DiningState::Eating {
                 self.session += 1;
-                self.exit_at = Some(now + self.eat_ns);
             }
-            if old == DiningState::Eating {
-                // Covers both a normal exit and a mobility demotion back
-                // to hungry: either way the meal is over.
-                self.exit_at = None;
-                // Only a finished meal counts (DESIGN "Sessions"), so a
-                // one-shot run may stop once every node has finished one.
-                if new == DiningState::Thinking && !self.ate_once {
-                    self.ate_once = true;
-                    shared.ate.fetch_add(1, Ordering::Relaxed);
-                }
-                if new == DiningState::Thinking && !self.one_shot {
-                    let think = if self.closed_loop {
-                        0
-                    } else {
-                        self.draw_think()
-                    };
-                    self.next_hungry = Some(now + think);
-                }
+            // Only a finished meal counts (DESIGN "Sessions"), so a
+            // one-shot run may stop once every node has finished one.
+            if old == DiningState::Eating && new == DiningState::Thinking && !self.ate_once {
+                self.ate_once = true;
+                shared.ate.fetch_add(1, Ordering::Relaxed);
+            }
+            // A demotion back to hungry schedules nothing: its meal's exit
+            // stays pending and is voided by session when due.
+            if let Some((delay, cmd)) = self.workload.entered(self.me, new, self.session) {
+                self.pending = Some((now + delay, cmd));
             }
             self.record(
                 LiveEventKind::State {
@@ -269,14 +267,6 @@ where
             self.transmit(to, msg, now, wire, shared);
         }
         self.outbox = outbox;
-    }
-
-    fn draw_think(&mut self) -> u64 {
-        // Uniform in [0.5, 1.5] of the mean, like the sim workload's
-        // jittered think times.
-        let lo = (self.mean_think_ns / 2).max(1);
-        let hi = lo + self.mean_think_ns;
-        self.rng.gen_range(lo..=hi)
     }
 
     fn transmit(
@@ -414,11 +404,10 @@ where
                         self.send_seq.clear();
                         self.arq.clear();
                         self.moving = false;
-                        self.exit_at = None;
                         self.dining = self.proto.dining_state();
                         self.record(LiveEventKind::Recover { node: self.me }, now, wire);
-                        let think = self.draw_think();
-                        self.next_hungry = Some(now + think);
+                        let next = self.workload.recovered(self.me);
+                        self.pending = next.map(|(delay, cmd)| (now + delay, cmd));
                     }
                 }
             }
@@ -451,13 +440,15 @@ where
         if self.crashed {
             return;
         }
-        if self.dining == DiningState::Thinking && self.next_hungry.is_some_and(|at| at <= now) {
-            self.next_hungry = None;
-            self.apply(Event::Hungry, now, wire, shared);
-        }
-        if self.dining == DiningState::Eating && self.exit_at.is_some_and(|at| at <= now) {
-            self.exit_at = None;
-            self.apply(Event::ExitCs, now, wire, shared);
+        if let Some((_, cmd)) = self.pending.take_if(|&mut (at, _)| at <= now) {
+            if Workload::applies(&cmd, self.dining, self.session) {
+                let ev = if let Command::SetHungry(_) = cmd {
+                    Event::Hungry
+                } else {
+                    Event::ExitCs
+                };
+                self.apply(ev, now, wire, shared);
+            }
         }
         while let Some(i) = self.timers.iter().position(|&(at, _)| at <= now) {
             let (_, token) = self.timers.swap_remove(i);
@@ -471,9 +462,9 @@ where
         if self.crashed {
             return None;
         }
-        self.next_hungry
+        self.pending
             .iter()
-            .chain(self.exit_at.iter())
+            .map(|(at, _)| at)
             .chain(self.timers.iter().map(|(at, _)| at))
             .copied()
             .chain(self.arq.iter().filter_map(|(_, link)| link.next_deadline()))
@@ -761,7 +752,11 @@ mod tests {
         let (records, sends) = outputs_at(T1, &mut wire);
         assert_eq!(records, vec![state(Thinking, Eating, 1)]);
         assert_eq!(sends, vec![PEER]);
-        assert_eq!(node.exit_at, Some(T1 + NU));
+        let exit = Command::ExitCs {
+            node: NodeId(0),
+            session: 1,
+        };
+        assert_eq!(node.pending, Some((T1 + NU, exit)));
         rto_from(&node, T1);
         assert_eq!(node.earliest_deadline_ns(), Some(T1 + NU));
 
@@ -795,9 +790,15 @@ mod tests {
         let (records, sends) = outputs_at(t3, &mut wire);
         assert_eq!(records, vec![state(Eating, Thinking, 1)]);
         assert_eq!(sends, vec![PEER]);
-        assert!(node
-            .next_hungry
-            .is_some_and(|at| (t3 + 1..=t3 + 2).contains(&at)));
+        let rehungry = |node: &ShardNode<Algorithm2>, now: u64| {
+            let pending = node.pending.as_ref();
+            assert!(
+                pending.is_some_and(|(at, cmd)| *cmd == Command::SetHungry(NodeId(0))
+                    && (now + 1..=now + 2).contains(at)),
+                "{pending:?}"
+            );
+        };
+        rehungry(&node, t3);
         rto_from(&node, t3);
 
         // Control messages: a crash, then a recovery whose first hunger
@@ -817,12 +818,59 @@ mod tests {
         node.handle_ctrl(Ctrl::Recover, t5, &mut wire, &shared);
         let (records, _) = outputs_at(t5, &mut wire);
         assert_eq!(records, vec![LiveEventKind::Recover { node: NodeId(0) }]);
-        assert!(node
-            .next_hungry
-            .is_some_and(|at| (t5 + 1..=t5 + 2).contains(&at)));
+        rehungry(&node, t5);
         let t6 = t5 + 1;
         node.emit_net_stats(t6, &mut wire);
         assert_eq!(outputs_at(t6, &mut wire).0.len(), 1);
+    }
+
+    #[test]
+    fn a_demoted_meals_exit_does_not_cut_the_next_meal_short() {
+        use DiningState::{Eating, Hungry, Thinking};
+        const T1: u64 = 7_000_000_000;
+        const NU: u64 = 1_000_000;
+        let exit = |session| Command::ExitCs {
+            node: NodeId(0),
+            session,
+        };
+        let (mut node, mut wire, shared) = node0(false);
+        node.tick(T1, &mut wire, &shared);
+        assert_eq!(
+            (node.dining, node.pending.clone()),
+            (Eating, Some((T1 + NU, exit(1))))
+        );
+
+        // The peer links up anew with node 0 as the moving side: the meal
+        // is cut, and its exit stays pending.
+        let kind = LinkUpKind::AsMoving;
+        let up = Ctrl::Tell(Event::LinkUp { peer: PEER, kind });
+        node.handle_ctrl(up, T1 + 10, &mut wire, &shared);
+        assert_eq!(
+            (node.dining, node.pending.clone()),
+            (Hungry, Some((T1 + NU, exit(1))))
+        );
+
+        // The fork comes back before session 1's exit is due: session 2.
+        let t2 = T1 + NU / 2;
+        let fork = Envelope {
+            from: PEER,
+            seq: 1,
+            ack: 0,
+            sent_ns: t2,
+            msg: Some(A2Msg::Fork {
+                flag: false,
+                gen: 1,
+            }),
+        };
+        node.receive(fork, t2, &mut wire, &shared);
+        assert_eq!((node.dining, node.session), (Eating, 2));
+
+        // Session 2 eats its full meal, through session 1's deadline.
+        node.tick(T1 + NU, &mut wire, &shared);
+        assert_eq!(node.dining, Eating);
+        assert_eq!(node.earliest_deadline_ns(), Some(t2 + NU));
+        node.tick(t2 + NU, &mut wire, &shared);
+        assert_eq!(node.dining, Thinking);
     }
 
     #[test]

@@ -26,6 +26,7 @@ use crate::shim::{self, ShimState, ShimStats};
 use crate::time::SimTime;
 use crate::trace::{Trace, TraceEntry, TraceKind};
 use crate::wheel::TimingWheel;
+use crate::workload::Workload;
 use crate::world::{LinkChange, Position, World};
 
 /// Information handed to the node factory when constructing each protocol
@@ -776,19 +777,16 @@ impl<P: Protocol> Engine<P> {
 
     fn execute(&mut self, cmd: Command) {
         match cmd {
-            Command::SetHungry(node) => {
-                if !self.core.world.is_crashed(node)
-                    && self.core.dining[node.index()] == DiningState::Thinking
-                {
-                    self.deliver_proto(node, Event::Hungry);
-                }
-            }
-            Command::ExitCs { node, session } => {
-                if !self.core.world.is_crashed(node)
-                    && self.core.dining[node.index()] == DiningState::Eating
-                    && self.core.eating_session[node.index()] == session
-                {
-                    self.deliver_proto(node, Event::ExitCs);
+            Command::SetHungry(node) | Command::ExitCs { node, .. } => {
+                let i = node.index();
+                let (dining, session) = (self.core.dining[i], self.core.eating_session[i]);
+                if !self.core.world.is_crashed(node) && Workload::applies(&cmd, dining, session) {
+                    let ev = if let Command::SetHungry(_) = cmd {
+                        Event::Hungry
+                    } else {
+                        Event::ExitCs
+                    };
+                    self.deliver_proto(node, ev);
                 }
             }
             Command::Crash(node) => {

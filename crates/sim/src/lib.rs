@@ -23,11 +23,12 @@
 //! `(time, sequence-number)`. Running the same configuration twice produces
 //! byte-identical traces.
 //!
-//! Two observers live here because every host links this crate: the
-//! simulator, the model checker and the live runtime all count meals and
-//! response times with [`SessionFold`] (behind the [`Metrics`] hook), and
-//! all check local mutual exclusion with [`SafetyCore`] (behind the
-//! [`SafetyMonitor`] hook).
+//! Two observers and the application layer live here because every host
+//! links this crate: the simulator, the model checker and the live
+//! runtime all count meals and response times with [`SessionFold`]
+//! (behind the [`Metrics`] hook), all check local mutual exclusion with
+//! [`SafetyCore`] (behind the [`SafetyMonitor`] hook), and all decide
+//! every exit and every next hunger with [`Workload`].
 //!
 //! # Example
 //!
@@ -85,6 +86,7 @@ mod shim;
 mod time;
 mod trace;
 mod wheel;
+mod workload;
 mod world;
 
 pub use channel::{fair_share_rates, ChannelConfig, ChannelStats};
@@ -110,4 +112,5 @@ pub use shim::{ArqConfig, ShimStats};
 pub use time::SimTime;
 pub use trace::{TraceEntry, TraceKind};
 pub use wheel::TimingWheel;
+pub use workload::Workload;
 pub use world::{LinkChange, Position, World};

@@ -289,3 +289,36 @@ impl<M> Hook<M> for SafetyMonitor {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Context, Engine, Event, Protocol, SimConfig};
+
+    /// Deliberately unsafe protocol: eats whenever told.
+    struct Rogue(DiningState);
+    impl Protocol for Rogue {
+        type Msg = ();
+        fn on_event(&mut self, ev: Event<()>, _ctx: &mut Context<'_, ()>) {
+            if let Event::Hungry = ev {
+                self.0 = DiningState::Eating;
+            }
+        }
+        fn dining_state(&self) -> DiningState {
+            self.0
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "local mutual exclusion violated")]
+    fn safety_check_catches_violations() {
+        let mut e: Engine<Rogue> =
+            Engine::new(SimConfig::default(), vec![(0.0, 0.0), (1.0, 0.0)], |_| {
+                Rogue(DiningState::Thinking)
+            });
+        e.add_hook(Box::new(SafetyMonitor::new(true).0));
+        e.set_hungry_at(SimTime(1), NodeId(0));
+        e.set_hungry_at(SimTime(1), NodeId(1));
+        e.run_until(SimTime(10));
+    }
+}

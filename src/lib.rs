@@ -49,3 +49,8 @@ pub use harness;
 pub use lme_check as check;
 pub use local_mutex as lme;
 pub use manet_sim as sim;
+
+/// The README's Rust snippets, compiled and run as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;

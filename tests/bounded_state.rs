@@ -21,9 +21,10 @@
 use std::hash::{Hash, Hasher};
 
 use harness::{topology, AlgKind, Automata};
-use local_mutex::testutil::AutoExit;
 use local_mutex::Algorithm1;
-use manet_sim::{DiningState, Engine, Metrics, NodeId, NodeSeed, Protocol, SimConfig, SimTime};
+use manet_sim::{
+    DiningState, Engine, Metrics, NodeId, NodeSeed, Protocol, SimConfig, SimTime, Workload,
+};
 
 /// The ends of the two busy stretches, and the quiet time after each.
 const STRETCHES: [u64; 2] = [1_000, 10_000];
@@ -60,7 +61,7 @@ where
 {
     let n = positions.len() as u32;
     let mut engine = Engine::new(SimConfig::default(), positions.to_vec(), make);
-    engine.add_hook(Box::new(AutoExit::new(20)));
+    engine.add_hook(Box::new(Workload::one_shot(20..=20, 0)));
     let (metrics, data) = Metrics::new(positions.len());
     engine.add_hook(Box::new(metrics));
     let measure = |e: &Engine<P>| -> Vec<u64> {

@@ -49,12 +49,11 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use harness::{run_algorithm, topology, AlgKind, RunSpec, SweepSpec, Topo};
-use local_mutex::testutil::AutoExit;
 use local_mutex::Algorithm2;
 use manet_sim::{
     fair_share_rates, Burst, ChannelConfig, Context, DelayAdversary, DiningState, Engine,
     EngineStats, Event, FaultPlan, LinkFaults, NodeId, PartitionWindow, Protocol, RandomDelays,
-    RunAbort, SimConfig, SimTime,
+    RunAbort, SimConfig, SimTime, Workload,
 };
 
 mod sim_golden;
@@ -75,7 +74,7 @@ fn fingerprint(channel: ChannelConfig) -> (u64, u64, usize, Option<u64>) {
     };
     let positions: Vec<(f64, f64)> = (0..6).map(|i| (i as f64, 0.0)).collect();
     let mut eng = Engine::new(cfg, positions, |seed| Algorithm2::new(&seed));
-    eng.add_hook(Box::new(AutoExit::new(8)));
+    eng.add_hook(Box::new(Workload::one_shot(8..=8, 0)));
     for i in 0..6u32 {
         eng.set_hungry_at(SimTime(1 + u64::from(i % 7)), NodeId(i));
     }
@@ -182,7 +181,7 @@ fn fold_pipeline_run(fold: &mut Fold, seed: u64, cell: &PipelineCell) -> EngineS
     };
     let positions = topology::random_connected(N, seed);
     let mut eng = Engine::new(cfg, positions, |s| Algorithm2::new(&s));
-    eng.add_hook(Box::new(AutoExit::new(8)));
+    eng.add_hook(Box::new(Workload::one_shot(8..=8, 0)));
     if cell.strategy {
         eng.set_strategy(Box::new(RandomDelays::new(seed)));
     }

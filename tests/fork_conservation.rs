@@ -9,10 +9,9 @@ use std::sync::Arc;
 
 use manet_local_mutex::baselines::ChandyMisra;
 use manet_local_mutex::coloring::LinialSchedule;
-use manet_local_mutex::lme::testutil::AutoExit;
 use manet_local_mutex::lme::{Algorithm1, Algorithm2};
 use manet_local_mutex::sim::{
-    Engine, NodeId, NodeSeed, Protocol, RandomDelays, SimConfig, SimTime,
+    Engine, NodeId, NodeSeed, Protocol, RandomDelays, SimConfig, SimTime, Workload,
 };
 
 const N: usize = 6;
@@ -31,7 +30,7 @@ where
     let positions: Vec<(f64, f64)> = (0..N).map(|i| (i as f64, 0.0)).collect();
     let mut engine = Engine::new(cfg, positions, factory);
     engine.set_strategy(Box::new(RandomDelays::new(seed ^ 0xF0_2C)));
-    engine.add_hook(Box::new(AutoExit::new(8)));
+    engine.add_hook(Box::new(Workload::one_shot(8..=8, 0)));
     for i in 0..N as u32 {
         engine.set_hungry_at(SimTime(1), NodeId(i));
     }

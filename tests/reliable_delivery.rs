@@ -58,11 +58,10 @@ use std::sync::Arc;
 use baselines::ChandyMisra;
 use coloring::LinialSchedule;
 use harness::{run_algorithm, topology, AlgKind, RunReport, RunSpec, SafetyMonitor};
-use local_mutex::testutil::AutoExit;
 use local_mutex::{Algorithm1, Algorithm2};
 use manet_sim::{
     ArqConfig, ChannelConfig, CrashWave, DiningState, Engine, FaultPlan, Hook, LinkFaults, NodeId,
-    NodeSeed, PartitionWindow, Protocol, ShimStats, SimConfig, SimTime, Sink, View,
+    NodeSeed, PartitionWindow, Protocol, ShimStats, SimConfig, SimTime, Sink, View, Workload,
 };
 
 mod sim_golden;
@@ -125,7 +124,7 @@ where
         ..SimConfig::default()
     };
     let mut engine = Engine::new(cfg, positions, factory);
-    engine.add_hook(Box::new(AutoExit::new(8)));
+    engine.add_hook(Box::new(Workload::one_shot(8..=8, 0)));
     let meals = Rc::new(RefCell::new(vec![0u64; n]));
     engine.add_hook(Box::new(MealCount(meals.clone())));
     let (monitor, violations) = SafetyMonitor::new(false);
@@ -209,7 +208,7 @@ fn bare_run_fingerprint() -> (u64, u64, usize, Option<u64>) {
     };
     let positions: Vec<(f64, f64)> = (0..6).map(|i| (i as f64, 0.0)).collect();
     let mut eng = Engine::new(cfg, positions, |seed| Algorithm2::new(&seed));
-    eng.add_hook(Box::new(AutoExit::new(8)));
+    eng.add_hook(Box::new(Workload::one_shot(8..=8, 0)));
     for i in 0..6u32 {
         eng.set_hungry_at(SimTime(1 + u64::from(i % 7)), NodeId(i));
     }
@@ -333,7 +332,7 @@ fn fold_shim_run(fold: &mut Fold, seed: u64) -> ShimStats {
     };
     let positions = topology::random_connected(N, seed);
     let mut eng = Engine::new(cfg, positions, |s| Algorithm2::new(&s));
-    eng.add_hook(Box::new(AutoExit::new(8)));
+    eng.add_hook(Box::new(Workload::one_shot(8..=8, 0)));
     for wave in (0..HORIZON).step_by(1_400) {
         for i in 0..N as u32 {
             eng.set_hungry_at(SimTime(wave + 1 + u64::from(i % 7)), NodeId(i));
@@ -517,7 +516,7 @@ where
     };
     let positions: Vec<(f64, f64)> = (0..N).map(|i| (i as f64, 0.0)).collect();
     let mut engine = Engine::new(cfg, positions, factory);
-    engine.add_hook(Box::new(AutoExit::new(8)));
+    engine.add_hook(Box::new(Workload::one_shot(8..=8, 0)));
     let meals = Rc::new(RefCell::new(vec![0u64; N]));
     engine.add_hook(Box::new(MealCount(meals.clone())));
     let (monitor, violations) = SafetyMonitor::new(false);
@@ -646,7 +645,7 @@ fn recovery_under_sustained_loss_stays_live_with_the_shim() {
         ..SimConfig::default()
     };
     let mut engine = Engine::new(cfg, topology::ring(n), |s| Algorithm2::new(&s));
-    engine.add_hook(Box::new(AutoExit::new(8)));
+    engine.add_hook(Box::new(Workload::one_shot(8..=8, 0)));
     let meals = Rc::new(RefCell::new(vec![0u64; n]));
     engine.add_hook(Box::new(MealCount(meals.clone())));
     let (monitor, violations) = SafetyMonitor::new(false);

@@ -15,7 +15,7 @@ use lme_net::{
     conformance_replay, merge_stamped, run_live, LiveConfig, LiveEventKind, LiveRuntime,
     StampedRecord, TransportKind,
 };
-use manet_sim::DiningState::{Eating, Hungry};
+use manet_sim::DiningState::{Eating, Hungry, Thinking};
 use manet_sim::{Command, NodeId, Position, SimRng};
 
 fn sharded_cfg(alg: AlgKind, positions: Vec<(f64, f64)>, workers: usize) -> LiveConfig {
@@ -171,12 +171,17 @@ fn sharded_crash_and_recovery_rejoins() {
         assert_eq!(out.threads_joined, 4, "{cell}: nodes lost");
         assert_eq!(out.decode_errors, 0, "{cell}: decode errors");
         assert_eq!(out.send_failures, 0, "{cell}: send failures");
-        let recovered = out
-            .trace
-            .records()
+        let records = out.trace.records();
+        let recovered = records
             .iter()
-            .any(|r| matches!(r.kind, LiveEventKind::Recover { node } if node == NodeId(0)));
-        assert!(recovered, "{cell}: no Recover record in the merged trace");
+            .position(|r| matches!(r.kind, LiveEventKind::Recover { node } if node == NodeId(0)));
+        let recovered = recovered.unwrap_or_else(|| panic!("{cell}: no Recover record"));
+        // The fresh incarnation rejoins the workload: it finishes a meal.
+        let ate = records[recovered..].iter().any(|r| {
+            matches!(r.kind, LiveEventKind::State { node, old: Eating, new: Thinking, .. }
+                if node == NodeId(0))
+        });
+        assert!(ate, "{cell}: p0 finished no meal after its recovery");
         // The shim's counters reach the outcome and agree with the
         // per-node NetStats records; with the shim off both are zero.
         assert_eq!(out.acks_sent > 0, reliable, "{cell}: standalone acks");
