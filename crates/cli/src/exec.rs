@@ -699,6 +699,11 @@ fn render_live(cmd: &Live) -> Result<String, String> {
         ));
     }
     s.push_str(&format!(
+        "  timer wakes       : {}, mean {:.1} µs past their tick\n",
+        out.timer_wakes,
+        out.timer_late_ns as f64 / out.timer_wakes.max(1) as f64 / 1e3
+    ));
+    s.push_str(&format!(
         "  threads joined    : {}/{}\n",
         out.threads_joined,
         cell.topo.len()
@@ -893,6 +898,7 @@ mod tests {
         assert!(out.contains("sharded runtime"), "{out}");
         assert!(out.contains("closed loop"), "{out}");
         assert!(out.contains("safety violations : 0"), "{out}");
+        assert!(out.contains("timer wakes       : "), "{out}");
         assert!(out.contains("threads joined    : 4/4"), "{out}");
         // The reliable shim and crash recovery run at any worker count.
         let out = run_cli(argv(

@@ -199,6 +199,12 @@ pub struct LiveOutcome {
     pub retransmissions: u64,
     /// Standalone acknowledgment frames sent by the reliable shim.
     pub acks_sent: u64,
+    /// Timed parks of a shard worker after which the worker's next pass
+    /// found the wheel tick they waited for due.
+    pub timer_wakes: u64,
+    /// Those wakes' summed lateness in nanoseconds: the clock reading
+    /// that found the tick due minus the instant of the tick.
+    pub timer_late_ns: u64,
     /// Crash recoveries executed by the driver.
     pub recoveries: u64,
     /// Wall-clock length of the run in milliseconds.

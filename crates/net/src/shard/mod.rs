@@ -23,7 +23,10 @@
 //! - **Every input wakes its worker.** A worker parks until its next
 //!   deadline (at most 1 ms) or an input: a control message, a ring batch
 //!   and a UDP batch each unpark it, so a cross-shard frame never waits
-//!   out the park.
+//!   out the park. The park's length comes from the runtime's one wait
+//!   rule, `park_ns`, which ends it Linux's timer slack short of the
+//!   deadline so that the wake lands on its tick, not 50 µs past it; the
+//!   driver's wait for its next timeline command uses the same rule.
 //! - **The worker reads the clock, once per input.** It hands each node
 //!   input — a control message, a delivered envelope (cross-shard or
 //!   local), a due wakeup — the instant it took it in hand, one reading
@@ -615,6 +618,8 @@ where
     };
     let mut due: Vec<u32> = Vec::new();
     let mut rx_buf = vec![0u8; 65_535];
+    // The wall instant of the tick the last timed park waited for.
+    let mut parked_for: Option<u64> = None;
 
     for i in 0..w.nodes.len() {
         w.settle(i);
@@ -669,8 +674,14 @@ where
 
         // 4. Due wakeups from the wheel, each taken in hand at the one
         // reading that found it due, then the same-shard traffic they
-        // enqueued, rather than sleeping on it.
+        // enqueued, rather than sleeping on it. That reading also times
+        // the park before it: a pass at or past the tick the park waited
+        // for counts as a timer wake, with how late it came.
         let now = shared.now_ns();
+        if let Some(at) = parked_for.take().filter(|&at| now >= at) {
+            w.wire.counts.timer_wakes += 1;
+            w.wire.counts.timer_late_ns += now - at;
+        }
         due.clear();
         w.wakeups.drain_due(now / w.env.tick_ns, &mut due);
         for &i in &due {
@@ -699,16 +710,40 @@ where
         // cap is the fallback.
         if !busy {
             let now_ns = shared.now_ns();
-            let sleep_ns = w
+            let due_ns = w
                 .wakeups
                 .next_tick()
-                .map(|t| t.saturating_mul(w.env.tick_ns).saturating_sub(now_ns))
-                .unwrap_or(1_000_000)
-                .clamp(50_000, 1_000_000);
-            thread::park_timeout(Duration::from_nanos(sleep_ns));
+                .map(|t| t.saturating_mul(w.env.tick_ns));
+            let remaining = due_ns.map_or(u64::MAX, |at| at.saturating_sub(now_ns));
+            if let Some(sleep_ns) = park_ns(remaining, 1_000_000) {
+                thread::park_timeout(Duration::from_nanos(sleep_ns));
+                parked_for = due_ns;
+            }
         }
     }
     w.wire
+}
+
+/// Linux's default timer slack for a normal thread (prctl(2)): the
+/// kernel may end a timed sleep up to this long after the instant it was
+/// asked for, and on an idle host it does.
+const TIMER_SLACK_NS: u64 = 50_000;
+
+/// The one wait rule of the live runtime: how long to sleep for a
+/// deadline `remaining_ns` away, at most `cap_ns`. `None` when it is
+/// already due. Otherwise the sleep ends [`TIMER_SLACK_NS`] short of the
+/// deadline, so that the slack lands the wake on it rather than 50 µs
+/// past it; a deadline within the slack is slept for as it is.
+///
+/// Ending early is safe: whoever sleeps checks the clock again on
+/// waking and acts only on what is due by then, so a slack smaller than
+/// assumed costs one more wake and never an early deadline.
+fn park_ns(remaining_ns: u64, cap_ns: u64) -> Option<u64> {
+    match remaining_ns {
+        0 => None,
+        r if r > TIMER_SLACK_NS => Some((r - TIMER_SLACK_NS).min(cap_ns)),
+        r => Some(r.min(cap_ns)),
+    }
 }
 
 /// The calling thread's side of a run: it executes the command timeline
@@ -967,10 +1002,9 @@ where
             .get(next)
             .map_or(u64::MAX, |&(at, _)| at)
             .min(deadline_ns);
-        let wait_ns = next_at
-            .saturating_sub(shared.now_ns())
-            .clamp(1_000_000, 5_000_000);
-        thread::sleep(Duration::from_nanos(wait_ns));
+        if let Some(wait_ns) = park_ns(next_at.saturating_sub(shared.now_ns()), 5_000_000) {
+            thread::sleep(Duration::from_nanos(wait_ns));
+        }
     }
 
     for (s, c) in driver.ctrls.iter().enumerate() {
@@ -1010,6 +1044,8 @@ where
         send_failures: counts.send_failures,
         retransmissions: counts.retransmissions,
         acks_sent: counts.acks_sent,
+        timer_wakes: counts.timer_wakes,
+        timer_late_ns: counts.timer_late_ns,
         recoveries: driver.recoveries,
         elapsed_ms,
         verdict_ms,
@@ -1124,6 +1160,30 @@ mod tests {
             assert!(
                 woke < Duration::from_secs(1),
                 "{transport:?}: the receiver slept {woke:?} on a sent batch"
+            );
+        }
+    }
+
+    #[test]
+    fn a_park_ends_the_timer_slack_short_of_its_deadline() {
+        // (remaining, cap, park): the worker's 1 ms cap, then the driver's
+        // 5 ms one, which has no floor.
+        for (remaining, cap, park) in [
+            (0, 1_000_000, None),
+            (30_000, 1_000_000, Some(30_000)),
+            (TIMER_SLACK_NS, 1_000_000, Some(TIMER_SLACK_NS)),
+            (120_000, 1_000_000, Some(70_000)),
+            (5_000_000, 1_000_000, Some(1_000_000)),
+            (u64::MAX, 1_000_000, Some(1_000_000)),
+            (0, 5_000_000, None),
+            (100_000, 5_000_000, Some(50_000)),
+            (5_000_000, 5_000_000, Some(4_950_000)),
+            (9_000_000, 5_000_000, Some(5_000_000)),
+        ] {
+            assert_eq!(
+                park_ns(remaining, cap),
+                park,
+                "{remaining} ns left, cap {cap}"
             );
         }
     }

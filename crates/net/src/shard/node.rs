@@ -54,6 +54,10 @@ pub(crate) struct NetCounts {
     pub(crate) send_failures: u64,
     pub(crate) retransmissions: u64,
     pub(crate) acks_sent: u64,
+    /// Timed parks whose next pass found their wheel tick due, and their
+    /// summed lateness (that pass's clock reading minus the tick), in ns.
+    pub(crate) timer_wakes: u64,
+    pub(crate) timer_late_ns: u64,
 }
 
 impl AddAssign for NetCounts {
@@ -64,6 +68,8 @@ impl AddAssign for NetCounts {
         self.send_failures += o.send_failures;
         self.retransmissions += o.retransmissions;
         self.acks_sent += o.acks_sent;
+        self.timer_wakes += o.timer_wakes;
+        self.timer_late_ns += o.timer_late_ns;
     }
 }
 
