@@ -123,7 +123,7 @@ pub struct Asked {
     pub topo: Option<TopoSpec>,
     /// `--seed`.
     pub seed: Option<u64>,
-    /// `--horizon`.
+    /// `--horizon`, at least 1.
     pub horizon: Option<u64>,
     /// `--eat a..b`.
     pub eat: Option<(u64, u64)>,
@@ -140,7 +140,7 @@ impl Asked {
             alg: args.with("--alg", parse_alg)?,
             topo: take_topo(args)?,
             seed: args.parsed("--seed")?,
-            horizon: args.parsed("--horizon")?,
+            horizon: args.count("--horizon")?,
             eat: args.with("--eat", |s| parse_range("--eat", s))?,
             think: args.with("--think", |s| parse_range("--think", s))?,
         })
@@ -280,8 +280,8 @@ pub struct Scenario {
 }
 
 /// How nodes move in `run` and `sweep`, grounded in the instance: both
-/// models roam the same area over the middle 80 % of the horizon, seeded
-/// from the run seed.
+/// models roam the same area over the middle 80 % of the horizon. Each
+/// run re-seeds its model with its own seed (see `harness::SweepSpec`).
 #[derive(Clone, Debug)]
 pub enum Mobility {
     /// Nobody moves.
@@ -297,7 +297,6 @@ impl Scenario {
         let inst = asked.instance();
         let area_side = (inst.topo.len() as f64 / 1.6).sqrt().max(2.0);
         let window = (inst.horizon / 10, inst.horizon * 9 / 10);
-        let seed = inst.seed ^ 0xB0B;
         let (moves, mix) = (
             args.parsed("--moves")?,
             args.with("--mix", MobilityMix::parse)?,
@@ -307,7 +306,7 @@ impl Scenario {
             (_, Some(mix)) => Mobility::Mix(MobilityMix {
                 area_side,
                 window,
-                seed,
+                seed: inst.seed,
                 ..mix
             }),
             (Some(moves), None) if moves > 0 => Mobility::Waypoints(WaypointPlan {
@@ -315,7 +314,7 @@ impl Scenario {
                 moves,
                 window,
                 speed: Some(0.25),
-                seed,
+                seed: inst.seed,
             }),
             _ => Mobility::Static,
         };

@@ -4,43 +4,46 @@
 use std::path::Path;
 
 use harness::{
-    default_jobs, probe, run, run_cells, starvation, stats::jain_index, AlgKind, FaultClass,
-    RunOutcome, RunReport, RunSpec, Summary, SweepCell, SweepReport, SweepSpec, Table, Topo,
-    WaypointPlan,
+    default_jobs, run_cells, AggregateRow, AlgKind, FaultClass, FlReport, RunReport, RunSpec,
+    Sample, Summary, SweepCell, SweepReport, SweepSpec, Table, Topo, WaypointPlan,
 };
 use lme_check::{
-    certify, explore, replay, CertifyConfig, CheckSpec, ExploreConfig, Mutation, StrategyKind,
-    Witness,
+    certify, explore, replay, Certificate, CertifyConfig, CheckSpec, Exploration, ExploreConfig,
+    Mutation, StrategyKind, Witness,
 };
-use lme_net::{conformance_replay, run_live, LiveConfig};
+use lme_net::{conformance_replay, run_live, ConformanceReport, LiveConfig, LiveOutcome};
 use manet_sim::{ArqConfig, Command as SimCommand, NodeId, SimConfig};
 
 use crate::args::{
-    Chaos, Check, CheckMode, Command, Experiments, Instance, Live, Mobility, Probe, Run, Scenario,
-    Sim, Strategy, Sweep, TopoSpec, USAGE,
+    Chaos, Check, CheckMode, Command, Experiments, Instance, Live, LiveCell, Mobility, Probe, Run,
+    Scenario, Sim, Strategy, Sweep, TopoSpec, USAGE,
 };
 use crate::experiments;
 
-/// The run spec of `inst` at `seed`, with the default sim settings.
-fn base_spec(inst: &Instance, seed: u64) -> RunSpec {
-    RunSpec {
+/// The sweep of `inst` over `sim` with `mobility`: one cell, `inst.alg`
+/// at `inst.seed`, until the caller sets its algorithms and seeds.
+/// `run` and `probe` are this one cell, so they run what `sweep --seeds
+/// 1` runs.
+fn sweep_of(inst: &Instance, sim: &Sim, mobility: &Mobility) -> SweepSpec {
+    let base = RunSpec {
         sim: SimConfig {
-            seed,
+            seed: inst.seed,
+            fault: sim.fault.clone(),
+            arq: sim.arq.then(ArqConfig::default),
+            channel: sim.channel.clone(),
             ..SimConfig::default()
         },
         horizon: inst.horizon,
         eat: inst.eat.0..=inst.eat.1,
         think: inst.think.0..=inst.think.1,
         ..RunSpec::default()
+    };
+    let sweep = SweepSpec::new(inst.topo.to_string(), inst.topo.topo(), base).kinds([inst.alg]);
+    match mobility {
+        Mobility::Static => sweep,
+        Mobility::Waypoints(plan) => sweep.moves(plan.clone()),
+        Mobility::Mix(mix) => sweep.mix(mix.clone()),
     }
-}
-
-fn spec_of(inst: &Instance, sim: &Sim) -> RunSpec {
-    let mut spec = base_spec(inst, inst.seed);
-    spec.sim.fault = sim.fault.clone();
-    spec.sim.arq = sim.arq.then(ArqConfig::default);
-    spec.sim.channel = sim.channel.clone();
-    spec
 }
 
 /// Write the JSONL metrics file when `--metrics-out` was given.
@@ -53,22 +56,16 @@ fn emit_metrics(path: Option<&String>, report: &SweepReport) -> Result<(), Strin
     Ok(())
 }
 
-/// The metrics of one run as a one-run report.
-fn one_run(
-    inst: &Instance,
-    out: &RunOutcome,
-    locality: Option<(usize, Option<usize>)>,
-) -> SweepReport {
-    SweepReport {
-        runs: vec![RunReport::from_outcome(
-            &inst.topo.to_string(),
-            inst.alg.name(),
-            inst.seed,
-            inst.horizon,
-            out,
-            locality,
-        )],
-    }
+/// Run the one cell of `sweep` and write its record where `out` says:
+/// the record, and the finished run it came from.
+fn run_one(sweep: &SweepSpec, out: Option<&String>) -> Result<(RunReport, FlReport), String> {
+    let cell = &sweep.cells()[0];
+    let fl = cell.outcome();
+    let mut report = SweepReport {
+        runs: vec![cell.report(&fl)],
+    };
+    emit_metrics(out, &report)?;
+    Ok((report.runs.remove(0), fl))
 }
 
 /// The command's result: its report `s`, or, when an in-model run of
@@ -90,114 +87,110 @@ fn render_run(cmd: &Run) -> Result<String, String> {
         sim,
         mobility,
     } = &cmd.scenario;
-    let spec = spec_of(inst, sim);
-    let topo = inst.topo.topo();
-    let n = topo.len();
-    let commands = match mobility {
-        Mobility::Static => Vec::new(),
-        Mobility::Waypoints(plan) => plan.commands(n),
-        Mobility::Mix(mix) => mix.commands(n),
+    let sweep = sweep_of(inst, sim, mobility);
+    let (r, fl) = run_one(&sweep, sim.metrics_out.as_ref())?;
+    let text = if cmd.csv {
+        samples_csv(&fl.outcome.metrics.samples)
+    } else {
+        run_text(cmd, &r)
     };
-    let fl = starvation(&spec, run(inst.alg, &spec, &topo, &commands, None));
-    let out = &fl.outcome;
-    let locality = Some((fl.starving.len(), fl.locality));
-    emit_metrics(sim.metrics_out.as_ref(), &one_run(inst, out, locality))?;
-    if cmd.csv {
-        let mut t = Table::new(&["node", "hungry_at", "eat_at", "response", "moved", "msgs"]);
-        for s in &out.metrics.samples {
-            t.row([
-                s.node.0.to_string(),
-                s.hungry_at.to_string(),
-                s.eat_at.to_string(),
-                s.response().to_string(),
-                s.moved.to_string(),
-                s.msgs.to_string(),
-            ]);
-        }
-        return verdict(&spec, out.violations.len(), t.to_csv());
+    verdict(&sweep.base, r.violations, text)
+}
+
+/// The per-episode samples of `run --csv`.
+fn samples_csv(samples: &[Sample]) -> String {
+    let mut t = Table::new(&["node", "hungry_at", "eat_at", "response", "moved", "msgs"]);
+    for s in samples {
+        t.row([
+            s.node.0.to_string(),
+            s.hungry_at.to_string(),
+            s.eat_at.to_string(),
+            s.response().to_string(),
+            s.moved.to_string(),
+            s.msgs.to_string(),
+        ]);
     }
-    let mut report = String::new();
-    report.push_str(&format!(
+    t.to_csv()
+}
+
+/// The text of `run`: its record `r` under a header of its arguments.
+fn run_text(cmd: &Run, r: &RunReport) -> String {
+    let inst = &cmd.scenario.inst;
+    let mut s = format!(
         "{} on {:?} (n = {}), horizon {}, seed {}\n",
         inst.alg.name(),
         inst.topo,
         inst.topo.len(),
         inst.horizon,
         inst.seed
-    ));
-    report.push_str(&format!("  safety violations : {}\n", out.violations.len()));
-    report.push_str(&format!("  total meals       : {}\n", out.total_meals()));
-    report.push_str(&format!(
-        "  meals fairness    : {:.3} (Jain index)\n",
-        jain_index(&out.metrics.meals)
-    ));
-    report.push_str(&format!("  response (static) : {}\n", out.static_summary()));
-    report.push_str(&format!("  response (all)    : {}\n", out.all_summary()));
-    report.push_str(&format!(
+    );
+    s += &format!("  safety violations : {}\n", r.violations);
+    s += &format!("  total meals       : {}\n", r.meals);
+    s += &format!("  meals fairness    : {:.3} (Jain index)\n", r.jain);
+    s += &format!("  response (static) : {}\n", r.rt_static);
+    s += &format!("  response (all)    : {}\n", r.rt_all);
+    s += &format!(
         "  messages          : {} ({:.1} per meal)\n",
-        out.messages_sent,
-        out.messages_per_meal()
-    ));
-    if sim.arq {
-        report.push_str(&format!(
+        r.messages_sent,
+        r.messages_per_meal()
+    );
+    if cmd.scenario.sim.arq {
+        s += &format!(
             "  arq shim          : {} retransmissions, {} acks, buffer high water {}\n",
-            out.stats.shim.retransmissions,
-            out.stats.shim.acks_sent,
-            out.stats.shim.buffer_high_water
-        ));
+            r.retransmissions, r.acks_sent, r.buffer_high_water
+        );
     }
-    if out.stats.faults.recoveries > 0 {
-        report.push_str(&format!(
-            "  recoveries        : {}\n",
-            out.stats.faults.recoveries
-        ));
+    if r.recoveries > 0 {
+        s += &format!("  recoveries        : {}\n", r.recoveries);
     }
-    if fl.starving.is_empty() {
-        report.push_str("  starvation        : none\n");
+    if r.starving_nodes.is_empty() {
+        s += "  starvation        : none\n";
     } else {
-        let starving: Vec<NodeId> = fl.starving.iter().map(|&(node, _)| node).collect();
-        report.push_str(&format!("  starvation        : {starving:?}\n"));
+        let starving: Vec<NodeId> = r.starving_nodes.iter().map(|&(node, _)| node).collect();
+        s += &format!("  starvation        : {starving:?}\n");
     }
-    verdict(&spec, out.violations.len(), report)
+    s
 }
 
 fn render_probe(cmd: &Probe) -> Result<String, String> {
+    let sweep = probe_sweep(cmd);
+    let (r, _) = run_one(&sweep, cmd.sim.metrics_out.as_ref())?;
+    verdict(&sweep.base, r.violations, probe_text(cmd, &r))
+}
+
+/// The node `--victim` names, by default the middle one.
+fn victim_of(inst: &Instance, victim: Option<u32>) -> NodeId {
+    NodeId(victim.unwrap_or(inst.topo.len() as u32 / 2))
+}
+
+/// The one-cell sweep of `probe`: its victim crashes the first time it
+/// eats a twentieth into the run.
+fn probe_sweep(cmd: &Probe) -> SweepSpec {
     let inst = &cmd.inst;
-    let spec = spec_of(inst, &cmd.sim);
-    let victim = NodeId(cmd.victim.unwrap_or(inst.topo.len() as u32 / 2));
-    let topo = inst.topo.topo();
-    let crash = FaultClass::Crash;
-    let report = probe(inst.alg, &spec, &topo, victim, crash, spec.horizon / 20);
-    let locality = Some((report.starving.len(), report.locality));
-    emit_metrics(
-        cmd.sim.metrics_out.as_ref(),
-        &one_run(inst, &report.outcome, locality),
-    )?;
-    let mut s = String::new();
-    s.push_str(&format!(
-        "crash probe: {} on {:?}, victim {victim} crashed mid-CS\n",
-        inst.alg.name(),
-        inst.topo
-    ));
-    s.push_str(&format!(
-        "  crash fired at    : {}\n",
-        report
-            .outcome
-            .crash_time
-            .map_or("never (victim never ate)".to_string(), |t| t.to_string())
-    ));
-    s.push_str(&format!(
-        "  safety violations : {}\n",
-        report.outcome.violations.len()
-    ));
-    match report.locality {
-        None => s.push_str("  starvation        : none observed\n"),
-        Some(m) => {
-            s.push_str(&format!("  starving nodes    : {:?}\n", report.starving));
-            s.push_str(&format!("  empirical locality: {m}\n"));
-        }
+    let victim = victim_of(inst, cmd.victim);
+    sweep_of(inst, &cmd.sim, &Mobility::Static).probe(victim, inst.horizon / 20)
+}
+
+/// The text of `probe`: its record `r` under a header of its arguments.
+fn probe_text(cmd: &Probe, r: &RunReport) -> String {
+    let mut s = format!(
+        "crash probe: {} on {:?}, victim {} crashed mid-CS\n",
+        cmd.inst.alg.name(),
+        cmd.inst.topo,
+        victim_of(&cmd.inst, cmd.victim)
+    );
+    let fired = r.crash_time.map(|t| t.to_string());
+    let fired = fired.unwrap_or_else(|| "never (victim never ate)".to_string());
+    s += &format!("  crash fired at    : {fired}\n");
+    s += &format!("  safety violations : {}\n", r.violations);
+    if r.starving_nodes.is_empty() {
+        s += "  starvation        : none observed\n";
+    } else {
+        s += &format!("  starving nodes    : {:?}\n", r.starving_nodes);
+        let locality = r.locality.map_or("none".to_string(), |m| m.to_string());
+        s += &format!("  empirical locality: {locality}\n");
     }
-    verdict(&spec, report.outcome.violations.len(), s)
+    s
 }
 
 fn render_sweep(cmd: &Sweep) -> Result<String, String> {
@@ -206,21 +199,20 @@ fn render_sweep(cmd: &Sweep) -> Result<String, String> {
         sim,
         mobility,
     } = &cmd.scenario;
-    let base = spec_of(inst, sim);
-    let topo = inst.topo.topo();
-    let n = topo.len();
-    let mut sweep = SweepSpec::new(inst.topo.to_string(), topo, base)
+    let sweep = sweep_of(inst, sim, mobility)
         .kinds(cmd.algs.iter().copied())
         .seed_range(inst.seed, cmd.seeds);
-    match mobility {
-        Mobility::Static => {}
-        Mobility::Waypoints(plan) => sweep = sweep.moves(plan.clone()),
-        Mobility::Mix(mix) => sweep = sweep.mix(mix.clone()),
-    }
     let jobs = cmd.jobs.unwrap_or_else(default_jobs);
     let report = sweep.run(jobs);
     emit_metrics(sim.metrics_out.as_ref(), &report)?;
+    let violations = report.runs.iter().map(|r| r.violations).sum();
+    verdict(&sweep.base, violations, sweep_text(cmd, jobs, &report))
+}
 
+/// The text of `sweep`: its records pooled per algorithm, under a header
+/// of its arguments.
+fn sweep_text(cmd: &Sweep, jobs: usize, report: &SweepReport) -> String {
+    let Scenario { inst, sim, .. } = &cmd.scenario;
     let mut s = format!(
         "sweep: {} on {} (n = {}), seeds {}..{}, horizon {}, {} jobs\n",
         if cmd.algs.len() == 1 {
@@ -229,7 +221,7 @@ fn render_sweep(cmd: &Sweep) -> Result<String, String> {
             "all algorithms"
         },
         inst.topo,
-        n,
+        inst.topo.len(),
         inst.seed,
         inst.seed + cmd.seeds,
         inst.horizon,
@@ -258,12 +250,11 @@ fn render_sweep(cmd: &Sweep) -> Result<String, String> {
             row.violations.to_string(),
         ]);
     }
-    s.push_str(&table.to_string());
+    s += &table.to_string();
     if let Some(path) = &sim.metrics_out {
-        s.push_str(&format!("per-run metrics written to {path}\n"));
+        s += &format!("per-run metrics written to {path}\n");
     }
-    let violations = report.runs.iter().map(|r| r.violations).sum();
-    verdict(&sweep.base, violations, s)
+    s
 }
 
 /// The fixed fault matrix the `chaos` subcommand sweeps: one column per
@@ -284,35 +275,61 @@ const CHAOS_CLASSES: [FaultClass; 8] = [
 ];
 
 fn render_chaos(cmd: &Chaos) -> Result<String, String> {
-    let inst = &cmd.inst;
-    let topo = inst.topo.topo();
-    let n = topo.len();
-    if n < 2 {
-        return Err("chaos needs at least two nodes".to_string());
+    let sweeps = chaos_sweeps(cmd)?;
+    let cells: Vec<SweepCell> = sweeps.iter().flat_map(SweepSpec::cells).collect();
+    let report = run_cells(&cells, cmd.jobs.unwrap_or_else(default_jobs));
+    emit_metrics(cmd.metrics_out.as_ref(), &report)?;
+    let rows = report.aggregate();
+    let mut s = chaos_text(cmd, &rows);
+    for ((row, class), sweep) in rows.iter().zip(CHAOS_CLASSES).zip(&sweeps) {
+        s = verdict(&sweep.base, row.violations, s)
+            .map_err(|e| format!("{}: {e}", class.label()))?;
+        // A class that arms the ARQ shim is survivable only through it; a
+        // stall there means reliable delivery is broken, so the command
+        // fails.
+        if sweep.base.sim.arq.is_some() && row.starving > 0 {
+            return Err(format!(
+                "{} stalled: {} starving node-run(s) despite the ARQ shim\n{s}",
+                class.label(),
+                row.starving
+            ));
+        }
     }
-    let victim = NodeId(cmd.victim.unwrap_or(n as u32 / 2));
+    Ok(s)
+}
+
+/// The victim of `chaos` and the window `[strike, quiesce)` of its
+/// faults: from a twentieth into the run to halfway through the rest.
+fn chaos_fault(cmd: &Chaos) -> (NodeId, (u64, u64)) {
+    let inst = &cmd.inst;
     let fault_at = (inst.horizon / 20).max(1);
     let quiesce = fault_at + (inst.horizon - fault_at) / 2;
-    let specs = CHAOS_CLASSES.map(|class| {
-        let mut spec = base_spec(inst, inst.seed);
-        class.apply(&mut spec, victim, (fault_at, quiesce));
-        spec
-    });
-    let cells: Vec<SweepCell> = CHAOS_CLASSES
-        .iter()
-        .zip(&specs)
-        .flat_map(|(class, spec)| {
-            let label = format!("{}/{}", inst.topo, class.label());
-            SweepSpec::new(label, topo.clone(), spec.clone())
-                .kinds([inst.alg])
-                .seed_range(inst.seed, cmd.seeds)
-                .cells()
-        })
-        .collect();
-    let jobs = cmd.jobs.unwrap_or_else(default_jobs);
-    let report = run_cells(&cells, jobs);
-    emit_metrics(cmd.metrics_out.as_ref(), &report)?;
+    (victim_of(inst, cmd.victim), (fault_at, quiesce))
+}
 
+/// The sweep of each class of [`CHAOS_CLASSES`] over the seeds of `cmd`,
+/// the class applied to its victim over its window.
+fn chaos_sweeps(cmd: &Chaos) -> Result<[SweepSpec; 8], String> {
+    let inst = &cmd.inst;
+    if inst.topo.len() < 2 {
+        return Err("chaos needs at least two nodes".to_string());
+    }
+    let (victim, window) = chaos_fault(cmd);
+    let sweep = sweep_of(inst, &Sim::default(), &Mobility::Static);
+    let sweep = sweep.seed_range(inst.seed, cmd.seeds);
+    Ok(CHAOS_CLASSES.map(|class| {
+        let mut sweep = sweep.clone();
+        sweep.label = format!("{}/{}", inst.topo, class.label());
+        class.apply(&mut sweep.base, victim, window);
+        sweep
+    }))
+}
+
+/// The text of `chaos`: its records pooled per class (`rows`), under a
+/// header of its arguments.
+fn chaos_text(cmd: &Chaos, rows: &[AggregateRow]) -> String {
+    let inst = &cmd.inst;
+    let (victim, (fault_at, quiesce)) = chaos_fault(cmd);
     // The job count is deliberately absent from the output: the chaos
     // report (and its JSONL) is byte-identical for every --jobs value.
     let mut s = format!(
@@ -320,7 +337,7 @@ fn render_chaos(cmd: &Chaos) -> Result<String, String> {
          faults strike at {fault_at}, quiesce by {quiesce}\n",
         inst.alg.name(),
         inst.topo,
-        n,
+        inst.topo.len(),
         inst.seed,
         inst.seed + cmd.seeds,
         inst.horizon,
@@ -335,7 +352,6 @@ fn render_chaos(cmd: &Chaos) -> Result<String, String> {
         "starving",
         "locality",
     ]);
-    let rows = report.aggregate();
     for (row, class) in rows.iter().zip(CHAOS_CLASSES) {
         table.row([
             class.label().to_string(),
@@ -349,24 +365,11 @@ fn render_chaos(cmd: &Chaos) -> Result<String, String> {
                 .map_or_else(|| "-".to_string(), |d| d.to_string()),
         ]);
     }
-    s.push_str(&table.to_string());
+    s += &table.to_string();
     if let Some(path) = &cmd.metrics_out {
-        s.push_str(&format!("per-run metrics written to {path}\n"));
+        s += &format!("per-run metrics written to {path}\n");
     }
-    for ((row, class), spec) in rows.iter().zip(CHAOS_CLASSES).zip(&specs) {
-        s = verdict(spec, row.violations, s).map_err(|e| format!("{}: {e}", class.label()))?;
-        // A class that arms the ARQ shim is survivable only through it; a
-        // stall there means reliable delivery is broken, so the command
-        // fails.
-        if spec.sim.arq.is_some() && row.starving > 0 {
-            return Err(format!(
-                "{} stalled: {} starving node-run(s) despite the ARQ shim\n{s}",
-                class.label(),
-                row.starving
-            ));
-        }
-    }
-    Ok(s)
+    s
 }
 
 fn check_spec_of(cmd: &Check) -> Result<CheckSpec, String> {
@@ -481,6 +484,17 @@ fn render_check(cmd: &Check) -> Result<String, String> {
         } => (*strategy, *jobs, witness_out),
     };
     let spec = check_spec_of(cmd)?;
+    let cfg = explore_config(strategy, jobs);
+    let result = explore(&spec, &cfg);
+    if let (Some(w), Some(path)) = (&result.witness, witness_out) {
+        std::fs::write(path, w.to_json() + "\n")
+            .map_err(|e| format!("cannot write witness to {path}: {e}"))?;
+    }
+    Ok(check_text(&spec, &cfg, &result, witness_out.as_ref()))
+}
+
+/// How `check` explores: `strategy` over `jobs` workers (default 1).
+fn explore_config(strategy: Strategy, jobs: Option<usize>) -> ExploreConfig {
     let mut cfg = ExploreConfig {
         jobs: jobs.unwrap_or(1),
         ..ExploreConfig::default()
@@ -493,7 +507,17 @@ fn render_check(cmd: &Check) -> Result<String, String> {
         Strategy::Random { walks } => (StrategyKind::Random, walks),
         Strategy::Pct { walks } => (StrategyKind::Pct, walks),
     };
-    let result = explore(&spec, &cfg);
+    cfg
+}
+
+/// The text of `check`: its `result` under a header of its arguments,
+/// naming the file the witness was written to.
+fn check_text(
+    spec: &CheckSpec,
+    cfg: &ExploreConfig,
+    result: &Exploration,
+    witness_out: Option<&String>,
+) -> String {
     let mut s = format!(
         "check: {} on {} (n = {}), strategy {}, seed {}, mutation {}\n",
         spec.alg.name(),
@@ -504,50 +528,36 @@ fn render_check(cmd: &Check) -> Result<String, String> {
         spec.mutation.name(),
     );
     if spec.liveness {
-        s.push_str(&format!(
-            "  liveness workload : recycling (think {})\n",
-            spec.think
-        ));
+        s += &format!("  liveness workload : recycling (think {})\n", spec.think);
     }
-    s.push_str(&format!(
-        "  schedules run     : {}{}\n",
-        result.schedules,
-        if result.complete {
-            match cfg.strategy {
-                StrategyKind::Dfs => " (bounded schedule space exhausted)",
-                _ => " (all requested walks)",
-            }
-        } else {
-            " (budget exhausted before the space)"
-        }
-    ));
-    s.push_str(&format!(
-        "  max branch points : {}\n",
-        result.max_branch_points
-    ));
+    let space = match (result.complete, cfg.strategy) {
+        (false, _) => " (budget exhausted before the space)",
+        (true, StrategyKind::Dfs) => " (bounded schedule space exhausted)",
+        (true, _) => " (all requested walks)",
+    };
+    s += &format!("  schedules run     : {}{space}\n", result.schedules);
+    s += &format!("  max branch points : {}\n", result.max_branch_points);
     if cfg.strategy == StrategyKind::Dfs {
-        s.push_str(&format!("  dedup prunes      : {}\n", result.dedup_prunes));
-        s.push_str(&format!("  dpor prunes       : {}\n", result.dpor_prunes));
+        s += &format!("  dedup prunes      : {}\n", result.dedup_prunes);
+        s += &format!("  dpor prunes       : {}\n", result.dpor_prunes);
     }
     match &result.witness {
-        None => s.push_str("  result            : no property violations\n"),
+        None => s += "  result            : no property violations\n",
         Some(w) => {
-            s.push_str(&format!("  result            : VIOLATION {}\n", w.property));
-            s.push_str(&format!("  detail            : {}\n", w.detail));
-            s.push_str(&format!(
+            s += &format!("  result            : VIOLATION {}\n", w.property);
+            s += &format!("  detail            : {}\n", w.detail);
+            s += &format!(
                 "  shrunk witness    : {} choices, {} hungry nodes ({} shrink replays)\n",
                 w.choices.len(),
                 w.hungry.len(),
                 result.shrink_runs
-            ));
+            );
             if let Some(path) = witness_out {
-                std::fs::write(path, w.to_json() + "\n")
-                    .map_err(|e| format!("cannot write witness to {path}: {e}"))?;
-                s.push_str(&format!("  witness written to: {path}\n"));
+                s += &format!("  witness written to: {path}\n");
             }
         }
     }
-    Ok(s)
+    s
 }
 
 /// `lme check --certify`: exhaust the extremal schedule space and report
@@ -566,54 +576,57 @@ fn render_certify(
         ..default
     };
     let cert = certify(&spec, &cfg);
-    let mut s = format!(
-        "certify: {} on {} (n = {}), seed {}, nu {}, eat {}, horizon {}\n",
-        cert.alg, cert.topo, cert.n, cert.seed, cert.nu, cert.eat, cert.horizon,
-    );
-    s.push_str(&format!(
-        "  schedules run     : {}{}\n",
-        cert.schedules,
-        if cert.complete {
-            " (extremal schedule space exhausted)"
-        } else {
-            " (budget exhausted before the space)"
-        }
-    ));
-    s.push_str(&format!(
-        "  max branch points : {}\n",
-        cert.max_branch_points
-    ));
-    s.push_str(&format!("  dedup prunes      : {}\n", cert.dedup_prunes));
-    if let Some(v) = &cert.violation {
-        s.push_str(&format!("  VIOLATION         : {v}\n"));
-    }
-    if cert.unfed_runs > 0 {
-        s.push_str(&format!("  unfed runs        : {}\n", cert.unfed_runs));
-    }
-    if cert.holds() {
-        s.push_str(&format!(
-            "  worst response    : {} ticks (node {}, over {} branch delays)\n",
-            cert.worst_rt,
-            cert.worst_rt_node,
-            cert.worst_schedule.len(),
-        ));
-        // The CLI always certifies with dedup, which can prune the worst
-        // case (ROADMAP item 1).
-        s.push_str("  certificate       : holds (a lower bound on the extremal worst case)\n");
-    } else {
-        s.push_str("  certificate       : VOID (see above)\n");
-    }
     if let Some(path) = out {
         std::fs::write(path, cert.to_json() + "\n")
             .map_err(|e| format!("cannot write certificate to {path}: {e}"))?;
-        s.push_str(&format!("  certificate written to: {path}\n"));
     }
+    let s = certify_text(&cert, out.as_ref());
     // A void certificate certifies nothing: a script must not read it as a
     // pass.
     if !cert.holds() {
         return Err(format!("the certificate is void\n{s}"));
     }
     Ok(s)
+}
+
+/// The text of `check --certify`: the certificate, naming the file it was
+/// written to.
+fn certify_text(cert: &Certificate, out: Option<&String>) -> String {
+    let mut s = format!(
+        "certify: {} on {} (n = {}), seed {}, nu {}, eat {}, horizon {}\n",
+        cert.alg, cert.topo, cert.n, cert.seed, cert.nu, cert.eat, cert.horizon,
+    );
+    let space = if cert.complete {
+        " (extremal schedule space exhausted)"
+    } else {
+        " (budget exhausted before the space)"
+    };
+    s += &format!("  schedules run     : {}{space}\n", cert.schedules);
+    s += &format!("  max branch points : {}\n", cert.max_branch_points);
+    s += &format!("  dedup prunes      : {}\n", cert.dedup_prunes);
+    if let Some(v) = &cert.violation {
+        s += &format!("  VIOLATION         : {v}\n");
+    }
+    if cert.unfed_runs > 0 {
+        s += &format!("  unfed runs        : {}\n", cert.unfed_runs);
+    }
+    if cert.holds() {
+        s += &format!(
+            "  worst response    : {} ticks (node {}, over {} branch delays)\n",
+            cert.worst_rt,
+            cert.worst_rt_node,
+            cert.worst_schedule.len(),
+        );
+        // The CLI always certifies with dedup, which can prune the worst
+        // case (ROADMAP item 1).
+        s += "  certificate       : holds (a lower bound on the extremal worst case)\n";
+    } else {
+        s += "  certificate       : VOID (see above)\n";
+    }
+    if let Some(path) = out {
+        s += &format!("  certificate written to: {path}\n");
+    }
+    s
 }
 
 /// The config of one live cell: `alg` on `topo`, with `--moves`
@@ -663,7 +676,29 @@ fn render_live(cmd: &Live) -> Result<String, String> {
     };
     let cfg = live_cell(cmd, cmd.cfg.alg, &cell.topo)?;
     let out = run_live(&cfg)?;
-    let lat = Summary::of(&out.latencies_ns);
+    let conformance = cell.conformance.then(|| conformance_replay(&cfg, &out));
+    let conformance = conformance.transpose()?;
+    let s = live_text(cell, &cfg, &out, conformance.as_ref());
+    if conformance.is_some_and(|report| !report.conforms()) {
+        return Err(format!("conformance replay diverged\n{s}"));
+    }
+    // Live links are reliable, so every live run is in the model: any
+    // violation fails the command, as in `--matrix`.
+    if !out.violations.is_empty() {
+        let count = out.violations.len();
+        return Err(format!("{count} safety violation(s) in a live run\n{s}"));
+    }
+    Ok(s)
+}
+
+/// The text of one `live` cell: its outcome, and its conformance replay
+/// when asked, under a header of its arguments.
+fn live_text(
+    cell: &LiveCell,
+    cfg: &LiveConfig,
+    out: &LiveOutcome,
+    conformance: Option<&ConformanceReport>,
+) -> String {
     let mut s = format!(
         "live: {} over {} on {} (n = {}), {} ms, rate {}/s, seed {}, {} runtime{}\n",
         cfg.alg.name(),
@@ -676,57 +711,50 @@ fn render_live(cmd: &Live) -> Result<String, String> {
         cfg.runtime.name(),
         if cfg.closed_loop { ", closed loop" } else { "" },
     );
-    s.push_str(&format!("  safety violations : {}\n", out.violations.len()));
-    s.push_str(&format!(
+    s += &format!("  safety violations : {}\n", out.violations.len());
+    s += &format!(
         "  verdict lag       : {} ms after the run\n",
         out.verdict_ms
-    ));
-    s.push_str(&format!(
+    );
+    s += &format!(
         "  eating sessions   : {} ({:.1}/s)\n",
         out.total_meals(),
         out.sessions_per_sec()
-    ));
-    s.push_str(&format!("  hungry→eat        : {}\n", fmt_latency_ms(&lat)));
-    s.push_str(&format!(
+    );
+    let lat = Summary::of(&out.latencies_ns);
+    s += &format!("  hungry→eat        : {}\n", fmt_latency_ms(&lat));
+    s += &format!(
         "  messages          : {} sent, {} delivered, {} decode errors, \
          {} send failures\n",
         out.messages_sent, out.messages_delivered, out.decode_errors, out.send_failures
-    ));
+    );
     if cfg.reliable || cfg.schedules(|c| matches!(c, SimCommand::Recover(_))) {
-        s.push_str(&format!(
+        s += &format!(
             "  reliability       : {} retransmissions, {} acks, {} recoveries\n",
             out.retransmissions, out.acks_sent, out.recoveries
-        ));
+        );
     }
-    s.push_str(&format!(
+    s += &format!(
         "  timer wakes       : {}, mean {:.1} µs past their tick\n",
         out.timer_wakes,
         out.timer_late_ns as f64 / out.timer_wakes.max(1) as f64 / 1e3
-    ));
-    s.push_str(&format!(
+    );
+    s += &format!(
         "  threads joined    : {}/{}\n",
         out.threads_joined,
         cell.topo.len()
-    ));
-    if cell.conformance {
-        let report = conformance_replay(&cfg, &out)?;
-        s.push_str(&format!(
+    );
+    if let Some(report) = conformance {
+        s += &format!(
             "  conformance       : {} delays imported, sim census {:?} vs live {:?}, \
              {} sim violations\n",
             report.imported_delays, report.sim_census, report.live_census, report.sim_violations
-        ));
-        if !report.conforms() {
-            return Err(format!("conformance replay diverged\n{s}"));
+        );
+        if report.conforms() {
+            s += "  conformance       : PASS (replay safe, census match)\n";
         }
-        s.push_str("  conformance       : PASS (replay safe, census match)\n");
     }
-    // Live links are reliable, so every live run is in the model: any
-    // violation fails the command, as in `--matrix`.
-    if !out.violations.is_empty() {
-        let count = out.violations.len();
-        return Err(format!("{count} safety violation(s) in a live run\n{s}"));
-    }
-    Ok(s)
+    s
 }
 
 /// The fixed algorithm × topology acceptance matrix: every algorithm over
@@ -866,6 +894,7 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
 
 #[cfg(test)]
 mod tests {
+    use super::*;
     use crate::run_cli;
 
     fn argv(s: &str) -> impl Iterator<Item = String> + '_ {
@@ -1036,13 +1065,15 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// `run` is the one cell of `sweep --seeds 1`: both write the same
+    /// record, byte for byte, under link faults (whose four starving nodes
+    /// the text lists and the record counts), ARQ with a crash → recover
+    /// cycle, either mobility model, and burst loss.
     #[test]
     fn run_metrics_count_the_starving_nodes_its_text_lists() {
         let dir = std::env::temp_dir().join("lme-cli-test-metrics");
         std::fs::create_dir_all(&dir).unwrap();
-        let spec = "--alg a2 --topo line:5 --horizon 8000 --seed 42 --fault-drop 0.5 \
-                    --fault-targets 2";
-        let jsonl = |cmd: &str, file: &str| {
+        let jsonl = |cmd: &str, spec: &str, file: &str| {
             let path = dir.join(file);
             let out = run_cli(argv(&format!(
                 "{cmd} {spec} --metrics-out {}",
@@ -1053,14 +1084,25 @@ mod tests {
             std::fs::remove_file(&path).ok();
             (out, written)
         };
-        let (text, run) = jsonl("run", "run-starving.jsonl");
-        assert!(
-            text.contains("starvation        : [p1, p2, p3, p4]"),
-            "{text}"
-        );
-        assert!(run.contains("\"starving\":4,"), "{run}");
-        let (_, sweep) = jsonl("sweep --seeds 1", "sweep-starving.jsonl");
-        assert!(sweep.contains("\"starving\":4,"), "{sweep}");
+        let specs = [
+            "--alg a2 --topo line:5 --horizon 8000 --seed 42 --fault-drop 0.5 --fault-targets 2",
+            "--alg a2 --topo line:5 --horizon 12000 --arq --victim 2 --recover 6000",
+            "--alg a1-greedy --topo random:12:3 --moves 4 --horizon 12000",
+            "--alg a2 --topo random:12:3 --mix 0.5:0.25 --channel bandwidth:2 --horizon 12000",
+            "--alg a2 --topo ring:5 --channel gilbert:0.05:0.25 --arq --horizon 8000",
+        ];
+        for (i, spec) in specs.into_iter().enumerate() {
+            let (text, run) = jsonl("run", spec, "run-starving.jsonl");
+            let (_, sweep) = jsonl("sweep --seeds 1", spec, "sweep-starving.jsonl");
+            assert_eq!(run, sweep, "{spec}");
+            if i == 0 {
+                assert!(
+                    text.contains("starvation        : [p1, p2, p3, p4]"),
+                    "{text}"
+                );
+                assert!(run.contains("\"starving\":4,"), "{run}");
+            }
+        }
     }
 
     #[test]
@@ -1401,5 +1443,287 @@ mod tests {
         assert!(count.is_some_and(|n| n > 0), "{err}");
         assert!(err.contains("safety violation(s) in a live run"), "{err}");
         assert!(err.contains(&format!("safety violations : {}\n", count.unwrap())));
+    }
+
+    /// The numbers in `line`: every word between white space and
+    /// `,;()[]/:` that is a number, `key=number`, or a node name `pN` (as
+    /// `N`).
+    fn line_numbers(line: &str) -> impl Iterator<Item = &str> {
+        let words = line.split(|c: char| c.is_whitespace() || ",;()[]/:".contains(c));
+        words.filter_map(|word| {
+            let word = word.rsplit('=').next().unwrap_or(word);
+            let node = word
+                .strip_prefix('p')
+                .filter(|id| id.parse::<u32>().is_ok());
+            let word = node.unwrap_or(word);
+            word.parse::<f64>().is_ok().then_some(word)
+        })
+    }
+
+    /// The numbers `text` prints below its header line. Table column
+    /// headers and the line naming a written file are left out.
+    fn numbers(text: &str) -> Vec<&str> {
+        let lines: Vec<&str> = text.lines().skip(1).collect();
+        let mut words = Vec::new();
+        for (i, line) in lines.iter().enumerate() {
+            let column_header = lines.get(i + 1).is_some_and(|l| l.starts_with("---"));
+            if !(column_header || line.starts_with("---") || line.contains("written to")) {
+                words.extend(line_numbers(line));
+            }
+        }
+        words
+    }
+
+    /// Assert that every number `text` prints below its header is one of
+    /// `fields`, printed at the number's own precision.
+    fn assert_prints_only(line: &str, text: &str, fields: &[f64]) {
+        let words = numbers(text);
+        assert!(!words.is_empty(), "{line}: no numbers in\n{text}");
+        for word in words {
+            let places = word.split_once('.').map_or(0, |(_, f)| f.len());
+            let printed = |v: &f64| format!("{v:.places$}") == word;
+            assert!(
+                fields.iter().any(printed),
+                "{line}: {word} is no field of the record:\n{text}"
+            );
+        }
+    }
+
+    fn summary(s: &Summary) -> [f64; 5] {
+        [
+            s.count as f64,
+            s.mean,
+            s.p50 as f64,
+            s.p95 as f64,
+            s.max as f64,
+        ]
+    }
+
+    /// Every number a run's record holds.
+    fn run_fields(r: &RunReport) -> Vec<f64> {
+        let mut fields: Vec<f64> = [
+            r.seed,
+            r.n as u64,
+            r.horizon,
+            r.meals,
+            r.messages_sent,
+            r.messages_delivered,
+            r.dropped_at_send,
+            r.dropped_in_flight,
+            r.events,
+            r.violations as u64,
+            r.starving as u64,
+            r.faults.total(),
+            r.retransmissions,
+            r.acks_sent,
+            r.recoveries,
+            r.buffer_high_water,
+            r.frames_queued,
+            r.queue_peak,
+            r.burst_transitions,
+            r.frames_lost,
+        ]
+        .map(|v| v as f64)
+        .to_vec();
+        fields.extend([r.jain, r.messages_per_meal()]);
+        fields.extend(r.locality.map(|d| d as f64));
+        fields.extend(r.crash_time.map(|t| t.0 as f64));
+        for s in [&r.rt_static, &r.rt_all, &r.msg_complexity] {
+            fields.extend(summary(s));
+        }
+        for &(node, d) in &r.starving_nodes {
+            fields.push(f64::from(node.0));
+            fields.extend(d.map(|d| d as f64));
+        }
+        fields
+    }
+
+    /// Every number the rows a sweep or chaos pools its records into hold.
+    fn row_fields(rows: &[AggregateRow]) -> Vec<f64> {
+        let mut fields = Vec::new();
+        for row in rows {
+            fields.extend(
+                [
+                    row.runs as u64,
+                    row.meals,
+                    row.messages_sent,
+                    row.dropped_at_send,
+                    row.dropped_in_flight,
+                    row.violations as u64,
+                    row.starving as u64,
+                    row.faults_injected,
+                ]
+                .map(|v| v as f64),
+            );
+            fields.extend(row.locality.map(|d| d as f64));
+            fields.push(row.messages_per_meal());
+            fields.extend(
+                summary(&row.rt_static)
+                    .into_iter()
+                    .chain(summary(&row.rt_all)),
+            );
+        }
+        fields
+    }
+
+    /// The text of every command renders its record (ROADMAP item 22):
+    /// each number it prints below its header is a field of the record
+    /// (`RunReport`, the pooled rows of a sweep or chaos, `LiveOutcome` and
+    /// its conformance report, `Exploration`, `Certificate`) or one of its
+    /// parsed arguments, and each deterministic command prints exactly the
+    /// text rendered from a record computed again.
+    #[test]
+    fn every_number_a_command_prints_is_a_field_of_its_record() {
+        let parse = |line: &str| crate::args::parse(argv(line)).unwrap();
+        let printed = |line: &str| run_cli(argv(line)).unwrap();
+        for line in [
+            "run --alg a2 --topo line:5 --horizon 12000 --arq --victim 2 --recover 6000",
+            "run --alg a2 --topo line:5 --horizon 8000 --seed 42 --fault-drop 0.5 \
+             --fault-targets 2",
+        ] {
+            let Command::Run(cmd) = parse(line) else {
+                unreachable!()
+            };
+            let Scenario {
+                inst,
+                sim,
+                mobility,
+            } = &cmd.scenario;
+            let (r, _) = run_one(&sweep_of(inst, sim, mobility), None).unwrap();
+            let text = run_text(&cmd, &r);
+            assert_eq!(printed(line), text, "{line}");
+            assert_prints_only(line, &text, &run_fields(&r));
+        }
+        // The second probe's victim never eats, so its crash never fires.
+        for line in [
+            "probe --topo line:9 --seed 4 --horizon 20000",
+            "probe --topo line:5 --horizon 19",
+        ] {
+            let Command::Probe(cmd) = parse(line) else {
+                unreachable!()
+            };
+            let (r, _) = run_one(&probe_sweep(&cmd), None).unwrap();
+            let text = probe_text(&cmd, &r);
+            assert_eq!(printed(line), text, "{line}");
+            assert_prints_only(line, &text, &run_fields(&r));
+        }
+        let line = "sweep --alg a2 --topo line:4 --horizon 6000 --seeds 2 --jobs 1";
+        let Command::Sweep(cmd) = parse(line) else {
+            unreachable!()
+        };
+        let Scenario {
+            inst,
+            sim,
+            mobility,
+        } = &cmd.scenario;
+        let sweep = sweep_of(inst, sim, mobility).seed_range(inst.seed, cmd.seeds);
+        let report = sweep.run(1);
+        let text = sweep_text(&cmd, 1, &report);
+        assert_eq!(printed(line), text, "{line}");
+        assert_prints_only(line, &text, &row_fields(&report.aggregate()));
+
+        let line = "chaos --alg a2 --topo line:5 --horizon 6000 --seeds 2 --jobs 1";
+        let Command::Chaos(cmd) = parse(line) else {
+            unreachable!()
+        };
+        let sweeps = chaos_sweeps(&cmd).unwrap();
+        let cells: Vec<SweepCell> = sweeps.iter().flat_map(SweepSpec::cells).collect();
+        let rows = run_cells(&cells, 1).aggregate();
+        let text = chaos_text(&cmd, &rows);
+        assert_eq!(printed(line), text, "{line}");
+        let (_, (strike, quiesce)) = chaos_fault(&cmd);
+        let mut fields = row_fields(&rows);
+        fields.extend([strike as f64, quiesce as f64]);
+        assert_prints_only(line, &text, &fields);
+
+        let line = "live --alg a2 --topo ring:5 --oneshot --conformance --eat-ms 1";
+        let Command::Live(cmd) = parse(line) else {
+            unreachable!()
+        };
+        let cell = cmd.cell.as_ref().unwrap();
+        let cfg = live_cell(&cmd, cmd.cfg.alg, &cell.topo).unwrap();
+        let out = run_live(&cfg).unwrap();
+        let report = conformance_replay(&cfg, &out).unwrap();
+        let text = live_text(cell, &cfg, &out, Some(&report));
+        let lat = Summary::of(&out.latencies_ns);
+        let mut fields: Vec<f64> = [
+            out.violations.len() as u64,
+            out.verdict_ms,
+            out.total_meals(),
+            out.messages_sent,
+            out.messages_delivered,
+            out.decode_errors,
+            out.send_failures,
+            out.retransmissions,
+            out.acks_sent,
+            out.recoveries,
+            out.timer_wakes,
+            out.threads_joined as u64,
+            cell.topo.len() as u64,
+            report.imported_delays as u64,
+            report.sim_violations as u64,
+        ]
+        .map(|v| v as f64)
+        .to_vec();
+        fields.push(out.sessions_per_sec());
+        fields.push(out.timer_late_ns as f64 / out.timer_wakes.max(1) as f64 / 1e3);
+        fields.push(lat.count as f64);
+        fields.extend([lat.p50, lat.p95, lat.max].map(|ns| ns as f64 / 1e6));
+        fields.extend(
+            report
+                .sim_census
+                .iter()
+                .chain(&report.live_census)
+                .map(|&m| m as f64),
+        );
+        assert_prints_only(line, &text, &fields);
+
+        for line in [
+            "check --alg a2 --topo line:3",
+            "check --alg a1-greedy --topo line:3 --mutate no-sdf-guard --horizon 4000",
+        ] {
+            let Command::Check(cmd) = parse(line) else {
+                unreachable!()
+            };
+            let CheckMode::Explore { strategy, jobs, .. } = cmd.mode else {
+                unreachable!()
+            };
+            let (spec, cfg) = (check_spec_of(&cmd).unwrap(), explore_config(strategy, jobs));
+            let result = explore(&spec, &cfg);
+            let text = check_text(&spec, &cfg, &result, None);
+            assert_eq!(printed(line), text, "{line}");
+            let mut fields = [
+                result.schedules,
+                result.max_branch_points,
+                result.dedup_prunes,
+                result.dpor_prunes,
+                result.shrink_runs,
+            ]
+            .map(|v| v as f64)
+            .to_vec();
+            if let Some(w) = &result.witness {
+                fields.extend([w.choices.len() as f64, w.hungry.len() as f64]);
+                fields.extend(line_numbers(&w.detail).map(|v| v.parse::<f64>().unwrap()));
+            }
+            assert_prints_only(line, &text, &fields);
+        }
+
+        let line = "check --alg a2 --topo line:3 --certify";
+        let Command::Check(cmd) = parse(line) else {
+            unreachable!()
+        };
+        let cert = certify(&check_spec_of(&cmd).unwrap(), &CertifyConfig::default());
+        let text = certify_text(&cert, None);
+        assert_eq!(printed(line), text, "{line}");
+        let fields = [
+            cert.schedules,
+            cert.max_branch_points,
+            cert.dedup_prunes,
+            cert.unfed_runs,
+            cert.worst_rt as usize,
+            cert.worst_rt_node as usize,
+            cert.worst_schedule.len(),
+        ];
+        assert_prints_only(line, &text, &fields.map(|v| v as f64));
     }
 }

@@ -29,6 +29,11 @@ fn malformed_jobs_exits_2_without_a_panic() {
         "experiments --quick C4 --jobs => flag --jobs needs a value",
         "experiments --quick T9 => unknown experiment id 'T9'",
         "bench live => unknown command 'bench'",
+        "run --topo line:5 --horizon 0 => --horizon must be at least 1",
+        "probe --topo line:5 --horizon 0 => --horizon must be at least 1",
+        "sweep --topo line:5 --horizon 0 --seeds 1 => --horizon must be at least 1",
+        "chaos --topo line:5 --horizon 0 => --horizon must be at least 1",
+        "check --nodes 2 --horizon 0 => --horizon must be at least 1",
     ];
     let flags = [
         "run --topo line:5 --horizon 2000 --victim 2 => --victim needs --recover",

@@ -31,7 +31,7 @@ pub struct FlReport {
     pub starving: Vec<(NodeId, Option<usize>)>,
     /// The farthest observed starvation distance — the empirical failure
     /// locality. `Some(0)` can only be the crashed node itself (excluded),
-    /// so values start at 1; `None` means nobody starved.
+    /// so values start at 1; `None` means no starving node has a distance.
     pub locality: Option<usize>,
     /// The full run outcome, for further inspection.
     pub outcome: RunOutcome,
@@ -68,17 +68,24 @@ pub fn probe(
     let mut spec = spec.clone();
     class.apply(&mut spec, victim, (at, quiesce));
     let outcome = run(kind, &spec, topo, &[], None);
-    analyze_crash(outcome, victim, at, spec.horizon)
+    match spec.crash_eating {
+        Some(_) => starvation(&spec, outcome),
+        None => after_fault(outcome, victim, at, true, spec.horizon),
+    }
 }
 
 /// The starvation verdict on a finished run of `spec`. A run whose spec
 /// crashes a node mid-CS ([`RunSpec::crash_eating`]) is judged as a
 /// [`probe`] of [`FaultClass::Crash`], with each starving node's distance
-/// from the victim. In any other run a node starves if it stays hungry
-/// through the back half of the horizon, and the locality is `None`.
+/// from the victim once the crash fired; if the victim never ate, the
+/// crash never fired and no node has a distance. In any other run a node
+/// starves if it stays hungry through the back half of the horizon, and
+/// the locality is `None`.
 pub fn starvation(spec: &RunSpec, outcome: RunOutcome) -> FlReport {
     if let Some((victim, at)) = spec.crash_eating {
-        return analyze_crash(outcome, victim, at, spec.horizon);
+        let fired = outcome.crash_time;
+        let at = fired.map_or(at, |t| t.0);
+        return after_fault(outcome, victim, at, fired.is_some(), spec.horizon);
     }
     let starving = outcome.metrics.starving_since(SimTime(spec.horizon / 2));
     FlReport {
@@ -89,25 +96,23 @@ pub fn starvation(spec: &RunSpec, outcome: RunOutcome) -> FlReport {
 }
 
 /// The nodes other than `victim` and the crashed that stayed hungry from
-/// before the midpoint of the post-fault window to `horizon`, with their
-/// distance from `victim`. The window starts when the
-/// [`RunSpec::crash_eating`] crash fired, if it did, and at `at` otherwise.
-fn analyze_crash(outcome: RunOutcome, victim: NodeId, at: u64, horizon: u64) -> FlReport {
-    let at = outcome.crash_time.map_or(at, |t| t.0);
+/// before the midpoint of the post-fault window `[at, horizon)` to
+/// `horizon`, each with its distance from `victim` if the fault `struck`.
+fn after_fault(out: RunOutcome, victim: NodeId, at: u64, struck: bool, horizon: u64) -> FlReport {
     let deadline = SimTime(at + horizon.saturating_sub(at) / 2);
-    let dist = outcome.distances_from(victim);
-    let starving: Vec<(NodeId, Option<usize>)> = outcome
+    let dist = struck.then(|| out.distances_from(victim));
+    let starving: Vec<(NodeId, Option<usize>)> = out
         .metrics
         .starving_since(deadline)
         .into_iter()
-        .filter(|&node| node != victim && !outcome.crashed.contains(&node))
-        .map(|node| (node, dist[node.index()]))
+        .filter(|&node| node != victim && !out.crashed.contains(&node))
+        .map(|node| (node, dist.as_ref().and_then(|d| d[node.index()])))
         .collect();
     let locality = starving.iter().filter_map(|&(_, d)| d).max();
     FlReport {
         starving,
         locality,
-        outcome,
+        outcome: out,
     }
 }
 
@@ -529,6 +534,24 @@ mod tests {
         };
         assert!(plan(FaultClass::SustainedLoss(0.3)).partitions.is_empty());
         assert_eq!(plan(FaultClass::Loss(0.3)).partitions[0].at, 900);
+    }
+
+    /// A crash that never fired (the victim never ate) struck nobody: its
+    /// starving nodes are listed without a distance, and there is no
+    /// locality.
+    #[test]
+    fn a_crash_that_never_fired_has_no_locality() {
+        let crash = FaultClass::Crash;
+        let report = probe(AlgKind::A2, &spec(19), &line(5), NodeId(2), crash, 0);
+        assert_eq!(report.outcome.crash_time, None);
+        assert!(!report.starving.is_empty(), "nobody starved");
+        let distances: Vec<Option<usize>> = report.starving.iter().map(|&(_, d)| d).collect();
+        assert!(
+            distances.iter().all(Option::is_none),
+            "{:?}",
+            report.starving
+        );
+        assert_eq!(report.locality, None);
     }
 
     #[test]

@@ -12,8 +12,9 @@
 
 use std::fmt;
 
-use manet_sim::FaultStats;
+use manet_sim::{FaultStats, NodeId, SimTime};
 
+use crate::failure_locality::FlReport;
 use crate::runner::RunOutcome;
 use crate::stats::{jain_index, Summary};
 
@@ -50,10 +51,10 @@ pub struct RunReport {
     pub rt_all: Summary,
     /// Jain fairness index of per-node meal counts.
     pub jain: f64,
-    /// Starving nodes found by a crash probe (0 for plain runs).
+    /// Number of starving nodes: `starving_nodes.len()`.
     pub starving: usize,
     /// Empirical failure locality from a crash probe (`None` = no
-    /// starvation observed, or not a probe).
+    /// starving node at a known distance from a crash, or not a probe).
     pub locality: Option<usize>,
     /// Injected-fault counters, by kind (all zero for fault-free runs).
     pub faults: FaultStats,
@@ -90,23 +91,31 @@ pub struct RunReport {
     /// Raw response times of all episodes, kept for pooled aggregation
     /// (not serialized).
     pub all_responses: Vec<u64>,
+    /// The starving nodes, each with its hop distance from a crash
+    /// probe's victim (see [`FlReport::starving`]; not serialized:
+    /// the JSONL `starving` is their count).
+    pub starving_nodes: Vec<(NodeId, Option<usize>)>,
+    /// When a crash probe's victim crashed mid-CS (`None` when it never
+    /// ate, or not a probe; not serialized).
+    pub crash_time: Option<SimTime>,
 }
 
 impl RunReport {
-    /// Build a report from a finished run. `probe` carries
-    /// `(starving_count, locality)` when the run was a crash probe.
+    /// Build a report from a finished run. `starvation` carries its
+    /// starving nodes and locality when the run was judged for them.
     pub fn from_outcome(
         label: &str,
         alg: &'static str,
         seed: u64,
         horizon: u64,
         outcome: &RunOutcome,
-        probe: Option<(usize, Option<usize>)>,
+        starvation: Option<&FlReport>,
     ) -> RunReport {
         let static_responses = outcome.metrics.static_responses();
         let all_responses = outcome.metrics.all_responses();
         let msg_complexity = Summary::of(&outcome.metrics.msg_complexities());
-        let (starving, locality) = probe.unwrap_or((0, None));
+        let (starving, locality) =
+            starvation.map_or((&[][..], None), |fl| (&fl.starving, fl.locality));
         RunReport {
             label: label.to_string(),
             alg,
@@ -123,7 +132,7 @@ impl RunReport {
             rt_static: Summary::of(&static_responses),
             rt_all: Summary::of(&all_responses),
             jain: jain_index(&outcome.metrics.meals),
-            starving,
+            starving: starving.len(),
             locality,
             faults: outcome.stats.faults.clone(),
             msg_complexity,
@@ -138,6 +147,17 @@ impl RunReport {
             frames_lost: outcome.stats.channel.frames_lost,
             static_responses,
             all_responses,
+            starving_nodes: starving.to_vec(),
+            crash_time: outcome.crash_time,
+        }
+    }
+
+    /// Messages per completed critical section.
+    pub fn messages_per_meal(&self) -> f64 {
+        if self.meals == 0 {
+            f64::INFINITY
+        } else {
+            self.messages_sent as f64 / self.meals as f64
         }
     }
 
@@ -169,16 +189,10 @@ impl RunReport {
             json_summary(&self.rt_all),
             json_num(self.jain),
             self.starving,
-            match self.locality {
-                Some(d) => d.to_string(),
-                None => "null".to_string(),
-            },
+            json_opt(self.locality),
             json_faults(&self.faults),
             json_summary(&self.msg_complexity),
-            match &self.abort {
-                Some(reason) => json_str(reason),
-                None => "null".to_string(),
-            },
+            self.abort.as_deref().map_or("null".to_string(), json_str),
             self.retransmissions,
             self.acks_sent,
             self.recoveries,
@@ -228,7 +242,11 @@ impl SweepReport {
             {
                 Some(row) => row,
                 None => {
-                    rows.push(AggregateRow::empty(&r.label, r.alg));
+                    rows.push(AggregateRow {
+                        label: r.label.clone(),
+                        alg: r.alg,
+                        ..AggregateRow::default()
+                    });
                     rows.last_mut().expect("just pushed")
                 }
             };
@@ -242,7 +260,7 @@ impl SweepReport {
 }
 
 /// Pooled statistics over every run of one `(label, alg)` group.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct AggregateRow {
     /// Group label.
     pub label: String,
@@ -276,26 +294,6 @@ pub struct AggregateRow {
 }
 
 impl AggregateRow {
-    fn empty(label: &str, alg: &'static str) -> AggregateRow {
-        AggregateRow {
-            label: label.to_string(),
-            alg,
-            runs: 0,
-            rt_static: Summary::default(),
-            rt_all: Summary::default(),
-            meals: 0,
-            messages_sent: 0,
-            dropped_at_send: 0,
-            dropped_in_flight: 0,
-            violations: 0,
-            starving: 0,
-            locality: None,
-            faults_injected: 0,
-            pooled_static: Vec::new(),
-            pooled_all: Vec::new(),
-        }
-    }
-
     fn absorb(&mut self, r: &RunReport) {
         self.runs += 1;
         self.meals += r.meals;
@@ -343,10 +341,7 @@ impl AggregateRow {
             self.dropped_in_flight,
             self.violations,
             self.starving,
-            match self.locality {
-                Some(d) => d.to_string(),
-                None => "null".to_string(),
-            },
+            json_opt(self.locality),
             self.faults_injected,
         )
     }
@@ -393,6 +388,11 @@ fn json_str(s: &str) -> String {
     }
     out.push('"');
     out
+}
+
+/// An optional count: the number, or `null`.
+fn json_opt(v: Option<usize>) -> String {
+    v.map_or("null".to_string(), |v| v.to_string())
 }
 
 /// Deterministic JSON number: shortest round-trip formatting; non-finite
@@ -478,6 +478,8 @@ mod tests {
             frames_lost: 0,
             static_responses: responses.clone(),
             all_responses: responses,
+            starving_nodes: Vec::new(),
+            crash_time: None,
         };
         let report = SweepReport {
             runs: vec![mk(1, vec![1, 2, 3]), mk(2, vec![100])],
@@ -525,6 +527,8 @@ mod tests {
             frames_lost: 0,
             static_responses: vec![4, 6],
             all_responses: vec![4, 6],
+            starving_nodes: Vec::new(),
+            crash_time: None,
         };
         let line = r.to_jsonl();
         assert_eq!(line, r.to_jsonl(), "serialization must be stable");

@@ -20,7 +20,7 @@ use std::sync::mpsc;
 
 use manet_sim::{Command, NodeId, SimConfig, SimTime};
 
-use crate::failure_locality::starvation;
+use crate::failure_locality::{starvation, FlReport};
 use crate::mobility::{MobilityMix, WaypointPlan};
 use crate::report::{RunReport, SweepReport};
 use crate::runner::{run, AlgKind, RunSpec};
@@ -44,19 +44,32 @@ pub struct SweepCell {
 }
 
 impl SweepCell {
-    /// Execute the cell to completion and report it, with its
-    /// [`starvation`] verdict: plain runs still report starving nodes so
-    /// fault sweeps can flag stalls, and crash probes add the locality.
+    /// Execute the cell to completion and report it: the [`report`] of
+    /// its [`outcome`].
+    ///
+    /// [`report`]: SweepCell::report
+    /// [`outcome`]: SweepCell::outcome
     pub fn run(&self) -> RunReport {
+        self.report(&self.outcome())
+    }
+
+    /// Execute the cell to completion, with its [`starvation`] verdict:
+    /// plain runs still report starving nodes so fault sweeps can flag
+    /// stalls, and crash probes add the locality.
+    pub fn outcome(&self) -> FlReport {
         let outcome = run(self.kind, &self.spec, &self.topo, &self.commands, None);
-        let fl = starvation(&self.spec, outcome);
+        starvation(&self.spec, outcome)
+    }
+
+    /// The record of this cell's finished run `fl`.
+    pub fn report(&self, fl: &FlReport) -> RunReport {
         RunReport::from_outcome(
             &self.label,
             self.kind.name(),
             self.spec.sim.seed,
             self.spec.horizon,
             &fl.outcome,
-            Some((fl.starving.len(), fl.locality)),
+            Some(fl),
         )
     }
 }
