@@ -47,7 +47,7 @@ struct Edge {
 }
 
 /// One Chandy–Misra node. Implements [`Protocol`] for the simulator.
-#[derive(Debug, Hash)]
+#[derive(Clone, Debug, Hash)]
 pub struct ChandyMisra {
     me: NodeId,
     state: DiningState,

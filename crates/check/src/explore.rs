@@ -5,8 +5,10 @@
 //! The DFS is organized as *waves* over a frontier of schedule prefixes:
 //! every wave's membership and order are a pure function of `(spec, cfg)`
 //! — never of `jobs` — and the runs of a wave are embarrassingly parallel
-//! (each is an independent deterministic simulation). Workers claim runs
-//! off a shared atomic counter (work stealing); the *merge* of a wave —
+//! (each is an independent deterministic simulation). Workers claim chunks
+//! of a wave off a shared atomic counter (work stealing), and each chunk
+//! resumes its schedules from forks of one another's runs instead of
+//! replaying their shared prefixes ([`crate::wave`]); the *merge* of a wave —
 //! deduplication, DPOR pruning, child generation, and picking the first
 //! violating run in wave order — is sequential. Verdicts, counts, and the
 //! emitted witness are therefore byte-identical at any `--jobs` value.
@@ -43,12 +45,12 @@
 //! uses DPOR.
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::ops::ControlFlow;
 
 use crate::spec::CheckSpec;
-use crate::strategy::{ChoicePoint, DeliveryRecord, Plan, RecorderMode};
-use crate::verdict::{run_schedule, run_schedule_mode, PropertyViolation, RunVerdict};
+use crate::strategy::{DeliveryRecord, Plan, RecorderMode};
+use crate::verdict::{run_schedule, PropertyViolation};
+use crate::wave::{run_wave, Sched, WaveRun};
 use crate::witness::{shrink, Witness};
 
 /// Which exploration strategy to run.
@@ -204,69 +206,22 @@ fn finish(
     out.witness = Some(Witness::new(&shrunk_spec, final_delays, &property, &detail));
 }
 
-/// What a wave's merge reads of one run. The worker that ran the schedule
-/// reduces its [`RunVerdict`] to this, so a wave never holds a trace.
-pub(crate) struct WaveRun {
-    pub choices: Vec<ChoicePoint>,
-    pub violation: Option<PropertyViolation>,
-    pub drained: bool,
-    pub first_eat: Vec<Option<u64>>,
-    /// The full delivery log, kept only for a DPOR merge (empty otherwise).
-    pub deliveries: Vec<DeliveryRecord>,
-}
-
-impl WaveRun {
-    fn of(verdict: RunVerdict, keep_deliveries: bool) -> WaveRun {
-        WaveRun {
-            choices: verdict.choices,
-            violation: verdict.violation,
-            drained: verdict.drained,
-            first_eat: verdict.first_eat,
-            deliveries: if keep_deliveries {
-                verdict.deliveries
-            } else {
-                Vec::new()
-            },
-        }
-    }
-}
-
-/// Run a wave of independent schedules, `jobs` at a time. Workers claim
-/// run indices off a shared counter; results land in their slot, so the
-/// returned order matches `plans` regardless of completion order.
-pub(crate) fn run_wave(
-    spec: &CheckSpec,
-    plans: &[Plan],
-    rmode: RecorderMode,
-    jobs: usize,
-    keep_deliveries: bool,
-) -> Vec<WaveRun> {
-    let run = |plan: &Plan| WaveRun::of(run_schedule_mode(spec, plan, rmode), keep_deliveries);
-    if jobs <= 1 || plans.len() <= 1 {
-        return plans.iter().map(run).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<WaveRun>>> = plans.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..jobs.min(plans.len()) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= plans.len() {
-                    break;
-                }
-                let reduced = run(&plans[i]);
-                *slots[i].lock().expect("wave slot poisoned") = Some(reduced);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("wave slot poisoned")
-                .expect("every claimed slot is filled")
-        })
-        .collect()
+/// Every run of a wave, in wave order: the explorer's merge looks at the
+/// whole wave for a violation before it generates any child.
+fn collect_wave(spec: &CheckSpec, wave: &[Sched], jobs: usize, keep: bool) -> Vec<WaveRun> {
+    let mut runs = Vec::with_capacity(wave.len());
+    let _ = run_wave(
+        spec,
+        wave,
+        RecorderMode::default(),
+        jobs,
+        keep,
+        &mut |_, run| {
+            runs.push(run);
+            ControlFlow::Continue(())
+        },
+    );
+    runs
 }
 
 /// Whether the DPOR window argument holds for this instance (see the
@@ -309,27 +264,23 @@ fn dfs(spec: &CheckSpec, cfg: &ExploreConfig) -> Exploration {
     let mut out = new_exploration();
     let mut seen: HashSet<u64> = HashSet::new();
     let dpor_on = cfg.dpor && dpor_applicable(spec);
-    let mut frontier: Vec<Vec<u8>> = vec![Vec::new()];
+    let mut frontier = vec![Sched::fresh(Plan::Dfs {
+        prefix: Vec::new(),
+        dedup: cfg.dedup,
+    })];
     let mut truncated = false;
     while !frontier.is_empty() {
         let budget = cfg.max_schedules - out.schedules;
         if budget == 0 {
             return out; // budget exhausted: incomplete
         }
-        let wave: Vec<Vec<u8>> = if frontier.len() > budget {
+        let wave: Vec<Sched> = if frontier.len() > budget {
             truncated = true;
             frontier.drain(..budget).collect()
         } else {
             std::mem::take(&mut frontier)
         };
-        let plans: Vec<Plan> = wave
-            .iter()
-            .map(|prefix| Plan::Dfs {
-                prefix: prefix.clone(),
-                dedup: cfg.dedup,
-            })
-            .collect();
-        let verdicts = run_wave(spec, &plans, RecorderMode::default(), cfg.jobs, dpor_on);
+        let verdicts = collect_wave(spec, &wave, cfg.jobs, dpor_on);
         out.schedules += verdicts.len();
         // Sequential merge, in wave order: the first violating run wins
         // deterministically, otherwise children join the next frontier.
@@ -341,9 +292,9 @@ fn dfs(spec: &CheckSpec, cfg: &ExploreConfig) -> Exploration {
                 return out;
             }
         }
-        for (prefix, verdict) in wave.iter().zip(&verdicts) {
+        for (sched, verdict) in wave.iter().zip(&verdicts) {
             let limit = verdict.choices.len().min(cfg.max_depth);
-            for i in prefix.len()..limit {
+            for i in sched.prefix_len()..limit {
                 debug_assert_eq!(verdict.choices[i].index, 0, "beyond-prefix default");
                 if dpor_on {
                     let record = verdict.deliveries.iter().find(|d| d.choice == Some(i));
@@ -360,8 +311,7 @@ fn dfs(spec: &CheckSpec, cfg: &ExploreConfig) -> Exploration {
                         }
                     }
                 }
-                let mut child: Vec<u8> = verdict.choices[..i].iter().map(|c| c.index).collect();
-                child.push(1);
+                let child = Sched::child(&verdict.choices, i, cfg.dedup, frontier.last());
                 frontier.push(child);
             }
         }
@@ -394,7 +344,8 @@ fn sample(spec: &CheckSpec, cfg: &ExploreConfig) -> Exploration {
                 }
             })
             .collect();
-        let verdicts = run_wave(spec, &plans, RecorderMode::default(), cfg.jobs, false);
+        let wave: Vec<Sched> = plans.into_iter().map(Sched::fresh).collect();
+        let verdicts = collect_wave(spec, &wave, cfg.jobs, false);
         out.schedules += verdicts.len();
         for verdict in &verdicts {
             out.max_branch_points = out.max_branch_points.max(verdict.choices.len());

@@ -36,9 +36,10 @@ mod spec;
 mod strategy;
 mod table;
 mod verdict;
+mod wave;
 mod witness;
 
-pub use certify::{certify, Certificate, CertifyConfig};
+pub use certify::{certify, Certificate, CertifyConfig, SearchWork};
 pub use explore::{explore, Exploration, ExploreConfig, StrategyKind};
 pub use spec::{CheckSpec, Mutation};
 pub use strategy::{ChoicePoint, DeliveryRecord, Pct, Plan, Recorder, RecorderMode};

@@ -15,14 +15,19 @@
 //! could have reordered anything observable (another delivery to the same
 //! destination arriving inside the flipped window), and lasso detection
 //! needs the per-delivery progress digests.
-
-use std::cell::RefCell;
-use std::rc::Rc;
+//!
+//! The engine owns the recorder; the driver takes its logs back through
+//! `Engine::strategy_mut` once the run is over. A forked engine carries a
+//! copy, which [`Recorder::follow`] switches to another plan sharing the
+//! choices made so far.
 
 use manet_sim::{DeliveryChoice, DigestMode, NodeId, RandomDelays, SimRng, Strategy};
 
-/// One resolved branch point of a run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// One resolved branch point of a run. Two are equal when they make the
+/// same decision (`index`, `delay`, `digest`); `event` only locates the
+/// decision in its run, follows from the choices before it, and is left
+/// out of both equality and the `Debug` text.
+#[derive(Clone, Copy)]
 pub struct ChoicePoint {
     /// Which branch was taken: 0 = earliest, 1 = latest, 2 = interior.
     pub index: u8,
@@ -33,6 +38,35 @@ pub struct ChoicePoint {
     /// taken only past the plan's prefix, the only branch points a DFS
     /// merge reads; a progress digest (liveness) is taken at every one.
     pub digest: Option<u64>,
+    /// Number of the engine event that made the choice
+    /// ([`DeliveryChoice::event`]; a `u32` keeps a choice point at 32
+    /// bytes): a run following the same choices up to here can be forked
+    /// from the state just before it.
+    pub event: u32,
+}
+
+impl ChoicePoint {
+    fn decision(&self) -> (u8, u64, Option<u64>) {
+        (self.index, self.delay, self.digest)
+    }
+}
+
+impl PartialEq for ChoicePoint {
+    fn eq(&self, other: &Self) -> bool {
+        self.decision() == other.decision()
+    }
+}
+
+impl Eq for ChoicePoint {}
+
+impl std::fmt::Debug for ChoicePoint {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ChoicePoint")
+            .field("index", &self.index)
+            .field("delay", &self.delay)
+            .field("digest", &self.digest)
+            .finish()
+    }
 }
 
 /// One delivery of a run — forced or not — as observed by the recorder.
@@ -114,39 +148,19 @@ pub struct RecorderMode {
     pub branch_all: bool,
 }
 
+#[derive(Clone)]
 enum Mode {
     Dfs { prefix: Vec<u8>, cursor: usize },
     Replay { delays: Vec<u64>, cursor: usize },
-    Free(Box<dyn Strategy>),
+    Random(RandomDelays),
+    Pct(Pct),
 }
 
-struct Inner {
-    mode: Mode,
-    digest_mode: DigestMode,
-    branch_all: bool,
-    log: Vec<ChoicePoint>,
-    deliveries: Vec<DeliveryRecord>,
-}
-
-/// A cloneable strategy handle: one clone is boxed into the engine, the
-/// other stays with the driver to read the recorded [`ChoicePoint`] and
-/// [`DeliveryRecord`] logs after the run.
-#[derive(Clone)]
-pub struct Recorder {
-    inner: Rc<RefCell<Inner>>,
-}
-
-impl Recorder {
-    /// Build a recorder executing `plan` over a model with `n` nodes
-    /// (`n` parameterizes the PCT priority table), with default
-    /// [`RecorderMode`].
-    pub fn new(plan: &Plan, n: usize) -> Recorder {
-        Recorder::with_mode(plan, n, RecorderMode::default())
-    }
-
-    /// Build a recorder with explicit [`RecorderMode`] overrides.
-    pub fn with_mode(plan: &Plan, n: usize, rmode: RecorderMode) -> Recorder {
-        let (mode, plan_digest) = match plan {
+impl Mode {
+    /// The mode executing `plan` from its first branch point, and the
+    /// digest the plan asks for.
+    fn of(plan: &Plan, n: usize) -> (Mode, DigestMode) {
+        match plan {
             Plan::Dfs { prefix, dedup } => (
                 Mode::Dfs {
                     prefix: prefix.clone(),
@@ -165,35 +179,108 @@ impl Recorder {
                 },
                 DigestMode::Off,
             ),
-            Plan::Random { seed } => (
-                Mode::Free(Box::new(RandomDelays::new(*seed))),
-                DigestMode::Off,
-            ),
-            Plan::Pct { seed, changes } => (
-                Mode::Free(Box::new(Pct::new(n, *seed, *changes))),
-                DigestMode::Off,
-            ),
-        };
+            Plan::Random { seed } => (Mode::Random(RandomDelays::new(*seed)), DigestMode::Off),
+            Plan::Pct { seed, changes } => {
+                (Mode::Pct(Pct::new(n, *seed, *changes)), DigestMode::Off)
+            }
+        }
+    }
+}
+
+/// The checker's strategy: executes a [`Plan`] and records every branch
+/// point ([`ChoicePoint`]) and delivery ([`DeliveryRecord`]) of the run.
+#[derive(Clone)]
+pub struct Recorder {
+    mode: Mode,
+    n: usize,
+    rmode: RecorderMode,
+    digest_mode: DigestMode,
+    log: Vec<ChoicePoint>,
+    deliveries: Vec<DeliveryRecord>,
+}
+
+impl Recorder {
+    /// Build a recorder executing `plan` over a model with `n` nodes
+    /// (`n` parameterizes the PCT priority table), with default
+    /// [`RecorderMode`].
+    pub fn new(plan: &Plan, n: usize) -> Recorder {
+        Recorder::with_mode(plan, n, RecorderMode::default())
+    }
+
+    /// Build a recorder with explicit [`RecorderMode`] overrides.
+    pub fn with_mode(plan: &Plan, n: usize, rmode: RecorderMode) -> Recorder {
+        let (mode, plan_digest) = Mode::of(plan, n);
         Recorder {
-            inner: Rc::new(RefCell::new(Inner {
-                mode,
-                digest_mode: rmode.digest.unwrap_or(plan_digest),
-                branch_all: rmode.branch_all,
-                log: Vec::new(),
-                deliveries: Vec::new(),
-            })),
+            mode,
+            n,
+            rmode,
+            digest_mode: rmode.digest.unwrap_or(plan_digest),
+            log: Vec::new(),
+            deliveries: Vec::new(),
         }
     }
 
     /// The branch points resolved so far, in encounter order.
-    pub fn log(&self) -> Vec<ChoicePoint> {
-        self.inner.borrow().log.clone()
+    pub fn log(&self) -> &[ChoicePoint] {
+        &self.log
     }
 
     /// Every delivery observed so far — forced ones included — in
     /// encounter order.
-    pub fn deliveries(&self) -> Vec<DeliveryRecord> {
-        self.inner.borrow().deliveries.clone()
+    pub fn deliveries(&self) -> &[DeliveryRecord] {
+        &self.deliveries
+    }
+
+    /// Both logs, moved out.
+    pub(crate) fn take_logs(&mut self) -> (Vec<ChoicePoint>, Vec<DeliveryRecord>) {
+        (
+            std::mem::take(&mut self.log),
+            std::mem::take(&mut self.deliveries),
+        )
+    }
+
+    /// Switch to `plan` mid-run, leaving the recorder exactly as a run of
+    /// `plan` from tick 0 would have it at this point. Before the first
+    /// delivery that is a new recorder. Past it only a DFS plan follows:
+    /// one whose choices so far are the ones logged, under the same digest
+    /// mode, with no record made where `plan` takes a gated digest. A
+    /// logged digest `plan` would not have taken (inside its prefix) is
+    /// dropped.
+    ///
+    /// # Panics
+    ///
+    /// If no run of `plan` from tick 0 reaches this point.
+    pub fn follow(&mut self, plan: &Plan) {
+        let Some(last) = self.deliveries.last() else {
+            *self = Recorder::with_mode(plan, self.n, self.rmode);
+            return;
+        };
+        let (Mode::Dfs { prefix, .. }, plan_digest) = Mode::of(plan, self.n) else {
+            panic!("only a DFS plan follows a run past its first delivery: {plan:?}");
+        };
+        let digest_mode = self.rmode.digest.unwrap_or(plan_digest);
+        let follows = self
+            .log
+            .iter()
+            .enumerate()
+            .all(|(i, c)| c.index == prefix.get(i).copied().unwrap_or(0).min(1));
+        // A gated digest is taken from cursor `prefix.len()` on (see
+        // `digest_mode`). The last record was made at the largest cursor:
+        // the number of branch points before it.
+        let last_cursor = last.choice.unwrap_or(self.log.len());
+        let gated = digest_mode == DigestMode::Absolute;
+        assert!(
+            digest_mode == self.digest_mode && follows && !(gated && last_cursor >= prefix.len()),
+            "no run of {plan:?} from tick 0 reaches this point"
+        );
+        if gated {
+            self.log.iter_mut().for_each(|c| c.digest = None);
+            self.deliveries.iter_mut().for_each(|d| d.digest = None);
+        }
+        self.mode = Mode::Dfs {
+            cursor: self.log.len(),
+            prefix,
+        };
     }
 }
 
@@ -219,8 +306,7 @@ fn timing_forced(choice: &DeliveryChoice) -> bool {
 
 impl Strategy for Recorder {
     fn choose_delay(&mut self, choice: &DeliveryChoice) -> u64 {
-        let mut inner = self.inner.borrow_mut();
-        let forced = if inner.branch_all {
+        let forced = if self.rmode.branch_all {
             timing_forced(choice)
         } else {
             choice.forced()
@@ -238,10 +324,10 @@ impl Strategy for Recorder {
             digest: choice.digest,
         };
         if forced {
-            inner.deliveries.push(record(choice.earliest, true, None));
+            self.deliveries.push(record(choice.earliest, true, None));
             return choice.earliest;
         }
-        let (index, delay) = match &mut inner.mode {
+        let (index, delay) = match &mut self.mode {
             Mode::Dfs { prefix, cursor } => {
                 let idx = prefix.get(*cursor).copied().unwrap_or(0);
                 *cursor += 1;
@@ -261,26 +347,23 @@ impl Strategy for Recorder {
                 *cursor += 1;
                 (branch_index(d, choice), d)
             }
-            Mode::Free(strategy) => {
-                let d = strategy
-                    .choose_delay(choice)
-                    .clamp(choice.earliest, choice.latest);
-                (branch_index(d, choice), d)
-            }
+            Mode::Random(strategy) => free(strategy, choice),
+            Mode::Pct(strategy) => free(strategy, choice),
         };
-        let idx = inner.log.len();
-        inner.log.push(ChoicePoint {
+        let idx = self.log.len();
+        self.log.push(ChoicePoint {
             index,
             delay,
             digest: choice.digest,
+            event: u32::try_from(choice.event)
+                .expect("a checked run stops at its event budget, below 2^32"),
         });
-        inner.deliveries.push(record(delay, false, Some(idx)));
+        self.deliveries.push(record(delay, false, Some(idx)));
         delay
     }
 
     fn digest_mode(&self) -> DigestMode {
-        let inner = self.inner.borrow();
-        match (&inner.mode, inner.digest_mode) {
+        match (&self.mode, self.digest_mode) {
             // The DFS merges read an absolute digest only past the prefix:
             // the next branch point indexes `cursor`, so none is wanted yet.
             (Mode::Dfs { prefix, cursor }, DigestMode::Absolute) if *cursor < prefix.len() => {
@@ -289,6 +372,19 @@ impl Strategy for Recorder {
             (_, mode) => mode,
         }
     }
+
+    fn fork(&self) -> Option<Box<dyn Strategy>> {
+        Some(Box::new(self.clone()))
+    }
+}
+
+/// A sampling strategy's delay for `choice`, clamped to its window, and
+/// its branch index.
+fn free(strategy: &mut impl Strategy, choice: &DeliveryChoice) -> (u8, u64) {
+    let d = strategy
+        .choose_delay(choice)
+        .clamp(choice.earliest, choice.latest);
+    (branch_index(d, choice), d)
 }
 
 /// Number of branch points over which PCT change points are drawn. Branch
@@ -300,6 +396,7 @@ const PCT_SPAN: u64 = 200;
 /// as late as legal, and the priority of a random node flips at each of the
 /// seeded change points. With `d − 1` change points this samples bug
 /// patterns of depth `d` with known probability on bounded runs.
+#[derive(Clone)]
 pub struct Pct {
     high: Vec<bool>,
     /// Remaining change points (branch-point indices), largest first so the
@@ -353,6 +450,7 @@ mod tests {
             to: NodeId(1),
             kind: "msg",
             now: SimTime(5),
+            event: 0,
             earliest,
             latest,
             pending_in_window: 3,
@@ -364,27 +462,26 @@ mod tests {
 
     #[test]
     fn forced_points_take_earliest_and_are_not_logged() {
-        let rec = Recorder::new(
+        let mut rec = Recorder::new(
             &Plan::Dfs {
                 prefix: vec![1],
                 dedup: false,
             },
             2,
         );
-        let mut boxed: Box<dyn Strategy> = Box::new(rec.clone());
         let forced = DeliveryChoice {
             pending_in_window: 0,
             pending_dependent_in_window: 0,
             ..open_choice(1, 10)
         };
-        assert_eq!(boxed.choose_delay(&forced), 1);
+        assert_eq!(rec.choose_delay(&forced), 1);
         assert!(rec.log().is_empty());
         // …but they are in the full delivery log.
         assert_eq!(rec.deliveries().len(), 1);
         assert!(rec.deliveries()[0].forced);
         assert_eq!(rec.deliveries()[0].choice, None);
         // The prefix entry is still unconsumed: the next open point uses it.
-        assert_eq!(boxed.choose_delay(&open_choice(1, 10)), 10);
+        assert_eq!(rec.choose_delay(&open_choice(1, 10)), 10);
         assert_eq!(rec.log().len(), 1);
         assert_eq!(rec.log()[0].index, 1);
         assert_eq!(rec.deliveries()[1].choice, Some(0));
@@ -392,17 +489,16 @@ mod tests {
 
     #[test]
     fn dfs_defaults_to_earliest_beyond_the_prefix() {
-        let rec = Recorder::new(
+        let mut rec = Recorder::new(
             &Plan::Dfs {
                 prefix: vec![1],
                 dedup: false,
             },
             2,
         );
-        let mut boxed: Box<dyn Strategy> = Box::new(rec.clone());
-        assert_eq!(boxed.choose_delay(&open_choice(1, 10)), 10);
-        assert_eq!(boxed.choose_delay(&open_choice(1, 10)), 1);
-        assert_eq!(boxed.choose_delay(&open_choice(2, 7)), 2);
+        assert_eq!(rec.choose_delay(&open_choice(1, 10)), 10);
+        assert_eq!(rec.choose_delay(&open_choice(1, 10)), 1);
+        assert_eq!(rec.choose_delay(&open_choice(2, 7)), 2);
         let log = rec.log();
         assert_eq!(
             log.iter().map(|c| c.index).collect::<Vec<_>>(),
@@ -413,16 +509,15 @@ mod tests {
 
     #[test]
     fn replay_clamps_and_defaults_to_earliest() {
-        let rec = Recorder::new(
+        let mut rec = Recorder::new(
             &Plan::Replay {
                 delays: vec![99, 4],
             },
             2,
         );
-        let mut boxed: Box<dyn Strategy> = Box::new(rec.clone());
-        assert_eq!(boxed.choose_delay(&open_choice(1, 10)), 10); // clamped down
-        assert_eq!(boxed.choose_delay(&open_choice(1, 10)), 4);
-        assert_eq!(boxed.choose_delay(&open_choice(1, 10)), 1); // past the end
+        assert_eq!(rec.choose_delay(&open_choice(1, 10)), 10); // clamped down
+        assert_eq!(rec.choose_delay(&open_choice(1, 10)), 4);
+        assert_eq!(rec.choose_delay(&open_choice(1, 10)), 1); // past the end
         assert_eq!(
             rec.log().iter().map(|c| c.delay).collect::<Vec<_>>(),
             vec![10, 4, 1]
@@ -457,7 +552,7 @@ mod tests {
 
     #[test]
     fn branch_all_branches_on_order_forced_but_not_timing_forced_points() {
-        let rec = Recorder::with_mode(
+        let mut rec = Recorder::with_mode(
             &Plan::Dfs {
                 prefix: vec![1],
                 dedup: false,
@@ -468,7 +563,6 @@ mod tests {
                 branch_all: true,
             },
         );
-        let mut boxed: Box<dyn Strategy> = Box::new(rec.clone());
         // Nothing else in the window: order-forced, but the arrival time
         // still spans [6, 15] — certify mode must branch here.
         let lone = DeliveryChoice {
@@ -476,16 +570,16 @@ mod tests {
             pending_dependent_in_window: 0,
             ..open_choice(1, 10)
         };
-        assert_eq!(boxed.choose_delay(&lone), 10, "prefix flip consumed");
+        assert_eq!(rec.choose_delay(&lone), 10, "prefix flip consumed");
         assert_eq!(rec.log().len(), 1);
         // Degenerate window and full FIFO clamp stay forced: every legal
         // delay yields the same arrival instant.
-        assert_eq!(boxed.choose_delay(&open_choice(3, 3)), 3);
+        assert_eq!(rec.choose_delay(&open_choice(3, 3)), 3);
         let clamped = DeliveryChoice {
             fifo_floor: Some(SimTime(15)),
             ..open_choice(1, 10)
         };
-        assert_eq!(boxed.choose_delay(&clamped), 1);
+        assert_eq!(rec.choose_delay(&clamped), 1);
         assert_eq!(rec.log().len(), 1, "forced points stay unlogged");
         assert_eq!(rec.deliveries().len(), 3);
     }

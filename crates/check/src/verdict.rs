@@ -32,7 +32,7 @@ pub struct PropertyViolation {
 }
 
 /// Everything observed about one schedule.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RunVerdict {
     /// The resolved branch points, in encounter order.
     pub choices: Vec<ChoicePoint>,
@@ -64,7 +64,8 @@ pub struct RunVerdict {
 ///
 /// A local trait (rather than methods on `Protocol`) keeps the simulator
 /// crate free of checker concerns; `None` means "property not applicable".
-trait Checkable: Protocol {
+/// `Clone` lets a run's engine fork.
+pub(crate) trait Checkable: Protocol + Clone {
     /// Whether this node holds the fork shared with `j`.
     fn fork_with(&self, j: NodeId) -> Option<bool> {
         let _ = j;
@@ -109,20 +110,49 @@ pub fn run_schedule(spec: &CheckSpec, plan: &Plan) -> RunVerdict {
 /// `branch_all` so delivery *times* (not just orders) are exhausted.
 /// Purity holds for the triple `(spec, plan, rmode)`.
 pub fn run_schedule_mode(spec: &CheckSpec, plan: &Plan, rmode: RecorderMode) -> RunVerdict {
+    struct Once<'a>(&'a CheckSpec);
+    impl Job for Once<'_> {
+        type Out = RunVerdict;
+        fn run<P: Checkable>(self, mut engine: Engine<P>) -> RunVerdict {
+            engine.run_until(SimTime(self.0.horizon));
+            finish(self.0, engine)
+        }
+    }
+    with_engine(spec, plan, rmode, Once(spec))
+}
+
+/// What to do with the engine of a run of a spec, generic over the
+/// automaton type, which only [`with_engine`] knows.
+pub(crate) trait Job {
+    type Out;
+    fn run<P: Checkable>(self, engine: Engine<P>) -> Self::Out;
+}
+
+/// Hand `job` the engine of a run of `spec` under `plan`, before its first
+/// event: the spec's automata, the monitor and workload hooks, the hungry
+/// commands, and a [`Recorder`] executing `plan` as its strategy.
+pub(crate) fn with_engine<J: Job>(
+    spec: &CheckSpec,
+    plan: &Plan,
+    rmode: RecorderMode,
+    job: J,
+) -> J::Out {
     let mutate = spec.mutation == Mutation::NoSdfGuard;
     match spec.alg.automata(spec.n, &spec.edges, None, spec.seed) {
-        Automata::A1(make) => drive(spec, plan, rmode, move |seed| prep_a1(make(&seed), mutate)),
+        Automata::A1(make) => job.run(build(spec, plan, rmode, move |seed| {
+            prep_a1(make(&seed), mutate)
+        })),
         Automata::A2 => {
             let unfair = spec.mutation == Mutation::UnfairFork;
-            drive(spec, plan, rmode, move |seed| {
+            job.run(build(spec, plan, rmode, move |seed| {
                 let mut node = Algorithm2::new(&seed);
                 if unfair {
                     node.defer_requests_from = Some(NodeId(0));
                 }
                 node
-            })
+            }))
         }
-        Automata::ChandyMisra => drive(spec, plan, rmode, |seed| ChandyMisra::new(&seed)),
+        Automata::ChandyMisra => job.run(build(spec, plan, rmode, |seed| ChandyMisra::new(&seed))),
     }
 }
 
@@ -132,7 +162,7 @@ fn prep_a1(mut node: Algorithm1, mutate: bool) -> Algorithm1 {
     node
 }
 
-fn drive<P, F>(spec: &CheckSpec, plan: &Plan, mut rmode: RecorderMode, factory: F) -> RunVerdict
+fn build<P, F>(spec: &CheckSpec, plan: &Plan, mut rmode: RecorderMode, factory: F) -> Engine<P>
 where
     P: Checkable,
     F: FnMut(manet_sim::NodeSeed) -> P + 'static,
@@ -141,7 +171,6 @@ where
         // Lasso detection needs the progress digest on every delivery.
         rmode.digest = Some(DigestMode::Progress);
     }
-    let recorder = Recorder::with_mode(plan, spec.n, rmode);
     let cfg = SimConfig {
         seed: spec.seed,
         max_message_delay: spec.nu,
@@ -151,9 +180,8 @@ where
         ..SimConfig::default()
     };
     let mut engine = Engine::new_graph(cfg, spec.n, &spec.edges, factory);
-    engine.set_strategy(Box::new(recorder.clone()));
-    let (monitor, violations) = SafetyMonitor::new(false);
-    engine.add_hook(Box::new(monitor));
+    engine.set_strategy(Box::new(Recorder::with_mode(plan, spec.n, rmode)));
+    engine.add_hook(Box::new(SafetyMonitor::new(false).0));
     // Meals of exactly `eat` ticks. In liveness mode a node goes hungry
     // again `think` ticks after each, so runs cycle until the horizon
     // instead of draining, and starvation shows as a *lasso* (a repeated
@@ -167,13 +195,22 @@ where
     for &h in &spec.hungry {
         engine.set_hungry_at(SimTime(1), NodeId(h));
     }
-    engine.run_until(SimTime(spec.horizon));
+    engine
+}
 
+/// Judge a run of `spec` that has reached its end, however it got there:
+/// the verdict reads only the engine, so a run resumed from a fork of
+/// another is judged exactly as one run from tick 0.
+pub(crate) fn finish<P: Checkable>(spec: &CheckSpec, mut engine: Engine<P>) -> RunVerdict {
+    let (choices, deliveries) = engine
+        .strategy_mut::<Recorder>()
+        .expect("every checker run records")
+        .take_logs();
     let drained = engine.pending_events() == 0;
-    let trace = engine.trace().to_vec();
+    let trace = engine.trace();
     let mut sessions = SessionFold::new(spec.n);
     let mut first_eat = vec![None; spec.n];
-    for t in &trace {
+    for t in trace {
         if let TraceKind::StateChange(node, old, new) = t.kind {
             sessions.state_changed(node, old, new, t.at, false);
             if new == DiningState::Eating {
@@ -182,10 +219,11 @@ where
         }
     }
     let meals = sessions.meals.iter().sum();
-    let deliveries = recorder.deliveries();
-
-    let violation = check_lme(&violations.borrow())
-        .or_else(|| check_doorway(&engine, &trace))
+    let monitor = engine
+        .hook::<SafetyMonitor>()
+        .expect("every checker run is monitored");
+    let violation = check_lme(&monitor.violations())
+        .or_else(|| check_doorway(&engine, trace))
         .or_else(|| {
             drained
                 .then(|| check_fork_conservation(spec, &engine))
@@ -198,16 +236,16 @@ where
         })
         .or_else(|| {
             spec.liveness
-                .then(|| check_starvation_lasso(spec, &trace, &deliveries))
+                .then(|| check_starvation_lasso(spec, trace, &deliveries))
                 .flatten()
         });
 
     let abort = engine.abort().map(|a| a.to_string());
 
     RunVerdict {
-        choices: recorder.log(),
+        choices,
         violation,
-        trace,
+        trace: engine.into_trace(),
         drained,
         meals,
         abort,

@@ -5,7 +5,7 @@
 
 use std::str::FromStr;
 
-use harness::{topology, AlgKind, MobilityMix, Topo, WaypointPlan};
+use harness::{topology, AlgKind, Mobility, MobilityMix, Topo, WaypointPlan};
 use lme_check::{Mutation, StrategyKind};
 use lme_net::{LiveConfig, LiveRuntime, TransportKind};
 use manet_sim::{
@@ -275,21 +275,11 @@ pub struct Scenario {
     /// Channel, ARQ, fault plan and metrics path. `--victim N --recover
     /// T` (one needs the other) adds a crash → recover cycle to the plan.
     pub sim: Sim,
-    /// How nodes move.
+    /// How nodes move, grounded in the instance: `--moves k` (random
+    /// waypoint) and `--mix s:h` both roam the same area over the middle
+    /// 80 % of the horizon. Each run re-seeds the model with its own seed
+    /// (see `harness::SweepSpec`).
     pub mobility: Mobility,
-}
-
-/// How nodes move in `run` and `sweep`, grounded in the instance: both
-/// models roam the same area over the middle 80 % of the horizon. Each
-/// run re-seeds its model with its own seed (see `harness::SweepSpec`).
-#[derive(Clone, Debug)]
-pub enum Mobility {
-    /// Nobody moves.
-    Static,
-    /// `--moves k`: k random-waypoint movements.
-    Waypoints(WaypointPlan),
-    /// `--mix s:h`: heterogeneous mobility classes.
-    Mix(MobilityMix),
 }
 
 impl Scenario {

@@ -4,8 +4,8 @@
 use std::path::Path;
 
 use harness::{
-    default_jobs, run_cells, AggregateRow, AlgKind, FaultClass, FlReport, RunReport, RunSpec,
-    Sample, Summary, SweepCell, SweepReport, SweepSpec, Table, Topo, WaypointPlan,
+    default_jobs, run_cells, AggregateRow, AlgKind, FaultClass, FlReport, Mobility, RunReport,
+    RunSpec, Sample, Summary, SweepCell, SweepReport, SweepSpec, Table, Topo, WaypointPlan,
 };
 use lme_check::{
     certify, explore, replay, Certificate, CertifyConfig, CheckSpec, Exploration, ExploreConfig,
@@ -15,8 +15,8 @@ use lme_net::{conformance_replay, run_live, ConformanceReport, LiveConfig, LiveO
 use manet_sim::{ArqConfig, Command as SimCommand, NodeId, SimConfig};
 
 use crate::args::{
-    Chaos, Check, CheckMode, Command, Experiments, Instance, Live, LiveCell, Mobility, Probe, Run,
-    Scenario, Sim, Strategy, Sweep, TopoSpec, USAGE,
+    Chaos, Check, CheckMode, Command, Experiments, Instance, Live, LiveCell, Probe, Run, Scenario,
+    Sim, Strategy, Sweep, TopoSpec, USAGE,
 };
 use crate::experiments;
 
@@ -38,12 +38,9 @@ fn sweep_of(inst: &Instance, sim: &Sim, mobility: &Mobility) -> SweepSpec {
         think: inst.think.0..=inst.think.1,
         ..RunSpec::default()
     };
-    let sweep = SweepSpec::new(inst.topo.to_string(), inst.topo.topo(), base).kinds([inst.alg]);
-    match mobility {
-        Mobility::Static => sweep,
-        Mobility::Waypoints(plan) => sweep.moves(plan.clone()),
-        Mobility::Mix(mix) => sweep.mix(mix.clone()),
-    }
+    SweepSpec::new(inst.topo.to_string(), inst.topo.topo(), base)
+        .kinds([inst.alg])
+        .mobility(mobility.clone())
 }
 
 /// Write the JSONL metrics file when `--metrics-out` was given.
@@ -1512,7 +1509,7 @@ mod tests {
             r.dropped_in_flight,
             r.events,
             r.violations as u64,
-            r.starving as u64,
+            r.starving() as u64,
             r.faults.total(),
             r.retransmissions,
             r.acks_sent,

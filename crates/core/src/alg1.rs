@@ -33,6 +33,7 @@
 //! release loops walk one record per neighbour and nothing is allocated per
 //! event.
 
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use coloring::{smallest_free_color, LinialSchedule};
@@ -120,8 +121,39 @@ impl Phase {
     }
 }
 
+/// The recoloring procedure a node is running, one of the three by value,
+/// so a node is `Clone`. It hashes as the procedure alone, exactly as the
+/// `Box<dyn RecolorProcedure>` it replaces did, so state digests are
+/// unchanged.
+#[derive(Clone, Debug)]
+enum Recoloring {
+    Greedy(GreedyRecolor),
+    Linial(LinialRecolor),
+    Randomized(RandomizedRecolor),
+}
+
+impl Recoloring {
+    fn procedure(&mut self) -> &mut dyn RecolorProcedure {
+        match self {
+            Recoloring::Greedy(p) => p,
+            Recoloring::Linial(p) => p,
+            Recoloring::Randomized(p) => p,
+        }
+    }
+}
+
+impl Hash for Recoloring {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        match self {
+            Recoloring::Greedy(p) => p.hash(h),
+            Recoloring::Linial(p) => p.hash(h),
+            Recoloring::Randomized(p) => p.hash(h),
+        }
+    }
+}
+
 /// One node of Algorithm 1. Implements [`Protocol`] for the simulator.
-#[derive(Debug, Hash)]
+#[derive(Clone, Debug, Hash)]
 pub struct Algorithm1 {
     me: NodeId,
     state: DiningState,
@@ -137,7 +169,7 @@ pub struct Algorithm1 {
     needs_recolor: bool,
     pending_info: NeighborSet,
     recolor_cfg: RecolorConfig,
-    active_proc: Option<Box<dyn RecolorProcedure>>,
+    active_proc: Option<Recoloring>,
     /// Timestamped phase transitions (only when `record_phases`).
     pub phase_log: Vec<(SimTime, Phase)>,
     /// Record phase transitions into [`Algorithm1::phase_log`].
@@ -462,11 +494,11 @@ impl Algorithm1 {
     }
 
     fn start_recolor(&mut self, ctx: &mut Context<'_, A1Msg>) {
-        let proc: Box<dyn RecolorProcedure> = match &self.recolor_cfg {
-            RecolorConfig::Greedy => Box::new(GreedyRecolor::new(self.me)),
-            RecolorConfig::Linial(s) => Box::new(LinialRecolor::new(self.me, s.clone())),
+        let proc = match &self.recolor_cfg {
+            RecolorConfig::Greedy => Recoloring::Greedy(GreedyRecolor::new(self.me)),
+            RecolorConfig::Linial(s) => Recoloring::Linial(LinialRecolor::new(self.me, s.clone())),
             RecolorConfig::Randomized { delta_bound, seed } => {
-                Box::new(RandomizedRecolor::new(self.me, *delta_bound, *seed))
+                Recoloring::Randomized(RandomizedRecolor::new(self.me, *delta_bound, *seed))
             }
             RecolorConfig::Never => unreachable!("a never-recoloring node entered SD^r"),
         };
@@ -482,7 +514,7 @@ impl Algorithm1 {
         ctx: &mut Context<'_, A1Msg>,
         step: impl FnOnce(&mut dyn RecolorProcedure, &mut Vec<(NodeId, RecolorMsg)>) -> RecolorOutcome,
     ) -> bool {
-        let proc = self.active_proc.as_deref_mut();
+        let proc = self.active_proc.as_mut().map(Recoloring::procedure);
         let mut out = Vec::new();
         let outcome = step(proc.expect("recoloring without procedure"), &mut out);
         for (j, m) in out {
@@ -824,7 +856,7 @@ mod tests {
             let mut p = middle();
             let mut proc = GreedyRecolor::new(p.me);
             proc.start(&[NodeId(1), NodeId(3)], &mut Vec::new());
-            p.active_proc = Some(Box::new(proc));
+            p.active_proc = Some(Recoloring::Greedy(proc));
             p
         };
         let mut answered = recoloring();
@@ -832,7 +864,7 @@ mod tests {
             edges: vec![],
             finished: false,
         };
-        let proc = answered.active_proc.as_mut().expect("running");
+        let proc = answered.active_proc.as_mut().expect("running").procedure();
         // Node 3 has not answered, so the round stays open.
         assert_eq!(
             proc.on_message(NodeId(1), graph, &mut Vec::new()),

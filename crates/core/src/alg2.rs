@@ -26,7 +26,7 @@ use crate::forks::ForkTable;
 use crate::message::A2Msg;
 
 /// One node of Algorithm 2. Implements [`Protocol`] for the simulator.
-#[derive(Debug, Hash)]
+#[derive(Clone, Debug, Hash)]
 pub struct Algorithm2 {
     me: NodeId,
     state: DiningState,

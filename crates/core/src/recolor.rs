@@ -105,7 +105,7 @@ macro_rules! feed_rounds {
 
 /// The participant set `R`, one record per member holding the responses
 /// it sent that no round has consumed yet.
-#[derive(Debug, Default, Hash)]
+#[derive(Clone, Debug, Default, Hash)]
 struct Participants(Neighbors<VecDeque<RecolorMsg>>);
 
 impl Participants {
@@ -152,7 +152,7 @@ impl Participants {
 /// The greedy recoloring procedure: flood the conflict graph of concurrent
 /// participants until it stabilizes, then greedily color it with the shared
 /// deterministic traversal of [`greedy_color_graph`].
-#[derive(Debug, Hash)]
+#[derive(Clone, Debug, Hash)]
 pub struct GreedyRecolor {
     me: u32,
     r: Participants,
@@ -257,7 +257,7 @@ impl RecolorProcedure for GreedyRecolor {
 /// falls back to the always-legal color `-(final_range + ID) - 1`; the
 /// fallback range is disjoint from both the normal recoloring range and the
 /// exit-time colors, so legality is preserved at the cost of a larger Δ.
-#[derive(Debug, Hash)]
+#[derive(Clone, Debug, Hash)]
 pub struct LinialRecolor {
     me: u32,
     schedule: Arc<LinialSchedule>,
@@ -366,7 +366,7 @@ impl RecolorProcedure for LinialRecolor {
 /// variant needs only a bound on δ — no knowledge of `n`, no precomputed
 /// schedule — at the price of probabilistic guarantees, exactly the
 /// trade-off the paper describes.
-#[derive(Debug, Hash)]
+#[derive(Clone, Debug, Hash)]
 pub struct RandomizedRecolor {
     me: u32,
     palette: u64,

@@ -42,7 +42,7 @@ impl<M> MessageCensus<M> {
     }
 }
 
-impl<M> Hook<M> for MessageCensus<M> {
+impl<M: 'static> Hook<M> for MessageCensus<M> {
     fn on_deliver(
         &mut self,
         _view: &View<'_>,

@@ -473,7 +473,7 @@ mod tests {
         };
         let run = cell.run();
         assert_eq!(
-            (run.starving, run.locality, run.meals),
+            (run.starving(), run.locality, run.meals),
             (
                 report.starving.len(),
                 report.locality,

@@ -52,7 +52,7 @@ pub use census::{CensusCounts, MessageCensus};
 pub use failure_locality::{probe, response_by_distance, starvation, FaultClass, FlReport};
 pub use manet_sim::Workload;
 pub use metrics::{Metrics, MetricsData, Sample};
-pub use mobility::{MobilityMix, NodeClass, WaypointPlan};
+pub use mobility::{Mobility, MobilityMix, NodeClass, WaypointPlan};
 pub use report::{AggregateRow, RunReport, SweepReport};
 pub use runner::{run, run_algorithm, run_protocol, AlgKind, Automata, RunOutcome, RunSpec};
 pub use safety::{SafetyCore, SafetyMonitor, Violation};

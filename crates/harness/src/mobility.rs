@@ -44,6 +44,39 @@ impl WaypointPlan {
     }
 }
 
+/// How nodes move in a run: not at all, by random waypoint, or by a
+/// heterogeneous mix.
+#[derive(Clone, Debug, Default)]
+pub enum Mobility {
+    /// Nobody moves.
+    #[default]
+    Static,
+    /// Random-waypoint movements.
+    Waypoints(WaypointPlan),
+    /// Heterogeneous mobility classes.
+    Mix(MobilityMix),
+}
+
+impl Mobility {
+    /// The movement commands for `n` nodes, with the model's RNG seeded
+    /// from `seed` (so every run of a sweep moves on its own schedule).
+    pub fn commands(&self, n: usize, seed: u64) -> Vec<(SimTime, Command)> {
+        match self {
+            Mobility::Static => Vec::new(),
+            Mobility::Waypoints(plan) => WaypointPlan {
+                seed,
+                ..plan.clone()
+            }
+            .commands(n),
+            Mobility::Mix(mix) => MobilityMix {
+                seed,
+                ..mix.clone()
+            }
+            .commands(n),
+        }
+    }
+}
+
 /// The mobility class a node belongs to under a [`MobilityMix`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum NodeClass {

@@ -51,8 +51,6 @@ pub struct RunReport {
     pub rt_all: Summary,
     /// Jain fairness index of per-node meal counts.
     pub jain: f64,
-    /// Number of starving nodes: `starving_nodes.len()`.
-    pub starving: usize,
     /// Empirical failure locality from a crash probe (`None` = no
     /// starving node at a known distance from a crash, or not a probe).
     pub locality: Option<usize>,
@@ -93,7 +91,7 @@ pub struct RunReport {
     pub all_responses: Vec<u64>,
     /// The starving nodes, each with its hop distance from a crash
     /// probe's victim (see [`FlReport::starving`]; not serialized:
-    /// the JSONL `starving` is their count).
+    /// the JSONL `starving` is their count, [`RunReport::starving`]).
     pub starving_nodes: Vec<(NodeId, Option<usize>)>,
     /// When a crash probe's victim crashed mid-CS (`None` when it never
     /// ate, or not a probe; not serialized).
@@ -132,7 +130,6 @@ impl RunReport {
             rt_static: Summary::of(&static_responses),
             rt_all: Summary::of(&all_responses),
             jain: jain_index(&outcome.metrics.meals),
-            starving: starving.len(),
             locality,
             faults: outcome.stats.faults.clone(),
             msg_complexity,
@@ -154,11 +151,12 @@ impl RunReport {
 
     /// Messages per completed critical section.
     pub fn messages_per_meal(&self) -> f64 {
-        if self.meals == 0 {
-            f64::INFINITY
-        } else {
-            self.messages_sent as f64 / self.meals as f64
-        }
+        messages_per_meal(self.messages_sent, self.meals)
+    }
+
+    /// Number of starving nodes.
+    pub fn starving(&self) -> usize {
+        self.starving_nodes.len()
     }
 
     /// One JSON line (no trailing newline), fixed key order, deterministic
@@ -188,7 +186,7 @@ impl RunReport {
             json_summary(&self.rt_static),
             json_summary(&self.rt_all),
             json_num(self.jain),
-            self.starving,
+            self.starving(),
             json_opt(self.locality),
             json_faults(&self.faults),
             json_summary(&self.msg_complexity),
@@ -301,7 +299,7 @@ impl AggregateRow {
         self.dropped_at_send += r.dropped_at_send;
         self.dropped_in_flight += r.dropped_in_flight;
         self.violations += r.violations;
-        self.starving += r.starving;
+        self.starving += r.starving();
         self.locality = self.locality.max(r.locality);
         self.faults_injected += r.faults.total();
         self.pooled_static.extend_from_slice(&r.static_responses);
@@ -315,11 +313,7 @@ impl AggregateRow {
 
     /// Messages per completed critical section across the group.
     pub fn messages_per_meal(&self) -> f64 {
-        if self.meals == 0 {
-            f64::INFINITY
-        } else {
-            self.messages_sent as f64 / self.meals as f64
-        }
+        messages_per_meal(self.messages_sent, self.meals)
     }
 
     /// One JSON line (no trailing newline) for the aggregate, fixed key
@@ -370,6 +364,16 @@ impl fmt::Display for AggregateRow {
             )?;
         }
         Ok(())
+    }
+}
+
+/// Messages per completed critical section, the one rule for every
+/// record: infinite when nothing was eaten.
+pub(crate) fn messages_per_meal(messages: u64, meals: u64) -> f64 {
+    if meals == 0 {
+        f64::INFINITY
+    } else {
+        messages as f64 / meals as f64
     }
 }
 
@@ -463,7 +467,6 @@ mod tests {
             rt_static: Summary::of(&responses),
             rt_all: Summary::of(&responses),
             jain: 1.0,
-            starving: 0,
             locality: None,
             faults: FaultStats::default(),
             msg_complexity: Summary::default(),
@@ -512,7 +515,6 @@ mod tests {
             rt_static: Summary::of(&[4, 6]),
             rt_all: Summary::of(&[4, 6]),
             jain: 0.5,
-            starving: 0,
             locality: None,
             faults: FaultStats::default(),
             msg_complexity: Summary::of(&[5, 9]),

@@ -103,12 +103,7 @@ impl RunOutcome {
 
     /// Messages per completed critical section.
     pub fn messages_per_meal(&self) -> f64 {
-        let meals = self.total_meals();
-        if meals == 0 {
-            f64::INFINITY
-        } else {
-            self.messages_sent as f64 / meals as f64
-        }
+        crate::report::messages_per_meal(self.messages_sent, self.total_meals())
     }
 
     /// Hop distances from `src` in the final topology (`None` =

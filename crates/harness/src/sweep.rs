@@ -21,7 +21,7 @@ use std::sync::mpsc;
 use manet_sim::{Command, NodeId, SimConfig, SimTime};
 
 use crate::failure_locality::{starvation, FlReport};
-use crate::mobility::{MobilityMix, WaypointPlan};
+use crate::mobility::Mobility;
 use crate::report::{RunReport, SweepReport};
 use crate::runner::{run, AlgKind, RunSpec};
 use crate::topology::Topo;
@@ -94,11 +94,8 @@ pub struct SweepSpec {
     pub kinds: Vec<AlgKind>,
     /// Seeds to sweep (grid's minor axis).
     pub seeds: Vec<u64>,
-    /// Random-waypoint template; each cell re-seeds it with its own seed.
-    pub moves: Option<WaypointPlan>,
-    /// Heterogeneous mobility-mix template; each cell re-seeds it with its
-    /// own seed. Takes precedence over `moves` when both are set.
-    pub mix: Option<MobilityMix>,
+    /// How nodes move; each cell re-seeds the model with its own seed.
+    pub mobility: Mobility,
 }
 
 impl SweepSpec {
@@ -111,8 +108,7 @@ impl SweepSpec {
             topo,
             base,
             kinds: Vec::new(),
-            moves: None,
-            mix: None,
+            mobility: Mobility::Static,
         }
     }
 
@@ -133,19 +129,10 @@ impl SweepSpec {
         self.seeds(first..first + count)
     }
 
-    /// Attach a random-waypoint mobility script; its RNG is re-seeded from
-    /// each cell's seed so every cell gets its own (deterministic)
-    /// movement schedule.
-    pub fn moves(mut self, plan: WaypointPlan) -> SweepSpec {
-        self.moves = Some(plan);
-        self
-    }
-
-    /// Attach a heterogeneous mobility mix; like [`SweepSpec::moves`], its
-    /// RNG is re-seeded from each cell's seed. Wins over `moves` when both
-    /// are set.
-    pub fn mix(mut self, mix: MobilityMix) -> SweepSpec {
-        self.mix = Some(mix);
+    /// Set how nodes move; the model's RNG is re-seeded from each cell's
+    /// seed so every cell gets its own (deterministic) movement schedule.
+    pub fn mobility(mut self, mobility: Mobility) -> SweepSpec {
+        self.mobility = mobility;
         self
     }
 
@@ -169,29 +156,12 @@ impl SweepSpec {
                     },
                     ..self.base.clone()
                 };
-                let commands = match (&self.mix, &self.moves) {
-                    (Some(mix), _) => {
-                        let mix = MobilityMix {
-                            seed,
-                            ..mix.clone()
-                        };
-                        mix.commands(self.topo.len())
-                    }
-                    (None, Some(plan)) => {
-                        let plan = WaypointPlan {
-                            seed,
-                            ..plan.clone()
-                        };
-                        plan.commands(self.topo.len())
-                    }
-                    (None, None) => Vec::new(),
-                };
                 cells.push(SweepCell {
                     label: self.label.clone(),
                     kind,
                     spec,
                     topo: self.topo.clone(),
-                    commands,
+                    commands: self.mobility.commands(self.topo.len(), seed),
                 });
             }
         }
@@ -272,6 +242,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mobility::MobilityMix;
     use crate::topology;
 
     #[test]
@@ -407,11 +378,11 @@ mod tests {
         )
         .kinds([AlgKind::A2])
         .seeds([1, 2])
-        .mix(MobilityMix {
+        .mobility(Mobility::Mix(MobilityMix {
             static_frac: 0.5,
             highway_frac: 0.25,
             ..MobilityMix::default()
-        });
+        }));
         let serial = spec.run(1);
         assert_eq!(serial.jsonl(), spec.run(4).jsonl());
         assert!(serial.runs.iter().all(|r| r.violations == 0));

@@ -344,6 +344,7 @@ fn fair_share<T>(n: usize, items: &[T], span: impl Fn(&T) -> &[NodeId], capacity
 /// [`ChannelConfig`], each holding only its own state, so a model that is
 /// not configured allocates nothing. `W` is the wire frame of the shared
 /// medium's flights.
+#[derive(Clone)]
 pub(crate) enum Medium<W> {
     /// The paper's model: no state (the delay is the link layer's i.i.d.
     /// draw).
@@ -413,6 +414,7 @@ impl<W> Medium<W> {
 }
 
 /// Constant bandwidth: one FIFO serialization queue per directed link.
+#[derive(Clone)]
 pub(crate) struct Bandwidth {
     pub ticks_per_frame: u64,
     max_queue: usize,
@@ -451,6 +453,7 @@ impl Bandwidth {
 }
 
 /// Gilbert–Elliott burst loss: one two-state chain per directed link.
+#[derive(Clone)]
 pub(crate) struct GilbertElliott {
     /// Per-frame probability of leaving the state, indexed by `bad`.
     leave: [f64; 2],
@@ -478,6 +481,7 @@ impl GilbertElliott {
 
 /// One in-flight shared-medium frame: the frame it delivers on completion
 /// plus its fair-share service state.
+#[derive(Clone)]
 pub(crate) struct Flight<W> {
     pub frame: Frame<W>,
     /// Remaining work in ticks-at-full-rate.
@@ -516,6 +520,7 @@ pub(crate) struct Scan {
 
 /// The shared medium: every in-flight frame, served at its fair share of
 /// the busiest radio neighborhood it is heard in.
+#[derive(Clone)]
 pub(crate) struct SharedMedium<W> {
     pub ticks_per_frame: u64,
     pub max_inflight: usize,

@@ -8,8 +8,16 @@
 //! and the digests), hands the frame over and queues what comes back.
 //! Everything kept per link lives in [`crate::links::LinkStore`]s, so a
 //! run's memory follows its links, not `n²`.
+//!
+//! An engine can be copied mid-run ([`Engine::fork`]) after a run paused
+//! just before a chosen event ([`Engine::pause_before`]): a schedule
+//! explorer resumes each schedule from the state where it leaves the one
+//! before it instead of replaying their common prefix (DESIGN §9).
 
+use std::any::Any;
+use std::cell::{Cell, RefCell};
 use std::hash::{Hash, Hasher};
+use std::rc::Rc;
 
 use crate::arq::Rto;
 use crate::channel::{ChannelStats, Scan};
@@ -84,7 +92,7 @@ impl EngineStats {
 
 /// A queued event. `Hash` covers every field, so a pending item enters
 /// [`Engine::state_digest`] as exactly what it will do when dispatched.
-#[derive(Hash)]
+#[derive(Clone, Hash)]
 enum Item<M> {
     /// A physical frame in flight.
     Frame(Frame<Wire<M>>),
@@ -236,6 +244,10 @@ struct Core<M> {
     /// Set when the run stops early (budget overrun, malformed schedule);
     /// once set, `run_until` dispatches nothing further.
     abort: Option<RunAbort>,
+    /// `run_until` stops before dispatching once this many events ran:
+    /// `cfg.max_events`, or an earlier [`Engine::pause_before`]. One
+    /// compare per event serves both.
+    halt_at: u64,
     world: World,
     dining: Vec<DiningState>,
     eating_session: Vec<u64>,
@@ -256,6 +268,30 @@ struct Core<M> {
 }
 
 impl<M: Clone> Core<M> {
+    /// An exact copy; the strategy forks through [`Strategy::fork`].
+    fn fork(&self) -> Core<M> {
+        Core {
+            cfg: self.cfg.clone(),
+            now: self.now,
+            seq: self.seq,
+            queue: self.queue.clone(),
+            abort: self.abort.clone(),
+            halt_at: self.halt_at,
+            world: self.world.clone(),
+            dining: self.dining.clone(),
+            eating_session: self.eating_session.clone(),
+            observed: self.observed.clone(),
+            link: self.link.clone(),
+            stats: self.stats.clone(),
+            trace: self.trace.clone(),
+            sched: self.sched.as_ref().map(|s| {
+                s.fork()
+                    .expect("the installed strategy cannot fork (Strategy::fork)")
+            }),
+            shim: self.shim.clone(),
+        }
+    }
+
     /// The `a — b` link flapped (up or down): kill its incarnation in
     /// both stores at once. In-flight frames of the dead link can never
     /// be delivered, and FIFO floors, ARQ windows and channel state of
@@ -312,10 +348,15 @@ impl<M: Clone> Core<M> {
 pub struct Engine<P: Protocol> {
     core: Core<P::Msg>,
     protocols: Vec<P>,
+    /// Each node's `state_digest`, kept until its protocol next changes
+    /// (its handler runs, or it recovers), so [`Engine::state_digest`]
+    /// re-hashes only the nodes that moved since the last one.
+    node_digests: Vec<Cell<Option<u64>>>,
     hooks: Vec<Box<dyn Hook<P::Msg>>>,
     /// The node factory, retained so [`Command::Recover`] can rebuild a
-    /// crashed node's protocol as a fresh incarnation.
-    factory: Box<dyn FnMut(NodeSeed) -> P>,
+    /// crashed node's protocol as a fresh incarnation. Forks of one
+    /// engine share it.
+    factory: Rc<RefCell<dyn FnMut(NodeSeed) -> P>>,
     /// δ of the initial topology, handed to recovered incarnations
     /// exactly as it was handed to the original ones.
     max_degree: usize,
@@ -393,6 +434,7 @@ impl<P: Protocol> Engine<P> {
             core: Core {
                 link: LinkLayer::new(&cfg, n),
                 queue: TimingWheel::from_config(&cfg),
+                halt_at: cfg.max_events,
                 cfg,
                 now: SimTime::ZERO,
                 seq: 0,
@@ -406,9 +448,10 @@ impl<P: Protocol> Engine<P> {
                 sched: None,
                 shim,
             },
+            node_digests: vec![Cell::new(None); n],
             protocols,
             hooks: Vec::new(),
-            factory: Box::new(factory),
+            factory: Rc::new(RefCell::new(factory)),
             max_degree,
             outbox: Vec::new(),
             timers: Vec::new(),
@@ -463,6 +506,66 @@ impl<P: Protocol> Engine<P> {
     /// Register an observation hook. Hooks fire in registration order.
     pub fn add_hook(&mut self, hook: Box<dyn Hook<P::Msg>>) {
         self.hooks.push(hook);
+    }
+
+    /// The first registered hook of type `H`, to read what it observed.
+    pub fn hook<H: Hook<P::Msg>>(&self) -> Option<&H> {
+        self.hooks
+            .iter()
+            .find_map(|h| (h.as_ref() as &dyn Any).downcast_ref())
+    }
+
+    /// The installed [`Strategy`], if it is an `S`: how a schedule
+    /// explorer takes back what it recorded, or switches a forked run to
+    /// its own plan.
+    pub fn strategy_mut<S: Strategy>(&mut self) -> Option<&mut S> {
+        (self.core.sched.as_deref_mut()? as &mut dyn Any).downcast_mut()
+    }
+
+    /// An exact copy of the engine, which then runs on independently of
+    /// this one: protocols, queue and sequence counter, RNG streams, link
+    /// store, world, trace, counters, hooks and strategy (the last two
+    /// through [`Hook::fork`] and [`Strategy::fork`]). The node factory
+    /// is shared. Forking an engine paused by [`Engine::pause_before`]
+    /// and running both on yields two runs that are each identical to an
+    /// unpaused run making the same choices.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a registered hook or the installed strategy cannot fork.
+    pub fn fork(&self) -> Engine<P>
+    where
+        P: Clone,
+    {
+        Engine {
+            core: self.core.fork(),
+            protocols: self.protocols.clone(),
+            node_digests: self.node_digests.clone(),
+            hooks: self
+                .hooks
+                .iter()
+                .map(|h| {
+                    h.fork()
+                        .expect("a registered hook cannot fork (Hook::fork)")
+                })
+                .collect(),
+            factory: Rc::clone(&self.factory),
+            max_degree: self.max_degree,
+            outbox: Vec::new(),
+            timers: Vec::new(),
+        }
+    }
+
+    /// Make [`Engine::run_until`] return just before it dispatches event
+    /// number `event`, counting dispatched events from 0 — i.e. once
+    /// [`EngineStats::events`] reaches `event`. The run stops at the point
+    /// where it would otherwise pop that event: every earlier event has
+    /// run, the hooks have closed every earlier instant, and a later
+    /// `run_until` with the same end continues exactly as if it never
+    /// stopped. The pause is used up once taken; a run that ends first
+    /// never reaches it.
+    pub fn pause_before(&mut self, event: u64) {
+        self.core.halt_at = event.min(self.core.cfg.max_events);
     }
 
     /// Schedule a [`Command`] at absolute time `at` (clamped to now).
@@ -533,6 +636,11 @@ impl<P: Protocol> Engine<P> {
         &self.core.trace.entries
     }
 
+    /// The recorded trace, moved out of an engine that is done.
+    pub fn into_trace(self) -> Vec<TraceEntry> {
+        self.core.trace.entries
+    }
+
     /// Borrow the protocol instance of `node` (for tests and inspection).
     pub fn protocol(&self, node: NodeId) -> &P {
         &self.protocols[node.index()]
@@ -569,8 +677,13 @@ impl<P: Protocol> Engine<P> {
     /// want to deduplicate exactly those.
     pub fn state_digest(&self) -> Option<u64> {
         let mut h = sched::Fnv::new();
-        for p in &self.protocols {
-            h.write_u64(p.state_digest()?);
+        for (p, known) in self.protocols.iter().zip(&self.node_digests) {
+            let digest = match known.get() {
+                Some(d) => d,
+                None => p.state_digest()?,
+            };
+            known.set(Some(digest));
+            h.write_u64(digest);
         }
         self.core.dining.hash(&mut h);
         self.core.eating_session.hash(&mut h);
@@ -663,10 +776,13 @@ impl<P: Protocol> Engine<P> {
             // mid-dispatch: exactly `max_events` events get dispatched,
             // same boundary the old assert enforced.
             quantum_checked = false;
-            if self.core.stats.events >= self.core.cfg.max_events {
-                self.core.abort = Some(RunAbort::EventBudgetExceeded {
-                    limit: self.core.cfg.max_events,
-                });
+            if self.core.stats.events >= self.core.halt_at {
+                let limit = self.core.cfg.max_events;
+                if self.core.stats.events >= limit {
+                    self.core.abort = Some(RunAbort::EventBudgetExceeded { limit });
+                } else {
+                    self.core.halt_at = limit; // a pause, used up
+                }
                 break;
             }
             // The queue's peek caches the exact entry its pop returns, so
@@ -811,7 +927,8 @@ impl<P: Protocol> Engine<P> {
                 // for good; the rejoin handshake below re-establishes all
                 // shared state through the ordinary link layer.
                 let n = self.core.world.len();
-                self.protocols[node.index()] = (self.factory)(NodeSeed {
+                self.node_digests[node.index()].set(None);
+                self.protocols[node.index()] = (self.factory.borrow_mut())(NodeSeed {
                     id: node,
                     neighbors: Vec::new(),
                     n_nodes: n,
@@ -948,6 +1065,7 @@ impl<P: Protocol> Engine<P> {
             };
             self.protocols[node.index()].on_event(ev, &mut ctx);
         }
+        self.node_digests[node.index()].set(None);
         for (to, msg) in outbox.drain(..) {
             self.send(node, to, msg);
         }
@@ -1204,6 +1322,8 @@ impl<P: Protocol> Engine<P> {
             to,
             kind,
             now: self.core.now,
+            // Sends happen only inside a dispatch, which counted its event.
+            event: self.core.stats.events.saturating_sub(1),
             earliest,
             latest,
             pending_in_window,
@@ -1268,6 +1388,7 @@ mod tests {
 
     /// Echo protocol: replies `x+1` to any numeric message; used to test
     /// delivery, FIFO and link semantics.
+    #[derive(Clone)]
     struct Echo {
         state: DiningState,
         received: Vec<(NodeId, u64)>,
@@ -2133,6 +2254,43 @@ mod tests {
             (e.stats().clone(), e.trace().to_vec())
         };
         assert_eq!(run(3), run(3));
+    }
+
+    /// A run paused before any of its events and forked there goes on, in
+    /// the original and in the copy alike, exactly as the run that never
+    /// paused: same counters, same trace, the strategy's stream included.
+    #[test]
+    fn a_paused_run_and_its_fork_both_finish_as_the_unpaused_run() {
+        let start = || {
+            let mut e = engine2();
+            e.set_strategy(Box::new(crate::sched::RandomDelays::new(5)));
+            for (at, node) in [(1, 0), (4, 1), (4, 0)] {
+                e.core.push(
+                    SimTime(at),
+                    Item::Proto {
+                        node: NodeId(node),
+                        ev: Event::Timer { token: 0 },
+                    },
+                );
+            }
+            e
+        };
+        let horizon = SimTime(1_000);
+        let mut whole = start();
+        whole.run_until(horizon);
+        let expected = (whole.stats().clone(), whole.trace().to_vec());
+        assert!(expected.0.events > 10, "{:?}", expected.0);
+        for k in 0..=expected.0.events {
+            let mut paused = start();
+            paused.pause_before(k);
+            paused.run_until(horizon);
+            assert_eq!(paused.stats().events, k, "paused before event {k}");
+            let mut copy = paused.fork();
+            for e in [&mut paused, &mut copy] {
+                e.run_until(horizon);
+                assert_eq!((e.stats().clone(), e.trace().to_vec()), expected, "k = {k}");
+            }
+        }
     }
 
     #[test]

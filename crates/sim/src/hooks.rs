@@ -1,5 +1,7 @@
 //! Observation hooks: how the harness watches a run and reacts to it.
 
+use std::any::Any;
+
 use crate::command::Command;
 use crate::ids::NodeId;
 use crate::protocol::DiningState;
@@ -74,8 +76,11 @@ impl Sink {
 /// local mutual exclusion invariant, the workload schedules exits after a
 /// node starts eating, metrics record response times, and fault injectors
 /// watch for trigger conditions. All methods default to no-ops.
+///
+/// `Any` is a supertrait so a host can find an installed hook again by its
+/// type ([`crate::Engine::hook`]) and read what it observed.
 #[allow(unused_variables)]
-pub trait Hook<M> {
+pub trait Hook<M>: Any {
     /// A node's dining state changed (`old` → `new`) at `view.time()`.
     fn on_state_change(
         &mut self,
@@ -114,6 +119,14 @@ pub trait Hook<M> {
 
     /// A message from `from` to `to` was handed to the receiving protocol.
     fn on_deliver(&mut self, view: &View<'_>, from: NodeId, to: NodeId, msg: &M, sink: &mut Sink) {}
+
+    /// An exact copy of this hook for a forked engine ([`crate::Engine::fork`]),
+    /// sharing nothing with it: each copy goes on observing its own run.
+    /// `None` (the default) means the hook cannot be copied, and an engine
+    /// holding it cannot fork.
+    fn fork(&self) -> Option<Box<dyn Hook<M>>> {
+        None
+    }
 }
 
 #[cfg(test)]

@@ -147,6 +147,7 @@ struct Verdict {
 }
 
 /// The per-frame half of the [`crate::FaultPlan`].
+#[derive(Clone)]
 struct Adversary {
     /// Dedicated stream, so an empty plan leaves every other stream —
     /// and so every pre-existing experiment — untouched.
@@ -217,6 +218,7 @@ impl FifoSlot {
 }
 
 /// Everything that decides a frame's fate. See the module docs.
+#[derive(Clone)]
 pub(crate) struct LinkLayer<W> {
     window: Window,
     /// The run's main stream; its one use is the i.i.d. delay draw.

@@ -53,7 +53,7 @@ fn key(from: NodeId, to: NodeId) -> u64 {
     u64::from(from.0) << 32 | u64::from(to.0)
 }
 
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct Record<T> {
     /// Current incarnation of the link, mirrored in both directions.
     incarnation: u64,
@@ -65,6 +65,7 @@ struct Record<T> {
 /// Per-directed-link state of type `T`, valid for one link incarnation at
 /// a time. A pair with no record reads as incarnation 0 with a default
 /// payload. See the module docs.
+#[derive(Clone)]
 pub(crate) struct LinkStore<T> {
     map: HashMap<u64, Record<T>, BuildHasherDefault<PairHasher>>,
 }

@@ -44,8 +44,9 @@ impl std::fmt::Display for DiningState {
 /// pseudo-code are encoded as protocol state re-evaluated on later events.
 pub trait Protocol {
     /// The message type exchanged between nodes. `Hash` is what the
-    /// engine's state digest hashes a queued message by.
-    type Msg: Clone + std::fmt::Debug + std::hash::Hash;
+    /// engine's state digest hashes a queued message by; `'static` lets
+    /// the engine's hooks, which observe messages, be found by type.
+    type Msg: Clone + std::fmt::Debug + std::hash::Hash + 'static;
 
     /// Handle one event. Outgoing messages and timers are issued through
     /// `ctx`.

@@ -226,6 +226,13 @@ impl SafetyMonitor {
             v,
         )
     }
+
+    /// The violations logged so far: what the shared handle of
+    /// [`SafetyMonitor::new`] reads, reached through the monitor itself
+    /// (e.g. on a forked engine, whose monitor logs into its own copy).
+    pub fn violations(&self) -> std::cell::Ref<'_, Vec<Violation>> {
+        self.violations.borrow()
+    }
 }
 
 /// A core holding the configuration in `view`. The monitor seeds itself
@@ -287,6 +294,16 @@ impl<M> Hook<M> for SafetyMonitor {
                 );
             }
         }
+    }
+
+    /// A copy logging into a fresh copy of the violations so far, so the
+    /// two runs never see each other's.
+    fn fork(&self) -> Option<Box<dyn Hook<M>>> {
+        Some(Box::new(SafetyMonitor {
+            violations: Rc::new(RefCell::new(self.violations.borrow().clone())),
+            panic_on_violation: self.panic_on_violation,
+            core: self.core.clone(),
+        }))
     }
 }
 

@@ -11,6 +11,7 @@
 //! without a strategy are bit-for-bit identical to runs before this module
 //! existed.
 
+use std::any::Any;
 use std::hash::{Hash, Hasher};
 
 use crate::ids::NodeId;
@@ -29,6 +30,12 @@ pub struct DeliveryChoice {
     pub kind: &'static str,
     /// The send instant.
     pub now: SimTime,
+    /// Number of the engine event whose handler sends the frame, counting
+    /// dispatched events from 0 (`EngineStats::events` before it ran). Two
+    /// runs that made the same choices so far reach it in the same state,
+    /// which is where a schedule explorer can fork one run into another
+    /// (`Engine::pause_before`).
+    pub event: u64,
     /// Smallest legal delay (`SimConfig::min_message_delay`).
     pub earliest: u64,
     /// Largest legal delay (the paper's ν, `SimConfig::max_message_delay`).
@@ -96,7 +103,10 @@ impl DeliveryChoice {
 /// clamping (which would reorder the run while claiming conformance).
 /// In-window values flow through the unchanged fault-adversary and FIFO
 /// machinery.
-pub trait Strategy {
+///
+/// `Any` is a supertrait so a host can reach the installed strategy again
+/// by its type (`Engine::strategy_mut`) and read what it recorded.
+pub trait Strategy: Any {
     /// Pick the delivery delay for one message.
     fn choose_delay(&mut self, choice: &DeliveryChoice) -> u64;
 
@@ -106,6 +116,14 @@ pub trait Strategy {
     /// send, which only deduplicating or lasso-detecting explorers need.
     fn digest_mode(&self) -> DigestMode {
         DigestMode::Off
+    }
+
+    /// An exact copy of this strategy for a forked engine
+    /// (`Engine::fork`), sharing nothing with it. `None` (the default)
+    /// means the strategy cannot be copied, and an engine holding it
+    /// cannot fork.
+    fn fork(&self) -> Option<Box<dyn Strategy>> {
+        None
     }
 }
 
@@ -129,6 +147,10 @@ impl RandomDelays {
 impl Strategy for RandomDelays {
     fn choose_delay(&mut self, choice: &DeliveryChoice) -> u64 {
         self.rng.gen_range(choice.earliest..=choice.latest)
+    }
+
+    fn fork(&self) -> Option<Box<dyn Strategy>> {
+        Some(Box::new(self.clone()))
     }
 }
 
@@ -262,6 +284,7 @@ mod tests {
             to: NodeId(1),
             kind: "msg",
             now: SimTime(100),
+            event: 0,
             earliest,
             latest,
             pending_in_window: pending,

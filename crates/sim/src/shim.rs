@@ -63,6 +63,7 @@ pub struct ShimStats {
 /// engine's queue as items and cannot be recalled; a re-arm bumps the
 /// generation instead, and an item carrying an older one no-ops (the
 /// generations ride in the items, and so in the state digest).
+#[derive(Clone)]
 pub(crate) struct ShimLink<M> {
     pub arq: GoBackN<M>,
     pub rto_gen: u64,
@@ -89,6 +90,7 @@ impl<M> Default for ShimLink<M> {
 
 /// The engine-side shim state: timing resolved from ν, the dedicated
 /// jitter stream, and every node's end of every link.
+#[derive(Clone)]
 pub(crate) struct ShimState<M> {
     pub timing: ArqTiming,
     /// Dedicated stream for backoff jitter, so shim timing never perturbs

@@ -27,6 +27,7 @@ const MAX_BUCKETS: u64 = 1 << 16;
 
 /// Slab cell: payload plus the key it was queued under. `item` is `None`
 /// when the cell is on the free list.
+#[derive(Clone)]
 struct Slot<T> {
     at: SimTime,
     seq: u64,
@@ -83,6 +84,34 @@ pub struct TimingWheel<T> {
     overflow: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
     cached: Option<Cand>,
     len: usize,
+}
+
+impl<T: Clone> Clone for TimingWheel<T> {
+    /// A copy whose buckets hold only their pending entries, in sequence
+    /// order, so copying a queue mid-run (a forked engine's) costs what is
+    /// pending plus one bucket array, whatever has been consumed.
+    fn clone(&self) -> TimingWheel<T> {
+        TimingWheel {
+            slab: self.slab.clone(),
+            free: self.free.clone(),
+            buckets: self
+                .buckets
+                .iter()
+                .map(|b| match &b.entries[b.head..] {
+                    [] => Bucket::default(),
+                    pending => Bucket {
+                        entries: pending.to_vec(),
+                        head: 0,
+                    },
+                })
+                .collect(),
+            mask: self.mask,
+            base: self.base,
+            overflow: self.overflow.clone(),
+            cached: self.cached,
+            len: self.len,
+        }
+    }
 }
 
 impl<T> TimingWheel<T> {
@@ -357,6 +386,39 @@ mod tests {
         seen.sort_unstable();
         assert_eq!(seen, vec![(2, 3, 30), (9_999, 2, 20)]);
         assert_eq!(q.len(), 2);
+    }
+
+    /// A copy taken mid-drain, with a bucket half consumed and an entry
+    /// in the overflow, pops what the original pops, and each goes on
+    /// independently of the other.
+    #[test]
+    fn a_copy_drains_as_the_original() {
+        let mut q = wheel();
+        for (seq, at) in [(1, 2u64), (2, 9_999), (3, 2), (4, 7), (5, 3)] {
+            q.push(SimTime(at), seq, seq * 10);
+        }
+        assert_eq!(q.pop(), Some((SimTime(2), 1, 10)));
+        let mut copy = q.clone();
+        copy.push(SimTime(5), 6, 60);
+        assert_eq!(
+            drain(&mut q),
+            vec![
+                (SimTime(2), 3, 30),
+                (SimTime(3), 5, 50),
+                (SimTime(7), 4, 40),
+                (SimTime(9_999), 2, 20),
+            ]
+        );
+        assert_eq!(
+            drain(&mut copy),
+            vec![
+                (SimTime(2), 3, 30),
+                (SimTime(3), 5, 50),
+                (SimTime(5), 6, 60),
+                (SimTime(7), 4, 40),
+                (SimTime(9_999), 2, 20),
+            ]
+        );
     }
 
     #[test]

@@ -24,7 +24,7 @@ use crate::rng::SimRng;
 /// A node's first hunger is the host's to schedule (the simulator's
 /// [`crate::Engine::set_hungry_at`], the live node's staggered start);
 /// this rule takes over afterwards.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Workload {
     eat: RangeInclusive<u64>,
     /// `None` in a one-shot workload: a node eats once per external
@@ -114,6 +114,10 @@ impl<M> Hook<M> for Workload {
         if let Some((delay, cmd)) = self.recovered(node) {
             sink.at(view.time() + delay, cmd);
         }
+    }
+
+    fn fork(&self) -> Option<Box<dyn Hook<M>>> {
+        Some(Box::new(self.clone()))
     }
 }
 

@@ -6,15 +6,18 @@
 //! the search happens on that thread, in a fixed order, so the peak is
 //! deterministic and the bound is exact, not a timing threshold.
 //!
-//! What the search holds at once is one wave of reduced runs (branch
-//! choices and first-eat times; no trace, no delivery log), its frontier
-//! of prefixes, and a seen-set of state digests that grows with the
-//! digests recorded. Measured with this file on A2, `line:4`:
+//! What the search holds at once is its frontier of prefixes, a seen-set
+//! of state digests that grows with the digests recorded, the engine
+//! snapshots a walk keeps for the schedules that resume from them, and
+//! the reduced runs (branch choices and first-eat times; no trace, no
+//! delivery log) not yet merged: with one job, one at a time. Measured
+//! with this file on A2, `line:4`:
 //!
 //! | search | peak live heap, bytes |
 //! |---|---|
 //! | fixed 2^20-digest table, a full verdict (trace included) per run of a wave | 18 736 636 |
 //! | growing seen-set, a wave keeps only what its merge reads | 451 291 |
+//! | schedules resumed from forks, each run merged as soon as it is done | 199 748 |
 //!
 //! The first row's table alone is 16 MiB, for the 1 510 digests the
 //! search records.

@@ -307,7 +307,7 @@ fn probe_fl_cell(
     let mut violations = 0;
     for run in &report.runs {
         violations += run.violations;
-        let cell_fl = match (run.starving, run.locality) {
+        let cell_fl = match (run.starving(), run.locality) {
             (0, _) => None,
             (_, Some(d)) => Some(d),
             // Starving nodes with no crash distance: unbounded locality.

@@ -186,6 +186,7 @@ fn imported_schedule_strategy_object_is_consulted() {
         to: NodeId(1),
         kind: "msg",
         now: SimTime(10),
+        event: 0,
         earliest: 1,
         latest: 10,
         pending_in_window: 0,

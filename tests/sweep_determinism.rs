@@ -5,7 +5,7 @@
 //! measurement infrastructure.
 
 use manet_local_mutex::harness::{
-    par_map, topology, AlgKind, RunSpec, SweepSpec, Topo, WaypointPlan,
+    par_map, topology, AlgKind, Mobility, RunSpec, SweepSpec, Topo, WaypointPlan,
 };
 use manet_local_mutex::sim::NodeId;
 
@@ -71,13 +71,13 @@ fn mobile_probe_sweeps_are_deterministic() {
         )
         .kinds([AlgKind::A2])
         .seed_range(3, 5)
-        .moves(WaypointPlan {
+        .mobility(Mobility::Waypoints(WaypointPlan {
             area_side: 4.0,
             moves: 6,
             window: (2_000, 10_000),
             speed: Some(0.25),
             seed: 0, // overridden per cell
-        })
+        }))
         .probe(NodeId(4), 1_000)
     };
     assert_eq!(spec().run(1).jsonl(), spec().run(4).jsonl());
